@@ -50,7 +50,7 @@ func realMain(args []string) error {
 		addr          = fs.String("addr", ":8080", "listen address (host:port; port 0 picks an ephemeral port)")
 		readyFile     = fs.String("ready-file", "", "after listening, write the actual address to this file (CI port discovery)")
 		maxConcurrent = fs.Int("max-concurrent", 0, "simultaneous /route requests before shedding with 429 (0 = 2×GOMAXPROCS)")
-		traceCap      = fs.Int("trace-capacity", 1<<16, "per-request trace ring capacity (events)")
+		traceCap      = fs.Int("trace-capacity", serve.DefaultTraceCapacity, "per-request trace ring bound (events); memory grows with the events emitted, up to this cap")
 		maxTraces     = fs.Int("max-traces", 64, "retained traces before evicting the oldest")
 		maxLogs       = fs.Int("max-logs", 0, "retained /logs wide events before evicting the oldest (0 = default ring, negative disables request logging)")
 		reqTimeout    = fs.Duration("request-timeout", 60*time.Second, "per-request /route wall-clock bound")

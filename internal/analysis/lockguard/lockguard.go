@@ -282,11 +282,9 @@ func (c *checker) mentionsGuarded(body *ast.BlockStmt) bool {
 		if !ok {
 			return true
 		}
-		if s := c.pass.Info.Selections[sel]; s != nil {
-			if v, ok := s.Obj().(*types.Var); ok {
-				if _, g := c.guards[v]; g || c.mus[v] {
-					found = true
-				}
+		if v := c.fieldVar(sel); v != nil {
+			if _, g := c.guards[v]; g || c.mus[v] {
+				found = true
 			}
 		}
 		return true
@@ -344,12 +342,8 @@ func (c *checker) lockTarget(recv ast.Expr) (lockKey, bool) {
 	if !ok {
 		return lockKey{}, false
 	}
-	s := c.pass.Info.Selections[sel]
-	if s == nil {
-		return lockKey{}, false
-	}
-	mu, ok := s.Obj().(*types.Var)
-	if !ok || !c.mus[mu] {
+	mu := c.fieldVar(sel)
+	if mu == nil || !c.mus[mu] {
 		return lockKey{}, false
 	}
 	root := analysis.RootIdent(sel.X)
@@ -364,6 +358,22 @@ func (c *checker) lockTarget(recv ast.Expr) (lockKey, bool) {
 		return lockKey{}, false
 	}
 	return lockKey{root: obj, mu: mu}, true
+}
+
+// fieldVar resolves a selector to the declared variable it selects. A
+// field reached through an instantiated generic type is a distinct
+// types.Var per instance; Origin maps it back to the declaration the
+// directive table is keyed by.
+func (c *checker) fieldVar(sel *ast.SelectorExpr) *types.Var {
+	s := c.pass.Info.Selections[sel]
+	if s == nil {
+		return nil
+	}
+	v, ok := s.Obj().(*types.Var)
+	if !ok {
+		return nil
+	}
+	return v.Origin()
 }
 
 func unparen(e ast.Expr) ast.Expr {
@@ -430,12 +440,8 @@ func (c *checker) checkAccesses(node ast.Node, state lockState) {
 // checkSelector reports one guarded-field selector access when the
 // required lock is not held.
 func (c *checker) checkSelector(sel *ast.SelectorExpr, isWrite bool, state lockState) {
-	s := c.pass.Info.Selections[sel]
-	if s == nil {
-		return
-	}
-	v, ok := s.Obj().(*types.Var)
-	if !ok {
+	v := c.fieldVar(sel)
+	if v == nil {
 		return
 	}
 	g, guarded := c.guards[v]

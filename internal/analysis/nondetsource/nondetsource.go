@@ -64,6 +64,10 @@ var Analyzer = &analysis.Analyzer{
 		// serve through the obs stopwatch, and the deterministic projection
 		// (Event.Deterministic) excludes those fields (DESIGN.md §16).
 		"internal/olog",
+		// The bounded ring behind both is in scope so it stays clock-free:
+		// trace stamps Elapsed in its own ring.go, through the stamp
+		// function it hands the generic ring.
+		"internal/ring",
 		// The workload simulator is in scope so its generation side stays a
 		// pure function of the spec seed: sim's math/rand import carries the
 		// seeded-stream justification, and the driver reads the clock only

@@ -2,41 +2,21 @@ package olog
 
 import (
 	"io"
-	"sync"
-)
 
-// Unlike trace.Ring, this ring never reads the clock: the serve layer
-// stamps every timing through the sanctioned obs helpers before handing
-// the event over, so package olog is trivially clean under the
-// nondetsource analyzer.
+	"nontree/internal/ring"
+)
 
 // DefaultRingCapacity is the event capacity NewRing uses for
 // capacity <= 0 — one event per request, so this is the window of recent
 // requests a long-lived daemon keeps inspectable at /logs.
 const DefaultRingCapacity = 1024
 
-// Ring is a bounded buffer of wide events keeping the most recent
-// requests. Append assigns monotonically increasing sequence numbers, so
-// even after wraparound the retained tail reports how much history it
-// lost (Dropped). Safe for concurrent use.
-//
-// Lock order: mu is a leaf lock — no Ring method calls out of the
-// package while holding it, so it can safely be acquired under any
-// caller's lock. The lockorder analyzer verifies this nesting stays
-// acyclic (DESIGN.md §14).
+// Ring is an internal/ring bounded ring of the most recent requests' wide
+// events, grown on demand up to its capacity. Safe for concurrent use; its
+// lock is a leaf (DESIGN.md §14). Unlike trace.Ring it never reads the
+// clock: serve stamps every timing through the obs helpers first.
 type Ring struct {
-	mu sync.Mutex
-	//nontree:guardedby mu
-	buf []Event
-	// head is the index of the oldest retained event.
-	//nontree:guardedby mu
-	head int
-	//nontree:guardedby mu
-	size int
-	//nontree:guardedby mu
-	seq int64
-	//nontree:guardedby mu
-	dropped int64
+	events *ring.Ring[Event]
 }
 
 // NewRing returns a ring retaining the last capacity events
@@ -45,68 +25,30 @@ func NewRing(capacity int) *Ring {
 	if capacity <= 0 {
 		capacity = DefaultRingCapacity
 	}
-	return &Ring{buf: make([]Event, 0, capacity)}
+	return &Ring{events: ring.New(capacity, func(e *Event, seq int64) { e.Seq = seq })}
 }
 
 // Append assigns the next sequence number and appends the event,
 // evicting the oldest when full. It reports whether an event was
 // evicted, so the caller can account the eviction.
-func (r *Ring) Append(e Event) (evicted bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.seq++
-	e.Seq = r.seq
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, e)
-		r.size++
-		return false
-	}
-	r.buf[r.head] = e
-	r.head = (r.head + 1) % len(r.buf)
-	r.dropped++
-	return true
-}
+func (r *Ring) Append(e Event) (evicted bool) { return r.events.Push(e) }
 
 // Find returns the retained event for the given request ID. The scan
 // runs newest-first so a (never expected) duplicated ID resolves to the
 // most recent event.
 func (r *Ring) Find(requestID string) (Event, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := r.size - 1; i >= 0; i-- {
-		e := r.buf[(r.head+i)%len(r.buf)]
-		if e.RequestID == requestID {
-			return e, true
-		}
-	}
-	return Event{}, false
+	return r.events.FindLast(func(e *Event) bool { return e.RequestID == requestID })
 }
 
 // Events returns the retained events, oldest first. The slice is a copy.
-func (r *Ring) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Event, 0, r.size)
-	for i := 0; i < r.size; i++ {
-		out = append(out, r.buf[(r.head+i)%len(r.buf)])
-	}
-	return out
-}
+func (r *Ring) Events() []Event { return r.events.Events() }
 
 // Len returns the number of retained events.
-func (r *Ring) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.size
-}
+func (r *Ring) Len() int { return r.events.Len() }
 
 // Dropped returns how many events were evicted by wraparound; zero means
 // Events holds the daemon's complete request history.
-func (r *Ring) Dropped() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
+func (r *Ring) Dropped() int64 { return r.events.Dropped() }
 
 // WriteJSONL writes the retained events as canonical JSONL.
 func (r *Ring) WriteJSONL(w io.Writer) error {

@@ -58,12 +58,19 @@ const (
 	TimeRouteSeconds = obs.TimeRouteSeconds
 )
 
+// DefaultTraceCapacity is the per-request trace ring bound Options and the
+// -trace-capacity flag default to. A ring grows with the events a request
+// emits, so the bound costs memory only for a run that long.
+const DefaultTraceCapacity = 1 << 16
+
 // Options tunes a Server. The zero value is fully usable.
 type Options struct {
 	// MaxConcurrent bounds simultaneously executing /route requests;
 	// excess requests are shed with 429 (0 = 2×GOMAXPROCS).
 	MaxConcurrent int
-	// TraceCapacity is the per-request trace ring size (0 = 1<<16).
+	// TraceCapacity bounds each request's trace ring, in events (0 =
+	// DefaultTraceCapacity). Memory grows with the events a request
+	// emits, up to this cap; older events are dropped beyond it.
 	TraceCapacity int
 	// MaxTraces bounds retained traces; the oldest is evicted first
 	// (0 = 64).
@@ -87,7 +94,7 @@ func (o Options) withDefaults() Options {
 		o.MaxConcurrent = 2 * runtime.GOMAXPROCS(0)
 	}
 	if o.TraceCapacity <= 0 {
-		o.TraceCapacity = 1 << 16
+		o.TraceCapacity = DefaultTraceCapacity
 	}
 	if o.MaxTraces <= 0 {
 		o.MaxTraces = 64
@@ -118,14 +125,16 @@ type Server struct {
 	traceSeq atomic.Uint64
 	reqSeq   atomic.Uint64
 	// logs retains one wide event per /route request (nil = disabled).
-	// olog.Ring is a leaf lock like trace.Ring, so it may be touched from
-	// anywhere in the handler without ordering concerns.
+	// olog.Ring, like trace.Ring, locks only its internal/ring leaf lock,
+	// so it may be touched from anywhere in the handler without ordering
+	// concerns.
 	logs *olog.Ring
 
 	// mu is the outermost lock of the daemon: it may be held while calling
-	// into trace.Ring, olog.Ring and obs.Registry (all leaf locks), never
-	// the reverse. The lockorder analyzer verifies the Server →
-	// Ring/Registry nesting stays acyclic (DESIGN.md §14).
+	// into trace.Ring, olog.Ring (both on the ring.Ring leaf lock) and
+	// obs.Registry (a leaf lock), never the reverse. The lockorder analyzer
+	// verifies the Server → Ring/Registry nesting stays acyclic
+	// (DESIGN.md §14).
 	mu sync.Mutex
 	// traces maps trace id → element in order.
 	//nontree:guardedby mu
@@ -144,10 +153,9 @@ type Server struct {
 // storedTrace is one retained trace with its provenance: the exact request
 // that produced it, so tracereplay can re-run the identical workload.
 type storedTrace struct {
-	id      string
-	events  []trace.Event
-	dropped int64
-	req     RouteRequest
+	id   string
+	ring *trace.Ring // finished: the run that emitted into it has returned
+	req  RouteRequest
 }
 
 // New returns a Server ready to mount. Whatever registry the options
@@ -446,18 +454,13 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	st := &storedTrace{
-		id:      fmt.Sprintf("t%06d", s.traceSeq.Add(1)),
-		events:  ring.Events(),
-		dropped: ring.Dropped(),
-		req:     req,
-	}
+	st := &storedTrace{id: fmt.Sprintf("t%06d", s.traceSeq.Add(1)), ring: ring, req: req}
 	s.storeTrace(st)
 	tStore := meta.elapsed()
 	ev.StoreSeconds = tStore - tRun
 	ev.TraceID = st.id
-	ev.TraceEvents = len(st.events)
-	ev.TraceDropped = st.dropped
+	ev.TraceEvents = ring.Len()
+	ev.TraceDropped = ring.Dropped()
 	ev.Status = http.StatusOK
 	ev.Outcome = olog.OutcomeOK
 
@@ -465,8 +468,8 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		RouteResult:  res,
 		RequestID:    meta.id,
 		TraceID:      st.id,
-		TraceEvents:  len(st.events),
-		TraceDropped: st.dropped,
+		TraceEvents:  ev.TraceEvents,
+		TraceDropped: ev.TraceDropped,
 		Phases: &PhaseBreakdown{
 			QueueSeconds:  ev.QueueSeconds,
 			DecodeSeconds: ev.DecodeSeconds,
@@ -535,8 +538,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Trace-Dropped", fmt.Sprintf("%d", st.dropped))
-	if err := trace.WriteJSONL(w, st.events); err != nil {
+	w.Header().Set("X-Trace-Dropped", fmt.Sprintf("%d", st.ring.Dropped()))
+	if err := st.ring.WriteJSONL(w); err != nil {
 		// Headers are gone; nothing to do but drop the connection.
 		return
 	}

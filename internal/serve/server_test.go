@@ -109,7 +109,7 @@ func TestServeRouteTraceReplay(t *testing.T) {
 	}
 
 	// Replay: re-run the stored request fresh and diff — zero drift.
-	ring := trace.NewRing(1 << 16)
+	ring := trace.NewRing(DefaultTraceCapacity)
 	if _, err := Run(req.Net, req.RouteOptions, nil, ring); err != nil {
 		t.Fatalf("replay run: %v", err)
 	}

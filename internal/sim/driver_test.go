@@ -173,7 +173,9 @@ func TestStages(t *testing.T) {
 // must show up as a positive serve-side request delta.
 func TestDriveScrape(t *testing.T) {
 	w := testWorkload(t, 8)
-	_, report := driveInProcess(t, w, DriveOptions{Scrape: true})
+	// Two workers stay under the in-process server's MaxConcurrent, so the
+	// limiter sheds nothing and every request is counted.
+	_, report := driveInProcess(t, w, DriveOptions{Scrape: true, Concurrency: 2})
 	if report.Server == nil {
 		t.Fatal("scrape requested but Server section missing")
 	}

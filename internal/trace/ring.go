@@ -2,8 +2,9 @@ package trace
 
 import (
 	"io"
-	"sync"
 	"time"
+
+	"nontree/internal/ring"
 )
 
 // This file is the only place in package trace that reads the wall clock
@@ -13,33 +14,16 @@ import (
 // projection, so the clock can never influence an algorithm decision.
 
 // DefaultRingCapacity is the event capacity NewRing uses for capacity <= 0
-// — ample for the paper-scale nets (a 30-pin LDRG run emits a few
-// thousand events) while bounding a long-lived daemon's memory.
+// — ample for the paper-scale nets (a route-closed benchmark request emits
+// 394 events on average) while bounding a long-lived daemon's memory.
 const DefaultRingCapacity = 4096
 
-// Ring is the standard Tracer: a bounded ring buffer keeping the most
-// recent events. Emission assigns monotonically increasing sequence
-// numbers, so even after wraparound the retained tail reports how much
-// history it lost (Dropped). Safe for concurrent use.
-//
-// Lock order: mu is a leaf lock — no Ring method calls out of the package
-// while holding it, so it can safely be acquired under any caller's lock
-// (serve.Server holds its mu across trace reads). The lockorder analyzer
-// verifies this nesting stays acyclic (DESIGN.md §14).
+// Ring is the standard Tracer: an internal/ring bounded ring of the most
+// recent events, grown on demand up to its capacity, with Dropped
+// reporting how much history wraparound lost. Safe for concurrent use;
+// its lock is a leaf (DESIGN.md §14).
 type Ring struct {
-	mu sync.Mutex
-	//nontree:guardedby mu
-	buf []Event
-	// head is the index of the oldest retained event.
-	//nontree:guardedby mu
-	head int
-	//nontree:guardedby mu
-	size int
-	//nontree:guardedby mu
-	seq int64
-	//nontree:guardedby mu
-	dropped int64
-	start   time.Time // immutable after NewRing
+	events *ring.Ring[Event]
 }
 
 // NewRing returns a tracer retaining the last capacity events
@@ -48,57 +32,28 @@ func NewRing(capacity int) *Ring {
 	if capacity <= 0 {
 		capacity = DefaultRingCapacity
 	}
-	return &Ring{
-		buf: make([]Event, 0, capacity),
-		//nontree:allow nondetsource trace timing baseline only; Elapsed is stamped into the sole nondeterministic event field, which Event.Deterministic excludes from every comparison (DESIGN.md §11)
-		start: time.Now(),
-	}
+	//nontree:allow nondetsource trace timing baseline only; Elapsed is stamped into the sole nondeterministic event field, which Event.Deterministic excludes from every comparison (DESIGN.md §11)
+	start := time.Now()
+	return &Ring{events: ring.New(capacity, func(e *Event, seq int64) {
+		e.Seq = seq
+		//nontree:allow nondetsource trace timing field only; lands in Event.Elapsed, outside the deterministic projection (DESIGN.md §11)
+		e.Elapsed = time.Since(start).Seconds()
+	})}
 }
 
 // Emit implements Tracer: assigns the next sequence number, stamps the
 // wall-clock offset, and appends the event, evicting the oldest when full.
-func (r *Ring) Emit(e Event) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.seq++
-	e.Seq = r.seq
-	//nontree:allow nondetsource trace timing field only; lands in Event.Elapsed, outside the deterministic projection (DESIGN.md §11)
-	e.Elapsed = time.Since(r.start).Seconds()
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, e)
-		r.size++
-		return
-	}
-	r.buf[r.head] = e
-	r.head = (r.head + 1) % len(r.buf)
-	r.dropped++
-}
+func (r *Ring) Emit(e Event) { r.events.Push(e) }
 
 // Events returns the retained events, oldest first. The slice is a copy.
-func (r *Ring) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Event, 0, r.size)
-	for i := 0; i < r.size; i++ {
-		out = append(out, r.buf[(r.head+i)%len(r.buf)])
-	}
-	return out
-}
+func (r *Ring) Events() []Event { return r.events.Events() }
 
 // Len returns the number of retained events.
-func (r *Ring) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.size
-}
+func (r *Ring) Len() int { return r.events.Len() }
 
 // Dropped returns how many events were evicted by wraparound; zero means
 // Events holds the complete trace.
-func (r *Ring) Dropped() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
+func (r *Ring) Dropped() int64 { return r.events.Dropped() }
 
 // WriteJSONL writes the retained events as canonical JSONL.
 func (r *Ring) WriteJSONL(w io.Writer) error {

@@ -155,6 +155,16 @@ func TestRingConcurrentEmit(t *testing.T) {
 	}
 }
 
+func TestRingDefaultCapacity(t *testing.T) {
+	r := NewRing(0)
+	for i := 0; i < DefaultRingCapacity+10; i++ {
+		r.Emit(Event{Kind: KindSweepStart, Sweep: i})
+	}
+	if r.Len() != DefaultRingCapacity || r.Dropped() != 10 {
+		t.Fatalf("len=%d dropped=%d, want %d and 10", r.Len(), r.Dropped(), DefaultRingCapacity)
+	}
+}
+
 func TestMultiFansOut(t *testing.T) {
 	a, b := NewRing(4), NewRing(4)
 	m := Multi{a, b}

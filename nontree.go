@@ -88,8 +88,6 @@ func NewMetrics() *Metrics { return obs.NewRegistry() }
 
 // NewTraceRing returns a ring-buffered tracer for Config.Trace retaining
 // the last capacity events (capacity <= 0 selects a default).
-//
-//nontree:allow detflow the ring's wall-clock baseline feeds trace timing fields only; Event.Deterministic excludes them from every comparison (DESIGN.md §11)
 func NewTraceRing(capacity int) *TraceRing { return trace.NewRing(capacity) }
 
 // TraceFingerprint renders the deterministic projection of a trace as
