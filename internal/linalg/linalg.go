@@ -54,19 +54,35 @@ func (m *Matrix) Zero() {
 // MulVec computes y = m · x. It panics on dimension mismatch (programmer
 // error, not input error).
 func (m *Matrix) MulVec(x []float64) []float64 {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("linalg: MulVec dimension mismatch: %d cols vs %d vector", m.Cols, len(x)))
-	}
 	y := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var sum float64
-		for j, v := range row {
-			sum += v * x[j]
-		}
-		y[i] = sum
-	}
+	m.MulVecInto(y, x)
 	return y
+}
+
+// MulVecInto computes dst = m · x without allocating; dst must not alias x.
+// It panics on dimension mismatch.
+func (m *Matrix) MulVecInto(dst, x []float64) {
+	if len(x) != m.Cols || len(dst) != m.Rows {
+		panic(fmt.Sprintf("linalg: MulVec dimension mismatch: %dx%d matrix, %d vector into %d",
+			m.Rows, m.Cols, len(x), len(dst)))
+	}
+	for i := range dst {
+		row := m.Data[i*m.Cols:][:len(x)]
+		// Unrolled, but summed strictly left to right like the plain loop, so
+		// the result is bit-identical to it.
+		var sum float64
+		j := 0
+		for ; j+4 <= len(row); j += 4 {
+			sum += row[j] * x[j]
+			sum += row[j+1] * x[j+1]
+			sum += row[j+2] * x[j+2]
+			sum += row[j+3] * x[j+3]
+		}
+		for ; j < len(row); j++ {
+			sum += row[j] * x[j]
+		}
+		dst[i] = sum
+	}
 }
 
 // AddScaled accumulates s·other into m (m += s·other).

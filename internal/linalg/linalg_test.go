@@ -41,13 +41,47 @@ func TestMulVec(t *testing.T) {
 	}
 }
 
-func TestMulVecDimensionPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("dimension mismatch must panic")
+func TestMulVecIntoMatchesPlainLoop(t *testing.T) {
+	// The unrolled product must sum in the plain loop's order, bit for bit;
+	// the transient simulator's delays depend on it.
+	rng := rand.New(rand.NewSource(3))
+	for cols := 1; cols <= 13; cols++ {
+		m := NewMatrix(3, cols)
+		x := make([]float64, cols)
+		for i := range m.Data {
+			m.Data[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(16)-8))
 		}
-	}()
-	NewMatrix(2, 2).MulVec([]float64{1})
+		for j := range x {
+			x[j] = rng.NormFloat64()
+		}
+		got := make([]float64, m.Rows)
+		m.MulVecInto(got, x)
+		for i := 0; i < m.Rows; i++ {
+			var want float64
+			for j := 0; j < cols; j++ {
+				want += m.At(i, j) * x[j]
+			}
+			if math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("%d cols, row %d: %v, plain loop %v", cols, i, got[i], want)
+			}
+		}
+	}
+}
+
+func TestMulVecDimensionPanic(t *testing.T) {
+	for i, mul := range []func(){
+		func() { NewMatrix(2, 2).MulVec([]float64{1}) },
+		func() { NewMatrix(2, 2).MulVecInto(make([]float64, 1), []float64{1, 2}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("case %d: dimension mismatch must panic", i)
+				}
+			}()
+			mul()
+		}()
+	}
 }
 
 func TestAddScaled(t *testing.T) {

@@ -69,8 +69,7 @@ func Prim(points []geom.Point) (*graph.Topology, error) {
 }
 
 // Kruskal builds the MST with Kruskal's algorithm over the complete graph.
-// It exists primarily as an independent cross-check of Prim in tests, and
-// as the incremental-cost engine inside the Iterated 1-Steiner heuristic.
+// It exists only as an independent cross-check of Prim in tests.
 func Kruskal(points []geom.Point) (*graph.Topology, error) {
 	n := len(points)
 	if n < 2 {
@@ -118,8 +117,8 @@ func Kruskal(points []geom.Point) (*graph.Topology, error) {
 }
 
 // Cost returns the total Manhattan MST cost over points without
-// materializing a topology — used heavily by the Iterated 1-Steiner inner
-// loop, which evaluates MST cost for many candidate point sets.
+// materializing a topology. The Iterated 1-Steiner search scores its
+// near-best candidates with it exactly.
 func Cost(points []geom.Point) float64 {
 	n := len(points)
 	if n < 2 {

@@ -175,7 +175,7 @@ type trapStepper struct {
 	algebraic []bool
 	rec       obs.Recorder
 	// scratch
-	rhs, bPrev, bNext []float64
+	rhs, bPrev, bNext, hist []float64
 }
 
 type trapFactors struct {
@@ -192,6 +192,7 @@ func newTrapStepper(sys *mnaSystem, rec obs.Recorder) *trapStepper {
 		rhs:       make([]float64, sys.size),
 		bPrev:     make([]float64, sys.size),
 		bNext:     make([]float64, sys.size),
+		hist:      make([]float64, sys.size),
 	}
 }
 
@@ -232,7 +233,7 @@ func (s *trapStepper) step(x, out []float64, t, h float64) error {
 	}
 	s.sys.rhs(s.bPrev, t)
 	s.sys.rhs(s.bNext, t+h)
-	hist := f.histC.MulVec(x)
+	f.histC.MulVecInto(s.hist, x)
 	for i := range s.rhs {
 		if s.algebraic[i] {
 			// Algebraic constraint rows are enforced instantaneously —
@@ -240,7 +241,7 @@ func (s *trapStepper) step(x, out []float64, t, h float64) error {
 			s.rhs[i] = s.bNext[i]
 			continue
 		}
-		s.rhs[i] = hist[i] + s.bPrev[i] + s.bNext[i]
+		s.rhs[i] = s.hist[i] + s.bPrev[i] + s.bNext[i]
 	}
 	f.lu.SolveInPlace(s.rhs)
 	s.rec.Add(obs.CtrMNASolves, 1)

@@ -83,6 +83,31 @@ func TestTwoStageRCLadderDelayExceedsSingle(t *testing.T) {
 	}
 }
 
+func TestTransientAllocsIndependentOfSteps(t *testing.T) {
+	// Without Record a transient allocates only per run, never per step:
+	// doubling the step count must not change its allocation count.
+	const r, c = 1000.0, 1e-12
+	ckt, _ := buildRC(t, r, c)
+	tau := r * c
+	for _, m := range []Method{Trapezoidal, BackwardEuler} {
+		allocs := func(steps int) float64 {
+			return testing.AllocsPerRun(5, func() {
+				opts := TranOpts{Step: 5 * tau / float64(steps), Stop: 5 * tau, Method: m}
+				res, err := Transient(ckt, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Steps != steps {
+					t.Fatalf("%v: %d steps, want %d", m, res.Steps, steps)
+				}
+			})
+		}
+		if a2, a4 := allocs(2000), allocs(4000); a2 != a4 {
+			t.Errorf("%v: %v allocations at 2000 steps, %v at 4000", m, a2, a4)
+		}
+	}
+}
+
 func TestTransientMatchesAnalyticWaveform(t *testing.T) {
 	const r, c = 1000.0, 1e-12
 	ckt, out := buildRC(t, r, c)

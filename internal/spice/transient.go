@@ -179,6 +179,7 @@ func transient(c *Circuit, opts TranOpts, watch *thresholdWatch) (*TranResult, e
 	bPrev := make([]float64, sys.size)
 	bNext := make([]float64, sys.size)
 	rhs := make([]float64, sys.size)
+	hist := make([]float64, sys.size) // history term: histC·x, reused each step
 	sys.rhs(bPrev, 0)
 
 	res := &TranResult{}
@@ -221,11 +222,10 @@ func transient(c *Circuit, opts TranOpts, watch *thresholdWatch) (*TranResult, e
 		sys.rhs(bNext, t)
 
 		useTrap := opts.Method == Trapezoidal && k > 1
-		var hist []float64
 		if opts.Method == Trapezoidal && k == 1 {
-			hist = beHist.MulVec(x)
+			beHist.MulVecInto(hist, x)
 		} else {
-			hist = histC.MulVec(x)
+			histC.MulVecInto(hist, x)
 		}
 		for i := range rhs {
 			switch {

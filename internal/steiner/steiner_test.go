@@ -1,6 +1,8 @@
 package steiner
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -236,7 +238,188 @@ func TestDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if t1.Cost() != t2.Cost() || t1.NumNodes() != t2.NumNodes() {
-		t.Error("Steiner construction is not deterministic")
+	if diff := sameTopology(t1, t2); diff != "" {
+		t.Errorf("Steiner construction is not deterministic: %s", diff)
 	}
+}
+
+// referenceTree is the plain Iterated 1-Steiner search Tree must reproduce:
+// every round scores every candidate with a fresh mst.Cost.
+func referenceTree(pins []geom.Point, opts Options) (*graph.Topology, error) {
+	if len(pins) < 2 {
+		return nil, ErrTooFewPins
+	}
+
+	points := make([]geom.Point, len(pins))
+	copy(points, pins)
+	numPins := len(pins)
+
+	candidates := geom.HananGrid(points)
+	baseCost := mst.Cost(points)
+
+	for {
+		if opts.MaxSteinerPoints > 0 && len(points)-numPins >= opts.MaxSteinerPoints {
+			break
+		}
+		bestGain := 0.0
+		bestIdx := -1
+		for i, c := range candidates {
+			gain := baseCost - mst.Cost(append(points, c))
+			if gain > bestGain {
+				bestGain = gain
+				bestIdx = i
+			}
+		}
+		if bestIdx < 0 {
+			break
+		}
+		points = append(points, candidates[bestIdx])
+		baseCost -= bestGain
+		if opts.RegenerateCandidates {
+			candidates = geom.HananGrid(points)
+		} else {
+			candidates = append(candidates[:bestIdx], candidates[bestIdx+1:]...)
+		}
+	}
+
+	return assemble(points, numPins)
+}
+
+// sameTopology reports how got differs from want: node points and order,
+// pin count, edge list and the bits of Cost must all agree.
+func sameTopology(got, want *graph.Topology) string {
+	if got.NumPins() != want.NumPins() || got.NumNodes() != want.NumNodes() {
+		return fmt.Sprintf("shape %d pins/%d nodes, want %d/%d",
+			got.NumPins(), got.NumNodes(), want.NumPins(), want.NumNodes())
+	}
+	for n := 0; n < got.NumNodes(); n++ {
+		if !got.Point(n).Eq(want.Point(n)) {
+			return fmt.Sprintf("node %d at %v, want %v", n, got.Point(n), want.Point(n))
+		}
+	}
+	if g, w := fmt.Sprint(got.Edges()), fmt.Sprint(want.Edges()); g != w {
+		return fmt.Sprintf("edges %s, want %s", g, w)
+	}
+	if g, w := math.Float64bits(got.Cost()), math.Float64bits(want.Cost()); g != w {
+		return fmt.Sprintf("cost bits %x, want %x", g, w)
+	}
+	return ""
+}
+
+// checkAgainstReference runs Tree and referenceTree on pins under each
+// option set and fails on any difference, errors included.
+func checkAgainstReference(t *testing.T, name string, pins []geom.Point) {
+	t.Helper()
+	for _, opts := range []Options{{}, {MaxSteinerPoints: 2}, {RegenerateCandidates: true}} {
+		got, gotErr := Tree(pins, opts)
+		want, wantErr := referenceTree(pins, opts)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("%s %+v: error %v, want %v", name, opts, gotErr, wantErr)
+		}
+		if wantErr != nil {
+			continue
+		}
+		if diff := sameTopology(got, want); diff != "" {
+			t.Fatalf("%s %+v: %s", name, opts, diff)
+		}
+	}
+}
+
+// gridPins draws up to n distinct pins on a g×g lattice of pitch 10, so
+// coordinates repeat and many candidates tie on gain.
+func gridPins(rng *rand.Rand, n, g int) []geom.Point {
+	var pins []geom.Point
+	for i := 0; i < n; i++ {
+		pins = appendDistinct(pins, geom.Pt(float64(10*rng.Intn(g)), float64(10*rng.Intn(g))))
+	}
+	return pins
+}
+
+// appendDistinct appends p unless a pin already sits there: nets never
+// hold two pins at one point.
+func appendDistinct(pins []geom.Point, p geom.Point) []geom.Point {
+	for _, q := range pins {
+		if q.Eq(p) {
+			return pins
+		}
+	}
+	return append(pins, p)
+}
+
+func TestTreeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1994))
+	sizes := []int{2, 3, 4, 5, 7, 10, 15, 20, 30, 40}
+	if testing.Short() {
+		sizes = sizes[:8]
+	}
+	for _, n := range sizes {
+		for trial := 0; trial < 3; trial++ {
+			net, err := netlist.NewGenerator(rng.Int63()).Generate(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkAgainstReference(t, fmt.Sprintf("random %d-pin #%d", n, trial), net.Pins)
+		}
+	}
+	for trial := 0; trial < 40; trial++ {
+		pins := gridPins(rng, 3+rng.Intn(13), 3+rng.Intn(5))
+		checkAgainstReference(t, fmt.Sprintf("grid #%d %v", trial, pins), pins)
+	}
+	for _, pins := range [][]geom.Point{
+		{geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(25, 0), geom.Pt(40, 0), geom.Pt(70, 0)},
+		{geom.Pt(5, 90), geom.Pt(5, 0), geom.Pt(5, 30), geom.Pt(5, 60)},
+		{geom.Pt(0, 0), geom.Pt(10, 10), geom.Pt(20, 20), geom.Pt(30, 30), geom.Pt(45, 45)},
+		{geom.Pt(0, 40), geom.Pt(10, 30), geom.Pt(20, 20), geom.Pt(40, 0)},
+	} {
+		checkAgainstReference(t, fmt.Sprintf("collinear %v", pins), pins)
+	}
+}
+
+func TestEstimateIsMSTCost(t *testing.T) {
+	// The filter is sound only if every estimate is the MST cost of the
+	// points plus its candidate, up to summation rounding. Accepting random
+	// candidates, not the best, exercises star updates and regeneration on
+	// point sets the search itself would not reach.
+	rng := rand.New(rand.NewSource(42))
+	var nets [][]geom.Point
+	for _, n := range []int{3, 5, 8, 12, 20, 30} {
+		net, err := netlist.NewGenerator(rng.Int63()).Generate(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets = append(nets, net.Pins, gridPins(rng, n, 4+rng.Intn(4)))
+	}
+	for _, pins := range nets {
+		points := append([]geom.Point(nil), pins...)
+		s := newSearch(points)
+		for round := 0; round < 4 && len(s.candidates) > 0; round++ {
+			s.buildTree()
+			n := len(s.points)
+			for i, c := range s.candidates {
+				got := s.estimate(&s.stars[i])
+				want := mst.Cost(append(s.points[:n:n], c))
+				if math.Abs(got-want) > 1e-12*want {
+					t.Fatalf("%v round %d candidate %v: estimate %v, MST cost %v", pins, round, c, got, want)
+				}
+			}
+			s.accept(rng.Intn(len(s.candidates)), round%2 == 1)
+		}
+	}
+}
+
+func FuzzTreeVsReference(f *testing.F) {
+	f.Add([]byte{0, 0, 4, 0, 0, 4, 4, 4, 2, 2})
+	f.Add([]byte{1, 1, 1, 1, 3, 0, 0, 3, 5, 5, 7, 2})
+	f.Add([]byte{0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Each byte pair is one pin on an 8×8 lattice; at most 16 pins.
+		if len(data) > 32 {
+			data = data[:32]
+		}
+		var pins []geom.Point
+		for i := 0; i+1 < len(data); i += 2 {
+			pins = appendDistinct(pins, geom.Pt(float64(data[i]%8)*7, float64(data[i+1]%8)*7))
+		}
+		checkAgainstReference(t, fmt.Sprint(pins), pins)
+	})
 }
