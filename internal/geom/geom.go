@@ -119,7 +119,9 @@ func HananGrid(pts []Point) []Point {
 		existing[p] = true
 	}
 
-	grid := make([]Point, 0, len(xs)*len(ys)-len(pts))
+	// Each distinct input point occupies one grid position; counting
+	// repeated points instead could make the capacity negative.
+	grid := make([]Point, 0, len(xs)*len(ys)-len(existing))
 	for _, x := range xs {
 		for _, y := range ys {
 			p := Point{x, y}

@@ -155,6 +155,46 @@ func TestHananGridCollinear(t *testing.T) {
 	}
 }
 
+func TestHananGridRepeatedPoints(t *testing.T) {
+	// Repeated input points must neither panic nor change the grid: it is
+	// every (x, y) over the input coordinates that is not an input point.
+	cases := []struct {
+		name string
+		pts  []Point
+	}{
+		{"two coincident", []Point{Pt(0, 0), Pt(0, 0)}},
+		{"all coincident", []Point{Pt(3, 4), Pt(3, 4), Pt(3, 4), Pt(3, 4)}},
+		{"repeat among distinct", []Point{Pt(0, 0), Pt(10, 5), Pt(0, 0), Pt(20, 15)}},
+		{"repeats on shared lines", []Point{Pt(0, 0), Pt(0, 7), Pt(0, 7), Pt(5, 0), Pt(5, 0), Pt(5, 0)}},
+		{"single", []Point{Pt(1, 1)}},
+	}
+	for _, tc := range cases {
+		want := map[Point]bool{}
+		for _, a := range tc.pts {
+			for _, b := range tc.pts {
+				want[Pt(a.X, b.Y)] = true
+			}
+		}
+		for _, p := range tc.pts {
+			delete(want, p)
+		}
+		grid := HananGrid(tc.pts)
+		got := map[Point]bool{}
+		for _, g := range grid {
+			got[g] = true
+		}
+		if len(got) != len(grid) || len(got) != len(want) {
+			t.Errorf("%s: grid %v, want the %d points %v", tc.name, grid, len(want), want)
+			continue
+		}
+		for p := range want {
+			if !got[p] {
+				t.Errorf("%s: grid %v lacks %v", tc.name, grid, p)
+			}
+		}
+	}
+}
+
 func TestHananGridSizeProperty(t *testing.T) {
 	// |grid| = |X|·|Y| − n for n points with distinct coordinates.
 	rng := rand.New(rand.NewSource(3))

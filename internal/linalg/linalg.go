@@ -1,10 +1,16 @@
-// Package linalg provides the dense linear algebra needed by the circuit
-// simulator and the general-graph Elmore analysis: a row-major matrix type
-// and LU factorization with partial pivoting.
+// Package linalg provides the linear algebra needed by the circuit
+// simulator and the general-graph Elmore analysis: a dense row-major matrix,
+// a compressed-sparse-row matrix assembled from stamps, LU factorization
+// with partial pivoting stored as compressed factors, and Cholesky.
 //
-// Circuit matrices for the nets in this repository are small (tens to a few
-// hundred unknowns), so a cache-friendly dense solver beats sparse machinery
-// and keeps the code dependency-free.
+// The MNA systems of the routed nets are mostly zeros. On 5–30-pin MST
+// circuits with 500 µm segments (34–112 unknowns) the iteration matrix
+// G + 2C/h and the history matrix 2C/h − G are 3–9% nonzero, and their LU
+// factors in natural order 5–16%. A transient step therefore walks sparse
+// rows only. Factorization stays one dense elimination, run a few times per
+// transient of hundreds to thousands of steps, so pivots and factor values
+// are those of the dense algorithm, and every sparse operation is
+// bit-identical to its dense counterpart.
 package linalg
 
 import (
@@ -100,13 +106,21 @@ func (m *Matrix) AddScaled(other *Matrix, s float64) {
 // path to ground.
 var ErrSingular = errors.New("linalg: matrix is singular to working precision")
 
-// LU is an LU factorization with partial pivoting: P·A = L·U, stored packed
-// in a single matrix (unit lower-triangular L below the diagonal, U on and
-// above it).
+// LU is an LU factorization with partial pivoting, P·A = L·U, kept in
+// compressed form: row i's nonzeros of the unit lower-triangular L (columns
+// < i) are val[ptr[i]:mid[i]], those of U above the diagonal (columns > i)
+// val[mid[i]:ptr[i+1]], each in ascending column order, and U's diagonal is
+// diag[i]. Exact zeros of the packed factor are dropped: a substitution
+// sums the same nonzero terms in the same column order, so it is
+// bit-identical to one over the dense rows.
 type LU struct {
-	lu    *Matrix
-	pivot []int
-	sign  int
+	n        int
+	pivot    []int
+	sign     int
+	ptr, mid []int
+	col      []int
+	val      []float64
+	diag     []float64
 }
 
 // pivotTolerance scales the singularity test relative to the largest
@@ -118,10 +132,25 @@ func Factor(a *Matrix) (*LU, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("linalg: cannot factor %dx%d non-square matrix", a.Rows, a.Cols)
 	}
-	n := a.Rows
-	lu := a.Clone()
-	pivot := make([]int, n)
-	sign := 1
+	return factor(a.Clone())
+}
+
+// factor factors the square matrix lu in place and compresses the result.
+func factor(lu *Matrix) (*LU, error) {
+	pivot, sign, err := eliminate(lu)
+	if err != nil {
+		return nil, err
+	}
+	return compress(lu, pivot, sign), nil
+}
+
+// eliminate overwrites the square matrix lu with its packed LU factors
+// (unit lower-triangular L below the diagonal, U on and above it) and
+// returns the row interchanges and the permutation's sign.
+func eliminate(lu *Matrix) (pivot []int, sign int, err error) {
+	n := lu.Rows
+	pivot = make([]int, n)
+	sign = 1
 
 	var maxAbs float64
 	for _, v := range lu.Data {
@@ -131,9 +160,9 @@ func Factor(a *Matrix) (*LU, error) {
 	}
 	if maxAbs == 0 {
 		if n == 0 {
-			return &LU{lu: lu, pivot: pivot, sign: sign}, nil
+			return pivot, sign, nil
 		}
-		return nil, ErrSingular
+		return nil, 0, ErrSingular
 	}
 	threshold := maxAbs * pivotTolerance
 
@@ -148,7 +177,7 @@ func Factor(a *Matrix) (*LU, error) {
 			}
 		}
 		if largest <= threshold {
-			return nil, fmt.Errorf("%w (pivot column %d)", ErrSingular, col)
+			return nil, 0, fmt.Errorf("%w (pivot column %d)", ErrSingular, col)
 		}
 		if p != col {
 			swapRows(lu, p, col)
@@ -170,7 +199,36 @@ func Factor(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, pivot: pivot, sign: sign}, nil
+	return pivot, sign, nil
+}
+
+// compress keeps the nonzeros of the packed factors lu.
+func compress(lu *Matrix, pivot []int, sign int) *LU {
+	n := lu.Rows
+	f := &LU{n: n, pivot: pivot, sign: sign,
+		ptr: make([]int, n+1), mid: make([]int, n), diag: make([]float64, n)}
+	nnz := 0
+	for _, v := range lu.Data {
+		if v != 0 {
+			nnz++
+		}
+	}
+	f.col = make([]int, 0, nnz)
+	f.val = make([]float64, 0, nnz)
+	for i := 0; i < n; i++ {
+		row := lu.Data[i*n : (i+1)*n]
+		for j, v := range row {
+			if j == i {
+				f.mid[i] = len(f.col)
+				f.diag[i] = v
+			} else if v != 0 {
+				f.col = append(f.col, j)
+				f.val = append(f.val, v)
+			}
+		}
+		f.ptr[i+1] = len(f.col)
+	}
+	return f
 }
 
 func swapRows(m *Matrix, i, j int) {
@@ -191,9 +249,10 @@ func (f *LU) Solve(b []float64) []float64 {
 
 // SolveInPlace overwrites b with the solution of A·x = b. This is the hot
 // path of transient simulation (one call per timestep), so it allocates
-// nothing.
+// nothing. For finite b without negative zeros the result is bit-identical
+// to substituting over the dense packed factors.
 func (f *LU) SolveInPlace(b []float64) {
-	n := f.lu.Rows
+	n := f.n
 	if len(b) != n {
 		panic(fmt.Sprintf("linalg: Solve dimension mismatch: %d vs %d", len(b), n))
 	}
@@ -205,30 +264,29 @@ func (f *LU) SolveInPlace(b []float64) {
 	}
 	// Forward substitution with unit lower-triangular L.
 	for i := 1; i < n; i++ {
-		row := f.lu.Data[i*n : i*n+i]
+		cols, vals := f.col[f.ptr[i]:f.mid[i]], f.val[f.ptr[i]:f.mid[i]]
 		var sum float64
-		for j, v := range row {
-			sum += v * b[j]
+		for k, j := range cols {
+			sum += vals[k] * b[j]
 		}
 		b[i] -= sum
 	}
 	// Back substitution with U.
 	for i := n - 1; i >= 0; i-- {
-		row := f.lu.Data[i*n+i : (i+1)*n]
+		cols, vals := f.col[f.mid[i]:f.ptr[i+1]], f.val[f.mid[i]:f.ptr[i+1]]
 		sum := b[i]
-		for j := 1; j < len(row); j++ {
-			sum -= row[j] * b[i+j]
+		for k, j := range cols {
+			sum -= vals[k] * b[j]
 		}
-		b[i] = sum / row[0]
+		b[i] = sum / f.diag[i]
 	}
 }
 
 // Det returns the determinant of the factored matrix.
 func (f *LU) Det() float64 {
 	det := float64(f.sign)
-	n := f.lu.Rows
-	for i := 0; i < n; i++ {
-		det *= f.lu.At(i, i)
+	for _, d := range f.diag {
+		det *= d
 	}
 	return det
 }
@@ -236,7 +294,7 @@ func (f *LU) Det() float64 {
 // SolveDense solves A·X = B column by column, where B's columns are the
 // right-hand sides; it returns X with the same shape as B.
 func (f *LU) SolveDense(b *Matrix) *Matrix {
-	n := f.lu.Rows
+	n := f.n
 	if b.Rows != n {
 		panic("linalg: SolveDense dimension mismatch")
 	}

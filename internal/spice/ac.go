@@ -57,13 +57,15 @@ func ACResponse(c *Circuit, node int, freqsHz []float64) ([]ACPoint, error) {
 		}
 	}
 
+	// Expand once per call; each frequency only combines the two.
+	g, cm := sys.g.Dense(), sys.c.Dense()
 	out := make([]ACPoint, 0, len(freqsHz))
 	for _, f := range freqsHz {
 		if f < 0 {
 			return nil, fmt.Errorf("spice: negative AC frequency %g", f)
 		}
 		s := complex(0, 2*math.Pi*f)
-		m, err := linalg.FromRealPair(sys.g, sys.c, s)
+		m, err := linalg.FromRealPair(g, cm, s)
 		if err != nil {
 			return nil, err
 		}

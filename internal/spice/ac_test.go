@@ -2,7 +2,10 @@ package spice
 
 import (
 	"math"
+	"math/cmplx"
 	"testing"
+
+	"nontree/internal/linalg"
 )
 
 func TestACSinglePoleResponse(t *testing.T) {
@@ -82,6 +85,53 @@ func TestACOnRLCShowsPeaking(t *testing.T) {
 	q := math.Sqrt(1e-9/1e-12) / 10
 	if math.Abs(resp[1].Magnitude-q)/q > 0.1 {
 		t.Errorf("peak %.3f, want ≈Q=%.3f", resp[1].Magnitude, q)
+	}
+}
+
+func TestACResponseMatchesDenseReference(t *testing.T) {
+	// Expanding G and C once per call must give the bits of the dense
+	// per-frequency assembly: an RLC ladder with parallel elements (stamps
+	// summing into one entry) and a current source.
+	ckt := NewCircuit()
+	nodes := ckt.Nodes(6)
+	must(t, ckt.AddVSource(nodes[0], Ground, Step(0, 1, 0)))
+	must(t, ckt.AddISource(Ground, nodes[3], DC(1e-6)))
+	for i := 1; i < len(nodes); i++ {
+		must(t, ckt.AddResistor(nodes[i-1], nodes[i], 37*float64(i)))
+		must(t, ckt.AddResistor(nodes[i-1], nodes[i], 1000))
+		must(t, ckt.AddCapacitor(nodes[i], Ground, 0.3e-12*float64(i)))
+		must(t, ckt.AddCapacitor(nodes[i-1], nodes[i], 0.01e-12))
+	}
+	must(t, ckt.AddInductor(nodes[2], nodes[4], 2e-9))
+	freqs := append([]float64{0}, LogSpace(1e6, 1e12, 13)...)
+	sys, err := referenceAssemble(ckt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]complex128, sys.size)
+	b[sys.vsrcRow[0]] = 1
+	b[sys.index(nodes[3])] += 1
+	for _, node := range nodes {
+		got, err := ACResponse(ckt, node, freqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, f := range freqs {
+			m, err := linalg.FromRealPair(sys.g, sys.c, complex(0, 2*math.Pi*f))
+			if err != nil {
+				t.Fatal(err)
+			}
+			lu, err := linalg.FactorComplex(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := lu.Solve(b)[node-1]
+			if math.Float64bits(got[i].Magnitude) != math.Float64bits(cmplx.Abs(v)) ||
+				math.Float64bits(got[i].PhaseRad) != math.Float64bits(cmplx.Phase(v)) {
+				t.Fatalf("node %d at %g Hz: %v∠%v, dense %v∠%v", node, f,
+					got[i].Magnitude, got[i].PhaseRad, cmplx.Abs(v), cmplx.Phase(v))
+			}
+		}
 	}
 }
 

@@ -61,6 +61,13 @@ func TransientAdaptive(c *Circuit, opts AdaptiveOpts) (*TranResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	return sys.transientAdaptive(opts)
+}
+
+// transientAdaptive is TransientAdaptive on an assembled system; the caller
+// has checked opts.Stop.
+func (sys *mnaSystem) transientAdaptive(opts AdaptiveOpts) (*TranResult, error) {
+	c := sys.circuit
 	h := opts.InitialStep
 	if h <= 0 {
 		h = opts.Stop / 1000
@@ -180,7 +187,7 @@ type trapStepper struct {
 
 type trapFactors struct {
 	lu    *linalg.LU
-	histC *linalg.Matrix // 2C/h − G
+	histC *linalg.Sparse // 2C/h − G
 }
 
 func newTrapStepper(sys *mnaSystem, rec obs.Recorder) *trapStepper {
@@ -200,17 +207,14 @@ func (s *trapStepper) factors(h float64) (*trapFactors, error) {
 	if f, ok := s.cache[h]; ok {
 		return f, nil
 	}
-	lhs := s.sys.g.Clone()
-	lhs.AddScaled(s.sys.c, 2/h)
-	lu, err := linalg.Factor(lhs)
+	lu, err := s.sys.g.AddScaled(s.sys.c, 2/h).Factor()
 	if err != nil {
 		return nil, fmt.Errorf("spice: adaptive factorization at h=%g: %w", h, err)
 	}
 	s.rec.Add(obs.CtrAdaptiveRefactor, 1)
 	s.rec.Add(obs.CtrMNAFactorizations, 1)
-	hist := linalg.NewMatrix(s.sys.size, s.sys.size)
-	hist.AddScaled(s.sys.c, 2/h)
-	hist.AddScaled(s.sys.g, -1)
+	zero := linalg.NewSparse(s.sys.size, s.sys.size, nil)
+	hist := zero.AddScaled(s.sys.c, 2/h).AddScaled(s.sys.g, -1)
 	f := &trapFactors{lu: lu, histC: hist}
 	// Bound the cache: the controller halves/doubles, so a handful of
 	// sizes suffice; evict wholesale if it ever grows past 32.

@@ -32,7 +32,11 @@ func MeasureEdge(c *Circuit, node int, opts MeasureOpts) (*EdgeMetrics, error) {
 	if steps <= 0 {
 		steps = 2000
 	}
-	finalV, err := FinalValue(c, 1e30)
+	sys, err := assemble(c)
+	if err != nil {
+		return nil, err
+	}
+	finalV, err := sys.dcSolve(1e30, "final value")
 	if err != nil {
 		return nil, err
 	}
@@ -51,12 +55,12 @@ func MeasureEdge(c *Circuit, node int, opts MeasureOpts) (*EdgeMetrics, error) {
 	}
 
 	for {
-		res, err := Transient(c, TranOpts{
+		res, err := sys.transient(TranOpts{
 			Step:   horizon / float64(steps),
 			Stop:   horizon,
 			Method: opts.Method,
 			Record: true,
-		})
+		}, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -80,7 +80,12 @@ func MeasureDelays(c *Circuit, watch []int, opts MeasureOpts) ([]float64, error)
 	trace.OrNop(opts.Trace).Emit(trace.Event{Kind: trace.KindOracleEval,
 		Oracle: "spice", N: int64(c.NumNodes())})
 
-	final, err := FinalValue(c, math.MaxFloat64)
+	// One assembly serves the DC solve and every horizon retry.
+	sys, err := assemble(c)
+	if err != nil {
+		return nil, err
+	}
+	final, err := sys.dcSolve(math.MaxFloat64, "final value")
 	if err != nil {
 		return nil, err
 	}
@@ -105,15 +110,15 @@ func MeasureDelays(c *Circuit, watch []int, opts MeasureOpts) ([]float64, error)
 	for {
 		var crossings []float64
 		if opts.Adaptive {
-			crossings, err = adaptiveCrossings(c, horizon, watch, levels, opts.Obs)
+			crossings, err = sys.adaptiveCrossings(horizon, watch, levels, opts.Obs)
 		} else {
 			var res *TranResult
-			res, err = TransientThresholds(c, TranOpts{
+			res, err = sys.transient(TranOpts{
 				Step:   horizon / float64(steps),
 				Stop:   horizon,
 				Method: opts.Method,
 				Obs:    opts.Obs,
-			}, watch, levels)
+			}, &thresholdWatch{nodes: watch, levels: levels})
 			if err == nil {
 				crossings = res.Crossings
 			}
@@ -146,8 +151,8 @@ func MeasureDelays(c *Circuit, watch []int, opts MeasureOpts) ([]float64, error)
 //nontree:unit horizon s
 //nontree:unit levels V
 //nontree:unit return s
-func adaptiveCrossings(c *Circuit, horizon float64, watch []int, levels []float64, rec obs.Recorder) ([]float64, error) {
-	res, err := TransientAdaptive(c, AdaptiveOpts{Stop: horizon, Record: true, Obs: rec})
+func (sys *mnaSystem) adaptiveCrossings(horizon float64, watch []int, levels []float64, rec obs.Recorder) ([]float64, error) {
+	res, err := sys.transientAdaptive(AdaptiveOpts{Stop: horizon, Record: true, Obs: rec})
 	if err != nil {
 		return nil, err
 	}

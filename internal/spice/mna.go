@@ -2,6 +2,7 @@ package spice
 
 import (
 	"fmt"
+	"slices"
 
 	"nontree/internal/linalg"
 )
@@ -9,14 +10,16 @@ import (
 // mnaSystem is the assembled modified-nodal-analysis description of a
 // circuit: C·dx/dt + G·x = b(t), where the unknown vector x holds the
 // non-ground node voltages followed by one branch current per voltage
-// source and per inductor.
+// source and per inductor. G and C are sparse in the circuit's natural node
+// order; a system is never modified after assembly, so one serves any
+// number of DC solves and transient runs.
 type mnaSystem struct {
 	circuit *Circuit
 	size    int // total unknowns
 	nv      int // node-voltage unknowns (numNodes - 1)
 
-	g *linalg.Matrix // conductance / incidence part
-	c *linalg.Matrix // capacitance / inductance part
+	g *linalg.Sparse // conductance / incidence part
+	c *linalg.Sparse // capacitance / inductance part
 
 	// vsrcRow[i] is the row (and branch-current column) of voltage source i;
 	// indRow[i] likewise for inductor i.
@@ -38,69 +41,69 @@ func assemble(c *Circuit) (*mnaSystem, error) {
 		circuit: c,
 		size:    size,
 		nv:      nv,
-		g:       linalg.NewMatrix(size, size),
-		c:       linalg.NewMatrix(size, size),
 		vsrcRow: make([]int, len(c.vsources)),
 		indRow:  make([]int, len(c.inductors)),
 	}
+	var g, cm []linalg.Stamp
 
 	// Resistor stamps: conductance into G.
 	for _, r := range c.resistors {
-		s.stampConductance(s.g, r.a, r.b, 1/r.ohms)
+		g = s.stampConductance(g, r.a, r.b, 1/r.ohms)
 	}
 	// Capacitor stamps: capacitance into C with the same pattern.
 	for _, cap := range c.capacitors {
-		s.stampConductance(s.c, cap.a, cap.b, cap.farads)
+		cm = s.stampConductance(cm, cap.a, cap.b, cap.farads)
 	}
 	// Voltage sources: branch current unknowns with incidence rows.
 	row := nv
 	for i, v := range c.vsources {
 		s.vsrcRow[i] = row
-		s.stampBranch(v.pos, v.neg, row)
+		g = s.stampBranch(g, v.pos, v.neg, row)
 		row++
 	}
 	// Inductors: branch current unknowns; v_a - v_b - L·di/dt = 0.
 	for i, l := range c.inductors {
 		s.indRow[i] = row
-		s.stampBranch(l.a, l.b, row)
-		s.c.Add(row, row, -l.henries)
+		g = s.stampBranch(g, l.a, l.b, row)
+		cm = append(cm, linalg.Stamp{Row: row, Col: row, Val: -l.henries})
 		row++
 	}
 	if row != size {
 		return nil, fmt.Errorf("spice: internal stamping error: %d rows vs %d size", row, size)
 	}
+	s.g = linalg.NewSparse(size, size, g)
+	s.c = linalg.NewSparse(size, size, cm)
 	return s, nil
 }
 
-// stampConductance applies the standard two-terminal stamp with value v
+// stampConductance appends the standard two-terminal stamp with value v
 // (a conductance for G, a capacitance for C) between nodes a and b.
-func (s *mnaSystem) stampConductance(m *linalg.Matrix, a, b int, v float64) {
+func (s *mnaSystem) stampConductance(m []linalg.Stamp, a, b int, v float64) []linalg.Stamp {
 	ia, ib := s.index(a), s.index(b)
 	if ia >= 0 {
-		m.Add(ia, ia, v)
+		m = append(m, linalg.Stamp{Row: ia, Col: ia, Val: v})
 	}
 	if ib >= 0 {
-		m.Add(ib, ib, v)
+		m = append(m, linalg.Stamp{Row: ib, Col: ib, Val: v})
 	}
 	if ia >= 0 && ib >= 0 {
-		m.Add(ia, ib, -v)
-		m.Add(ib, ia, -v)
+		m = append(m, linalg.Stamp{Row: ia, Col: ib, Val: -v}, linalg.Stamp{Row: ib, Col: ia, Val: -v})
 	}
+	return m
 }
 
-// stampBranch wires a branch-current unknown at the given row between pos
-// and neg: the current enters the node equations, and the branch row reads
-// the voltage difference.
-func (s *mnaSystem) stampBranch(pos, neg, row int) {
+// stampBranch appends the stamps wiring a branch-current unknown at the
+// given row between pos and neg: the current enters the node equations,
+// and the branch row reads the voltage difference.
+func (s *mnaSystem) stampBranch(g []linalg.Stamp, pos, neg, row int) []linalg.Stamp {
 	ip, in := s.index(pos), s.index(neg)
 	if ip >= 0 {
-		s.g.Add(ip, row, 1)
-		s.g.Add(row, ip, 1)
+		g = append(g, linalg.Stamp{Row: ip, Col: row, Val: 1}, linalg.Stamp{Row: row, Col: ip, Val: 1})
 	}
 	if in >= 0 {
-		s.g.Add(in, row, -1)
-		s.g.Add(row, in, -1)
+		g = append(g, linalg.Stamp{Row: in, Col: row, Val: -1}, linalg.Stamp{Row: row, Col: in, Val: -1})
 	}
+	return g
 }
 
 // algebraicRows reports, per MNA row, whether the row carries no dynamic
@@ -108,15 +111,9 @@ func (s *mnaSystem) stampBranch(pos, neg, row int) {
 // voltage-source branch row or the KCL of a capacitor-free node.
 func (s *mnaSystem) algebraicRows() []bool {
 	out := make([]bool, s.size)
-	for r := 0; r < s.size; r++ {
-		algebraic := true
-		for j := 0; j < s.size; j++ {
-			if s.c.At(r, j) != 0 {
-				algebraic = false
-				break
-			}
-		}
-		out[r] = algebraic
+	for r := range out {
+		_, vals := s.c.Row(r)
+		out[r] = !slices.ContainsFunc(vals, func(v float64) bool { return v != 0 })
 	}
 	return out
 }
@@ -152,14 +149,7 @@ func OperatingPoint(c *Circuit) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	lu, err := linalg.Factor(sys.g)
-	if err != nil {
-		return nil, fmt.Errorf("spice: DC operating point: %w", err)
-	}
-	b := make([]float64, sys.size)
-	sys.rhs(b, 0)
-	x := lu.Solve(b)
-	return sys.nodeVoltages(x), nil
+	return sys.dcSolve(0, "DC operating point")
 }
 
 // FinalValue computes the DC solution with all sources at their value as
@@ -173,14 +163,24 @@ func FinalValue(c *Circuit, atTime float64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	lu, err := linalg.Factor(sys.g)
+	return sys.dcSolve(atTime, "final value")
+}
+
+// dcSolve returns the node voltages solving G·x = b(t): capacitors open,
+// inductors shorted, sources evaluated at time t. what names the analysis
+// in a singular-matrix error.
+//
+//nontree:unit t s
+//nontree:unit return V
+func (s *mnaSystem) dcSolve(t float64, what string) ([]float64, error) {
+	lu, err := s.g.Factor()
 	if err != nil {
-		return nil, fmt.Errorf("spice: final value: %w", err)
+		return nil, fmt.Errorf("spice: %s: %w", what, err)
 	}
-	b := make([]float64, sys.size)
-	sys.rhs(b, atTime)
-	x := lu.Solve(b)
-	return sys.nodeVoltages(x), nil
+	b := make([]float64, s.size)
+	s.rhs(b, t)
+	lu.SolveInPlace(b)
+	return s.nodeVoltages(b), nil
 }
 
 // nodeVoltages expands an unknown vector into per-node voltages including

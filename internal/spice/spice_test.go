@@ -1,8 +1,12 @@
 package spice
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
+
+	"nontree/internal/linalg"
 )
 
 // buildRC returns a circuit with a step source, series resistor r, and
@@ -340,5 +344,413 @@ func must(t *testing.T, err error) {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// referenceSystem is the dense MNA assembly the sparse one replaced: G and
+// C stamped element by element with Matrix.Add, in the same order. The
+// embedded system supplies the unknown layout and the source vector.
+type referenceSystem struct {
+	*mnaSystem
+	g, c *linalg.Matrix
+}
+
+func referenceAssemble(c *Circuit) (*referenceSystem, error) {
+	sys, err := assemble(c)
+	if err != nil {
+		return nil, err
+	}
+	s := &referenceSystem{mnaSystem: sys,
+		g: linalg.NewMatrix(sys.size, sys.size), c: linalg.NewMatrix(sys.size, sys.size)}
+	for _, r := range c.resistors {
+		s.stampDense(s.g, r.a, r.b, 1/r.ohms)
+	}
+	for _, cap := range c.capacitors {
+		s.stampDense(s.c, cap.a, cap.b, cap.farads)
+	}
+	for i, v := range c.vsources {
+		s.stampBranchDense(v.pos, v.neg, sys.vsrcRow[i])
+	}
+	for i, l := range c.inductors {
+		s.stampBranchDense(l.a, l.b, sys.indRow[i])
+		s.c.Add(sys.indRow[i], sys.indRow[i], -l.henries)
+	}
+	return s, nil
+}
+
+func (s *referenceSystem) stampDense(m *linalg.Matrix, a, b int, v float64) {
+	ia, ib := s.index(a), s.index(b)
+	if ia >= 0 {
+		m.Add(ia, ia, v)
+	}
+	if ib >= 0 {
+		m.Add(ib, ib, v)
+	}
+	if ia >= 0 && ib >= 0 {
+		m.Add(ia, ib, -v)
+		m.Add(ib, ia, -v)
+	}
+}
+
+func (s *referenceSystem) stampBranchDense(pos, neg, row int) {
+	ip, in := s.index(pos), s.index(neg)
+	if ip >= 0 {
+		s.g.Add(ip, row, 1)
+		s.g.Add(row, ip, 1)
+	}
+	if in >= 0 {
+		s.g.Add(in, row, -1)
+		s.g.Add(row, in, -1)
+	}
+}
+
+func (s *referenceSystem) algebraicRows() []bool {
+	out := make([]bool, s.size)
+	for r := 0; r < s.size; r++ {
+		algebraic := true
+		for j := 0; j < s.size; j++ {
+			if s.c.At(r, j) != 0 {
+				algebraic = false
+				break
+			}
+		}
+		out[r] = algebraic
+	}
+	return out
+}
+
+// referenceDC is the dense DC solve behind FinalValue and OperatingPoint.
+func referenceDC(c *Circuit, atTime float64) ([]float64, error) {
+	sys, err := referenceAssemble(c)
+	if err != nil {
+		return nil, err
+	}
+	lu, err := linalg.Factor(sys.g)
+	if err != nil {
+		return nil, err
+	}
+	b := make([]float64, sys.size)
+	sys.rhs(b, atTime)
+	x := lu.Solve(b)
+	return sys.nodeVoltages(x), nil
+}
+
+// referenceTransient is the dense fixed-step integrator transient must
+// reproduce bit for bit: dense history matrices and a factorization of the
+// dense iteration matrix.
+func referenceTransient(c *Circuit, opts TranOpts, watch *thresholdWatch) (*TranResult, error) {
+	if opts.Step <= 0 || opts.Stop <= opts.Step {
+		return nil, fmt.Errorf("%w: step=%g stop=%g", ErrBadTranOpts, opts.Step, opts.Stop)
+	}
+	sys, err := referenceAssemble(c)
+	if err != nil {
+		return nil, err
+	}
+	h := opts.Step
+
+	lhs := sys.g.Clone()
+	var histC *linalg.Matrix // matrix applied to x_k on the right-hand side
+	switch opts.Method {
+	case BackwardEuler:
+		lhs.AddScaled(sys.c, 1/h)
+		histC = linalg.NewMatrix(sys.size, sys.size)
+		histC.AddScaled(sys.c, 1/h) // histC = C/h
+	case Trapezoidal:
+		lhs.AddScaled(sys.c, 2/h)
+		histC = linalg.NewMatrix(sys.size, sys.size)
+		histC.AddScaled(sys.c, 2/h) // histC = 2C/h
+		histC.AddScaled(sys.g, -1)  // histC = 2C/h − G
+	default:
+		return nil, fmt.Errorf("spice: unknown integration method %v", opts.Method)
+	}
+	lu, err := linalg.Factor(lhs)
+	if err != nil {
+		return nil, fmt.Errorf("spice: transient matrix is singular (floating node?): %w", err)
+	}
+
+	var beLU *linalg.LU
+	var beHist *linalg.Matrix
+	if opts.Method == Trapezoidal {
+		beLhs := sys.g.Clone()
+		beLhs.AddScaled(sys.c, 1/h)
+		beLU, err = linalg.Factor(beLhs)
+		if err != nil {
+			return nil, fmt.Errorf("spice: transient matrix is singular (floating node?): %w", err)
+		}
+		beHist = linalg.NewMatrix(sys.size, sys.size)
+		beHist.AddScaled(sys.c, 1/h)
+	}
+
+	algebraic := sys.algebraicRows()
+
+	x := make([]float64, sys.size)
+	bPrev := make([]float64, sys.size)
+	bNext := make([]float64, sys.size)
+	rhs := make([]float64, sys.size)
+	hist := make([]float64, sys.size)
+	sys.rhs(bPrev, 0)
+
+	res := &TranResult{}
+	var crossings []float64
+	var prevWatch []float64
+	if watch != nil {
+		crossings = make([]float64, len(watch.nodes))
+		for i := range crossings {
+			crossings[i] = -1
+		}
+		prevWatch = make([]float64, len(watch.nodes))
+	}
+
+	record := func(t float64, volts []float64) {
+		if !opts.Record {
+			return
+		}
+		if res.V == nil {
+			res.V = make([][]float64, c.numNodes)
+		}
+		res.Times = append(res.Times, t)
+		for n := 0; n < c.numNodes; n++ {
+			res.V[n] = append(res.V[n], volts[n])
+		}
+	}
+	record(0, make([]float64, c.numNodes))
+
+	steps := int(opts.Stop/h + 0.5)
+	for k := 1; k <= steps; k++ {
+		t := float64(k) * h
+		sys.rhs(bNext, t)
+
+		useTrap := opts.Method == Trapezoidal && k > 1
+		if opts.Method == Trapezoidal && k == 1 {
+			beHist.MulVecInto(hist, x)
+		} else {
+			histC.MulVecInto(hist, x)
+		}
+		for i := range rhs {
+			switch {
+			case useTrap && algebraic[i]:
+				rhs[i] = bNext[i]
+			case useTrap:
+				rhs[i] = hist[i] + bPrev[i] + bNext[i]
+			default:
+				rhs[i] = hist[i] + bNext[i]
+			}
+		}
+		if opts.Method == Trapezoidal && k == 1 {
+			beLU.SolveInPlace(rhs)
+		} else {
+			lu.SolveInPlace(rhs)
+		}
+		copy(x, rhs)
+		bPrev, bNext = bNext, bPrev
+
+		if watch != nil {
+			remaining := 0
+			for i, n := range watch.nodes {
+				if crossings[i] >= 0 {
+					continue
+				}
+				remaining++
+				var v float64
+				if n > 0 {
+					v = x[n-1]
+				}
+				if v >= watch.levels[i] {
+					frac := 1.0
+					if dv := v - prevWatch[i]; dv > 0 {
+						frac = (watch.levels[i] - prevWatch[i]) / dv
+					}
+					crossings[i] = t - h + frac*h
+					remaining--
+				}
+				prevWatch[i] = v
+			}
+			if remaining == 0 && !opts.Record {
+				res.Steps = k
+				final := make([]float64, c.numNodes)
+				for n := 1; n < c.numNodes; n++ {
+					final[n] = x[n-1]
+				}
+				res.Final = final
+				res.Crossings = crossings
+				return res, nil
+			}
+		}
+		if opts.Record {
+			volts := make([]float64, c.numNodes)
+			for n := 1; n < c.numNodes; n++ {
+				volts[n] = x[n-1]
+			}
+			record(t, volts)
+		}
+		res.Steps = k
+	}
+
+	final := make([]float64, c.numNodes)
+	for n := 1; n < c.numNodes; n++ {
+		final[n] = x[n-1]
+	}
+	res.Final = final
+	res.Crossings = crossings
+	return res, nil
+}
+
+// referenceAdaptive is the adaptive controller over dense trapezoidal steps.
+func referenceAdaptive(c *Circuit, stop float64) (*TranResult, error) {
+	sys, err := referenceAssemble(c)
+	if err != nil {
+		return nil, err
+	}
+	h, minStep, maxStep, tol := stop/1000, stop/1e7, stop/50, 1e-4
+	algebraic := sys.algebraicRows()
+	type factors struct {
+		lu    *linalg.LU
+		histC *linalg.Matrix
+	}
+	cache := map[float64]*factors{}
+	step := func(x, out []float64, t, h float64) error {
+		f, ok := cache[h]
+		if !ok {
+			lhs := sys.g.Clone()
+			lhs.AddScaled(sys.c, 2/h)
+			lu, err := linalg.Factor(lhs)
+			if err != nil {
+				return fmt.Errorf("spice: adaptive factorization at h=%g: %w", h, err)
+			}
+			hist := linalg.NewMatrix(sys.size, sys.size)
+			hist.AddScaled(sys.c, 2/h)
+			hist.AddScaled(sys.g, -1)
+			f = &factors{lu: lu, histC: hist}
+			if len(cache) > 32 {
+				cache = map[float64]*factors{}
+			}
+			cache[h] = f
+		}
+		bPrev, bNext := make([]float64, sys.size), make([]float64, sys.size)
+		sys.rhs(bPrev, t)
+		sys.rhs(bNext, t+h)
+		rhs := f.histC.MulVec(x)
+		for i := range rhs {
+			if algebraic[i] {
+				rhs[i] = bNext[i]
+				continue
+			}
+			rhs[i] = rhs[i] + bPrev[i] + bNext[i]
+		}
+		f.lu.SolveInPlace(rhs)
+		copy(out, rhs)
+		return nil
+	}
+
+	x := make([]float64, sys.size)
+	t := 0.0
+	res := &TranResult{Times: []float64{0}, V: make([][]float64, c.numNodes)}
+	record := func() {
+		for n := 0; n < c.numNodes; n++ {
+			var v float64
+			if n > 0 {
+				v = x[n-1]
+			}
+			res.V[n] = append(res.V[n], v)
+		}
+	}
+	record()
+	full, half, quarter := make([]float64, sys.size), make([]float64, sys.size), make([]float64, sys.size)
+	for t < stop {
+		if t+h > stop {
+			h = stop - t
+		}
+		if err := step(x, full, t, h); err != nil {
+			return nil, err
+		}
+		if err := step(x, quarter, t, h/2); err != nil {
+			return nil, err
+		}
+		if err := step(quarter, half, t+h/2, h/2); err != nil {
+			return nil, err
+		}
+		var lte float64
+		for i := 0; i < sys.nv; i++ {
+			if e := math.Abs(half[i]-full[i]) / 3; e > lte {
+				lte = e
+			}
+		}
+		if lte > tol && h > minStep {
+			shrink := 0.9 * math.Sqrt(tol/math.Max(lte, 1e-300))
+			if shrink < 0.1 {
+				shrink = 0.1
+			}
+			h = math.Max(h*shrink, minStep)
+			continue
+		}
+		if lte > tol && h <= minStep {
+			return nil, fmt.Errorf("%w at t=%g (lte %g > tol %g)", ErrStepUnderflow, t, lte, tol)
+		}
+		copy(x, half)
+		t += h
+		res.Steps++
+		res.Times = append(res.Times, t)
+		record()
+		if lte < tol/4 {
+			h = math.Min(h*2, maxStep)
+		}
+	}
+	res.Final = make([]float64, c.numNodes)
+	for n := 0; n < c.numNodes; n++ {
+		res.Final[n] = res.V[n][len(res.V[n])-1]
+	}
+	return res, nil
+}
+
+// referenceMeasureDelays is MeasureDelays over the dense references: a
+// dense DC solve for the thresholds, then horizon retries of a dense
+// transient, fixed-step or adaptive.
+func referenceMeasureDelays(c *Circuit, watch []int, opts MeasureOpts) ([]float64, error) {
+	final, err := referenceDC(c, math.MaxFloat64)
+	if err != nil {
+		return nil, err
+	}
+	levels := make([]float64, len(watch))
+	for i, n := range watch {
+		levels[i] = opts.ThresholdFraction * final[n]
+	}
+	steps := opts.StepsPerHorizon
+	if steps <= 0 {
+		steps = 2000
+	}
+	horizon := opts.InitialHorizon
+	if horizon <= 0 {
+		horizon = horizonEstimate(c)
+	}
+	maxHorizon := opts.MaxHorizon
+	if maxHorizon <= 0 {
+		maxHorizon = horizon * 1024
+	}
+	for {
+		crossings := make([]float64, len(watch))
+		if opts.Adaptive {
+			res, err := referenceAdaptive(c, horizon)
+			if err != nil {
+				return nil, err
+			}
+			for i, node := range watch {
+				crossings[i] = crossing(res.Times, res.V[node], levels[i])
+			}
+		} else {
+			res, err := referenceTransient(c, TranOpts{
+				Step: horizon / float64(steps), Stop: horizon, Method: opts.Method,
+			}, &thresholdWatch{nodes: watch, levels: levels})
+			if err != nil {
+				return nil, err
+			}
+			crossings = res.Crossings
+		}
+		if !slices.ContainsFunc(crossings, func(t float64) bool { return t < 0 }) {
+			return crossings, nil
+		}
+		if horizon >= maxHorizon {
+			return nil, fmt.Errorf("%w within %g s", ErrNoCrossing, horizon)
+		}
+		horizon *= 4
 	}
 }

@@ -115,36 +115,52 @@ type thresholdWatch struct {
 	levels []float64 //nontree:unit V
 }
 
+// validate reports whether the options describe a runnable transient.
+func (o TranOpts) validate() error {
+	if o.Step <= 0 || o.Stop <= o.Step {
+		return fmt.Errorf("%w: step=%g stop=%g", ErrBadTranOpts, o.Step, o.Stop)
+	}
+	return nil
+}
+
 func transient(c *Circuit, opts TranOpts, watch *thresholdWatch) (*TranResult, error) {
-	if opts.Step <= 0 || opts.Stop <= opts.Step {
-		return nil, fmt.Errorf("%w: step=%g stop=%g", ErrBadTranOpts, opts.Step, opts.Stop)
+	if err := opts.validate(); err != nil {
+		return nil, err
 	}
 	sys, err := assemble(c)
 	if err != nil {
 		return nil, err
 	}
+	return sys.transient(opts, watch)
+}
+
+// transient runs a fixed-step transient of the assembled system. Every
+// matrix stays sparse: a step is one sparse history product and one
+// compressed triangular solve, and allocates nothing.
+func (sys *mnaSystem) transient(opts TranOpts, watch *thresholdWatch) (*TranResult, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
+	c := sys.circuit
 	rec := obs.OrNop(opts.Obs)
 	h := opts.Step
+	zero := linalg.NewSparse(sys.size, sys.size, nil)
 
 	// Build the iteration matrix once; with a fixed step it never changes.
 	//   BE:   (C/h + G)      x_{k+1} = C/h·x_k            + b_{k+1}
 	//   TRAP: (2C/h + G)     x_{k+1} = (2C/h − G)·x_k     + b_k + b_{k+1}
-	lhs := sys.g.Clone()
-	var histC *linalg.Matrix // matrix applied to x_k on the right-hand side
+	var lhs, histC *linalg.Sparse // histC is applied to x_k on the right-hand side
 	switch opts.Method {
 	case BackwardEuler:
-		lhs.AddScaled(sys.c, 1/h)
-		histC = linalg.NewMatrix(sys.size, sys.size)
-		histC.AddScaled(sys.c, 1/h) // histC = C/h
+		lhs = sys.g.AddScaled(sys.c, 1/h)
+		histC = zero.AddScaled(sys.c, 1/h) // histC = C/h
 	case Trapezoidal:
-		lhs.AddScaled(sys.c, 2/h)
-		histC = linalg.NewMatrix(sys.size, sys.size)
-		histC.AddScaled(sys.c, 2/h) // histC = 2C/h
-		histC.AddScaled(sys.g, -1)  // histC = 2C/h − G
+		lhs = sys.g.AddScaled(sys.c, 2/h)
+		histC = zero.AddScaled(sys.c, 2/h).AddScaled(sys.g, -1) // histC = 2C/h − G
 	default:
 		return nil, fmt.Errorf("spice: unknown integration method %v", opts.Method)
 	}
-	lu, err := linalg.Factor(lhs)
+	lu, err := lhs.Factor()
 	if err != nil {
 		return nil, fmt.Errorf("spice: transient matrix is singular (floating node?): %w", err)
 	}
@@ -155,17 +171,14 @@ func transient(c *Circuit, opts TranOpts, watch *thresholdWatch) (*TranResult, e
 	// and trapezoidal integration — which is only marginally stable — would
 	// smear the edge across the first step; L-stable BE resolves it.
 	var beLU *linalg.LU
-	var beHist *linalg.Matrix
+	var beHist *linalg.Sparse
 	if opts.Method == Trapezoidal {
-		beLhs := sys.g.Clone()
-		beLhs.AddScaled(sys.c, 1/h)
-		beLU, err = linalg.Factor(beLhs)
+		beLU, err = sys.g.AddScaled(sys.c, 1/h).Factor()
 		if err != nil {
 			return nil, fmt.Errorf("spice: transient matrix is singular (floating node?): %w", err)
 		}
 		rec.Add(obs.CtrMNAFactorizations, 1)
-		beHist = linalg.NewMatrix(sys.size, sys.size)
-		beHist.AddScaled(sys.c, 1/h)
+		beHist = zero.AddScaled(sys.c, 1/h)
 	}
 
 	// Rows with no dynamic (C/L) entries are algebraic constraints —
