@@ -21,8 +21,7 @@
 //	lockorder     inconsistent lock-acquisition order (potential deadlock)
 //	nondetsource  wall clocks, math/rand, GOMAXPROCS-dependent logic
 //	obsnames      metric names outside the internal/obs catalog
-//	oraclesafety  oracle methods writing shared state
-//	purityflow    oracle mutations laundered through helper call chains
+//	purityflow    oracle methods writing shared state, directly or via helper call chains
 //	unitcheck     dimensional analysis of the circuit model (Ω·F = s)
 //
 // lockguard, goroleak, epochcheck, and obsnames are flow-sensitive: they

@@ -49,7 +49,6 @@ func TestAnalyzerRoster(t *testing.T) {
 		"lockorder":    true,
 		"nondetsource": true,
 		"obsnames":     true,
-		"oraclesafety": true,
 		"purityflow":   true,
 		"unitcheck":    true,
 	}

@@ -69,7 +69,7 @@ var a int
 var b int
 
 func f() {
-	_ = a //nontree:allow oraclesafety same-line justification
+	_ = a //nontree:allow purityflow same-line justification
 	_ = b
 }
 `
@@ -92,9 +92,9 @@ func TestAllowIndex(t *testing.T) {
 		{5, "detordering", false}, // but not line 5
 		{4, "floatcmp", false},    // wrong analyzer
 		{7, "floatcmp", false},    // no justification → no suppression
-		{10, "oraclesafety", true},
-		{11, "oraclesafety", true}, // an annotation also covers the following line
-		{12, "oraclesafety", false},
+		{10, "purityflow", true},
+		{11, "purityflow", true}, // an annotation also covers the following line
+		{12, "purityflow", false},
 	}
 	for _, c := range cases {
 		if got := ai.allows("allow.go", c.line, c.analyzer); got != c.want {

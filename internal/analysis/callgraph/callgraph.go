@@ -297,7 +297,7 @@ func (b *gbuilder) trackFuncValues(n *Node, body *ast.BlockStmt) map[types.Objec
 // valueTargets resolves an expression used as a function value to node
 // IDs: a nested literal, a named function, or a method value.
 func (b *gbuilder) valueTargets(n *Node, e ast.Expr) []string {
-	switch x := unparen(e).(type) {
+	switch x := ast.Unparen(e).(type) {
 	case *ast.FuncLit:
 		if id, ok := n.LitIDs[x]; ok {
 			return []string{id}
@@ -351,7 +351,7 @@ func (b *gbuilder) resolveCalls(n *Node, body *ast.BlockStmt, funcVars map[types
 			return
 		case *ast.CallExpr:
 			sites = append(sites, site{call: s, goSt: inGo > 0, defSt: inDefer > 0})
-			if fl, ok := unparen(s.Fun).(*ast.FuncLit); ok {
+			if fl, ok := ast.Unparen(s.Fun).(*ast.FuncLit); ok {
 				if _, nested := n.LitIDs[fl]; nested {
 					usedLits[fl] = true
 				}
@@ -398,7 +398,7 @@ func (b *gbuilder) resolveCalls(n *Node, body *ast.BlockStmt, funcVars map[types
 
 // callTargets resolves one call expression.
 func (b *gbuilder) callTargets(n *Node, call *ast.CallExpr, funcVars map[types.Object][]string) (targets []string, iface bool) {
-	switch fun := unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.FuncLit:
 		if id, ok := n.LitIDs[fun]; ok {
 			return []string{id}, false
@@ -496,16 +496,6 @@ func (b *gbuilder) exportMethodSets() {
 		}
 		key := MethodSetFactPrefix + b.g.PkgPath + "." + name
 		_ = b.pass.Facts.Export(b.g.PkgPath, key, ms)
-	}
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
 	}
 }
 

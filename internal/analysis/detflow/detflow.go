@@ -459,7 +459,7 @@ func (u *unit) assign(s *ast.AssignStmt, state taintState, record bool) {
 	var rhs []varTaint
 	if len(s.Lhs) > 1 && len(s.Rhs) == 1 {
 		// Multi-value: a call, type assertion, or map read.
-		if call, ok := unparen(s.Rhs[0]).(*ast.CallExpr); ok {
+		if call, ok := ast.Unparen(s.Rhs[0]).(*ast.CallExpr); ok {
 			rhs = u.callResultTaints(call, state, len(s.Lhs))
 		} else {
 			t := u.taintOf(s.Rhs[0], state)
@@ -491,7 +491,7 @@ func (u *unit) assign(s *ast.AssignStmt, state taintState, record bool) {
 // when the root is a pointer-like parameter — an out-parameter summary
 // entry.
 func (u *unit) writeTo(lhs ast.Expr, t varTaint, state taintState, record bool) {
-	base := unparen(lhs)
+	base := ast.Unparen(lhs)
 	if id, ok := base.(*ast.Ident); ok {
 		if id.Name == "_" {
 			return
@@ -558,7 +558,7 @@ func (u *unit) recordReturn(s *ast.ReturnStmt, state taintState) {
 			taints = append(taints, state[obj])
 		}
 	} else if len(s.Results) == 1 {
-		if call, ok := unparen(s.Results[0]).(*ast.CallExpr); ok && len(u.results) > 1 {
+		if call, ok := ast.Unparen(s.Results[0]).(*ast.CallExpr); ok && len(u.results) > 1 {
 			taints = u.callResultTaints(call, state, len(u.results))
 		} else {
 			taints = []varTaint{u.taintOf(s.Results[0], state)}
@@ -605,7 +605,7 @@ func (u *unit) addResultTaint(index int, t varTaint) {
 
 // taintOf evaluates the taint of an expression under state.
 func (u *unit) taintOf(e ast.Expr, state taintState) varTaint {
-	switch x := unparen(e).(type) {
+	switch x := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		obj := u.c.pass.Info.Uses[x]
 		if obj == nil {
@@ -666,7 +666,7 @@ func (u *unit) callResultTaints(call *ast.CallExpr, state taintState, nres int) 
 	site := callgraph.PosString(u.c.pass.Fset, call.Pos())
 
 	// Builtins.
-	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if _, isBuiltin := u.c.pass.Info.Uses[id].(*types.Builtin); isBuiltin {
 			switch id.Name {
 			case "append":
@@ -763,7 +763,7 @@ func (u *unit) callResultTaints(call *ast.CallExpr, state taintState, nres int) 
 	for _, a := range call.Args {
 		t = mergeTaint(t, u.taintOf(a, state))
 	}
-	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if u.c.pass.Info.Selections[sel] != nil {
 			t = mergeTaint(t, u.taintOf(sel.X, state))
 		}
@@ -925,14 +925,4 @@ func lowestKind(kinds int) int {
 		}
 	}
 	return 0
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

@@ -338,7 +338,7 @@ func (c *checker) applyOps(node ast.Node, state lockState) {
 // (root, mutex-field) key when the receiver is a guarding mutex field
 // reached through a trackable root.
 func (c *checker) lockTarget(recv ast.Expr) (lockKey, bool) {
-	sel, ok := unparen(recv).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(recv).(*ast.SelectorExpr)
 	if !ok {
 		return lockKey{}, false
 	}
@@ -376,16 +376,6 @@ func (c *checker) fieldVar(sel *ast.SelectorExpr) *types.Var {
 	return v.Origin()
 }
 
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
-}
-
 // checkAccesses reports guarded-field accesses in one node that the
 // current state does not license.
 func (c *checker) checkAccesses(node ast.Node, state lockState) {
@@ -395,7 +385,7 @@ func (c *checker) checkAccesses(node ast.Node, state lockState) {
 	writes := map[ast.Expr]bool{}
 	markWrite := func(e ast.Expr) {
 		for {
-			switch x := unparen(e).(type) {
+			switch x := ast.Unparen(e).(type) {
 			case *ast.IndexExpr:
 				e = x.X
 			case *ast.StarExpr:

@@ -426,7 +426,7 @@ func isSyncMutexMethod(fn *types.Func) bool {
 // variable. Local mutex variables and untrackable expressions report
 // false.
 func (c *checker) lockClass(recv ast.Expr) (string, bool) {
-	switch x := unparen(recv).(type) {
+	switch x := ast.Unparen(recv).(type) {
 	case *ast.Ident:
 		v, ok := c.pass.Info.Uses[x].(*types.Var)
 		if !ok || v.Pkg() == nil {
@@ -593,14 +593,4 @@ func sortedKeys(s heldSet) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

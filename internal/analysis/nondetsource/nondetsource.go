@@ -68,6 +68,9 @@ var Analyzer = &analysis.Analyzer{
 		// trace stamps Elapsed in its own ring.go, through the stamp
 		// function it hands the generic ring.
 		"internal/ring",
+		// The line codec both encode through is in scope so the canonical
+		// bytes stay a pure function of the event.
+		"internal/jsonl",
 		// The workload simulator is in scope so its generation side stays a
 		// pure function of the spec seed: sim's math/rand import carries the
 		// seeded-stream justification, and the driver reads the clock only

@@ -1,8 +1,10 @@
-// Package purityflow is the interprocedural escalation of oraclesafety:
-// where oraclesafety flags a SinkDelays/Evaluate/Eval body that writes
-// receiver fields or package-level variables *directly*, purityflow
-// follows every resolvable call chain out of those methods and flags a
-// mutation buried arbitrarily deep in helpers.
+// Package purityflow enforces the DelayOracle thread-safety contract
+// (DESIGN.md §7, §14): when Options.Workers != 1 the greedy sweeps call
+// SinkDelays concurrently from many goroutines, so oracle and objective
+// implementations must build their workspaces per call. The analyzer
+// flags any SinkDelays, Evaluate, or Eval method that writes receiver
+// fields or package-level variables — directly in its body, or through a
+// mutation buried arbitrarily deep in the helpers it calls.
 //
 // # Model
 //
@@ -19,17 +21,22 @@
 // the enclosing function.
 //
 // Diagnostics fire only at oracle entry points (SinkDelays, Evaluate,
-// Eval — minus the documented elmore.Incremental exception) and only for
-// call-derived receiver/global effects: direct writes stay oraclesafety's
-// territory, and writes into the method's own out-parameters are the
-// sanctioned caller-provided-buffer idiom.
+// Eval), for receiver and global effects: each direct write is reported
+// at its own position, each call-derived effect once per call chain.
+// Writes into the method's own out-parameters are the sanctioned
+// caller-provided-buffer idiom. The one sanctioned exception is the
+// documented single-threaded incremental evaluator: methods whose
+// receiver type is named Incremental in package nontree/internal/elmore
+// are skipped. Other exemptions require a justified
+// //nontree:allow purityflow annotation.
 //
 // # Soundness caveats (DESIGN.md §14)
 //
 // Aliasing (b := o.buf; b[0] = x), untrackable call roots
-// (obs.OrNop(o.Obs).Add — the root is a call result), and function values
-// flowing through fields remain invisible; the -race sweeps in
-// internal/core are the dynamic backstop, exactly as for oraclesafety.
+// (obs.OrNop(o.Obs).Add — the root is a call result), function values
+// flowing through fields, and writes made by goroutines the oracle
+// starts remain invisible; the -race sweeps in internal/core are the
+// dynamic backstop.
 package purityflow
 
 import (
@@ -52,15 +59,15 @@ var Analyzer = &analysis.Analyzer{
 	// can call into.
 }
 
-// methodNames are the oracle entry points, mirroring oraclesafety.
+// methodNames are the oracle entry points covered by the contract.
 var methodNames = map[string]bool{
 	"SinkDelays": true,
 	"Evaluate":   true,
 	"Eval":       true,
 }
 
-// The documented single-threaded incremental evaluator is exempt, as in
-// oraclesafety.
+// exceptionPkg/exceptionType identify the documented single-threaded
+// incremental Elmore evaluator, exempt by design.
 const (
 	exceptionPkg  = "nontree/internal/elmore"
 	exceptionType = "Incremental"
@@ -98,6 +105,10 @@ type effect struct {
 	pos   token.Pos
 	at    string
 	via   []string
+	// lhs and verb describe a direct write ("writes"/"updates" lhs); lhs
+	// is nil for call-derived effects.
+	lhs  ast.Expr
+	verb string
 }
 
 const (
@@ -152,17 +163,16 @@ func run(pass *analysis.Pass) error {
 		}
 		reported := map[string]bool{}
 		for _, e := range c.effects(n, lookup) {
-			if len(e.via) == 0 {
-				continue // direct write: oraclesafety's finding
-			}
-			var what string
-			switch e.kind {
-			case kindRecv:
-				what = "receiver state"
-			case kindGlobal:
-				what = "package-level variable " + e.name
-			default:
+			if e.kind != kindRecv && e.kind != kindGlobal {
 				continue // out-params are the caller-provided-buffer idiom
+			}
+			if e.lhs != nil {
+				reportDirect(pass, fd, e)
+				continue
+			}
+			what := "receiver state"
+			if e.kind == kindGlobal {
+				what = "package-level variable " + e.name
 			}
 			key := what + "|" + strings.Join(e.via, ",")
 			if reported[key] {
@@ -176,6 +186,22 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 	return nil
+}
+
+// reportDirect reports a write made in the oracle method's own body.
+func reportDirect(pass *analysis.Pass, fd *ast.FuncDecl, e effect) {
+	if e.kind == kindRecv {
+		pass.Reportf(e.pos,
+			"%s receiver state %s in %s: oracles must be safe for concurrent "+
+				"calls on distinct topologies — allocate per-call workspaces "+
+				"(see DESIGN.md §7) or annotate //nontree:allow purityflow <why>",
+			e.verb, exprString(e.lhs), fd.Name.Name)
+		return
+	}
+	pass.Reportf(e.pos,
+		"%s package-level variable %s in %s: oracles must not share "+
+			"mutable state across concurrent calls (DESIGN.md §7)",
+		e.verb, analysis.RootIdent(e.lhs).Name, fd.Name.Name)
 }
 
 func isException(pass *analysis.Pass, fd *ast.FuncDecl) bool {
@@ -314,7 +340,7 @@ func (c *checker) effects(n *callgraph.Node, callee func(string) (fnSummary, boo
 	}
 
 	// Direct writes.
-	walkWrites(n, func(lhs ast.Expr, bare bool) {
+	walkWrites(n, func(lhs ast.Expr, bare bool, verb string) {
 		root := analysis.RootIdent(lhs)
 		if root == nil {
 			return
@@ -326,13 +352,11 @@ func (c *checker) effects(n *callgraph.Node, callee func(string) (fnSummary, boo
 		if obj == nil {
 			return
 		}
+		// A bare-ident write rebinds receivers and parameters harmlessly
+		// but still hits a global or a captured variable.
 		if e, ok := ctx.classify(obj, !bare); ok {
+			e.lhs, e.verb = lhs, verb
 			add(e, lhs.Pos(), callgraph.PosString(c.pass.Fset, lhs.Pos()), nil)
-		} else if bare {
-			// A bare-ident write can still hit a global or a captured var.
-			if e, ok := ctx.classify(obj, false); ok && (e.kind == kindGlobal || e.kind == kindFree) {
-				add(e, lhs.Pos(), callgraph.PosString(c.pass.Fset, lhs.Pos()), nil)
-			}
 		}
 	})
 
@@ -410,17 +434,13 @@ func (c *checker) effects(n *callgraph.Node, callee func(string) (fnSummary, boo
 }
 
 // walkWrites invokes fn for every assignment target in the unit's body
-// (assignments, ++/--, delete), with bare reporting whether the target is
-// a plain identifier (a rebinding). Nested literals and go statements are
-// their own units.
-func walkWrites(n *callgraph.Node, fn func(lhs ast.Expr, bare bool)) {
-	report := func(e ast.Expr) {
-		switch unparenExpr(e).(type) {
-		case *ast.Ident:
-			fn(e, true)
-		default:
-			fn(e, false)
-		}
+// (assignments and delete "write", ++/-- "update"), with bare reporting
+// whether the target is a plain identifier (a rebinding). Nested literals
+// and go statements are their own units.
+func walkWrites(n *callgraph.Node, fn func(lhs ast.Expr, bare bool, verb string)) {
+	report := func(e ast.Expr, verb string) {
+		_, bare := ast.Unparen(e).(*ast.Ident)
+		fn(e, bare, verb)
 	}
 	ast.Inspect(n.Body, func(m ast.Node) bool {
 		switch x := m.(type) {
@@ -432,13 +452,13 @@ func walkWrites(n *callgraph.Node, fn func(lhs ast.Expr, bare bool)) {
 			return false
 		case *ast.AssignStmt:
 			for _, lhs := range x.Lhs {
-				report(lhs)
+				report(lhs, "writes")
 			}
 		case *ast.IncDecStmt:
-			report(x.X)
+			report(x.X, "updates")
 		case *ast.CallExpr:
 			if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "delete" && len(x.Args) > 0 {
-				fn(x.Args[0], false)
+				fn(x.Args[0], false, "writes")
 			}
 		}
 		return true
@@ -516,12 +536,20 @@ func sortedKeys[V any](m map[string]V) []string {
 	return out
 }
 
-func unparenExpr(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
+// exprString renders a written-to expression for diagnostics, eliding
+// index values.
+func exprString(e ast.Expr) string {
+	switch x := e.(type) {
+	case *ast.Ident:
+		return x.Name
+	case *ast.SelectorExpr:
+		return exprString(x.X) + "." + x.Sel.Name
+	case *ast.IndexExpr:
+		return exprString(x.X) + "[...]"
+	case *ast.StarExpr:
+		return "*" + exprString(x.X)
+	case *ast.ParenExpr:
+		return exprString(x.X)
 	}
+	return "expression"
 }

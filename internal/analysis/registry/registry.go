@@ -16,7 +16,6 @@ import (
 	"nontree/internal/analysis/lockorder"
 	"nontree/internal/analysis/nondetsource"
 	"nontree/internal/analysis/obsnames"
-	"nontree/internal/analysis/oraclesafety"
 	"nontree/internal/analysis/purityflow"
 	"nontree/internal/analysis/unitcheck"
 )
@@ -32,7 +31,6 @@ var suite = []*analysis.Analyzer{
 	lockorder.Analyzer,
 	nondetsource.Analyzer,
 	obsnames.Analyzer,
-	oraclesafety.Analyzer,
 	purityflow.Analyzer,
 	unitcheck.Analyzer,
 }

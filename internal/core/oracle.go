@@ -37,11 +37,10 @@ import (
 // configuration fields are read-only after construction and every evaluation
 // builds its workspaces from scratch (see the audit notes in package elmore
 // and package spice). The race-mode tests in parallel_test.go guard this
-// contract dynamically; statically, the oraclesafety analyzer rejects
-// direct writes to shared state in oracle methods and the purityflow
-// analyzer chases the same writes through every helper call chain
-// (DESIGN.md §14), so a mutation laundered two helpers deep fails lint
-// just like a direct one.
+// contract dynamically; statically, the purityflow analyzer rejects
+// writes to shared state in oracle methods, directly or through every
+// helper call chain (DESIGN.md §14), so a mutation laundered two helpers
+// deep fails lint just like a direct one.
 type DelayOracle interface {
 	// SinkDelays returns a delay per topology node (indexed by node id;
 	// entries for non-sink nodes are implementation-defined). width gives

@@ -46,9 +46,8 @@ import (
 // counter mutate on evaluation — which is why it is the sanctioned
 // exception to the oracle purity contract: one instance serves one
 // goroutine, the epochcheck analyzer rejects probes against a stale
-// factorization, and the oraclesafety and purityflow analyzers exempt
-// exactly this type (and nothing else) from their no-shared-writes rule
-// (DESIGN.md §14).
+// factorization, and the purityflow analyzer exempts exactly this type
+// (and nothing else) from its no-shared-writes rule (DESIGN.md §14).
 type Incremental struct {
 	topo  *graph.Topology
 	p     rc.Params

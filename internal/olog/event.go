@@ -20,14 +20,10 @@
 package olog
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
-	"math"
-	"strconv"
-	"strings"
+
+	"nontree/internal/jsonl"
 )
 
 // Request outcomes. Exactly one event is emitted per /route request,
@@ -114,7 +110,7 @@ type Event struct {
 
 // Deterministic returns the event with its nondeterministic fields
 // (phase timings, latency bucket, Workers echo, render-time tombstone)
-// cleared — the projection every byte-identity guarantee and Diff
+// cleared — the projection every byte-identity guarantee and Fingerprint
 // operate on.
 func (e Event) Deterministic() Event {
 	e.Workers = 0
@@ -129,10 +125,10 @@ func (e Event) Deterministic() Event {
 	return e
 }
 
-// jsonEvent is the wire form of Event: floats are hex-literal strings so
-// the encoding is bit-exact, and every zero-valued field is omitted so
-// decode→encode reproduces the input bytes (the same scheme as
-// trace.Event).
+// jsonEvent is the wire form of Event in the package jsonl line format
+// shared with trace.Event: floats are hex-literal strings so the encoding
+// is bit-exact, and every zero-valued field is omitted so decode→encode
+// reproduces canonical input bytes.
 type jsonEvent struct {
 	Seq             int64  `json:"seq"`
 	RequestID       string `json:"request_id"`
@@ -162,39 +158,6 @@ type jsonEvent struct {
 	LatencyBucket   int    `json:"latency_bucket,omitempty"`
 }
 
-// formatFloat renders a float as a hex literal ("0x1.8p+01"), the exact,
-// locale-free form strconv.ParseFloat reads back bit-identically. The
-// zero bit pattern renders as "" (the field is then omitted); NaNs are
-// canonicalized — wide events never carry NaN payloads.
-func formatFloat(v float64) string {
-	if math.Float64bits(v) == 0 {
-		return ""
-	}
-	if math.IsNaN(v) {
-		return "NaN"
-	}
-	return strconv.FormatFloat(v, 'x', -1, 64)
-}
-
-// canonString maps a string to the canonical form the JSON layer
-// preserves: invalid UTF-8 is replaced by U+FFFD up front, so the first
-// encoding already carries the bytes every later decode→encode cycle
-// reproduces.
-func canonString(s string) string {
-	return strings.ToValidUTF8(s, "�")
-}
-
-func parseFloat(s, field string) (float64, error) {
-	if s == "" {
-		return 0, nil
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("olog: field %q: %w", field, err)
-	}
-	return v, nil
-}
-
 // Encode renders the event as one canonical JSON line (no trailing
 // newline). The encoding is a pure function of the event: fixed key
 // order, hex-literal floats, zero-valued fields omitted — so two equal
@@ -202,18 +165,18 @@ func parseFloat(s, field string) (float64, error) {
 // every field bit-exactly (NaN payloads are canonicalized, and invalid
 // UTF-8 in string fields is replaced by U+FFFD up front).
 func (e Event) Encode() []byte {
-	je := jsonEvent{
+	return jsonl.Marshal(jsonEvent{
 		Seq:             e.Seq,
-		RequestID:       canonString(e.RequestID),
-		Net:             canonString(e.Net),
+		RequestID:       jsonl.CanonString(e.RequestID),
+		Net:             jsonl.CanonString(e.Net),
 		Pins:            e.Pins,
-		Algo:            canonString(e.Algo),
-		Oracle:          canonString(e.Oracle),
+		Algo:            jsonl.CanonString(e.Algo),
+		Oracle:          jsonl.CanonString(e.Oracle),
 		Workers:         e.Workers,
-		Outcome:         canonString(e.Outcome),
+		Outcome:         jsonl.CanonString(e.Outcome),
 		Status:          e.Status,
-		Error:           canonString(e.Error),
-		TraceID:         canonString(e.TraceID),
+		Error:           jsonl.CanonString(e.Error),
+		TraceID:         jsonl.CanonString(e.TraceID),
 		TraceEvents:     e.TraceEvents,
 		TraceDropped:    e.TraceDropped,
 		TraceTombstoned: e.TraceTombstoned,
@@ -222,33 +185,28 @@ func (e Event) Encode() []byte {
 		Pruned:          e.Pruned,
 		OracleEvals:     e.OracleEvals,
 		CacheHits:       e.CacheHits,
-		QueueSeconds:    formatFloat(e.QueueSeconds),
-		DecodeSeconds:   formatFloat(e.DecodeSeconds),
-		SweepSeconds:    formatFloat(e.SweepSeconds),
-		OracleSeconds:   formatFloat(e.OracleSeconds),
-		StoreSeconds:    formatFloat(e.StoreSeconds),
-		TotalSeconds:    formatFloat(e.TotalSeconds),
+		QueueSeconds:    jsonl.FormatFloat(e.QueueSeconds),
+		DecodeSeconds:   jsonl.FormatFloat(e.DecodeSeconds),
+		SweepSeconds:    jsonl.FormatFloat(e.SweepSeconds),
+		OracleSeconds:   jsonl.FormatFloat(e.OracleSeconds),
+		StoreSeconds:    jsonl.FormatFloat(e.StoreSeconds),
+		TotalSeconds:    jsonl.FormatFloat(e.TotalSeconds),
 		LatencyBucket:   e.LatencyBucket,
-	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(je); err != nil {
-		// A struct of ints and strings cannot fail to marshal.
-		panic(fmt.Sprintf("olog: encoding event: %v", err))
-	}
-	return bytes.TrimRight(buf.Bytes(), "\n")
+	})
 }
 
-// DecodeEvent parses one canonical JSON line. Unknown keys are rejected:
-// a log that decodes is guaranteed to re-encode byte-identically.
+// DecodeEvent parses one JSON line holding exactly one event; unknown
+// keys and trailing data are rejected. Decoding is not byte-exact on
+// arbitrary input (whitespace, key order and duplicate keys are not
+// preserved), but canonicalization is a fixpoint: for any line that
+// decodes, Encode of the result decodes to the same event bit for bit
+// and re-encodes to the same bytes.
 func DecodeEvent(line []byte) (Event, error) {
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.DisallowUnknownFields()
 	var je jsonEvent
-	if err := dec.Decode(&je); err != nil {
+	if err := jsonl.Unmarshal(line, &je); err != nil {
 		return Event{}, fmt.Errorf("olog: decoding event: %w", err)
 	}
+	var fp jsonl.FloatParser
 	e := Event{
 		Seq:             je.Seq,
 		RequestID:       je.RequestID,
@@ -269,65 +227,31 @@ func DecodeEvent(line []byte) (Event, error) {
 		Pruned:          je.Pruned,
 		OracleEvals:     je.OracleEvals,
 		CacheHits:       je.CacheHits,
+		QueueSeconds:    fp.Parse(je.QueueSeconds, "queue_s"),
+		DecodeSeconds:   fp.Parse(je.DecodeSeconds, "decode_s"),
+		SweepSeconds:    fp.Parse(je.SweepSeconds, "sweep_s"),
+		OracleSeconds:   fp.Parse(je.OracleSeconds, "oracle_s"),
+		StoreSeconds:    fp.Parse(je.StoreSeconds, "store_s"),
+		TotalSeconds:    fp.Parse(je.TotalSeconds, "total_s"),
 		LatencyBucket:   je.LatencyBucket,
 	}
-	var err error
-	if e.QueueSeconds, err = parseFloat(je.QueueSeconds, "queue_s"); err != nil {
-		return Event{}, err
-	}
-	if e.DecodeSeconds, err = parseFloat(je.DecodeSeconds, "decode_s"); err != nil {
-		return Event{}, err
-	}
-	if e.SweepSeconds, err = parseFloat(je.SweepSeconds, "sweep_s"); err != nil {
-		return Event{}, err
-	}
-	if e.OracleSeconds, err = parseFloat(je.OracleSeconds, "oracle_s"); err != nil {
-		return Event{}, err
-	}
-	if e.StoreSeconds, err = parseFloat(je.StoreSeconds, "store_s"); err != nil {
-		return Event{}, err
-	}
-	if e.TotalSeconds, err = parseFloat(je.TotalSeconds, "total_s"); err != nil {
-		return Event{}, err
+	if fp.Err != nil {
+		return Event{}, fmt.Errorf("olog: decoding event: %w", fp.Err)
 	}
 	return e, nil
 }
 
 // WriteJSONL writes the events as canonical JSONL, one event per line.
 func WriteJSONL(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	for _, e := range events {
-		if _, err := bw.Write(e.Encode()); err != nil {
-			return err
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return jsonl.Write(w, events)
 }
 
-// ReadJSONL parses a canonical JSONL log. Blank lines are skipped so
-// hand-edited fixtures stay readable.
+// ReadJSONL parses a JSONL log. Blank lines are skipped so hand-edited
+// fixtures stay readable.
 func ReadJSONL(r io.Reader) ([]Event, error) {
-	var events []Event
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		b := bytes.TrimSpace(sc.Bytes())
-		if len(b) == 0 {
-			continue
-		}
-		e, err := DecodeEvent(b)
-		if err != nil {
-			return nil, fmt.Errorf("olog: line %d: %w", line, err)
-		}
-		events = append(events, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("olog: reading: %w", err)
+	events, err := jsonl.Read(r, DecodeEvent)
+	if err != nil {
+		return nil, fmt.Errorf("olog: %w", err)
 	}
 	return events, nil
 }
@@ -337,85 +261,5 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 // byte-identical fingerprints at any Workers value — the wide-event
 // analogue of trace.Fingerprint.
 func Fingerprint(events []Event) string {
-	var buf bytes.Buffer
-	for _, e := range events {
-		buf.Write(e.Deterministic().Encode())
-		buf.WriteByte('\n')
-	}
-	return buf.String()
-}
-
-// Drift is one divergence between two event logs.
-type Drift struct {
-	// Index is the event position at which the logs diverge (0-based);
-	// len(shorter log) when one log is a prefix of the other.
-	Index int
-	// Got and Want are the canonical deterministic encodings at Index
-	// ("" for the log that ended early).
-	Got, Want string
-}
-
-// String renders the drift for diagnostics.
-func (d Drift) String() string {
-	switch {
-	case d.Got == "":
-		return fmt.Sprintf("event %d: log ended early; want %s", d.Index, d.Want)
-	case d.Want == "":
-		return fmt.Sprintf("event %d: unexpected extra event %s", d.Index, d.Got)
-	default:
-		return fmt.Sprintf("event %d:\n  got  %s\n  want %s", d.Index, d.Got, d.Want)
-	}
-}
-
-// maxDrifts bounds Diff's report: after this many divergences the
-// remaining events are summarized as a single length drift, keeping
-// pathological diffs readable.
-const maxDrifts = 20
-
-// Diff compares the deterministic projections of two event logs event by
-// event and returns the divergences, empty when the logs agree. Seq is
-// part of the comparison — a dropped or duplicated event shifts every
-// later sequence number and is reported at its first occurrence.
-func Diff(got, want []Event) []Drift {
-	var drifts []Drift
-	n := len(got)
-	if len(want) < n {
-		n = len(want)
-	}
-	for i := 0; i < n; i++ {
-		g := string(got[i].Deterministic().Encode())
-		w := string(want[i].Deterministic().Encode())
-		if g != w {
-			drifts = append(drifts, Drift{Index: i, Got: g, Want: w})
-			if len(drifts) >= maxDrifts {
-				break
-			}
-		}
-	}
-	if len(drifts) < maxDrifts {
-		for i := n; i < len(got); i++ {
-			drifts = append(drifts, Drift{Index: i, Got: string(got[i].Deterministic().Encode())})
-			if len(drifts) >= maxDrifts {
-				break
-			}
-		}
-		for i := n; i < len(want); i++ {
-			drifts = append(drifts, Drift{Index: i, Want: string(want[i].Deterministic().Encode())})
-			if len(drifts) >= maxDrifts {
-				break
-			}
-		}
-	}
-	return drifts
-}
-
-// FormatDrifts renders a drift list for diagnostics, one drift per
-// paragraph.
-func FormatDrifts(drifts []Drift) string {
-	var b strings.Builder
-	for _, d := range drifts {
-		b.WriteString(d.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
+	return jsonl.Fingerprint(events)
 }

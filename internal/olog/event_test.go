@@ -61,6 +61,8 @@ func TestEncodeOmitsZeroFields(t *testing.T) {
 	}
 }
 
+// TestEncodePreservesNegativeZero checks that a -0 total survives the
+// wide-event encoding and its round trip.
 func TestEncodePreservesNegativeZero(t *testing.T) {
 	e := Event{Seq: 1, RequestID: "r1", Outcome: OutcomeOK, TotalSeconds: math.Copysign(0, -1)}
 	line := e.Encode()
@@ -76,6 +78,8 @@ func TestEncodePreservesNegativeZero(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsUnknownFields checks that DecodeEvent is wired to the
+// strict jsonl decoder for the wide-event schema.
 func TestDecodeRejectsUnknownFields(t *testing.T) {
 	if _, err := DecodeEvent([]byte(`{"seq":1,"request_id":"r1","outcome":"ok","bogus":true}`)); err == nil {
 		t.Fatal("decode accepted an unknown field")
@@ -83,8 +87,9 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 }
 
 func TestDecodeRejectsBadFloat(t *testing.T) {
-	if _, err := DecodeEvent([]byte(`{"seq":1,"request_id":"r1","outcome":"ok","total_s":"zzz"}`)); err == nil {
-		t.Fatal("decode accepted an unparsable float")
+	_, err := DecodeEvent([]byte(`{"seq":1,"request_id":"r1","outcome":"ok","total_s":"zzz"}`))
+	if err == nil || !strings.Contains(err.Error(), `"total_s"`) {
+		t.Fatalf("want an error naming the total_s field, got %v", err)
 	}
 }
 
@@ -114,9 +119,7 @@ func TestReadWriteJSONL(t *testing.T) {
 	if err := WriteJSONL(&buf, events); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	// Blank lines are tolerated on read.
-	doc := "\n" + buf.String() + "\n\n"
-	back, err := ReadJSONL(strings.NewReader(doc))
+	back, err := ReadJSONL(&buf)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
@@ -151,52 +154,5 @@ func TestFingerprintWorkersInvariant(t *testing.T) {
 	if Fingerprint([]Event{a}) != Fingerprint([]Event{b}) {
 		t.Fatalf("fingerprint not Workers-invariant:\n a %s b %s",
 			Fingerprint([]Event{a}), Fingerprint([]Event{b}))
-	}
-}
-
-func TestDiff(t *testing.T) {
-	a := fullEvent()
-	b := fullEvent()
-	if drifts := Diff([]Event{a}, []Event{b}); len(drifts) != 0 {
-		t.Fatalf("identical logs drifted: %s", FormatDrifts(drifts))
-	}
-
-	// Timings are outside the deterministic projection.
-	b.TotalSeconds *= 2
-	b.Workers = 1
-	if drifts := Diff([]Event{a}, []Event{b}); len(drifts) != 0 {
-		t.Fatalf("nondeterministic fields drifted: %s", FormatDrifts(drifts))
-	}
-
-	// A deterministic field divergence is reported at its index.
-	b.OracleEvals++
-	drifts := Diff([]Event{a, a}, []Event{a, b})
-	if len(drifts) != 1 || drifts[0].Index != 1 {
-		t.Fatalf("want one drift at index 1, got %s", FormatDrifts(drifts))
-	}
-	if !strings.Contains(drifts[0].String(), "got") {
-		t.Fatalf("drift rendering: %s", drifts[0])
-	}
-
-	// Length drift.
-	drifts = Diff([]Event{a}, []Event{a, a})
-	if len(drifts) != 1 || drifts[0].Got != "" {
-		t.Fatalf("want one ended-early drift, got %s", FormatDrifts(drifts))
-	}
-	if !strings.Contains(drifts[0].String(), "ended early") {
-		t.Fatalf("drift rendering: %s", drifts[0])
-	}
-	drifts = Diff([]Event{a, a}, []Event{a})
-	if len(drifts) != 1 || drifts[0].Want != "" {
-		t.Fatalf("want one extra-event drift, got %s", FormatDrifts(drifts))
-	}
-
-	// The report is bounded.
-	var long, empty []Event
-	for i := 0; i < 3*maxDrifts; i++ {
-		long = append(long, fullEvent())
-	}
-	if drifts := Diff(long, empty); len(drifts) != maxDrifts {
-		t.Fatalf("drift report unbounded: got %d, want %d", len(drifts), maxDrifts)
 	}
 }

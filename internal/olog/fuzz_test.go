@@ -2,8 +2,11 @@ package olog
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
+
+	"nontree/internal/jsonl"
 )
 
 // canonFloat maps every NaN to the canonical NaN — the one lossy case of
@@ -16,13 +19,13 @@ func canonFloat(v float64) float64 {
 }
 
 func (e Event) canon() Event {
-	e.RequestID = canonString(e.RequestID)
-	e.Net = canonString(e.Net)
-	e.Algo = canonString(e.Algo)
-	e.Oracle = canonString(e.Oracle)
-	e.Outcome = canonString(e.Outcome)
-	e.Error = canonString(e.Error)
-	e.TraceID = canonString(e.TraceID)
+	e.RequestID = jsonl.CanonString(e.RequestID)
+	e.Net = jsonl.CanonString(e.Net)
+	e.Algo = jsonl.CanonString(e.Algo)
+	e.Oracle = jsonl.CanonString(e.Oracle)
+	e.Outcome = jsonl.CanonString(e.Outcome)
+	e.Error = jsonl.CanonString(e.Error)
+	e.TraceID = jsonl.CanonString(e.TraceID)
 	e.QueueSeconds = canonFloat(e.QueueSeconds)
 	e.DecodeSeconds = canonFloat(e.DecodeSeconds)
 	e.SweepSeconds = canonFloat(e.SweepSeconds)
@@ -69,6 +72,11 @@ func FuzzOlogRoundTrip(f *testing.F) {
 	f.Add(int64(5), "r00000005", "drain", "", 0, 0, 503, int64(0), false, int64(0), 0.0, 0.0, 1.5e-5, 16,
 		[]byte(`{"seq":5,"request_id":"r00000005","outcome":"drained","status":503,"total_s":"0x1.f75104d551d69p-17"}`))
 
+	f.Add(int64(6), "r00000006", "", "ok", 0, 0, 200, int64(0), false, int64(0), 0.0, 0.0, 0.0, 0,
+		[]byte(`{"seq":1,"request_id":"r1","outcome":"ok"}{"seq":2,"request_id":"r2","outcome":"ok"}`))
+	f.Add(int64(7), "r00000007", "", "ok", 0, 0, 200, int64(0), false, int64(0), 0.0, 0.0, 0.0, 0,
+		[]byte(`{"seq":1,"request_id":"r1","outcome":"ok"} garbage`))
+
 	f.Fuzz(func(t *testing.T, seq int64, s1, s2, s3 string, i1, i2, status int,
 		n1 int64, tomb bool, n2 int64, f1, f2, f3 float64, bucket int, raw []byte) {
 
@@ -93,9 +101,13 @@ func FuzzOlogRoundTrip(f *testing.F) {
 			t.Fatalf("re-encoding changed bytes:\n got  %s\n want %s", again, line)
 		}
 
-		// Parser fixpoint: anything the decoder accepts must re-encode to
-		// a line the decoder maps to the same event, bit for bit.
+		// Parser fixpoint: anything the decoder accepts is exactly one
+		// JSON value, and re-encodes to a line the decoder maps to the
+		// same event, bit for bit.
 		if parsed, err := DecodeEvent(raw); err == nil {
+			if !json.Valid(raw) {
+				t.Fatalf("decoder accepted a line that is not one JSON value: %q", raw)
+			}
 			canon := parsed.Encode()
 			reparsed, err := DecodeEvent(canon)
 			if err != nil {

@@ -1,14 +1,10 @@
 package trace
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
-	"math"
-	"strconv"
-	"strings"
+
+	"nontree/internal/jsonl"
 )
 
 // Event kinds. Each kind populates a documented subset of Event's fields;
@@ -107,9 +103,10 @@ func (e Event) Deterministic() Event {
 	return e
 }
 
-// jsonEvent is the wire form of Event: floats are hex-literal strings so
-// the encoding is bit-exact, and every zero-valued field is omitted so
-// decode→encode reproduces the input bytes.
+// jsonEvent is the wire form of Event in the package jsonl line format:
+// floats are hex-literal strings so the encoding is bit-exact, and every
+// zero-valued field is omitted so decode→encode reproduces canonical
+// input bytes.
 type jsonEvent struct {
 	Seq     int64  `json:"seq"`
 	Kind    string `json:"kind"`
@@ -130,40 +127,6 @@ type jsonEvent struct {
 	Elapsed string `json:"elapsed,omitempty"`
 }
 
-// formatFloat renders a float as a hex literal ("0x1.8p+01"), the exact,
-// locale-free form strconv.ParseFloat reads back bit-identically. The
-// zero bit pattern renders as "" (the field is then omitted); NaNs are
-// canonicalized — traces never carry NaN payloads.
-func formatFloat(v float64) string {
-	if math.Float64bits(v) == 0 {
-		return ""
-	}
-	if math.IsNaN(v) {
-		return "NaN"
-	}
-	return strconv.FormatFloat(v, 'x', -1, 64)
-}
-
-// canonString maps a string to the canonical form the JSON layer
-// preserves: invalid UTF-8 is replaced by U+FFFD up front, so the first
-// encoding already carries the bytes every later decode→encode cycle
-// reproduces. Kind, Oracle and Reason are fixed constants in practice,
-// making this a no-op on real traces.
-func canonString(s string) string {
-	return strings.ToValidUTF8(s, "�")
-}
-
-func parseFloat(s, field string) (float64, error) {
-	if s == "" {
-		return 0, nil
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("trace: field %q: %w", field, err)
-	}
-	return v, nil
-}
-
 // Encode renders the event as one canonical JSON line (no trailing
 // newline). The encoding is a pure function of the event: fixed key
 // order, hex-literal floats, zero-valued fields omitted — so two equal
@@ -171,114 +134,75 @@ func parseFloat(s, field string) (float64, error) {
 // every field bit-exactly (NaN payloads are canonicalized, and invalid
 // UTF-8 in string fields is replaced by U+FFFD up front).
 func (e Event) Encode() []byte {
-	je := jsonEvent{
+	return jsonl.Marshal(jsonEvent{
 		Seq:     e.Seq,
-		Kind:    canonString(e.Kind),
+		Kind:    jsonl.CanonString(e.Kind),
 		Sweep:   e.Sweep,
 		Index:   e.Index,
 		U:       e.U,
 		V:       e.V,
 		Tap:     e.Tap,
-		X:       formatFloat(e.X),
-		Y:       formatFloat(e.Y),
+		X:       jsonl.FormatFloat(e.X),
+		Y:       jsonl.FormatFloat(e.Y),
 		Width:   e.Width,
 		N:       e.N,
-		Value:   formatFloat(e.Value),
-		Before:  formatFloat(e.Before),
-		After:   formatFloat(e.After),
-		Oracle:  canonString(e.Oracle),
-		Reason:  canonString(e.Reason),
-		Elapsed: formatFloat(e.Elapsed),
-	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(je); err != nil {
-		// A struct of ints and strings cannot fail to marshal.
-		panic(fmt.Sprintf("trace: encoding event: %v", err))
-	}
-	return bytes.TrimRight(buf.Bytes(), "\n")
+		Value:   jsonl.FormatFloat(e.Value),
+		Before:  jsonl.FormatFloat(e.Before),
+		After:   jsonl.FormatFloat(e.After),
+		Oracle:  jsonl.CanonString(e.Oracle),
+		Reason:  jsonl.CanonString(e.Reason),
+		Elapsed: jsonl.FormatFloat(e.Elapsed),
+	})
 }
 
-// DecodeEvent parses one canonical JSON line. Unknown keys are rejected:
-// a trace that decodes is guaranteed to re-encode byte-identically.
+// DecodeEvent parses one JSON line holding exactly one event; unknown
+// keys and trailing data are rejected. Decoding is not byte-exact on
+// arbitrary input (whitespace, key order and duplicate keys are not
+// preserved), but canonicalization is a fixpoint: for any line that
+// decodes, Encode of the result decodes to the same event bit for bit
+// and re-encodes to the same bytes.
 func DecodeEvent(line []byte) (Event, error) {
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.DisallowUnknownFields()
 	var je jsonEvent
-	if err := dec.Decode(&je); err != nil {
+	if err := jsonl.Unmarshal(line, &je); err != nil {
 		return Event{}, fmt.Errorf("trace: decoding event: %w", err)
 	}
+	var fp jsonl.FloatParser
 	e := Event{
-		Seq:    je.Seq,
-		Kind:   je.Kind,
-		Sweep:  je.Sweep,
-		Index:  je.Index,
-		U:      je.U,
-		V:      je.V,
-		Tap:    je.Tap,
-		Width:  je.Width,
-		N:      je.N,
-		Oracle: je.Oracle,
-		Reason: je.Reason,
+		Seq:     je.Seq,
+		Kind:    je.Kind,
+		Sweep:   je.Sweep,
+		Index:   je.Index,
+		U:       je.U,
+		V:       je.V,
+		Tap:     je.Tap,
+		X:       fp.Parse(je.X, "x"),
+		Y:       fp.Parse(je.Y, "y"),
+		Width:   je.Width,
+		N:       je.N,
+		Value:   fp.Parse(je.Value, "value"),
+		Before:  fp.Parse(je.Before, "before"),
+		After:   fp.Parse(je.After, "after"),
+		Oracle:  je.Oracle,
+		Reason:  je.Reason,
+		Elapsed: fp.Parse(je.Elapsed, "elapsed"),
 	}
-	var err error
-	if e.X, err = parseFloat(je.X, "x"); err != nil {
-		return Event{}, err
-	}
-	if e.Y, err = parseFloat(je.Y, "y"); err != nil {
-		return Event{}, err
-	}
-	if e.Value, err = parseFloat(je.Value, "value"); err != nil {
-		return Event{}, err
-	}
-	if e.Before, err = parseFloat(je.Before, "before"); err != nil {
-		return Event{}, err
-	}
-	if e.After, err = parseFloat(je.After, "after"); err != nil {
-		return Event{}, err
-	}
-	if e.Elapsed, err = parseFloat(je.Elapsed, "elapsed"); err != nil {
-		return Event{}, err
+	if fp.Err != nil {
+		return Event{}, fmt.Errorf("trace: decoding event: %w", fp.Err)
 	}
 	return e, nil
 }
 
 // WriteJSONL writes the events as canonical JSONL, one event per line.
 func WriteJSONL(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	for _, e := range events {
-		if _, err := bw.Write(e.Encode()); err != nil {
-			return err
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return jsonl.Write(w, events)
 }
 
-// ReadJSONL parses a canonical JSONL trace. Blank lines are skipped so
-// hand-edited fixtures stay readable.
+// ReadJSONL parses a JSONL trace. Blank lines are skipped so hand-edited
+// fixtures stay readable.
 func ReadJSONL(r io.Reader) ([]Event, error) {
-	var events []Event
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		b := bytes.TrimSpace(sc.Bytes())
-		if len(b) == 0 {
-			continue
-		}
-		e, err := DecodeEvent(b)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", line, err)
-		}
-		events = append(events, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: reading: %w", err)
+	events, err := jsonl.Read(r, DecodeEvent)
+	if err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
 	}
 	return events, nil
 }
@@ -288,10 +212,5 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 // identical fingerprints at any worker count — the trace analogue of
 // obs.Snapshot.Fingerprint.
 func Fingerprint(events []Event) string {
-	var buf bytes.Buffer
-	for _, e := range events {
-		buf.Write(e.Deterministic().Encode())
-		buf.WriteByte('\n')
-	}
-	return buf.String()
+	return jsonl.Fingerprint(events)
 }

@@ -2,8 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
+
+	"nontree/internal/jsonl"
 )
 
 // canonFloat maps every NaN to the canonical NaN — the one lossy case of
@@ -16,9 +19,9 @@ func canonFloat(v float64) float64 {
 }
 
 func (e Event) canon() Event {
-	e.Kind = canonString(e.Kind)
-	e.Oracle = canonString(e.Oracle)
-	e.Reason = canonString(e.Reason)
+	e.Kind = jsonl.CanonString(e.Kind)
+	e.Oracle = jsonl.CanonString(e.Oracle)
+	e.Reason = jsonl.CanonString(e.Reason)
 	e.X = canonFloat(e.X)
 	e.Y = canonFloat(e.Y)
 	e.Value = canonFloat(e.Value)
@@ -61,6 +64,11 @@ func FuzzTraceRoundTrip(f *testing.F) {
 	f.Add(int64(6), KindWireSizeStep, 0, 0, 0, 2, false, math.Copysign(0, -1), math.Inf(1), 3, int64(0), math.NaN(), 0.0, 0.0, "", "", 0.0,
 		[]byte(`{"seq":6,"kind":"wiresize_step","v":2,"width":3,"x":"-0x0p+00","y":"+Inf"}`))
 
+	f.Add(int64(7), KindSweepStart, 0, 0, 0, 0, false, 0.0, 0.0, 0, int64(0), 0.0, 0.0, 0.0, "", "", 0.0,
+		[]byte(`{"seq":1,"kind":"a"}{"seq":2,"kind":"b"}`))
+	f.Add(int64(8), KindSweepStart, 0, 0, 0, 0, false, 0.0, 0.0, 0, int64(0), 0.0, 0.0, 0.0, "", "", 0.0,
+		[]byte(`{"seq":1,"kind":"a"} garbage`))
+
 	f.Fuzz(func(t *testing.T, seq int64, kind string, sweep, index, u, v int, tap bool,
 		x, y float64, width int, n int64, value, before, after float64,
 		oracle, reason string, elapsed float64, raw []byte) {
@@ -83,9 +91,13 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			t.Fatalf("re-encoding changed bytes:\n got  %s\n want %s", again, line)
 		}
 
-		// Parser fixpoint: anything the decoder accepts must re-encode to
-		// a line the decoder maps to the same event, bit for bit.
+		// Parser fixpoint: anything the decoder accepts is exactly one
+		// JSON value, and re-encodes to a line the decoder maps to the
+		// same event, bit for bit.
 		if parsed, err := DecodeEvent(raw); err == nil {
+			if !json.Valid(raw) {
+				t.Fatalf("decoder accepted a line that is not one JSON value: %q", raw)
+			}
 			canon := parsed.Encode()
 			reparsed, err := DecodeEvent(canon)
 			if err != nil {

@@ -43,6 +43,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodePreservesNegativeZero checks that a -0 candidate score
+// survives the trace encoding round trip.
 func TestEncodePreservesNegativeZero(t *testing.T) {
 	e := Event{Seq: 1, Kind: KindCandidateScored, Value: math.Copysign(0, -1)}
 	back, err := DecodeEvent(e.Encode())
@@ -55,6 +57,8 @@ func TestEncodePreservesNegativeZero(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsUnknownFields checks that DecodeEvent is wired to the
+// strict jsonl decoder for the trace schema.
 func TestDecodeRejectsUnknownFields(t *testing.T) {
 	if _, err := DecodeEvent([]byte(`{"seq":1,"kind":"sweep_start","bogus":3}`)); err == nil {
 		t.Error("expected an error for an unknown field")
