@@ -5,17 +5,19 @@ import (
 	"runtime"
 	"testing"
 
+	"nontree/internal/graph"
 	"nontree/internal/steiner"
 	"nontree/internal/trace"
 )
 
 // This file is the equivalence layer locking down incremental scoring:
-// every sweep algorithm, run with the full-solve reference path and with
-// incremental scoring plus pruning, must make byte-identical decisions —
-// same Result fingerprint, same accepted-edge sequence in the trace — at
-// every worker count. Workers is part of the grid even though incremental
-// sweeps scan sequentially: the contract is that Workers NEVER changes
-// decisions, whichever scoring path it ends up steering.
+// every sweep algorithm, run with full solves and with incremental scoring
+// plus pruning, must make exactly the reference greedy's decisions (see
+// reference_test.go) — same Result fingerprint, same accepted-edge
+// sequence in the trace — at every worker count. Workers is part of the
+// grid even though incremental sweeps scan sequentially: the contract is
+// that Workers NEVER changes decisions, whichever scoring path it ends up
+// steering.
 
 // eqRun is one algorithm invocation under a scoring mode and worker count.
 // It returns the result fingerprint plus the trace's accepted edges.
@@ -26,19 +28,51 @@ func acceptedOf(t *testing.T, label string, fn func(tr trace.Tracer) error) []tr
 	return trace.AcceptedEdges(traceOf(t, label, 1<<16, fn))
 }
 
-// TestScoringEquivalence is the table: each algorithm's ScoringFull
-// Workers=1 run is the reference; ScoringAuto (incremental + pruning) and
-// parallel ScoringFull runs must match it exactly.
+// eqRef computes an algorithm's reference decisions: the fingerprint and
+// the accepted edges.
+type eqRef func(t *testing.T) (string, []trace.AcceptedEdge)
+
+// greedyRef is the eqRef of the reference greedy over seed.
+func greedyRef(seed *graph.Topology, opts Options, taps bool) eqRef {
+	return func(t *testing.T) (string, []trace.AcceptedEdge) {
+		res, accepted, err := referenceGreedy(seed, opts, taps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Fingerprint(), accepted
+	}
+}
+
+// TestScoringEquivalence is the table: every ScoringFull and ScoringAuto
+// (incremental + pruning) run, at every worker count, must match the
+// reference greedy exactly. H1–H3 take no sweep scan; their reference is
+// their own ScoringFull Workers=1 run.
 func TestScoringEquivalence(t *testing.T) {
 	topo := randomMST(t, 6001, 12)
 	tapTopo := randomMST(t, 6002, 9)
 	net := randomNet(t, 6003, 10)
 	params := elmoreOracle().Params
 	alphas := UniformCriticality(12)
+	steinerSeed, err := steiner.Tree(net.Pins, steiner.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wireSizeRef := func(wopts WireSizeOptions) eqRef {
+		return func(t *testing.T) (string, []trace.AcceptedEdge) {
+			res, err := referenceWireSize(topo, wopts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Fingerprint(), nil
+		}
+	}
+	horgAlphas := UniformCriticality(len(net.Pins))
+	horgObj := &WeightedDelayObjective{Alphas: horgAlphas}
 
 	algos := []struct {
 		name string
 		run  eqRun
+		ref  eqRef // nil: the ScoringFull Workers=1 run
 	}{
 		{"LDRG", func(t *testing.T, s Scoring, w int, tr trace.Tracer) string {
 			res, err := LDRG(topo, Options{Oracle: elmoreOracle(), Scoring: s, Workers: w, Trace: tr})
@@ -46,71 +80,81 @@ func TestScoringEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			return res.Fingerprint()
-		}},
+		}, greedyRef(topo, Options{Oracle: elmoreOracle()}, false)},
 		{"SLDRG", func(t *testing.T, s Scoring, w int, tr trace.Tracer) string {
 			res, err := SLDRG(net.Pins, steiner.Options{}, Options{Oracle: elmoreOracle(), Scoring: s, Workers: w, Trace: tr})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res.Fingerprint()
-		}},
+		}, greedyRef(steinerSeed, Options{Oracle: elmoreOracle()}, false)},
 		{"LDRGWithTaps", func(t *testing.T, s Scoring, w int, tr trace.Tracer) string {
 			res, err := LDRGWithTaps(tapTopo, Options{Oracle: elmoreOracle(), Scoring: s, Workers: w, Trace: tr})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res.Fingerprint()
-		}},
+		}, greedyRef(tapTopo, Options{Oracle: elmoreOracle()}, true)},
 		{"CriticalSinkLDRG", func(t *testing.T, s Scoring, w int, tr trace.Tracer) string {
 			res, err := CriticalSinkLDRG(topo, alphas, Options{Oracle: elmoreOracle(), Scoring: s, Workers: w, Trace: tr})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res.Fingerprint()
-		}},
+		}, greedyRef(topo, Options{Oracle: elmoreOracle(), Objective: &WeightedDelayObjective{Alphas: alphas}}, false)},
 		{"H1", func(t *testing.T, s Scoring, w int, tr trace.Tracer) string {
 			res, err := H1(topo, Options{Oracle: elmoreOracle(), Scoring: s, Workers: w, Trace: tr})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res.Fingerprint()
-		}},
+		}, nil},
 		{"H2", func(t *testing.T, s Scoring, w int, tr trace.Tracer) string {
 			res, err := H2(topo, params, Options{Oracle: elmoreOracle(), Scoring: s, Workers: w, Trace: tr})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res.Fingerprint()
-		}},
+		}, nil},
 		{"H3", func(t *testing.T, s Scoring, w int, tr trace.Tracer) string {
 			res, err := H3(topo, params, Options{Oracle: elmoreOracle(), Scoring: s, Workers: w, Trace: tr})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res.Fingerprint()
-		}},
+		}, nil},
 		{"WireSize", func(t *testing.T, s Scoring, w int, tr trace.Tracer) string {
 			res, err := WireSize(topo, WireSizeOptions{Oracle: elmoreOracle(), MaxWidth: 3, Scoring: s, Workers: w, Trace: tr})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res.Fingerprint()
-		}},
+		}, wireSizeRef(WireSizeOptions{Oracle: elmoreOracle(), MaxWidth: 3})},
 		{"WireSizeCostWeighted", func(t *testing.T, s Scoring, w int, tr trace.Tracer) string {
 			res, err := WireSize(topo, WireSizeOptions{Oracle: elmoreOracle(), MaxWidth: 3, CostWeight: 0.5, Scoring: s, Workers: w, Trace: tr})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res.Fingerprint()
-		}},
+		}, wireSizeRef(WireSizeOptions{Oracle: elmoreOracle(), MaxWidth: 3, CostWeight: 0.5})},
 		{"HORG", func(t *testing.T, s Scoring, w int, tr trace.Tracer) string {
-			res, err := HORG(net.Pins, UniformCriticality(len(net.Pins)), true,
+			res, err := HORG(net.Pins, horgAlphas, true,
 				WireSizeOptions{MaxWidth: 3},
 				Options{Oracle: elmoreOracle(), Scoring: s, Workers: w, Trace: tr})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res.Routing.Fingerprint() + res.Sizing.Fingerprint()
+		}, func(t *testing.T) (string, []trace.AcceptedEdge) {
+			routing, accepted, err := referenceGreedy(steinerSeed, Options{Oracle: elmoreOracle(), Objective: horgObj}, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sizing, err := referenceWireSize(routing.Topology, WireSizeOptions{Oracle: elmoreOracle(), Objective: horgObj, MaxWidth: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return routing.Fingerprint() + sizing.Fingerprint(), accepted
 		}},
 	}
 
@@ -119,15 +163,16 @@ func TestScoringEquivalence(t *testing.T) {
 		t.Run(a.name, func(t *testing.T) {
 			var refFP string
 			var refAccepted []trace.AcceptedEdge
-			refAccepted = acceptedOf(t, a.name+"/full/w1", func(tr trace.Tracer) error {
-				refFP = a.run(t, ScoringFull, 1, tr)
-				return nil
-			})
+			if a.ref != nil {
+				refFP, refAccepted = a.ref(t)
+			} else {
+				refAccepted = acceptedOf(t, a.name+"/full/w1", func(tr trace.Tracer) error {
+					refFP = a.run(t, ScoringFull, 1, tr)
+					return nil
+				})
+			}
 			for _, scoring := range []Scoring{ScoringFull, ScoringAuto} {
 				for _, w := range workerGrid {
-					if scoring == ScoringFull && w == 1 {
-						continue // that is the reference itself
-					}
 					label := fmt.Sprintf("scoring=%d/w%d", scoring, w)
 					var fp string
 					accepted := acceptedOf(t, a.name+"/"+label, func(tr trace.Tracer) error {
@@ -135,7 +180,7 @@ func TestScoringEquivalence(t *testing.T) {
 						return nil
 					})
 					if fp != refFP {
-						t.Errorf("%s: fingerprint drifted from full/w1 reference:\ngot:\n%swant:\n%s", label, fp, refFP)
+						t.Errorf("%s: fingerprint drifted from the reference:\ngot:\n%swant:\n%s", label, fp, refFP)
 					}
 					if len(accepted) != len(refAccepted) {
 						t.Fatalf("%s: %d accepted edges in trace, reference %d", label, len(accepted), len(refAccepted))

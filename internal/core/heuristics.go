@@ -40,7 +40,7 @@ func H1(seed *graph.Topology, opts Options) (_ *Result, rerr error) {
 	res.InitialObjective = cur
 	res.Trace = append(res.Trace, cur)
 
-	eng, err := newSweepEngine(t, opts.Oracle, opts.Width, obj, opts.Scoring, opts.Obs)
+	eng, err := newSweepEngine(t, &opts, obj, &res.Evaluations)
 	if err != nil {
 		return nil, err
 	}
@@ -61,12 +61,12 @@ func H1(seed *graph.Topology, opts Options) (_ *Result, rerr error) {
 		// H1 probes exactly one candidate per sweep: the worst sink's
 		// shortcut, tried on the live topology and reverted on failure.
 		tr.Emit(trace.Event{Kind: trace.KindSweepStart, Sweep: sweep, N: 1})
-		if eng != nil {
+		if eng.inc != nil {
 			// Pre-screen the probe as a rank-one perturbation: a shortcut
 			// the perturbed model already rejects never touches the full
 			// oracle. Accepted probes still go through the full solve below
 			// (whose delay vector the next iteration needs anyway), so
-			// committed objectives stay identical to the legacy path.
+			// committed objectives stay identical to ScoringFull's.
 			probe, err := eng.inc.WithEdge(e)
 			if err != nil {
 				return nil, fmt.Errorf("core: H1 probing %v: %w", e, err)
@@ -193,7 +193,7 @@ func elmoreSelectedAddition(seed *graph.Topology, params rc.Params, opts Options
 	obj := opts.objective()
 	res := &Result{Topology: t}
 
-	cur, err := score(t, &opts, obj, res)
+	cur, err := score(t, &opts, obj, &res.Evaluations)
 	if err != nil {
 		return nil, fmt.Errorf("core: H2/H3 seed evaluation: %w", err)
 	}
@@ -216,7 +216,7 @@ func elmoreSelectedAddition(seed *graph.Topology, params rc.Params, opts Options
 			if err := t.AddEdge(e); err != nil {
 				return nil, fmt.Errorf("core: H2/H3 adding %v: %w", e, err)
 			}
-			val, err := score(t, &opts, obj, res)
+			val, err := score(t, &opts, obj, &res.Evaluations)
 			if err != nil {
 				return nil, fmt.Errorf("core: H2/H3 final evaluation: %w", err)
 			}

@@ -2,51 +2,30 @@ package core
 
 import (
 	"errors"
-	"fmt"
-	"math"
 
 	"nontree/internal/elmore"
-	"nontree/internal/geom"
 	"nontree/internal/graph"
-	"nontree/internal/obs"
 	"nontree/internal/rc"
-	"nontree/internal/trace"
 )
 
-// Incremental sweep scoring. The greedy sweeps spend essentially all of
-// their time asking the oracle "what would the objective be with this one
-// modification applied?" — a question elmore.Incremental answers as a
-// rank-one (edges, widenings) or rank-three (taps) perturbation of the
-// factored base state instead of a full solve per candidate. This file
-// wires that engine into every sweep and layers lower-bound pruning on
-// top, under three invariants:
-//
-//  1. Selection only. Perturbation values pick the winning candidate; the
-//     winner is then re-scored through the ordinary full-solve path and
-//     the acceptance threshold applied to that value. Committed objectives
-//     (Result.Trace, edge_accepted Before/After, FinalObjective) therefore
-//     come from exactly the same arithmetic as the full path, keeping
-//     Results byte-identical between scoring modes — the equivalence suite
-//     asserts this on a seeded corpus.
-//  2. Sequential scan. An incremental evaluator is stateful (column
-//     caches), so incremental sweeps ignore Options.Workers and scan in
-//     canonical candidate order. This trivially preserves the
-//     Workers-invariance contract; parallelism remains for oracles without
-//     incremental support (e.g. the SPICE reference).
-//  3. Sound pruning. A candidate is skipped only when a proved lower bound
-//     on its achievable objective cannot undercut the sweep's running
-//     cutoff. Pruning decisions are observable (candidate_pruned events,
-//     CtrCandidatesPruned) and a debug scoring mode re-scores every pruned
-//     candidate to certify none would have been selected.
+// Scoring selects how the greedy sweeps score candidates. The sweeps spend
+// essentially all of their time asking "what would the objective be with
+// this one modification applied?" — a question elmore.Incremental answers
+// as a rank-one (edges, widenings) or rank-three (taps) perturbation of the
+// factored base state instead of a full solve per candidate, with
+// lower-bound pruning on top. Perturbation values only select the winner,
+// which is re-scored by a full solve, so every mode makes byte-identical
+// decisions (see the scan rules in sweep.go). Pruning decisions are
+// observable: candidate_pruned events and CtrCandidatesPruned.
 type Scoring int
 
 const (
-	// ScoringAuto (the default) scores candidates incrementally whenever
-	// the oracle supports it (see IncrementalScorer) and falls back to the
-	// full-solve path otherwise.
+	// ScoringAuto (the default) scores candidates incrementally, in one
+	// sequential scan, whenever the oracle supports it (see
+	// IncrementalScorer), and with full solves otherwise.
 	ScoringAuto Scoring = iota
-	// ScoringFull forces the legacy full-solve path: one oracle evaluation
-	// per candidate, parallelized across Options.Workers.
+	// ScoringFull scores every candidate with one full oracle solve, on
+	// the worker pool of Options.Workers goroutines.
 	ScoringFull
 	// ScoringIncrementalDebug is ScoringAuto plus a soundness audit: every
 	// pruned candidate is scored anyway (after the sweep, so the audit
@@ -102,240 +81,4 @@ func pruningFactor(obj Objective) (factor float64, ok bool) {
 		return sum, true
 	}
 	return 0, false
-}
-
-// sweepEngine bundles one run's incremental evaluator with its pruning
-// policy. A nil *sweepEngine means "use the full-solve path".
-type sweepEngine struct {
-	inc *elmore.Incremental
-	// factor converts per-node improvement bounds to objective bounds;
-	// prune gates the bound checks (false = score every candidate).
-	factor float64
-	prune  bool
-	// debug re-scores pruned candidates post-sweep (ScoringIncrementalDebug).
-	debug bool
-}
-
-// newSweepEngine builds the incremental engine for a run, or returns nil
-// when the scoring mode or the oracle calls for the full path.
-func newSweepEngine(t *graph.Topology, oracle DelayOracle, width rc.WidthFunc,
-	obj Objective, scoring Scoring, rec obs.Recorder) (*sweepEngine, error) {
-	if scoring == ScoringFull {
-		return nil, nil
-	}
-	is, ok := oracle.(IncrementalScorer)
-	if !ok {
-		if scoring == ScoringIncrementalDebug {
-			return nil, fmt.Errorf("core: ScoringIncrementalDebug needs an incremental oracle, %s has no support", oracle.Name())
-		}
-		return nil, nil
-	}
-	inc, err := is.NewIncrementalSweep(t, width)
-	if err != nil {
-		return nil, fmt.Errorf("core: preparing incremental scoring: %w", err)
-	}
-	inc.Obs = rec
-	factor, prune := pruningFactor(obj)
-	return &sweepEngine{inc: inc, factor: factor, prune: prune,
-		debug: scoring == ScoringIncrementalDebug}, nil
-}
-
-// refactor re-derives the engine's base state after a committed topology
-// or width mutation. No-op on a nil engine so call sites stay branch-free.
-func (eng *sweepEngine) refactor() error {
-	if eng == nil {
-		return nil
-	}
-	return eng.inc.Refactor()
-}
-
-// prunedCandidate tracks the most promising pruned candidate of a sweep:
-// its index and proved lower bound. Sweeps whose every candidate is pruned
-// still owe the trace an edge_rejected event, and the debug audit needs
-// the pruned set.
-type prunedCandidate struct {
-	i  int
-	lb float64
-}
-
-// bestAdditionIncremental is the incremental counterpart of bestAddition's
-// scan: candidates are scored as rank-one perturbations in canonical
-// order, provably hopeless ones are pruned first, and only the selected
-// winner goes through the full-solve path (via score, so Evaluations and
-// the oracle counters keep their meaning: full solves only).
-func bestAdditionIncremental(t *graph.Topology, opts *Options, obj Objective,
-	cur float64, res *Result, cands []graph.Edge, sweep int, eng *sweepEngine) (graph.Edge, float64, bool, error) {
-	tr := opts.trace()
-	rec := opts.obs()
-	numPins := t.NumPins()
-	threshold := cur * (1 - opts.minImprovement())
-	minIdx, minVal := -1, math.Inf(1)
-	prunedBest := prunedCandidate{i: -1, lb: math.Inf(1)}
-	var prunedAll []prunedCandidate
-
-	for i, e := range cands {
-		if eng.prune {
-			// The cutoff tightens as the scan finds better candidates: a
-			// candidate is pruned when its best-case objective cannot beat
-			// the acceptance threshold or the incumbent minimum, whichever
-			// is lower. Both the bound and the incumbent are deterministic,
-			// so the pruned set is too.
-			cutoff := threshold
-			if minVal < cutoff {
-				cutoff = minVal
-			}
-			lb := cur - eng.factor*eng.inc.AdditionBound(e)
-			if lb >= cutoff {
-				rec.Add(obs.CtrCandidatesPruned, 1)
-				tr.Emit(trace.Event{Kind: trace.KindCandidatePruned, Sweep: sweep, Index: i,
-					U: e.U, V: e.V, Value: lb, Before: cutoff})
-				if lb < prunedBest.lb {
-					prunedBest = prunedCandidate{i: i, lb: lb}
-				}
-				if eng.debug {
-					prunedAll = append(prunedAll, prunedCandidate{i: i, lb: lb})
-				}
-				continue
-			}
-		}
-		delays, err := eng.inc.WithEdge(e)
-		if err != nil {
-			return graph.Edge{}, 0, false, fmt.Errorf("core: incremental evaluation of %v: %w", e, err)
-		}
-		val, err := obj.Eval(delays, numPins)
-		if err != nil {
-			return graph.Edge{}, 0, false, err
-		}
-		tr.Emit(trace.Event{Kind: trace.KindCandidateScored, Sweep: sweep, Index: i,
-			U: e.U, V: e.V, Value: val})
-		if val < minVal {
-			minIdx, minVal = i, val
-		}
-	}
-
-	if eng.debug {
-		if err := auditPrunedAdditions(opts, obj, numPins, cands, prunedAll, eng, sweep, minIdx, minVal, threshold); err != nil {
-			return graph.Edge{}, 0, false, err
-		}
-	}
-
-	if minIdx < 0 {
-		// Nothing was scored: no candidates, or every one was pruned. The
-		// best pruned bound documents why the sweep converged.
-		if prunedBest.i >= 0 {
-			e := cands[prunedBest.i]
-			tr.Emit(trace.Event{Kind: trace.KindEdgeRejected, Sweep: sweep,
-				U: e.U, V: e.V, Value: prunedBest.lb, Before: cur,
-				Reason: trace.ReasonNoImprovement})
-		}
-		return graph.Edge{}, cur, false, nil
-	}
-	best := cands[minIdx]
-	if minVal >= threshold {
-		tr.Emit(trace.Event{Kind: trace.KindEdgeRejected, Sweep: sweep,
-			U: best.U, V: best.V, Value: minVal, Before: cur,
-			Reason: trace.ReasonNoImprovement})
-		return graph.Edge{}, cur, false, nil
-	}
-
-	// Winner re-solve: commit-quality value from the ordinary oracle path,
-	// so accepted objectives are bit-identical to the full-scoring run.
-	if err := t.AddEdge(best); err != nil {
-		return graph.Edge{}, 0, false, fmt.Errorf("core: trying edge %v: %w", best, err)
-	}
-	fullVal, err := score(t, opts, obj, res)
-	rmErr := t.RemoveEdge(best)
-	if err != nil {
-		return graph.Edge{}, 0, false, fmt.Errorf("core: evaluating edge %v: %w", best, err)
-	}
-	if rmErr != nil {
-		return graph.Edge{}, 0, false, fmt.Errorf("core: reverting edge %v: %w", best, rmErr)
-	}
-	if fullVal >= threshold {
-		tr.Emit(trace.Event{Kind: trace.KindEdgeRejected, Sweep: sweep,
-			U: best.U, V: best.V, Value: fullVal, Before: cur,
-			Reason: trace.ReasonNoImprovement})
-		return graph.Edge{}, cur, false, nil
-	}
-	return best, fullVal, true, nil
-}
-
-// bestTapIncremental scores every tap candidate as a rank-3 perturbation
-// (elmore.Incremental.WithTap) and re-scores only the selected winner
-// through scoreTapped, the full path. Taps carry no pruning bound: the
-// edge split redistributes capacitance in a way that admits no cheap
-// one-sided estimate, so every candidate is (incrementally) scored.
-func bestTapIncremental(t *graph.Topology, opts *Options, obj Objective,
-	cur float64, res *Result, cands []tapCandidate, sweep int, eng *sweepEngine) (graph.Edge, geom.Point, float64, bool, error) {
-	tr := opts.trace()
-	numPins := t.NumPins()
-	threshold := cur * (1 - opts.minImprovement())
-	minIdx, minVal := -1, math.Inf(1)
-
-	for i, c := range cands {
-		delays, err := eng.inc.WithTap(c.edge, c.point)
-		if err != nil {
-			return graph.Edge{}, geom.Point{}, 0, false, fmt.Errorf("core: incremental tap on %v: %w", c.edge, err)
-		}
-		val, err := obj.Eval(delays, numPins)
-		if err != nil {
-			return graph.Edge{}, geom.Point{}, 0, false, err
-		}
-		tr.Emit(trace.Event{Kind: trace.KindCandidateScored, Sweep: sweep, Index: i,
-			U: c.edge.U, V: c.edge.V, Tap: true, X: c.point.X, Y: c.point.Y, Value: val})
-		if val < minVal {
-			minIdx, minVal = i, val
-		}
-	}
-	if minIdx < 0 {
-		return graph.Edge{}, geom.Point{}, cur, false, nil
-	}
-	best := cands[minIdx]
-	if minVal >= threshold {
-		tr.Emit(trace.Event{Kind: trace.KindEdgeRejected, Sweep: sweep,
-			U: best.edge.U, V: best.edge.V, Tap: true, X: best.point.X, Y: best.point.Y,
-			Value: minVal, Before: cur, Reason: trace.ReasonNoImprovement})
-		return graph.Edge{}, geom.Point{}, cur, false, nil
-	}
-	fullVal, err := scoreTapped(t, opts, obj, best.edge, best.point)
-	if err != nil {
-		return graph.Edge{}, geom.Point{}, 0, false, err
-	}
-	res.Evaluations++
-	opts.obs().Add(obs.CtrOracleEvaluations, 1)
-	if fullVal >= threshold {
-		tr.Emit(trace.Event{Kind: trace.KindEdgeRejected, Sweep: sweep,
-			U: best.edge.U, V: best.edge.V, Tap: true, X: best.point.X, Y: best.point.Y,
-			Value: fullVal, Before: cur, Reason: trace.ReasonNoImprovement})
-		return graph.Edge{}, geom.Point{}, cur, false, nil
-	}
-	return best.edge, best.point, fullVal, true, nil
-}
-
-// auditPrunedAdditions is the ScoringIncrementalDebug check: score every
-// pruned candidate after the sweep and fail if one of them would have been
-// selected — i.e. it beats the threshold and either beats the scanned
-// minimum or ties it from an earlier index (the sequential scan's
-// first-strict-minimum rule).
-func auditPrunedAdditions(opts *Options, obj Objective, numPins int, cands []graph.Edge,
-	pruned []prunedCandidate, eng *sweepEngine, sweep, minIdx int, minVal, threshold float64) error {
-	for _, p := range pruned {
-		delays, err := eng.inc.WithEdge(cands[p.i])
-		if err != nil {
-			return fmt.Errorf("core: debug-scoring pruned %v: %w", cands[p.i], err)
-		}
-		val, err := obj.Eval(delays, numPins)
-		if err != nil {
-			return err
-		}
-		if val < p.lb {
-			return fmt.Errorf("%w: sweep %d candidate %d %v scored %v below its proved lower bound %v",
-				ErrPruningUnsound, sweep, p.i, cands[p.i], val, p.lb)
-		}
-		if val < threshold && (minIdx < 0 || val < minVal || (p.i < minIdx && val <= minVal)) {
-			return fmt.Errorf("%w: sweep %d candidate %d %v scored %v (bound %v, incumbent %v, threshold %v)",
-				ErrPruningUnsound, sweep, p.i, cands[p.i], val, p.lb, minVal, threshold)
-		}
-	}
-	return nil
 }

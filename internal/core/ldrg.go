@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"strconv"
 	"strings"
@@ -38,25 +37,25 @@ type Options struct {
 	// routability constraints — e.g. embed.PlanarFilter rejects edges
 	// whose rectilinear embedding would cross existing wires.
 	CandidateFilter func(t *graph.Topology, e graph.Edge) bool
-	// Workers bounds the goroutines evaluating candidates concurrently
-	// inside each greedy sweep. 0 selects runtime.GOMAXPROCS(0); 1 forces
-	// the exact sequential legacy path. Any value yields byte-identical
-	// Results: every candidate is scored on a private Topology clone and
-	// the winner is chosen by (objective, then canonical edge order), the
-	// same tie-breaking the sequential scan applies. Oracles must be safe
-	// for concurrent SinkDelays calls when Workers != 1 (all oracles in
-	// this package are; see DelayOracle). Workers only governs full-solve
-	// sweeps: incremental sweeps (see Scoring) are sequential by design
-	// and ignore it.
+	// Workers bounds the goroutines scoring candidates concurrently in each
+	// full-solve sweep: 0 selects runtime.GOMAXPROCS(0), and 1 is a pool of
+	// one. Any value yields byte-identical Results and traces: every
+	// candidate is scored on a worker-private Topology clone, and the
+	// winner is chosen after the pool joins by (objective, then canonical
+	// candidate order). Oracles must be safe for concurrent SinkDelays
+	// calls (all oracles in this package are; see DelayOracle).
+	// Incremental sweeps (see Scoring) scan sequentially and ignore it.
 	Workers int
 	// Scoring selects how sweeps evaluate candidates: ScoringAuto (the
 	// zero value) scores candidates as rank-one perturbations with
 	// lower-bound pruning whenever the oracle supports it (only
-	// ElmoreOracle does), falling back to per-candidate full solves
-	// otherwise; ScoringFull forces the full-solve path; see the Scoring
+	// ElmoreOracle does), and with full solves on the worker pool
+	// otherwise; ScoringFull forces full solves; see the Scoring
 	// constants. Both modes produce byte-identical Results — only
 	// Evaluations (full solves are ~one per sweep instead of one per
-	// candidate) and the trace's candidate-level events differ.
+	// candidate) and the trace's candidate-level events differ — unless
+	// rounding splits a near-tie by more than nearTie, or H1's pre-screen
+	// lands on its threshold.
 	Scoring Scoring
 	// Obs receives counters and span timings from the run (nil = discard).
 	// Counters and histograms are deterministic for a fixed seed at any
@@ -65,10 +64,10 @@ type Options struct {
 	Obs obs.Recorder
 	// Trace receives the structured decision trace of the run (nil =
 	// discard): sweep starts, per-candidate scores, accepted and rejected
-	// edges. All events are emitted from deterministic program points —
-	// in parallel sweeps, after the deterministic reduction and in
-	// canonical candidate order — so for a fixed seed the deterministic
-	// event fields are byte-identical at any Workers value (DESIGN.md §11).
+	// edges. A sweep emits its candidate events from the calling goroutine
+	// once the scan is complete, in canonical candidate order (none if the
+	// sweep fails), so for a fixed seed the deterministic event fields are
+	// byte-identical at any Workers value (DESIGN.md §11).
 	Trace trace.Tracer
 	// RequestID tags the run with the serve-layer request identity
 	// ("" outside the daemon). Provenance only: it is copied into oracle
@@ -91,24 +90,19 @@ func (o *Options) minImprovement() float64 {
 	return o.MinImprovement
 }
 
-func (o *Options) workers() int { return workerCount(o.Workers) }
+// workers resolves the Workers knob: 0 = one per CPU, anything below 1 is
+// clamped to a pool of one.
+func (o *Options) workers() int {
+	if o.Workers == 0 {
+		//nontree:allow nondetsource sizes the sweep pool only; the deterministic reduction makes results identical for any worker count (DESIGN.md §7)
+		return runtime.GOMAXPROCS(0)
+	}
+	return max(o.Workers, 1)
+}
 
 func (o *Options) obs() obs.Recorder { return obs.OrNop(o.Obs) }
 
 func (o *Options) trace() trace.Tracer { return trace.OrNop(o.Trace) }
-
-// workerCount resolves a Workers knob: 0 = one per CPU, anything below 1 is
-// clamped to sequential.
-func workerCount(w int) int {
-	if w == 0 {
-		//nontree:allow nondetsource sizes the sweep pool only; the deterministic reduction makes results identical for any worker count (DESIGN.md §7)
-		return runtime.GOMAXPROCS(0)
-	}
-	if w < 1 {
-		return 1
-	}
-	return w
-}
 
 // Result reports an algorithm run.
 type Result struct {
@@ -182,50 +176,53 @@ var (
 // opts selects between that reference behaviour and the fast Elmore model.
 func LDRG(seed *graph.Topology, opts Options) (_ *Result, rerr error) {
 	defer func() { rerr = tagRequest(opts.RequestID, rerr) }()
-	if err := checkSeed(seed, &opts); err != nil {
+	return greedy(seed, &opts, false)
+}
+
+// greedy is the loop shared by LDRG and LDRGWithTaps: each sweep scores the
+// edge candidates and, with taps set, the tap candidates, and commits the
+// better winner until neither improves the objective.
+func greedy(seed *graph.Topology, opts *Options, taps bool) (*Result, error) {
+	if err := checkSeed(seed, opts); err != nil {
 		return nil, err
 	}
 	t := seed.Clone()
 	obj := opts.objective()
 
 	res := &Result{Topology: t}
-	cur, err := score(t, &opts, obj, res)
+	cur, err := score(t, opts, obj, &res.Evaluations)
 	if err != nil {
 		return nil, fmt.Errorf("core: scoring seed topology: %w", err)
 	}
 	res.InitialObjective = cur
 	res.Trace = append(res.Trace, cur)
 
-	eng, err := newSweepEngine(t, opts.Oracle, opts.Width, obj, opts.Scoring, opts.Obs)
+	eng, err := newSweepEngine(t, opts, obj, &res.Evaluations)
 	if err != nil {
 		return nil, err
 	}
-
-	for sweep := 1; ; sweep++ {
-		if opts.MaxAddedEdges > 0 && len(res.AddedEdges) >= opts.MaxAddedEdges {
-			break
-		}
-		bestEdge, bestVal, found, err := bestAddition(t, &opts, obj, cur, res, sweep, eng)
+	for sweep := 1; opts.MaxAddedEdges <= 0 || len(res.AddedEdges) < opts.MaxAddedEdges; sweep++ {
+		win, ok, err := bestAddition(t, opts, obj, cur, sweep, eng)
 		if err != nil {
 			return nil, err
 		}
-		if !found {
+		if taps {
+			tap, tapOK, err := bestTap(t, opts, obj, cur, sweep, eng)
+			if err != nil {
+				return nil, err
+			}
+			if tapOK && (!ok || tap.After < win.After) {
+				win, ok = tap, true
+			}
+		}
+		if !ok {
 			break
 		}
-		if err := t.AddEdge(bestEdge); err != nil {
-			return nil, fmt.Errorf("core: committing edge %v: %w", bestEdge, err)
+		if err := eng.accept(t, res, win); err != nil {
+			return nil, err
 		}
-		if err := eng.refactor(); err != nil {
-			return nil, fmt.Errorf("core: refactoring after edge %v: %w", bestEdge, err)
-		}
-		res.AddedEdges = append(res.AddedEdges, bestEdge)
-		res.Trace = append(res.Trace, bestVal)
-		opts.obs().Add(obs.CtrAcceptedEdges, 1)
-		opts.trace().Emit(trace.Event{Kind: trace.KindEdgeAccepted, Sweep: sweep,
-			U: bestEdge.U, V: bestEdge.V, Before: cur, After: bestVal})
-		cur = bestVal
+		cur = win.After
 	}
-
 	res.FinalObjective = cur
 	return res, nil
 }
@@ -250,63 +247,43 @@ func candidateEdges(t *graph.Topology, opts *Options) []graph.Edge {
 	return out
 }
 
-// bestAddition scans every absent edge, returning the one with the lowest
-// objective if it beats cur by the improvement threshold. With a non-nil
-// engine the scan scores candidates incrementally (sequential, pruned; see
-// incremental.go); otherwise with Workers != 1 it fans out over a worker
-// pool (see parallel.go). All paths keep the sequential scan's selection
-// rule so results are identical.
-func bestAddition(t *graph.Topology, opts *Options, obj Objective, cur float64, res *Result, sweep int, eng *sweepEngine) (graph.Edge, float64, bool, error) {
+// bestAddition scans every absent edge and returns the winner's
+// edge_accepted fields, if one improves on cur by the threshold.
+func bestAddition(t *graph.Topology, opts *Options, obj Objective, cur float64, sweep int, eng *sweepEngine) (trace.Event, bool, error) {
 	cands := candidateEdges(t, opts)
-	rec := opts.obs()
-	rec.Add(obs.CtrSweeps, 1)
-	rec.Add(obs.CtrSweepCandidates, int64(len(cands)))
-	rec.Observe(obs.HistSweepCandidates, float64(len(cands)))
-	tr := opts.trace()
-	tr.Emit(trace.Event{Kind: trace.KindSweepStart, Sweep: sweep, N: int64(len(cands))})
-	span := obs.StartSpan(rec, obs.TimeSweep)
-	defer span.End()
-	if eng != nil {
-		return bestAdditionIncremental(t, opts, obj, cur, res, cands, sweep, eng)
-	}
-	if w := opts.workers(); w > 1 && len(cands) > 1 {
-		return bestAdditionParallel(t, opts, obj, cur, res, cands, sweep)
-	}
-	bestVal := cur
-	var bestEdge graph.Edge
-	found := false
-	threshold := cur * (1 - opts.minImprovement())
-	minIdx, minVal := -1, math.Inf(1)
-
-	for i, e := range cands {
-		if err := t.AddEdge(e); err != nil {
-			return graph.Edge{}, 0, false, fmt.Errorf("core: trying edge %v: %w", e, err)
-		}
-		val, err := score(t, opts, obj, res)
-		rmErr := t.RemoveEdge(e)
-		if err != nil {
-			return graph.Edge{}, 0, false, fmt.Errorf("core: evaluating edge %v: %w", e, err)
-		}
-		if rmErr != nil {
-			return graph.Edge{}, 0, false, fmt.Errorf("core: reverting edge %v: %w", e, rmErr)
-		}
-		tr.Emit(trace.Event{Kind: trace.KindCandidateScored, Sweep: sweep, Index: i,
-			U: e.U, V: e.V, Value: val})
-		if val < minVal {
-			minIdx, minVal = i, val
-		}
-		if val < bestVal && val < threshold {
-			bestVal = val
-			bestEdge = e
-			found = true
-		}
-	}
-	if !found && minIdx >= 0 {
-		tr.Emit(trace.Event{Kind: trace.KindEdgeRejected, Sweep: sweep,
-			U: cands[minIdx].U, V: cands[minIdx].V, Value: minVal, Before: cur,
-			Reason: trace.ReasonNoImprovement})
-	}
-	return bestEdge, bestVal, found, nil
+	eng.rec.Add(obs.CtrSweeps, 1)
+	eng.rec.Add(obs.CtrSweepCandidates, int64(len(cands)))
+	eng.rec.Observe(obs.HistSweepCandidates, float64(len(cands)))
+	eng.tr.Emit(trace.Event{Kind: trace.KindSweepStart, Sweep: sweep, N: int64(len(cands))})
+	defer obs.StartSpan(eng.rec, obs.TimeSweep).End()
+	return eng.scan(t, sweep, cur, candidates{
+		n: len(cands),
+		full: func(i int, t *graph.Topology) (float64, error) {
+			e := cands[i]
+			if err := t.AddEdge(e); err != nil {
+				return 0, fmt.Errorf("core: trying edge %v: %w", e, err)
+			}
+			val, err := scoreTopology(t, opts, obj)
+			rmErr := t.RemoveEdge(e)
+			if err != nil {
+				return 0, fmt.Errorf("core: evaluating edge %v: %w", e, err)
+			}
+			if rmErr != nil {
+				return 0, fmt.Errorf("core: reverting edge %v: %w", e, rmErr)
+			}
+			return val, nil
+		},
+		probe: func(i int) ([]float64, error) {
+			delays, err := eng.inc.WithEdge(cands[i])
+			if err != nil {
+				return nil, fmt.Errorf("core: incremental evaluation of %v: %w", cands[i], err)
+			}
+			return delays, nil
+		},
+		bound:   func(i int) float64 { return eng.inc.AdditionBound(cands[i]) },
+		tighten: true,
+		event:   func(i int) trace.Event { return trace.Event{U: cands[i].U, V: cands[i].V} },
+	})
 }
 
 // scoreTopology is the oracle+objective evaluation with no side effects —
@@ -319,12 +296,12 @@ func scoreTopology(t *graph.Topology, opts *Options, obj Objective) (float64, er
 	return obj.Eval(delays, t.NumPins())
 }
 
-func score(t *graph.Topology, opts *Options, obj Objective, res *Result) (float64, error) {
+func score(t *graph.Topology, opts *Options, obj Objective, evals *int) (float64, error) {
 	val, err := scoreTopology(t, opts, obj)
 	if err != nil {
 		return 0, err
 	}
-	res.Evaluations++
+	*evals++
 	opts.obs().Add(obs.CtrOracleEvaluations, 1)
 	return val, nil
 }

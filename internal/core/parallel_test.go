@@ -11,34 +11,34 @@ import (
 )
 
 // sameResult asserts the fields the determinism guarantee covers are
-// byte-identical: added edges, the full objective trace, the final
-// objective, and the oracle-invocation count.
-func sameResult(t *testing.T, label string, seq, par *Result) {
+// byte-identical between two runs: added edges, the full objective trace,
+// the final objective, and the oracle-invocation count.
+func sameResult(t *testing.T, label string, want, got *Result) {
 	t.Helper()
-	if len(seq.AddedEdges) != len(par.AddedEdges) {
-		t.Fatalf("%s: %d added edges sequential vs %d parallel", label, len(seq.AddedEdges), len(par.AddedEdges))
+	if len(want.AddedEdges) != len(got.AddedEdges) {
+		t.Fatalf("%s: %d added edges, want %d", label, len(got.AddedEdges), len(want.AddedEdges))
 	}
-	for i := range seq.AddedEdges {
-		if seq.AddedEdges[i] != par.AddedEdges[i] {
-			t.Errorf("%s: added edge %d differs: %v vs %v", label, i, seq.AddedEdges[i], par.AddedEdges[i])
+	for i := range want.AddedEdges {
+		if want.AddedEdges[i] != got.AddedEdges[i] {
+			t.Errorf("%s: added edge %d differs: %v, want %v", label, i, got.AddedEdges[i], want.AddedEdges[i])
 		}
 	}
-	if len(seq.Trace) != len(par.Trace) {
-		t.Fatalf("%s: trace length %d vs %d", label, len(seq.Trace), len(par.Trace))
+	if len(want.Trace) != len(got.Trace) {
+		t.Fatalf("%s: trace length %d, want %d", label, len(got.Trace), len(want.Trace))
 	}
-	for i := range seq.Trace {
-		if seq.Trace[i] != par.Trace[i] {
-			t.Errorf("%s: trace[%d] differs: %.17g vs %.17g", label, i, seq.Trace[i], par.Trace[i])
+	for i := range want.Trace {
+		if want.Trace[i] != got.Trace[i] {
+			t.Errorf("%s: trace[%d] differs: %.17g, want %.17g", label, i, got.Trace[i], want.Trace[i])
 		}
 	}
-	if seq.FinalObjective != par.FinalObjective {
-		t.Errorf("%s: final objective %.17g vs %.17g", label, seq.FinalObjective, par.FinalObjective)
+	if want.FinalObjective != got.FinalObjective {
+		t.Errorf("%s: final objective %.17g, want %.17g", label, got.FinalObjective, want.FinalObjective)
 	}
-	if seq.InitialObjective != par.InitialObjective {
-		t.Errorf("%s: initial objective %.17g vs %.17g", label, seq.InitialObjective, par.InitialObjective)
+	if want.InitialObjective != got.InitialObjective {
+		t.Errorf("%s: initial objective %.17g, want %.17g", label, got.InitialObjective, want.InitialObjective)
 	}
-	if seq.Evaluations != par.Evaluations {
-		t.Errorf("%s: evaluations %d vs %d", label, seq.Evaluations, par.Evaluations)
+	if want.Evaluations != got.Evaluations {
+		t.Errorf("%s: evaluations %d, want %d", label, got.Evaluations, want.Evaluations)
 	}
 }
 
@@ -47,9 +47,10 @@ func withWorkers(opts Options, w int) Options {
 	return opts
 }
 
-// TestParallelEquivalenceLDRG asserts Workers: N reproduces Workers: 1
-// byte-for-byte on seeded random nets across both oracles and all the
-// LDRG-family entry points.
+// TestParallelEquivalenceLDRG asserts every Workers value reproduces the
+// reference greedy's decisions on seeded random nets, across both oracles
+// and all the LDRG-family entry points, and that Workers never changes
+// Evaluations either.
 func TestParallelEquivalenceLDRG(t *testing.T) {
 	type oracleCase struct {
 		name   string
@@ -64,72 +65,87 @@ func TestParallelEquivalenceLDRG(t *testing.T) {
 		cases[0].pins = []int{5, 9}
 		cases[1].pins = []int{5}
 	}
+	// check runs one entry point at every worker count against its
+	// reference result.
+	check := func(label string, ref *Result, run func(workers int) (*Result, error)) {
+		t.Helper()
+		var first *Result
+		for _, workers := range []int{1, 2, 4, 7} {
+			wl := fmt.Sprintf("%s/w%d", label, workers)
+			got, err := run(workers)
+			if err != nil {
+				t.Fatalf("%s: %v", wl, err)
+			}
+			matchReference(t, wl, ref, got)
+			if first == nil {
+				first = got
+			} else {
+				sameResult(t, wl, first, got)
+			}
+		}
+	}
 	for _, oc := range cases {
 		for _, pins := range oc.pins {
 			seed := int64(700 + pins)
 			topo := randomMST(t, seed, pins)
 			base := Options{Oracle: oc.oracle}
-			for _, workers := range []int{2, 4, 7} {
-				label := fmt.Sprintf("%s/%dpins/w%d", oc.name, pins, workers)
+			label := fmt.Sprintf("%s/%dpins", oc.name, pins)
 
-				seq, err := LDRG(topo, withWorkers(base, 1))
-				if err != nil {
-					t.Fatalf("%s sequential: %v", label, err)
-				}
-				par, err := LDRG(topo, withWorkers(base, workers))
-				if err != nil {
-					t.Fatalf("%s parallel: %v", label, err)
-				}
-				sameResult(t, "LDRG/"+label, seq, par)
-
-				if oc.name == "spice" && pins > 5 {
-					continue // the remaining variants re-run the whole search
-				}
-
-				gen := netlist.NewGenerator(seed)
-				net, err := gen.Generate(pins)
-				if err != nil {
-					t.Fatal(err)
-				}
-				seqS, err := SLDRG(net.Pins, steiner.Options{}, withWorkers(base, 1))
-				if err != nil {
-					t.Fatalf("%s SLDRG sequential: %v", label, err)
-				}
-				parS, err := SLDRG(net.Pins, steiner.Options{}, withWorkers(base, workers))
-				if err != nil {
-					t.Fatalf("%s SLDRG parallel: %v", label, err)
-				}
-				sameResult(t, "SLDRG/"+label, &seqS.Result, &parS.Result)
-
-				alphas := UniformCriticality(topo.NumPins())
-				alphas[len(alphas)-1] = 3 // skew criticality so ties differ from ORG
-				seqC, err := CriticalSinkLDRG(topo, alphas, withWorkers(base, 1))
-				if err != nil {
-					t.Fatalf("%s CSORG sequential: %v", label, err)
-				}
-				parC, err := CriticalSinkLDRG(topo, alphas, withWorkers(base, workers))
-				if err != nil {
-					t.Fatalf("%s CSORG parallel: %v", label, err)
-				}
-				sameResult(t, "CriticalSinkLDRG/"+label, seqC, parC)
-
-				seqT, err := LDRGWithTaps(topo, withWorkers(base, 1))
-				if err != nil {
-					t.Fatalf("%s taps sequential: %v", label, err)
-				}
-				parT, err := LDRGWithTaps(topo, withWorkers(base, workers))
-				if err != nil {
-					t.Fatalf("%s taps parallel: %v", label, err)
-				}
-				sameResult(t, "LDRGWithTaps/"+label, seqT, parT)
+			ref, _, err := referenceGreedy(topo, base, false)
+			if err != nil {
+				t.Fatal(err)
 			}
+			check("LDRG/"+label, ref, func(w int) (*Result, error) { return LDRG(topo, withWorkers(base, w)) })
+
+			if oc.name == "spice" && pins > 5 {
+				continue // the remaining variants re-run the whole search
+			}
+
+			gen := netlist.NewGenerator(seed)
+			net, err := gen.Generate(pins)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stree, err := steiner.Tree(net.Pins, steiner.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			refS, _, err := referenceGreedy(stree, base, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("SLDRG/"+label, refS, func(w int) (*Result, error) {
+				res, err := SLDRG(net.Pins, steiner.Options{}, withWorkers(base, w))
+				if err != nil {
+					return nil, err
+				}
+				return &res.Result, nil
+			})
+
+			alphas := UniformCriticality(topo.NumPins())
+			alphas[len(alphas)-1] = 3 // skew criticality so ties differ from ORG
+			weighted := base
+			weighted.Objective = &WeightedDelayObjective{Alphas: alphas}
+			refC, _, err := referenceGreedy(topo, weighted, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("CriticalSinkLDRG/"+label, refC, func(w int) (*Result, error) {
+				return CriticalSinkLDRG(topo, alphas, withWorkers(base, w))
+			})
+
+			refT, _, err := referenceGreedy(topo, base, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("LDRGWithTaps/"+label, refT, func(w int) (*Result, error) { return LDRGWithTaps(topo, withWorkers(base, w)) })
 		}
 	}
 }
 
 // TestParallelEquivalenceHORG covers the hybrid pipeline end to end: the
-// routing stage runs the parallel sweep, and the downstream sizing stage
-// must see an identical topology.
+// routing stage and the downstream sizing stage must both match the
+// reference greedy at any worker count, with the same Evaluations.
 func TestParallelEquivalenceHORG(t *testing.T) {
 	gen := netlist.NewGenerator(41)
 	net, err := gen.Generate(8)
@@ -140,59 +156,73 @@ func TestParallelEquivalenceHORG(t *testing.T) {
 	base := Options{Oracle: elmoreOracle()}
 	ws := WireSizeOptions{MaxWidth: 3}
 
-	seq, err := HORG(net.Pins, alphas, true, ws, withWorkers(base, 1))
+	stree, err := steiner.Tree(net.Pins, steiner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := HORG(net.Pins, alphas, true, ws, withWorkers(base, 5))
+	obj := &WeightedDelayObjective{Alphas: alphas}
+	refRouting, _, err := referenceGreedy(stree, Options{Oracle: base.Oracle, Objective: obj}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResult(t, "HORG routing", &seq.Routing.Result, &par.Routing.Result)
-	if seq.FinalObjective() != par.FinalObjective() {
-		t.Errorf("HORG final objective %.17g vs %.17g", seq.FinalObjective(), par.FinalObjective())
+	refSizing, err := referenceWireSize(refRouting.Topology, WireSizeOptions{Oracle: base.Oracle, Objective: obj, MaxWidth: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first *HORGResult
+	for _, workers := range []int{1, 5} {
+		got, err := HORG(net.Pins, alphas, true, ws, withWorkers(base, workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("HORG/w%d", workers)
+		matchReference(t, label+" routing", refRouting, &got.Routing.Result)
+		if g, w := got.Sizing.Fingerprint(), refSizing.Fingerprint(); g != w {
+			t.Errorf("%s sizing differs from the reference:\ngot:\n%swant:\n%s", label, g, w)
+		}
+		if first == nil {
+			first = got
+			continue
+		}
+		sameResult(t, label+" routing", &first.Routing.Result, &got.Routing.Result)
+		if got.Sizing.Evaluations != first.Sizing.Evaluations {
+			t.Errorf("%s sizing: evaluations %d vs %d at Workers 1", label, got.Sizing.Evaluations, first.Sizing.Evaluations)
+		}
+		if got.FinalObjective() != first.FinalObjective() {
+			t.Errorf("%s final objective %.17g vs %.17g at Workers 1", label, got.FinalObjective(), first.FinalObjective())
+		}
 	}
 }
 
-// TestParallelEquivalenceWireSize asserts the widening sweep picks identical
-// widths under any worker count, in both selection modes (pure delay descent
-// and cost-weighted gain rate).
+// TestParallelEquivalenceWireSize asserts the widening sweep picks the
+// reference's widths under any worker count, in both selection modes (pure
+// delay descent and cost-weighted gain rate), with Evaluations independent
+// of Workers.
 func TestParallelEquivalenceWireSize(t *testing.T) {
 	topo := randomMST(t, 808, 10)
 	for _, costWeight := range []float64{0, 0.5} {
 		base := WireSizeOptions{Oracle: elmoreOracle(), MaxWidth: 3, CostWeight: costWeight}
-		label := fmt.Sprintf("costweight=%g", costWeight)
-
-		seqOpts := base
-		seqOpts.Workers = 1
-		seq, err := WireSize(topo, seqOpts)
+		ref, err := referenceWireSize(topo, base)
 		if err != nil {
-			t.Fatalf("%s sequential: %v", label, err)
+			t.Fatal(err)
 		}
-		parOpts := base
-		parOpts.Workers = 6
-		par, err := WireSize(topo, parOpts)
-		if err != nil {
-			t.Fatalf("%s parallel: %v", label, err)
-		}
-
-		if len(seq.Widths) != len(par.Widths) {
-			t.Fatalf("%s: %d widths sequential vs %d parallel", label, len(seq.Widths), len(par.Widths))
-		}
-		for e, w := range seq.Widths {
-			if par.Widths[e] != w {
-				t.Errorf("%s: width of %v differs: %d vs %d", label, e, w, par.Widths[e])
+		var first *WireSizeResult
+		for _, workers := range []int{1, 6} {
+			label := fmt.Sprintf("costweight=%g/w%d", costWeight, workers)
+			opts := base
+			opts.Workers = workers
+			got, err := WireSize(topo, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
 			}
-		}
-		if seq.Widenings != par.Widenings {
-			t.Errorf("%s: widenings %d vs %d", label, seq.Widenings, par.Widenings)
-		}
-		if seq.Evaluations != par.Evaluations {
-			t.Errorf("%s: evaluations %d vs %d", label, seq.Evaluations, par.Evaluations)
-		}
-		if seq.InitialObjective != par.InitialObjective || seq.FinalObjective != par.FinalObjective {
-			t.Errorf("%s: objectives (%.17g, %.17g) vs (%.17g, %.17g)", label,
-				seq.InitialObjective, seq.FinalObjective, par.InitialObjective, par.FinalObjective)
+			if g, w := got.Fingerprint(), ref.Fingerprint(); g != w {
+				t.Errorf("%s: widths differ from the reference:\ngot:\n%swant:\n%s", label, g, w)
+			}
+			if first == nil {
+				first = got
+			} else if got.Evaluations != first.Evaluations {
+				t.Errorf("%s: evaluations %d vs %d at Workers 1", label, got.Evaluations, first.Evaluations)
+			}
 		}
 	}
 }
@@ -291,8 +321,8 @@ func TestParallelLDRGStress(t *testing.T) {
 		t.Skip("short mode")
 	}
 	topo := randomMST(t, 3030, 30)
-	base := Options{Oracle: elmoreOracle(), MaxAddedEdges: 3}
-	seq, err := LDRG(topo, withWorkers(base, 1))
+	base := Options{Oracle: elmoreOracle(), MaxAddedEdges: 3, Scoring: ScoringFull}
+	ref, _, err := referenceGreedy(topo, base, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +330,10 @@ func TestParallelLDRGStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResult(t, "30-pin", seq, par)
+	matchReference(t, "30-pin", ref, par)
+	if par.Evaluations != ref.Evaluations {
+		t.Errorf("30-pin: %d evaluations, reference %d", par.Evaluations, ref.Evaluations)
+	}
 	if len(par.AddedEdges) == 0 {
 		t.Error("expected the 30-pin net to accept at least one edge")
 	}
@@ -309,26 +342,36 @@ func TestParallelLDRGStress(t *testing.T) {
 // TestSweepDeterminismGolden locks in the exact edge-acceptance sequence of
 // a fixed seed net so future refactors cannot silently change candidate
 // ordering or tie-breaking. The golden values were produced by the
-// sequential Workers: 1 path at the commit introducing the parallel engine;
-// both paths must keep reproducing them bit for bit.
+// sequential full-solve scan at the commit introducing the parallel
+// engine; the full-solve pool and the incremental scan, at any worker
+// count, and the reference greedy must keep reproducing them bit for bit.
 func TestSweepDeterminismGolden(t *testing.T) {
 	topo := randomMST(t, 1994, 16)
 	const (
 		wantEdges = "[0-10 0-6]"
 		wantFinal = "3.0426723953514312e-09"
 	)
-	for _, workers := range []int{1, 4} {
-		res, err := LDRG(topo, Options{Oracle: elmoreOracle(), Workers: workers})
-		if err != nil {
-			t.Fatal(err)
+	check := func(label string, res *Result) {
+		t.Helper()
+		if got := fmt.Sprintf("%v", res.AddedEdges); got != wantEdges {
+			t.Errorf("%s: edge sequence %s, want %s", label, got, wantEdges)
 		}
-		gotEdges := fmt.Sprintf("%v", res.AddedEdges)
-		gotFinal := fmt.Sprintf("%.17g", res.FinalObjective)
-		if gotEdges != wantEdges {
-			t.Errorf("workers=%d: edge sequence %s, want %s", workers, gotEdges, wantEdges)
+		if got := fmt.Sprintf("%.17g", res.FinalObjective); got != wantFinal {
+			t.Errorf("%s: final objective %s, want %s", label, got, wantFinal)
 		}
-		if gotFinal != wantFinal {
-			t.Errorf("workers=%d: final objective %s, want %s", workers, gotFinal, wantFinal)
+	}
+	ref, _, err := referenceGreedy(topo, Options{Oracle: elmoreOracle()}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("reference", ref)
+	for _, scoring := range []Scoring{ScoringAuto, ScoringFull} {
+		for _, workers := range []int{1, 4} {
+			res, err := LDRG(topo, Options{Oracle: elmoreOracle(), Scoring: scoring, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("scoring=%d/workers=%d", scoring, workers), res)
 		}
 	}
 }

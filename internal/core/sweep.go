@@ -1,0 +1,420 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"sync"
+	"sync/atomic"
+
+	"nontree/internal/elmore"
+	"nontree/internal/geom"
+	"nontree/internal/graph"
+	"nontree/internal/obs"
+	"nontree/internal/trace"
+)
+
+// One candidate scan serves every greedy sweep. LDRG and SLDRG edge
+// additions, LDRGWithTaps's source taps and WSORG's widenings (paper Figs.
+// 4 and 6, §5.2) all take the same step: score every candidate
+// modification of the current routing, then keep the best one if it beats
+// the acceptance threshold. sweepEngine.scan is that step, written once;
+// each candidate kind describes itself with a candidates value. Four rules
+// make the decision independent of how the candidates were scored:
+//
+//  1. Isolation. Full-solve scoring always runs on the worker pool
+//     (runSweep); Workers: 1 is a pool of one. Every worker scores on its
+//     own Topology clone, so no candidate sees another's modification and
+//     the live topology is never touched. Oracles must therefore be safe
+//     for concurrent SinkDelays calls (see DelayOracle).
+//  2. Deterministic reduction. Outcomes are recorded by candidate index and
+//     reduced in canonical candidate order once the scan is complete: the
+//     winner is the first strict minimum below the threshold, whatever the
+//     goroutine scheduling. The candidate events are emitted from the
+//     calling goroutine, in canonical order, once scoring and any
+//     re-solves are done, so traces are byte-identical at any Workers
+//     value and a sweep that fails emits no candidate events at all.
+//  3. Selection only. Incremental scoring (see Scoring) scans sequentially,
+//     because the evaluator's column caches are stateful, and its values
+//     only rank the candidates. The leader is then re-scored by the same
+//     full function the pool uses, together with any candidate within
+//     nearTie of it, so committed objectives are bit-identical between
+//     scoring modes, and so are tie-breaks while incremental values stay
+//     within nearTie of the full ones.
+//  4. Sound pruning. An incremental candidate is skipped only when a proved
+//     lower bound on its objective cannot undercut the cutoff, with nearTie
+//     to spare. ScoringIncrementalDebug re-scores every pruned candidate to
+//     certify that none would have been selected.
+
+// candidates describes one sweep's candidate set to the scan. Candidates
+// are indexed 0..n-1 in canonical order, the order that fixes tie-breaking.
+type candidates struct {
+	n int
+	// full scores candidate i with one oracle solve on t and leaves t as it
+	// was. It runs on worker clones, and on the live topology for the
+	// incremental winner's re-solve.
+	full func(i int, t *graph.Topology) (float64, error)
+	// probe returns candidate i's delays from the incremental evaluator.
+	probe func(i int) ([]float64, error)
+	// bound returns an upper bound on how much candidate i can improve any
+	// node's delay; nil disables pruning.
+	bound func(i int) float64
+	// tighten lowers the pruning cutoff to the running minimum. Widenings
+	// may be picked by gain rate rather than by objective, so their cutoff
+	// stays at the threshold.
+	tighten bool
+	// cost, when non-nil, ranks candidates by gain rate, objective
+	// improvement per unit of cost(i), instead of by objective.
+	cost func(i int) float64
+	// event returns candidate i's identity fields: U/V, Tap/X/Y and Width.
+	event func(i int) trace.Event
+}
+
+// outcome is one candidate's result in a sweep.
+type outcome struct {
+	// val is the objective, or the proved lower bound when pruned.
+	val    float64
+	pruned bool
+	// resolved marks an incremental candidate re-scored by a full solve.
+	resolved bool
+}
+
+// nearTie bounds, relative to the objective, how far an incremental value
+// may lie from the full solve of the same candidate. It is an empirical
+// margin, not a proved one: over sampled edge, tap and widening candidates
+// on seeded nets of 10–1024 pins (1024 is the largest net the simulator
+// accepts), the largest gap measured is 8e-13. The scan widens its
+// re-solve and pruning comparisons by this much, so within that range
+// rounding cannot make it choose differently from a full-solve sweep.
+// H1's single-probe pre-screen does not go through the scan and is not
+// widened. nearTie must stay well below the default MinImprovement.
+const nearTie = 1e-10
+
+// sweepEngine carries one run's sweep state: how candidates are scored, and
+// where evaluations are counted and decisions traced.
+type sweepEngine struct {
+	// inc is the incremental evaluator; nil scores every candidate with a
+	// full solve on the worker pool.
+	inc *elmore.Incremental
+	// factor converts per-node improvement bounds to objective bounds;
+	// prune gates the bound checks (false = score every candidate).
+	factor float64
+	prune  bool
+	// debug re-scores pruned candidates after the scan
+	// (ScoringIncrementalDebug).
+	debug bool
+
+	obj     Objective
+	workers int
+	minImp  float64
+	evals   *int // the run's Evaluations
+	rec     obs.Recorder
+	tr      trace.Tracer
+	outs    []outcome // reused across sweeps
+}
+
+// newSweepEngine prepares the sweeps of one run over t. Candidates are
+// scored incrementally when the scoring mode allows it and the oracle
+// supports it, and with full solves otherwise.
+func newSweepEngine(t *graph.Topology, opts *Options, obj Objective, evals *int) (*sweepEngine, error) {
+	eng := &sweepEngine{obj: obj, workers: opts.workers(), minImp: opts.minImprovement(),
+		evals: evals, rec: opts.obs(), tr: opts.trace()}
+	if opts.Scoring == ScoringFull {
+		return eng, nil
+	}
+	is, ok := opts.Oracle.(IncrementalScorer)
+	if !ok {
+		if opts.Scoring == ScoringIncrementalDebug {
+			return nil, fmt.Errorf("core: ScoringIncrementalDebug needs an incremental oracle, %s has no support", opts.Oracle.Name())
+		}
+		return eng, nil
+	}
+	inc, err := is.NewIncrementalSweep(t, opts.Width)
+	if err != nil {
+		return nil, fmt.Errorf("core: preparing incremental scoring: %w", err)
+	}
+	inc.Obs = opts.Obs
+	eng.inc = inc
+	eng.factor, eng.prune = pruningFactor(obj)
+	eng.debug = opts.Scoring == ScoringIncrementalDebug
+	return eng, nil
+}
+
+// refactor re-derives the incremental base state after a committed
+// topology or width mutation; a no-op for full-solve scoring.
+func (eng *sweepEngine) refactor() error {
+	if eng.inc == nil {
+		return nil
+	}
+	return eng.inc.Refactor()
+}
+
+func (eng *sweepEngine) count(evals int) {
+	*eng.evals += evals
+	eng.rec.Add(obs.CtrOracleEvaluations, int64(evals))
+}
+
+// scan runs one greedy sweep over c from the current objective cur. It
+// returns the winner's identity fields (see candidates.event) with Sweep,
+// Before = cur and After = the winner's full-solve objective. ok is false
+// when no candidate beats the threshold; an edge_rejected event then names
+// the closest one.
+func (eng *sweepEngine) scan(t *graph.Topology, sweep int, cur float64, c candidates) (_ trace.Event, ok bool, _ error) {
+	threshold := cur * (1 - eng.minImp)
+	if cur < threshold {
+		threshold = cur // a negative objective: never accept a worsening
+	}
+	if cap(eng.outs) < c.n {
+		eng.outs = make([]outcome, c.n)
+	}
+	outs := eng.outs[:c.n]
+	if eng.inc == nil {
+		evals, err := runSweep(t, eng.workers, outs, eng.rec, c.full)
+		eng.count(evals)
+		if err != nil {
+			return trace.Event{}, false, err
+		}
+	} else if err := eng.probeAll(t.NumPins(), sweep, cur, threshold, outs, c); err != nil {
+		return trace.Event{}, false, err
+	}
+
+	// key orders candidates, lower first: the objective, or with c.cost
+	// the negated gain rate. The winner is the first strict minimum of key
+	// among the candidates below the threshold.
+	key := func(i int, v float64) float64 {
+		if c.cost == nil {
+			return v
+		}
+		return (v - cur) / c.cost(i)
+	}
+	best, bestKey, val := -1, math.Inf(1), 0.0
+	first, firstVal := -1, 0.0 // the first re-solved candidate
+	if eng.inc == nil {
+		for i, o := range outs {
+			if k := key(i, o.val); o.val < threshold && k < bestKey {
+				best, bestKey, val = i, k, o.val
+			}
+		}
+	} else {
+		// Incremental values only rank the candidates; full solves decide.
+		// Candidates are re-solved in order of their optimistic key (the
+		// incremental value lowered by nearTie) until none is left that
+		// could beat the best full value below the threshold, or tie it
+		// from an earlier index. Near-ties thus fall exactly as in a
+		// full-solve sweep, and usually only the winner is re-solved.
+		for {
+			u, uKey := -1, math.Inf(1)
+			for i, o := range outs {
+				lo := o.val - nearTie*math.Abs(o.val)
+				if o.pruned || o.resolved || lo >= threshold {
+					continue
+				}
+				if k := key(i, lo); k < uKey {
+					u, uKey = i, k
+				}
+			}
+			if u < 0 || uKey > bestKey {
+				break
+			}
+			v, err := c.full(u, t)
+			if err != nil {
+				return trace.Event{}, false, err
+			}
+			eng.count(1)
+			outs[u].resolved = true
+			if first < 0 {
+				first, firstVal = u, v
+			}
+			if k := key(u, v); v < threshold && (k < bestKey || (k <= bestKey && u < best)) {
+				best, bestKey, val = u, k, v
+			}
+		}
+	}
+
+	// Scoring and re-solves are done: a sweep that failed has returned
+	// before this point, so it leaves no candidate events.
+	minIdx, minVal := -1, math.Inf(1)
+	low, lowLB := -1, math.Inf(1) // the most promising pruned candidate
+	for i, o := range outs {
+		ev := c.event(i)
+		ev.Sweep, ev.Index, ev.Value = sweep, i, o.val
+		if o.pruned {
+			ev.Kind, ev.Before = trace.KindCandidatePruned, threshold
+			if c.tighten && minVal < threshold {
+				ev.Before = minVal
+			}
+			eng.rec.Add(obs.CtrCandidatesPruned, 1)
+			if o.val < lowLB {
+				low, lowLB = i, o.val
+			}
+		} else {
+			ev.Kind = trace.KindCandidateScored
+			if o.val < minVal {
+				minIdx, minVal = i, o.val
+			}
+		}
+		eng.tr.Emit(ev)
+	}
+
+	if best < 0 {
+		switch {
+		case first >= 0:
+			eng.reject(c, sweep, first, firstVal, cur)
+		case minIdx >= 0:
+			eng.reject(c, sweep, minIdx, minVal, cur)
+		case low >= 0:
+			// Every candidate was pruned: the best proved bound documents
+			// why the sweep converged.
+			eng.reject(c, sweep, low, lowLB, cur)
+		}
+		return trace.Event{}, false, nil
+	}
+	ev := c.event(best)
+	ev.Sweep, ev.Before, ev.After = sweep, cur, val
+	return ev, true, nil
+}
+
+func (eng *sweepEngine) reject(c candidates, sweep, i int, val, cur float64) {
+	ev := c.event(i)
+	ev.Kind, ev.Sweep, ev.Value, ev.Before, ev.Reason =
+		trace.KindEdgeRejected, sweep, val, cur, trace.ReasonNoImprovement
+	eng.tr.Emit(ev)
+}
+
+// probeAll scores outs incrementally in canonical order. A candidate is
+// pruned when its proved lower bound cannot undercut the cutoff, with
+// nearTie to spare: the threshold, or with c.tighten the running minimum
+// if that is lower. Both are deterministic, so the pruned set is too. In
+// debug mode every pruned candidate is then probed anyway, and the sweep
+// fails with ErrPruningUnsound if one breaks its bound or would have been
+// selected.
+func (eng *sweepEngine) probeAll(numPins, sweep int, cur, threshold float64, outs []outcome, c candidates) error {
+	eval := func(i int) (float64, error) {
+		delays, err := c.probe(i)
+		if err != nil {
+			return 0, err
+		}
+		return eng.obj.Eval(delays, numPins)
+	}
+	minIdx, minVal := -1, math.Inf(1)
+	for i := range outs {
+		if c.bound != nil && eng.prune {
+			cutoff := threshold
+			if c.tighten && minVal < cutoff {
+				cutoff = minVal
+			}
+			if lb := cur - eng.factor*c.bound(i); lb >= cutoff+nearTie*math.Abs(cutoff) {
+				outs[i] = outcome{val: lb, pruned: true}
+				continue
+			}
+		}
+		val, err := eval(i)
+		if err != nil {
+			return err
+		}
+		outs[i] = outcome{val: val}
+		if val < minVal {
+			minIdx, minVal = i, val
+		}
+	}
+	if !eng.debug {
+		return nil
+	}
+	for i, o := range outs {
+		if !o.pruned {
+			continue
+		}
+		val, err := eval(i)
+		if err != nil {
+			return err
+		}
+		ev := c.event(i)
+		if val < o.val {
+			return fmt.Errorf("%w: sweep %d candidate %d (%d-%d) scored %v below its proved lower bound %v",
+				ErrPruningUnsound, sweep, i, ev.U, ev.V, val, o.val)
+		}
+		// Selected means: below the threshold and, under the first strict
+		// minimum rule, below the scanned minimum or tying it earlier.
+		if val < threshold && (!c.tighten || minIdx < 0 || val < minVal || (i < minIdx && val <= minVal)) {
+			return fmt.Errorf("%w: sweep %d candidate %d (%d-%d) scored %v (bound %v, incumbent %v, threshold %v)",
+				ErrPruningUnsound, sweep, i, ev.U, ev.V, val, o.val, minVal, threshold)
+		}
+	}
+	return nil
+}
+
+// runSweep scores every outcome slot with full on a pool of workers
+// goroutines (at most one per candidate), each on its own clone of t. It
+// returns the number of successful evaluations and, if any failed, the
+// error of the earliest failing candidate; after a failure the pool takes
+// no new candidates. rec receives one wall-clock span per worker (a
+// Timings metric, outside the determinism contract).
+func runSweep(t *graph.Topology, workers int, outs []outcome, rec obs.Recorder,
+	full func(i int, t *graph.Topology) (float64, error)) (int, error) {
+	type tally struct {
+		evals, failed int
+		err           error
+	}
+	tallies := make([]tally, min(workers, len(outs)))
+	var next atomic.Int64
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for w := range tallies {
+		wg.Add(1)
+		go func(tl *tally) {
+			defer wg.Done()
+			defer obs.StartSpan(rec, obs.TimeSweepWorker).End()
+			clone := t.Clone()
+			for !stop.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(outs) {
+					return
+				}
+				val, err := full(i, clone)
+				if err != nil {
+					tl.failed, tl.err = i, err
+					stop.Store(true)
+					return
+				}
+				outs[i] = outcome{val: val}
+				tl.evals++
+			}
+		}(&tallies[w])
+	}
+	wg.Wait()
+	evals, failed := 0, len(outs)
+	var err error
+	for _, tl := range tallies {
+		evals += tl.evals
+		if tl.err != nil && tl.failed < failed {
+			failed, err = tl.failed, tl.err
+		}
+	}
+	return evals, err
+}
+
+// accept commits a sweep's winner to t, described by its edge_accepted
+// event: the edge U–V, or with Tap set the source tap splitting U–V at
+// (X, Y). It refactors the engine, extends res, and emits the event with
+// U/V naming the committed wire.
+func (eng *sweepEngine) accept(t *graph.Topology, res *Result, ev trace.Event) error {
+	e := graph.Edge{U: ev.U, V: ev.V}
+	if ev.Tap {
+		wire, err := applyTap(t, e, geom.Point{X: ev.X, Y: ev.Y})
+		if err != nil {
+			return err
+		}
+		e = wire
+		eng.rec.Add(obs.CtrTapsAccepted, 1)
+	} else if err := t.AddEdge(e); err != nil {
+		return fmt.Errorf("core: committing edge %v: %w", e, err)
+	}
+	if err := eng.refactor(); err != nil {
+		return fmt.Errorf("core: refactoring after edge %v: %w", e, err)
+	}
+	res.AddedEdges = append(res.AddedEdges, e)
+	res.Trace = append(res.Trace, ev.After)
+	eng.rec.Add(obs.CtrAcceptedEdges, 1)
+	ev.Kind, ev.U, ev.V = trace.KindEdgeAccepted, e.U, e.V
+	eng.tr.Emit(ev)
+	return nil
+}

@@ -23,76 +23,10 @@ import (
 // tap is exactly the new wire's length.
 func LDRGWithTaps(seed *graph.Topology, opts Options) (_ *Result, rerr error) {
 	defer func() { rerr = tagRequest(opts.RequestID, rerr) }()
-	if err := checkSeed(seed, &opts); err != nil {
-		return nil, err
-	}
-	t := seed.Clone()
-	obj := opts.objective()
-
-	res := &Result{Topology: t}
-	cur, err := score(t, &opts, obj, res)
-	if err != nil {
-		return nil, fmt.Errorf("core: scoring seed topology: %w", err)
-	}
-	res.InitialObjective = cur
-	res.Trace = append(res.Trace, cur)
-
-	eng, err := newSweepEngine(t, opts.Oracle, opts.Width, obj, opts.Scoring, opts.Obs)
+	res, err := greedy(seed, &opts, true)
 	if err != nil {
 		return nil, err
 	}
-
-	for sweep := 1; ; sweep++ {
-		if opts.MaxAddedEdges > 0 && len(res.AddedEdges) >= opts.MaxAddedEdges {
-			break
-		}
-		// Plain edge candidates.
-		bestEdge, bestVal, foundEdge, err := bestAddition(t, &opts, obj, cur, res, sweep, eng)
-		if err != nil {
-			return nil, err
-		}
-		// Tap candidates.
-		tapEdge, tapPoint, tapVal, foundTap, err := bestTap(t, &opts, obj, cur, res, sweep, eng)
-		if err != nil {
-			return nil, err
-		}
-
-		switch {
-		case foundTap && (!foundEdge || tapVal < bestVal):
-			added, err := applyTap(t, tapEdge, tapPoint)
-			if err != nil {
-				return nil, err
-			}
-			if err := eng.refactor(); err != nil {
-				return nil, fmt.Errorf("core: refactoring after tap %v: %w", added, err)
-			}
-			res.AddedEdges = append(res.AddedEdges, added)
-			res.Trace = append(res.Trace, tapVal)
-			opts.obs().Add(obs.CtrAcceptedEdges, 1)
-			opts.obs().Add(obs.CtrTapsAccepted, 1)
-			opts.trace().Emit(trace.Event{Kind: trace.KindEdgeAccepted, Sweep: sweep,
-				U: added.U, V: added.V, Tap: true, X: tapPoint.X, Y: tapPoint.Y,
-				Before: cur, After: tapVal})
-			cur = tapVal
-		case foundEdge:
-			if err := t.AddEdge(bestEdge); err != nil {
-				return nil, fmt.Errorf("core: committing edge %v: %w", bestEdge, err)
-			}
-			if err := eng.refactor(); err != nil {
-				return nil, fmt.Errorf("core: refactoring after edge %v: %w", bestEdge, err)
-			}
-			res.AddedEdges = append(res.AddedEdges, bestEdge)
-			res.Trace = append(res.Trace, bestVal)
-			opts.obs().Add(obs.CtrAcceptedEdges, 1)
-			opts.trace().Emit(trace.Event{Kind: trace.KindEdgeAccepted, Sweep: sweep,
-				U: bestEdge.U, V: bestEdge.V, Before: cur, After: bestVal})
-			cur = bestVal
-		default:
-			res.FinalObjective = cur
-			return compactTapResult(res)
-		}
-	}
-	res.FinalObjective = cur
 	return compactTapResult(res)
 }
 
@@ -134,59 +68,37 @@ func tapCandidates(t *graph.Topology) []tapCandidate {
 	return out
 }
 
-// bestTap evaluates every tap candidate, returning the best improving one.
-// With a non-nil engine candidates are scored as rank-3 perturbations
-// (sequential; the winner is re-scored through the full path, see
-// incremental.go); otherwise with Workers != 1 the sweep fans out over the
-// worker pool (parallel.go).
-func bestTap(t *graph.Topology, opts *Options, obj Objective, cur float64, res *Result, sweep int, eng *sweepEngine) (graph.Edge, geom.Point, float64, bool, error) {
-	cands := tapCandidates(t)
-	opts.obs().Add(obs.CtrTapCandidates, int64(len(cands)))
-	tr := opts.trace()
-	tr.Emit(trace.Event{Kind: trace.KindSweepStart, Sweep: sweep, Tap: true, N: int64(len(cands))})
-	if eng != nil {
-		return bestTapIncremental(t, opts, obj, cur, res, cands, sweep, eng)
-	}
-	if w := opts.workers(); w > 1 && len(cands) > 1 {
-		return bestTapParallel(t, opts, obj, cur, res, cands, sweep)
-	}
-	bestVal := cur
-	threshold := cur * (1 - opts.minImprovement())
-	var bestEdge graph.Edge
-	var bestPoint geom.Point
-	found := false
-	minIdx, minVal := -1, math.Inf(1)
+// tapCandidate is one mid-edge tap considered by LDRGWithTaps.
+type tapCandidate struct {
+	edge  graph.Edge
+	point geom.Point
+}
 
-	for i, c := range cands {
-		// Score on a clone, exactly like the parallel path: mutating the
-		// live topology would allocate a Steiner node per candidate (there
-		// is no node removal), skewing node ids between worker counts and
-		// breaking the trace byte-identity contract.
-		val, err := scoreTapped(t, opts, obj, c.edge, c.point)
-		if err != nil {
-			return graph.Edge{}, geom.Point{}, 0, false, err
-		}
-		res.Evaluations++
-		opts.obs().Add(obs.CtrOracleEvaluations, 1)
-		tr.Emit(trace.Event{Kind: trace.KindCandidateScored, Sweep: sweep, Index: i,
-			U: c.edge.U, V: c.edge.V, Tap: true, X: c.point.X, Y: c.point.Y, Value: val})
-		if val < minVal {
-			minIdx, minVal = i, val
-		}
-		if val < bestVal && val < threshold {
-			bestVal = val
-			bestEdge = c.edge
-			bestPoint = c.point
-			found = true
-		}
-	}
-	if !found && minIdx >= 0 {
-		tr.Emit(trace.Event{Kind: trace.KindEdgeRejected, Sweep: sweep,
-			U: cands[minIdx].edge.U, V: cands[minIdx].edge.V, Tap: true,
-			X: cands[minIdx].point.X, Y: cands[minIdx].point.Y,
-			Value: minVal, Before: cur, Reason: trace.ReasonNoImprovement})
-	}
-	return bestEdge, bestPoint, bestVal, found, nil
+// bestTap scans every tap candidate and returns the winner's edge_accepted
+// fields, if one improves on cur by the threshold. Taps carry no pruning
+// bound: the edge split redistributes capacitance in a way that admits no
+// cheap one-sided estimate, so every candidate is scored.
+func bestTap(t *graph.Topology, opts *Options, obj Objective, cur float64, sweep int, eng *sweepEngine) (trace.Event, bool, error) {
+	cands := tapCandidates(t)
+	eng.rec.Add(obs.CtrTapCandidates, int64(len(cands)))
+	eng.tr.Emit(trace.Event{Kind: trace.KindSweepStart, Sweep: sweep, Tap: true, N: int64(len(cands))})
+	return eng.scan(t, sweep, cur, candidates{
+		n: len(cands),
+		full: func(i int, t *graph.Topology) (float64, error) {
+			return scoreTapped(t, opts, obj, cands[i].edge, cands[i].point)
+		},
+		probe: func(i int) ([]float64, error) {
+			delays, err := eng.inc.WithTap(cands[i].edge, cands[i].point)
+			if err != nil {
+				return nil, fmt.Errorf("core: incremental tap on %v: %w", cands[i].edge, err)
+			}
+			return delays, nil
+		},
+		event: func(i int) trace.Event {
+			c := cands[i]
+			return trace.Event{U: c.edge.U, V: c.edge.V, Tap: true, X: c.point.X, Y: c.point.Y}
+		},
+	})
 }
 
 // scoreTapped scores base with edge e split at p and the source wired to

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
+	"nontree/internal/elmore"
 	"nontree/internal/graph"
+	"nontree/internal/rc"
 	"nontree/internal/trace"
 )
 
@@ -147,5 +150,135 @@ func TestTraceEventShape(t *testing.T) {
 			}
 			wantIdx++
 		}
+	}
+}
+
+// errCandidate is the failure failingOracle injects.
+var errCandidate = errors.New("injected oracle failure")
+
+// failingOracle is an Elmore oracle, without incremental support, that
+// fails on exactly the topologies fails selects. Choosing the failure by
+// candidate rather than by call count makes it independent of the order
+// the pool scores candidates in.
+type failingOracle struct {
+	fails func(t *graph.Topology, width rc.WidthFunc) bool
+}
+
+func (o *failingOracle) Name() string { return "failing" }
+
+func (o *failingOracle) SinkDelays(t *graph.Topology, width rc.WidthFunc) ([]float64, error) {
+	if o.fails(t, width) {
+		return nil, errCandidate
+	}
+	return elmoreOracle().SinkDelays(t, width)
+}
+
+// TestTraceOnOracleErrorAcrossWorkers pins the failure half of the trace
+// contract: a sweep whose oracle fails on one candidate returns the same
+// error and leaves byte-identical traces at Workers 1 and 4 — sweep_start
+// and no candidate events (DESIGN.md §11).
+func TestTraceOnOracleErrorAcrossWorkers(t *testing.T) {
+	seed := randomMST(t, 42, 8)
+	edge := candidateEdges(seed, &Options{})[10]
+	taps := tapCandidates(seed)
+	tap := taps[len(taps)/2].point
+	widen := seed.Edges()[3]
+	runs := []struct {
+		name string
+		run  func(tr trace.Tracer, workers int) error
+	}{
+		{"LDRG", func(tr trace.Tracer, workers int) error {
+			_, err := LDRG(seed, Options{Workers: workers, Trace: tr, Oracle: &failingOracle{
+				fails: func(t *graph.Topology, _ rc.WidthFunc) bool {
+					return t.NumEdges() == seed.NumEdges()+1 && t.HasEdge(edge)
+				}}})
+			return err
+		}},
+		{"LDRGWithTaps", func(tr trace.Tracer, workers int) error {
+			_, err := LDRGWithTaps(seed, Options{Workers: workers, Trace: tr, Oracle: &failingOracle{
+				fails: func(t *graph.Topology, _ rc.WidthFunc) bool {
+					return t.NumNodes() > seed.NumNodes() && t.Point(t.NumNodes()-1).Eq(tap)
+				}}})
+			return err
+		}},
+		{"WireSize", func(tr trace.Tracer, workers int) error {
+			_, err := WireSize(seed, WireSizeOptions{MaxWidth: 3, Workers: workers, Trace: tr, Oracle: &failingOracle{
+				fails: func(_ *graph.Topology, width rc.WidthFunc) bool { return width(widen) == 2 }}})
+			return err
+		}},
+	}
+	for _, r := range runs {
+		var traces, errs [2]string
+		for k, workers := range []int{1, 4} {
+			ring := trace.NewRing(1 << 16)
+			err := r.run(ring, workers)
+			if !errors.Is(err, errCandidate) {
+				t.Fatalf("%s/w%d: got error %v, want the injected failure", r.name, workers, err)
+			}
+			traces[k], errs[k] = ring.Fingerprint(), err.Error()
+			lastIsSweepStart(t, fmt.Sprintf("%s/w%d", r.name, workers), ring)
+		}
+		if errs[0] != errs[1] {
+			t.Errorf("%s: error at Workers 1 %q, at Workers 4 %q", r.name, errs[0], errs[1])
+		}
+		if traces[0] != traces[1] {
+			t.Errorf("%s: trace differs between Workers 1 and 4:\n%s\nvs\n%s", r.name, traces[0], traces[1])
+		}
+	}
+}
+
+// lastIsSweepStart asserts a failed run's trace ends with the failing
+// sweep's sweep_start: the sweep emitted no candidate events.
+func lastIsSweepStart(t *testing.T, label string, ring *trace.Ring) {
+	t.Helper()
+	events := ring.Events()
+	if len(events) == 0 || events[len(events)-1].Kind != trace.KindSweepStart {
+		t.Errorf("%s: failed sweep left candidate events; trace:\n%s", label, ring.Fingerprint())
+	}
+}
+
+// failingIncrementalOracle is a failingOracle with incremental support, so
+// the candidates are probed incrementally and only the full re-solve of
+// the leader reaches SinkDelays and fails.
+type failingIncrementalOracle struct{ failingOracle }
+
+func (o *failingIncrementalOracle) NewIncrementalSweep(t *graph.Topology, width rc.WidthFunc) (*elmore.Incremental, error) {
+	return elmoreOracle().NewIncrementalSweep(t, width)
+}
+
+// TestTraceOnResolveError covers the incremental half of the failure
+// contract: when the full re-solve of the incremental leader fails, the
+// sweep still leaves no candidate events.
+func TestTraceOnResolveError(t *testing.T) {
+	seed := randomMST(t, 42, 8)
+	modified := &failingIncrementalOracle{failingOracle{
+		fails: func(t *graph.Topology, width rc.WidthFunc) bool {
+			for _, e := range t.Edges() {
+				if width != nil && width(e) != 1 {
+					return true
+				}
+			}
+			return t.NumEdges() != seed.NumEdges()
+		}}}
+	runs := map[string]func(tr trace.Tracer) error{
+		"LDRG": func(tr trace.Tracer) error {
+			_, err := LDRG(seed, Options{Oracle: modified, Trace: tr})
+			return err
+		},
+		"LDRGWithTaps": func(tr trace.Tracer) error {
+			_, err := LDRGWithTaps(seed, Options{Oracle: modified, Trace: tr})
+			return err
+		},
+		"WireSize": func(tr trace.Tracer) error {
+			_, err := WireSize(seed, WireSizeOptions{Oracle: modified, MaxWidth: 3, Trace: tr})
+			return err
+		},
+	}
+	for name, run := range runs {
+		ring := trace.NewRing(1 << 16)
+		if err := run(ring); !errors.Is(err, errCandidate) {
+			t.Fatalf("%s: got error %v, want the injected failure", name, err)
+		}
+		lastIsSweepStart(t, name, ring)
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -31,17 +30,16 @@ type WireSizeOptions struct {
 	// the optimizer maximizes delay improvement per unit of added
 	// width-length product when > 0. Zero means pure delay descent.
 	CostWeight float64
-	// Workers bounds the goroutines evaluating widening candidates
-	// concurrently (0 = one per CPU, 1 = sequential). Like the edge
-	// sweeps, results are byte-identical for any value; the oracle must
-	// be safe for concurrent SinkDelays calls when Workers != 1. Only
-	// full-solve sweeps parallelize; incremental sweeps (see Scoring)
-	// are sequential by design.
+	// Workers bounds the goroutines scoring widening candidates in each
+	// full-solve sweep (0 = one per CPU, 1 = a pool of one), exactly like
+	// Options.Workers: results are byte-identical for any value, and the
+	// oracle must be safe for concurrent SinkDelays calls. Incremental
+	// sweeps (see Scoring) scan sequentially and ignore it.
 	Workers int
 	// Scoring selects the candidate evaluation path, exactly like
 	// Options.Scoring: incremental rank-one scoring with threshold
 	// pruning when the oracle supports it (ScoringAuto, the default), or
-	// the legacy full-solve path (ScoringFull).
+	// full solves on the worker pool (ScoringFull).
 	Scoring Scoring
 	// Obs receives counters and span timings (nil = discard); same
 	// determinism contract as Options.Obs.
@@ -118,63 +116,37 @@ func (r *WireSizeResult) WidthFunc() rc.WidthFunc {
 // capacitance by w — the first-order model under which "two separate
 // parallel wires of width w ... [are] equivalent to a single wire of width
 // 2w" as the paper observes.
-func WireSize(t *graph.Topology, opts WireSizeOptions) (_ *WireSizeResult, rerr error) {
-	defer func() { rerr = tagRequest(opts.RequestID, rerr) }()
-	if t == nil {
-		return nil, ErrSeedNil
+func WireSize(t *graph.Topology, wopts WireSizeOptions) (_ *WireSizeResult, rerr error) {
+	defer func() { rerr = tagRequest(wopts.RequestID, rerr) }()
+	widths := map[graph.Edge]int{}
+	opts := Options{Oracle: wopts.Oracle, Objective: wopts.Objective, MinImprovement: wopts.MinImprovement,
+		Width:   func(e graph.Edge) float64 { return float64(widths[e.Canon()]) },
+		Workers: wopts.Workers, Scoring: wopts.Scoring, Obs: wopts.Obs, Trace: wopts.Trace}
+	if err := checkSeed(t, &opts); err != nil {
+		return nil, err
 	}
-	if opts.Oracle == nil {
-		return nil, ErrNilOracle
-	}
-	if !t.Connected() {
-		return nil, ErrSeedInvalid
-	}
-	maxW := opts.MaxWidth
+	maxW := wopts.MaxWidth
 	if maxW <= 0 {
 		maxW = 4
 	}
 	if maxW == 1 {
 		return nil, errors.New("core: MaxWidth of 1 leaves nothing to optimize")
 	}
-	obj := opts.Objective
-	if obj == nil {
-		obj = MaxDelayObjective{}
-	}
-	minImp := opts.MinImprovement
-	if minImp <= 0 {
-		minImp = 1e-9
-	}
-
-	widths := make(map[graph.Edge]int, t.NumEdges())
 	for _, e := range t.Edges() {
 		widths[e] = 1
 	}
 	res := &WireSizeResult{Widths: widths}
-	widthFn := func(e graph.Edge) float64 { return float64(widths[e.Canon()]) }
-	rec := obs.OrNop(opts.Obs)
-	tr := trace.OrNop(opts.Trace)
-
-	eval := func() (float64, error) {
-		delays, err := opts.Oracle.SinkDelays(t, widthFn)
-		if err != nil {
-			return 0, err
-		}
-		res.Evaluations++
-		rec.Add(obs.CtrOracleEvaluations, 1)
-		return obj.Eval(delays, t.NumPins())
-	}
-
-	cur, err := eval()
+	obj := opts.objective()
+	cur, err := score(t, &opts, obj, &res.Evaluations)
 	if err != nil {
 		return nil, fmt.Errorf("core: WSORG initial evaluation: %w", err)
 	}
 	res.InitialObjective = cur
 
-	eng, err := newSweepEngine(t, opts.Oracle, widthFn, obj, opts.Scoring, opts.Obs)
+	eng, err := newSweepEngine(t, &opts, obj, &res.Evaluations)
 	if err != nil {
 		return nil, err
 	}
-
 	for sweep := 1; ; sweep++ {
 		// Widening candidates in canonical edge order (fixes tie-breaking).
 		var cands []graph.Edge
@@ -183,197 +155,59 @@ func WireSize(t *graph.Topology, opts WireSizeOptions) (_ *WireSizeResult, rerr 
 				cands = append(cands, e)
 			}
 		}
+		eng.rec.Add(obs.CtrWidenCandidates, int64(len(cands)))
+		eng.tr.Emit(trace.Event{Kind: trace.KindSweepStart, Sweep: sweep, N: int64(len(cands))})
 
-		rec.Add(obs.CtrWidenCandidates, int64(len(cands)))
-		tr.Emit(trace.Event{Kind: trace.KindSweepStart, Sweep: sweep, N: int64(len(cands))})
-
-		// The candidate objectives, aligned with cands; scored[i] is false
-		// for candidates the incremental path pruned. The widths map is
-		// read-only during a sweep, so with Workers != 1 each candidate is
-		// scored concurrently under an overlay width function instead of
-		// the sequential bump-eval-revert on the shared map.
-		vals := make([]float64, len(cands))
-		scored := make([]bool, len(cands))
-		minIdx, minVal := -1, math.Inf(1)
-		prunedBest := prunedCandidate{i: -1, lb: math.Inf(1)}
-		if eng != nil {
-			// Incremental scan: rank-one scoring with threshold-only
-			// pruning. Widening selection may rank by gain rate rather
-			// than objective (CostWeight), so the running minimum cannot
-			// tighten the cutoff — but a candidate whose best case misses
-			// the acceptance threshold can never be selected in either
-			// mode. Events are emitted inline; the scan is sequential, so
-			// the order is canonical already.
-			threshold := cur * (1 - minImp)
-			var prunedAll []prunedCandidate
-			for i, e := range cands {
-				if eng.prune {
-					lb := cur - eng.factor*eng.inc.WideningBound(e)
-					if lb >= threshold {
-						rec.Add(obs.CtrCandidatesPruned, 1)
-						tr.Emit(trace.Event{Kind: trace.KindCandidatePruned, Sweep: sweep, Index: i,
-							U: e.U, V: e.V, Width: widths[e] + 1, Value: lb, Before: threshold})
-						if lb < prunedBest.lb {
-							prunedBest = prunedCandidate{i: i, lb: lb}
-						}
-						if eng.debug {
-							prunedAll = append(prunedAll, prunedCandidate{i: i, lb: lb})
-						}
-						continue
-					}
-				}
-				delays, err := eng.inc.WithWiden(e)
-				if err != nil {
-					return nil, fmt.Errorf("core: incremental widening %v: %w", e, err)
-				}
-				val, err := obj.Eval(delays, t.NumPins())
-				if err != nil {
-					return nil, err
-				}
-				vals[i] = val
-				scored[i] = true
-				tr.Emit(trace.Event{Kind: trace.KindCandidateScored, Sweep: sweep, Index: i,
-					U: e.U, V: e.V, Width: widths[e] + 1, Value: val})
-				if val < minVal {
-					minIdx, minVal = i, val
-				}
-			}
-			for _, p := range prunedAll {
-				delays, err := eng.inc.WithWiden(cands[p.i])
-				if err != nil {
-					return nil, fmt.Errorf("core: debug-scoring pruned widening %v: %w", cands[p.i], err)
-				}
-				val, err := obj.Eval(delays, t.NumPins())
-				if err != nil {
-					return nil, err
-				}
-				if val < p.lb {
-					return nil, fmt.Errorf("%w: sweep %d widening %d %v scored %v below its proved lower bound %v",
-						ErrPruningUnsound, sweep, p.i, cands[p.i], val, p.lb)
-				}
-				if val < threshold {
-					return nil, fmt.Errorf("%w: sweep %d widening %d %v scored %v under threshold %v (bound %v)",
-						ErrPruningUnsound, sweep, p.i, cands[p.i], val, threshold, p.lb)
-				}
-			}
-		} else if workers := workerCount(opts.Workers); workers > 1 && len(cands) > 1 {
-			outcomes, evals := runSweep(t, workers, len(cands), rec, func(i int, clone *graph.Topology) (float64, error) {
-				e := cands[i]
-				overlay := func(x graph.Edge) float64 {
-					w := widths[x.Canon()]
-					if x.Canon() == e {
+		var cost func(i int) float64
+		if wopts.CostWeight > 0 {
+			// Benefit per unit of extra metal (width-length product).
+			cost = func(i int) float64 { return wopts.CostWeight * t.EdgeLength(cands[i]) }
+		}
+		win, ok, err := eng.scan(t, sweep, cur, candidates{
+			n: len(cands),
+			full: func(i int, t *graph.Topology) (float64, error) {
+				widened := opts
+				widened.Width = func(e graph.Edge) float64 {
+					w := widths[e.Canon()]
+					if e.Canon() == cands[i] {
 						w++
 					}
 					return float64(w)
 				}
-				delays, err := opts.Oracle.SinkDelays(clone, overlay)
+				val, err := scoreTopology(t, &widened, obj)
 				if err != nil {
-					return 0, fmt.Errorf("core: WSORG widening %v: %w", e, err)
+					return 0, fmt.Errorf("core: WSORG widening %v: %w", cands[i], err)
 				}
-				return obj.Eval(delays, clone.NumPins())
-			})
-			res.Evaluations += evals
-			rec.Add(obs.CtrOracleEvaluations, int64(evals))
-			for i := range outcomes {
-				if outcomes[i].err != nil {
-					return nil, outcomes[i].err
-				}
-				vals[i] = outcomes[i].val
-			}
-		} else {
-			for i, e := range cands {
-				widths[e]++
-				val, err := eval()
-				widths[e]--
+				return val, nil
+			},
+			probe: func(i int) ([]float64, error) {
+				delays, err := eng.inc.WithWiden(cands[i])
 				if err != nil {
-					return nil, fmt.Errorf("core: WSORG widening %v: %w", e, err)
+					return nil, fmt.Errorf("core: incremental widening %v: %w", cands[i], err)
 				}
-				vals[i] = val
-			}
+				return delays, nil
+			},
+			bound: func(i int) float64 { return eng.inc.WideningBound(cands[i]) },
+			event: func(i int) trace.Event {
+				return trace.Event{U: cands[i].U, V: cands[i].V, Width: widths[cands[i]] + 1}
+			},
+			cost: cost,
+		})
+		if err != nil {
+			return nil, err
 		}
-
-		if eng == nil {
-			// Candidate events in canonical order, emitted from this
-			// goroutine only, after the (possibly parallel) evaluation —
-			// the contract that keeps traces byte-identical at any worker
-			// count. (The incremental path emitted inline above.)
-			for i, e := range cands {
-				scored[i] = true
-				tr.Emit(trace.Event{Kind: trace.KindCandidateScored, Sweep: sweep, Index: i,
-					U: e.U, V: e.V, Width: widths[e] + 1, Value: vals[i]})
-				if vals[i] < minVal {
-					minIdx, minVal = i, vals[i]
-				}
-			}
-		}
-
-		bestEdge := graph.Edge{U: -1, V: -1}
-		bestVal := cur
-		bestGainRate := 0.0
-		for i, e := range cands {
-			if !scored[i] {
-				continue
-			}
-			val := vals[i]
-			if val >= cur*(1-minImp) {
-				continue
-			}
-			if opts.CostWeight > 0 {
-				// Benefit per unit of extra metal (width-length product).
-				rate := (cur - val) / (opts.CostWeight * t.EdgeLength(e))
-				if rate > bestGainRate {
-					bestGainRate = rate
-					bestEdge = e
-					bestVal = val
-				}
-			} else if val < bestVal {
-				bestEdge = e
-				bestVal = val
-			}
-		}
-		if bestEdge.U < 0 {
-			if minIdx >= 0 {
-				e := cands[minIdx]
-				tr.Emit(trace.Event{Kind: trace.KindEdgeRejected, Sweep: sweep,
-					U: e.U, V: e.V, Width: widths[e] + 1, Value: minVal, Before: cur,
-					Reason: trace.ReasonNoImprovement})
-			} else if prunedBest.i >= 0 {
-				// Every candidate was pruned: the best proved bound
-				// documents why the sweep converged.
-				e := cands[prunedBest.i]
-				tr.Emit(trace.Event{Kind: trace.KindEdgeRejected, Sweep: sweep,
-					U: e.U, V: e.V, Width: widths[e] + 1, Value: prunedBest.lb, Before: cur,
-					Reason: trace.ReasonNoImprovement})
-			}
+		if !ok {
 			break
 		}
-		if eng != nil {
-			// Winner re-solve: the committed objective must come from the
-			// same full-solve arithmetic as the legacy path so results are
-			// byte-identical between scoring modes.
-			widths[bestEdge]++
-			fullVal, err := eval()
-			widths[bestEdge]--
-			if err != nil {
-				return nil, fmt.Errorf("core: WSORG re-scoring %v: %w", bestEdge, err)
-			}
-			if fullVal >= cur*(1-minImp) {
-				tr.Emit(trace.Event{Kind: trace.KindEdgeRejected, Sweep: sweep,
-					U: bestEdge.U, V: bestEdge.V, Width: widths[bestEdge] + 1,
-					Value: fullVal, Before: cur, Reason: trace.ReasonNoImprovement})
-				break
-			}
-			bestVal = fullVal
-		}
-		widths[bestEdge]++
+		e := graph.Edge{U: win.U, V: win.V}
+		widths[e]++
 		res.Widenings++
-		rec.Add(obs.CtrWidenings, 1)
-		tr.Emit(trace.Event{Kind: trace.KindWireSizeStep, Sweep: sweep,
-			U: bestEdge.U, V: bestEdge.V, Width: widths[bestEdge],
-			Before: cur, After: bestVal})
-		cur = bestVal
+		eng.rec.Add(obs.CtrWidenings, 1)
+		win.Kind = trace.KindWireSizeStep
+		eng.tr.Emit(win)
+		cur = win.After
 		if err := eng.refactor(); err != nil {
-			return nil, fmt.Errorf("core: refactoring after widening %v: %w", bestEdge, err)
+			return nil, fmt.Errorf("core: refactoring after widening %v: %w", e, err)
 		}
 	}
 

@@ -50,7 +50,7 @@ type Config struct {
 	// circuits (the paper lists it among its SPICE parameters).
 	Inductance bool
 	// Workers bounds the goroutines each greedy sweep uses to evaluate
-	// candidates (0 = one per CPU, 1 = sequential). Table/figure results
+	// candidates (0 = one per CPU, 1 = a pool of one). Table/figure results
 	// are byte-identical for any value; the harness already parallelizes
 	// across trials, so per-sweep workers mainly help SPICE-oracle runs
 	// where a single net dominates wall clock.
@@ -79,8 +79,8 @@ func Default() Config {
 		MeasureWith:   OracleSpice,
 		SegmentLength: rc.DefaultMaxSegment,
 		// Trial-level parallelism (runTrials) already saturates the machine
-		// on the paper's many-small-nets workloads, so sweeps default to
-		// sequential here; raise Workers for SPICE-oracle runs where a few
+		// on the paper's many-small-nets workloads, so sweeps default to one
+		// worker here; raise Workers for SPICE-oracle runs where a few
 		// large nets dominate.
 		Workers: 1,
 	}

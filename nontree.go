@@ -204,9 +204,10 @@ type Config struct {
 	// rectilinear embedding avoids crossing existing wires — a
 	// routability-constrained variant of the paper's algorithms.
 	PlanarOnly bool
-	// Workers bounds the goroutines evaluating candidate edges concurrently
-	// inside each greedy sweep (0 = one per CPU, 1 = sequential). Results
-	// are byte-identical for any value — see DESIGN.md §7 on the
+	// Workers bounds the goroutines scoring candidates concurrently in each
+	// full-solve greedy sweep (0 = one per CPU, 1 = a pool of one).
+	// Incremental sweeps scan sequentially and ignore it. Results and
+	// traces are byte-identical for any value — see DESIGN.md §7 on the
 	// concurrency model and determinism guarantee.
 	Workers int
 	// Obs receives counters and timings from the run (nil = discard).
