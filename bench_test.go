@@ -572,8 +572,11 @@ func BenchmarkFastLDRG30(b *testing.B) {
 	}
 }
 
-// BenchmarkLDRGNaive30 is the generic greedy with full refactorization per
-// candidate, for comparison against BenchmarkFastLDRG30.
+// fullSolve hides an oracle's incremental support (embedding the interface
+// keeps only SinkDelays and Name), so every sweep over it scores each
+// candidate with a full solve on the worker pool.
+type fullSolve struct{ core.DelayOracle }
+
 // benchParallelSweep times one full LDRG candidate sweep (MaxAddedEdges: 1
 // bounds the run to the seed evaluation plus a single sweep-and-commit) at
 // a given worker count. Sequential (w1) and parallel (wN) variants return
@@ -598,11 +601,11 @@ func benchParallelSweep(b *testing.B, oracle core.DelayOracle, workers int) {
 }
 
 func BenchmarkParallelSweepElmore20W1(b *testing.B) {
-	benchParallelSweep(b, &core.ElmoreOracle{Params: rc.Default()}, 1)
+	benchParallelSweep(b, fullSolve{&core.ElmoreOracle{Params: rc.Default()}}, 1)
 }
 
 func BenchmarkParallelSweepElmore20WMax(b *testing.B) {
-	benchParallelSweep(b, &core.ElmoreOracle{Params: rc.Default()}, runtime.GOMAXPROCS(0))
+	benchParallelSweep(b, fullSolve{&core.ElmoreOracle{Params: rc.Default()}}, runtime.GOMAXPROCS(0))
 }
 
 func BenchmarkParallelSweepSpice20W1(b *testing.B) {
@@ -613,13 +616,15 @@ func BenchmarkParallelSweepSpice20WMax(b *testing.B) {
 	benchParallelSweep(b, &core.SpiceOracle{Params: rc.Default()}, runtime.GOMAXPROCS(0))
 }
 
+// BenchmarkLDRGNaive30 is the generic greedy with full refactorization per
+// candidate, for comparison against BenchmarkFastLDRG30.
 func BenchmarkLDRGNaive30(b *testing.B) {
 	net := benchNet(b, 30)
 	topo, err := mst.Prim(net.Pins)
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := core.Options{Oracle: &core.ElmoreOracle{Params: rc.Default()}}
+	opts := core.Options{Oracle: fullSolve{&core.ElmoreOracle{Params: rc.Default()}}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.LDRG(topo, opts); err != nil {

@@ -24,14 +24,14 @@ func TestRepositoryIsClean(t *testing.T) {
 	var out strings.Builder
 	// The module-path pattern resolves from any working directory inside
 	// the module, unlike "./..." which would only cover this command.
-	diags, stale, err := analysis.RunStale(&out, "", Analyzers, nil, "nontree/...")
+	res, err := analysis.RunAudit(&out, "", Analyzers, nil, "nontree/...")
 	if err != nil {
 		t.Fatalf("running multichecker: %v", err)
 	}
-	if len(diags) != 0 {
-		t.Errorf("expected a clean tree, got %d finding(s):\n%s", len(diags), out.String())
+	if len(res.Diags) != 0 {
+		t.Errorf("expected a clean tree, got %d finding(s):\n%s", len(res.Diags), out.String())
 	}
-	for _, s := range stale {
+	for _, s := range res.Stale {
 		t.Errorf("stale annotation: %s", s.String())
 	}
 }

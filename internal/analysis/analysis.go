@@ -194,14 +194,10 @@ func buildAllowIndex(fset *token.FileSet, files []*ast.File) allowIndex {
 	return ai
 }
 
-// RunAnalyzer executes one analyzer over a loaded package with a fresh
-// fact store, returning its diagnostics sorted by position.
-func RunAnalyzer(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
-	return RunAnalyzerFacts(a, pkg, NewFacts())
-}
-
-// RunAnalyzerFacts is RunAnalyzer with a caller-supplied fact store,
-// letting a driver share one store across the packages of a run.
+// RunAnalyzerFacts executes one analyzer over a loaded package with a
+// caller-supplied fact store (nil = a fresh one), letting a driver share
+// one store across the packages of a run. It returns the diagnostics
+// sorted by position.
 func RunAnalyzerFacts(a *Analyzer, pkg *Package, facts *Facts) ([]Diagnostic, error) {
 	if facts == nil {
 		facts = NewFacts()

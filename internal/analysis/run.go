@@ -6,62 +6,6 @@ import (
 	"sort"
 )
 
-// Run loads the packages matched by patterns (resolved in dir, or the
-// working directory when dir is empty), applies every analyzer whose Scope
-// matches each package, writes the sorted diagnostics to w, and returns
-// them. A non-nil error reports an operational failure (unparseable source,
-// type errors, go list failure) — not findings.
-func Run(w io.Writer, dir string, analyzers []*Analyzer, patterns ...string) ([]Diagnostic, error) {
-	return RunFacts(w, dir, analyzers, nil, patterns...)
-}
-
-// RunFacts is Run with caller-visible fact stores: facts[name] is the
-// store handed to the analyzer of that name for every package of the run
-// (missing entries are created), so callers can inspect or persist what
-// an analyzer exported — nontree-lint's -factdir sidecar dump and the
-// fact-count acceptance test both use this. Packages are analyzed in
-// dependency order (Loader.Load), which is what makes cross-package fact
-// propagation sound.
-func RunFacts(w io.Writer, dir string, analyzers []*Analyzer, facts map[string]*Facts, patterns ...string) ([]Diagnostic, error) {
-	loader := NewLoader()
-	pkgs, err := loader.Load(dir, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	return runLoaded(w, pkgs, analyzers, facts)
-}
-
-// runLoaded applies the analyzers to already-loaded packages, printing and
-// returning the sorted diagnostics.
-func runLoaded(w io.Writer, pkgs []*Package, analyzers []*Analyzer, facts map[string]*Facts) ([]Diagnostic, error) {
-	if facts == nil {
-		facts = map[string]*Facts{}
-	}
-	for _, a := range analyzers {
-		if facts[a.Name] == nil {
-			facts[a.Name] = NewFacts()
-		}
-	}
-	var all []Diagnostic
-	for _, pkg := range pkgs {
-		for _, a := range analyzers {
-			if !a.InScope(pkg.Path) {
-				continue
-			}
-			ds, err := RunAnalyzerFacts(a, pkg, facts[a.Name])
-			if err != nil {
-				return nil, err
-			}
-			all = append(all, ds...)
-		}
-	}
-	SortDiagnostics(all)
-	for _, d := range all {
-		fmt.Fprintln(w, d)
-	}
-	return all, nil
-}
-
 // StaleAllow is one //nontree:allow annotation that cannot be suppressing
 // anything: its analyzer is unknown, it lacks the mandatory justification,
 // the named analyzer never runs on its package, or the analyzer ran and
@@ -79,23 +23,6 @@ func (s StaleAllow) String() string {
 	return fmt.Sprintf("%s:%d: stale //nontree:allow %s: %s", s.File, s.Line, s.Analyzer, s.Reason)
 }
 
-// RunStale is RunFacts followed by a staleness sweep over every
-// //nontree:allow annotation in the loaded packages. The diagnostics and
-// error have RunFacts semantics; the returned stale list is sorted by
-// position.
-func RunStale(w io.Writer, dir string, analyzers []*Analyzer, facts map[string]*Facts, patterns ...string) ([]Diagnostic, []StaleAllow, error) {
-	loader := NewLoader()
-	pkgs, err := loader.Load(dir, patterns...)
-	if err != nil {
-		return nil, nil, err
-	}
-	diags, err := runLoaded(w, pkgs, analyzers, facts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return diags, staleAllows(pkgs, analyzers), nil
-}
-
 // Result is the full outcome of a RunAudit: unsuppressed diagnostics,
 // the findings //nontree:allow annotations absorbed, the annotations that
 // absorbed nothing, and how many packages were analyzed. It is the single
@@ -111,9 +38,16 @@ type Result struct {
 	Packages int
 }
 
-// RunAudit is the superset driver: RunFacts plus suppressed-diagnostic
-// capture plus the staleness sweep, in one load. Unsuppressed diagnostics
-// are printed to w as they are in Run; everything else is only returned.
+// RunAudit loads the packages matched by patterns (resolved in dir, or the
+// working directory when dir is empty) and applies every analyzer whose
+// Scope matches each package, in dependency order (Loader.Load), which is
+// what makes cross-package fact propagation sound. facts[name] is the store
+// handed to the analyzer of that name for every package (missing entries
+// are created), so callers can inspect or persist what an analyzer
+// exported. After the run it sweeps every //nontree:allow annotation for
+// staleness. Unsuppressed diagnostics are printed to w; everything else is
+// only returned. A non-nil error reports an operational failure
+// (unparseable source, type errors, go list failure) — not findings.
 func RunAudit(w io.Writer, dir string, analyzers []*Analyzer, facts map[string]*Facts, patterns ...string) (Result, error) {
 	loader := NewLoader()
 	pkgs, err := loader.Load(dir, patterns...)

@@ -30,7 +30,8 @@ type CleanupResult struct {
 // This is the natural complement to the paper's edge-addition greedy: where
 // LDRG explores tree → graph, Cleanup walks back graph → cheaper graph. On
 // pure trees it removes nothing (every edge is a bridge).
-func Cleanup(seed *graph.Topology, slack float64, opts Options) (*CleanupResult, error) {
+func Cleanup(seed *graph.Topology, slack float64, opts Options) (_ *CleanupResult, rerr error) {
+	defer func() { rerr = tagRequest(opts.RequestID, rerr) }()
 	if err := checkSeed(seed, &opts); err != nil {
 		return nil, err
 	}

@@ -19,9 +19,18 @@ import (
 // that Workers NEVER changes decisions, whichever scoring path it ends up
 // steering.
 
-// eqRun is one algorithm invocation under a scoring mode and worker count.
-// It returns the result fingerprint plus the trace's accepted edges.
-type eqRun func(t *testing.T, scoring Scoring, workers int, tr trace.Tracer) string
+// eqRun is one algorithm invocation on the oracle of a scoring path (see
+// scoredBy) at a worker count. It returns the result fingerprint.
+type eqRun func(t *testing.T, oracle DelayOracle, workers int, tr trace.Tracer) string
+
+// scoredBy returns the Elmore oracle the sweeps score incrementally, or
+// with full set, the same oracle behind fullSolve.
+func scoredBy(full bool) DelayOracle {
+	if full {
+		return fullSolve{elmoreOracle()}
+	}
+	return elmoreOracle()
+}
 
 func acceptedOf(t *testing.T, label string, fn func(tr trace.Tracer) error) []trace.AcceptedEdge {
 	t.Helper()
@@ -43,10 +52,10 @@ func greedyRef(seed *graph.Topology, opts Options, taps bool) eqRef {
 	}
 }
 
-// TestScoringEquivalence is the table: every ScoringFull and ScoringAuto
-// (incremental + pruning) run, at every worker count, must match the
-// reference greedy exactly. H1–H3 take no sweep scan; their reference is
-// their own ScoringFull Workers=1 run.
+// TestScoringEquivalence is the table: every full-solve and incremental
+// (with pruning) run, at every worker count, must match the reference
+// greedy exactly. H1–H3 take no sweep scan; their reference is their own
+// full-solve Workers=1 run.
 func TestScoringEquivalence(t *testing.T) {
 	topo := randomMST(t, 6001, 12)
 	tapTopo := randomMST(t, 6002, 9)
@@ -59,7 +68,7 @@ func TestScoringEquivalence(t *testing.T) {
 	}
 	wireSizeRef := func(wopts WireSizeOptions) eqRef {
 		return func(t *testing.T) (string, []trace.AcceptedEdge) {
-			res, err := referenceWireSize(topo, wopts)
+			res, err := referenceWireSize(topo, wopts, Options{Oracle: elmoreOracle()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,75 +81,75 @@ func TestScoringEquivalence(t *testing.T) {
 	algos := []struct {
 		name string
 		run  eqRun
-		ref  eqRef // nil: the ScoringFull Workers=1 run
+		ref  eqRef // nil: the full-solve Workers=1 run
 	}{
-		{"LDRG", func(t *testing.T, s Scoring, w int, tr trace.Tracer) string {
-			res, err := LDRG(topo, Options{Oracle: elmoreOracle(), Scoring: s, Workers: w, Trace: tr})
+		{"LDRG", func(t *testing.T, o DelayOracle, w int, tr trace.Tracer) string {
+			res, err := LDRG(topo, Options{Oracle: o, Workers: w, Trace: tr})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res.Fingerprint()
 		}, greedyRef(topo, Options{Oracle: elmoreOracle()}, false)},
-		{"SLDRG", func(t *testing.T, s Scoring, w int, tr trace.Tracer) string {
-			res, err := SLDRG(net.Pins, steiner.Options{}, Options{Oracle: elmoreOracle(), Scoring: s, Workers: w, Trace: tr})
+		{"SLDRG", func(t *testing.T, o DelayOracle, w int, tr trace.Tracer) string {
+			res, err := SLDRG(net.Pins, steiner.Options{}, Options{Oracle: o, Workers: w, Trace: tr})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res.Fingerprint()
 		}, greedyRef(steinerSeed, Options{Oracle: elmoreOracle()}, false)},
-		{"LDRGWithTaps", func(t *testing.T, s Scoring, w int, tr trace.Tracer) string {
-			res, err := LDRGWithTaps(tapTopo, Options{Oracle: elmoreOracle(), Scoring: s, Workers: w, Trace: tr})
+		{"LDRGWithTaps", func(t *testing.T, o DelayOracle, w int, tr trace.Tracer) string {
+			res, err := LDRGWithTaps(tapTopo, Options{Oracle: o, Workers: w, Trace: tr})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res.Fingerprint()
 		}, greedyRef(tapTopo, Options{Oracle: elmoreOracle()}, true)},
-		{"CriticalSinkLDRG", func(t *testing.T, s Scoring, w int, tr trace.Tracer) string {
-			res, err := CriticalSinkLDRG(topo, alphas, Options{Oracle: elmoreOracle(), Scoring: s, Workers: w, Trace: tr})
+		{"CriticalSinkLDRG", func(t *testing.T, o DelayOracle, w int, tr trace.Tracer) string {
+			res, err := CriticalSinkLDRG(topo, alphas, Options{Oracle: o, Workers: w, Trace: tr})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res.Fingerprint()
 		}, greedyRef(topo, Options{Oracle: elmoreOracle(), Objective: &WeightedDelayObjective{Alphas: alphas}}, false)},
-		{"H1", func(t *testing.T, s Scoring, w int, tr trace.Tracer) string {
-			res, err := H1(topo, Options{Oracle: elmoreOracle(), Scoring: s, Workers: w, Trace: tr})
+		{"H1", func(t *testing.T, o DelayOracle, w int, tr trace.Tracer) string {
+			res, err := H1(topo, Options{Oracle: o, Workers: w, Trace: tr})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res.Fingerprint()
 		}, nil},
-		{"H2", func(t *testing.T, s Scoring, w int, tr trace.Tracer) string {
-			res, err := H2(topo, params, Options{Oracle: elmoreOracle(), Scoring: s, Workers: w, Trace: tr})
+		{"H2", func(t *testing.T, o DelayOracle, w int, tr trace.Tracer) string {
+			res, err := H2(topo, params, Options{Oracle: o, Workers: w, Trace: tr})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res.Fingerprint()
 		}, nil},
-		{"H3", func(t *testing.T, s Scoring, w int, tr trace.Tracer) string {
-			res, err := H3(topo, params, Options{Oracle: elmoreOracle(), Scoring: s, Workers: w, Trace: tr})
+		{"H3", func(t *testing.T, o DelayOracle, w int, tr trace.Tracer) string {
+			res, err := H3(topo, params, Options{Oracle: o, Workers: w, Trace: tr})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res.Fingerprint()
 		}, nil},
-		{"WireSize", func(t *testing.T, s Scoring, w int, tr trace.Tracer) string {
-			res, err := WireSize(topo, WireSizeOptions{Oracle: elmoreOracle(), MaxWidth: 3, Scoring: s, Workers: w, Trace: tr})
+		{"WireSize", func(t *testing.T, o DelayOracle, w int, tr trace.Tracer) string {
+			res, err := WireSize(topo, WireSizeOptions{MaxWidth: 3}, Options{Oracle: o, Workers: w, Trace: tr})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res.Fingerprint()
-		}, wireSizeRef(WireSizeOptions{Oracle: elmoreOracle(), MaxWidth: 3})},
-		{"WireSizeCostWeighted", func(t *testing.T, s Scoring, w int, tr trace.Tracer) string {
-			res, err := WireSize(topo, WireSizeOptions{Oracle: elmoreOracle(), MaxWidth: 3, CostWeight: 0.5, Scoring: s, Workers: w, Trace: tr})
+		}, wireSizeRef(WireSizeOptions{MaxWidth: 3})},
+		{"WireSizeCostWeighted", func(t *testing.T, o DelayOracle, w int, tr trace.Tracer) string {
+			res, err := WireSize(topo, WireSizeOptions{MaxWidth: 3, CostWeight: 0.5}, Options{Oracle: o, Workers: w, Trace: tr})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res.Fingerprint()
-		}, wireSizeRef(WireSizeOptions{Oracle: elmoreOracle(), MaxWidth: 3, CostWeight: 0.5})},
-		{"HORG", func(t *testing.T, s Scoring, w int, tr trace.Tracer) string {
+		}, wireSizeRef(WireSizeOptions{MaxWidth: 3, CostWeight: 0.5})},
+		{"HORG", func(t *testing.T, o DelayOracle, w int, tr trace.Tracer) string {
 			res, err := HORG(net.Pins, horgAlphas, true,
 				WireSizeOptions{MaxWidth: 3},
-				Options{Oracle: elmoreOracle(), Scoring: s, Workers: w, Trace: tr})
+				Options{Oracle: o, Workers: w, Trace: tr})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,7 +159,7 @@ func TestScoringEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sizing, err := referenceWireSize(routing.Topology, WireSizeOptions{Oracle: elmoreOracle(), Objective: horgObj, MaxWidth: 3})
+			sizing, err := referenceWireSize(routing.Topology, WireSizeOptions{MaxWidth: 3}, Options{Oracle: elmoreOracle(), Objective: horgObj})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,16 +176,16 @@ func TestScoringEquivalence(t *testing.T) {
 				refFP, refAccepted = a.ref(t)
 			} else {
 				refAccepted = acceptedOf(t, a.name+"/full/w1", func(tr trace.Tracer) error {
-					refFP = a.run(t, ScoringFull, 1, tr)
+					refFP = a.run(t, scoredBy(true), 1, tr)
 					return nil
 				})
 			}
-			for _, scoring := range []Scoring{ScoringFull, ScoringAuto} {
+			for _, full := range []bool{true, false} {
 				for _, w := range workerGrid {
-					label := fmt.Sprintf("scoring=%d/w%d", scoring, w)
+					label := fmt.Sprintf("full=%v/w%d", full, w)
 					var fp string
 					accepted := acceptedOf(t, a.name+"/"+label, func(tr trace.Tracer) error {
-						fp = a.run(t, scoring, w, tr)
+						fp = a.run(t, scoredBy(full), w, tr)
 						return nil
 					})
 					if fp != refFP {
@@ -203,16 +212,16 @@ func TestScoringEquivalence(t *testing.T) {
 // on tiny nets.
 func TestScoringEquivalenceEvaluationsDrop(t *testing.T) {
 	topo := randomMST(t, 6004, 14)
-	full, err := LDRG(topo, Options{Oracle: elmoreOracle(), Scoring: ScoringFull})
+	full, err := LDRG(topo, Options{Oracle: scoredBy(true)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := LDRG(topo, Options{Oracle: elmoreOracle(), Scoring: ScoringAuto})
+	inc, err := LDRG(topo, Options{Oracle: scoredBy(false)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if inc.Fingerprint() != full.Fingerprint() {
-		t.Fatalf("scoring modes disagree on decisions:\n%s\nvs\n%s", inc.Fingerprint(), full.Fingerprint())
+		t.Fatalf("scoring paths disagree on decisions:\n%s\nvs\n%s", inc.Fingerprint(), full.Fingerprint())
 	}
 	if inc.Evaluations*2 > full.Evaluations {
 		t.Errorf("incremental path did %d oracle evaluations, full did %d; expected at least a 2x drop",

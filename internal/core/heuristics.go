@@ -66,7 +66,7 @@ func H1(seed *graph.Topology, opts Options) (_ *Result, rerr error) {
 			// the perturbed model already rejects never touches the full
 			// oracle. Accepted probes still go through the full solve below
 			// (whose delay vector the next iteration needs anyway), so
-			// committed objectives stay identical to ScoringFull's.
+			// committed objectives stay identical to a full-solve run's.
 			probe, err := eng.inc.WithEdge(e)
 			if err != nil {
 				return nil, fmt.Errorf("core: H1 probing %v: %w", e, err)
@@ -75,7 +75,7 @@ func H1(seed *graph.Topology, opts Options) (_ *Result, rerr error) {
 			if err != nil {
 				return nil, err
 			}
-			if val >= cur*(1-opts.minImprovement()) {
+			if val >= cur*(1-minImprovement) {
 				tr.Emit(trace.Event{Kind: trace.KindCandidateScored, Sweep: sweep, Index: 0,
 					U: e.U, V: e.V, Value: val})
 				tr.Emit(trace.Event{Kind: trace.KindEdgeRejected, Sweep: sweep,
@@ -98,7 +98,7 @@ func H1(seed *graph.Topology, opts Options) (_ *Result, rerr error) {
 		}
 		tr.Emit(trace.Event{Kind: trace.KindCandidateScored, Sweep: sweep, Index: 0,
 			U: e.U, V: e.V, Value: val})
-		if val >= cur*(1-opts.minImprovement()) {
+		if val >= cur*(1-minImprovement) {
 			// Not an improvement: revert and stop.
 			if err := t.RemoveEdge(e); err != nil {
 				return nil, err

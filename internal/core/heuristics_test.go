@@ -282,26 +282,6 @@ func TestTraceInvariants(t *testing.T) {
 	}
 }
 
-func TestMinImprovementThreshold(t *testing.T) {
-	topo := randomMST(t, 9, 15)
-	strict, err := LDRG(topo, Options{Oracle: elmoreOracle(), MinImprovement: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loose, err := LDRG(topo, Options{Oracle: elmoreOracle()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(strict.AddedEdges) > len(loose.AddedEdges) {
-		t.Error("a 50% improvement threshold cannot accept more edges than the default")
-	}
-	for i, v := range strict.Trace[1:] {
-		if v > strict.Trace[i]*(1-0.5)+1e-15 {
-			t.Errorf("accepted edge %d improved less than the 50%% threshold", i)
-		}
-	}
-}
-
 func TestWeightedObjectiveUniformEqualsAverage(t *testing.T) {
 	topo := randomMST(t, 6, 10)
 	alphas := UniformCriticality(topo.NumPins())

@@ -13,7 +13,8 @@ import (
 // the weighted objective Σ α_i·t(n_i) instead of max delay. alphas[i]
 // weights sink node i+1; see UniformCriticality and SingleCriticalSink for
 // the two special cases the paper calls out.
-func CriticalSinkLDRG(seed *graph.Topology, alphas []float64, opts Options) (*Result, error) {
+func CriticalSinkLDRG(seed *graph.Topology, alphas []float64, opts Options) (_ *Result, rerr error) {
+	defer func() { rerr = tagRequest(opts.RequestID, rerr) }()
 	if len(alphas) != seed.NumPins()-1 {
 		return nil, fmt.Errorf("core: %d criticalities for %d sinks", len(alphas), seed.NumPins()-1)
 	}
@@ -36,12 +37,12 @@ func (r *HORGResult) FinalObjective() float64 { return r.Sizing.FinalObjective }
 // sink criticalities, find Steiner points, a routing graph, and a width
 // function minimizing Σ α_i·t(n_i). This implementation composes the
 // paper's own building blocks: an Iterated 1-Steiner seed, criticality-
-// weighted LDRG edge addition, then greedy WSORG wire sizing — each stage
-// reusing the same oracle and weighted objective.
+// weighted LDRG edge addition, then greedy WSORG wire sizing — both stages
+// run with the same opts, under the weighted objective.
 //
 // When useSteiner is false the pipeline seeds from the MST instead,
 // yielding the Steiner-free HORG restriction.
-func HORG(pins []geom.Point, alphas []float64, useSteiner bool, wsOpts WireSizeOptions, opts Options) (_ *HORGResult, rerr error) {
+func HORG(pins []geom.Point, alphas []float64, useSteiner bool, wopts WireSizeOptions, opts Options) (_ *HORGResult, rerr error) {
 	defer func() { rerr = tagRequest(opts.RequestID, rerr) }()
 	if len(alphas) != len(pins)-1 {
 		return nil, fmt.Errorf("core: %d criticalities for %d sinks", len(alphas), len(pins)-1)
@@ -67,23 +68,7 @@ func HORG(pins []geom.Point, alphas []float64, useSteiner bool, wsOpts WireSizeO
 		routing = &SLDRGResult{Result: *r, Seed: seed}
 	}
 
-	wsOpts.Objective = opts.Objective
-	if wsOpts.Oracle == nil {
-		wsOpts.Oracle = opts.Oracle
-	}
-	if wsOpts.Scoring == ScoringAuto {
-		wsOpts.Scoring = opts.Scoring
-	}
-	if wsOpts.Workers == 0 {
-		wsOpts.Workers = opts.Workers
-	}
-	if wsOpts.Obs == nil {
-		wsOpts.Obs = opts.Obs
-	}
-	if wsOpts.Trace == nil {
-		wsOpts.Trace = opts.Trace
-	}
-	sizing, err := WireSize(routing.Topology, wsOpts)
+	sizing, err := WireSize(routing.Topology, wopts, opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: HORG sizing stage: %w", err)
 	}

@@ -24,10 +24,6 @@ type Options struct {
 	// run to convergence (the paper's termination: "when no further delay
 	// improvement is possible").
 	MaxAddedEdges int
-	// MinImprovement is the minimum relative objective improvement an edge
-	// must deliver to be accepted (guards against floating-point noise
-	// accepting meaningless edges). Default 1e-9.
-	MinImprovement float64
 	// Width supplies wire widths to the oracle (nil = unit widths). The
 	// greedy loop holds widths fixed; see WireSize for width optimization.
 	Width rc.WidthFunc
@@ -43,20 +39,10 @@ type Options struct {
 	// candidate is scored on a worker-private Topology clone, and the
 	// winner is chosen after the pool joins by (objective, then canonical
 	// candidate order). Oracles must be safe for concurrent SinkDelays
-	// calls (all oracles in this package are; see DelayOracle).
-	// Incremental sweeps (see Scoring) scan sequentially and ignore it.
+	// calls (all oracles in this package are; see DelayOracle). Sweeps
+	// over an oracle that implements IncrementalScorer score candidates
+	// incrementally, in one sequential scan, and ignore it.
 	Workers int
-	// Scoring selects how sweeps evaluate candidates: ScoringAuto (the
-	// zero value) scores candidates as rank-one perturbations with
-	// lower-bound pruning whenever the oracle supports it (only
-	// ElmoreOracle does), and with full solves on the worker pool
-	// otherwise; ScoringFull forces full solves; see the Scoring
-	// constants. Both modes produce byte-identical Results — only
-	// Evaluations (full solves are ~one per sweep instead of one per
-	// candidate) and the trace's candidate-level events differ — unless
-	// rounding splits a near-tie by more than nearTie, or H1's pre-screen
-	// lands on its threshold.
-	Scoring Scoring
 	// Obs receives counters and span timings from the run (nil = discard).
 	// Counters and histograms are deterministic for a fixed seed at any
 	// Workers value; wall-clock timings land in the recorder's Timings
@@ -74,20 +60,24 @@ type Options struct {
 	// error tags and the daemon's wide event, never read by any sweep
 	// decision (DESIGN.md §16).
 	RequestID string
+
+	// auditPruning re-scores every pruned candidate after each incremental
+	// sweep and fails the run with errPruningUnsound if one would have been
+	// selected (see sweepEngine.probeAll). Tests set it to certify the
+	// pruning bounds; it never changes a decision.
+	auditPruning bool
 }
+
+// minImprovement is the minimum relative objective improvement a
+// modification must deliver to be accepted; it keeps floating-point noise
+// from accepting meaningless edges and widenings.
+const minImprovement = 1e-9
 
 func (o *Options) objective() Objective {
 	if o.Objective == nil {
 		return MaxDelayObjective{}
 	}
 	return o.Objective
-}
-
-func (o *Options) minImprovement() float64 {
-	if o.MinImprovement <= 0 {
-		return 1e-9
-	}
-	return o.MinImprovement
 }
 
 // workers resolves the Workers knob: 0 = one per CPU, anything below 1 is
@@ -129,7 +119,7 @@ func (r *Result) Improved() bool { return r.FinalObjective < r.InitialObjective 
 // float literals, and the final topology's edge list. Two runs that made
 // identical decisions produce identical fingerprints. Evaluations is
 // deliberately excluded — it measures how hard the oracle worked, not what
-// was decided, and differs between scoring modes by design.
+// was decided, and differs between scoring paths by design.
 func (r *Result) Fingerprint() string {
 	var b strings.Builder
 	b.WriteString("added=")

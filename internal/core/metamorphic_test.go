@@ -174,7 +174,7 @@ func TestMetamorphicWorkersByteIdentical(t *testing.T) {
 			return outcome{edges: res.AddedEdges, final: res.FinalObjective}, nil
 		}},
 		{"wiresize", func(s *graph.Topology, w int, rec obs.Recorder) (outcome, error) {
-			res, err := WireSize(s, WireSizeOptions{
+			res, err := WireSize(s, WireSizeOptions{}, Options{
 				Oracle:  &ElmoreOracle{Params: rc.Default(), Obs: rec},
 				Workers: w,
 				Obs:     rec,

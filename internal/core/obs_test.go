@@ -62,7 +62,7 @@ func TestObsCountersMatchWireSizeResult(t *testing.T) {
 	topo := randomMST(t, 8200, 10)
 	reg := obs.NewRegistry()
 	obs.Preregister(reg)
-	res, err := WireSize(topo, WireSizeOptions{
+	res, err := WireSize(topo, WireSizeOptions{}, Options{
 		Oracle: &ElmoreOracle{Params: rc.Default(), Obs: reg},
 		Obs:    reg,
 	})

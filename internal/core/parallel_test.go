@@ -49,8 +49,8 @@ func withWorkers(opts Options, w int) Options {
 
 // TestParallelEquivalenceLDRG asserts every Workers value reproduces the
 // reference greedy's decisions on seeded random nets, across both oracles
-// and all the LDRG-family entry points, and that Workers never changes
-// Evaluations either.
+// (Elmore on both scoring paths) and all the LDRG-family entry points, and
+// that Workers never changes Evaluations either.
 func TestParallelEquivalenceLDRG(t *testing.T) {
 	type oracleCase struct {
 		name   string
@@ -59,11 +59,13 @@ func TestParallelEquivalenceLDRG(t *testing.T) {
 	}
 	cases := []oracleCase{
 		{"elmore", elmoreOracle(), []int{5, 9, 14, 20}},
+		{"elmore-full", fullSolve{elmoreOracle()}, []int{5, 9, 14}},
 		{"spice", spiceOracle(), []int{5, 8}},
 	}
 	if testing.Short() {
 		cases[0].pins = []int{5, 9}
-		cases[1].pins = []int{5}
+		cases[1].pins = []int{5, 9}
+		cases[2].pins = []int{5}
 	}
 	// check runs one entry point at every worker count against its
 	// reference result.
@@ -145,7 +147,8 @@ func TestParallelEquivalenceLDRG(t *testing.T) {
 
 // TestParallelEquivalenceHORG covers the hybrid pipeline end to end: the
 // routing stage and the downstream sizing stage must both match the
-// reference greedy at any worker count, with the same Evaluations.
+// reference greedy on both scoring paths at any worker count, with the
+// same Evaluations.
 func TestParallelEquivalenceHORG(t *testing.T) {
 	gen := netlist.NewGenerator(41)
 	net, err := gen.Generate(8)
@@ -153,7 +156,6 @@ func TestParallelEquivalenceHORG(t *testing.T) {
 		t.Fatal(err)
 	}
 	alphas := UniformCriticality(8)
-	base := Options{Oracle: elmoreOracle()}
 	ws := WireSizeOptions{MaxWidth: 3}
 
 	stree, err := steiner.Tree(net.Pins, steiner.Options{})
@@ -161,35 +163,37 @@ func TestParallelEquivalenceHORG(t *testing.T) {
 		t.Fatal(err)
 	}
 	obj := &WeightedDelayObjective{Alphas: alphas}
-	refRouting, _, err := referenceGreedy(stree, Options{Oracle: base.Oracle, Objective: obj}, false)
+	refRouting, _, err := referenceGreedy(stree, Options{Oracle: elmoreOracle(), Objective: obj}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refSizing, err := referenceWireSize(refRouting.Topology, WireSizeOptions{Oracle: base.Oracle, Objective: obj, MaxWidth: 3})
+	refSizing, err := referenceWireSize(refRouting.Topology, ws, Options{Oracle: elmoreOracle(), Objective: obj})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var first *HORGResult
-	for _, workers := range []int{1, 5} {
-		got, err := HORG(net.Pins, alphas, true, ws, withWorkers(base, workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		label := fmt.Sprintf("HORG/w%d", workers)
-		matchReference(t, label+" routing", refRouting, &got.Routing.Result)
-		if g, w := got.Sizing.Fingerprint(), refSizing.Fingerprint(); g != w {
-			t.Errorf("%s sizing differs from the reference:\ngot:\n%swant:\n%s", label, g, w)
-		}
-		if first == nil {
-			first = got
-			continue
-		}
-		sameResult(t, label+" routing", &first.Routing.Result, &got.Routing.Result)
-		if got.Sizing.Evaluations != first.Sizing.Evaluations {
-			t.Errorf("%s sizing: evaluations %d vs %d at Workers 1", label, got.Sizing.Evaluations, first.Sizing.Evaluations)
-		}
-		if got.FinalObjective() != first.FinalObjective() {
-			t.Errorf("%s final objective %.17g vs %.17g at Workers 1", label, got.FinalObjective(), first.FinalObjective())
+	for _, full := range []bool{false, true} {
+		var first *HORGResult
+		for _, workers := range []int{1, 5} {
+			got, err := HORG(net.Pins, alphas, true, ws, Options{Oracle: scoredBy(full), Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("HORG/full=%v/w%d", full, workers)
+			matchReference(t, label+" routing", refRouting, &got.Routing.Result)
+			if g, w := got.Sizing.Fingerprint(), refSizing.Fingerprint(); g != w {
+				t.Errorf("%s sizing differs from the reference:\ngot:\n%swant:\n%s", label, g, w)
+			}
+			if first == nil {
+				first = got
+				continue
+			}
+			sameResult(t, label+" routing", &first.Routing.Result, &got.Routing.Result)
+			if got.Sizing.Evaluations != first.Sizing.Evaluations {
+				t.Errorf("%s sizing: evaluations %d vs %d at Workers 1", label, got.Sizing.Evaluations, first.Sizing.Evaluations)
+			}
+			if got.FinalObjective() != first.FinalObjective() {
+				t.Errorf("%s final objective %.17g vs %.17g at Workers 1", label, got.FinalObjective(), first.FinalObjective())
+			}
 		}
 	}
 }
@@ -201,17 +205,16 @@ func TestParallelEquivalenceHORG(t *testing.T) {
 func TestParallelEquivalenceWireSize(t *testing.T) {
 	topo := randomMST(t, 808, 10)
 	for _, costWeight := range []float64{0, 0.5} {
-		base := WireSizeOptions{Oracle: elmoreOracle(), MaxWidth: 3, CostWeight: costWeight}
-		ref, err := referenceWireSize(topo, base)
+		wopts := WireSizeOptions{MaxWidth: 3, CostWeight: costWeight}
+		base := Options{Oracle: elmoreOracle()}
+		ref, err := referenceWireSize(topo, wopts, base)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var first *WireSizeResult
 		for _, workers := range []int{1, 6} {
 			label := fmt.Sprintf("costweight=%g/w%d", costWeight, workers)
-			opts := base
-			opts.Workers = workers
-			got, err := WireSize(topo, opts)
+			got, err := WireSize(topo, wopts, withWorkers(base, workers))
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -321,7 +324,7 @@ func TestParallelLDRGStress(t *testing.T) {
 		t.Skip("short mode")
 	}
 	topo := randomMST(t, 3030, 30)
-	base := Options{Oracle: elmoreOracle(), MaxAddedEdges: 3, Scoring: ScoringFull}
+	base := Options{Oracle: fullSolve{elmoreOracle()}, MaxAddedEdges: 3}
 	ref, _, err := referenceGreedy(topo, base, false)
 	if err != nil {
 		t.Fatal(err)
@@ -365,13 +368,13 @@ func TestSweepDeterminismGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("reference", ref)
-	for _, scoring := range []Scoring{ScoringAuto, ScoringFull} {
+	for _, full := range []bool{false, true} {
 		for _, workers := range []int{1, 4} {
-			res, err := LDRG(topo, Options{Oracle: elmoreOracle(), Scoring: scoring, Workers: workers})
+			res, err := LDRG(topo, Options{Oracle: scoredBy(full), Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
-			check(fmt.Sprintf("scoring=%d/workers=%d", scoring, workers), res)
+			check(fmt.Sprintf("full=%v/workers=%d", full, workers), res)
 		}
 	}
 }

@@ -9,25 +9,26 @@ import (
 	"nontree/internal/trace"
 )
 
-// This file is the differential layer for pruning soundness. The debug
-// scoring mode re-scores every pruned candidate after each sweep and fails
-// with ErrPruningUnsound if any of them could have changed the decision;
+// This file is the differential layer for pruning soundness. The pruning
+// audit (Options.auditPruning) re-scores every pruned candidate after each
+// sweep and fails with errPruningUnsound if any of them could have changed
+// the decision;
 // the metamorphic test checks a structural property of the bound — uniform
 // resistance scaling multiplies every delay, bound, and threshold by the
 // same constant, so the *set* of pruned candidates must not move.
 
-// TestDebugScoringAuditPasses runs the audit mode over a seeded corpus:
-// no run may trip ErrPruningUnsound, and the audited runs must decide
-// exactly what ScoringAuto decides (the audit is observation-only).
+// TestDebugScoringAuditPasses runs the audit over a seeded corpus: no run
+// may trip errPruningUnsound, and the audited runs must decide exactly what
+// unaudited runs decide (the audit is observation-only).
 func TestDebugScoringAuditPasses(t *testing.T) {
 	for seed := int64(6100); seed < 6112; seed++ {
 		pins := 8 + int(seed%3)*3
 		topo := randomMST(t, seed, pins)
-		auto, err := LDRG(topo, Options{Oracle: elmoreOracle(), Scoring: ScoringAuto})
+		auto, err := LDRG(topo, Options{Oracle: elmoreOracle()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		dbg, err := LDRG(topo, Options{Oracle: elmoreOracle(), Scoring: ScoringIncrementalDebug})
+		dbg, err := LDRG(topo, Options{Oracle: elmoreOracle(), auditPruning: true})
 		if err != nil {
 			t.Fatalf("seed %d: debug audit failed: %v", seed, err)
 		}
@@ -43,11 +44,11 @@ func TestDebugScoringAuditPasses(t *testing.T) {
 func TestDebugScoringAuditWireSize(t *testing.T) {
 	for seed := int64(6120); seed < 6126; seed++ {
 		topo := randomMST(t, seed, 10)
-		auto, err := WireSize(topo, WireSizeOptions{Oracle: elmoreOracle(), MaxWidth: 3, Scoring: ScoringAuto})
+		auto, err := WireSize(topo, WireSizeOptions{MaxWidth: 3}, Options{Oracle: elmoreOracle()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		dbg, err := WireSize(topo, WireSizeOptions{Oracle: elmoreOracle(), MaxWidth: 3, Scoring: ScoringIncrementalDebug})
+		dbg, err := WireSize(topo, WireSizeOptions{MaxWidth: 3}, Options{Oracle: elmoreOracle(), auditPruning: true})
 		if err != nil {
 			t.Fatalf("seed %d: debug audit failed: %v", seed, err)
 		}
@@ -63,9 +64,9 @@ func TestDebugScoringAuditWireSize(t *testing.T) {
 func TestDebugScoringRejectsNonIncrementalOracle(t *testing.T) {
 	topo := randomMST(t, 6130, 8)
 	stub := &fixedOracle{}
-	_, err := LDRG(topo, Options{Oracle: stub, Scoring: ScoringIncrementalDebug})
+	_, err := LDRG(topo, Options{Oracle: stub, auditPruning: true})
 	if err == nil {
-		t.Fatal("ScoringIncrementalDebug with a non-incremental oracle must fail loudly")
+		t.Fatal("the pruning audit with a non-incremental oracle must fail loudly")
 	}
 }
 
@@ -109,7 +110,7 @@ func TestMetamorphicPruningScaleInvariance(t *testing.T) {
 			var res *Result
 			events := traceOf(t, fmt.Sprintf("seed%d", seed), 1<<16, func(tr trace.Tracer) error {
 				var err error
-				res, err = LDRG(topo, Options{Oracle: &ElmoreOracle{Params: p}, Scoring: ScoringAuto, Trace: tr})
+				res, err = LDRG(topo, Options{Oracle: &ElmoreOracle{Params: p}, Trace: tr})
 				return err
 			})
 			return events, res

@@ -16,7 +16,12 @@ import (
 // state — an edge is added, scored and removed; a tap is applied to a
 // clone; a width is bumped and reverted — and the first strict minimum
 // below the threshold is accepted. The equivalence, parallel and fuzz
-// suites hold every scoring mode and worker count to it.
+// suites hold both scoring paths and every worker count to it.
+
+// fullSolve hides the wrapped oracle's IncrementalScorer (embedding the
+// interface keeps only SinkDelays and Name), so every sweep over it scores
+// candidates with full solves on the worker pool.
+type fullSolve struct{ DelayOracle }
 
 func refScore(t *graph.Topology, opts *Options, width rc.WidthFunc) (float64, error) {
 	delays, err := opts.Oracle.SinkDelays(t, width)
@@ -37,7 +42,7 @@ func referenceGreedy(seed *graph.Topology, opts Options, taps bool) (*Result, []
 	res := &Result{Topology: t, InitialObjective: cur, Trace: []float64{cur}, Evaluations: 1}
 	var accepted []trace.AcceptedEdge
 	for opts.MaxAddedEdges <= 0 || len(res.AddedEdges) < opts.MaxAddedEdges {
-		threshold := cur * (1 - opts.minImprovement())
+		threshold := cur * (1 - minImprovement)
 		edgeVal, edgeOK := cur, false
 		var edge graph.Edge
 		for _, e := range candidateEdges(t, &opts) {
@@ -109,7 +114,7 @@ func referenceDone(res *Result, cur float64, taps bool, accepted []trace.Accepte
 
 // referenceWireSize runs the WSORG greedy: widths are bumped in the shared
 // map, scored and reverted one candidate at a time.
-func referenceWireSize(t *graph.Topology, wopts WireSizeOptions) (*WireSizeResult, error) {
+func referenceWireSize(t *graph.Topology, wopts WireSizeOptions, opts Options) (*WireSizeResult, error) {
 	maxW := wopts.MaxWidth
 	if maxW <= 0 {
 		maxW = 4
@@ -119,14 +124,13 @@ func referenceWireSize(t *graph.Topology, wopts WireSizeOptions) (*WireSizeResul
 		widths[e] = 1
 	}
 	width := func(e graph.Edge) float64 { return float64(widths[e.Canon()]) }
-	opts := Options{Oracle: wopts.Oracle, Objective: wopts.Objective, MinImprovement: wopts.MinImprovement}
 	cur, err := refScore(t, &opts, width)
 	if err != nil {
 		return nil, err
 	}
 	res := &WireSizeResult{Widths: widths, InitialObjective: cur, Evaluations: 1}
 	for {
-		threshold := cur * (1 - opts.minImprovement())
+		threshold := cur * (1 - minImprovement)
 		best, bestVal, bestRate := graph.Edge{U: -1, V: -1}, cur, 0.0
 		for _, e := range t.Edges() {
 			if widths[e] >= maxW {
@@ -170,8 +174,10 @@ func matchReference(t *testing.T, label string, ref, got *Result) {
 }
 
 // FuzzSweepVsReference drives LDRG, LDRGWithTaps and WireSize over random
-// nets at every scoring mode and worker count, and requires each run to
-// decide exactly what the reference greedy decides.
+// nets on both scoring paths and at several worker counts, and requires
+// each run to decide exactly what the reference greedy decides. The
+// incremental runs also audit their pruning, so every fuzzed sweep
+// certifies its bounds.
 func FuzzSweepVsReference(f *testing.F) {
 	f.Add(int64(1994), uint8(13), uint8(0), false, false)
 	f.Add(int64(42), uint8(5), uint8(1), true, true)
@@ -180,15 +186,12 @@ func FuzzSweepVsReference(f *testing.F) {
 	f.Add(int64(3), uint8(0), uint8(1), false, false)
 	f.Fuzz(func(t *testing.T, seed int64, pins, kind uint8, full, pool bool) {
 		topo := randomMST(t, seed, 3+int(pins)%10)
-		opts := Options{Oracle: elmoreOracle(), Workers: 1}
-		if full {
-			opts.Scoring = ScoringFull
-		}
+		opts := Options{Oracle: scoredBy(full), Workers: 1, auditPruning: !full}
 		if pool {
 			opts.Workers = 3
 		}
-		label := fmt.Sprintf("seed=%d pins=%d kind=%d scoring=%d workers=%d",
-			seed, topo.NumPins(), kind%4, opts.Scoring, opts.Workers)
+		label := fmt.Sprintf("seed=%d pins=%d kind=%d full=%v workers=%d",
+			seed, topo.NumPins(), kind%4, full, opts.Workers)
 		var got, want string
 		switch kind % 4 {
 		case 0, 1:
@@ -207,15 +210,15 @@ func FuzzSweepVsReference(f *testing.F) {
 			}
 			got, want = res.Fingerprint(), ref.Fingerprint()
 		default:
-			wopts := WireSizeOptions{Oracle: opts.Oracle, MaxWidth: 3, Scoring: opts.Scoring, Workers: opts.Workers}
+			wopts := WireSizeOptions{MaxWidth: 3}
 			if kind%4 == 3 {
 				wopts.CostWeight = 0.5
 			}
-			ref, err := referenceWireSize(topo, wopts)
+			ref, err := referenceWireSize(topo, wopts, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := WireSize(topo, wopts)
+			res, err := WireSize(topo, wopts, opts)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -267,14 +270,13 @@ func TestSweepTiesMatchReference(t *testing.T) {
 			}
 		}
 		for _, cw := range []float64{0, 0.5} {
-			wopts := WireSizeOptions{Oracle: quantizedOracle{}, MaxWidth: 3, CostWeight: cw}
-			ref, err := referenceWireSize(topo, wopts)
+			wopts := WireSizeOptions{MaxWidth: 3, CostWeight: cw}
+			ref, err := referenceWireSize(topo, wopts, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 3} {
-				wopts.Workers = workers
-				got, err := WireSize(topo, wopts)
+				got, err := WireSize(topo, wopts, withWorkers(opts, workers))
 				if err != nil {
 					t.Fatal(err)
 				}

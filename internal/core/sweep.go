@@ -33,17 +33,18 @@ import (
 //     calling goroutine, in canonical order, once scoring and any
 //     re-solves are done, so traces are byte-identical at any Workers
 //     value and a sweep that fails emits no candidate events at all.
-//  3. Selection only. Incremental scoring (see Scoring) scans sequentially,
-//     because the evaluator's column caches are stateful, and its values
-//     only rank the candidates. The leader is then re-scored by the same
-//     full function the pool uses, together with any candidate within
-//     nearTie of it, so committed objectives are bit-identical between
-//     scoring modes, and so are tie-breaks while incremental values stay
-//     within nearTie of the full ones.
+//  3. Selection only. Incremental scoring, used exactly when the oracle
+//     implements IncrementalScorer, scans sequentially, because the
+//     evaluator's column caches are stateful, and its values only rank the
+//     candidates. The leader is then re-scored by the same full function
+//     the pool uses, together with any candidate within nearTie of it, so
+//     committed objectives are bit-identical to a full-solve sweep's, and
+//     so are tie-breaks while incremental values stay within nearTie of
+//     the full ones.
 //  4. Sound pruning. An incremental candidate is skipped only when a proved
 //     lower bound on its objective cannot undercut the cutoff, with nearTie
-//     to spare. ScoringIncrementalDebug re-scores every pruned candidate to
-//     certify that none would have been selected.
+//     to spare. The test-only pruning audit (Options.auditPruning) re-scores
+//     every pruned candidate to certify that none would have been selected.
 
 // candidates describes one sweep's candidate set to the scan. Candidates
 // are indexed 0..n-1 in canonical order, the order that fixes tie-breaking.
@@ -86,7 +87,7 @@ type outcome struct {
 // re-solve and pruning comparisons by this much, so within that range
 // rounding cannot make it choose differently from a full-solve sweep.
 // H1's single-probe pre-screen does not go through the scan and is not
-// widened. nearTie must stay well below the default MinImprovement.
+// widened. nearTie must stay well below minImprovement.
 const nearTie = 1e-10
 
 // sweepEngine carries one run's sweep state: how candidates are scored, and
@@ -99,13 +100,12 @@ type sweepEngine struct {
 	// prune gates the bound checks (false = score every candidate).
 	factor float64
 	prune  bool
-	// debug re-scores pruned candidates after the scan
-	// (ScoringIncrementalDebug).
-	debug bool
+	// audit re-scores pruned candidates after the scan
+	// (Options.auditPruning).
+	audit bool
 
 	obj     Objective
 	workers int
-	minImp  float64
 	evals   *int // the run's Evaluations
 	rec     obs.Recorder
 	tr      trace.Tracer
@@ -113,18 +113,14 @@ type sweepEngine struct {
 }
 
 // newSweepEngine prepares the sweeps of one run over t. Candidates are
-// scored incrementally when the scoring mode allows it and the oracle
-// supports it, and with full solves otherwise.
+// scored incrementally when the oracle implements IncrementalScorer, and
+// with full solves otherwise.
 func newSweepEngine(t *graph.Topology, opts *Options, obj Objective, evals *int) (*sweepEngine, error) {
-	eng := &sweepEngine{obj: obj, workers: opts.workers(), minImp: opts.minImprovement(),
-		evals: evals, rec: opts.obs(), tr: opts.trace()}
-	if opts.Scoring == ScoringFull {
-		return eng, nil
-	}
+	eng := &sweepEngine{obj: obj, workers: opts.workers(), evals: evals, rec: opts.obs(), tr: opts.trace()}
 	is, ok := opts.Oracle.(IncrementalScorer)
 	if !ok {
-		if opts.Scoring == ScoringIncrementalDebug {
-			return nil, fmt.Errorf("core: ScoringIncrementalDebug needs an incremental oracle, %s has no support", opts.Oracle.Name())
+		if opts.auditPruning {
+			return nil, fmt.Errorf("core: the pruning audit needs an incremental oracle, %s has no support", opts.Oracle.Name())
 		}
 		return eng, nil
 	}
@@ -135,7 +131,7 @@ func newSweepEngine(t *graph.Topology, opts *Options, obj Objective, evals *int)
 	inc.Obs = opts.Obs
 	eng.inc = inc
 	eng.factor, eng.prune = pruningFactor(obj)
-	eng.debug = opts.Scoring == ScoringIncrementalDebug
+	eng.audit = opts.auditPruning
 	return eng, nil
 }
 
@@ -159,7 +155,7 @@ func (eng *sweepEngine) count(evals int) {
 // when no candidate beats the threshold; an edge_rejected event then names
 // the closest one.
 func (eng *sweepEngine) scan(t *graph.Topology, sweep int, cur float64, c candidates) (_ trace.Event, ok bool, _ error) {
-	threshold := cur * (1 - eng.minImp)
+	threshold := cur * (1 - minImprovement)
 	if cur < threshold {
 		threshold = cur // a negative objective: never accept a worsening
 	}
@@ -283,9 +279,9 @@ func (eng *sweepEngine) reject(c candidates, sweep, i int, val, cur float64) {
 // probeAll scores outs incrementally in canonical order. A candidate is
 // pruned when its proved lower bound cannot undercut the cutoff, with
 // nearTie to spare: the threshold, or with c.tighten the running minimum
-// if that is lower. Both are deterministic, so the pruned set is too. In
-// debug mode every pruned candidate is then probed anyway, and the sweep
-// fails with ErrPruningUnsound if one breaks its bound or would have been
+// if that is lower. Both are deterministic, so the pruned set is too. With
+// the audit on, every pruned candidate is then probed anyway, and the sweep
+// fails with errPruningUnsound if one breaks its bound or would have been
 // selected.
 func (eng *sweepEngine) probeAll(numPins, sweep int, cur, threshold float64, outs []outcome, c candidates) error {
 	eval := func(i int) (float64, error) {
@@ -316,7 +312,7 @@ func (eng *sweepEngine) probeAll(numPins, sweep int, cur, threshold float64, out
 			minIdx, minVal = i, val
 		}
 	}
-	if !eng.debug {
+	if !eng.audit {
 		return nil
 	}
 	for i, o := range outs {
@@ -330,13 +326,13 @@ func (eng *sweepEngine) probeAll(numPins, sweep int, cur, threshold float64, out
 		ev := c.event(i)
 		if val < o.val {
 			return fmt.Errorf("%w: sweep %d candidate %d (%d-%d) scored %v below its proved lower bound %v",
-				ErrPruningUnsound, sweep, i, ev.U, ev.V, val, o.val)
+				errPruningUnsound, sweep, i, ev.U, ev.V, val, o.val)
 		}
 		// Selected means: below the threshold and, under the first strict
 		// minimum rule, below the scanned minimum or tying it earlier.
 		if val < threshold && (!c.tighten || minIdx < 0 || val < minVal || (i < minIdx && val <= minVal)) {
 			return fmt.Errorf("%w: sweep %d candidate %d (%d-%d) scored %v (bound %v, incumbent %v, threshold %v)",
-				ErrPruningUnsound, sweep, i, ev.U, ev.V, val, o.val, minVal, threshold)
+				errPruningUnsound, sweep, i, ev.U, ev.V, val, o.val, minVal, threshold)
 		}
 	}
 	return nil

@@ -51,7 +51,7 @@ func TestTraceDeterministicAcrossWorkers(t *testing.T) {
 			return nil, err
 		}},
 		{"WireSize", func(tr trace.Tracer, workers int) ([]graph.Edge, error) {
-			_, err := WireSize(topo, WireSizeOptions{Oracle: elmoreOracle(), MaxWidth: 3, Workers: workers, Trace: tr})
+			_, err := WireSize(topo, WireSizeOptions{MaxWidth: 3}, Options{Oracle: elmoreOracle(), Workers: workers, Trace: tr})
 			return nil, err
 		}},
 	}
@@ -202,7 +202,7 @@ func TestTraceOnOracleErrorAcrossWorkers(t *testing.T) {
 			return err
 		}},
 		{"WireSize", func(tr trace.Tracer, workers int) error {
-			_, err := WireSize(seed, WireSizeOptions{MaxWidth: 3, Workers: workers, Trace: tr, Oracle: &failingOracle{
+			_, err := WireSize(seed, WireSizeOptions{MaxWidth: 3}, Options{Workers: workers, Trace: tr, Oracle: &failingOracle{
 				fails: func(_ *graph.Topology, width rc.WidthFunc) bool { return width(widen) == 2 }}})
 			return err
 		}},
@@ -270,7 +270,7 @@ func TestTraceOnResolveError(t *testing.T) {
 			return err
 		},
 		"WireSize": func(tr trace.Tracer) error {
-			_, err := WireSize(seed, WireSizeOptions{Oracle: modified, MaxWidth: 3, Trace: tr})
+			_, err := WireSize(seed, WireSizeOptions{MaxWidth: 3}, Options{Oracle: modified, Trace: tr})
 			return err
 		},
 	}

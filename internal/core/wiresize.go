@@ -13,46 +13,17 @@ import (
 	"nontree/internal/trace"
 )
 
-// WireSizeOptions configures the WSORG greedy width optimizer.
+// WireSizeOptions holds the WSORG-specific knobs of WireSize; everything
+// else comes from the run's Options.
 type WireSizeOptions struct {
-	// Oracle estimates delays; required.
-	Oracle DelayOracle
-	// Objective scores the topology; nil selects MaxDelayObjective.
-	Objective Objective
 	// MaxWidth is the largest width on the discrete grid (paper Section
 	// 5.2: "in most practical applications a discrete grid is used, and
 	// thus the range of w may be restricted to the integers"). Default 4.
 	MaxWidth int
-	// MinImprovement is the relative improvement threshold per widening
-	// step; default 1e-9.
-	MinImprovement float64
 	// CostWeight optionally penalizes the capacitance cost of widening:
 	// the optimizer maximizes delay improvement per unit of added
 	// width-length product when > 0. Zero means pure delay descent.
 	CostWeight float64
-	// Workers bounds the goroutines scoring widening candidates in each
-	// full-solve sweep (0 = one per CPU, 1 = a pool of one), exactly like
-	// Options.Workers: results are byte-identical for any value, and the
-	// oracle must be safe for concurrent SinkDelays calls. Incremental
-	// sweeps (see Scoring) scan sequentially and ignore it.
-	Workers int
-	// Scoring selects the candidate evaluation path, exactly like
-	// Options.Scoring: incremental rank-one scoring with threshold
-	// pruning when the oracle supports it (ScoringAuto, the default), or
-	// full solves on the worker pool (ScoringFull).
-	Scoring Scoring
-	// Obs receives counters and span timings (nil = discard); same
-	// determinism contract as Options.Obs.
-	Obs obs.Recorder
-	// Trace receives the decision trace (nil = discard); same determinism
-	// contract as Options.Trace. Widening candidates carry the proposed
-	// width; accepted widenings emit wiresize_step events.
-	Trace trace.Tracer
-	// RequestID tags the run with the serve-layer request identity
-	// ("" outside the daemon). Provenance only: it is copied into oracle
-	// error tags and the daemon's wide event, never read by any sweep
-	// decision (DESIGN.md §16).
-	RequestID string
 }
 
 // WireSizeResult reports a WSORG run.
@@ -70,7 +41,7 @@ type WireSizeResult struct {
 // Fingerprint renders the sizing decisions in a canonical, bit-exact text
 // form: the width map in canonical edge order, the bracketing objectives as
 // hex float literals, and the widening count. Evaluations is excluded for
-// the same reason as in Result.Fingerprint — scoring modes differ in effort
+// the same reason as in Result.Fingerprint — scoring paths differ in effort
 // by design, never in decisions.
 func (r *WireSizeResult) Fingerprint() string {
 	edges := make([]graph.Edge, 0, len(r.Widths))
@@ -116,12 +87,15 @@ func (r *WireSizeResult) WidthFunc() rc.WidthFunc {
 // capacitance by w — the first-order model under which "two separate
 // parallel wires of width w ... [are] equivalent to a single wire of width
 // 2w" as the paper observes.
-func WireSize(t *graph.Topology, wopts WireSizeOptions) (_ *WireSizeResult, rerr error) {
-	defer func() { rerr = tagRequest(wopts.RequestID, rerr) }()
+//
+// opts configures the run as for LDRG, with three exceptions: WireSize sets
+// opts.Width itself, and it adds no edges, so MaxAddedEdges and
+// CandidateFilter are ignored. Widening candidates carry the proposed width
+// in the trace, and accepted widenings emit wiresize_step events.
+func WireSize(t *graph.Topology, wopts WireSizeOptions, opts Options) (_ *WireSizeResult, rerr error) {
+	defer func() { rerr = tagRequest(opts.RequestID, rerr) }()
 	widths := map[graph.Edge]int{}
-	opts := Options{Oracle: wopts.Oracle, Objective: wopts.Objective, MinImprovement: wopts.MinImprovement,
-		Width:   func(e graph.Edge) float64 { return float64(widths[e.Canon()]) },
-		Workers: wopts.Workers, Scoring: wopts.Scoring, Obs: wopts.Obs, Trace: wopts.Trace}
+	opts.Width = func(e graph.Edge) float64 { return float64(widths[e.Canon()]) }
 	if err := checkSeed(t, &opts); err != nil {
 		return nil, err
 	}

@@ -9,7 +9,7 @@ import (
 func TestWireSizeNeverWorsens(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		topo := randomMST(t, seed, 12)
-		res, err := WireSize(topo, WireSizeOptions{Oracle: elmoreOracle()})
+		res, err := WireSize(topo, WireSizeOptions{}, Options{Oracle: elmoreOracle()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,7 +30,7 @@ func TestWireSizeFindsImprovementOnTrees(t *testing.T) {
 	totalWidenings := 0
 	for seed := int64(0); seed < 8; seed++ {
 		topo := randomMST(t, seed, 15)
-		res, err := WireSize(topo, WireSizeOptions{Oracle: elmoreOracle()})
+		res, err := WireSize(topo, WireSizeOptions{}, Options{Oracle: elmoreOracle()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func TestWireSizeWidensNearSource(t *testing.T) {
 	// widened edge set, if non-empty, contains an edge whose tree path to
 	// the source is short relative to the net.
 	topo := randomMST(t, 13, 15)
-	res, err := WireSize(topo, WireSizeOptions{Oracle: elmoreOracle()})
+	res, err := WireSize(topo, WireSizeOptions{}, Options{Oracle: elmoreOracle()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestWireSizeWidensNearSource(t *testing.T) {
 
 func TestWireSizeMaxWidthRespected(t *testing.T) {
 	topo := randomMST(t, 13, 15)
-	res, err := WireSize(topo, WireSizeOptions{Oracle: elmoreOracle(), MaxWidth: 2})
+	res, err := WireSize(topo, WireSizeOptions{MaxWidth: 2}, Options{Oracle: elmoreOracle()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +79,11 @@ func TestWireSizeMaxWidthRespected(t *testing.T) {
 
 func TestWireSizeCostWeightLimitsMetal(t *testing.T) {
 	topo := randomMST(t, 13, 15)
-	free, err := WireSize(topo, WireSizeOptions{Oracle: elmoreOracle()})
+	free, err := WireSize(topo, WireSizeOptions{}, Options{Oracle: elmoreOracle()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	frugal, err := WireSize(topo, WireSizeOptions{Oracle: elmoreOracle(), CostWeight: 1})
+	frugal, err := WireSize(topo, WireSizeOptions{CostWeight: 1}, Options{Oracle: elmoreOracle()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,17 +98,17 @@ func TestWireSizeCostWeightLimitsMetal(t *testing.T) {
 
 func TestWireSizeValidation(t *testing.T) {
 	topo := randomMST(t, 1, 5)
-	if _, err := WireSize(nil, WireSizeOptions{Oracle: elmoreOracle()}); err != ErrSeedNil {
+	if _, err := WireSize(nil, WireSizeOptions{}, Options{Oracle: elmoreOracle()}); err != ErrSeedNil {
 		t.Errorf("nil topology: %v", err)
 	}
-	if _, err := WireSize(topo, WireSizeOptions{}); err != ErrNilOracle {
+	if _, err := WireSize(topo, WireSizeOptions{}, Options{}); err != ErrNilOracle {
 		t.Errorf("nil oracle: %v", err)
 	}
-	if _, err := WireSize(topo, WireSizeOptions{Oracle: elmoreOracle(), MaxWidth: 1}); err == nil {
+	if _, err := WireSize(topo, WireSizeOptions{MaxWidth: 1}, Options{Oracle: elmoreOracle()}); err == nil {
 		t.Error("MaxWidth 1 must error")
 	}
 	disconnected := graph.NewTopology(topo.Points())
-	if _, err := WireSize(disconnected, WireSizeOptions{Oracle: elmoreOracle()}); err != ErrSeedInvalid {
+	if _, err := WireSize(disconnected, WireSizeOptions{}, Options{Oracle: elmoreOracle()}); err != ErrSeedInvalid {
 		t.Errorf("disconnected: %v", err)
 	}
 }

@@ -182,11 +182,7 @@ var benchAlgorithms = []struct {
 		if err != nil {
 			return nil, err
 		}
-		ws, err := core.WireSize(seed, core.WireSizeOptions{
-			Oracle:  cfg.searchOracle(),
-			Workers: cfg.Workers,
-			Obs:     cfg.Obs,
-		})
+		ws, err := core.WireSize(seed, core.WireSizeOptions{}, cfg.ldrgOptions(0))
 		if err != nil {
 			return nil, err
 		}

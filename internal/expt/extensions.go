@@ -190,10 +190,7 @@ func WSORG(cfg Config) (*Table, error) {
 				}
 				topo = res.Topology
 			}
-			ws, err := core.WireSize(topo, core.WireSizeOptions{
-				Oracle:   cfg.searchOracle(),
-				MaxWidth: 4,
-			})
+			ws, err := core.WireSize(topo, core.WireSizeOptions{MaxWidth: 4}, cfg.ldrgOptions(0))
 			if err != nil {
 				return nil, err
 			}

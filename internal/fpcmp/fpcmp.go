@@ -12,7 +12,7 @@ import "math"
 
 // DefaultTol is the relative tolerance used by Eq: a few orders of
 // magnitude above double rounding error (2⁻⁵² ≈ 2.2e-16), far below the
-// 1e-9 MinImprovement threshold the greedy loops use to accept an edge.
+// 1e-9 minImprovement threshold the greedy loops use to accept an edge.
 const DefaultTol = 1e-12
 
 // Eq reports whether a and b are equal within DefaultTol relative

@@ -205,10 +205,11 @@ type Config struct {
 	// routability-constrained variant of the paper's algorithms.
 	PlanarOnly bool
 	// Workers bounds the goroutines scoring candidates concurrently in each
-	// full-solve greedy sweep (0 = one per CPU, 1 = a pool of one).
-	// Incremental sweeps scan sequentially and ignore it. Results and
-	// traces are byte-identical for any value — see DESIGN.md §7 on the
-	// concurrency model and determinism guarantee.
+	// full-solve greedy sweep (0 = one per CPU, 1 = a pool of one). With
+	// the Elmore oracle the sweeps score candidates incrementally, in one
+	// sequential scan, and ignore it. Results and traces are byte-identical
+	// for any value — see DESIGN.md §7 on the concurrency model and
+	// determinism guarantee.
 	Workers int
 	// Obs receives counters and timings from the run (nil = discard).
 	// Counter and histogram sections are deterministic for a fixed seed
@@ -328,16 +329,7 @@ func Cleanup(t *Topology, slack float64, cfg Config) (*CleanupResult, error) {
 // WireSize greedily optimizes integer wire widths on a fixed topology (the
 // WSORG problem), up to maxWidth tracks per wire.
 func WireSize(t *Topology, maxWidth int, cfg Config) (*WireSizeResult, error) {
-	opts := cfg.coreOptions()
-	return core.WireSize(t, core.WireSizeOptions{
-		Oracle:    opts.Oracle,
-		Objective: opts.Objective,
-		MaxWidth:  maxWidth,
-		Workers:   cfg.Workers,
-		Obs:       cfg.Obs,
-		Trace:     cfg.Trace,
-		RequestID: cfg.RequestID,
-	})
+	return core.WireSize(t, core.WireSizeOptions{MaxWidth: maxWidth}, cfg.coreOptions())
 }
 
 // HORG runs the hybrid pipeline — Steiner seed (optional), criticality-
@@ -347,8 +339,7 @@ func HORG(net *Net, alphas []float64, useSteiner bool, maxWidth int, cfg Config)
 	if err := net.Validate(); err != nil {
 		return nil, err
 	}
-	opts := cfg.coreOptions()
-	return core.HORG(net.Pins, alphas, useSteiner, core.WireSizeOptions{MaxWidth: maxWidth, Workers: cfg.Workers, Obs: cfg.Obs, Trace: cfg.Trace, RequestID: cfg.RequestID}, opts)
+	return core.HORG(net.Pins, alphas, useSteiner, core.WireSizeOptions{MaxWidth: maxWidth}, cfg.coreOptions())
 }
 
 // DelayReport holds measured delays of a topology.
