@@ -139,13 +139,13 @@ func TestScoringEquivalence(t *testing.T) {
 			}
 			return res.Fingerprint()
 		}, wireSizeRef(WireSizeOptions{MaxWidth: 3})},
-		{"WireSizeCostWeighted", func(t *testing.T, o DelayOracle, w int, tr trace.Tracer) string {
-			res, err := WireSize(topo, WireSizeOptions{MaxWidth: 3, CostWeight: 0.5}, Options{Oracle: o, Workers: w, Trace: tr})
+		{"WireSizeMaxWidth2", func(t *testing.T, o DelayOracle, w int, tr trace.Tracer) string {
+			res, err := WireSize(topo, WireSizeOptions{MaxWidth: 2}, Options{Oracle: o, Workers: w, Trace: tr})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res.Fingerprint()
-		}, wireSizeRef(WireSizeOptions{MaxWidth: 3, CostWeight: 0.5})},
+		}, wireSizeRef(WireSizeOptions{MaxWidth: 2})},
 		{"HORG", func(t *testing.T, o DelayOracle, w int, tr trace.Tracer) string {
 			res, err := HORG(net.Pins, horgAlphas, true,
 				WireSizeOptions{MaxWidth: 3},

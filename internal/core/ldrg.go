@@ -56,9 +56,9 @@ type Options struct {
 	// byte-identical at any Workers value (DESIGN.md §11).
 	Trace trace.Tracer
 	// RequestID tags the run with the serve-layer request identity
-	// ("" outside the daemon). Provenance only: it is copied into oracle
-	// error tags and the daemon's wide event, never read by any sweep
-	// decision (DESIGN.md §16).
+	// ("" outside the daemon). Provenance only: every exported entry point
+	// prefixes the errors it returns with it, and no sweep decision reads
+	// it (DESIGN.md §16).
 	RequestID string
 
 	// auditPruning re-scores every pruned candidate after each incremental

@@ -5,6 +5,7 @@ import (
 
 	"nontree/internal/obs"
 	"nontree/internal/rc"
+	"nontree/internal/spice"
 )
 
 // Observability contract (DESIGN.md §10): the counters a run records must
@@ -105,6 +106,37 @@ func TestObsSpiceOracleRecordsSimulatorCounters(t *testing.T) {
 	}
 	if c[obs.CtrMeasureRuns] != 1 {
 		t.Errorf("%s = %d, want exactly 1", obs.CtrMeasureRuns, c[obs.CtrMeasureRuns])
+	}
+}
+
+// TestSpiceOracleKeepsMeasureOptions: a zero Measure.ThresholdFraction
+// selects the default threshold and nothing else, so the rest of the
+// caller's Measure options still apply. A recorder on Measure.Obs takes
+// precedence over the oracle's Obs, and Adaptive selects the LTE-controlled
+// integrator.
+func TestSpiceOracleKeepsMeasureOptions(t *testing.T) {
+	topo := randomMST(t, 8300, 5)
+	measure, oracleRec := obs.NewRegistry(), obs.NewRegistry()
+	oracle := &SpiceOracle{Params: rc.Default(), Measure: spice.MeasureOpts{Obs: measure}, Obs: oracleRec}
+	if _, err := oracle.SinkDelays(topo, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := measure.Snapshot().Counters[obs.CtrMeasureRuns]; got != 1 {
+		t.Errorf("Measure.Obs: %s = %d, want 1", obs.CtrMeasureRuns, got)
+	}
+	if got := oracleRec.Snapshot().Counters[obs.CtrMeasureRuns]; got != 0 {
+		t.Errorf("oracle Obs: %s = %d, want 0 (Measure.Obs takes precedence)", obs.CtrMeasureRuns, got)
+	}
+
+	reg := obs.NewRegistry()
+	oracle = &SpiceOracle{Params: rc.Default(), Measure: spice.MeasureOpts{Adaptive: true}, Obs: reg}
+	if _, err := oracle.SinkDelays(topo, nil); err != nil {
+		t.Fatal(err)
+	}
+	c := reg.Snapshot().Counters
+	if c[obs.CtrTranRuns] != 0 || c[obs.CtrAdaptiveSteps] == 0 {
+		t.Errorf("Adaptive measurement ran %d fixed-step transients and %d adaptive steps, want 0 and > 0",
+			c[obs.CtrTranRuns], c[obs.CtrAdaptiveSteps])
 	}
 }
 

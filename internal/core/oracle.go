@@ -23,7 +23,6 @@ import (
 	"nontree/internal/obs"
 	"nontree/internal/rc"
 	"nontree/internal/spice"
-	"nontree/internal/trace"
 )
 
 // DelayOracle estimates per-node signal delays of a routing topology.
@@ -59,15 +58,6 @@ type ElmoreOracle struct {
 	Params rc.Params
 	// Obs counts the oracle's internal linear solves (nil = discard).
 	Obs obs.Recorder
-	// Trace emits one oracle_eval event per SinkDelays call (nil =
-	// discard). With Workers != 1 calls come from worker goroutines, so
-	// event order is deterministic only in sequential contexts — the
-	// greedy sweeps therefore never set this themselves (DESIGN.md §11).
-	Trace trace.Tracer
-	// RequestID tags oracle errors with the serve-layer request identity
-	// ("" outside the daemon). Provenance only — never an algorithm input,
-	// so it cannot affect which edges are selected (DESIGN.md §16).
-	RequestID string
 }
 
 // Name implements DelayOracle.
@@ -80,13 +70,10 @@ func (o *ElmoreOracle) SinkDelays(t *graph.Topology, width rc.WidthFunc) ([]floa
 	defer obs.StartSpan(o.Obs, obs.TimeOracleSeconds).End()
 	l, err := rc.Lump(t, o.Params, width)
 	if err != nil {
-		return nil, tagRequest(o.RequestID, err)
+		return nil, err
 	}
 	obs.OrNop(o.Obs).Add(obs.CtrElmoreSolves, 1)
-	trace.OrNop(o.Trace).Emit(trace.Event{Kind: trace.KindOracleEval,
-		Oracle: o.Name(), N: int64(t.NumNodes())})
-	d, err := elmore.GraphDelays(t, l)
-	return d, tagRequest(o.RequestID, err)
+	return elmore.GraphDelays(t, l)
 }
 
 // NewIncrementalSweep implements IncrementalScorer: the Elmore model is
@@ -105,12 +92,6 @@ type TwoPoleOracle struct {
 	Params rc.Params
 	// Obs counts the oracle's internal linear solves (nil = discard).
 	Obs obs.Recorder
-	// Trace emits one oracle_eval event per SinkDelays call (nil =
-	// discard); same ordering caveat as ElmoreOracle.Trace.
-	Trace trace.Tracer
-	// RequestID tags oracle errors with the serve-layer request identity;
-	// same provenance-only contract as ElmoreOracle.RequestID.
-	RequestID string
 }
 
 // Name implements DelayOracle.
@@ -123,13 +104,10 @@ func (o *TwoPoleOracle) SinkDelays(t *graph.Topology, width rc.WidthFunc) ([]flo
 	defer obs.StartSpan(o.Obs, obs.TimeOracleSeconds).End()
 	l, err := rc.Lump(t, o.Params, width)
 	if err != nil {
-		return nil, tagRequest(o.RequestID, err)
+		return nil, err
 	}
 	obs.OrNop(o.Obs).Add(obs.CtrElmoreSolves, 2) // first and second moment solves
-	trace.OrNop(o.Trace).Emit(trace.Event{Kind: trace.KindOracleEval,
-		Oracle: o.Name(), N: int64(t.NumNodes())})
-	d, err := elmore.TwoPoleDelays(t, l)
-	return d, tagRequest(o.RequestID, err)
+	return elmore.TwoPoleDelays(t, l)
 }
 
 // SpiceOracle evaluates delays with the transient circuit simulator — the
@@ -140,19 +118,14 @@ type SpiceOracle struct {
 	Params rc.Params
 	// Build controls circuit construction (segmentation, inductance).
 	Build rc.BuildOpts
-	// Measure controls delay extraction; zero value selects
-	// spice.DefaultMeasureOpts.
+	// Measure controls delay extraction. A zero ThresholdFraction means the
+	// default 0.5; the other fields apply as given, and their zero values
+	// are spice.DefaultMeasureOpts' settings.
 	Measure spice.MeasureOpts
 	// Obs receives the simulator's counters (MNA solves, transient steps,
 	// horizon retries, …); nil discards them. A recorder already set on
 	// Measure.Obs takes precedence.
 	Obs obs.Recorder
-	// Trace emits one oracle_eval event per SinkDelays call (nil =
-	// discard); same ordering caveat as ElmoreOracle.Trace.
-	Trace trace.Tracer
-	// RequestID tags oracle errors with the serve-layer request identity;
-	// same provenance-only contract as ElmoreOracle.RequestID.
-	RequestID string
 }
 
 // Name implements DelayOracle.
@@ -169,22 +142,19 @@ func (o *SpiceOracle) SinkDelays(t *graph.Topology, width rc.WidthFunc) ([]float
 	}
 	cm, err := rc.BuildCircuit(t, o.Params, opts)
 	if err != nil {
-		return nil, tagRequest(o.RequestID, err)
+		return nil, err
 	}
 	mo := o.Measure
 	//nontree:allow floatcmp zero is the exact zero-value sentinel for an unset config field, never a computed delay
 	if mo.ThresholdFraction == 0 {
-		mo = spice.DefaultMeasureOpts()
+		mo.ThresholdFraction = spice.DefaultMeasureOpts().ThresholdFraction
 	}
 	if mo.Obs == nil {
 		mo.Obs = o.Obs
 	}
-	trace.OrNop(o.Trace).Emit(trace.Event{Kind: trace.KindOracleEval,
-		Oracle: o.Name(), N: int64(t.NumNodes())})
 	crossings, err := spice.MeasureDelays(cm.Circuit, cm.SinkNodes, mo)
 	if err != nil {
-		return nil, tagRequest(o.RequestID,
-			fmt.Errorf("core: spice oracle on %d-node topology: %w", t.NumNodes(), err))
+		return nil, fmt.Errorf("core: spice oracle on %d-node topology: %w", t.NumNodes(), err)
 	}
 	delays := make([]float64, t.NumNodes())
 	for i, d := range crossings {
@@ -194,11 +164,11 @@ func (o *SpiceOracle) SinkDelays(t *graph.Topology, width rc.WidthFunc) ([]float
 }
 
 // tagRequest wraps an error with the request identity so a failure
-// surfaced at /route names the wide event it belongs to. id "" (the
+// surfaced at /route names the wide event it belongs to. Every exported
+// entry point applies it once, on return; oracles never tag. id "" (the
 // non-daemon case) and nil errors pass through untouched, and an error
-// already carrying this id's tag is not tagged again — oracles and the
-// sweep entry points both tag, and composite algorithms (SLDRG, HORG)
-// nest entry points.
+// already carrying this id's tag is not tagged again, because composite
+// algorithms (SLDRG, HORG) nest entry points.
 func tagRequest(id string, err error) error {
 	if err == nil || id == "" {
 		return err

@@ -199,13 +199,12 @@ func TestParallelEquivalenceHORG(t *testing.T) {
 }
 
 // TestParallelEquivalenceWireSize asserts the widening sweep picks the
-// reference's widths under any worker count, in both selection modes (pure
-// delay descent and cost-weighted gain rate), with Evaluations independent
-// of Workers.
+// reference's widths under any worker count, on two width grids, with
+// Evaluations independent of Workers.
 func TestParallelEquivalenceWireSize(t *testing.T) {
 	topo := randomMST(t, 808, 10)
-	for _, costWeight := range []float64{0, 0.5} {
-		wopts := WireSizeOptions{MaxWidth: 3, CostWeight: costWeight}
+	for _, maxW := range []int{3, 2} {
+		wopts := WireSizeOptions{MaxWidth: maxW}
 		base := Options{Oracle: elmoreOracle()}
 		ref, err := referenceWireSize(topo, wopts, base)
 		if err != nil {
@@ -213,7 +212,7 @@ func TestParallelEquivalenceWireSize(t *testing.T) {
 		}
 		var first *WireSizeResult
 		for _, workers := range []int{1, 6} {
-			label := fmt.Sprintf("costweight=%g/w%d", costWeight, workers)
+			label := fmt.Sprintf("maxwidth=%d/w%d", maxW, workers)
 			got, err := WireSize(topo, wopts, withWorkers(base, workers))
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)

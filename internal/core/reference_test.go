@@ -131,7 +131,7 @@ func referenceWireSize(t *graph.Topology, wopts WireSizeOptions, opts Options) (
 	res := &WireSizeResult{Widths: widths, InitialObjective: cur, Evaluations: 1}
 	for {
 		threshold := cur * (1 - minImprovement)
-		best, bestVal, bestRate := graph.Edge{U: -1, V: -1}, cur, 0.0
+		best, bestVal := graph.Edge{U: -1, V: -1}, cur
 		for _, e := range t.Edges() {
 			if widths[e] >= maxW {
 				continue
@@ -143,14 +143,7 @@ func referenceWireSize(t *graph.Topology, wopts WireSizeOptions, opts Options) (
 				return nil, err
 			}
 			res.Evaluations++
-			if val >= threshold {
-				continue
-			}
-			if wopts.CostWeight > 0 {
-				if rate := (cur - val) / (wopts.CostWeight * t.EdgeLength(e)); rate > bestRate {
-					best, bestVal, bestRate = e, val, rate
-				}
-			} else if val < bestVal {
+			if val < threshold && val < bestVal {
 				best, bestVal = e, val
 			}
 		}
@@ -212,7 +205,7 @@ func FuzzSweepVsReference(f *testing.F) {
 		default:
 			wopts := WireSizeOptions{MaxWidth: 3}
 			if kind%4 == 3 {
-				wopts.CostWeight = 0.5
+				wopts.MaxWidth = 2
 			}
 			ref, err := referenceWireSize(topo, wopts, opts)
 			if err != nil {
@@ -269,8 +262,8 @@ func TestSweepTiesMatchReference(t *testing.T) {
 				matchReference(t, fmt.Sprintf("seed %d taps=%v w%d", seed, taps, workers), ref, got)
 			}
 		}
-		for _, cw := range []float64{0, 0.5} {
-			wopts := WireSizeOptions{MaxWidth: 3, CostWeight: cw}
+		for _, maxW := range []int{3, 2} {
+			wopts := WireSizeOptions{MaxWidth: maxW}
 			ref, err := referenceWireSize(topo, wopts, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -281,7 +274,7 @@ func TestSweepTiesMatchReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				if g, w := got.Fingerprint(), ref.Fingerprint(); g != w {
-					t.Errorf("seed %d costweight=%g w%d: widths differ from the reference:\ngot:\n%swant:\n%s", seed, cw, workers, g, w)
+					t.Errorf("seed %d maxwidth=%d w%d: widths differ from the reference:\ngot:\n%swant:\n%s", seed, maxW, workers, g, w)
 				}
 			}
 		}

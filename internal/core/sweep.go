@@ -59,13 +59,10 @@ type candidates struct {
 	// bound returns an upper bound on how much candidate i can improve any
 	// node's delay; nil disables pruning.
 	bound func(i int) float64
-	// tighten lowers the pruning cutoff to the running minimum. Widenings
-	// may be picked by gain rate rather than by objective, so their cutoff
-	// stays at the threshold.
+	// tighten lowers the pruning cutoff to the running minimum. Edge
+	// additions set it; tap and widening sweeps prune against the
+	// threshold alone.
 	tighten bool
-	// cost, when non-nil, ranks candidates by gain rate, objective
-	// improvement per unit of cost(i), instead of by objective.
-	cost func(i int) float64
 	// event returns candidate i's identity fields: U/V, Tap/X/Y and Width.
 	event func(i int) trace.Event
 }
@@ -173,42 +170,35 @@ func (eng *sweepEngine) scan(t *graph.Topology, sweep int, cur float64, c candid
 		return trace.Event{}, false, err
 	}
 
-	// key orders candidates, lower first: the objective, or with c.cost
-	// the negated gain rate. The winner is the first strict minimum of key
-	// among the candidates below the threshold.
-	key := func(i int, v float64) float64 {
-		if c.cost == nil {
-			return v
-		}
-		return (v - cur) / c.cost(i)
-	}
-	best, bestKey, val := -1, math.Inf(1), 0.0
+	// The winner is the first strict minimum among the candidates below
+	// the threshold.
+	best, val := -1, math.Inf(1)
 	first, firstVal := -1, 0.0 // the first re-solved candidate
 	if eng.inc == nil {
 		for i, o := range outs {
-			if k := key(i, o.val); o.val < threshold && k < bestKey {
-				best, bestKey, val = i, k, o.val
+			if o.val < threshold && o.val < val {
+				best, val = i, o.val
 			}
 		}
 	} else {
 		// Incremental values only rank the candidates; full solves decide.
-		// Candidates are re-solved in order of their optimistic key (the
+		// Candidates are re-solved in order of their optimistic value (the
 		// incremental value lowered by nearTie) until none is left that
 		// could beat the best full value below the threshold, or tie it
 		// from an earlier index. Near-ties thus fall exactly as in a
 		// full-solve sweep, and usually only the winner is re-solved.
 		for {
-			u, uKey := -1, math.Inf(1)
+			u, uLo := -1, math.Inf(1)
 			for i, o := range outs {
 				lo := o.val - nearTie*math.Abs(o.val)
 				if o.pruned || o.resolved || lo >= threshold {
 					continue
 				}
-				if k := key(i, lo); k < uKey {
-					u, uKey = i, k
+				if lo < uLo {
+					u, uLo = i, lo
 				}
 			}
-			if u < 0 || uKey > bestKey {
+			if u < 0 || uLo > val {
 				break
 			}
 			v, err := c.full(u, t)
@@ -220,8 +210,8 @@ func (eng *sweepEngine) scan(t *graph.Topology, sweep int, cur float64, c candid
 			if first < 0 {
 				first, firstVal = u, v
 			}
-			if k := key(u, v); v < threshold && (k < bestKey || (k <= bestKey && u < best)) {
-				best, bestKey, val = u, k, v
+			if v < threshold && (v < val || (v <= val && u < best)) {
+				best, val = u, v
 			}
 		}
 	}

@@ -13,17 +13,13 @@ import (
 	"nontree/internal/trace"
 )
 
-// WireSizeOptions holds the WSORG-specific knobs of WireSize; everything
+// WireSizeOptions holds the WSORG-specific knob of WireSize; everything
 // else comes from the run's Options.
 type WireSizeOptions struct {
 	// MaxWidth is the largest width on the discrete grid (paper Section
 	// 5.2: "in most practical applications a discrete grid is used, and
 	// thus the range of w may be restricted to the integers"). Default 4.
 	MaxWidth int
-	// CostWeight optionally penalizes the capacitance cost of widening:
-	// the optimizer maximizes delay improvement per unit of added
-	// width-length product when > 0. Zero means pure delay descent.
-	CostWeight float64
 }
 
 // WireSizeResult reports a WSORG run.
@@ -131,12 +127,6 @@ func WireSize(t *graph.Topology, wopts WireSizeOptions, opts Options) (_ *WireSi
 		}
 		eng.rec.Add(obs.CtrWidenCandidates, int64(len(cands)))
 		eng.tr.Emit(trace.Event{Kind: trace.KindSweepStart, Sweep: sweep, N: int64(len(cands))})
-
-		var cost func(i int) float64
-		if wopts.CostWeight > 0 {
-			// Benefit per unit of extra metal (width-length product).
-			cost = func(i int) float64 { return wopts.CostWeight * t.EdgeLength(cands[i]) }
-		}
 		win, ok, err := eng.scan(t, sweep, cur, candidates{
 			n: len(cands),
 			full: func(i int, t *graph.Topology) (float64, error) {
@@ -165,7 +155,6 @@ func WireSize(t *graph.Topology, wopts WireSizeOptions, opts Options) (_ *WireSi
 			event: func(i int) trace.Event {
 				return trace.Event{U: cands[i].U, V: cands[i].V, Width: widths[cands[i]] + 1}
 			},
-			cost: cost,
 		})
 		if err != nil {
 			return nil, err

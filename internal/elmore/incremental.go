@@ -9,7 +9,6 @@ import (
 	"nontree/internal/graph"
 	"nontree/internal/obs"
 	"nontree/internal/rc"
-	"nontree/internal/trace"
 )
 
 // Incremental candidate evaluation for the greedy sweeps.
@@ -75,10 +74,6 @@ type Incremental struct {
 	// factorizations when set (nil = discard). Like the evaluator itself it
 	// is used from a single goroutine.
 	Obs obs.Recorder
-	// Trace emits one oracle_eval event per candidate evaluation (nil =
-	// discard). The evaluator is single-goroutine by contract, so event
-	// order is deterministic.
-	Trace trace.Tracer
 }
 
 // NewIncremental prepares incremental evaluation over the topology's
@@ -186,8 +181,6 @@ func (inc *Incremental) edgeWidth(e graph.Edge) float64 {
 //nontree:unit return s
 func (inc *Incremental) withConductance(u, v int, g, halfC float64) ([]float64, error) {
 	obs.OrNop(inc.Obs).Add(obs.CtrIncrementalEvals, 1)
-	trace.OrNop(inc.Trace).Emit(trace.Event{Kind: trace.KindOracleEval,
-		Oracle: "elmore-incremental", N: int64(inc.cond.size)})
 
 	colU := inc.column(u)
 	colV := inc.column(v)
@@ -321,8 +314,6 @@ func (inc *Incremental) WithTap(e graph.Edge, pt geom.Point) ([]float64, error) 
 	dc0 := inc.p.WireCapacitance*lenC/2 + gC/gSum*capS                    //nontree:unit F
 
 	obs.OrNop(inc.Obs).Add(obs.CtrIncrementalEvals, 1)
-	trace.OrNop(inc.Trace).Emit(trace.Event{Kind: trace.KindOracleEval,
-		Oracle: "elmore-incremental", N: int64(inc.cond.size)})
 
 	colU := inc.column(e.U)
 	colV := inc.column(e.V)

@@ -15,7 +15,6 @@ import (
 	"nontree/internal/obs"
 	"nontree/internal/rc"
 	"nontree/internal/spice"
-	"nontree/internal/trace"
 )
 
 // Oracle names accepted by Config.
@@ -59,11 +58,6 @@ type Config struct {
 	// runs (nil = discard). Deterministic sections of the recorder are
 	// byte-identical for fixed Seed at any Workers value.
 	Obs obs.Recorder
-	// Trace receives the decision trace of the algorithms the harness runs
-	// (nil = discard). Note the harness runs trials concurrently, so a
-	// shared tracer interleaves events from different trials; per-trial
-	// determinism applies only when Trials is 1 (or to single-run drivers).
-	Trace trace.Tracer
 }
 
 // Default returns the paper's experimental configuration with the Elmore
@@ -189,6 +183,5 @@ func (c *Config) ldrgOptions(maxEdges int) core.Options {
 		MaxAddedEdges: maxEdges,
 		Workers:       c.Workers,
 		Obs:           c.Obs,
-		Trace:         c.Trace,
 	}
 }

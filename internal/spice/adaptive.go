@@ -19,20 +19,6 @@ type AdaptiveOpts struct {
 	//
 	//nontree:unit s
 	Stop float64
-	// InitialStep seeds the controller; zero picks Stop/1000.
-	//
-	//nontree:unit s
-	InitialStep float64
-	// MinStep floors the step (default Stop/10^7); the run fails if the
-	// controller wants to go below it, which signals an unstable circuit.
-	//
-	//nontree:unit s
-	MinStep float64
-	// MaxStep caps the step (default Stop/50) so threshold crossings are
-	// never straddled by a huge step.
-	//
-	//nontree:unit s
-	MaxStep float64
 	// Tolerance is the per-step LTE target in volts (default 1e-4·Vmax
 	// with Vmax estimated as 1; i.e. 100 µV).
 	//
@@ -46,7 +32,7 @@ type AdaptiveOpts struct {
 }
 
 // ErrStepUnderflow indicates the controller could not meet tolerance above
-// MinStep.
+// its minimum step, Stop/10^7.
 var ErrStepUnderflow = errors.New("spice: adaptive step underflow")
 
 // TransientAdaptive runs an LTE-controlled trapezoidal transient from the
@@ -68,18 +54,12 @@ func TransientAdaptive(c *Circuit, opts AdaptiveOpts) (*TranResult, error) {
 // has checked opts.Stop.
 func (sys *mnaSystem) transientAdaptive(opts AdaptiveOpts) (*TranResult, error) {
 	c := sys.circuit
-	h := opts.InitialStep
-	if h <= 0 {
-		h = opts.Stop / 1000
-	}
-	minStep := opts.MinStep
-	if minStep <= 0 {
-		minStep = opts.Stop / 1e7
-	}
-	maxStep := opts.MaxStep
-	if maxStep <= 0 {
-		maxStep = opts.Stop / 50
-	}
+	// The controller starts at Stop/1000. It may not go below Stop/10^7:
+	// a run that would is unstable and fails. It may not exceed Stop/50,
+	// so no step straddles a threshold crossing by much.
+	h := opts.Stop / 1000
+	minStep := opts.Stop / 1e7
+	maxStep := opts.Stop / 50
 	tol := opts.Tolerance
 	if tol <= 0 {
 		tol = 1e-4

@@ -49,10 +49,7 @@ func MeasureEdge(c *Circuit, node int, opts MeasureOpts) (*EdgeMetrics, error) {
 	if horizon <= 0 {
 		horizon = horizonEstimate(c)
 	}
-	maxHorizon := opts.MaxHorizon
-	if maxHorizon <= 0 {
-		maxHorizon = horizon * 1024
-	}
+	maxHorizon := horizon * maxHorizonGrowth
 
 	for {
 		res, err := sys.transient(TranOpts{

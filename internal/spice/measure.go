@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"nontree/internal/obs"
-	"nontree/internal/trace"
 )
 
 // MeasureOpts configures threshold-delay extraction.
@@ -21,11 +20,6 @@ type MeasureOpts struct {
 	//
 	//nontree:unit s
 	InitialHorizon float64
-	// MaxHorizon caps the adaptive horizon doubling; if zero, 1024× the
-	// initial horizon.
-	//
-	//nontree:unit s
-	MaxHorizon float64
 	// StepsPerHorizon is the number of fixed timesteps across the horizon
 	// (default 2000, giving sub-0.1% delay resolution with interpolation).
 	StepsPerHorizon int
@@ -40,10 +34,6 @@ type MeasureOpts struct {
 	// counts (nil = discard). All counters are deterministic functions of
 	// the circuit and options (DESIGN.md §10).
 	Obs obs.Recorder
-	// Trace emits one oracle_eval event per MeasureDelays call (nil =
-	// discard): Oracle "spice", N the number of circuit nodes. Event order
-	// is deterministic only when measurements run from one goroutine.
-	Trace trace.Tracer
 }
 
 // DefaultMeasureOpts returns the options used throughout the experiment
@@ -52,13 +42,19 @@ func DefaultMeasureOpts() MeasureOpts {
 	return MeasureOpts{ThresholdFraction: 0.5, StepsPerHorizon: 2000, Method: Trapezoidal}
 }
 
+// maxHorizonGrowth caps the horizon retries: a measurement gives up once
+// its window reaches this multiple of the initial horizon.
+const maxHorizonGrowth = 1024
+
 // ErrNoCrossing is returned when a watched node fails to reach its
-// threshold within MaxHorizon — symptomatic of a disconnected node.
+// threshold within maxHorizonGrowth× the initial horizon — symptomatic of
+// a disconnected node.
 var ErrNoCrossing = errors.New("spice: node never crossed its delay threshold")
 
 // MeasureDelays simulates the circuit's step response and returns the
 // threshold-crossing delay of each watched node, adaptively doubling the
-// simulation window until every node has crossed (or MaxHorizon is hit).
+// simulation window until every node has crossed (or the window reaches
+// maxHorizonGrowth× the initial horizon).
 //
 // Final values are taken from a DC solve with sources at their settled
 // values, so thresholds are exact even when the transient window is short.
@@ -77,8 +73,6 @@ func MeasureDelays(c *Circuit, watch []int, opts MeasureOpts) ([]float64, error)
 	}
 	rec := obs.OrNop(opts.Obs)
 	rec.Add(obs.CtrMeasureRuns, 1)
-	trace.OrNop(opts.Trace).Emit(trace.Event{Kind: trace.KindOracleEval,
-		Oracle: "spice", N: int64(c.NumNodes())})
 
 	// One assembly serves the DC solve and every horizon retry.
 	sys, err := assemble(c)
@@ -102,10 +96,7 @@ func MeasureDelays(c *Circuit, watch []int, opts MeasureOpts) ([]float64, error)
 	if horizon <= 0 {
 		horizon = horizonEstimate(c)
 	}
-	maxHorizon := opts.MaxHorizon
-	if maxHorizon <= 0 {
-		maxHorizon = horizon * 1024
-	}
+	maxHorizon := horizon * maxHorizonGrowth
 
 	for {
 		var crossings []float64

@@ -722,10 +722,7 @@ func referenceMeasureDelays(c *Circuit, watch []int, opts MeasureOpts) ([]float6
 	if horizon <= 0 {
 		horizon = horizonEstimate(c)
 	}
-	maxHorizon := opts.MaxHorizon
-	if maxHorizon <= 0 {
-		maxHorizon = horizon * 1024
-	}
+	maxHorizon := horizon * 1024
 	for {
 		crossings := make([]float64, len(watch))
 		if opts.Adaptive {

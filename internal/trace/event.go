@@ -37,11 +37,6 @@ const (
 	// best-case objective lower bound, Before the cutoff it failed to
 	// undercut. A pruned candidate was never evaluated by the oracle.
 	KindCandidatePruned = "candidate_pruned"
-	// KindOracleEval reports one delay-oracle evaluation: Oracle names
-	// the model, N the topology's node count. Emitted by oracle
-	// implementations; deterministic order only in sequential contexts
-	// (see the package comment and DESIGN.md §11).
-	KindOracleEval = "oracle_eval"
 	// KindWireSizeStep commits one accepted widening: U/V the edge,
 	// Width the new width, Before/After the objective change.
 	KindWireSizeStep = "wiresize_step"
@@ -79,15 +74,12 @@ type Event struct {
 	// Width is a wire width (proposed for candidates, committed for
 	// wiresize steps).
 	Width int
-	// N is a kind-dependent count: candidates in a sweep, nodes in an
-	// oracle evaluation.
+	// N is the candidate count of a sweep_start event.
 	N int64
 	// Value is the candidate's objective score (seconds).
 	Value float64
 	// Before and After bracket an accepted modification's objective.
 	Before, After float64
-	// Oracle names the delay model of an oracle_eval event.
-	Oracle string
 	// Reason is one of the Reason constants on edge_rejected events.
 	Reason string
 	// Elapsed is wall-clock seconds since the tracer started — the one
@@ -122,7 +114,6 @@ type jsonEvent struct {
 	Value   string `json:"value,omitempty"`
 	Before  string `json:"before,omitempty"`
 	After   string `json:"after,omitempty"`
-	Oracle  string `json:"oracle,omitempty"`
 	Reason  string `json:"reason,omitempty"`
 	Elapsed string `json:"elapsed,omitempty"`
 }
@@ -149,7 +140,6 @@ func (e Event) Encode() []byte {
 		Value:   jsonl.FormatFloat(e.Value),
 		Before:  jsonl.FormatFloat(e.Before),
 		After:   jsonl.FormatFloat(e.After),
-		Oracle:  jsonl.CanonString(e.Oracle),
 		Reason:  jsonl.CanonString(e.Reason),
 		Elapsed: jsonl.FormatFloat(e.Elapsed),
 	})
@@ -182,7 +172,6 @@ func DecodeEvent(line []byte) (Event, error) {
 		Value:   fp.Parse(je.Value, "value"),
 		Before:  fp.Parse(je.Before, "before"),
 		After:   fp.Parse(je.After, "after"),
-		Oracle:  je.Oracle,
 		Reason:  je.Reason,
 		Elapsed: fp.Parse(je.Elapsed, "elapsed"),
 	}

@@ -20,7 +20,6 @@ func canonFloat(v float64) float64 {
 
 func (e Event) canon() Event {
 	e.Kind = jsonl.CanonString(e.Kind)
-	e.Oracle = jsonl.CanonString(e.Oracle)
 	e.Reason = jsonl.CanonString(e.Reason)
 	e.X = canonFloat(e.X)
 	e.Y = canonFloat(e.Y)
@@ -36,8 +35,7 @@ func (e Event) canon() Event {
 func eventsBitEqual(a, b Event) bool {
 	return a.Seq == b.Seq && a.Kind == b.Kind && a.Sweep == b.Sweep &&
 		a.Index == b.Index && a.U == b.U && a.V == b.V && a.Tap == b.Tap &&
-		a.Width == b.Width && a.N == b.N && a.Oracle == b.Oracle &&
-		a.Reason == b.Reason &&
+		a.Width == b.Width && a.N == b.N && a.Reason == b.Reason &&
 		math.Float64bits(a.X) == math.Float64bits(b.X) &&
 		math.Float64bits(a.Y) == math.Float64bits(b.Y) &&
 		math.Float64bits(a.Value) == math.Float64bits(b.Value) &&
@@ -51,32 +49,32 @@ func eventsBitEqual(a, b Event) bool {
 // decode→encode reproduces the bytes; and for any raw line the parser
 // accepts, the canonical encoding is a fixpoint.
 func FuzzTraceRoundTrip(f *testing.F) {
-	f.Add(int64(1), KindSweepStart, 1, 0, 0, 0, false, 0.0, 0.0, 0, int64(12), 0.0, 0.0, 0.0, "", "", 0.0,
+	f.Add(int64(1), KindSweepStart, 1, 0, 0, 0, false, 0.0, 0.0, 0, int64(12), 0.0, 0.0, 0.0, "", 0.0,
 		[]byte(`{"seq":1,"kind":"sweep_start","sweep":1,"n":12}`))
-	f.Add(int64(2), KindCandidateScored, 1, 3, 0, 4, false, 0.0, 0.0, 0, int64(0), 1.25e-9, 0.0, 0.0, "", "", 0.001,
+	f.Add(int64(2), KindCandidateScored, 1, 3, 0, 4, false, 0.0, 0.0, 0, int64(0), 1.25e-9, 0.0, 0.0, "", 0.001,
 		[]byte(`{"seq":2,"kind":"candidate_scored","sweep":1,"index":3,"v":4,"value":"0x1.579c2ed9fcd2dp-30"}`))
-	f.Add(int64(3), KindEdgeAccepted, 2, 0, 1, 7, true, 100.5, -250.25, 0, int64(0), 0.0, 2e-9, 1e-9, "", "", 0.0,
+	f.Add(int64(3), KindEdgeAccepted, 2, 0, 1, 7, true, 100.5, -250.25, 0, int64(0), 0.0, 2e-9, 1e-9, "", 0.0,
 		[]byte(`{"seq":3,"kind":"edge_accepted","u":1,"v":7,"tap":true}`))
-	f.Add(int64(4), KindEdgeRejected, 9, 0, 2, 3, false, 0.0, 0.0, 0, int64(0), 9e-9, 1e-9, 0.0, "", ReasonNoImprovement, 0.0,
+	f.Add(int64(4), KindEdgeRejected, 9, 0, 2, 3, false, 0.0, 0.0, 0, int64(0), 9e-9, 1e-9, 0.0, ReasonNoImprovement, 0.0,
 		[]byte(`{"seq":4,"kind":"edge_rejected","reason":"no_improvement"}`))
-	f.Add(int64(5), KindOracleEval, 0, 0, 0, 0, false, 0.0, 0.0, 0, int64(30), 0.0, 0.0, 0.0, "spice", "", 0.5,
+	f.Add(int64(5), KindCandidatePruned, 2, 5, 1, 3, false, 0.0, 0.0, 0, int64(0), 3e-9, 2e-9, 0.0, "", 0.5,
 		[]byte(`not json`))
-	f.Add(int64(6), KindWireSizeStep, 0, 0, 0, 2, false, math.Copysign(0, -1), math.Inf(1), 3, int64(0), math.NaN(), 0.0, 0.0, "", "", 0.0,
+	f.Add(int64(6), KindWireSizeStep, 0, 0, 0, 2, false, math.Copysign(0, -1), math.Inf(1), 3, int64(0), math.NaN(), 0.0, 0.0, "", 0.0,
 		[]byte(`{"seq":6,"kind":"wiresize_step","v":2,"width":3,"x":"-0x0p+00","y":"+Inf"}`))
 
-	f.Add(int64(7), KindSweepStart, 0, 0, 0, 0, false, 0.0, 0.0, 0, int64(0), 0.0, 0.0, 0.0, "", "", 0.0,
+	f.Add(int64(7), KindSweepStart, 0, 0, 0, 0, false, 0.0, 0.0, 0, int64(0), 0.0, 0.0, 0.0, "", 0.0,
 		[]byte(`{"seq":1,"kind":"a"}{"seq":2,"kind":"b"}`))
-	f.Add(int64(8), KindSweepStart, 0, 0, 0, 0, false, 0.0, 0.0, 0, int64(0), 0.0, 0.0, 0.0, "", "", 0.0,
+	f.Add(int64(8), KindSweepStart, 0, 0, 0, 0, false, 0.0, 0.0, 0, int64(0), 0.0, 0.0, 0.0, "", 0.0,
 		[]byte(`{"seq":1,"kind":"a"} garbage`))
 
 	f.Fuzz(func(t *testing.T, seq int64, kind string, sweep, index, u, v int, tap bool,
 		x, y float64, width int, n int64, value, before, after float64,
-		oracle, reason string, elapsed float64, raw []byte) {
+		reason string, elapsed float64, raw []byte) {
 
 		e := Event{
 			Seq: seq, Kind: kind, Sweep: sweep, Index: index, U: u, V: v,
 			Tap: tap, X: x, Y: y, Width: width, N: n, Value: value,
-			Before: before, After: after, Oracle: oracle, Reason: reason,
+			Before: before, After: after, Reason: reason,
 			Elapsed: elapsed,
 		}
 		line := e.Encode()

@@ -1,9 +1,9 @@
 // Package trace is the repository's structured execution-trace layer: a
 // stream of typed, per-decision events emitted by the routing algorithms
-// (package core), the incremental Elmore evaluator (package elmore) and
-// the transient simulator (package spice), answering the question the
+// of package core, the only emitter, answering the question the
 // aggregate counters of package obs cannot — *why* a specific edge was
-// accepted or rejected, and in what order the search unfolded.
+// accepted or rejected, and in what order the search unfolded. The delay
+// models below core (elmore, spice) do not import this package.
 //
 // The layer mirrors the obs contract (DESIGN.md §10–§11):
 //
@@ -21,7 +21,7 @@
 //     literals and omits zero-valued fields, so encode→decode→encode is
 //     byte-identical and a fingerprint match is a bitwise match.
 //
-// Instrumented packages observe only the Tracer interface; the no-op Nop
+// Package core observes only the Tracer interface; the no-op Nop
 // is the default everywhere a tracer is optional, so the cost of not
 // tracing is a nil check. The standard implementation is Ring, a bounded
 // ring buffer that keeps the most recent events and counts what it

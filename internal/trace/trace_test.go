@@ -24,7 +24,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		{Seq: 3, Kind: KindCandidateScored, Sweep: 1, Index: 1, U: 2, V: 5, Tap: true, X: 100.5, Y: -0.0, Value: 3.5e-10},
 		{Seq: 4, Kind: KindEdgeAccepted, U: 0, V: 3, Before: 2e-9, After: 1.25e-9, Elapsed: 0.125},
 		{Seq: 5, Kind: KindEdgeRejected, U: 1, V: 4, Value: 9e-9, Before: 1.25e-9, Reason: ReasonNoImprovement},
-		{Seq: 6, Kind: KindOracleEval, Oracle: "elmore", N: 10},
+		{Seq: 6, Kind: KindCandidatePruned, Sweep: 2, Index: 4, U: 1, V: 6, Value: 3e-9, Before: 2.5e-9},
 		{Seq: 7, Kind: KindWireSizeStep, U: 0, V: 2, Width: 3, Before: 1e-9, After: 0.5e-9},
 	}
 	for _, e := range events {
@@ -142,7 +142,7 @@ func TestRingConcurrentEmit(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				r.Emit(Event{Kind: KindOracleEval, Oracle: "elmore"})
+				r.Emit(Event{Kind: KindCandidateScored, Value: 1e-9})
 			}
 		}()
 	}

@@ -222,9 +222,9 @@ type Config struct {
 	// See DESIGN.md §11.
 	Trace Tracer
 	// RequestID tags the run with the serving layer's request identity
-	// ("" outside a daemon). It is provenance only — propagated into the
-	// sweeps' and oracles' error tags so a failure names the request it
-	// belongs to, never read by any algorithm decision (DESIGN.md §16).
+	// ("" outside a daemon). It is provenance only: the entry point that
+	// returns an error tags it once, so a failure names the request it
+	// belongs to, and no algorithm decision reads it (DESIGN.md §16).
 	RequestID string
 }
 
@@ -236,17 +236,17 @@ func (c Config) params() Params {
 }
 
 func (c Config) coreOptions() core.Options {
-	// The tracer is wired into the algorithm layer only, never into the
-	// oracles: oracle-level events come from worker goroutines when
-	// Workers != 1, which would break the byte-identity guarantee.
+	// The tracer and the request identity go to the algorithm layer only:
+	// core emits every trace event and tags every error at its entry
+	// points, so the oracles take neither.
 	opts := core.Options{MaxAddedEdges: c.MaxAddedEdges, Workers: c.Workers, Obs: c.Obs, Trace: c.Trace, RequestID: c.RequestID}
 	switch c.Oracle {
 	case OracleSpice:
-		opts.Oracle = &core.SpiceOracle{Params: c.params(), Obs: c.Obs, RequestID: c.RequestID}
+		opts.Oracle = &core.SpiceOracle{Params: c.params(), Obs: c.Obs}
 	case OracleTwoPole:
-		opts.Oracle = &core.TwoPoleOracle{Params: c.params(), Obs: c.Obs, RequestID: c.RequestID}
+		opts.Oracle = &core.TwoPoleOracle{Params: c.params(), Obs: c.Obs}
 	default:
-		opts.Oracle = &core.ElmoreOracle{Params: c.params(), Obs: c.Obs, RequestID: c.RequestID}
+		opts.Oracle = &core.ElmoreOracle{Params: c.params(), Obs: c.Obs}
 	}
 	if c.SinkWeights != nil {
 		opts.Objective = &core.WeightedDelayObjective{Alphas: c.SinkWeights}
