@@ -68,6 +68,7 @@ func H1(seed *graph.Topology, opts Options) (_ *Result, rerr error) {
 			// (whose delay vector the next iteration needs anyway), so
 			// committed objectives stay identical to a full-solve run's.
 			probe, err := eng.inc.WithEdge(e)
+			eng.inc.Flush()
 			if err != nil {
 				return nil, fmt.Errorf("core: H1 probing %v: %w", e, err)
 			}

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
+	"nontree/internal/graph"
 	"nontree/internal/obs"
 	"nontree/internal/rc"
 	"nontree/internal/spice"
+	"nontree/internal/trace"
 )
 
 // Observability contract (DESIGN.md §10): the counters a run records must
@@ -56,7 +60,83 @@ func TestObsCountersMatchLDRGResult(t *testing.T) {
 			t.Errorf("seed %d: histogram sum %g != candidate counter %d",
 				seed, h.Sum, c[obs.CtrSweepCandidates])
 		}
+		// The evaluator's batched counts have all landed on return: one
+		// probe per unpruned candidate, two column lookups per probe.
+		edgeProbes := c[obs.CtrSweepCandidates] - c[obs.CtrCandidatesPruned]
+		checkIncrementalCounts(t, fmt.Sprintf("seed %d", seed), c, edgeProbes, 2*edgeProbes)
 	}
+}
+
+// checkIncrementalCounts asserts the incremental evaluator's counters: the
+// probes it made, and its column-cache lookups (hits plus misses).
+func checkIncrementalCounts(t *testing.T, label string, c map[string]int64, probes, lookups int64) {
+	t.Helper()
+	if probes == 0 {
+		t.Fatalf("%s: no probes expected; the case checks nothing", label)
+	}
+	if got := c[obs.CtrIncrementalEvals]; got != probes {
+		t.Errorf("%s: %s = %d, want %d probes", label, obs.CtrIncrementalEvals, got, probes)
+	}
+	if got := c[obs.CtrIncrementalHits] + c[obs.CtrIncrementalMisses]; got != lookups {
+		t.Errorf("%s: cache hits+misses = %d, want %d lookups", label, got, lookups)
+	}
+}
+
+// TestObsCountersMatchTapsResult: LDRGWithTaps probes every unpruned edge
+// candidate (two columns each) and every tap candidate (three columns:
+// both endpoints and the source), and taps are never pruned.
+func TestObsCountersMatchTapsResult(t *testing.T) {
+	for seed := int64(0); seed < 3; seed++ {
+		reg := obs.NewRegistry()
+		obs.Preregister(reg)
+		if _, err := LDRGWithTaps(randomMST(t, 8400+seed, 10), Options{Oracle: elmoreOracle(), Obs: reg}); err != nil {
+			t.Fatal(err)
+		}
+		c := reg.Snapshot().Counters
+		edgeProbes := c[obs.CtrSweepCandidates] - c[obs.CtrCandidatesPruned]
+		tapProbes := c[obs.CtrTapCandidates]
+		checkIncrementalCounts(t, fmt.Sprintf("seed %d", seed), c, edgeProbes+tapProbes, 2*edgeProbes+3*tapProbes)
+	}
+}
+
+// TestObsCountersMatchH1Result: H1 pre-screens each sweep's one shortcut
+// with a single probe, outside the sweep scan.
+func TestObsCountersMatchH1Result(t *testing.T) {
+	for seed := int64(0); seed < 5; seed++ {
+		reg := obs.NewRegistry()
+		obs.Preregister(reg)
+		ring := trace.NewRing(1 << 10)
+		if _, err := H1(randomMST(t, 8500+seed, 12), Options{Oracle: elmoreOracle(), Obs: reg, Trace: ring}); err != nil {
+			t.Fatal(err)
+		}
+		var sweeps int64
+		for _, ev := range ring.Events() {
+			if ev.Kind == trace.KindSweepStart {
+				sweeps++
+			}
+		}
+		checkIncrementalCounts(t, fmt.Sprintf("seed %d", seed), reg.Snapshot().Counters, sweeps, 2*sweeps)
+	}
+}
+
+// TestObsCountersLandOnOracleError: when the oracle fails in the middle of
+// a sweep (the full re-solve of the incremental leader), the probes the
+// sweep already made are counted before the error surfaces. The uniform
+// weighted objective disables pruning, so every candidate is probed.
+func TestObsCountersLandOnOracleError(t *testing.T) {
+	seed := randomMST(t, 42, 8)
+	oracle := &failingIncrementalOracle{failingOracle{
+		fails: func(t *graph.Topology, _ rc.WidthFunc) bool { return t.NumEdges() != seed.NumEdges() },
+	}}
+	reg := obs.NewRegistry()
+	obs.Preregister(reg)
+	_, err := LDRG(seed, Options{Oracle: oracle, Objective: &WeightedDelayObjective{}, Obs: reg})
+	if !errors.Is(err, errCandidate) {
+		t.Fatalf("got error %v, want the injected failure", err)
+	}
+	c := reg.Snapshot().Counters
+	probes := c[obs.CtrSweepCandidates]
+	checkIncrementalCounts(t, "failed sweep", c, probes, 2*probes)
 }
 
 func TestObsCountersMatchWireSizeResult(t *testing.T) {

@@ -166,8 +166,13 @@ func (eng *sweepEngine) scan(t *graph.Topology, sweep int, cur float64, c candid
 		if err != nil {
 			return trace.Event{}, false, err
 		}
-	} else if err := eng.probeAll(t.NumPins(), sweep, cur, threshold, outs, c); err != nil {
-		return trace.Event{}, false, err
+	} else {
+		// The probes' counts land before any error surfaces.
+		err := eng.probeAll(t.NumPins(), sweep, cur, threshold, outs, c)
+		eng.inc.Flush()
+		if err != nil {
+			return trace.Event{}, false, err
+		}
 	}
 
 	// The winner is the first strict minimum among the candidates below
@@ -220,6 +225,7 @@ func (eng *sweepEngine) scan(t *graph.Topology, sweep int, cur float64, c candid
 	// before this point, so it leaves no candidate events.
 	minIdx, minVal := -1, math.Inf(1)
 	low, lowLB := -1, math.Inf(1) // the most promising pruned candidate
+	var pruned int64
 	for i, o := range outs {
 		ev := c.event(i)
 		ev.Sweep, ev.Index, ev.Value = sweep, i, o.val
@@ -228,7 +234,7 @@ func (eng *sweepEngine) scan(t *graph.Topology, sweep int, cur float64, c candid
 			if c.tighten && minVal < threshold {
 				ev.Before = minVal
 			}
-			eng.rec.Add(obs.CtrCandidatesPruned, 1)
+			pruned++
 			if o.val < lowLB {
 				low, lowLB = i, o.val
 			}
@@ -239,6 +245,9 @@ func (eng *sweepEngine) scan(t *graph.Topology, sweep int, cur float64, c candid
 			}
 		}
 		eng.tr.Emit(ev)
+	}
+	if pruned > 0 {
+		eng.rec.Add(obs.CtrCandidatesPruned, pruned)
 	}
 
 	if best < 0 {

@@ -204,9 +204,9 @@ func (c *Conductance) TransferResistance(i, j int) (float64, error) {
 	if i < 0 || i >= c.size || j < 0 || j >= c.size {
 		return 0, errors.New("elmore: transfer resistance index out of range")
 	}
-	e := make([]float64, c.size)
-	e[j] = 1
-	x := c.lu.Solve(e)
+	x := make([]float64, c.size)
+	x[j] = 1
+	c.lu.SolveInPlace(x)
 	return x[i], nil
 }
 

@@ -41,12 +41,12 @@ import (
 // can drop under a candidate, computed from the base delays and shortest-
 // path resistances alone, before any linear algebra.
 //
-// Incremental is deliberately stateful — its solve cache and epoch
-// counter mutate on evaluation — which is why it is the sanctioned
-// exception to the oracle purity contract: one instance serves one
-// goroutine, the epochcheck analyzer rejects probes against a stale
-// factorization, and the purityflow analyzer exempts exactly this type
-// (and nothing else) from its no-shared-writes rule (DESIGN.md §14).
+// Incremental is deliberately stateful — its solve cache, probe buffer,
+// count tallies and epoch counter mutate on evaluation — which is why it
+// is the sanctioned exception to the oracle purity contract: one instance
+// serves one goroutine, the epochcheck analyzer rejects probes against a
+// stale factorization, and the purityflow analyzer exempts exactly this
+// type (and nothing else) from its no-shared-writes rule (DESIGN.md §14).
 type Incremental struct {
 	topo  *graph.Topology
 	p     rc.Params
@@ -70,9 +70,18 @@ type Incremental struct {
 	// epoch it was computed in, and Refactor starts a new one.
 	epoch int
 
+	// buf is the delay vector every probe writes and returns; the next
+	// probe overwrites it.
+	buf []float64 //nontree:unit s
+
+	// evals, hits and misses tally probes and column-cache lookups until
+	// Flush hands them to Obs, so a probe takes no lock.
+	evals, hits, misses int64
+
 	// Obs counts candidate evaluations, column-cache hits/misses and
 	// factorizations when set (nil = discard). Like the evaluator itself it
-	// is used from a single goroutine.
+	// is used from a single goroutine. Evaluations, hits and misses reach it
+	// only through Flush.
 	Obs obs.Recorder
 }
 
@@ -103,8 +112,9 @@ func NewIncrementalWidth(t *graph.Topology, p rc.Params, width rc.WidthFunc) (*I
 // invalidates every cached transfer-resistance column and shortest-path
 // vector, starting a new epoch. Forgetting the invalidation would silently
 // reuse columns of the *previous* factorization; the test suite pins this
-// with a stale-cache regression test.
+// with a stale-cache regression test. It flushes the pending counts first.
 func (inc *Incremental) Refactor() error {
+	inc.Flush()
 	l, err := rc.Lump(inc.topo, inc.p, inc.width)
 	if err != nil {
 		return err
@@ -127,6 +137,24 @@ func (inc *Incremental) Refactor() error {
 	return nil
 }
 
+// Flush adds the evaluations, cache hits and cache misses tallied since the
+// last flush to Obs and resets the tallies. Probes only count; callers
+// flush once per sweep, and Refactor and BestAddition flush themselves, so
+// the totals Obs sees are the per-probe counts, delivered in batches.
+func (inc *Incremental) Flush() {
+	rec := obs.OrNop(inc.Obs)
+	if inc.evals != 0 {
+		rec.Add(obs.CtrIncrementalEvals, inc.evals)
+	}
+	if inc.hits != 0 {
+		rec.Add(obs.CtrIncrementalHits, inc.hits)
+	}
+	if inc.misses != 0 {
+		rec.Add(obs.CtrIncrementalMisses, inc.misses)
+	}
+	inc.evals, inc.hits, inc.misses = 0, 0, 0
+}
+
 // Epoch returns the number of base-state factorizations performed so far
 // (1 after construction). Cached columns never outlive an epoch.
 func (inc *Incremental) Epoch() int { return inc.epoch }
@@ -139,14 +167,28 @@ func (inc *Incremental) BaseDelays() []float64 { return inc.base }
 //nontree:unit return Ω
 func (inc *Incremental) column(k int) []float64 {
 	if inc.colCache[k] == nil {
-		e := make([]float64, inc.cond.size)
-		e[k] = 1
-		inc.colCache[k] = inc.cond.lu.Solve(e)
-		obs.OrNop(inc.Obs).Add(obs.CtrIncrementalMisses, 1)
+		col := make([]float64, inc.cond.size)
+		col[k] = 1
+		inc.cond.lu.SolveInPlace(col)
+		inc.colCache[k] = col
+		inc.misses++
 	} else {
-		obs.OrNop(inc.Obs).Add(obs.CtrIncrementalHits, 1)
+		inc.hits++
 	}
 	return inc.colCache[k]
+}
+
+// probeBuf returns the evaluator's probe buffer sized to the current
+// network.
+//
+//nontree:unit return s
+func (inc *Incremental) probeBuf() []float64 {
+	n := inc.cond.size
+	if cap(inc.buf) < n {
+		inc.buf = make([]float64, n)
+	}
+	inc.buf = inc.buf[:n]
+	return inc.buf
 }
 
 // pathLengths returns the lazily cached shortest-path length vector (µm)
@@ -174,17 +216,17 @@ func (inc *Incremental) edgeWidth(e graph.Edge) float64 {
 // withConductance is the shared rank-1 core: the delay vector after adding
 // conductance g between nodes u and v together with shunt capacitance
 // halfC at each of them. It performs no eligibility checks — wrappers
-// validate. O(n) after the two endpoint columns are cached.
+// validate. O(n) after the two endpoint columns are cached. The result is
+// the probe buffer.
 //
 //nontree:unit g Ω^-1
 //nontree:unit halfC F
 //nontree:unit return s
 func (inc *Incremental) withConductance(u, v int, g, halfC float64) ([]float64, error) {
-	obs.OrNop(inc.Obs).Add(obs.CtrIncrementalEvals, 1)
+	inc.evals++
 
 	colU := inc.column(u)
 	colV := inc.column(v)
-	n := inc.cond.size
 
 	// y = G⁻¹w = colU − colV and z = G⁻¹Δ = halfC·(colU + colV), from the
 	// cached columns; wᵀt, wᵀy, wᵀz are scalars.
@@ -198,8 +240,8 @@ func (inc *Incremental) withConductance(u, v int, g, halfC float64) ([]float64, 
 	}
 	scale := g * (wT_t + wT_z) / denom
 
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
+	out := inc.probeBuf()
+	for i := range out {
 		y_i := colU[i] - colV[i]
 		z_i := halfC * (colU[i] + colV[i])
 		out[i] = inc.base[i] + z_i - scale*y_i
@@ -210,7 +252,8 @@ func (inc *Incremental) withConductance(u, v int, g, halfC float64) ([]float64, 
 // WithEdge returns the Elmore delay vector of the topology with candidate
 // edge e added (at the width the evaluator's width function assigns it),
 // without mutating anything. O(n) after the per-endpoint columns are
-// cached.
+// cached, and allocation-free: the returned slice is the evaluator's probe
+// buffer, valid until its next WithEdge, WithWiden or WithTap call.
 //
 //nontree:unit return s
 func (inc *Incremental) WithEdge(e graph.Edge) ([]float64, error) {
@@ -236,7 +279,8 @@ func (inc *Incremental) WithEdge(e graph.Edge) ([]float64, error) {
 // width step. Under the first-order width model (resistance ∝ 1/w,
 // capacitance ∝ w), one extra width unit is exactly one additional
 // unit-width wire in parallel — the same rank-1 update as WithEdge, with
-// width-independent increments Δg = 1/(r·len) and Δc/2 = c·len/2.
+// width-independent increments Δg = 1/(r·len) and Δc/2 = c·len/2. Like
+// WithEdge, it returns the evaluator's probe buffer.
 //
 //nontree:unit return s
 func (inc *Incremental) WithWiden(e graph.Edge) ([]float64, error) {
@@ -266,7 +310,8 @@ func (inc *Incremental) WithWiden(e graph.Edge) ([]float64, error) {
 // over {e.U, e.V, 0}. The update is then applied by the Woodbury identity
 // using the three cached columns of those nodes; the source column is
 // shared by every tap candidate of a sweep. Delays at s itself are not
-// produced — objectives only read sink nodes, which all pre-exist.
+// produced — objectives only read sink nodes, which all pre-exist. Like
+// WithEdge, it returns the evaluator's probe buffer.
 func (inc *Incremental) WithTap(e graph.Edge, pt geom.Point) ([]float64, error) {
 	e = e.Canon()
 	if !inc.topo.HasEdge(e) {
@@ -313,12 +358,11 @@ func (inc *Incremental) WithTap(e graph.Edge, pt geom.Point) ([]float64, error) 
 	dcV := inc.p.WireCapacitance*lenB/2 - oldHalfC + gB/gSum*capS         //nontree:unit F
 	dc0 := inc.p.WireCapacitance*lenC/2 + gC/gSum*capS                    //nontree:unit F
 
-	obs.OrNop(inc.Obs).Add(obs.CtrIncrementalEvals, 1)
+	inc.evals++
 
 	colU := inc.column(e.U)
 	colV := inc.column(e.V)
 	col0 := inc.column(0)
-	n := inc.cond.size
 
 	// G' = G + W·D·Wᵀ with W = [e_u−e_v, e_u−e_0, e_v−e_0] and
 	// D = diag(dguv, dgu0, dgv0); c' = c + Δc. By Woodbury,
@@ -362,8 +406,8 @@ func (inc *Incremental) WithTap(e graph.Edge, pt geom.Point) ([]float64, error) 
 		return nil, fmt.Errorf("elmore: rank-3 tap update degenerate for %v: %w", e, err)
 	}
 
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
+	out := inc.probeBuf()
+	for i := range out {
 		out[i] = tTilde(i) - s[0]*y1(i) - s[1]*y2(i) - s[2]*y3(i)
 	}
 	return out, nil
@@ -446,10 +490,12 @@ func (inc *Incremental) WideningBound(e graph.Edge) float64 {
 // BestAddition scans every absent edge and returns the one minimizing the
 // max sink delay, together with that delay. found is false when no edge
 // improves on the current maximum by more than minImprovement (relative).
+// It flushes its counts before returning.
 //
 //nontree:unit minImprovement 1
 //nontree:unit return1 s
 func (inc *Incremental) BestAddition(minImprovement float64) (best graph.Edge, bestDelay float64, found bool, err error) {
+	defer inc.Flush()
 	numPins := inc.topo.NumPins()
 	cur := MaxSinkDelay(inc.base, numPins)
 	bestDelay = cur

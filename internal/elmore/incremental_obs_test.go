@@ -12,7 +12,8 @@ import (
 // TestIncrementalObsCounters checks the Sherman–Morrison evaluator's cache
 // accounting: the first touch of each endpoint column is a miss, every
 // later touch a hit, and hits+misses == 2 × evaluations (two endpoint
-// columns per candidate edge).
+// columns per candidate edge). Probes only tally: nothing reaches Obs
+// until Flush, which delivers the totals.
 func TestIncrementalObsCounters(t *testing.T) {
 	gen := netlist.NewGenerator(911)
 	n, err := gen.Generate(9)
@@ -51,6 +52,12 @@ func TestIncrementalObsCounters(t *testing.T) {
 		evaluated++
 	}
 
+	for _, name := range []string{obs.CtrIncrementalEvals, obs.CtrIncrementalHits, obs.CtrIncrementalMisses} {
+		if got := reg.Snapshot().Counters[name]; got != 0 {
+			t.Errorf("%s = %d before Flush, want 0", name, got)
+		}
+	}
+	inc.Flush()
 	c := reg.Snapshot().Counters
 	if got := c[obs.CtrIncrementalEvals]; got != int64(evaluated) {
 		t.Errorf("%s = %d, want %d", obs.CtrIncrementalEvals, got, evaluated)

@@ -27,8 +27,19 @@ var ErrNotSPD = errors.New("linalg: matrix is not symmetric positive definite")
 // Cholesky is the factorization A = L·Lᵀ of a symmetric positive definite
 // matrix — half the flops of LU and no pivoting, ideal for the grounded
 // conductance matrices of RC networks (which are SPD by construction).
+//
+// The factor is stored compressed, like LU's: the diagonal of L, and the
+// nonzeros below it twice over, once by rows of L (lower) for forward
+// substitution and once by columns of L, that is by rows of Lᵀ (upper),
+// for back substitution. Conductance matrices of routing graphs factor
+// sparsely in their natural node order (L is 6.5% nonzero at 100 pins), so
+// a solve costs O(nnz) instead of O(n²).
 type Cholesky struct {
-	l *Matrix // lower triangular, row-major
+	n    int
+	diag []float64
+	// Row i of lower holds L[i][j] for j < i, and row i of upper holds
+	// L[k][i] for k > i; both keep only nonzeros.
+	lower, upper Sparse
 }
 
 // FactorCholesky computes the Cholesky factorization of a, which must be
@@ -74,7 +85,57 @@ func FactorCholesky(a *Matrix) (*Cholesky, error) {
 			}
 		}
 	}
-	return &Cholesky{l: l}, nil
+	return compressCholesky(l), nil
+}
+
+// compressCholesky keeps the diagonal and the nonzeros of the dense lower
+// triangular factor l. The nonzeros are counted first, so the factor's
+// indices and values take one exactly sized allocation each.
+func compressCholesky(l *Matrix) *Cholesky {
+	n := l.Rows
+	nnz := 0
+	for i := 0; i < n; i++ {
+		for _, v := range l.Data[i*n : i*n+i] {
+			if v != 0 {
+				nnz++
+			}
+		}
+	}
+	intBuf, valBuf := make([]int, 3*n+2+2*nnz), make([]float64, n+2*nnz)
+	takeInts := func(k int) []int { s := intBuf[:k:k]; intBuf = intBuf[k:]; return s }
+	takeVals := func(k int) []float64 { s := valBuf[:k:k]; valBuf = valBuf[k:]; return s }
+	c := &Cholesky{n: n, diag: takeVals(n),
+		lower: Sparse{Rows: n, Cols: n, ptr: takeInts(n + 1), col: takeInts(nnz), val: takeVals(nnz)},
+		upper: Sparse{Rows: n, Cols: n, ptr: takeInts(n + 1), col: takeInts(nnz), val: takeVals(nnz)},
+	}
+	// The rows of L, counting the entries of each row of Lᵀ on the way.
+	pos := 0
+	for i := 0; i < n; i++ {
+		for j, v := range l.Data[i*n : i*n+i] {
+			if v != 0 {
+				c.lower.col[pos], c.lower.val[pos] = j, v
+				pos++
+				c.upper.ptr[j+1]++
+			}
+		}
+		c.lower.ptr[i+1] = pos
+		c.diag[i] = l.At(i, i)
+	}
+	for j := 0; j < n; j++ {
+		c.upper.ptr[j+1] += c.upper.ptr[j]
+	}
+	// The rows of Lᵀ: visiting the rows of L in order fills each one in
+	// ascending index order.
+	next := takeInts(n)
+	copy(next, c.upper.ptr[:n])
+	for i := 0; i < n; i++ {
+		cols, vals := c.lower.Row(i)
+		for k, j := range cols {
+			c.upper.col[next[j]], c.upper.val[next[j]] = i, vals[k]
+			next[j]++
+		}
+	}
+	return c
 }
 
 // Solve returns x with A·x = b.
@@ -86,36 +147,39 @@ func (c *Cholesky) Solve(b []float64) []float64 {
 }
 
 // SolveInPlace overwrites b with A⁻¹b via forward then backward
-// substitution against L and Lᵀ.
+// substitution against L and Lᵀ, allocation-free. Each row is walked in
+// ascending index order, as over the dense factor; only the exact-zero
+// entries are skipped. For finite b without negative zeros the result is
+// bit-identical to dense substitution.
 func (c *Cholesky) SolveInPlace(b []float64) {
-	n := c.l.Rows
+	n := c.n
 	if len(b) != n {
 		panic(fmt.Sprintf("linalg: Cholesky solve dimension mismatch: %d vs %d", len(b), n))
 	}
 	// L·y = b.
 	for i := 0; i < n; i++ {
-		row := c.l.Data[i*n : i*n+i]
+		cols, vals := c.lower.Row(i)
 		sum := b[i]
-		for k, v := range row {
-			sum -= v * b[k]
+		for k, j := range cols {
+			sum -= vals[k] * b[j]
 		}
-		b[i] = sum / c.l.At(i, i)
+		b[i] = sum / c.diag[i]
 	}
 	// Lᵀ·x = y.
 	for i := n - 1; i >= 0; i-- {
+		cols, vals := c.upper.Row(i)
 		sum := b[i]
-		for k := i + 1; k < n; k++ {
-			sum -= c.l.At(k, i) * b[k]
+		for k, j := range cols {
+			sum -= vals[k] * b[j]
 		}
-		b[i] = sum / c.l.At(i, i)
+		b[i] = sum / c.diag[i]
 	}
 }
 
 // Det returns the determinant (the squared product of the diagonal of L).
 func (c *Cholesky) Det() float64 {
 	det := 1.0
-	for i := 0; i < c.l.Rows; i++ {
-		d := c.l.At(i, i)
+	for _, d := range c.diag {
 		det *= d * d
 	}
 	return det

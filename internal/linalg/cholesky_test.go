@@ -154,6 +154,162 @@ func TestCholeskySolveInPlaceMatchesSolve(t *testing.T) {
 	}
 }
 
+// referenceCholesky is the dense factor and substitution the compressed
+// Cholesky replaced: L row-major with its zeros, every solve walking the
+// full triangles. It is the bitwise referee of the compressed factor.
+type referenceCholesky struct{ l *Matrix }
+
+// newReferenceCholesky runs FactorCholesky's loop without its SPD checks;
+// callers factor only matrices FactorCholesky accepts.
+func newReferenceCholesky(a *Matrix) *referenceCholesky {
+	n := a.Rows
+	l := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			sum := a.At(i, j)
+			for k := 0; k < j; k++ {
+				sum -= l.At(i, k) * l.At(j, k)
+			}
+			if i == j {
+				l.Set(i, i, math.Sqrt(sum))
+			} else {
+				l.Set(i, j, sum/l.At(j, j))
+			}
+		}
+	}
+	return &referenceCholesky{l: l}
+}
+
+func (c *referenceCholesky) solveInPlace(b []float64) {
+	n := c.l.Rows
+	for i := 0; i < n; i++ {
+		sum := b[i]
+		for k := 0; k < i; k++ {
+			sum -= c.l.At(i, k) * b[k]
+		}
+		b[i] = sum / c.l.At(i, i)
+	}
+	for i := n - 1; i >= 0; i-- {
+		sum := b[i]
+		for k := i + 1; k < n; k++ {
+			sum -= c.l.At(k, i) * b[k]
+		}
+		b[i] = sum / c.l.At(i, i)
+	}
+}
+
+func (c *referenceCholesky) det() float64 {
+	det := 1.0
+	for i := 0; i < c.l.Rows; i++ {
+		d := c.l.At(i, i)
+		det *= d * d
+	}
+	return det
+}
+
+// conductanceMatrix draws the grounded conductance matrix of a random
+// n-node RC network, the pattern the Elmore analysis factors: a tree in
+// which every node is wired to an earlier one, plus chords, with
+// conductances spread over four decades and a driver conductance tying
+// node 0 to ground.
+func conductanceMatrix(rng *rand.Rand, n, chords int) *Matrix {
+	a := NewMatrix(n, n)
+	g := func() float64 { return math.Pow(10, 4*rng.Float64()-2) }
+	wire := func(u, v int) {
+		c := g()
+		a.Add(u, u, c)
+		a.Add(v, v, c)
+		a.Add(u, v, -c)
+		a.Add(v, u, -c)
+	}
+	for v := 1; v < n; v++ {
+		wire(rng.Intn(v), v)
+	}
+	for k := 0; k < chords; k++ {
+		if u, v := rng.Intn(n), rng.Intn(n); u != v {
+			wire(u, v)
+		}
+	}
+	a.Add(0, 0, g())
+	return a
+}
+
+// checkCholeskyVsDense factors a with the compressed Cholesky and the
+// dense reference and compares Det and the solves of a unit vector (a
+// transfer-resistance column), a positive load vector and a signed vector
+// with zeros, bit for bit.
+func checkCholeskyVsDense(t *testing.T, rng *rand.Rand, a *Matrix) {
+	t.Helper()
+	n := a.Rows
+	ch, err := FactorCholesky(a)
+	if err != nil {
+		t.Fatalf("%d×%d SPD matrix rejected: %v", n, n, err)
+	}
+	ref := newReferenceCholesky(a)
+	if g, w := ch.Det(), ref.det(); math.Float64bits(g) != math.Float64bits(w) {
+		t.Fatalf("n=%d: Det %v, dense %v", n, g, w)
+	}
+	unit, load, signed := make([]float64, n), make([]float64, n), make([]float64, n)
+	unit[rng.Intn(n)] = 1
+	for i := range load {
+		load[i] = rng.Float64() * 1e-13
+		if rng.Intn(4) > 0 {
+			signed[i] = rng.NormFloat64()
+		}
+	}
+	for _, b := range [][]float64{unit, load, signed} {
+		want := append([]float64(nil), b...)
+		ref.solveInPlace(want)
+		if i := sameBits(ch.Solve(b), want); i >= 0 {
+			t.Fatalf("n=%d: Solve x[%d] differs from dense", n, i)
+		}
+		ch.SolveInPlace(b)
+		if i := sameBits(b, want); i >= 0 {
+			t.Fatalf("n=%d: SolveInPlace x[%d] = %v, dense %v", n, i, b[i], want[i])
+		}
+	}
+}
+
+func TestCholeskyMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for n := 1; n <= 48; n++ {
+		checkCholeskyVsDense(t, rng, conductanceMatrix(rng, n, n/4))
+		checkCholeskyVsDense(t, rng, randomSPD(rng, n))
+	}
+}
+
+// TestCholeskyStoresOnlyNonzeros checks that a tree's factor in natural
+// order keeps exactly one entry per wire: a chain's L is bidiagonal.
+func TestCholeskyStoresOnlyNonzeros(t *testing.T) {
+	const n = 20
+	a := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		a.Set(i, i, 2)
+		if i > 0 {
+			a.Set(i, i-1, -1)
+			a.Set(i-1, i, -1)
+		}
+	}
+	ch, err := FactorCholesky(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(ch.lower.val) + len(ch.upper.val); got != 2*(n-1) {
+		t.Fatalf("chain factor stores %d off-diagonal values, want %d", got, 2*(n-1))
+	}
+}
+
+func FuzzCholeskyVsDense(f *testing.F) {
+	f.Add(int64(1), uint8(1), uint8(0))
+	f.Add(int64(2), uint8(12), uint8(3))
+	f.Add(int64(3), uint8(30), uint8(8))
+	f.Add(int64(4), uint8(47), uint8(40))
+	f.Fuzz(func(t *testing.T, seed int64, size, chords uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		checkCholeskyVsDense(t, rng, conductanceMatrix(rng, 1+int(size%48), int(chords%64)))
+	})
+}
+
 func TestComplexLUSolve(t *testing.T) {
 	// (1+i)x + 3y = 3;  x + (1-i)y = 1+i  (det = 2 − 3 = −1 ≠ 0).
 	a := NewCMatrix(2, 2)

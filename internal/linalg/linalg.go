@@ -1,7 +1,8 @@
 // Package linalg provides the linear algebra needed by the circuit
 // simulator and the general-graph Elmore analysis: a dense row-major matrix,
-// a compressed-sparse-row matrix assembled from stamps, LU factorization
-// with partial pivoting stored as compressed factors, and Cholesky.
+// a compressed-sparse-row matrix assembled from stamps, and LU (with
+// partial pivoting) and Cholesky factorizations, both stored as compressed
+// factors.
 //
 // The MNA systems of the routed nets are mostly zeros. On 5–30-pin MST
 // circuits with 500 µm segments (34–112 unknowns) the iteration matrix
@@ -11,6 +12,14 @@
 // transient of hundreds to thousands of steps, so pivots and factor values
 // are those of the dense algorithm, and every sparse operation is
 // bit-identical to its dense counterpart.
+//
+// Cholesky follows the same recipe for the grounded conductance matrices
+// of the Elmore analysis. Their factors in natural node order are sparse
+// (L is 6.5% nonzero at 100 pins, 3.3% at 200), so the factor keeps only
+// the nonzeros of the rows of L and of Lᵀ, and the incremental evaluator's
+// column solves cost O(nnz). Skipping exact zeros leaves every solve
+// bit-identical to dense substitution for finite right-hand sides without
+// negative zeros.
 package linalg
 
 import (

@@ -36,7 +36,9 @@ const (
 
 	// --- package elmore: incremental (Sherman–Morrison) evaluator ---
 
-	// CtrIncrementalEvals counts WithEdge candidate evaluations.
+	// CtrIncrementalEvals counts WithEdge, WithWiden and WithTap probes. The
+	// evaluator tallies its evaluations, hits and misses and adds them in
+	// batches (Incremental.Flush).
 	CtrIncrementalEvals = "elmore.incremental.evaluations"
 	// CtrIncrementalHits counts transfer-resistance column cache hits.
 	CtrIncrementalHits = "elmore.incremental.cache_hits"

@@ -32,31 +32,36 @@ type Ring[T any] struct {
 
 // New returns a ring retaining the last capacity values; capacity must be
 // positive. Push calls stamp under the ring's lock with each value and its
-// sequence number (1, 2, …) before storing it.
+// sequence number (1, 2, …), on the value's stored slot.
 func New[T any](capacity int, stamp func(v *T, seq int64)) *Ring[T] {
 	return &Ring[T]{capacity: capacity, stamp: stamp}
 }
 
-// Push stamps v with the next sequence number and stores it, evicting the
-// oldest value when full. It reports whether a value was evicted.
+// Push stores v, evicting the oldest value when full, and stamps the stored
+// copy with the next sequence number. It reports whether a value was
+// evicted. Stamping the slot rather than v keeps v off the heap, so a push
+// allocates only when the buffer grows.
 func (r *Ring[T]) Push(v T) (evicted bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.seq++
-	r.stamp(&v, r.seq)
+	i := r.head
 	if len(r.buf) < r.capacity {
 		if len(r.buf) == cap(r.buf) {
 			grown := make([]T, len(r.buf), min(max(2*len(r.buf), 1), r.capacity))
 			copy(grown, r.buf)
 			r.buf = grown
 		}
+		i = len(r.buf)
 		r.buf = append(r.buf, v)
-		return false
+	} else {
+		r.buf[i] = v
+		r.head = (r.head + 1) % r.capacity
+		r.dropped++
+		evicted = true
 	}
-	r.buf[r.head] = v
-	r.head = (r.head + 1) % r.capacity
-	r.dropped++
-	return true
+	r.stamp(&r.buf[i], r.seq)
+	return evicted
 }
 
 // Events returns the retained values, oldest first. The slice is a copy.

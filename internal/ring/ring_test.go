@@ -118,3 +118,31 @@ func TestRingConcurrentPushEvents(t *testing.T) {
 		t.Fatalf("newest seq %d, want %d", last, writers*perWriter)
 	}
 }
+
+// TestRingPushDoesNotAllocate guards the push path: Push stamps the stored
+// slot, so the pushed value never escapes to the heap, and a push that
+// does not grow the buffer allocates nothing — below capacity once the
+// buffer has grown, and at capacity when it evicts.
+func TestRingPushDoesNotAllocate(t *testing.T) {
+	const capacity = 1024
+	for _, c := range []struct {
+		name   string
+		filled int
+	}{
+		// 513 values leave the buffer at 1024 slots, room for every push
+		// AllocsPerRun makes.
+		{"below capacity", capacity/2 + 1},
+		{"at capacity", capacity},
+	} {
+		r := newItemRing(capacity)
+		for i := 0; i < c.filled; i++ {
+			r.Push(item{val: i})
+		}
+		if n := testing.AllocsPerRun(100, func() { r.Push(item{val: -1}) }); n != 0 {
+			t.Errorf("%s: %v allocations per Push, want 0", c.name, n)
+		}
+		if c.filled < capacity && r.Len() >= capacity {
+			t.Fatalf("%s: ring filled up during the measurement", c.name)
+		}
+	}
+}
