@@ -555,8 +555,9 @@ func BenchmarkLDRGElmore20(b *testing.B) {
 	}
 }
 
-// BenchmarkFastLDRG30 measures the Sherman–Morrison incremental greedy —
-// compare with BenchmarkLDRGNaive30 for the O(n³)→O(n²) candidate-eval win.
+// BenchmarkFastLDRG30 measures the facade's FastLDRG, which is LDRG with
+// incremental (Sherman–Morrison) candidate scoring — compare with
+// BenchmarkLDRGNaive30 for the O(n³)→O(n²) candidate-eval win.
 func BenchmarkFastLDRG30(b *testing.B) {
 	net := benchNet(b, 30)
 	topo, err := mst.Prim(net.Pins)
@@ -566,7 +567,7 @@ func BenchmarkFastLDRG30(b *testing.B) {
 	p := rc.Default()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := elmore.FastLDRG(topo, p, 0); err != nil {
+		if _, _, err := nontree.FastLDRG(topo, p, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -616,8 +617,9 @@ func BenchmarkParallelSweepSpice20WMax(b *testing.B) {
 	benchParallelSweep(b, &core.SpiceOracle{Params: rc.Default()}, runtime.GOMAXPROCS(0))
 }
 
-// BenchmarkLDRGNaive30 is the generic greedy with full refactorization per
-// candidate, for comparison against BenchmarkFastLDRG30.
+// BenchmarkLDRGNaive30 is the same greedy with a full solve per candidate
+// (the oracle's incremental support hidden by fullSolve), for comparison
+// against BenchmarkFastLDRG30.
 func BenchmarkLDRGNaive30(b *testing.B) {
 	net := benchNet(b, 30)
 	topo, err := mst.Prim(net.Pins)

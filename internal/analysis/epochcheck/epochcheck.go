@@ -46,9 +46,7 @@ var useMethods = map[string]bool{
 	"WithEdge":      true,
 	"WithWiden":     true,
 	"WithTap":       true,
-	"AdditionBound": true,
 	"WideningBound": true,
-	"BestAddition":  true,
 	"BaseDelays":    true,
 }
 

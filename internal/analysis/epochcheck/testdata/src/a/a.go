@@ -61,6 +61,18 @@ func StraightBuggy(t *graph.Topology, inc *elmore.Incremental, e graph.Edge) {
 	_, _ = inc.WithEdge(e) // want `WithEdge on inc may answer from a stale factorization`
 }
 
+// StraightBuggyTap and StraightBuggyWiden: the same shape for the other
+// two probes; a tap's Steiner node is a committed mutation too.
+func StraightBuggyTap(t *graph.Topology, inc *elmore.Incremental, e graph.Edge) {
+	_ = t.AddSteinerNode(1, 2)
+	_, _ = inc.WithTap(e, 1, 2) // want `WithTap on inc may answer from a stale factorization`
+}
+
+func StraightBuggyWiden(t *graph.Topology, inc *elmore.Incremental, e graph.Edge) {
+	_ = t.RemoveEdge(e)
+	_, _ = inc.WithWiden(e) // want `WithWiden on inc may answer from a stale factorization`
+}
+
 // StraightFixed: Refactor restores consistency.
 func StraightFixed(t *graph.Topology, inc *elmore.Incremental, e graph.Edge) {
 	_ = t.AddEdge(e)

@@ -29,16 +29,8 @@ func (inc *Incremental) WithWiden(e graph.Edge) ([]float64, error) { return nil,
 // WithTap probes with a mid-edge tap.
 func (inc *Incremental) WithTap(e graph.Edge, x, y int) ([]float64, error) { return nil, nil }
 
-// AdditionBound lower-bounds an addition's improvement.
-func (inc *Incremental) AdditionBound(e graph.Edge) float64 { return 0 }
-
 // WideningBound lower-bounds a widening's improvement.
 func (inc *Incremental) WideningBound(e graph.Edge) float64 { return 0 }
-
-// BestAddition scans candidates for the best addition.
-func (inc *Incremental) BestAddition(min float64) (graph.Edge, float64, bool, error) {
-	return graph.Edge{}, 0, false, nil
-}
 
 // BaseDelays returns the base-state delay vector.
 func (inc *Incremental) BaseDelays() []float64 { return nil }

@@ -26,24 +26,16 @@ func H1(seed *graph.Topology, opts Options) (_ *Result, rerr error) {
 	t := seed.Clone()
 	obj := opts.objective()
 	res := &Result{Topology: t}
-
-	delays, err := opts.Oracle.SinkDelays(t, opts.Width)
+	eng, delays, err := newSweepEngine(t, &opts, obj, &res.Evaluations)
 	if err != nil {
-		return nil, fmt.Errorf("core: H1 seed evaluation: %w", err)
+		return nil, err
 	}
-	res.Evaluations++
-	opts.obs().Add(obs.CtrOracleEvaluations, 1)
 	cur, err := obj.Eval(delays, t.NumPins())
 	if err != nil {
 		return nil, err
 	}
 	res.InitialObjective = cur
 	res.Trace = append(res.Trace, cur)
-
-	eng, err := newSweepEngine(t, &opts, obj, &res.Evaluations)
-	if err != nil {
-		return nil, err
-	}
 
 	tr := opts.trace()
 	for sweep := 1; ; sweep++ {

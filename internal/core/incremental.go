@@ -15,9 +15,11 @@ import (
 //
 // Sweeps over an IncrementalScorer score each candidate as a rank-one
 // (edges, widenings) or rank-three (taps) perturbation of the factored
-// base state, with lower-bound pruning; sweeps over any other oracle use
-// full solves on the worker pool. Both make byte-identical decisions (see
-// the scan rules in sweep.go).
+// base state, with lower-bound pruning of widenings; sweeps over any other
+// oracle use full solves on the worker pool. Both make byte-identical
+// decisions (see the scan rules in sweep.go). A run takes its seed's
+// delays from the evaluator's BaseDelays instead of calling SinkDelays,
+// so the two must agree bit for bit on the same topology and widths.
 type IncrementalScorer interface {
 	// NewIncrementalSweep prepares incremental evaluation of t under the
 	// width assignment. The caller owns the evaluator's lifecycle: it must

@@ -180,17 +180,16 @@ func greedy(seed *graph.Topology, opts *Options, taps bool) (*Result, error) {
 	obj := opts.objective()
 
 	res := &Result{Topology: t}
-	cur, err := score(t, opts, obj, &res.Evaluations)
+	eng, delays, err := newSweepEngine(t, opts, obj, &res.Evaluations)
+	if err != nil {
+		return nil, err
+	}
+	cur, err := obj.Eval(delays, t.NumPins())
 	if err != nil {
 		return nil, fmt.Errorf("core: scoring seed topology: %w", err)
 	}
 	res.InitialObjective = cur
 	res.Trace = append(res.Trace, cur)
-
-	eng, err := newSweepEngine(t, opts, obj, &res.Evaluations)
-	if err != nil {
-		return nil, err
-	}
 	for sweep := 1; opts.MaxAddedEdges <= 0 || len(res.AddedEdges) < opts.MaxAddedEdges; sweep++ {
 		win, ok, err := bestAddition(t, opts, obj, cur, sweep, eng)
 		if err != nil {
@@ -270,9 +269,7 @@ func bestAddition(t *graph.Topology, opts *Options, obj Objective, cur float64, 
 			}
 			return delays, nil
 		},
-		bound:   func(i int) float64 { return eng.inc.AdditionBound(cands[i]) },
-		tighten: true,
-		event:   func(i int) trace.Event { return trace.Event{U: cands[i].U, V: cands[i].V} },
+		event: func(i int) trace.Event { return trace.Event{U: cands[i].U, V: cands[i].V} },
 	})
 }
 

@@ -201,3 +201,38 @@ func TestCriticalSinkWeightsValidation(t *testing.T) {
 		t.Error("mismatched alphas length must be rejected")
 	}
 }
+
+// TestElmoreBaseDelaysMatchOracle pins the contract that lets a run score
+// its seed from the incremental evaluator (IncrementalScorer): the
+// evaluator's base delays are bit-identical to ElmoreOracle.SinkDelays on
+// the same topology and widths, on trees and graphs alike.
+func TestElmoreBaseDelaysMatchOracle(t *testing.T) {
+	oracle := elmoreOracle()
+	for seed := int64(0); seed < 6; seed++ {
+		topo := randomMST(t, 9100+seed, 12)
+		var width rc.WidthFunc
+		if seed%2 == 1 {
+			if err := topo.AddEdge(topo.AbsentEdges()[int(seed)]); err != nil {
+				t.Fatal(err)
+			}
+			width = func(e graph.Edge) float64 { return float64(1 + (e.U+e.V)%3) }
+		}
+		inc, err := oracle.NewIncrementalSweep(topo, width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := oracle.SinkDelays(topo, width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := inc.BaseDelays()
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d base delays, oracle gave %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Errorf("seed %d node %d: base delay %x, oracle %x", seed, i, got[i], want[i])
+			}
+		}
+	}
+}

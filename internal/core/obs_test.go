@@ -45,12 +45,7 @@ func TestObsCountersMatchLDRGResult(t *testing.T) {
 			t.Errorf("seed %d: %s = %d, want %d sweeps",
 				seed, obs.CtrSweeps, got, len(res.AddedEdges)+1)
 		}
-		// Every Elmore oracle call is one graph solve; LDRG scores the seed
-		// once before sweeping, so solves == evaluations here.
-		if got := c[obs.CtrElmoreSolves]; got != int64(res.Evaluations) {
-			t.Errorf("seed %d: %s = %d, want %d solves",
-				seed, obs.CtrElmoreSolves, got, res.Evaluations)
-		}
+		checkSeedFromFactor(t, fmt.Sprintf("seed %d", seed), c, res.Evaluations)
 		// The per-sweep candidate histogram must agree with the counter.
 		h := snap.Histograms[obs.HistSweepCandidates]
 		if h.Count != c[obs.CtrSweeps] {
@@ -60,10 +55,24 @@ func TestObsCountersMatchLDRGResult(t *testing.T) {
 			t.Errorf("seed %d: histogram sum %g != candidate counter %d",
 				seed, h.Sum, c[obs.CtrSweepCandidates])
 		}
-		// The evaluator's batched counts have all landed on return: one
-		// probe per unpruned candidate, two column lookups per probe.
-		edgeProbes := c[obs.CtrSweepCandidates] - c[obs.CtrCandidatesPruned]
+		// The evaluator's batched counts have all landed on return: edge
+		// candidates carry no pruning bound, so one probe per candidate,
+		// two column lookups per probe.
+		if got := c[obs.CtrCandidatesPruned]; got != 0 {
+			t.Errorf("seed %d: %s = %d, want 0", seed, obs.CtrCandidatesPruned, got)
+		}
+		edgeProbes := c[obs.CtrSweepCandidates]
 		checkIncrementalCounts(t, fmt.Sprintf("seed %d", seed), c, edgeProbes, 2*edgeProbes)
+	}
+}
+
+// checkSeedFromFactor asserts that every oracle evaluation of an Elmore run
+// but one is a graph solve: the seed is scored from the incremental
+// evaluator's own factorization, not by the oracle.
+func checkSeedFromFactor(t *testing.T, label string, c map[string]int64, evals int) {
+	t.Helper()
+	if got := c[obs.CtrElmoreSolves]; got != int64(evals-1) {
+		t.Errorf("%s: %s = %d, want Evaluations-1 = %d solves", label, obs.CtrElmoreSolves, got, evals-1)
 	}
 }
 
@@ -82,9 +91,9 @@ func checkIncrementalCounts(t *testing.T, label string, c map[string]int64, prob
 	}
 }
 
-// TestObsCountersMatchTapsResult: LDRGWithTaps probes every unpruned edge
-// candidate (two columns each) and every tap candidate (three columns:
-// both endpoints and the source), and taps are never pruned.
+// TestObsCountersMatchTapsResult: LDRGWithTaps probes every edge candidate
+// (two columns each) and every tap candidate (three columns: both
+// endpoints and the source); neither kind is ever pruned.
 func TestObsCountersMatchTapsResult(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		reg := obs.NewRegistry()
@@ -93,7 +102,7 @@ func TestObsCountersMatchTapsResult(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := reg.Snapshot().Counters
-		edgeProbes := c[obs.CtrSweepCandidates] - c[obs.CtrCandidatesPruned]
+		edgeProbes := c[obs.CtrSweepCandidates]
 		tapProbes := c[obs.CtrTapCandidates]
 		checkIncrementalCounts(t, fmt.Sprintf("seed %d", seed), c, edgeProbes+tapProbes, 2*edgeProbes+3*tapProbes)
 	}
@@ -106,7 +115,8 @@ func TestObsCountersMatchH1Result(t *testing.T) {
 		reg := obs.NewRegistry()
 		obs.Preregister(reg)
 		ring := trace.NewRing(1 << 10)
-		if _, err := H1(randomMST(t, 8500+seed, 12), Options{Oracle: elmoreOracle(), Obs: reg, Trace: ring}); err != nil {
+		res, err := H1(randomMST(t, 8500+seed, 12), Options{Oracle: &ElmoreOracle{Params: rc.Default(), Obs: reg}, Obs: reg, Trace: ring})
+		if err != nil {
 			t.Fatal(err)
 		}
 		var sweeps int64
@@ -115,7 +125,9 @@ func TestObsCountersMatchH1Result(t *testing.T) {
 				sweeps++
 			}
 		}
-		checkIncrementalCounts(t, fmt.Sprintf("seed %d", seed), reg.Snapshot().Counters, sweeps, 2*sweeps)
+		c := reg.Snapshot().Counters
+		checkIncrementalCounts(t, fmt.Sprintf("seed %d", seed), c, sweeps, 2*sweeps)
+		checkSeedFromFactor(t, fmt.Sprintf("seed %d", seed), c, res.Evaluations)
 	}
 }
 
@@ -158,6 +170,7 @@ func TestObsCountersMatchWireSizeResult(t *testing.T) {
 	if got := c[obs.CtrWidenings]; got != int64(res.Widenings) {
 		t.Errorf("%s = %d, want Widenings = %d", obs.CtrWidenings, got, res.Widenings)
 	}
+	checkSeedFromFactor(t, "WireSize", c, res.Evaluations)
 }
 
 // TestObsSpiceOracleRecordsSimulatorCounters drives the SPICE oracle once

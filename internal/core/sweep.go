@@ -42,9 +42,10 @@ import (
 //     so are tie-breaks while incremental values stay within nearTie of
 //     the full ones.
 //  4. Sound pruning. An incremental candidate is skipped only when a proved
-//     lower bound on its objective cannot undercut the cutoff, with nearTie
-//     to spare. The test-only pruning audit (Options.auditPruning) re-scores
-//     every pruned candidate to certify that none would have been selected.
+//     lower bound on its objective cannot undercut the threshold, with
+//     nearTie to spare. Only widenings carry a bound. The test-only pruning
+//     audit (Options.auditPruning) re-scores every pruned candidate to
+//     certify that none would have been selected.
 
 // candidates describes one sweep's candidate set to the scan. Candidates
 // are indexed 0..n-1 in canonical order, the order that fixes tie-breaking.
@@ -59,10 +60,6 @@ type candidates struct {
 	// bound returns an upper bound on how much candidate i can improve any
 	// node's delay; nil disables pruning.
 	bound func(i int) float64
-	// tighten lowers the pruning cutoff to the running minimum. Edge
-	// additions set it; tap and widening sweeps prune against the
-	// threshold alone.
-	tighten bool
 	// event returns candidate i's identity fields: U/V, Tap/X/Y and Width.
 	event func(i int) trace.Event
 }
@@ -109,27 +106,35 @@ type sweepEngine struct {
 	outs    []outcome // reused across sweeps
 }
 
-// newSweepEngine prepares the sweeps of one run over t. Candidates are
-// scored incrementally when the oracle implements IncrementalScorer, and
-// with full solves otherwise.
-func newSweepEngine(t *graph.Topology, opts *Options, obj Objective, evals *int) (*sweepEngine, error) {
+// newSweepEngine prepares the sweeps of one run over t and returns t's
+// delays, counted as one evaluation. Candidates are scored incrementally
+// when the oracle implements IncrementalScorer, and t's delays are then
+// the evaluator's base delays, which equal the oracle's SinkDelays bit for
+// bit, so t is factored once. Any other oracle scores candidates with full
+// solves and t with one SinkDelays call.
+func newSweepEngine(t *graph.Topology, opts *Options, obj Objective, evals *int) (*sweepEngine, []float64, error) {
 	eng := &sweepEngine{obj: obj, workers: opts.workers(), evals: evals, rec: opts.obs(), tr: opts.trace()}
-	is, ok := opts.Oracle.(IncrementalScorer)
-	if !ok {
-		if opts.auditPruning {
-			return nil, fmt.Errorf("core: the pruning audit needs an incremental oracle, %s has no support", opts.Oracle.Name())
+	var delays []float64
+	if is, ok := opts.Oracle.(IncrementalScorer); ok {
+		inc, err := is.NewIncrementalSweep(t, opts.Width)
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: scoring seed topology: %w", err)
 		}
-		return eng, nil
+		inc.Obs = opts.Obs
+		eng.inc, delays = inc, inc.BaseDelays()
+		eng.factor, eng.prune = pruningFactor(obj)
+		eng.audit = opts.auditPruning
+	} else {
+		if opts.auditPruning {
+			return nil, nil, fmt.Errorf("core: the pruning audit needs an incremental oracle, %s has no support", opts.Oracle.Name())
+		}
+		var err error
+		if delays, err = opts.Oracle.SinkDelays(t, opts.Width); err != nil {
+			return nil, nil, fmt.Errorf("core: scoring seed topology: %w", err)
+		}
 	}
-	inc, err := is.NewIncrementalSweep(t, opts.Width)
-	if err != nil {
-		return nil, fmt.Errorf("core: preparing incremental scoring: %w", err)
-	}
-	inc.Obs = opts.Obs
-	eng.inc = inc
-	eng.factor, eng.prune = pruningFactor(obj)
-	eng.audit = opts.auditPruning
-	return eng, nil
+	eng.count(1)
+	return eng, delays, nil
 }
 
 // refactor re-derives the incremental base state after a committed
@@ -231,9 +236,6 @@ func (eng *sweepEngine) scan(t *graph.Topology, sweep int, cur float64, c candid
 		ev.Sweep, ev.Index, ev.Value = sweep, i, o.val
 		if o.pruned {
 			ev.Kind, ev.Before = trace.KindCandidatePruned, threshold
-			if c.tighten && minVal < threshold {
-				ev.Before = minVal
-			}
 			pruned++
 			if o.val < lowLB {
 				low, lowLB = i, o.val
@@ -276,12 +278,10 @@ func (eng *sweepEngine) reject(c candidates, sweep, i int, val, cur float64) {
 }
 
 // probeAll scores outs incrementally in canonical order. A candidate is
-// pruned when its proved lower bound cannot undercut the cutoff, with
-// nearTie to spare: the threshold, or with c.tighten the running minimum
-// if that is lower. Both are deterministic, so the pruned set is too. With
-// the audit on, every pruned candidate is then probed anyway, and the sweep
-// fails with errPruningUnsound if one breaks its bound or would have been
-// selected.
+// pruned when its proved lower bound cannot undercut the threshold, with
+// nearTie to spare, so the pruned set is deterministic. With the audit on,
+// every pruned candidate is then probed anyway, and the sweep fails with
+// errPruningUnsound if one breaks its bound or falls below the threshold.
 func (eng *sweepEngine) probeAll(numPins, sweep int, cur, threshold float64, outs []outcome, c candidates) error {
 	eval := func(i int) (float64, error) {
 		delays, err := c.probe(i)
@@ -290,14 +290,10 @@ func (eng *sweepEngine) probeAll(numPins, sweep int, cur, threshold float64, out
 		}
 		return eng.obj.Eval(delays, numPins)
 	}
-	minIdx, minVal := -1, math.Inf(1)
+	cutoff := threshold + nearTie*math.Abs(threshold)
 	for i := range outs {
 		if c.bound != nil && eng.prune {
-			cutoff := threshold
-			if c.tighten && minVal < cutoff {
-				cutoff = minVal
-			}
-			if lb := cur - eng.factor*c.bound(i); lb >= cutoff+nearTie*math.Abs(cutoff) {
+			if lb := cur - eng.factor*c.bound(i); lb >= cutoff {
 				outs[i] = outcome{val: lb, pruned: true}
 				continue
 			}
@@ -307,9 +303,6 @@ func (eng *sweepEngine) probeAll(numPins, sweep int, cur, threshold float64, out
 			return err
 		}
 		outs[i] = outcome{val: val}
-		if val < minVal {
-			minIdx, minVal = i, val
-		}
 	}
 	if !eng.audit {
 		return nil
@@ -327,11 +320,9 @@ func (eng *sweepEngine) probeAll(numPins, sweep int, cur, threshold float64, out
 			return fmt.Errorf("%w: sweep %d candidate %d (%d-%d) scored %v below its proved lower bound %v",
 				errPruningUnsound, sweep, i, ev.U, ev.V, val, o.val)
 		}
-		// Selected means: below the threshold and, under the first strict
-		// minimum rule, below the scanned minimum or tying it earlier.
-		if val < threshold && (!c.tighten || minIdx < 0 || val < minVal || (i < minIdx && val <= minVal)) {
-			return fmt.Errorf("%w: sweep %d candidate %d (%d-%d) scored %v (bound %v, incumbent %v, threshold %v)",
-				errPruningUnsound, sweep, i, ev.U, ev.V, val, o.val, minVal, threshold)
+		if val < threshold {
+			return fmt.Errorf("%w: sweep %d candidate %d (%d-%d) scored %v (bound %v, threshold %v)",
+				errPruningUnsound, sweep, i, ev.U, ev.V, val, o.val, threshold)
 		}
 	}
 	return nil

@@ -107,16 +107,15 @@ func WireSize(t *graph.Topology, wopts WireSizeOptions, opts Options) (_ *WireSi
 	}
 	res := &WireSizeResult{Widths: widths}
 	obj := opts.objective()
-	cur, err := score(t, &opts, obj, &res.Evaluations)
+	eng, delays, err := newSweepEngine(t, &opts, obj, &res.Evaluations)
+	if err != nil {
+		return nil, err
+	}
+	cur, err := obj.Eval(delays, t.NumPins())
 	if err != nil {
 		return nil, fmt.Errorf("core: WSORG initial evaluation: %w", err)
 	}
 	res.InitialObjective = cur
-
-	eng, err := newSweepEngine(t, &opts, obj, &res.Evaluations)
-	if err != nil {
-		return nil, err
-	}
 	for sweep := 1; ; sweep++ {
 		// Widening candidates in canonical edge order (fixes tie-breaking).
 		var cands []graph.Edge

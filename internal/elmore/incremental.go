@@ -36,10 +36,10 @@ import (
 // candidate edges costs n cached-column solves plus O(n) arithmetic per
 // candidate.
 //
-// The evaluator also derives oracle-free *improvement bounds* for pruning
-// (AdditionBound, WideningBound): upper bounds on how much any node's delay
-// can drop under a candidate, computed from the base delays and shortest-
-// path resistances alone, before any linear algebra.
+// The evaluator also derives an oracle-free *improvement bound* for
+// pruning widenings (WideningBound): an upper bound on how much any node's
+// delay can drop under a candidate, computed from the base delays alone,
+// before any linear algebra.
 //
 // Incremental is deliberately stateful — its solve cache, probe buffer,
 // count tallies and epoch counter mutate on evaluation — which is why it
@@ -59,11 +59,6 @@ type Incremental struct {
 	// colCache[k] = G⁻¹ e_k, a transfer-resistance column, lazily computed.
 	// Valid only for the current epoch: Refactor resets it.
 	colCache [][]float64 //nontree:unit Ω
-
-	// spCache[k] holds shortest-path lengths (µm) from node k through the
-	// topology, backing the pruning bounds. Reset by Refactor with the
-	// column cache.
-	spCache [][]float64 //nontree:unit µm
 
 	// epoch counts factorizations of the base state. It exists to make
 	// cache-invalidation observable: every cached artifact belongs to the
@@ -109,8 +104,8 @@ func NewIncrementalWidth(t *graph.Topology, p rc.Params, width rc.WidthFunc) (*I
 // Refactor re-derives the evaluator's base state from the (possibly
 // mutated) topology and width function: it re-lumps the network, refactors
 // the conductance matrix, recomputes the base delays, and — critically —
-// invalidates every cached transfer-resistance column and shortest-path
-// vector, starting a new epoch. Forgetting the invalidation would silently
+// invalidates every cached transfer-resistance column, starting a new
+// epoch. Forgetting the invalidation would silently
 // reuse columns of the *previous* factorization; the test suite pins this
 // with a stale-cache regression test. It flushes the pending counts first.
 func (inc *Incremental) Refactor() error {
@@ -131,7 +126,6 @@ func (inc *Incremental) Refactor() error {
 	inc.cond = cond
 	inc.base = base
 	inc.colCache = make([][]float64, inc.topo.NumNodes())
-	inc.spCache = make([][]float64, inc.topo.NumNodes())
 	inc.epoch++
 	obs.OrNop(inc.Obs).Add(obs.CtrIncrementalFactorizations, 1)
 	return nil
@@ -139,8 +133,8 @@ func (inc *Incremental) Refactor() error {
 
 // Flush adds the evaluations, cache hits and cache misses tallied since the
 // last flush to Obs and resets the tallies. Probes only count; callers
-// flush once per sweep, and Refactor and BestAddition flush themselves, so
-// the totals Obs sees are the per-probe counts, delivered in batches.
+// flush once per sweep, and Refactor flushes itself, so the totals Obs
+// sees are the per-probe counts, delivered in batches.
 func (inc *Incremental) Flush() {
 	rec := obs.OrNop(inc.Obs)
 	if inc.evals != 0 {
@@ -189,17 +183,6 @@ func (inc *Incremental) probeBuf() []float64 {
 	}
 	inc.buf = inc.buf[:n]
 	return inc.buf
-}
-
-// pathLengths returns the lazily cached shortest-path length vector (µm)
-// from node k through the current topology.
-//
-//nontree:unit return µm
-func (inc *Incremental) pathLengths(k int) []float64 {
-	if inc.spCache[k] == nil {
-		inc.spCache[k] = inc.topo.ShortestPathLengthsFrom(k)
-	}
-	return inc.spCache[k]
 }
 
 // ErrDegenerate is returned for candidate modifications of zero length.
@@ -449,107 +432,17 @@ func solve3(a [3][3]float64, b [3]float64) ([3]float64, error) {
 	return x, nil
 }
 
-// AdditionBound returns an upper bound (s) on how much any node's delay
-// can improve when candidate edge e is added, computed without touching
-// the linear algebra:
-//
-//	t_i − t'_i  ≤  |t_u − t_v| + (c_e/2)·R_sp(u,v).
-//
-// Derivation sketch: with y = G⁻¹w, the per-node improvement is
-// scale·y_i − z_i where z = G⁻¹Δ ≥ 0 (G is an M-matrix, so G⁻¹ ≥ 0),
-// |y_i| ≤ wᵀy = R_eff(u,v) by the maximum principle, the Sherman–Morrison
-// gain g·wᵀy/(1+g·wᵀy) is < 1, and |wᵀz| = (c_e/2)·|R_uu − R_vv| ≤
-// (c_e/2)·R_eff(u,v) by the resistance-metric triangle inequality.
-// R_eff(u,v) is itself bounded by the series resistance of the shortest
-// existing u–v path at unit width, R_sp = r_wire·dist_sp(u,v) — widths ≥ 1
-// only lower it. The bound never evaluates the candidate; a sweep uses it
-// to skip candidates that provably cannot beat its incumbent.
-//
-//nontree:unit return s
-func (inc *Incremental) AdditionBound(e graph.Edge) float64 {
-	e = e.Canon()
-	w := inc.edgeWidth(e)
-	halfC := inc.p.WireCapacitance * inc.topo.EdgeLength(e) * w / 2
-	rsp := inc.p.WireResistance * inc.pathLengths(e.U)[e.V]
-	return math.Abs(inc.base[e.U]-inc.base[e.V]) + halfC*rsp
-}
-
 // WideningBound returns an upper bound (s) on how much any node's delay
 // can improve when existing edge e is widened by one step. Widening is the
 // WithWiden rank-1 update: the conductance increment can improve a node by
-// at most |t_u − t_v| (same maximum-principle argument as AdditionBound,
-// with no shortest-path term because the capacitance increment only ever
-// hurts).
+// at most |t_u − t_v| (with y = G⁻¹w, |y_i| ≤ wᵀy by the maximum principle,
+// and the Sherman–Morrison gain g·wᵀy/(1+g·wᵀy) is < 1), and the
+// capacitance increment only ever hurts (G is an M-matrix, so G⁻¹ ≥ 0).
+// The bound never evaluates the candidate; a sweep uses it to skip
+// widenings that provably cannot beat its threshold.
 //
 //nontree:unit return s
 func (inc *Incremental) WideningBound(e graph.Edge) float64 {
 	e = e.Canon()
 	return math.Abs(inc.base[e.U] - inc.base[e.V])
-}
-
-// BestAddition scans every absent edge and returns the one minimizing the
-// max sink delay, together with that delay. found is false when no edge
-// improves on the current maximum by more than minImprovement (relative).
-// It flushes its counts before returning.
-//
-//nontree:unit minImprovement 1
-//nontree:unit return1 s
-func (inc *Incremental) BestAddition(minImprovement float64) (best graph.Edge, bestDelay float64, found bool, err error) {
-	defer inc.Flush()
-	numPins := inc.topo.NumPins()
-	cur := MaxSinkDelay(inc.base, numPins)
-	bestDelay = cur
-	threshold := cur * (1 - minImprovement)
-
-	for _, e := range inc.topo.AbsentEdges() {
-		delays, err := inc.WithEdge(e)
-		if err != nil {
-			if errors.Is(err, ErrDegenerate) {
-				continue
-			}
-			return graph.Edge{}, 0, false, err
-		}
-		if d := MaxSinkDelay(delays, numPins); d < bestDelay && d < threshold {
-			bestDelay = d
-			best = e
-			found = true
-		}
-	}
-	return best, bestDelay, found, nil
-}
-
-// FastLDRG runs the LDRG greedy loop with incremental (Sherman–Morrison)
-// candidate evaluation under the max-sink-Elmore objective. It produces
-// the same routing graph as core.LDRG with the Elmore oracle, at a fraction
-// of the cost — equality is asserted by the test suite. One evaluator is
-// reused across iterations: the topology is mutated on acceptance and the
-// evaluator refactored in place.
-func FastLDRG(seed *graph.Topology, p rc.Params, maxAddedEdges int) (*graph.Topology, []graph.Edge, error) {
-	const minImprovement = 1e-9
-	t := seed.Clone()
-	var added []graph.Edge
-	inc, err := NewIncremental(t, p)
-	if err != nil {
-		return nil, nil, err
-	}
-	for {
-		if maxAddedEdges > 0 && len(added) >= maxAddedEdges {
-			break
-		}
-		e, _, found, err := inc.BestAddition(minImprovement)
-		if err != nil {
-			return nil, nil, err
-		}
-		if !found {
-			break
-		}
-		if err := t.AddEdge(e); err != nil {
-			return nil, nil, err
-		}
-		if err := inc.Refactor(); err != nil {
-			return nil, nil, err
-		}
-		added = append(added, e)
-	}
-	return t, added, nil
 }

@@ -4,9 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"nontree/internal/graph"
-	"nontree/internal/mst"
-	"nontree/internal/netlist"
 	"nontree/internal/rc"
 )
 
@@ -99,98 +96,5 @@ func TestIncrementalRejectsPresentAndDegenerate(t *testing.T) {
 	present := topo.Edges()[0]
 	if _, err := inc.WithEdge(present); err == nil {
 		t.Error("present edge must be rejected")
-	}
-}
-
-func TestFastLDRGMatchesReferenceGreedy(t *testing.T) {
-	// FastLDRG and the generic greedy with the Elmore oracle implement the
-	// same algorithm; they must pick identical edges and reach identical
-	// final delays.
-	p := rc.Default()
-	for seed := int64(0); seed < 8; seed++ {
-		gen := netlist.NewGenerator(seed)
-		net, err := gen.Generate(12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seedTopo, err := mst.Prim(net.Pins)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		fastTopo, fastEdges, err := FastLDRG(seedTopo, p, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		// Reference: naive greedy with full refactorization.
-		refTopo := seedTopo.Clone()
-		var refEdges []graph.Edge
-		for {
-			l, err := rc.Lump(refTopo, p, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			base, err := GraphDelays(refTopo, l)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cur := MaxSinkDelay(base, refTopo.NumPins())
-			bestD := cur
-			var bestE graph.Edge
-			found := false
-			for _, e := range refTopo.AbsentEdges() {
-				if err := refTopo.AddEdge(e); err != nil {
-					t.Fatal(err)
-				}
-				l2, err := rc.Lump(refTopo, p, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				d, err := GraphDelays(refTopo, l2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := refTopo.RemoveEdge(e); err != nil {
-					t.Fatal(err)
-				}
-				if m := MaxSinkDelay(d, refTopo.NumPins()); m < bestD && m < cur*(1-1e-9) {
-					bestD = m
-					bestE = e
-					found = true
-				}
-			}
-			if !found {
-				break
-			}
-			if err := refTopo.AddEdge(bestE); err != nil {
-				t.Fatal(err)
-			}
-			refEdges = append(refEdges, bestE)
-		}
-
-		if len(fastEdges) != len(refEdges) {
-			t.Fatalf("seed %d: fast added %v, reference %v", seed, fastEdges, refEdges)
-		}
-		for i := range fastEdges {
-			if fastEdges[i] != refEdges[i] {
-				t.Fatalf("seed %d: edge %d differs: %v vs %v", seed, i, fastEdges[i], refEdges[i])
-			}
-		}
-		if fastTopo.Cost() != refTopo.Cost() {
-			t.Fatalf("seed %d: cost mismatch", seed)
-		}
-	}
-}
-
-func TestFastLDRGRespectsEdgeBudget(t *testing.T) {
-	p := rc.Default()
-	topo := randomTree(t, 3, 15)
-	_, edges, err := FastLDRG(topo, p, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(edges) > 1 {
-		t.Errorf("budget violated: %v", edges)
 	}
 }

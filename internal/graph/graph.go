@@ -359,18 +359,13 @@ func (t *Topology) HasCycle() bool {
 // path from the source (node 0) through the topology, using Manhattan edge
 // lengths (Dijkstra). Unreachable nodes get +Inf.
 func (t *Topology) ShortestPathLengths() []float64 {
-	return t.ShortestPathLengthsFrom(0)
-}
-
-// ShortestPathLengthsFrom is ShortestPathLengths from an arbitrary start node.
-func (t *Topology) ShortestPathLengthsFrom(start int) []float64 {
 	const inf = 1e308
 	dist := make([]float64, len(t.points))
 	for i := range dist {
 		dist[i] = inf
 	}
-	dist[start] = 0
-	pq := &distHeap{items: []distItem{{node: start, dist: 0}}}
+	dist[0] = 0
+	pq := &distHeap{items: []distItem{{node: 0, dist: 0}}}
 	for pq.Len() > 0 {
 		it := pq.pop()
 		if it.dist > dist[it.node] {

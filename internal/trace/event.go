@@ -35,7 +35,8 @@ const (
 	// candidate_scored (pruned candidates consume an index), U/V name the
 	// edge (Width the proposed width for widenings), Value is the proved
 	// best-case objective lower bound, Before the cutoff it failed to
-	// undercut. A pruned candidate was never evaluated by the oracle.
+	// undercut (the sweep's acceptance threshold). A pruned candidate was
+	// never evaluated by the oracle.
 	KindCandidatePruned = "candidate_pruned"
 	// KindWireSizeStep commits one accepted widening: U/V the edge,
 	// Width the new width, Before/After the objective change.

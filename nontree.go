@@ -273,13 +273,18 @@ func LDRGWithTaps(seed *Topology, cfg Config) (*Result, error) {
 	return core.LDRGWithTaps(seed, cfg.coreOptions())
 }
 
-// FastLDRG runs LDRG under the max-sink-Elmore objective using incremental
-// Sherman–Morrison candidate evaluation: identical results to
-// LDRG(seed, Config{Oracle: OracleElmore}), roughly an order of magnitude
-// faster on large nets. Use it in throughput-sensitive flows (the generic
-// LDRG remains the choice for custom objectives, widths, or other oracles).
+// FastLDRG runs LDRG under the max-sink-Elmore objective and returns only
+// the routing and the added edges: the same loop, and the same results, as
+// LDRG(seed, Config{Oracle: OracleElmore, Params: p, MaxAddedEdges:
+// maxAddedEdges}), which scores candidates by incremental Sherman–Morrison
+// evaluation. Like LDRG, it returns an error for a nil or disconnected
+// seed.
 func FastLDRG(seed *Topology, p Params, maxAddedEdges int) (*Topology, []Edge, error) {
-	return elmore.FastLDRG(seed, p, maxAddedEdges)
+	res, err := core.LDRG(seed, core.Options{Oracle: &core.ElmoreOracle{Params: p}, MaxAddedEdges: maxAddedEdges})
+	if err != nil {
+		return nil, nil, err
+	}
+	return res.Topology, res.AddedEdges, nil
 }
 
 // SLDRG runs the Steiner variant: an Iterated 1-Steiner seed followed by

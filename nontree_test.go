@@ -2,11 +2,14 @@ package nontree_test
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"nontree"
+	"nontree/internal/core"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -385,34 +388,84 @@ func TestHORGAPI(t *testing.T) {
 	}
 }
 
+// TestFastLDRGMatchesLDRG: FastLDRG is LDRG with the Elmore oracle, on
+// MST and Steiner seeds alike — the same added edges, cost and final edge
+// list.
 func TestFastLDRGMatchesLDRG(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		net, err := nontree.GenerateNet(seed, 15)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mst, err := nontree.MST(net)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fast, fastEdges, err := nontree.FastLDRG(mst, nontree.DefaultParams(), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := nontree.LDRG(mst, nontree.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(fastEdges) != len(ref.AddedEdges) {
-			t.Fatalf("seed %d: fast %v vs ref %v", seed, fastEdges, ref.AddedEdges)
-		}
-		for i := range fastEdges {
-			if fastEdges[i] != ref.AddedEdges[i] {
-				t.Fatalf("seed %d: edge %d differs", seed, i)
+		for _, build := range []struct {
+			name string
+			tree func(*nontree.Net) (*nontree.Topology, error)
+		}{{"mst", nontree.MST}, {"steiner", nontree.SteinerTree}} {
+			tree, err := build.tree(net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("seed %d %s", seed, build.name)
+			fast, fastEdges, err := nontree.FastLDRG(tree, nontree.DefaultParams(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := nontree.LDRG(tree, nontree.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(fastEdges) != fmt.Sprint(ref.AddedEdges) {
+				t.Errorf("%s: added %v, LDRG added %v", label, fastEdges, ref.AddedEdges)
+			}
+			if fast.Cost() != ref.Topology.Cost() {
+				t.Errorf("%s: cost %v, LDRG %v", label, fast.Cost(), ref.Topology.Cost())
+			}
+			if fmt.Sprint(fast.Edges()) != fmt.Sprint(ref.Topology.Edges()) {
+				t.Errorf("%s: edges %v, LDRG %v", label, fast.Edges(), ref.Topology.Edges())
 			}
 		}
-		if fast.Cost() != ref.Topology.Cost() {
-			t.Fatalf("seed %d: cost differs", seed)
+	}
+}
+
+func TestFastLDRGRespectsEdgeBudget(t *testing.T) {
+	net, err := nontree.GenerateNet(3, 15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mst, err := nontree.MST(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, edges, err := nontree.FastLDRG(mst, nontree.DefaultParams(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(edges) != 1 {
+		t.Errorf("budget of 1 added %v", edges)
+	}
+}
+
+// TestFastLDRGRejectsBadSeeds: FastLDRG reports LDRG's seed errors instead
+// of panicking on a nil seed.
+func TestFastLDRGRejectsBadSeeds(t *testing.T) {
+	net, err := nontree.GenerateNet(4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	split, err := nontree.MST(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := split.RemoveEdge(split.Edges()[0]); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		seed *nontree.Topology
+		want error
+	}{{"nil", nil, core.ErrSeedNil}, {"disconnected", split, core.ErrSeedInvalid}} {
+		if _, _, err := nontree.FastLDRG(c.seed, nontree.DefaultParams(), 0); !errors.Is(err, c.want) {
+			t.Errorf("%s seed: got %v, want %v", c.name, err, c.want)
 		}
 	}
 }
