@@ -28,6 +28,7 @@ import (
 	"nontree/internal/rc"
 	"nontree/internal/spice"
 	"nontree/internal/stats"
+	"nontree/internal/trace"
 )
 
 var benchTrials = flag.Int("benchtrials", 10, "trials per net size in table benchmarks (paper: 50)")
@@ -521,6 +522,59 @@ func BenchmarkElmoreGraphDelays30(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := oracle.SinkDelays(topo, nil); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSinkDelays times one ElmoreOracle.SinkDelays call, a full
+// Elmore solve (lump, factor, solve), on the MST of a 5-, 10-, 20- and
+// 30-pin net: the per-call cost of every full-solve sweep candidate and
+// the layer the sparse-factor work targets.
+func BenchmarkSinkDelays(b *testing.B) {
+	oracle := &core.ElmoreOracle{Params: rc.Default()}
+	for _, pins := range []int{5, 10, 20, 30} {
+		b.Run(fmt.Sprint(pins), func(b *testing.B) {
+			topo, err := nontree.MST(benchNet(b, pins))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := oracle.SinkDelays(topo, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkTraceRingEmit times one daemon request's tracing: a fresh ring
+// at the daemon's default capacity (1<<16 events) receiving 394 events,
+// the mean a route-closed request emits, so ns/op and allocs/op show how
+// the ring's storage grows.
+func BenchmarkTraceRingEmit(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ring := trace.NewRing(1 << 16)
+		for k := 0; k < 394; k++ {
+			ring.Emit(trace.Event{Kind: trace.KindCandidateScored, Sweep: 1, Index: k, U: k, V: k + 1})
+		}
+	}
+}
+
+// BenchmarkTopologyEdges30 times Topology.Edges, the canonical edge list
+// every lump, factorization and cost walks, on a 30-pin MST.
+func BenchmarkTopologyEdges30(b *testing.B) {
+	topo, err := nontree.MST(benchNet(b, 30))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(topo.Edges()) != 29 {
+			b.Fatal("a 30-pin MST has 29 edges")
 		}
 	}
 }

@@ -116,6 +116,8 @@ type engine struct {
 
 func (eng *engine) refactor() error { return eng.inc.Refactor() }
 
+func (eng *engine) adopt(sol *elmore.Solution) error { return eng.inc.Adopt(sol) }
+
 // EngineSweep is the real sweep shape: probe through eng.inc, commit,
 // refactor through the helper. One root (eng) ties them together.
 func EngineSweep(t *graph.Topology, cands []graph.Edge) error {
@@ -157,6 +159,52 @@ func EngineSweepBuggy(t *graph.Topology, cands []graph.Edge) error {
 			if err := t.AddEdge(e); err != nil {
 				return err
 			}
+		}
+	}
+	return nil
+}
+
+// AdoptSweep is core's protocol: each committed winner's own solution is
+// adopted, which starts a new epoch as a Refactor would.
+func AdoptSweep(t *graph.Topology, cands []graph.Edge, sols []*elmore.Solution) error {
+	inc, err := elmore.NewIncremental(t)
+	if err != nil {
+		return err
+	}
+	eng := &engine{inc: inc}
+	for i, e := range cands {
+		if _, err := eng.inc.WithEdge(e); err != nil {
+			return err
+		}
+		if err := t.AddEdge(e); err != nil {
+			return err
+		}
+		if err := eng.adopt(sols[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// AdoptSkipped commits a winner whose solution was neither adopted nor
+// refactored: the next probe is stale.
+func AdoptSkipped(t *graph.Topology, cands []graph.Edge, sols []*elmore.Solution) error {
+	inc, err := elmore.NewIncremental(t)
+	if err != nil {
+		return err
+	}
+	for i, e := range cands {
+		if _, err := inc.WithEdge(e); err != nil { // want `WithEdge on inc may answer from a stale factorization`
+			return err
+		}
+		if err := t.AddEdge(e); err != nil {
+			return err
+		}
+		if sols[i] == nil {
+			continue // committed, but no solution to adopt and no Refactor
+		}
+		if err := inc.Adopt(sols[i]); err != nil {
+			return err
 		}
 	}
 	return nil

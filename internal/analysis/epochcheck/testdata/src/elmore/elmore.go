@@ -20,6 +20,15 @@ func (inc *Incremental) Refactor() error {
 	return nil
 }
 
+// Solution is one full solve of a modified topology.
+type Solution struct{}
+
+// Adopt installs a committed modification's solution, starting an epoch.
+func (inc *Incremental) Adopt(sol *Solution) error {
+	inc.epoch++
+	return nil
+}
+
 // WithEdge probes the delay vector with one extra edge.
 func (inc *Incremental) WithEdge(e graph.Edge) ([]float64, error) { return nil, nil }
 

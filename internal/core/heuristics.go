@@ -55,10 +55,11 @@ func H1(seed *graph.Topology, opts Options) (_ *Result, rerr error) {
 		tr.Emit(trace.Event{Kind: trace.KindSweepStart, Sweep: sweep, N: 1})
 		if eng.inc != nil {
 			// Pre-screen the probe as a rank-one perturbation: a shortcut
-			// the perturbed model already rejects never touches the full
-			// oracle. Accepted probes still go through the full solve below
-			// (whose delay vector the next iteration needs anyway), so
-			// committed objectives stay identical to a full-solve run's.
+			// the perturbed model already rejects is never solved in full.
+			// Accepted probes still go through the full solve below (whose
+			// delay vector the next iteration needs anyway, and whose
+			// solution the evaluator adopts), so committed objectives stay
+			// identical to a full-solve run's.
 			probe, err := eng.inc.WithEdge(e)
 			eng.inc.Flush()
 			if err != nil {
@@ -79,7 +80,7 @@ func H1(seed *graph.Topology, opts Options) (_ *Result, rerr error) {
 		if err := t.AddEdge(e); err != nil {
 			return nil, fmt.Errorf("core: H1 adding %v: %w", e, err)
 		}
-		newDelays, err := opts.Oracle.SinkDelays(t, opts.Width)
+		newDelays, sol, err := eng.solve(t, opts.Width)
 		if err != nil {
 			return nil, fmt.Errorf("core: H1 evaluating %v: %w", e, err)
 		}
@@ -100,6 +101,9 @@ func H1(seed *graph.Topology, opts Options) (_ *Result, rerr error) {
 				U: e.U, V: e.V, Value: val, Before: cur, Reason: trace.ReasonReverted})
 			break
 		}
+		if err := eng.adopt(sol); err != nil {
+			return nil, fmt.Errorf("core: H1 adopting the solution of %v: %w", e, err)
+		}
 		res.AddedEdges = append(res.AddedEdges, e)
 		res.Trace = append(res.Trace, val)
 		opts.obs().Add(obs.CtrAcceptedEdges, 1)
@@ -107,9 +111,6 @@ func H1(seed *graph.Topology, opts Options) (_ *Result, rerr error) {
 			U: e.U, V: e.V, Before: cur, After: val})
 		cur = val
 		delays = newDelays
-		if err := eng.refactor(); err != nil {
-			return nil, fmt.Errorf("core: H1 refactoring after %v: %w", e, err)
-		}
 	}
 
 	res.FinalObjective = cur

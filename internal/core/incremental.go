@@ -18,13 +18,19 @@ import (
 // base state, with lower-bound pruning of widenings; sweeps over any other
 // oracle use full solves on the worker pool. Both make byte-identical
 // decisions (see the scan rules in sweep.go). A run takes its seed's
-// delays from the evaluator's BaseDelays instead of calling SinkDelays,
-// so the two must agree bit for bit on the same topology and widths.
+// delays from the evaluator's BaseDelays and re-solves its leaders with
+// Solve instead of calling SinkDelays, so all three must agree bit for bit
+// on the same topology and widths.
 type IncrementalScorer interface {
 	// NewIncrementalSweep prepares incremental evaluation of t under the
-	// width assignment. The caller owns the evaluator's lifecycle: it must
-	// Refactor after every committed topology or width mutation.
+	// width assignment. The caller owns the evaluator's lifecycle: after
+	// every committed topology or width mutation it must Adopt the
+	// mutation's solution or Refactor.
 	NewIncrementalSweep(t *graph.Topology, width rc.WidthFunc) (*elmore.Incremental, error)
+	// Solve makes one full solve of t under width. Its Delays equal
+	// SinkDelays(t, width) bit for bit, and an evaluator of t may adopt
+	// it once t is in that state.
+	Solve(t *graph.Topology, width rc.WidthFunc) (*elmore.Solution, error)
 }
 
 // errPruningUnsound reports a pruning audit failure (Options.auditPruning):

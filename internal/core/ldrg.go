@@ -191,16 +191,16 @@ func greedy(seed *graph.Topology, opts *Options, taps bool) (*Result, error) {
 	res.InitialObjective = cur
 	res.Trace = append(res.Trace, cur)
 	for sweep := 1; opts.MaxAddedEdges <= 0 || len(res.AddedEdges) < opts.MaxAddedEdges; sweep++ {
-		win, ok, err := bestAddition(t, opts, obj, cur, sweep, eng)
+		win, ok, err := bestAddition(t, opts, cur, sweep, eng)
 		if err != nil {
 			return nil, err
 		}
 		if taps {
-			tap, tapOK, err := bestTap(t, opts, obj, cur, sweep, eng)
+			tap, tapOK, err := bestTap(t, opts, cur, sweep, eng)
 			if err != nil {
 				return nil, err
 			}
-			if tapOK && (!ok || tap.After < win.After) {
+			if tapOK && (!ok || tap.ev.After < win.ev.After) {
 				win, ok = tap, true
 			}
 		}
@@ -210,7 +210,7 @@ func greedy(seed *graph.Topology, opts *Options, taps bool) (*Result, error) {
 		if err := eng.accept(t, res, win); err != nil {
 			return nil, err
 		}
-		cur = win.After
+		cur = win.ev.After
 	}
 	res.FinalObjective = cur
 	return res, nil
@@ -219,8 +219,9 @@ func greedy(seed *graph.Topology, opts *Options, taps bool) (*Result, error) {
 // candidateEdges returns the absent edges the greedy sweep should evaluate,
 // in canonical sorted order (the order that fixes tie-breaking).
 func candidateEdges(t *graph.Topology, opts *Options) []graph.Edge {
-	var out []graph.Edge
-	for _, e := range t.AbsentEdges() {
+	absent := t.AbsentEdges()
+	out := absent[:0] // filtered in place
+	for _, e := range absent {
 		// Edges to isolated Steiner nodes are dead stubs: they only add
 		// capacitance (or even disconnect islands). Such nodes exist while
 		// LDRGWithTaps evaluates tap candidates.
@@ -236,9 +237,9 @@ func candidateEdges(t *graph.Topology, opts *Options) []graph.Edge {
 	return out
 }
 
-// bestAddition scans every absent edge and returns the winner's
-// edge_accepted fields, if one improves on cur by the threshold.
-func bestAddition(t *graph.Topology, opts *Options, obj Objective, cur float64, sweep int, eng *sweepEngine) (trace.Event, bool, error) {
+// bestAddition scans every absent edge and returns the winner, if one
+// improves on cur by the threshold.
+func bestAddition(t *graph.Topology, opts *Options, cur float64, sweep int, eng *sweepEngine) (winner, bool, error) {
 	cands := candidateEdges(t, opts)
 	eng.rec.Add(obs.CtrSweeps, 1)
 	eng.rec.Add(obs.CtrSweepCandidates, int64(len(cands)))
@@ -252,7 +253,7 @@ func bestAddition(t *graph.Topology, opts *Options, obj Objective, cur float64, 
 			if err := t.AddEdge(e); err != nil {
 				return 0, fmt.Errorf("core: trying edge %v: %w", e, err)
 			}
-			val, err := scoreTopology(t, opts, obj)
+			val, err := eng.score(t, opts.Width)
 			rmErr := t.RemoveEdge(e)
 			if err != nil {
 				return 0, fmt.Errorf("core: evaluating edge %v: %w", e, err)
@@ -273,18 +274,12 @@ func bestAddition(t *graph.Topology, opts *Options, obj Objective, cur float64, 
 	})
 }
 
-// scoreTopology is the oracle+objective evaluation with no side effects —
-// safe to call concurrently on distinct topologies.
-func scoreTopology(t *graph.Topology, opts *Options, obj Objective) (float64, error) {
+func score(t *graph.Topology, opts *Options, obj Objective, evals *int) (float64, error) {
 	delays, err := opts.Oracle.SinkDelays(t, opts.Width)
 	if err != nil {
 		return 0, err
 	}
-	return obj.Eval(delays, t.NumPins())
-}
-
-func score(t *graph.Topology, opts *Options, obj Objective, evals *int) (float64, error) {
-	val, err := scoreTopology(t, opts, obj)
+	val, err := obj.Eval(delays, t.NumPins())
 	if err != nil {
 		return 0, err
 	}

@@ -83,6 +83,13 @@ func (o *ElmoreOracle) NewIncrementalSweep(t *graph.Topology, width rc.WidthFunc
 	return elmore.NewIncrementalWidth(t, o.Params, width)
 }
 
+// Solve implements IncrementalScorer: one full solve of t, with the
+// arithmetic of SinkDelays, kept whole so the evaluator can adopt it.
+func (o *ElmoreOracle) Solve(t *graph.Topology, width rc.WidthFunc) (*elmore.Solution, error) {
+	defer obs.StartSpan(o.Obs, obs.TimeOracleSeconds).End()
+	return elmore.Solve(t, o.Params, width)
+}
+
 // TwoPoleOracle evaluates delays with the two-pole (second-moment) Padé
 // model — markedly closer to the simulator than Elmore (≈2% vs ≈8% critical-
 // sink error in this repository's measurements) at the cost of one extra

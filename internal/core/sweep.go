@@ -10,6 +10,7 @@ import (
 	"nontree/internal/geom"
 	"nontree/internal/graph"
 	"nontree/internal/obs"
+	"nontree/internal/rc"
 	"nontree/internal/trace"
 )
 
@@ -36,11 +37,14 @@ import (
 //  3. Selection only. Incremental scoring, used exactly when the oracle
 //     implements IncrementalScorer, scans sequentially, because the
 //     evaluator's column caches are stateful, and its values only rank the
-//     candidates. The leader is then re-scored by the same full function
-//     the pool uses, together with any candidate within nearTie of it, so
-//     committed objectives are bit-identical to a full-solve sweep's, and
-//     so are tie-breaks while incremental values stay within nearTie of
-//     the full ones.
+//     candidates. The leader is then re-scored by a full solve, together
+//     with any candidate within nearTie of it: the scorer's Solve, whose
+//     delays equal the oracle's SinkDelays bit for bit. So committed
+//     objectives are bit-identical to a full-solve sweep's, and so are
+//     tie-breaks while incremental values stay within nearTie of the full
+//     ones. The winner's solution travels with it, and the evaluator
+//     adopts it once the winner is committed, so each accepted winner is
+//     factored once.
 //  4. Sound pruning. An incremental candidate is skipped only when a proved
 //     lower bound on its objective cannot undercut the threshold, with
 //     nearTie to spare. Only widenings carry a bound. The test-only pruning
@@ -51,9 +55,9 @@ import (
 // are indexed 0..n-1 in canonical order, the order that fixes tie-breaking.
 type candidates struct {
 	n int
-	// full scores candidate i with one oracle solve on t and leaves t as it
-	// was. It runs on worker clones, and on the live topology for the
-	// incremental winner's re-solve.
+	// full scores candidate i with one sweepEngine.score of t modified by
+	// it and leaves t as it was. It runs on worker clones, and on the live
+	// topology for the incremental leaders' re-solves.
 	full func(i int, t *graph.Topology) (float64, error)
 	// probe returns candidate i's delays from the incremental evaluator.
 	probe func(i int) ([]float64, error)
@@ -84,12 +88,25 @@ type outcome struct {
 // widened. nearTie must stay well below minImprovement.
 const nearTie = 1e-10
 
+// winner is a sweep's selected candidate: its edge_accepted fields and,
+// in incremental mode, the solution of its re-solve, which the evaluator
+// adopts once the candidate is committed.
+type winner struct {
+	ev  trace.Event
+	sol *elmore.Solution
+}
+
 // sweepEngine carries one run's sweep state: how candidates are scored, and
 // where evaluations are counted and decisions traced.
 type sweepEngine struct {
-	// inc is the incremental evaluator; nil scores every candidate with a
-	// full solve on the worker pool.
-	inc *elmore.Incremental
+	// inc is the incremental evaluator, and scorer the oracle that made
+	// it; a nil inc scores every candidate with a full solve on the worker
+	// pool.
+	inc    *elmore.Incremental
+	scorer IncrementalScorer
+	oracle DelayOracle
+	// staged is the solution of the latest incremental re-solve.
+	staged *elmore.Solution
 	// factor converts per-node improvement bounds to objective bounds;
 	// prune gates the bound checks (false = score every candidate).
 	factor float64
@@ -113,7 +130,7 @@ type sweepEngine struct {
 // bit, so t is factored once. Any other oracle scores candidates with full
 // solves and t with one SinkDelays call.
 func newSweepEngine(t *graph.Topology, opts *Options, obj Objective, evals *int) (*sweepEngine, []float64, error) {
-	eng := &sweepEngine{obj: obj, workers: opts.workers(), evals: evals, rec: opts.obs(), tr: opts.trace()}
+	eng := &sweepEngine{oracle: opts.Oracle, obj: obj, workers: opts.workers(), evals: evals, rec: opts.obs(), tr: opts.trace()}
 	var delays []float64
 	if is, ok := opts.Oracle.(IncrementalScorer); ok {
 		inc, err := is.NewIncrementalSweep(t, opts.Width)
@@ -121,7 +138,7 @@ func newSweepEngine(t *graph.Topology, opts *Options, obj Objective, evals *int)
 			return nil, nil, fmt.Errorf("core: scoring seed topology: %w", err)
 		}
 		inc.Obs = opts.Obs
-		eng.inc, delays = inc, inc.BaseDelays()
+		eng.inc, eng.scorer, delays = inc, is, inc.BaseDelays()
 		eng.factor, eng.prune = pruningFactor(obj)
 		eng.audit = opts.auditPruning
 	} else {
@@ -137,13 +154,44 @@ func newSweepEngine(t *graph.Topology, opts *Options, obj Objective, evals *int)
 	return eng, delays, nil
 }
 
-// refactor re-derives the incremental base state after a committed
-// topology or width mutation; a no-op for full-solve scoring.
-func (eng *sweepEngine) refactor() error {
+// solve returns t's delays under width from one full solve: through the
+// scorer in incremental mode, with the solution for the evaluator to
+// adopt, counted as an incremental factorization; otherwise through the
+// oracle, with a nil solution, safe on the worker pool.
+func (eng *sweepEngine) solve(t *graph.Topology, width rc.WidthFunc) ([]float64, *elmore.Solution, error) {
+	if eng.inc == nil {
+		delays, err := eng.oracle.SinkDelays(t, width)
+		return delays, nil, err
+	}
+	sol, err := eng.scorer.Solve(t, width)
+	if err != nil {
+		return nil, nil, err
+	}
+	eng.rec.Add(obs.CtrIncrementalFactorizations, 1)
+	return sol.Delays(), sol, nil
+}
+
+// score is the objective of t under width from one solve. An incremental
+// re-solve's solution is staged in eng.staged; pool workers, which never
+// have one, write nothing.
+func (eng *sweepEngine) score(t *graph.Topology, width rc.WidthFunc) (float64, error) {
+	delays, sol, err := eng.solve(t, width)
+	if err != nil {
+		return 0, err
+	}
+	if sol != nil {
+		eng.staged = sol
+	}
+	return eng.obj.Eval(delays, t.NumPins())
+}
+
+// adopt installs a committed winner's solution as the evaluator's base
+// state, starting a new epoch; a no-op for full-solve scoring.
+func (eng *sweepEngine) adopt(sol *elmore.Solution) error {
 	if eng.inc == nil {
 		return nil
 	}
-	return eng.inc.Refactor()
+	return eng.inc.Adopt(sol)
 }
 
 func (eng *sweepEngine) count(evals int) {
@@ -152,11 +200,11 @@ func (eng *sweepEngine) count(evals int) {
 }
 
 // scan runs one greedy sweep over c from the current objective cur. It
-// returns the winner's identity fields (see candidates.event) with Sweep,
-// Before = cur and After = the winner's full-solve objective. ok is false
-// when no candidate beats the threshold; an edge_rejected event then names
-// the closest one.
-func (eng *sweepEngine) scan(t *graph.Topology, sweep int, cur float64, c candidates) (_ trace.Event, ok bool, _ error) {
+// returns the winner: its identity fields (see candidates.event) with
+// Sweep, Before = cur and After = its full-solve objective, and in
+// incremental mode its solution. ok is false when no candidate beats the
+// threshold; an edge_rejected event then names the closest one.
+func (eng *sweepEngine) scan(t *graph.Topology, sweep int, cur float64, c candidates) (_ winner, ok bool, _ error) {
 	threshold := cur * (1 - minImprovement)
 	if cur < threshold {
 		threshold = cur // a negative objective: never accept a worsening
@@ -169,20 +217,21 @@ func (eng *sweepEngine) scan(t *graph.Topology, sweep int, cur float64, c candid
 		evals, err := runSweep(t, eng.workers, outs, eng.rec, c.full)
 		eng.count(evals)
 		if err != nil {
-			return trace.Event{}, false, err
+			return winner{}, false, err
 		}
 	} else {
 		// The probes' counts land before any error surfaces.
 		err := eng.probeAll(t.NumPins(), sweep, cur, threshold, outs, c)
 		eng.inc.Flush()
 		if err != nil {
-			return trace.Event{}, false, err
+			return winner{}, false, err
 		}
 	}
 
 	// The winner is the first strict minimum among the candidates below
 	// the threshold.
 	best, val := -1, math.Inf(1)
+	var sol *elmore.Solution   // the best's solution, in incremental mode
 	first, firstVal := -1, 0.0 // the first re-solved candidate
 	if eng.inc == nil {
 		for i, o := range outs {
@@ -213,7 +262,7 @@ func (eng *sweepEngine) scan(t *graph.Topology, sweep int, cur float64, c candid
 			}
 			v, err := c.full(u, t)
 			if err != nil {
-				return trace.Event{}, false, err
+				return winner{}, false, err
 			}
 			eng.count(1)
 			outs[u].resolved = true
@@ -221,30 +270,36 @@ func (eng *sweepEngine) scan(t *graph.Topology, sweep int, cur float64, c candid
 				first, firstVal = u, v
 			}
 			if v < threshold && (v < val || (v <= val && u < best)) {
-				best, val = u, v
+				best, val, sol = u, v, eng.staged
 			}
 		}
 	}
 
 	// Scoring and re-solves are done: a sweep that failed has returned
-	// before this point, so it leaves no candidate events.
+	// before this point, so it leaves no candidate events. An untraced run
+	// builds none.
 	minIdx, minVal := -1, math.Inf(1)
 	low, lowLB := -1, math.Inf(1) // the most promising pruned candidate
 	var pruned int64
+	_, untraced := eng.tr.(trace.Nop)
 	for i, o := range outs {
-		ev := c.event(i)
-		ev.Sweep, ev.Index, ev.Value = sweep, i, o.val
+		kind := trace.KindCandidateScored
 		if o.pruned {
-			ev.Kind, ev.Before = trace.KindCandidatePruned, threshold
+			kind = trace.KindCandidatePruned
 			pruned++
 			if o.val < lowLB {
 				low, lowLB = i, o.val
 			}
-		} else {
-			ev.Kind = trace.KindCandidateScored
-			if o.val < minVal {
-				minIdx, minVal = i, o.val
-			}
+		} else if o.val < minVal {
+			minIdx, minVal = i, o.val
+		}
+		if untraced {
+			continue
+		}
+		ev := c.event(i)
+		ev.Kind, ev.Sweep, ev.Index, ev.Value = kind, sweep, i, o.val
+		if o.pruned {
+			ev.Before = threshold
 		}
 		eng.tr.Emit(ev)
 	}
@@ -263,11 +318,11 @@ func (eng *sweepEngine) scan(t *graph.Topology, sweep int, cur float64, c candid
 			// why the sweep converged.
 			eng.reject(c, sweep, low, lowLB, cur)
 		}
-		return trace.Event{}, false, nil
+		return winner{}, false, nil
 	}
 	ev := c.event(best)
 	ev.Sweep, ev.Before, ev.After = sweep, cur, val
-	return ev, true, nil
+	return winner{ev, sol}, true, nil
 }
 
 func (eng *sweepEngine) reject(c candidates, sweep, i int, val, cur float64) {
@@ -380,9 +435,12 @@ func runSweep(t *graph.Topology, workers int, outs []outcome, rec obs.Recorder,
 
 // accept commits a sweep's winner to t, described by its edge_accepted
 // event: the edge U–V, or with Tap set the source tap splitting U–V at
-// (X, Y). It refactors the engine, extends res, and emits the event with
-// U/V naming the committed wire.
-func (eng *sweepEngine) accept(t *graph.Topology, res *Result, ev trace.Event) error {
+// (X, Y). The evaluator adopts the winner's solution, which is t's state
+// after the commit: an edge's re-solve ran on t itself, and a tap's on a
+// clone whose new Steiner node has the index applyTap gives it here. It
+// extends res and emits the event with U/V naming the committed wire.
+func (eng *sweepEngine) accept(t *graph.Topology, res *Result, win winner) error {
+	ev := win.ev
 	e := graph.Edge{U: ev.U, V: ev.V}
 	if ev.Tap {
 		wire, err := applyTap(t, e, geom.Point{X: ev.X, Y: ev.Y})
@@ -394,8 +452,8 @@ func (eng *sweepEngine) accept(t *graph.Topology, res *Result, ev trace.Event) e
 	} else if err := t.AddEdge(e); err != nil {
 		return fmt.Errorf("core: committing edge %v: %w", e, err)
 	}
-	if err := eng.refactor(); err != nil {
-		return fmt.Errorf("core: refactoring after edge %v: %w", e, err)
+	if err := eng.adopt(win.sol); err != nil {
+		return fmt.Errorf("core: adopting the solution of edge %v: %w", e, err)
 	}
 	res.AddedEdges = append(res.AddedEdges, e)
 	res.Trace = append(res.Trace, ev.After)

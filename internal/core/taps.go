@@ -74,18 +74,18 @@ type tapCandidate struct {
 	point geom.Point
 }
 
-// bestTap scans every tap candidate and returns the winner's edge_accepted
-// fields, if one improves on cur by the threshold. Taps carry no pruning
-// bound: the edge split redistributes capacitance in a way that admits no
-// cheap one-sided estimate, so every candidate is scored.
-func bestTap(t *graph.Topology, opts *Options, obj Objective, cur float64, sweep int, eng *sweepEngine) (trace.Event, bool, error) {
+// bestTap scans every tap candidate and returns the winner, if one
+// improves on cur by the threshold. Taps carry no pruning bound: the edge
+// split redistributes capacitance in a way that admits no cheap one-sided
+// estimate, so every candidate is scored.
+func bestTap(t *graph.Topology, opts *Options, cur float64, sweep int, eng *sweepEngine) (winner, bool, error) {
 	cands := tapCandidates(t)
 	eng.rec.Add(obs.CtrTapCandidates, int64(len(cands)))
 	eng.tr.Emit(trace.Event{Kind: trace.KindSweepStart, Sweep: sweep, Tap: true, N: int64(len(cands))})
 	return eng.scan(t, sweep, cur, candidates{
 		n: len(cands),
 		full: func(i int, t *graph.Topology) (float64, error) {
-			return scoreTapped(t, opts, obj, cands[i].edge, cands[i].point)
+			return scoreTapped(t, opts, eng, cands[i].edge, cands[i].point)
 		},
 		probe: func(i int) ([]float64, error) {
 			delays, err := eng.inc.WithTap(cands[i].edge, cands[i].point)
@@ -105,9 +105,11 @@ func bestTap(t *graph.Topology, opts *Options, obj Objective, cur float64, sweep
 // the split point. base itself is never modified: the tap is applied to a
 // fresh clone, so concurrent callers sharing base are safe and no evaluation
 // sees another candidate's leftover Steiner node. (Cheaper than restore:
-// Topology has no node removal, and a clone costs far less than the oracle
-// call that follows.)
-func scoreTapped(base *graph.Topology, opts *Options, obj Objective, e graph.Edge, p geom.Point) (float64, error) {
+// Topology has no node removal, and a clone costs far less than the solve
+// that follows.) The clone's Steiner node takes the index applyTap gives
+// it on base, so an incremental re-solve's solution fits base once the tap
+// is committed.
+func scoreTapped(base *graph.Topology, opts *Options, eng *sweepEngine, e graph.Edge, p geom.Point) (float64, error) {
 	c := base.Clone()
 	s := c.AddSteinerNode(p)
 	if err := c.RemoveEdge(e); err != nil {
@@ -118,7 +120,7 @@ func scoreTapped(base *graph.Topology, opts *Options, obj Objective, e graph.Edg
 			return 0, fmt.Errorf("core: tap edge %v: %w", ne, err)
 		}
 	}
-	val, err := scoreTopology(c, opts, obj)
+	val, err := eng.score(c, opts.Width)
 	if err != nil {
 		return 0, fmt.Errorf("core: evaluating tap on %v: %w", e, err)
 	}

@@ -239,11 +239,18 @@ func lastIsSweepStart(t *testing.T, label string, ring *trace.Ring) {
 
 // failingIncrementalOracle is a failingOracle with incremental support, so
 // the candidates are probed incrementally and only the full re-solve of
-// the leader reaches SinkDelays and fails.
+// the leader reaches Solve and fails.
 type failingIncrementalOracle struct{ failingOracle }
 
 func (o *failingIncrementalOracle) NewIncrementalSweep(t *graph.Topology, width rc.WidthFunc) (*elmore.Incremental, error) {
 	return elmoreOracle().NewIncrementalSweep(t, width)
+}
+
+func (o *failingIncrementalOracle) Solve(t *graph.Topology, width rc.WidthFunc) (*elmore.Solution, error) {
+	if o.fails(t, width) {
+		return nil, errCandidate
+	}
+	return elmoreOracle().Solve(t, width)
 }
 
 // TestTraceOnResolveError covers the incremental half of the failure

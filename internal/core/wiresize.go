@@ -129,15 +129,13 @@ func WireSize(t *graph.Topology, wopts WireSizeOptions, opts Options) (_ *WireSi
 		win, ok, err := eng.scan(t, sweep, cur, candidates{
 			n: len(cands),
 			full: func(i int, t *graph.Topology) (float64, error) {
-				widened := opts
-				widened.Width = func(e graph.Edge) float64 {
+				val, err := eng.score(t, func(e graph.Edge) float64 {
 					w := widths[e.Canon()]
 					if e.Canon() == cands[i] {
 						w++
 					}
 					return float64(w)
-				}
-				val, err := scoreTopology(t, &widened, obj)
+				})
 				if err != nil {
 					return 0, fmt.Errorf("core: WSORG widening %v: %w", cands[i], err)
 				}
@@ -161,16 +159,16 @@ func WireSize(t *graph.Topology, wopts WireSizeOptions, opts Options) (_ *WireSi
 		if !ok {
 			break
 		}
-		e := graph.Edge{U: win.U, V: win.V}
+		e := graph.Edge{U: win.ev.U, V: win.ev.V}
 		widths[e]++
+		if err := eng.adopt(win.sol); err != nil {
+			return nil, fmt.Errorf("core: adopting the solution of widening %v: %w", e, err)
+		}
 		res.Widenings++
 		eng.rec.Add(obs.CtrWidenings, 1)
-		win.Kind = trace.KindWireSizeStep
-		eng.tr.Emit(win)
-		cur = win.After
-		if err := eng.refactor(); err != nil {
-			return nil, fmt.Errorf("core: refactoring after widening %v: %w", e, err)
-		}
+		win.ev.Kind = trace.KindWireSizeStep
+		eng.tr.Emit(win.ev)
+		cur = win.ev.After
 	}
 
 	res.FinalObjective = cur

@@ -57,12 +57,13 @@ type Incremental struct {
 	base []float64 //nontree:unit s
 
 	// colCache[k] = G⁻¹ e_k, a transfer-resistance column, lazily computed.
-	// Valid only for the current epoch: Refactor resets it.
+	// Valid only for the current epoch: Refactor and Adopt reset it.
 	colCache [][]float64 //nontree:unit Ω
 
-	// epoch counts factorizations of the base state. It exists to make
-	// cache-invalidation observable: every cached artifact belongs to the
-	// epoch it was computed in, and Refactor starts a new one.
+	// epoch counts the base states installed (Refactor or Adopt). It
+	// exists to make cache-invalidation observable: every cached artifact
+	// belongs to the epoch it was computed in, and each install starts a
+	// new one.
 	epoch int
 
 	// buf is the delay vector every probe writes and returns; the next
@@ -102,32 +103,71 @@ func NewIncrementalWidth(t *graph.Topology, p rc.Params, width rc.WidthFunc) (*I
 }
 
 // Refactor re-derives the evaluator's base state from the (possibly
-// mutated) topology and width function: it re-lumps the network, refactors
-// the conductance matrix, recomputes the base delays, and — critically —
-// invalidates every cached transfer-resistance column, starting a new
-// epoch. Forgetting the invalidation would silently
-// reuse columns of the *previous* factorization; the test suite pins this
-// with a stale-cache regression test. It flushes the pending counts first.
+// mutated) topology and width function — it solves them afresh and
+// adopts the solution — invalidating every cached transfer-resistance
+// column and starting a new epoch. Forgetting the invalidation would
+// silently reuse columns of the *previous* factorization; the test suite
+// pins this with a stale-cache regression test.
 func (inc *Incremental) Refactor() error {
-	inc.Flush()
-	l, err := rc.Lump(inc.topo, inc.p, inc.width)
+	sol, err := Solve(inc.topo, inc.p, inc.width)
 	if err != nil {
 		return err
 	}
-	cond, err := FactorConductance(inc.topo, l)
-	if err != nil {
+	if err := inc.Adopt(sol); err != nil {
 		return err
 	}
-	base, err := cond.Delays(l)
-	if err != nil {
-		return err
-	}
-	inc.l = l
-	inc.cond = cond
-	inc.base = base
-	inc.colCache = make([][]float64, inc.topo.NumNodes())
-	inc.epoch++
 	obs.OrNop(inc.Obs).Add(obs.CtrIncrementalFactorizations, 1)
+	return nil
+}
+
+// Solution is a topology's solved Elmore state under a width assignment:
+// its lumped network, factored conductance matrix and delay vector.
+type Solution struct {
+	l      *rc.Lumped
+	cond   *Conductance
+	delays []float64 //nontree:unit s
+}
+
+// Solve lumps t under p and width, factors its conductance matrix and
+// solves for the delays: the arithmetic of rc.Lump and GraphDelays, so
+// Delays equals GraphDelays of that network bit for bit.
+func Solve(t *graph.Topology, p rc.Params, width rc.WidthFunc) (*Solution, error) {
+	l, err := rc.Lump(t, p, width)
+	if err != nil {
+		return nil, err
+	}
+	cond, err := FactorConductance(t, l)
+	if err != nil {
+		return nil, err
+	}
+	delays, err := cond.Delays(l)
+	if err != nil {
+		return nil, err
+	}
+	return &Solution{l: l, cond: cond, delays: delays}, nil
+}
+
+// Delays returns the solved delay vector. It must not be modified.
+//
+//nontree:unit return s
+func (s *Solution) Delays() []float64 { return s.delays }
+
+// Adopt installs sol as the base state, in place of a Refactor: sol must
+// be the Solve of the evaluator's topology in its current state under its
+// width function, the committed modification's own full solve. Adopting
+// starts a new epoch exactly as Refactor does, dropping every cached
+// column. It flushes the pending counts first, and rejects a solution
+// whose network does not match the topology's node and edge counts.
+func (inc *Incremental) Adopt(sol *Solution) error {
+	n := inc.topo.NumNodes()
+	if len(sol.l.NodeCap) != n || len(sol.l.EdgeRes) != inc.topo.NumEdges() {
+		return fmt.Errorf("%w: adopting a %d-node, %d-edge solution on a %d-node, %d-edge topology",
+			ErrSizeMismatch, len(sol.l.NodeCap), len(sol.l.EdgeRes), n, inc.topo.NumEdges())
+	}
+	inc.Flush()
+	inc.l, inc.cond, inc.base = sol.l, sol.cond, sol.delays
+	inc.colCache = make([][]float64, n)
+	inc.epoch++
 	return nil
 }
 
@@ -149,8 +189,8 @@ func (inc *Incremental) Flush() {
 	inc.evals, inc.hits, inc.misses = 0, 0, 0
 }
 
-// Epoch returns the number of base-state factorizations performed so far
-// (1 after construction). Cached columns never outlive an epoch.
+// Epoch returns the number of base states installed so far by Refactor
+// or Adopt (1 after construction). Cached columns never outlive an epoch.
 func (inc *Incremental) Epoch() int { return inc.epoch }
 
 // BaseDelays returns the delays of the unmodified topology.
@@ -158,8 +198,12 @@ func (inc *Incremental) Epoch() int { return inc.epoch }
 //nontree:unit return s
 func (inc *Incremental) BaseDelays() []float64 { return inc.base }
 
+// Column returns G⁻¹e_k, the transfer-resistance column of node k under
+// the current base state, from the epoch's cache. It must not be
+// modified.
+//
 //nontree:unit return Ω
-func (inc *Incremental) column(k int) []float64 {
+func (inc *Incremental) Column(k int) []float64 {
 	if inc.colCache[k] == nil {
 		col := make([]float64, inc.cond.size)
 		col[k] = 1
@@ -208,8 +252,8 @@ func (inc *Incremental) edgeWidth(e graph.Edge) float64 {
 func (inc *Incremental) withConductance(u, v int, g, halfC float64) ([]float64, error) {
 	inc.evals++
 
-	colU := inc.column(u)
-	colV := inc.column(v)
+	colU := inc.Column(u)
+	colV := inc.Column(v)
 
 	// y = G⁻¹w = colU − colV and z = G⁻¹Δ = halfC·(colU + colV), from the
 	// cached columns; wᵀt, wᵀy, wᵀz are scalars.
@@ -343,9 +387,9 @@ func (inc *Incremental) WithTap(e graph.Edge, pt geom.Point) ([]float64, error) 
 
 	inc.evals++
 
-	colU := inc.column(e.U)
-	colV := inc.column(e.V)
-	col0 := inc.column(0)
+	colU := inc.Column(e.U)
+	colV := inc.Column(e.V)
+	col0 := inc.Column(0)
 
 	// G' = G + W·D·Wᵀ with W = [e_u−e_v, e_u−e_0, e_v−e_0] and
 	// D = diag(dguv, dgu0, dgv0); c' = c + Δc. By Woodbury,

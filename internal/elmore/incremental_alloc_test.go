@@ -109,7 +109,7 @@ func TestColumnMissAllocatesOnce(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		inc.colCache[5] = nil
-		inc.column(5)
+		inc.Column(5)
 	}); n != 1 {
 		t.Errorf("column miss: %v allocations, want 1", n)
 	}

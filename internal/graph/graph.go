@@ -11,6 +11,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"nontree/internal/geom"
@@ -59,10 +60,10 @@ var (
 // Nodes 0..NumPins-1 are the signal net's pins in net order (node 0 is the
 // source); nodes NumPins.. are Steiner points added by Steiner constructions.
 type Topology struct {
-	points  []geom.Point
-	numPins int
-	adj     [][]int       // adjacency lists, kept sorted for determinism
-	edges   map[Edge]bool // canonical edge set
+	points   []geom.Point
+	numPins  int
+	adj      [][]int // sorted adjacency lists, the only edge store
+	numEdges int
 }
 
 // NewTopology creates an edgeless topology over the given pin locations.
@@ -74,7 +75,6 @@ func NewTopology(pins []geom.Point) *Topology {
 		points:  pts,
 		numPins: len(pins),
 		adj:     make([][]int, len(pins)),
-		edges:   make(map[Edge]bool),
 	}
 }
 
@@ -107,9 +107,6 @@ func (t *Topology) Compact() (*Topology, []int) {
 	for _, p := range keep[t.numPins:] {
 		c.AddSteinerNode(p)
 	}
-	// Canonical sorted order rather than raw map order: insertion order
-	// cannot change the result, but a deterministic walk keeps any panic
-	// below reproducible (detordering's contract, DESIGN.md §8).
 	for _, e := range t.Edges() {
 		ne := Edge{remap[e.U], remap[e.V]}
 		if err := c.AddEdge(ne); err != nil {
@@ -128,7 +125,7 @@ func (t *Topology) NumNodes() int { return len(t.points) }
 func (t *Topology) NumPins() int { return t.numPins }
 
 // NumEdges returns the number of edges.
-func (t *Topology) NumEdges() int { return len(t.edges) }
+func (t *Topology) NumEdges() int { return t.numEdges }
 
 // Point returns the location of node n.
 func (t *Topology) Point(n int) geom.Point { return t.points[n] }
@@ -167,8 +164,15 @@ func (t *Topology) ZeroLength(e Edge) bool {
 	return t.EdgeLength(e) == 0
 }
 
-// HasEdge reports whether edge e is present.
-func (t *Topology) HasEdge(e Edge) bool { return t.edges[e.Canon()] }
+// HasEdge reports whether edge e is present (never for out-of-range nodes).
+func (t *Topology) HasEdge(e Edge) bool {
+	e = e.Canon()
+	if e.U < 0 || e.V >= len(t.adj) {
+		return false
+	}
+	_, ok := slices.BinarySearch(t.adj[e.U], e.V)
+	return ok
+}
 
 // AddEdge inserts edge e. It rejects self-loops, out-of-range endpoints,
 // duplicate edges, and zero-length edges between distinct nodes (which would
@@ -181,13 +185,13 @@ func (t *Topology) AddEdge(e Edge) error {
 	if e.U < 0 || e.V >= len(t.points) {
 		return fmt.Errorf("%w: %v with %d nodes", ErrNodeRange, e, len(t.points))
 	}
-	if t.edges[e] {
+	if t.HasEdge(e) {
 		return fmt.Errorf("%w: %v", ErrDupEdge, e)
 	}
 	if t.EdgeLength(e) == 0 {
 		return fmt.Errorf("%w: %v", ErrZeroLength, e)
 	}
-	t.edges[e] = true
+	t.numEdges++
 	t.adj[e.U] = insertSorted(t.adj[e.U], e.V)
 	t.adj[e.V] = insertSorted(t.adj[e.V], e.U)
 	return nil
@@ -196,10 +200,10 @@ func (t *Topology) AddEdge(e Edge) error {
 // RemoveEdge deletes edge e.
 func (t *Topology) RemoveEdge(e Edge) error {
 	e = e.Canon()
-	if !t.edges[e] {
+	if !t.HasEdge(e) {
 		return fmt.Errorf("%w: %v", ErrMissingEdge, e)
 	}
-	delete(t.edges, e)
+	t.numEdges--
 	t.adj[e.U] = removeSorted(t.adj[e.U], e.V)
 	t.adj[e.V] = removeSorted(t.adj[e.V], e.U)
 	return nil
@@ -215,10 +219,7 @@ func insertSorted(s []int, v int) []int {
 
 func removeSorted(s []int, v int) []int {
 	i := sort.SearchInts(s, v)
-	if i < len(s) && s[i] == v {
-		return append(s[:i], s[i+1:]...)
-	}
-	return s
+	return append(s[:i], s[i+1:]...)
 }
 
 // Neighbors returns the sorted adjacency list of node n. The returned slice
@@ -228,25 +229,21 @@ func (t *Topology) Neighbors(n int) []int { return t.adj[n] }
 // Degree returns the number of edges incident to node n.
 func (t *Topology) Degree(n int) int { return len(t.adj[n]) }
 
-// Edges returns all edges in canonical form, sorted for determinism.
+// Edges returns all edges in canonical form, sorted by (U, V): each adj[u]
+// from its first neighbour above u, so nothing is sorted or cached.
 func (t *Topology) Edges() []Edge {
-	out := make([]Edge, 0, len(t.edges))
-	for e := range t.edges {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
+	out := make([]Edge, 0, t.numEdges)
+	for u, a := range t.adj {
+		for _, v := range a[sort.SearchInts(a, u):] {
+			out = append(out, Edge{u, v})
 		}
-		return out[i].V < out[j].V
-	})
+	}
 	return out
 }
 
 // Cost returns the total Manhattan wirelength of the topology — the "cost"
-// metric of the paper's tables. Summation follows the canonical edge order
-// so the result is bit-for-bit reproducible across runs (map iteration
-// order would otherwise perturb the floating-point rounding).
+// metric of the paper's tables. Summation follows the canonical edge order,
+// so the floating-point rounding is the same on every run.
 //
 //nontree:unit return µm
 func (t *Topology) Cost() float64 {
@@ -257,20 +254,20 @@ func (t *Topology) Cost() float64 {
 	return sum
 }
 
-// Clone returns a deep copy of the topology.
+// Clone returns a deep copy of the topology. The adjacency lists share one
+// backing array, each capped at its length so a later insertion
+// reallocates its own list instead of overwriting the next.
 func (t *Topology) Clone() *Topology {
 	c := &Topology{
-		points:  make([]geom.Point, len(t.points)),
-		numPins: t.numPins,
-		adj:     make([][]int, len(t.adj)),
-		edges:   make(map[Edge]bool, len(t.edges)),
+		points:   append([]geom.Point(nil), t.points...),
+		numPins:  t.numPins,
+		adj:      make([][]int, len(t.adj)),
+		numEdges: t.numEdges,
 	}
-	copy(c.points, t.points)
+	flat := make([]int, 0, 2*t.numEdges)
 	for i, a := range t.adj {
-		c.adj[i] = append([]int(nil), a...)
-	}
-	for e := range t.edges {
-		c.edges[e] = true
+		flat = append(flat, a...)
+		c.adj[i] = flat[len(flat)-len(a) : len(flat) : len(flat)]
 	}
 	return c
 }
@@ -323,7 +320,7 @@ func (t *Topology) IsTree() bool {
 			active++
 		}
 	}
-	return len(t.edges) == active-1
+	return t.numEdges == active-1
 }
 
 // HasCycle reports whether the topology contains any cycle.
@@ -437,11 +434,14 @@ func (t *Topology) RootAt(root int) ([]int, error) {
 // loop ("∃ e_ij ∈ N × N", Figure 4 of the paper).
 func (t *Topology) AbsentEdges() []Edge {
 	n := len(t.points)
-	out := make([]Edge, 0, n*(n-1)/2-len(t.edges))
-	for u := 0; u < n; u++ {
+	out := make([]Edge, 0, n*(n-1)/2-t.numEdges)
+	for u, a := range t.adj {
+		// Merge-walk the neighbours above u against v = u+1, …, n-1.
+		i := sort.SearchInts(a, u)
 		for v := u + 1; v < n; v++ {
-			e := Edge{u, v}
-			if !t.edges[e] && t.EdgeLength(e) > 0 {
+			if i < len(a) && a[i] == v {
+				i++
+			} else if e := (Edge{u, v}); t.EdgeLength(e) > 0 {
 				out = append(out, e)
 			}
 		}

@@ -44,12 +44,15 @@ const (
 	CtrIncrementalHits = "elmore.incremental.cache_hits"
 	// CtrIncrementalMisses counts column cache misses (triangular solves).
 	CtrIncrementalMisses = "elmore.incremental.cache_misses"
-	// CtrIncrementalFactorizations counts base-state (re)factorizations of
-	// the incremental evaluator — one per NewIncremental plus one per
-	// Refactor after an accepted modification.
+	// CtrIncrementalFactorizations counts factorizations made for the
+	// incremental evaluator: one per Refactor (NewIncremental's included,
+	// when Obs is already set), and one per full re-solve a sweep makes
+	// through IncrementalScorer.Solve; the evaluator adopts a committed
+	// winner's re-solve instead of refactoring.
 	CtrIncrementalFactorizations = "elmore.incremental.factorizations"
 	// CtrElmoreSolves counts linear-system solves made by the Elmore and
-	// two-pole oracles (one per Elmore evaluation, two per two-pole).
+	// two-pole oracles' SinkDelays (one per Elmore evaluation, two per
+	// two-pole). Incremental Elmore runs solve through the scorer instead.
 	CtrElmoreSolves = "elmore.graph.solves"
 
 	// --- package spice: MNA transient simulator ---

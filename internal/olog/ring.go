@@ -12,7 +12,7 @@ import (
 const DefaultRingCapacity = 1024
 
 // Ring is an internal/ring bounded ring of the most recent requests' wide
-// events, grown on demand up to its capacity. Safe for concurrent use; its
+// events, grown in chunks on demand up to its capacity. Safe for concurrent use; its
 // lock is a leaf (DESIGN.md §14). Unlike trace.Ring it never reads the
 // clock: serve stamps every timing through the obs helpers first.
 type Ring struct {

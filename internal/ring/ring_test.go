@@ -2,6 +2,7 @@ package ring
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -16,17 +17,22 @@ func newItemRing(capacity int) *Ring[item] {
 	return New(capacity, func(v *item, seq int64) { v.seq = seq })
 }
 
-// bufCap reads the buffer's allocated capacity under the ring's lock.
-func bufCap(r *Ring[item]) int {
+// slots reads the ring's allocated slot count under its lock.
+func slots(r *Ring[item]) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return cap(r.buf)
+	return r.buf.slots
 }
+
+// chunkOf returns the chunk length of r's storage.
+func chunkOf(r *Ring[item]) int { return 1 << r.buf.shift }
 
 // TestRingMatchesKeepLastN compares the ring with a naive keep-last-N
 // slice: same retained values in the same order, same Len and Dropped,
-// sequence numbers 1, 2, … in emission order, and a buffer that never
-// outgrows the capacity nor twice the retained values.
+// sequence numbers 1, 2, … in emission order, and storage that never
+// outgrows the capacity, nor max(2×retained, chunk) + chunk slots: the
+// first chunk at most doubles what it holds, and only the newest later
+// chunk has room to spare.
 func TestRingMatchesKeepLastN(t *testing.T) {
 	for _, capacity := range []int{1, 2, 3, 7, 1 << 16} {
 		for _, n := range []int{0, capacity - 1, capacity, capacity + 1, 3*capacity + 2} {
@@ -42,8 +48,8 @@ func TestRingMatchesKeepLastN(t *testing.T) {
 					if len(naive) > capacity {
 						naive = naive[1:]
 					}
-					if c := bufCap(r); c > capacity || c > 2*len(naive) {
-						t.Fatalf("after %d pushes: cap(buf) = %d, capacity %d, retained %d", i+1, c, capacity, len(naive))
+					if c, chunk := slots(r), chunkOf(r); c > capacity || c > max(2*len(naive), chunk)+chunk {
+						t.Fatalf("after %d pushes: %d slots, capacity %d, retained %d, chunk %d", i+1, c, capacity, len(naive), chunk)
 					}
 				}
 				got := r.Events()
@@ -120,29 +126,91 @@ func TestRingConcurrentPushEvents(t *testing.T) {
 }
 
 // TestRingPushDoesNotAllocate guards the push path: Push stamps the stored
-// slot, so the pushed value never escapes to the heap, and a push that
-// does not grow the buffer allocates nothing — below capacity once the
-// buffer has grown, and at capacity when it evicts.
+// slot, so the pushed value never escapes to the heap, and a push
+// allocates only when it opens a chunk — not inside the first chunk once
+// it has doubled, not inside a later chunk, and not at capacity, when it
+// evicts.
 func TestRingPushDoesNotAllocate(t *testing.T) {
-	const capacity = 1024
+	chunk := chunkOf(newItemRing(1))
+	capacity := 4 * chunk
 	for _, c := range []struct {
 		name   string
 		filled int
 	}{
-		// 513 values leave the buffer at 1024 slots, room for every push
-		// AllocsPerRun makes.
-		{"below capacity", capacity/2 + 1},
+		// Each state leaves room for every push AllocsPerRun makes.
+		{"first chunk", chunk/2 + 1},
+		{"later chunk", 2*chunk + 1},
 		{"at capacity", capacity},
 	} {
 		r := newItemRing(capacity)
 		for i := 0; i < c.filled; i++ {
 			r.Push(item{val: i})
 		}
+		before := slots(r)
 		if n := testing.AllocsPerRun(100, func() { r.Push(item{val: -1}) }); n != 0 {
 			t.Errorf("%s: %v allocations per Push, want 0", c.name, n)
 		}
-		if c.filled < capacity && r.Len() >= capacity {
-			t.Fatalf("%s: ring filled up during the measurement", c.name)
+		if slots(r) != before {
+			t.Fatalf("%s: a chunk opened during the measurement", c.name)
 		}
+	}
+}
+
+// TestRingChunkOpensWithoutCopy: pushing one full chunk past the ones a
+// ring holds costs exactly one allocation, that chunk, and moves no value
+// already stored: every earlier slot keeps its address. The chunk index
+// (slice headers only) doubles like any append; after three chunks it has
+// room for the fourth.
+func TestRingChunkOpensWithoutCopy(t *testing.T) {
+	r := newItemRing(1 << 20)
+	chunk := chunkOf(r)
+	for i := 0; i < 3*chunk; i++ {
+		r.Push(item{val: i})
+	}
+	r.mu.Lock()
+	addrs := make([]*item, r.n)
+	for i := range addrs {
+		addrs[i] = r.buf.at(i)
+	}
+	index := cap(r.buf.list)
+	r.mu.Unlock()
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < chunk; i++ {
+		r.Push(item{val: -1})
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 1 {
+		t.Errorf("pushing one chunk: %d allocations, want 1", n)
+	}
+
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if cap(r.buf.list) != index {
+		t.Fatalf("chunk index grew from %d to %d; the test expects room for the fourth chunk", index, cap(r.buf.list))
+	}
+	for i, p := range addrs {
+		if r.buf.at(i) != p || p.val != i {
+			t.Fatalf("slot %d moved or changed: %p %+v, was %p", i, r.buf.at(i), *r.buf.at(i), p)
+		}
+	}
+}
+
+// TestRingNewRejectsNonPositiveCapacity: a ring that can hold nothing is
+// refused at construction, with a message naming the capacity, instead of
+// panicking on its first Push.
+func TestRingNewRejectsNonPositiveCapacity(t *testing.T) {
+	for _, capacity := range []int{0, -1} {
+		func() {
+			defer func() {
+				want := fmt.Sprintf("ring: capacity %d is not positive", capacity)
+				if got := recover(); got != want {
+					t.Errorf("New(%d) panicked with %v, want %q", capacity, got, want)
+				}
+			}()
+			newItemRing(capacity)
+		}()
 	}
 }

@@ -59,8 +59,9 @@ const (
 )
 
 // DefaultTraceCapacity is the per-request trace ring bound Options and the
-// -trace-capacity flag default to. A ring grows with the events a request
-// emits, so the bound costs memory only for a run that long.
+// -trace-capacity flag default to. A ring grows in chunks of 128 events
+// (a first, smaller chunk doubles up to that) as a request emits them, so
+// the bound costs memory only for a run that long.
 const DefaultTraceCapacity = 1 << 16
 
 // Options tunes a Server. The zero value is fully usable.
@@ -69,8 +70,9 @@ type Options struct {
 	// excess requests are shed with 429 (0 = 2×GOMAXPROCS).
 	MaxConcurrent int
 	// TraceCapacity bounds each request's trace ring, in events (0 =
-	// DefaultTraceCapacity). Memory grows with the events a request
-	// emits, up to this cap; older events are dropped beyond it.
+	// DefaultTraceCapacity). Memory grows in 128-event chunks with the
+	// events a request emits, up to this cap; older events are dropped
+	// beyond it.
 	TraceCapacity int
 	// MaxTraces bounds retained traces; the oldest is evicted first
 	// (0 = 64).

@@ -15,11 +15,12 @@ import (
 
 // DefaultRingCapacity is the event capacity NewRing uses for capacity <= 0
 // — ample for the paper-scale nets (a route-closed benchmark request emits
-// 394 events on average) while bounding a long-lived daemon's memory.
+// 394 events on average) while bounding a long-lived daemon's memory,
+// which grows in chunks of 128 events up to it (internal/ring).
 const DefaultRingCapacity = 4096
 
 // Ring is the standard Tracer: an internal/ring bounded ring of the most
-// recent events, grown on demand up to its capacity, with Dropped
+// recent events, grown in chunks on demand up to its capacity, with Dropped
 // reporting how much history wraparound lost. Safe for concurrent use;
 // its lock is a leaf (DESIGN.md §14).
 type Ring struct {
