@@ -579,18 +579,26 @@ func BenchmarkTopologyEdges30(b *testing.B) {
 	}
 }
 
-func BenchmarkSpiceTransient30(b *testing.B) {
-	net := benchNet(b, 30)
-	topo, err := mst.Prim(net.Pins)
-	if err != nil {
-		b.Fatal(err)
-	}
+// BenchmarkSpiceMeasure times one SpiceOracle.SinkDelays call, a full SPICE
+// measurement (build the circuit, DC solve, transient to every sink's 50%
+// crossing), on the MST of a 5-, 10-, 20- and 30-pin net. Its fixed costs
+// are the factorizations; BenchmarkMNAFactor in internal/spice times one.
+func BenchmarkSpiceMeasure(b *testing.B) {
 	oracle := &core.SpiceOracle{Params: rc.Default()}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := oracle.SinkDelays(topo, nil); err != nil {
-			b.Fatal(err)
-		}
+	for _, pins := range []int{5, 10, 20, 30} {
+		b.Run(fmt.Sprint(pins), func(b *testing.B) {
+			topo, err := nontree.MST(benchNet(b, pins))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := oracle.SinkDelays(topo, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

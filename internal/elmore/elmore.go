@@ -17,10 +17,11 @@
 // this equivalence on random topologies.
 //
 // Concurrency: every evaluator in this package (TreeDelays, GraphDelays,
-// TwoPoleDelays, Bounds, EstimateDelays) assembles its matrices and
-// workspaces per call and only reads its Topology/Lumped arguments, so
-// concurrent evaluations of distinct topologies are safe — the property
-// core's parallel candidate sweeps rely on. A Conductance factorization is
+// TwoPoleDelays, Bounds, EstimateDelays) assembles its matrices per call,
+// in workspaces of its own or taken from a sync.Pool, and only reads its
+// Topology/Lumped arguments, so concurrent evaluations of distinct
+// topologies are safe — the property core's parallel candidate sweeps rely
+// on. A Conductance factorization is
 // likewise read-only after FactorConductance and may be shared across
 // goroutines. The incremental evaluator (incremental.go) is the one stateful
 // exception: an Incremental caches per-endpoint solve columns and must be
@@ -30,6 +31,8 @@ package elmore
 import (
 	"errors"
 	"fmt"
+	"sort"
+	"sync"
 
 	"nontree/internal/graph"
 	"nontree/internal/linalg"
@@ -129,10 +132,21 @@ type Conductance struct {
 	size int
 }
 
+// conductanceWork is FactorConductance's scratch, pooled: the stamp list
+// and the assembled matrix, which the factorization copies from.
+type conductanceWork struct {
+	stamps []linalg.Stamp
+	g      linalg.Sparse
+}
+
+var conductancePool = sync.Pool{New: func() any { return new(conductanceWork) }}
+
 // FactorConductance assembles and factors the conductance matrix of the
 // topology: edge conductances plus the driver conductance tying the source
 // to ground. Isolated Steiner points are pinned with a tiny leak so the
-// matrix stays non-singular without perturbing delays.
+// matrix stays non-singular without perturbing delays. The matrix is
+// stamped into a linalg.Sparse and factored over its pattern, so the cost
+// follows the topology's edges, not the square of its nodes.
 func FactorConductance(t *graph.Topology, l *rc.Lumped) (*Conductance, error) {
 	if len(l.NodeCap) != t.NumNodes() {
 		return nil, ErrSizeMismatch
@@ -141,43 +155,57 @@ func FactorConductance(t *graph.Topology, l *rc.Lumped) (*Conductance, error) {
 		return nil, ErrDisconnected
 	}
 	n := t.NumNodes()
-	g := linalg.NewMatrix(n, n)
-	// Stamp in canonical edge order so floating-point accumulation is
-	// bit-for-bit reproducible run to run (map order would perturb it).
-	for _, e := range t.Edges() {
-		r, ok := l.EdgeRes[e]
-		if !ok {
-			return nil, fmt.Errorf("elmore: lumped network missing edge %v", e)
+	w := conductancePool.Get().(*conductanceWork)
+	defer conductancePool.Put(w)
+	// One stamp per element: the first n are the diagonal, summed here in
+	// canonical edge order (each node's neighbours above it, ascending)
+	// so floating-point accumulation is bit-for-bit reproducible run to
+	// run (map order would perturb it).
+	stamps := w.stamps[:0]
+	for i := 0; i < n; i++ {
+		stamps = append(stamps, linalg.Stamp{Row: i, Col: i})
+	}
+	for u := 0; u < n; u++ {
+		nbrs := t.Neighbors(u)
+		for _, v := range nbrs[sort.SearchInts(nbrs, u):] {
+			e := graph.Edge{U: u, V: v}
+			r, ok := l.EdgeRes[e]
+			if !ok {
+				return nil, fmt.Errorf("elmore: lumped network missing edge %v", e)
+			}
+			if r <= 0 {
+				return nil, fmt.Errorf("elmore: edge %v has non-positive resistance %g", e, r)
+			}
+			cond := 1 / r
+			stamps[u].Val += cond
+			stamps[v].Val += cond
+			stamps = append(stamps, linalg.Stamp{Row: u, Col: v, Val: -cond}, linalg.Stamp{Row: v, Col: u, Val: -cond})
 		}
-		if r <= 0 {
-			return nil, fmt.Errorf("elmore: edge %v has non-positive resistance %g", e, r)
-		}
-		cond := 1 / r
-		g.Add(e.U, e.U, cond)
-		g.Add(e.V, e.V, cond)
-		g.Add(e.U, e.V, -cond)
-		g.Add(e.V, e.U, -cond)
 	}
 	if l.DriverResistance <= 0 {
 		return nil, errors.New("elmore: driver resistance must be positive")
 	}
-	g.Add(0, 0, 1/l.DriverResistance)
+	stamps[0].Val += 1 / l.DriverResistance
 
 	// Isolated Steiner points have an all-zero row; pin them to ground with
 	// a conductance far below the circuit's but far above the pivot
 	// tolerance (they carry no capacitance, so their solve values are
 	// irrelevant and no delay is perturbed).
 	leak := 1e-6 / l.DriverResistance
-	for i := 0; i < n; i++ {
-		if t.Degree(i) == 0 && i != 0 {
-			g.Add(i, i, leak)
+	for i := 1; i < n; i++ {
+		if t.Degree(i) == 0 {
+			stamps[i].Val = leak
 		}
 	}
 
 	// The grounded conductance matrix is SPD by construction, so the
 	// Cholesky path applies (half the flops of LU); FactorSPD falls back
 	// to pivoted LU if numerical noise ever breaks definiteness.
-	lu, err := linalg.FactorSPD(g)
+	if cap(stamps) > cap(w.stamps) {
+		w.stamps = stamps // keep the larger buffer; storing only then spares a write barrier
+	}
+	w.g.Assemble(n, n, stamps)
+	lu, err := linalg.FactorSPD(&w.g)
 	if err != nil {
 		return nil, fmt.Errorf("elmore: conductance matrix: %w", err)
 	}

@@ -42,65 +42,134 @@ type Cholesky struct {
 	lower, upper Sparse
 }
 
-// FactorCholesky computes the Cholesky factorization of a, which must be
-// symmetric positive definite (symmetry is checked up front; definiteness
-// falls out of the factorization itself). a is not modified.
-func FactorCholesky(a *Matrix) (*Cholesky, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("linalg: cannot Cholesky-factor %dx%d non-square matrix", a.Rows, a.Cols)
+// FactorCholesky computes the Cholesky factorization of m, which must be
+// symmetric positive definite. Symmetry is checked over the stored entries
+// up front, to 1e-12 of the largest magnitude; definiteness falls out of
+// the factorization itself. The rows of L are computed in order, each
+// entry as its dense formula L[i][j] = (A[i][j] − Σ_{k<j} L[i][k]·L[j][k]) /
+// L[j][j] with the sum taken in ascending k over the nonzero products
+// only, so for finite m every factor value is bit-identical to the dense
+// loop's, and the work is proportional to the nonzeros of L. Scratch is
+// reused, so a warm factorization allocates only its result.
+func (m *Sparse) FactorCholesky() (*Cholesky, error) {
+	if m.Rows != m.Cols {
+		return nil, fmt.Errorf("linalg: cannot Cholesky-factor %dx%d non-square matrix", m.Rows, m.Cols)
 	}
-	n := a.Rows
-	// Symmetry check with a tolerance scaled to the matrix magnitude.
 	var maxAbs float64
-	for _, v := range a.Data {
+	for _, v := range m.val {
 		if av := math.Abs(v); av > maxAbs {
 			maxAbs = av
 		}
 	}
 	tol := maxAbs * 1e-12
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if math.Abs(a.At(i, j)-a.At(j, i)) > tol {
-				return nil, fmt.Errorf("%w: asymmetric at (%d,%d)", ErrNotSPD, i, j)
+	for i := 0; i < m.Rows; i++ {
+		for k := m.ptr[i]; k < m.ptr[i+1]; k++ {
+			if j := m.col[k]; j != i && math.Abs(m.val[k]-m.at(j, i)) > tol {
+				return nil, fmt.Errorf("%w: asymmetric at (%d,%d)", ErrNotSPD, min(i, j), max(i, j))
 			}
 		}
 	}
-
-	l := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			sum := a.At(i, j)
-			rowI := l.Data[i*n : i*n+j]
-			rowJ := l.Data[j*n : j*n+j]
-			for k := range rowJ {
-				sum -= rowI[k] * rowJ[k]
-			}
-			if i == j {
-				if sum <= maxAbs*1e-14 {
-					return nil, fmt.Errorf("%w: pivot %d is %g", ErrNotSPD, i, sum)
-				}
-				l.Set(i, i, math.Sqrt(sum))
-			} else {
-				l.Set(i, j, sum/l.At(j, j))
-			}
-		}
-	}
-	return compressCholesky(l), nil
+	w := cholScratch.get()
+	defer cholScratch.put(w)
+	return w.factor(m, maxAbs*1e-14)
 }
 
-// compressCholesky keeps the diagonal and the nonzeros of the dense lower
-// triangular factor l. The nonzeros are counted first, so the factor's
-// indices and values take one exactly sized allocation each.
-func compressCholesky(l *Matrix) *Cholesky {
-	n := l.Rows
-	nnz := 0
+// cholWork is the scratch of one sparse Cholesky factorization. The rows
+// of L computed so far are col/val[ptr[i]:ptr[i+1]], ascending; entry e
+// lies in row rows[e], and column k's entries are linked from head[k]
+// through next[e]. While row i is computed, x[j] holds its running sum for
+// each column j of pattern (ascending), and mark[j] == i flags j as in the
+// pattern.
+type cholWork struct {
+	ptr, col, rows, head, next, count, pattern, mark []int
+	val, x, diag                                     []float64
+}
+
+var cholScratch = newScratch[cholWork]()
+
+// factor computes L row by row, failing on a pivot at most minPivot.
+func (w *cholWork) factor(m *Sparse, minPivot float64) (*Cholesky, error) {
+	n := m.Rows
+	head, count, mark := resize(w.head, n), resize(w.count, n), resize(w.mark, n)
+	x, diag := resize(w.x, n), resize(w.diag, n)
+	ptr, col, val, rows, next := append(w.ptr[:0], 0), w.col[:0], w.val[:0], w.rows[:0], w.next[:0]
+	for j := 0; j < n; j++ {
+		head[j], count[j], mark[j] = -1, 0, -1
+	}
+	pattern := w.pattern
 	for i := 0; i < n; i++ {
-		for _, v := range l.Data[i*n : i*n+i] {
-			if v != 0 {
-				nnz++
+		pattern = pattern[:0]
+		var d float64
+		cols, vals := m.Row(i)
+		for k, j := range cols {
+			if j < i {
+				x[j], mark[j] = vals[k], i
+				pattern = append(pattern, j)
+			} else if j == i {
+				d = vals[k]
 			}
 		}
+		for p := 0; p < len(pattern); p++ {
+			k := pattern[p]
+			lik := x[k] / diag[k]
+			if lik == 0 {
+				continue
+			}
+			d -= lik * lik
+			// Row j of column k holds L[j][k]; L[i][k]·L[j][k] is the next
+			// term of L[i][j]'s sum, the columns of pattern being visited
+			// in ascending order.
+			for e := head[k]; e >= 0; e = next[e] {
+				j := rows[e]
+				if mark[j] != i {
+					x[j], mark[j] = 0, i
+					// Insert j in order; pattern[p] = k < j stops the shift.
+					pattern = append(pattern, j)
+					for q := len(pattern) - 1; pattern[q-1] > j; q-- {
+						pattern[q], pattern[q-1] = pattern[q-1], j
+					}
+				}
+				x[j] -= lik * val[e]
+			}
+			col, val, rows, next = append(col, k), append(val, lik), append(rows, i), append(next, head[k])
+			head[k] = len(col) - 1
+			count[k]++
+		}
+		ptr = append(ptr, len(col))
+		if d <= minPivot {
+			return nil, fmt.Errorf("%w: pivot %d is %g", ErrNotSPD, i, d)
+		}
+		diag[i] = math.Sqrt(d)
 	}
+	keep(&w.ptr, ptr)
+	keep(&w.col, col)
+	keep(&w.rows, rows)
+	keep(&w.head, head)
+	keep(&w.next, next)
+	keep(&w.count, count)
+	keep(&w.pattern, pattern)
+	keep(&w.mark, mark)
+	keep(&w.val, val)
+	keep(&w.x, x)
+	keep(&w.diag, diag)
+	return packCholesky(ptr, col, val, rows, count, diag), nil
+}
+
+// keep stores s in *dst when it outgrew *dst's storage, so the scratch
+// keeps the larger buffer. Working on local slices and skipping the store
+// otherwise spares the garbage collector's write barriers.
+func keep[T any](dst *[]T, s []T) {
+	if cap(s) > cap(*dst) {
+		*dst = s
+	}
+}
+
+// packCholesky copies the factor into one exactly sized Cholesky: the diagonal,
+// the rows of L (ptr, col, val, with rows[e] the row of entry e), and the
+// rows of Lᵀ, whose lengths are count. Visiting the rows of L in order
+// fills each row of Lᵀ in ascending index order.
+func packCholesky(ptr, col []int, val []float64, rows, count []int, diag []float64) *Cholesky {
+	n, nnz := len(diag), len(col)
 	intBuf, valBuf := make([]int, 3*n+2+2*nnz), make([]float64, n+2*nnz)
 	takeInts := func(k int) []int { s := intBuf[:k:k]; intBuf = intBuf[k:]; return s }
 	takeVals := func(k int) []float64 { s := valBuf[:k:k]; valBuf = valBuf[k:]; return s }
@@ -108,32 +177,18 @@ func compressCholesky(l *Matrix) *Cholesky {
 		lower: Sparse{Rows: n, Cols: n, ptr: takeInts(n + 1), col: takeInts(nnz), val: takeVals(nnz)},
 		upper: Sparse{Rows: n, Cols: n, ptr: takeInts(n + 1), col: takeInts(nnz), val: takeVals(nnz)},
 	}
-	// The rows of L, counting the entries of each row of Lᵀ on the way.
-	pos := 0
-	for i := 0; i < n; i++ {
-		for j, v := range l.Data[i*n : i*n+i] {
-			if v != 0 {
-				c.lower.col[pos], c.lower.val[pos] = j, v
-				pos++
-				c.upper.ptr[j+1]++
-			}
-		}
-		c.lower.ptr[i+1] = pos
-		c.diag[i] = l.At(i, i)
-	}
+	copy(c.diag, diag)
+	copy(c.lower.ptr, ptr)
+	copy(c.lower.col, col)
+	copy(c.lower.val, val)
 	for j := 0; j < n; j++ {
-		c.upper.ptr[j+1] += c.upper.ptr[j]
+		c.upper.ptr[j+1] = c.upper.ptr[j] + count[j]
 	}
-	// The rows of Lᵀ: visiting the rows of L in order fills each one in
-	// ascending index order.
 	next := takeInts(n)
 	copy(next, c.upper.ptr[:n])
-	for i := 0; i < n; i++ {
-		cols, vals := c.lower.Row(i)
-		for k, j := range cols {
-			c.upper.col[next[j]], c.upper.val[next[j]] = i, vals[k]
-			next[j]++
-		}
+	for e, j := range col {
+		c.upper.col[next[j]], c.upper.val[next[j]] = rows[e], val[e]
+		next[j]++
 	}
 	return c
 }
@@ -185,12 +240,12 @@ func (c *Cholesky) Det() float64 {
 	return det
 }
 
-// FactorSPD factors a with Cholesky when possible, falling back to LU with
-// partial pivoting otherwise. Callers with matrices that are SPD by
-// construction get the cheap path without committing to it.
-func FactorSPD(a *Matrix) (Factorization, error) {
-	if ch, err := FactorCholesky(a); err == nil {
+// FactorSPD factors a with Cholesky when possible, falling back to the
+// sparse LU with partial pivoting otherwise. Callers with matrices that are
+// SPD by construction get the cheap path without committing to it.
+func FactorSPD(a *Sparse) (Factorization, error) {
+	if ch, err := a.FactorCholesky(); err == nil {
 		return ch, nil
 	}
-	return Factor(a)
+	return a.Factor()
 }

@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -35,7 +36,7 @@ func TestCholeskyKnownCase(t *testing.T) {
 	a.Set(0, 1, 2)
 	a.Set(1, 0, 2)
 	a.Set(1, 1, 3)
-	ch, err := FactorCholesky(a)
+	ch, err := a.sparse().FactorCholesky()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestCholeskyMatchesLUProperty(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		ch, err1 := FactorCholesky(a)
+		ch, err1 := a.sparse().FactorCholesky()
 		lu, err2 := Factor(a)
 		if err1 != nil || err2 != nil {
 			return false
@@ -84,7 +85,7 @@ func TestCholeskyRejectsNonSPD(t *testing.T) {
 	a.Set(0, 1, 1)
 	a.Set(1, 0, 3)
 	a.Set(1, 1, 2)
-	if _, err := FactorCholesky(a); !errors.Is(err, ErrNotSPD) {
+	if _, err := a.sparse().FactorCholesky(); !errors.Is(err, ErrNotSPD) {
 		t.Errorf("asymmetric: %v", err)
 	}
 	// Symmetric indefinite.
@@ -93,12 +94,23 @@ func TestCholeskyRejectsNonSPD(t *testing.T) {
 	b.Set(0, 1, 2)
 	b.Set(1, 0, 2)
 	b.Set(1, 1, 1)
-	if _, err := FactorCholesky(b); !errors.Is(err, ErrNotSPD) {
+	if _, err := b.sparse().FactorCholesky(); !errors.Is(err, ErrNotSPD) {
 		t.Errorf("indefinite: %v", err)
 	}
 	// Non-square.
-	if _, err := FactorCholesky(NewMatrix(2, 3)); err == nil {
+	if _, err := NewMatrix(2, 3).sparse().FactorCholesky(); err == nil {
 		t.Error("non-square must fail")
+	}
+	// An entry on either side of the diagonal whose mirror is not stored,
+	// and one whose stored mirror is zero.
+	for i, st := range [][]Stamp{
+		{{0, 0, 2}, {1, 1, 2}, {2, 2, 2}, {2, 0, 0.5}},
+		{{0, 0, 2}, {1, 1, 2}, {2, 2, 2}, {0, 2, 0.5}},
+		{{0, 0, 2}, {1, 1, 2}, {2, 2, 2}, {1, 2, 0.5}, {2, 1, 0}},
+	} {
+		if _, err := NewSparse(3, 3, st).FactorCholesky(); !errors.Is(err, ErrNotSPD) {
+			t.Errorf("one-sided entry %d: %v", i, err)
+		}
 	}
 }
 
@@ -109,7 +121,7 @@ func TestFactorSPDFallsBackToLU(t *testing.T) {
 	a.Set(0, 1, 1)
 	a.Set(1, 0, 2)
 	a.Set(1, 1, 5)
-	f, err := FactorSPD(a)
+	f, err := FactorSPD(a.sparse())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +136,7 @@ func TestFactorSPDFallsBackToLU(t *testing.T) {
 
 func TestFactorSPDUsesCholeskyWhenPossible(t *testing.T) {
 	a := randomSPD(rand.New(rand.NewSource(2)), 8)
-	f, err := FactorSPD(a)
+	f, err := FactorSPD(a.sparse())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +148,7 @@ func TestFactorSPDUsesCholeskyWhenPossible(t *testing.T) {
 func TestCholeskySolveInPlaceMatchesSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randomSPD(rng, 10)
-	ch, err := FactorCholesky(a)
+	ch, err := a.sparse().FactorCholesky()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,73 +166,29 @@ func TestCholeskySolveInPlaceMatchesSolve(t *testing.T) {
 	}
 }
 
-// referenceCholesky is the dense factor and substitution the compressed
-// Cholesky replaced: L row-major with its zeros, every solve walking the
-// full triangles. It is the bitwise referee of the compressed factor.
-type referenceCholesky struct{ l *Matrix }
-
-// newReferenceCholesky runs FactorCholesky's loop without its SPD checks;
-// callers factor only matrices FactorCholesky accepts.
-func newReferenceCholesky(a *Matrix) *referenceCholesky {
-	n := a.Rows
-	l := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			sum := a.At(i, j)
-			for k := 0; k < j; k++ {
-				sum -= l.At(i, k) * l.At(j, k)
-			}
-			if i == j {
-				l.Set(i, i, math.Sqrt(sum))
-			} else {
-				l.Set(i, j, sum/l.At(j, j))
-			}
-		}
-	}
-	return &referenceCholesky{l: l}
-}
-
-func (c *referenceCholesky) solveInPlace(b []float64) {
-	n := c.l.Rows
-	for i := 0; i < n; i++ {
-		sum := b[i]
-		for k := 0; k < i; k++ {
-			sum -= c.l.At(i, k) * b[k]
-		}
-		b[i] = sum / c.l.At(i, i)
-	}
-	for i := n - 1; i >= 0; i-- {
-		sum := b[i]
-		for k := i + 1; k < n; k++ {
-			sum -= c.l.At(k, i) * b[k]
-		}
-		b[i] = sum / c.l.At(i, i)
-	}
-}
-
-func (c *referenceCholesky) det() float64 {
-	det := 1.0
-	for i := 0; i < c.l.Rows; i++ {
-		d := c.l.At(i, i)
-		det *= d * d
-	}
-	return det
-}
-
-// conductanceMatrix draws the grounded conductance matrix of a random
-// n-node RC network, the pattern the Elmore analysis factors: a tree in
-// which every node is wired to an earlier one, plus chords, with
+// conductanceStamps draws the stamps of the grounded conductance matrix of
+// a random n-node RC network, the pattern the Elmore analysis factors: a
+// tree in which every node is wired to an earlier one, plus chords, with
 // conductances spread over four decades and a driver conductance tying
-// node 0 to ground.
-func conductanceMatrix(rng *rand.Rand, n, chords int) *Matrix {
-	a := NewMatrix(n, n)
+// node 0 to ground. With ties set, conductances come from {1, 2, 0.5},
+// one in eight negated, and explicit 0 and -0 stamps land on random
+// symmetric pairs and diagonals: entries cancel to exact zeros, stored
+// zeros join the pattern, and some matrices are indefinite.
+func conductanceStamps(rng *rand.Rand, n, chords int, ties bool) []Stamp {
+	var st []Stamp
 	g := func() float64 { return math.Pow(10, 4*rng.Float64()-2) }
+	if ties {
+		g = func() float64 {
+			c := []float64{1, 2, 0.5}[rng.Intn(3)]
+			if rng.Intn(8) == 0 {
+				c = -c
+			}
+			return c
+		}
+	}
 	wire := func(u, v int) {
 		c := g()
-		a.Add(u, u, c)
-		a.Add(v, v, c)
-		a.Add(u, v, -c)
-		a.Add(v, u, -c)
+		st = append(st, Stamp{u, u, c}, Stamp{v, v, c}, Stamp{u, v, -c}, Stamp{v, u, -c})
 	}
 	for v := 1; v < n; v++ {
 		wire(rng.Intn(v), v)
@@ -230,22 +198,34 @@ func conductanceMatrix(rng *rand.Rand, n, chords int) *Matrix {
 			wire(u, v)
 		}
 	}
-	a.Add(0, 0, g())
-	return a
+	st = append(st, Stamp{0, 0, g()})
+	if ties {
+		negZero := math.Copysign(0, -1)
+		for k := rng.Intn(n + 1); k > 0; k-- {
+			u, v := rng.Intn(n), rng.Intn(n)
+			st = append(st, Stamp{u, v, 0}, Stamp{v, u, negZero})
+		}
+	}
+	return st
 }
 
-// checkCholeskyVsDense factors a with the compressed Cholesky and the
-// dense reference and compares Det and the solves of a unit vector (a
-// transfer-resistance column), a positive load vector and a signed vector
-// with zeros, bit for bit.
-func checkCholeskyVsDense(t *testing.T, rng *rand.Rand, a *Matrix) {
+// checkCholeskyVsDense factors the matrix with the compressed Cholesky and
+// the dense reference. Both must reject it with the same error, or both
+// accept it; then the factors must agree entry by entry, and Det and the
+// solves of a unit vector (a transfer-resistance column), a positive load
+// vector and a signed vector with zeros bit for bit.
+func checkCholeskyVsDense(t *testing.T, rng *rand.Rand, a *Matrix, sp *Sparse) {
 	t.Helper()
 	n := a.Rows
-	ch, err := FactorCholesky(a)
-	if err != nil {
-		t.Fatalf("%d×%d SPD matrix rejected: %v", n, n, err)
+	ch, err := sp.FactorCholesky()
+	ref, wantErr := newReferenceCholesky(a)
+	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+		t.Fatalf("n=%d: FactorCholesky error %v, dense %v", n, err, wantErr)
 	}
-	ref := newReferenceCholesky(a)
+	if err != nil {
+		return
+	}
+	checkPackedCholesky(t, fmt.Sprintf("n=%d", n), ch, ref)
 	if g, w := ch.Det(), ref.det(); math.Float64bits(g) != math.Float64bits(w) {
 		t.Fatalf("n=%d: Det %v, dense %v", n, g, w)
 	}
@@ -270,11 +250,24 @@ func checkCholeskyVsDense(t *testing.T, rng *rand.Rand, a *Matrix) {
 	}
 }
 
+// checkConductanceVsDense draws a conductance matrix and checks its sparse
+// factor against the dense one.
+func checkConductanceVsDense(t *testing.T, rng *rand.Rand, n, chords int, ties bool) {
+	t.Helper()
+	st := conductanceStamps(rng, n, chords, ties)
+	checkCholeskyVsDense(t, rng, denseFromStamps(n, st), NewSparse(n, n, st))
+}
+
 func TestCholeskyMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for n := 1; n <= 48; n++ {
-		checkCholeskyVsDense(t, rng, conductanceMatrix(rng, n, n/4))
-		checkCholeskyVsDense(t, rng, randomSPD(rng, n))
+		checkConductanceVsDense(t, rng, n, n/4, false)
+		// Tied values: several draws per size, as most are indefinite.
+		for chords := 0; chords <= n; chords += 1 + n/4 {
+			checkConductanceVsDense(t, rng, n, chords, true)
+		}
+		a := randomSPD(rng, n)
+		checkCholeskyVsDense(t, rng, a, a.sparse())
 	}
 }
 
@@ -290,7 +283,7 @@ func TestCholeskyStoresOnlyNonzeros(t *testing.T) {
 			a.Set(i-1, i, -1)
 		}
 	}
-	ch, err := FactorCholesky(a)
+	ch, err := a.sparse().FactorCholesky()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,13 +293,14 @@ func TestCholeskyStoresOnlyNonzeros(t *testing.T) {
 }
 
 func FuzzCholeskyVsDense(f *testing.F) {
-	f.Add(int64(1), uint8(1), uint8(0))
-	f.Add(int64(2), uint8(12), uint8(3))
-	f.Add(int64(3), uint8(30), uint8(8))
-	f.Add(int64(4), uint8(47), uint8(40))
-	f.Fuzz(func(t *testing.T, seed int64, size, chords uint8) {
-		rng := rand.New(rand.NewSource(seed))
-		checkCholeskyVsDense(t, rng, conductanceMatrix(rng, 1+int(size%48), int(chords%64)))
+	f.Add(int64(1), uint8(1), uint8(0), false)
+	f.Add(int64(2), uint8(12), uint8(3), false)
+	f.Add(int64(3), uint8(30), uint8(8), false)
+	f.Add(int64(4), uint8(47), uint8(40), false)
+	f.Add(int64(5), uint8(20), uint8(6), true)
+	f.Add(int64(6), uint8(40), uint8(30), true)
+	f.Fuzz(func(t *testing.T, seed int64, size, chords uint8, ties bool) {
+		checkConductanceVsDense(t, rand.New(rand.NewSource(seed)), 1+int(size%48), int(chords%64), ties)
 	})
 }
 

@@ -2,7 +2,9 @@ package linalg
 
 import (
 	"fmt"
-	"slices"
+	"math"
+	"runtime"
+	"sync/atomic"
 )
 
 // Sparse is a matrix in compressed-sparse-row form: row i stores the values
@@ -29,49 +31,65 @@ type Stamp struct {
 // Matrix.Add calls accumulate them. Every stamped element is stored, even
 // when its sum is zero. It panics on a stamp outside the matrix.
 func NewSparse(rows, cols int, stamps []Stamp) *Sparse {
+	m := new(Sparse)
+	m.Assemble(rows, cols, stamps)
+	return m
+}
+
+// Assemble overwrites m with the rows × cols matrix NewSparse builds from
+// stamps, reusing m's storage where it is large enough, so a caller that
+// factors one matrix after another need not allocate one.
+func (m *Sparse) Assemble(rows, cols int, stamps []Stamp) {
 	if rows < 0 || cols < 0 {
 		panic("linalg: negative matrix dimension")
 	}
+	// Bucket the stamps by row, in stamp order: count each row's stamps in
+	// ptr[i+1], then use ptr[i] as row i's cursor, which leaves it at the
+	// row's end. Then merge each row into its sorted sums, packed to the
+	// left in place: a stamp adds to the sum of an equal column, which
+	// earlier stamps created, or is inserted as 0+v. MNA rows hold a
+	// handful of stamps, so the insertion stays cheap.
+	ints := resize(m.ptr[:0:cap(m.ptr)], rows+1+len(stamps))
+	ptr, col, val := ints[:rows+1], ints[rows+1:], resize(m.val, len(stamps))
+	clear(ptr)
 	for _, st := range stamps {
 		if st.Row < 0 || st.Row >= rows || st.Col < 0 || st.Col >= cols {
 			panic(fmt.Sprintf("linalg: stamp (%d,%d) outside %dx%d matrix", st.Row, st.Col, rows, cols))
 		}
-	}
-	// Bucket the stamps by row, then order each row by column with an
-	// insertion sort; both keep stamps to one element in stamp order. MNA
-	// rows hold a handful of stamps, so the insertion sort stays cheap.
-	start := make([]int, rows+1)
-	for _, st := range stamps {
-		start[st.Row+1]++
+		ptr[st.Row+1]++
 	}
 	for i := 0; i < rows; i++ {
-		start[i+1] += start[i]
+		ptr[i+1] += ptr[i]
 	}
-	sorted := make([]Stamp, len(stamps))
-	next := slices.Clone(start[:rows])
 	for _, st := range stamps {
-		sorted[next[st.Row]] = st
-		next[st.Row]++
+		k := ptr[st.Row]
+		col[k], val[k] = st.Col, st.Val
+		ptr[st.Row]++
 	}
-	m := &Sparse{Rows: rows, Cols: cols, ptr: make([]int, rows+1),
-		col: make([]int, 0, len(stamps)), val: make([]float64, 0, len(stamps))}
+	lo, out := 0, 0
 	for i := 0; i < rows; i++ {
-		row := sorted[start[i]:start[i+1]]
-		for a := 1; a < len(row); a++ {
-			for b := a; b > 0 && row[b].Col < row[b-1].Col; b-- {
-				row[b], row[b-1] = row[b-1], row[b]
+		hi, start := ptr[i], out
+		ptr[i] = start
+		for k := lo; k < hi; k++ {
+			c, v := col[k], val[k]
+			at := out
+			for at > start && col[at-1] > c {
+				at--
 			}
-		}
-		for k, st := range row {
-			if k == 0 || st.Col != row[k-1].Col {
-				m.col = append(m.col, st.Col)
-				m.val = append(m.val, 0)
+			if at > start && col[at-1] == c {
+				val[at-1] += v
+				continue
 			}
-			m.val[len(m.val)-1] += st.Val
+			for j := out; j > at; j-- {
+				col[j], val[j] = col[j-1], val[j-1]
+			}
+			col[at], val[at] = c, 0+v
+			out++
 		}
-		m.ptr[i+1] = len(m.col)
+		lo = hi
 	}
-	return m
+	ptr[rows] = out
+	m.Rows, m.Cols, m.ptr, m.col, m.val = rows, cols, ptr, col[:out], val[:out]
 }
 
 // Row returns row i's stored columns (ascending) and values. The slices
@@ -79,6 +97,16 @@ func NewSparse(rows, cols int, stamps []Stamp) *Sparse {
 func (m *Sparse) Row(i int) (cols []int, vals []float64) {
 	lo, hi := m.ptr[i], m.ptr[i+1]
 	return m.col[lo:hi], m.val[lo:hi]
+}
+
+// at returns element (i, j), zero when it is not stored.
+func (m *Sparse) at(i, j int) float64 {
+	for k := m.ptr[i]; k < m.ptr[i+1] && m.col[k] <= j; k++ {
+		if m.col[k] == j {
+			return m.val[k]
+		}
+	}
+	return 0
 }
 
 // MulVecInto computes dst = m · x without allocating; dst must not alias x.
@@ -149,11 +177,234 @@ func (m *Sparse) Dense() *Matrix {
 	return d
 }
 
-// Factor computes the LU factorization of m with the same elimination, and
-// so the same pivots and factor bits, as Factor(m.Dense()).
+// Factor computes the LU factorization of m with partial pivoting, P·A =
+// L·U. It is the dense elimination run over the stored entries: column k
+// pivots on its largest magnitude, the first in row position order among
+// equals, and fails the same pivotTolerance test; each entry receives its
+// updates in ascending k order, and only products with an exact-zero
+// factor are skipped. For finite m with pivots of finite reciprocal, every
+// pivot and factor value is therefore bit-identical to eliminating
+// m.Dense() densely, and the work is proportional to the nonzeros of the
+// factors, not to n³. Scratch is reused, so a warm factorization allocates
+// only its result, and concurrent calls are safe.
 func (m *Sparse) Factor() (*LU, error) {
 	if m.Rows != m.Cols {
 		return nil, fmt.Errorf("linalg: cannot factor %dx%d non-square matrix", m.Rows, m.Cols)
 	}
-	return factor(m.Dense())
+	var maxAbs float64
+	for _, v := range m.val {
+		if av := math.Abs(v); av > maxAbs {
+			maxAbs = av
+		}
+	}
+	if maxAbs == 0 && m.Rows > 0 {
+		return nil, ErrSingular
+	}
+	// Work on a copy of the idle scratch: its slices then live on the stack
+	// while they grow, sparing the garbage collector's write barrier.
+	idle := luScratch.get()
+	w := *idle
+	lu, err := w.factor(m, maxAbs*pivotTolerance)
+	*idle = w
+	luScratch.put(idle)
+	return lu, err
+}
+
+// luWork is the scratch of one sparse LU factorization. Rows are kept by
+// their original index r and move between positions by swapping rowAt and
+// posOf. Row r's active entries, those in the columns not yet eliminated,
+// are col/val[beg[r]:end[r]] in ascending column order; an update writes
+// the merged row to the end of col/val. Column j's list links every row
+// holding an entry there, fill included: head[j], then next[e], with the
+// row rows[e].
+type luWork struct {
+	rowAt, posOf, beg, end []int
+	col                    []int
+	val                    []float64
+	head, next, rows       []int
+	// The multipliers of L as (lRow, lCol, lVal), in elimination order,
+	// and the rows of U as they become final: position k's pivot, and its
+	// nonzeros right of the diagonal at uCol/uVal[uPtr[k]:uPtr[k+1]].
+	lRow, lCol, uCol, uPtr, pivot []int
+	lVal, uVal, diag              []float64
+}
+
+var luScratch = newScratch[luWork]()
+
+// scratch keeps idle workspaces of a factorization for reuse, in one slot
+// for each processor that may be factoring at the same time. Unlike a
+// sync.Pool it never drops one at random, as a Pool does under the race
+// detector, so a warm factorization allocates exactly its result.
+type scratch[T any] []atomic.Pointer[T]
+
+func newScratch[T any]() scratch[T] {
+	//nontree:allow nondetsource the count only bounds how many idle workspaces are kept, never a result
+	return make(scratch[T], runtime.GOMAXPROCS(0))
+}
+
+func (s scratch[T]) get() *T {
+	for i := range s {
+		if w := s[i].Swap(nil); w != nil {
+			return w
+		}
+	}
+	return new(T)
+}
+
+func (s scratch[T]) put(w *T) {
+	for i := range s {
+		if s[i].CompareAndSwap(nil, w) {
+			return
+		}
+	}
+}
+
+// resize returns s with length n, reusing its storage when it is large
+// enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// link records an entry of row r in column j.
+func (w *luWork) link(j, r int) {
+	w.rows = append(w.rows, r)
+	w.next = append(w.next, w.head[j])
+	w.head[j] = len(w.rows) - 1
+}
+
+// factor eliminates m, failing on a pivot of magnitude at most threshold,
+// and packs the factors.
+func (w *luWork) factor(m *Sparse, threshold float64) (*LU, error) {
+	n := m.Rows
+	w.rowAt, w.posOf, w.beg, w.end = resize(w.rowAt, n), resize(w.posOf, n), resize(w.beg, n), resize(w.end, n)
+	w.head, w.pivot, w.diag = resize(w.head, n), resize(w.pivot, n), resize(w.diag, n)
+	w.col, w.val = append(w.col[:0], m.col...), append(w.val[:0], m.val...)
+	w.next, w.rows = w.next[:0], w.rows[:0]
+	w.lRow, w.lCol, w.lVal = w.lRow[:0], w.lCol[:0], w.lVal[:0]
+	w.uCol, w.uVal, w.uPtr = w.uCol[:0], w.uVal[:0], append(w.uPtr[:0], 0)
+	for j := range w.head {
+		w.head[j] = -1
+	}
+	for r := 0; r < n; r++ {
+		w.rowAt[r], w.posOf[r], w.beg[r], w.end[r] = r, r, m.ptr[r], m.ptr[r+1]
+		for _, j := range m.col[m.ptr[r]:m.ptr[r+1]] {
+			w.link(j, r)
+		}
+	}
+	sign := 1
+	for k := 0; k < n; k++ {
+		// Every row not yet pivoted holds only columns ≥ k, so its entry
+		// in column k, if any, is its first active one. The dense scan
+		// keeps the first of equal magnitudes in row position order; the
+		// column list is unordered, so a tie goes to the lower position
+		// explicitly.
+		p, largest := k, 0.0
+		if r := w.rowAt[k]; w.beg[r] < w.end[r] && w.col[w.beg[r]] == k {
+			largest = math.Abs(w.val[w.beg[r]])
+		}
+		for e := w.head[k]; e >= 0; e = w.next[e] {
+			if pos := w.posOf[w.rows[e]]; pos > k {
+				if v := math.Abs(w.val[w.beg[w.rows[e]]]); v > largest || v == largest && pos < p {
+					p, largest = pos, v
+				}
+			}
+		}
+		if largest <= threshold {
+			return nil, fmt.Errorf("%w (pivot column %d)", ErrSingular, k)
+		}
+		pr := w.rowAt[p]
+		if p != k {
+			w.rowAt[k], w.rowAt[p] = pr, w.rowAt[k]
+			w.posOf[pr], w.posOf[w.rowAt[p]] = k, p
+			sign = -sign
+		}
+		w.pivot[k] = p
+		w.diag[k] = w.val[w.beg[pr]]
+		// U keeps its nonzeros only, so the updates skip exactly the
+		// products with a zero U factor; the dense loop's leave their
+		// entries unchanged up to the sign of zero.
+		for e := w.beg[pr] + 1; e < w.end[pr]; e++ {
+			if w.val[e] != 0 {
+				w.uCol = append(w.uCol, w.col[e])
+				w.uVal = append(w.uVal, w.val[e])
+			}
+		}
+		w.uPtr = append(w.uPtr, len(w.uCol))
+
+		inv := 1 / w.diag[k]
+		for e := w.head[k]; e >= 0; e = w.next[e] {
+			r := w.rows[e]
+			if w.posOf[r] <= k {
+				continue
+			}
+			f := w.val[w.beg[r]] * inv
+			w.beg[r]++
+			if f == 0 {
+				continue // as in the dense loop, which drops the zero from L
+			}
+			w.lRow = append(w.lRow, r)
+			w.lCol = append(w.lCol, k)
+			w.lVal = append(w.lVal, f)
+			w.update(r, f, w.uPtr[k], w.uPtr[k+1])
+		}
+	}
+	return w.pack(sign), nil
+}
+
+// update subtracts f times U's row uCol/uVal[lo:hi] from row r's active
+// entries, creating fill where the row holds no entry.
+func (w *luWork) update(r int, f float64, lo, hi int) {
+	a, end := w.beg[r], w.end[r]
+	w.beg[r] = len(w.col)
+	for a < end || lo < hi {
+		switch {
+		case lo == hi || a < end && w.col[a] < w.uCol[lo]:
+			w.col = append(w.col, w.col[a])
+			w.val = append(w.val, w.val[a])
+			a++
+		case a == end || w.uCol[lo] < w.col[a]:
+			w.col = append(w.col, w.uCol[lo])
+			w.val = append(w.val, 0-f*w.uVal[lo])
+			w.link(w.uCol[lo], r)
+			lo++
+		default:
+			w.col = append(w.col, w.col[a])
+			w.val = append(w.val, w.val[a]-f*w.uVal[lo])
+			a++
+			lo++
+		}
+	}
+	w.end[r] = len(w.col)
+}
+
+// pack copies the factors into one exactly sized LU: row i of the result
+// holds the multipliers of the row pivoted into position i, which the
+// elimination produced in ascending column order, then its U row.
+func (w *luWork) pack(sign int) *LU {
+	n := len(w.pivot)
+	nnz := len(w.lVal) + len(w.uVal)
+	ints, vals := make([]int, 3*n+1+nnz), make([]float64, n+nnz)
+	f := &LU{n: n, sign: sign, pivot: ints[:n:n], ptr: ints[n : 2*n+1 : 2*n+1], mid: ints[2*n+1 : 3*n+1 : 3*n+1],
+		col: ints[3*n+1:], val: vals[:nnz:nnz], diag: vals[nnz:]}
+	copy(f.pivot, w.pivot)
+	copy(f.diag, w.diag)
+	for _, r := range w.lRow {
+		f.mid[w.posOf[r]]++
+	}
+	for i := 0; i < n; i++ {
+		f.mid[i] += f.ptr[i]
+		u := copy(f.col[f.mid[i]:], w.uCol[w.uPtr[i]:w.uPtr[i+1]])
+		copy(f.val[f.mid[i]:], w.uVal[w.uPtr[i]:w.uPtr[i+1]])
+		f.ptr[i+1] = f.mid[i] + u
+		w.beg[i] = f.ptr[i]
+	}
+	for e, r := range w.lRow {
+		i := w.posOf[r]
+		f.col[w.beg[i]], f.val[w.beg[i]] = w.lCol[e], w.lVal[e]
+		w.beg[i]++
+	}
+	return f
 }

@@ -2,55 +2,27 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
 
-// referenceSolve is the substitution over the dense packed factors of
-// eliminate that the compressed LU.SolveInPlace must reproduce bit for bit.
-func referenceSolve(lu *Matrix, pivot []int, b []float64) {
-	n := lu.Rows
-	for i := 0; i < n; i++ {
-		if p := pivot[i]; p != i {
-			b[i], b[p] = b[p], b[i]
-		}
-	}
-	for i := 1; i < n; i++ {
-		row := lu.Data[i*n : i*n+i]
-		var sum float64
-		for j, v := range row {
-			sum += v * b[j]
-		}
-		b[i] -= sum
-	}
-	for i := n - 1; i >= 0; i-- {
-		row := lu.Data[i*n+i : (i+1)*n]
-		sum := b[i]
-		for j := 1; j < len(row); j++ {
-			sum -= row[j] * b[i+j]
-		}
-		b[i] = sum / row[0]
-	}
-}
-
-// referenceDet is the determinant over the dense packed factors.
-func referenceDet(lu *Matrix, sign int) float64 {
-	det := float64(sign)
-	for i := 0; i < lu.Rows; i++ {
-		det *= lu.At(i, i)
-	}
-	return det
-}
-
 // randomStamps draws an n×n MNA-like system: a random sparse pattern whose
 // stamps repeat elements, magnitudes spread over many decades so partial
 // pivoting swaps rows, and, when branch is set, a last unknown wired like a
 // voltage-source branch (±1 incidence, zero diagonal) whose row is moved to
-// the front so column 0 must pivot.
-func randomStamps(rng *rand.Rand, n int, density float64, branch bool) []Stamp {
+// the front so column 0 must pivot. With ties set, values come from
+// {±1, ±2, ±0.5} with explicit 0 and -0 stamps instead, as on the ±1
+// incidences of real MNA matrices: pivot candidates tie in magnitude, so
+// the first-in-position-order rule decides, entries cancel to exact zeros,
+// and stored zeros join the pattern.
+func randomStamps(rng *rand.Rand, n int, density float64, branch, ties bool) []Stamp {
 	var st []Stamp
 	val := func() float64 { return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4)) }
+	if ties {
+		val = func() float64 { return []float64{1, -1, 2, -2, 0.5, -0.5, 0, math.Copysign(0, -1)}[rng.Intn(8)] }
+	}
 	for i := 0; i < n; i++ {
 		st = append(st, Stamp{Row: i, Col: i, Val: val()})
 		for j := 0; j < n; j++ {
@@ -114,10 +86,10 @@ func sameBits(a, b []float64) int {
 
 // checkSparseVsDense compares every Sparse and compressed-LU operation on
 // one random system with its dense counterpart, bit for bit.
-func checkSparseVsDense(t *testing.T, seed int64, n int, density float64, branch bool) {
+func checkSparseVsDense(t *testing.T, seed int64, n int, density float64, branch, ties bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	st := randomStamps(rng, n, density, branch)
+	st := randomStamps(rng, n, density, branch, ties)
 	sp := NewSparse(n, n, st)
 	dense := denseFromStamps(n, st)
 	if i := sameBits(sp.Dense().Data, dense.Data); i >= 0 {
@@ -136,7 +108,7 @@ func checkSparseVsDense(t *testing.T, seed int64, n int, density float64, branch
 		t.Fatalf("seed %d: MulVecInto row %d differs from dense", seed, i)
 	}
 
-	other := randomStamps(rng, n, density, false)
+	other := randomStamps(rng, n, density, false, ties)
 	s := rng.NormFloat64()
 	sum := dense.Clone()
 	sum.AddScaled(denseFromStamps(n, other), s)
@@ -147,12 +119,13 @@ func checkSparseVsDense(t *testing.T, seed int64, n int, density float64, branch
 	packed := dense.Clone()
 	pivot, sign, wantErr := eliminate(packed)
 	lu, err := sp.Factor()
-	if (err == nil) != (wantErr == nil) {
+	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
 		t.Fatalf("seed %d: Factor error %v, dense elimination %v", seed, err, wantErr)
 	}
 	if err != nil {
 		return
 	}
+	checkPackedLU(t, fmt.Sprintf("seed %d", seed), lu, packed, pivot, sign)
 	b := make([]float64, n)
 	for i := range b {
 		if rng.Intn(5) > 0 {
@@ -173,7 +146,7 @@ func checkSparseVsDense(t *testing.T, seed int64, n int, density float64, branch
 func TestSparseMatchesDense(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		n := 1 + int(seed%40)
-		checkSparseVsDense(t, seed, n, []float64{0.05, 0.15, 0.5}[seed%3], seed%2 == 0)
+		checkSparseVsDense(t, seed, n, []float64{0.05, 0.15, 0.5}[seed%3], seed%2 == 0, seed%4 >= 2)
 	}
 }
 
@@ -181,7 +154,7 @@ func TestRandomStampsPivot(t *testing.T) {
 	// The systems the equivalence checks draw must really exercise row
 	// interchanges, or the permutation half of the solve goes untested.
 	rng := rand.New(rand.NewSource(1))
-	packed := denseFromStamps(12, randomStamps(rng, 12, 0.15, true))
+	packed := denseFromStamps(12, randomStamps(rng, 12, 0.15, true, false))
 	pivot, _, err := eliminate(packed)
 	if err != nil {
 		t.Fatal(err)
@@ -192,12 +165,14 @@ func TestRandomStampsPivot(t *testing.T) {
 }
 
 func FuzzSparseVsDense(f *testing.F) {
-	f.Add(int64(1), uint8(6), uint8(20), true)
-	f.Add(int64(2), uint8(30), uint8(5), true)
-	f.Add(int64(3), uint8(1), uint8(50), false)
-	f.Add(int64(4), uint8(17), uint8(90), false)
-	f.Fuzz(func(t *testing.T, seed int64, size, fill uint8, branch bool) {
-		checkSparseVsDense(t, seed, 1+int(size%48), float64(fill%101)/100, branch)
+	f.Add(int64(1), uint8(6), uint8(20), true, false)
+	f.Add(int64(2), uint8(30), uint8(5), true, false)
+	f.Add(int64(3), uint8(1), uint8(50), false, false)
+	f.Add(int64(4), uint8(17), uint8(90), false, false)
+	f.Add(int64(5), uint8(24), uint8(10), true, true)
+	f.Add(int64(6), uint8(40), uint8(30), false, true)
+	f.Fuzz(func(t *testing.T, seed int64, size, fill uint8, branch, ties bool) {
+		checkSparseVsDense(t, seed, 1+int(size%48), float64(fill%101)/100, branch, ties)
 	})
 }
 

@@ -1,5 +1,7 @@
 package spice
 
+import "nontree/internal/linalg"
+
 // The equivalence tests build their circuits with internal/rc, which
 // imports this package, so they live in package spice_test; these hand them
 // the dense references of spice_test.go.
@@ -19,3 +21,16 @@ func ReferenceFinalValue(c *Circuit, atTime float64) ([]float64, error) {
 func ReferenceOperatingPoint(c *Circuit) ([]float64, error) { return referenceDC(c, 0) }
 
 var ReferenceMeasureDelays = referenceMeasureDelays
+
+// IterationMatrix assembles c and returns its trapezoidal iteration matrix
+// G + 2C/h at the step MeasureDelays takes first (the estimated horizon
+// over the default steps per horizon): the matrix every measurement
+// factors.
+func IterationMatrix(c *Circuit) *linalg.Sparse {
+	sys, err := assemble(c)
+	if err != nil {
+		panic(err)
+	}
+	h := horizonEstimate(c) / float64(DefaultMeasureOpts().StepsPerHorizon)
+	return sys.g.AddScaled(sys.c, 2/h)
+}
