@@ -47,6 +47,10 @@ var Analyzer = &analysis.Analyzer{
 		"internal/elmore",
 		"internal/spice",
 		"internal/linalg",
+		// The workspace cache behind linalg's and elmore's factorizations
+		// is in scope so its GOMAXPROCS read stays annotated: the count
+		// only bounds how many idle workspaces are kept.
+		"internal/scratch",
 		"internal/rc",
 		"internal/stats",
 		"internal/netlist",

@@ -17,11 +17,10 @@
 // this equivalence on random topologies.
 //
 // Concurrency: every evaluator in this package (TreeDelays, GraphDelays,
-// TwoPoleDelays, Bounds, EstimateDelays) assembles its matrices per call,
-// in workspaces of its own or taken from a sync.Pool, and only reads its
-// Topology/Lumped arguments, so concurrent evaluations of distinct
-// topologies are safe — the property core's parallel candidate sweeps rely
-// on. A Conductance factorization is
+// TwoPoleDelays, Bounds, EstimateDelays) assembles its matrices and
+// workspaces per call and only reads its Topology/Lumped arguments, so
+// concurrent evaluations of distinct topologies are safe — the property
+// core's parallel candidate sweeps rely on. A Conductance factorization is
 // likewise read-only after FactorConductance and may be shared across
 // goroutines. The incremental evaluator (incremental.go) is the one stateful
 // exception: an Incremental caches per-endpoint solve columns and must be
@@ -31,12 +30,11 @@ package elmore
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 
 	"nontree/internal/graph"
 	"nontree/internal/linalg"
 	"nontree/internal/rc"
+	"nontree/internal/scratch"
 )
 
 // Errors reported by the delay evaluators.
@@ -132,21 +130,30 @@ type Conductance struct {
 	size int
 }
 
-// conductanceWork is FactorConductance's scratch, pooled: the stamp list
-// and the assembled matrix, which the factorization copies from.
+// conductanceWork is FactorConductance's scratch: the rows of the matrix
+// under assembly, which the factorization copies from.
 type conductanceWork struct {
-	stamps []linalg.Stamp
-	g      linalg.Sparse
+	ints []int
+	vals []float64
 }
 
-var conductancePool = sync.Pool{New: func() any { return new(conductanceWork) }}
+var conductanceScratch = scratch.New[conductanceWork]()
+
+// resize returns *s with length n, growing its storage when it is too
+// small.
+func resize[T any](s *[]T, n int) []T {
+	if cap(*s) < n {
+		*s = make([]T, n)
+	}
+	return (*s)[:n]
+}
 
 // FactorConductance assembles and factors the conductance matrix of the
 // topology: edge conductances plus the driver conductance tying the source
 // to ground. Isolated Steiner points are pinned with a tiny leak so the
 // matrix stays non-singular without perturbing delays. The matrix is
-// stamped into a linalg.Sparse and factored over its pattern, so the cost
-// follows the topology's edges, not the square of its nodes.
+// written straight into sparse rows and factored over its pattern, so the
+// cost follows the topology's edges, not the square of its nodes.
 func FactorConductance(t *graph.Topology, l *rc.Lumped) (*Conductance, error) {
 	if len(l.NodeCap) != t.NumNodes() {
 		return nil, ErrSizeMismatch
@@ -155,19 +162,32 @@ func FactorConductance(t *graph.Topology, l *rc.Lumped) (*Conductance, error) {
 		return nil, ErrDisconnected
 	}
 	n := t.NumNodes()
-	w := conductancePool.Get().(*conductanceWork)
-	defer conductancePool.Put(w)
-	// One stamp per element: the first n are the diagonal, summed here in
-	// canonical edge order (each node's neighbours above it, ascending)
-	// so floating-point accumulation is bit-for-bit reproducible run to
-	// run (map order would perturb it).
-	stamps := w.stamps[:0]
+	// Row i holds its neighbours and itself, ascending. The edges are
+	// walked in canonical order (each node's neighbours above it,
+	// ascending), which fills every row below its diagonal in ascending
+	// column order, cursor[i] then stopping on the diagonal, and reaches
+	// row u's entries above the diagonal all at once. Each diagonal is
+	// summed in that walk's order, so floating-point accumulation is
+	// bit-for-bit reproducible run to run (map order would perturb it).
+	nnz := n + 2*t.NumEdges()
+	w := conductanceScratch.Get()
+	defer conductanceScratch.Put(w)
+	ints, vals := resize(&w.ints, 2*n+1+nnz), resize(&w.vals, nnz+n)
+	ptr, cursor, col := ints[:n+1], ints[n+1:2*n+1], ints[2*n+1:]
+	val, diag := vals[:nnz], vals[nnz:]
+	ptr[0] = 0
+	clear(diag)
 	for i := 0; i < n; i++ {
-		stamps = append(stamps, linalg.Stamp{Row: i, Col: i})
+		ptr[i+1] = ptr[i] + t.Degree(i) + 1
+		cursor[i] = ptr[i]
 	}
 	for u := 0; u < n; u++ {
 		nbrs := t.Neighbors(u)
-		for _, v := range nbrs[sort.SearchInts(nbrs, u):] {
+		below := 0
+		for below < len(nbrs) && nbrs[below] < u {
+			below++
+		}
+		for k, v := range nbrs[below:] {
 			e := graph.Edge{U: u, V: v}
 			r, ok := l.EdgeRes[e]
 			if !ok {
@@ -177,15 +197,18 @@ func FactorConductance(t *graph.Topology, l *rc.Lumped) (*Conductance, error) {
 				return nil, fmt.Errorf("elmore: edge %v has non-positive resistance %g", e, r)
 			}
 			cond := 1 / r
-			stamps[u].Val += cond
-			stamps[v].Val += cond
-			stamps = append(stamps, linalg.Stamp{Row: u, Col: v, Val: -cond}, linalg.Stamp{Row: v, Col: u, Val: -cond})
+			diag[u] += cond
+			diag[v] += cond
+			above := cursor[u] + 1 + k
+			col[above], val[above] = v, 0-cond
+			col[cursor[v]], val[cursor[v]] = u, 0-cond
+			cursor[v]++
 		}
 	}
 	if l.DriverResistance <= 0 {
 		return nil, errors.New("elmore: driver resistance must be positive")
 	}
-	stamps[0].Val += 1 / l.DriverResistance
+	diag[0] += 1 / l.DriverResistance
 
 	// Isolated Steiner points have an all-zero row; pin them to ground with
 	// a conductance far below the circuit's but far above the pivot
@@ -194,18 +217,17 @@ func FactorConductance(t *graph.Topology, l *rc.Lumped) (*Conductance, error) {
 	leak := 1e-6 / l.DriverResistance
 	for i := 1; i < n; i++ {
 		if t.Degree(i) == 0 {
-			stamps[i].Val = leak
+			diag[i] = leak
 		}
+	}
+	for i, d := range cursor {
+		col[d], val[d] = i, diag[i]
 	}
 
 	// The grounded conductance matrix is SPD by construction, so the
 	// Cholesky path applies (half the flops of LU); FactorSPD falls back
 	// to pivoted LU if numerical noise ever breaks definiteness.
-	if cap(stamps) > cap(w.stamps) {
-		w.stamps = stamps // keep the larger buffer; storing only then spares a write barrier
-	}
-	w.g.Assemble(n, n, stamps)
-	lu, err := linalg.FactorSPD(&w.g)
+	lu, err := linalg.FactorSPD(linalg.NewCSR(n, n, ptr, col, val))
 	if err != nil {
 		return nil, fmt.Errorf("elmore: conductance matrix: %w", err)
 	}

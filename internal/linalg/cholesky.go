@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"nontree/internal/scratch"
 )
 
 // Factorization is the solve interface shared by LU and Cholesky, letting
@@ -55,12 +57,7 @@ func (m *Sparse) FactorCholesky() (*Cholesky, error) {
 	if m.Rows != m.Cols {
 		return nil, fmt.Errorf("linalg: cannot Cholesky-factor %dx%d non-square matrix", m.Rows, m.Cols)
 	}
-	var maxAbs float64
-	for _, v := range m.val {
-		if av := math.Abs(v); av > maxAbs {
-			maxAbs = av
-		}
-	}
+	maxAbs := m.maxAbs()
 	tol := maxAbs * 1e-12
 	for i := 0; i < m.Rows; i++ {
 		for k := m.ptr[i]; k < m.ptr[i+1]; k++ {
@@ -69,8 +66,14 @@ func (m *Sparse) FactorCholesky() (*Cholesky, error) {
 			}
 		}
 	}
-	w := cholScratch.get()
-	defer cholScratch.put(w)
+	return m.cholesky(maxAbs)
+}
+
+// cholesky factors m, whose largest magnitude is maxAbs, from its lower
+// triangle and diagonal.
+func (m *Sparse) cholesky(maxAbs float64) (*Cholesky, error) {
+	w := cholScratch.Get()
+	defer cholScratch.Put(w)
 	return w.factor(m, maxAbs*1e-14)
 }
 
@@ -85,7 +88,7 @@ type cholWork struct {
 	val, x, diag                                     []float64
 }
 
-var cholScratch = newScratch[cholWork]()
+var cholScratch = scratch.New[cholWork]()
 
 // factor computes L row by row, failing on a pivot at most minPivot.
 func (w *cholWork) factor(m *Sparse, minPivot float64) (*Cholesky, error) {
@@ -241,11 +244,17 @@ func (c *Cholesky) Det() float64 {
 }
 
 // FactorSPD factors a with Cholesky when possible, falling back to the
-// sparse LU with partial pivoting otherwise. Callers with matrices that are
-// SPD by construction get the cheap path without committing to it.
+// sparse LU with partial pivoting when a pivot is not positive. It is for
+// matrices that are symmetric by construction, such as conductance
+// matrices: unlike FactorCholesky it does not check symmetry, and its
+// Cholesky reads only the lower triangle and the diagonal. Callers with
+// matrices that are SPD by construction get the cheap path without
+// committing to it.
 func FactorSPD(a *Sparse) (Factorization, error) {
-	if ch, err := a.FactorCholesky(); err == nil {
-		return ch, nil
+	if a.Rows == a.Cols {
+		if ch, err := a.cholesky(a.maxAbs()); err == nil {
+			return ch, nil
+		}
 	}
 	return a.Factor()
 }

@@ -60,7 +60,7 @@ func TestCholeskyMatchesLUProperty(t *testing.T) {
 			b[i] = rng.NormFloat64()
 		}
 		ch, err1 := a.sparse().FactorCholesky()
-		lu, err2 := Factor(a)
+		lu, err2 := factorMatrix(a)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -115,18 +115,19 @@ func TestCholeskyRejectsNonSPD(t *testing.T) {
 }
 
 func TestFactorSPDFallsBackToLU(t *testing.T) {
-	// A well-conditioned but asymmetric matrix must still be solvable.
+	// A well-conditioned symmetric but indefinite matrix (eigenvalues −1
+	// and 3) must still be solvable.
 	a := NewMatrix(2, 2)
-	a.Set(0, 0, 4)
-	a.Set(0, 1, 1)
+	a.Set(0, 0, 1)
+	a.Set(0, 1, 2)
 	a.Set(1, 0, 2)
-	a.Set(1, 1, 5)
+	a.Set(1, 1, 1)
 	f, err := FactorSPD(a.sparse())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, isCh := f.(*Cholesky); isCh {
-		t.Error("asymmetric matrix must not take the Cholesky path")
+		t.Error("indefinite matrix must not take the Cholesky path")
 	}
 	x := f.Solve([]float64{6, 12})
 	if r := Residual(a, x, []float64{6, 12}); r > 1e-12 {

@@ -142,25 +142,6 @@ type LU struct {
 // element magnitude seen in the factorization.
 const pivotTolerance = 1e-14
 
-// Factor computes the LU factorization of the dense matrix a over its
-// nonzeros, as (*Sparse).Factor does; a is not modified.
-func Factor(a *Matrix) (*LU, error) { return a.sparse().Factor() }
-
-// sparse returns the nonzeros of m as a Sparse matrix.
-func (m *Matrix) sparse() *Sparse {
-	s := &Sparse{Rows: m.Rows, Cols: m.Cols, ptr: make([]int, m.Rows+1)}
-	for i := 0; i < m.Rows; i++ {
-		for j, v := range m.Data[i*m.Cols : (i+1)*m.Cols] {
-			if v != 0 {
-				s.col = append(s.col, j)
-				s.val = append(s.val, v)
-			}
-		}
-		s.ptr[i+1] = len(s.col)
-	}
-	return s
-}
-
 // Solve returns x with A·x = b. b is not modified.
 func (f *LU) Solve(b []float64) []float64 {
 	x := make([]float64, len(b))

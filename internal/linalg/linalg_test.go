@@ -103,7 +103,7 @@ func TestSolveKnownSystem(t *testing.T) {
 	a.Set(0, 1, 1)
 	a.Set(1, 0, 1)
 	a.Set(1, 1, 3)
-	lu, err := Factor(a)
+	lu, err := factorMatrix(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestSolveRequiresPivoting(t *testing.T) {
 	a.Set(0, 1, 1)
 	a.Set(1, 0, 1)
 	a.Set(1, 1, 0)
-	lu, err := Factor(a)
+	lu, err := factorMatrix(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,17 +136,17 @@ func TestSingularDetection(t *testing.T) {
 	a.Set(0, 1, 2)
 	a.Set(1, 0, 2)
 	a.Set(1, 1, 4) // rank 1
-	if _, err := Factor(a); !errors.Is(err, ErrSingular) {
+	if _, err := factorMatrix(a); !errors.Is(err, ErrSingular) {
 		t.Errorf("rank-1 matrix: %v", err)
 	}
 	z := NewMatrix(3, 3)
-	if _, err := Factor(z); !errors.Is(err, ErrSingular) {
+	if _, err := factorMatrix(z); !errors.Is(err, ErrSingular) {
 		t.Errorf("zero matrix: %v", err)
 	}
 }
 
 func TestNonSquareRejected(t *testing.T) {
-	if _, err := Factor(NewMatrix(2, 3)); err == nil {
+	if _, err := factorMatrix(NewMatrix(2, 3)); err == nil {
 		t.Error("non-square factor must error")
 	}
 }
@@ -157,7 +157,7 @@ func TestDeterminant(t *testing.T) {
 	a.Set(0, 1, 8)
 	a.Set(1, 0, 4)
 	a.Set(1, 1, 6)
-	lu, err := Factor(a)
+	lu, err := factorMatrix(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestRandomSolveResidualProperty(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		lu, err := Factor(a)
+		lu, err := factorMatrix(a)
 		if err != nil {
 			return false
 		}
@@ -210,7 +210,7 @@ func TestSolveDoesNotModifyInputs(t *testing.T) {
 	b := []float64{1, 2, 3, 4, 5}
 	bCopy := append([]float64(nil), b...)
 
-	lu, err := Factor(a)
+	lu, err := factorMatrix(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestSolveInPlaceMatchesSolve(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	lu, err := Factor(a)
+	lu, err := factorMatrix(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestSolveDense(t *testing.T) {
 	for i := range b.Data {
 		b.Data[i] = rng.NormFloat64()
 	}
-	lu, err := Factor(a)
+	lu, err := factorMatrix(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestIdentitySolve(t *testing.T) {
 	for i := 0; i < n; i++ {
 		a.Set(i, i, 1)
 	}
-	lu, err := Factor(a)
+	lu, err := factorMatrix(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestSymmetricSPDConductanceLike(t *testing.T) {
 		a.Add(j, i, -g)
 	}
 	a.Add(0, 0, 0.01) // ground leak makes it non-singular
-	lu, err := Factor(a)
+	lu, err := factorMatrix(a)
 	if err != nil {
 		t.Fatal(err)
 	}

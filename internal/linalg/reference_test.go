@@ -252,3 +252,22 @@ func checkPackedCholesky(t *testing.T, what string, ch *Cholesky, ref *reference
 		}
 	}
 }
+
+// factorMatrix is the sparse LU of the dense matrix a's nonzeros; a is not
+// modified.
+func factorMatrix(a *Matrix) (*LU, error) { return a.sparse().Factor() }
+
+// sparse returns the nonzeros of m as a Sparse matrix.
+func (m *Matrix) sparse() *Sparse {
+	s := &Sparse{Rows: m.Rows, Cols: m.Cols, ptr: make([]int, m.Rows+1)}
+	for i := 0; i < m.Rows; i++ {
+		for j, v := range m.Data[i*m.Cols : (i+1)*m.Cols] {
+			if v != 0 {
+				s.col = append(s.col, j)
+				s.val = append(s.val, v)
+			}
+		}
+		s.ptr[i+1] = len(s.col)
+	}
+	return s
+}

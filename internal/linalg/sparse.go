@@ -3,8 +3,8 @@ package linalg
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync/atomic"
+
+	"nontree/internal/scratch"
 )
 
 // Sparse is a matrix in compressed-sparse-row form: row i stores the values
@@ -31,15 +31,6 @@ type Stamp struct {
 // Matrix.Add calls accumulate them. Every stamped element is stored, even
 // when its sum is zero. It panics on a stamp outside the matrix.
 func NewSparse(rows, cols int, stamps []Stamp) *Sparse {
-	m := new(Sparse)
-	m.Assemble(rows, cols, stamps)
-	return m
-}
-
-// Assemble overwrites m with the rows × cols matrix NewSparse builds from
-// stamps, reusing m's storage where it is large enough, so a caller that
-// factors one matrix after another need not allocate one.
-func (m *Sparse) Assemble(rows, cols int, stamps []Stamp) {
 	if rows < 0 || cols < 0 {
 		panic("linalg: negative matrix dimension")
 	}
@@ -49,9 +40,8 @@ func (m *Sparse) Assemble(rows, cols int, stamps []Stamp) {
 	// left in place: a stamp adds to the sum of an equal column, which
 	// earlier stamps created, or is inserted as 0+v. MNA rows hold a
 	// handful of stamps, so the insertion stays cheap.
-	ints := resize(m.ptr[:0:cap(m.ptr)], rows+1+len(stamps))
-	ptr, col, val := ints[:rows+1], ints[rows+1:], resize(m.val, len(stamps))
-	clear(ptr)
+	ints := make([]int, rows+1+len(stamps))
+	ptr, col, val := ints[:rows+1], ints[rows+1:], make([]float64, len(stamps))
 	for _, st := range stamps {
 		if st.Row < 0 || st.Row >= rows || st.Col < 0 || st.Col >= cols {
 			panic(fmt.Sprintf("linalg: stamp (%d,%d) outside %dx%d matrix", st.Row, st.Col, rows, cols))
@@ -89,7 +79,37 @@ func (m *Sparse) Assemble(rows, cols int, stamps []Stamp) {
 		lo = hi
 	}
 	ptr[rows] = out
-	m.Rows, m.Cols, m.ptr, m.col, m.val = rows, cols, ptr, col[:out], val[:out]
+	return &Sparse{Rows: rows, Cols: cols, ptr: ptr, col: col[:out], val: val[:out]}
+}
+
+// NewCSR returns the rows × cols matrix whose row i stores the values
+// val[ptr[i]:ptr[i+1]] at the columns col[ptr[i]:ptr[i+1]], taking the
+// slices over: the caller must not modify them afterwards. It panics
+// unless ptr runs from 0 to len(col) == len(val) in rows+1 nondecreasing
+// steps and each row's columns lie in the matrix, strictly ascending.
+func NewCSR(rows, cols int, ptr, col []int, val []float64) *Sparse {
+	checkCSR(rows, cols, ptr, col, val)
+	return &Sparse{Rows: rows, Cols: cols, ptr: ptr, col: col, val: val}
+}
+
+// checkCSR panics unless the arrays form a rows × cols matrix as NewCSR
+// requires.
+func checkCSR(rows, cols int, ptr, col []int, val []float64) {
+	if rows < 0 || cols < 0 || len(ptr) != rows+1 || ptr[0] != 0 || ptr[rows] != len(col) || len(col) != len(val) {
+		panic(fmt.Sprintf("linalg: CSR arrays (%d pointers, %d columns, %d values) do not fit %dx%d",
+			len(ptr), len(col), len(val), rows, cols))
+	}
+	for i := 0; i < rows; i++ {
+		lo, hi := ptr[i], ptr[i+1]
+		if lo > hi || hi > len(col) || lo < hi && (col[lo] < 0 || col[hi-1] >= cols) {
+			panic(fmt.Sprintf("linalg: CSR row %d: span [%d, %d) out of order or a column outside %d", i, lo, hi, cols))
+		}
+		for k := lo + 1; k < hi; k++ {
+			if col[k] <= col[k-1] {
+				panic(fmt.Sprintf("linalg: CSR row %d: columns %v not ascending", i, col[lo:hi]))
+			}
+		}
+	}
 }
 
 // Row returns row i's stored columns (ascending) and values. The slices
@@ -107,6 +127,17 @@ func (m *Sparse) at(i, j int) float64 {
 		}
 	}
 	return 0
+}
+
+// maxAbs returns the largest magnitude stored in m.
+func (m *Sparse) maxAbs() float64 {
+	var largest float64
+	for _, v := range m.val {
+		if av := math.Abs(v); av > largest {
+			largest = av
+		}
+	}
+	return largest
 }
 
 // MulVecInto computes dst = m · x without allocating; dst must not alias x.
@@ -191,22 +222,17 @@ func (m *Sparse) Factor() (*LU, error) {
 	if m.Rows != m.Cols {
 		return nil, fmt.Errorf("linalg: cannot factor %dx%d non-square matrix", m.Rows, m.Cols)
 	}
-	var maxAbs float64
-	for _, v := range m.val {
-		if av := math.Abs(v); av > maxAbs {
-			maxAbs = av
-		}
-	}
+	maxAbs := m.maxAbs()
 	if maxAbs == 0 && m.Rows > 0 {
 		return nil, ErrSingular
 	}
 	// Work on a copy of the idle scratch: its slices then live on the stack
 	// while they grow, sparing the garbage collector's write barrier.
-	idle := luScratch.get()
+	idle := luScratch.Get()
 	w := *idle
 	lu, err := w.factor(m, maxAbs*pivotTolerance)
 	*idle = w
-	luScratch.put(idle)
+	luScratch.Put(idle)
 	return lu, err
 }
 
@@ -229,35 +255,7 @@ type luWork struct {
 	lVal, uVal, diag              []float64
 }
 
-var luScratch = newScratch[luWork]()
-
-// scratch keeps idle workspaces of a factorization for reuse, in one slot
-// for each processor that may be factoring at the same time. Unlike a
-// sync.Pool it never drops one at random, as a Pool does under the race
-// detector, so a warm factorization allocates exactly its result.
-type scratch[T any] []atomic.Pointer[T]
-
-func newScratch[T any]() scratch[T] {
-	//nontree:allow nondetsource the count only bounds how many idle workspaces are kept, never a result
-	return make(scratch[T], runtime.GOMAXPROCS(0))
-}
-
-func (s scratch[T]) get() *T {
-	for i := range s {
-		if w := s[i].Swap(nil); w != nil {
-			return w
-		}
-	}
-	return new(T)
-}
-
-func (s scratch[T]) put(w *T) {
-	for i := range s {
-		if s[i].CompareAndSwap(nil, w) {
-			return
-		}
-	}
-}
+var luScratch = scratch.New[luWork]()
 
 // resize returns s with length n, reusing its storage when it is large
 // enough.

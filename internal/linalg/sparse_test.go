@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -190,6 +191,17 @@ func TestNewSparseSumsStampsInOrder(t *testing.T) {
 	}
 }
 
+func TestNewCSRMatchesNewSparse(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 7, 30} {
+		m := NewSparse(n, n, randomStamps(rng, n, 0.2, false, true))
+		c := NewCSR(n, n, append([]int(nil), m.ptr...), append([]int(nil), m.col...), append([]float64(nil), m.val...))
+		if got, want := c.Dense(), m.Dense(); !slices.Equal(got.Data, want.Data) {
+			t.Fatalf("n=%d: NewCSR gives %v, want %v", n, got.Data, want.Data)
+		}
+	}
+}
+
 func TestSparseValidation(t *testing.T) {
 	for i, bad := range []func(){
 		func() { NewSparse(2, 2, []Stamp{{2, 0, 1}}) },
@@ -197,6 +209,16 @@ func TestSparseValidation(t *testing.T) {
 		func() { NewSparse(-1, 2, nil) },
 		func() { NewSparse(2, 2, nil).MulVecInto(make([]float64, 2), []float64{1}) },
 		func() { NewSparse(2, 2, nil).AddScaled(NewSparse(2, 3, nil), 1) },
+		func() { NewCSR(-1, 2, []int{0}, nil, nil) },
+		func() { NewCSR(2, 2, []int{0, 1}, []int{0}, []float64{1}) },           // too few pointers
+		func() { NewCSR(1, 2, []int{0, 1}, []int{0, 1}, []float64{1, 2}) },     // ptr ends early
+		func() { NewCSR(1, 2, []int{0, 2}, []int{0, 1}, []float64{1}) },        // values short
+		func() { NewCSR(2, 2, []int{0, 2, 1}, []int{0, 1}, []float64{1, 2}) },  // row ends before it starts
+		func() { NewCSR(1, 2, []int{0, 2}, []int{1, 0}, []float64{1, 2}) },     // descending
+		func() { NewCSR(1, 2, []int{0, 2}, []int{1, 1}, []float64{1, 2}) },     // repeated column
+		func() { NewCSR(1, 2, []int{0, 2}, []int{0, 2}, []float64{1, 2}) },     // column outside
+		func() { NewCSR(2, 2, []int{0, 1, 2}, []int{-1, 0}, []float64{1, 2}) }, // negative column
+		func() { NewCSR(2, 2, []int{0, 3, 2}, []int{0, 1}, []float64{1, 2}) },  // row 0 runs past the columns
 	} {
 		func() {
 			defer func() {

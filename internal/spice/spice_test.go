@@ -419,13 +419,14 @@ func (s *referenceSystem) algebraicRows() []bool {
 	return out
 }
 
-// referenceDC is the dense DC solve behind FinalValue and OperatingPoint.
+// referenceDC is the dense DC solve behind FinalValue and OperatingPoint:
+// dense elimination of the dense conductance matrix.
 func referenceDC(c *Circuit, atTime float64) ([]float64, error) {
 	sys, err := referenceAssemble(c)
 	if err != nil {
 		return nil, err
 	}
-	lu, err := linalg.Factor(sys.g)
+	lu, err := factorDense(sys.g)
 	if err != nil {
 		return nil, err
 	}
@@ -436,8 +437,8 @@ func referenceDC(c *Circuit, atTime float64) ([]float64, error) {
 }
 
 // referenceTransient is the dense fixed-step integrator transient must
-// reproduce bit for bit: dense history matrices and a factorization of the
-// dense iteration matrix.
+// reproduce bit for bit: dense history matrices and dense elimination
+// (factorDense) of the dense iteration matrix.
 func referenceTransient(c *Circuit, opts TranOpts, watch *thresholdWatch) (*TranResult, error) {
 	if opts.Step <= 0 || opts.Stop <= opts.Step {
 		return nil, fmt.Errorf("%w: step=%g stop=%g", ErrBadTranOpts, opts.Step, opts.Stop)
@@ -463,17 +464,17 @@ func referenceTransient(c *Circuit, opts TranOpts, watch *thresholdWatch) (*Tran
 	default:
 		return nil, fmt.Errorf("spice: unknown integration method %v", opts.Method)
 	}
-	lu, err := linalg.Factor(lhs)
+	lu, err := factorDense(lhs)
 	if err != nil {
 		return nil, fmt.Errorf("spice: transient matrix is singular (floating node?): %w", err)
 	}
 
-	var beLU *linalg.LU
+	var beLU *denseLU
 	var beHist *linalg.Matrix
 	if opts.Method == Trapezoidal {
 		beLhs := sys.g.Clone()
 		beLhs.AddScaled(sys.c, 1/h)
-		beLU, err = linalg.Factor(beLhs)
+		beLU, err = factorDense(beLhs)
 		if err != nil {
 			return nil, fmt.Errorf("spice: transient matrix is singular (floating node?): %w", err)
 		}
@@ -604,7 +605,7 @@ func referenceAdaptive(c *Circuit, stop float64) (*TranResult, error) {
 	h, minStep, maxStep, tol := stop/1000, stop/1e7, stop/50, 1e-4
 	algebraic := sys.algebraicRows()
 	type factors struct {
-		lu    *linalg.LU
+		lu    *denseLU
 		histC *linalg.Matrix
 	}
 	cache := map[float64]*factors{}
@@ -613,7 +614,7 @@ func referenceAdaptive(c *Circuit, stop float64) (*TranResult, error) {
 		if !ok {
 			lhs := sys.g.Clone()
 			lhs.AddScaled(sys.c, 2/h)
-			lu, err := linalg.Factor(lhs)
+			lu, err := factorDense(lhs)
 			if err != nil {
 				return fmt.Errorf("spice: adaptive factorization at h=%g: %w", h, err)
 			}
