@@ -139,15 +139,6 @@ type conductanceWork struct {
 
 var conductanceScratch = scratch.New[conductanceWork]()
 
-// resize returns *s with length n, growing its storage when it is too
-// small.
-func resize[T any](s *[]T, n int) []T {
-	if cap(*s) < n {
-		*s = make([]T, n)
-	}
-	return (*s)[:n]
-}
-
 // FactorConductance assembles and factors the conductance matrix of the
 // topology: edge conductances plus the driver conductance tying the source
 // to ground. Isolated Steiner points are pinned with a tiny leak so the
@@ -172,7 +163,10 @@ func FactorConductance(t *graph.Topology, l *rc.Lumped) (*Conductance, error) {
 	nnz := n + 2*t.NumEdges()
 	w := conductanceScratch.Get()
 	defer conductanceScratch.Put(w)
-	ints, vals := resize(&w.ints, 2*n+1+nnz), resize(&w.vals, nnz+n)
+	if cap(w.ints) < 2*n+1+nnz || cap(w.vals) < nnz+n {
+		w.ints, w.vals = make([]int, 2*n+1+nnz), make([]float64, nnz+n)
+	}
+	ints, vals := w.ints[:2*n+1+nnz], w.vals[:nnz+n]
 	ptr, cursor, col := ints[:n+1], ints[n+1:2*n+1], ints[2*n+1:]
 	val, diag := vals[:nnz], vals[nnz:]
 	ptr[0] = 0

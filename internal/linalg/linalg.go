@@ -1,8 +1,8 @@
 // Package linalg provides the linear algebra needed by the circuit
 // simulator and the general-graph Elmore analysis: a dense row-major matrix,
-// a compressed-sparse-row matrix assembled from stamps, and LU (with
-// partial pivoting) and Cholesky factorizations, both stored as compressed
-// factors.
+// a compressed-sparse-row matrix assembled from stamps or taken over from
+// CSR arrays, and LU (with partial pivoting) and Cholesky factorizations,
+// both stored as compressed factors.
 //
 // The MNA systems of the routed nets are mostly zeros. On 5–30-pin MST
 // circuits with 500 µm segments (34–114 unknowns) the iteration matrix

@@ -93,7 +93,8 @@ func NewCSR(rows, cols int, ptr, col []int, val []float64) *Sparse {
 }
 
 // checkCSR panics unless the arrays form a rows × cols matrix as NewCSR
-// requires.
+// requires. It is kept out of NewCSR so that NewCSR inlines and the matrix
+// it returns can stay on the caller's stack.
 func checkCSR(rows, cols int, ptr, col []int, val []float64) {
 	if rows < 0 || cols < 0 || len(ptr) != rows+1 || ptr[0] != 0 || ptr[rows] != len(col) || len(col) != len(val) {
 		panic(fmt.Sprintf("linalg: CSR arrays (%d pointers, %d columns, %d values) do not fit %dx%d",
