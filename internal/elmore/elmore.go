@@ -155,11 +155,12 @@ func FactorConductance(t *graph.Topology, l *rc.Lumped) (*Conductance, error) {
 	n := t.NumNodes()
 	// Row i holds its neighbours and itself, ascending. The edges are
 	// walked in canonical order (each node's neighbours above it,
-	// ascending), which fills every row below its diagonal in ascending
-	// column order, cursor[i] then stopping on the diagonal, and reaches
-	// row u's entries above the diagonal all at once. Each diagonal is
-	// summed in that walk's order, so floating-point accumulation is
-	// bit-for-bit reproducible run to run (map order would perturb it).
+	// ascending). The walk fills every row below its diagonal in
+	// ascending column order, leaving cursor[i] on the diagonal, and
+	// writes row u's entries above the diagonal when it reaches u. Each
+	// diagonal is summed in the walk's order, so floating-point
+	// accumulation is bit-for-bit reproducible run to run (map order
+	// would perturb it).
 	nnz := n + 2*t.NumEdges()
 	w := conductanceScratch.Get()
 	defer conductanceScratch.Put(w)
