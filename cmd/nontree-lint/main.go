@@ -16,21 +16,16 @@
 //	detordering   map iteration feeding order-sensitive computation
 //	epochcheck    incremental-evaluator probes after uncommitted mutation
 //	floatcmp      ==/!= on floating-point delay and score values
-//	goroleak      goroutines spawned without a reachable join
 //	lockguard     //nontree:guardedby fields accessed without the mutex
-//	lockorder     inconsistent lock-acquisition order (potential deadlock)
 //	nondetsource  wall clocks, math/rand, GOMAXPROCS-dependent logic
 //	obsnames      metric names outside the internal/obs catalog
 //	purityflow    oracle methods writing shared state, directly or via helper call chains
-//	unitcheck     dimensional analysis of the circuit model (Ω·F = s)
 //
-// lockguard, goroleak, epochcheck, and obsnames are flow-sensitive: they
-// run a forward dataflow over the internal/analysis/cfg basic-block graph
-// (DESIGN.md §13). detflow, lockorder, and purityflow are additionally
-// interprocedural: they build the internal/analysis/callgraph call graph
-// and compose bottom-up function summaries across packages (DESIGN.md
-// §14). unitcheck propagates declared units across packages; -factdir
-// writes the per-package facts analyzers derive as JSON sidecars.
+// lockguard, epochcheck, and detflow are flow-sensitive: they run a
+// forward dataflow over the internal/analysis/cfg basic-block graph
+// (DESIGN.md §13). detflow and purityflow are interprocedural: they build
+// the internal/analysis/callgraph call graph and compose bottom-up
+// function summaries across packages (DESIGN.md §14).
 //
 // Findings are suppressed only by a justified annotation:
 //
@@ -55,7 +50,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"time"
 
 	"nontree/internal/analysis"
@@ -149,7 +143,6 @@ func emitAnnotations(w io.Writer, res analysis.Result) {
 func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	staleallow := flag.Bool("staleallow", false, "also report //nontree:allow annotations that no longer suppress anything")
-	factdir := flag.String("factdir", "", "write per-package analyzer facts as JSON sidecars into this directory")
 	jsonOut := flag.Bool("json", false, "emit one JSON document (diagnostics incl. suppressed, stale allows) instead of text")
 	annotations := flag.Bool("annotations", false, "emit GitHub Actions ::error workflow commands instead of text")
 	flag.Usage = func() {
@@ -169,14 +162,13 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	facts := map[string]*analysis.Facts{}
 
 	diagSink := io.Writer(os.Stdout)
 	if *jsonOut || *annotations {
 		diagSink = io.Discard // structured output replaces the text listing
 	}
 	start := time.Now()
-	res, err := analysis.RunAudit(diagSink, "", Analyzers, facts, patterns...)
+	res, err := analysis.RunAudit(diagSink, "", Analyzers, patterns...)
 	elapsed := time.Since(start)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nontree-lint:", err)
@@ -221,17 +213,6 @@ func main() {
 		}
 	}
 
-	if *factdir != "" {
-		for name, f := range facts {
-			if f.Len() == 0 {
-				continue
-			}
-			if err := f.WriteDir(filepath.Join(*factdir, name)); err != nil {
-				fmt.Fprintln(os.Stderr, "nontree-lint:", err)
-				os.Exit(2)
-			}
-		}
-	}
 	fmt.Fprintf(os.Stderr, "nontree-lint: %d analyzer(s) over %d package(s) in %s\n",
 		len(Analyzers), res.Packages, elapsed.Round(time.Millisecond))
 	if len(res.Diags) > 0 || len(res.Stale) > 0 {

@@ -24,7 +24,7 @@ func TestRepositoryIsClean(t *testing.T) {
 	var out strings.Builder
 	// The module-path pattern resolves from any working directory inside
 	// the module, unlike "./..." which would only cover this command.
-	res, err := analysis.RunAudit(&out, "", Analyzers, nil, "nontree/...")
+	res, err := analysis.RunAudit(&out, "", Analyzers, "nontree/...")
 	if err != nil {
 		t.Fatalf("running multichecker: %v", err)
 	}
@@ -44,13 +44,10 @@ func TestAnalyzerRoster(t *testing.T) {
 		"detordering":  true,
 		"epochcheck":   true,
 		"floatcmp":     true,
-		"goroleak":     true,
 		"lockguard":    true,
-		"lockorder":    true,
 		"nondetsource": true,
 		"obsnames":     true,
 		"purityflow":   true,
-		"unitcheck":    true,
 	}
 	if len(Analyzers) != len(want) {
 		t.Fatalf("expected %d analyzers, got %d", len(want), len(Analyzers))
@@ -106,14 +103,14 @@ func TestAnnotationEscaping(t *testing.T) {
 	res := analysis.Result{
 		Diags: []analysis.Diagnostic{{
 			Pos:      token.Position{Filename: "a,b.go", Line: 2, Column: 4},
-			Analyzer: "lockorder",
+			Analyzer: "lockguard",
 			Message:  "first\nsecond 100%",
 		}},
 		Stale: []analysis.StaleAllow{{File: "c.go", Line: 9, Analyzer: "detflow", Reason: "matches no diagnostic"}},
 	}
 	emitAnnotations(&out, res)
 	got := out.String()
-	want := "::error file=a%2Cb.go,line=2,col=4,title=lockorder::first%0Asecond 100%25\n" +
+	want := "::error file=a%2Cb.go,line=2,col=4,title=lockguard::first%0Asecond 100%25\n" +
 		"::error file=c.go,line=9,title=stale-allow::stale //nontree:allow detflow: matches no diagnostic\n"
 	if got != want {
 		t.Errorf("annotations:\n got %q\nwant %q", got, want)

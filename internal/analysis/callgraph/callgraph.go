@@ -1,12 +1,11 @@
 // Package callgraph builds a deterministic whole-repository call graph
 // over the internal/analysis loader's go/types information, and runs
 // bottom-up function-summary computations on it (summary.go). It is the
-// interprocedural backbone of the lockorder, purityflow, and detflow
-// analyzers (DESIGN.md §14): each package's graph is built while the
-// driver analyzes that package, summaries are exported through the
-// analysis.Facts sidecar machinery, and — because the driver loads
-// packages in dependency order — a callee's summary always exists before
-// any cross-package caller asks for it.
+// interprocedural backbone of the purityflow and detflow analyzers
+// (DESIGN.md §14): each package's graph is built while the driver
+// analyzes that package, summaries are exported as analysis.Facts, and —
+// because the driver loads packages in dependency order — a callee's
+// summary always exists before any cross-package caller asks for it.
 //
 // # Node identity
 //
@@ -120,8 +119,8 @@ type Node struct {
 	// excluded (they are their own nodes).
 	Calls []Call
 	// Resolutions maps each call expression in this unit to its targets,
-	// for analyses that re-walk the body (e.g. flow-sensitive held-lock
-	// tracking) and need per-site resolution.
+	// for analyses that re-walk the body (e.g. detflow's flow-sensitive
+	// taint walk) and need per-site resolution.
 	Resolutions map[*ast.CallExpr][]string
 	// LitIDs maps each directly nested function literal to its node ID.
 	LitIDs map[*ast.FuncLit]string
@@ -495,7 +494,7 @@ func (b *gbuilder) exportMethodSets() {
 			continue
 		}
 		key := MethodSetFactPrefix + b.g.PkgPath + "." + name
-		_ = b.pass.Facts.Export(b.g.PkgPath, key, ms)
+		_ = b.pass.Facts.Export(key, ms)
 	}
 }
 

@@ -205,7 +205,7 @@ func TestSummarizeFixpointOverRecursion(t *testing.T) {
 	// Summary: the set of node IDs transitively reachable (within the
 	// package), as a sorted slice — a finite lattice whose fixpoint over
 	// the even/odd cycle must include both members in both summaries.
-	sum := callgraph.SummarizeTyped(g, callgraph.Summarizer[[]string]{
+	sum := callgraph.Summarize(g, callgraph.Summarizer[[]string]{
 		Bottom: func(n *callgraph.Node) []string { return nil },
 		Transfer: func(n *callgraph.Node, callee func(string) ([]string, bool)) []string {
 			seen := map[string]bool{}
@@ -260,7 +260,7 @@ func TestSummarizeNonConvergencePanics(t *testing.T) {
 	// A deliberately widening lattice: the summary grows every Transfer,
 	// so the even/odd SCC can never reach fixpoint and must hit the
 	// iteration budget.
-	callgraph.SummarizeTyped(g, callgraph.Summarizer[int]{
+	callgraph.Summarize(g, callgraph.Summarizer[int]{
 		Bottom:   func(n *callgraph.Node) int { return 0 },
 		Transfer: func(n *callgraph.Node, callee func(string) (int, bool)) int { return 1 },
 		Equal:    func(a, b int) bool { return false },

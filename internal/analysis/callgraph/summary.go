@@ -35,19 +35,10 @@ type Summarizer[S any] struct {
 // a silent half-result (mirroring cfg.Forward's budget).
 const sccIterFactor = 64
 
-// Summarize computes the fixpoint summaries of every node in the graph.
-// The result maps node ID → summary and is complete: literals included.
-func (g *Graph) Summarize(s Summarizer[any]) map[string]any {
-	return summarize(g, s)
-}
-
-// SummarizeTyped is the generic entry point; Summarize delegates to it
-// with S = any for callers that do not need static typing.
-func SummarizeTyped[S any](g *Graph, s Summarizer[S]) map[string]S {
-	return summarize(g, s)
-}
-
-func summarize[S any](g *Graph, s Summarizer[S]) map[string]S {
+// Summarize computes the fixpoint summaries of every node in the
+// graph. The result maps node ID → summary and is complete: literals
+// included.
+func Summarize[S any](g *Graph, s Summarizer[S]) map[string]S {
 	out := make(map[string]S, len(g.Nodes))
 	lookup := func(id string) (S, bool) {
 		if v, ok := out[id]; ok {

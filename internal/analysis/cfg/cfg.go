@@ -66,28 +66,6 @@ func New(body *ast.BlockStmt) *Graph {
 	return b.g
 }
 
-// Reachable reports, per block index, whether the block is reachable from
-// the entry.
-func (g *Graph) Reachable() []bool {
-	seen := make([]bool, len(g.Blocks))
-	if len(g.Blocks) == 0 {
-		return seen
-	}
-	stack := []*Block{g.Blocks[0]}
-	seen[0] = true
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range b.Succs {
-			if !seen[s.Index] {
-				seen[s.Index] = true
-				stack = append(stack, s)
-			}
-		}
-	}
-	return seen
-}
-
 // String renders the graph compactly for tests and debugging: one line per
 // block with node counts and successor indices.
 func (g *Graph) String() string {

@@ -121,7 +121,7 @@ done()`)
 		t.Fatalf("loop head should branch to exit and body, got %d succs", len(head.Succs))
 	}
 	// The loop must contain a cycle back to the head.
-	reach := g.Reachable()
+	reach := reachable(g)
 	for i, ok := range reach {
 		if !ok && len(g.Blocks[i].Nodes) > 0 {
 			t.Errorf("block b%d with nodes is unreachable", i)
@@ -131,7 +131,7 @@ done()`)
 
 func TestInfiniteLoopExitUnreachable(t *testing.T) {
 	_, g := parseBody(t, "for {\n\tspin()\n}\nafter()")
-	reach := g.Reachable()
+	reach := reachable(g)
 	for _, b := range g.Blocks {
 		for _, n := range b.Nodes {
 			if firstIdent(n) == "after" && reach[b.Index] {
@@ -149,7 +149,7 @@ for {
 	}
 }
 after()`)
-	reach := g.Reachable()
+	reach := reachable(g)
 	found := false
 	for _, b := range g.Blocks {
 		for _, n := range b.Nodes {
@@ -172,7 +172,7 @@ for {
 	}
 }
 after()`)
-	reach := g.Reachable()
+	reach := reachable(g)
 	found := false
 	for _, b := range g.Blocks {
 		for _, n := range b.Nodes {
@@ -188,7 +188,7 @@ after()`)
 
 func TestReturnTerminates(t *testing.T) {
 	_, g := parseBody(t, "return\nunreached()")
-	reach := g.Reachable()
+	reach := reachable(g)
 	for _, b := range g.Blocks {
 		for _, n := range b.Nodes {
 			if firstIdent(n) == "unreached" && reach[b.Index] {
@@ -201,7 +201,7 @@ func TestReturnTerminates(t *testing.T) {
 func TestPanicTerminates(t *testing.T) {
 	_, g := parseBody(t, `panic("boom")
 unreached()`)
-	reach := g.Reachable()
+	reach := reachable(g)
 	for _, b := range g.Blocks {
 		for _, n := range b.Nodes {
 			if firstIdent(n) == "unreached" && reach[b.Index] {
@@ -298,7 +298,7 @@ goto done
 skipped()
 done:
 after()`)
-	reach := g.Reachable()
+	reach := reachable(g)
 	sawAfter, sawSkipped := false, false
 	for _, b := range g.Blocks {
 		for _, n := range b.Nodes {
@@ -428,8 +428,7 @@ after()`)
 // TestDeferOrderRecorded pins the defer representation: defers are plain
 // nodes at their syntactic position, in source order — the graph does not
 // model the LIFO run-at-exit semantics, and clients (lockguard's
-// deferred-unlock handling, lockorder's pair sources) rely on seeing them
-// in registration order.
+// deferred-unlock handling) rely on seeing them in registration order.
 func TestDeferOrderRecorded(t *testing.T) {
 	_, g := parseBody(t, "defer a()\ndefer b()\nwork()")
 	if len(g.Blocks) != 1 {
@@ -462,7 +461,7 @@ default:
 	fallback()
 }
 after()`)
-	reach := g.Reachable()
+	reach := reachable(g)
 	saw := map[string]bool{}
 	for _, b := range g.Blocks {
 		for _, n := range b.Nodes {
@@ -509,4 +508,26 @@ func TestStringRendering(t *testing.T) {
 	if !strings.HasPrefix(s, "b0[2]") {
 		t.Errorf("unexpected String() output: %q", s)
 	}
+}
+
+// reachable reports, per block index, whether the block is reachable from
+// the entry.
+func reachable(g *Graph) []bool {
+	seen := make([]bool, len(g.Blocks))
+	if len(g.Blocks) == 0 {
+		return seen
+	}
+	stack := []*Block{g.Blocks[0]}
+	seen[0] = true
+	for len(stack) > 0 {
+		b := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, s := range b.Succs {
+			if !seen[s.Index] {
+				seen[s.Index] = true
+				stack = append(stack, s)
+			}
+		}
+	}
+	return seen
 }

@@ -128,7 +128,7 @@ func run(pass *analysis.Pass) error {
 	g := callgraph.Build(pass)
 	c := &checker{pass: pass}
 
-	sums := callgraph.SummarizeTyped(g, callgraph.Summarizer[fnSummary]{
+	sums := callgraph.Summarize(g, callgraph.Summarizer[fnSummary]{
 		Bottom: func(n *callgraph.Node) fnSummary { return fnSummary{} },
 		Transfer: func(n *callgraph.Node, callee func(string) (fnSummary, bool)) fnSummary {
 			return c.analyze(n, callee, nil)
@@ -145,7 +145,7 @@ func run(pass *analysis.Pass) error {
 		if len(s.Results) == 0 && len(s.Params) == 0 {
 			continue
 		}
-		if err := pass.Facts.Export(pass.Pkg.Path(), factPrefix+n.ID, s); err != nil {
+		if err := pass.Facts.Export(factPrefix+n.ID, s); err != nil {
 			return err
 		}
 	}

@@ -3,59 +3,49 @@ package analysis
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 )
 
 // Facts is a cross-package store of analyzer-exported facts. An analyzer
-// that needs information to flow across package boundaries (unitcheck's
-// declared dimensions, say) exports a fact while analyzing the declaring
-// package and imports it while analyzing a dependent; the driver loads
-// packages in dependency order (see Loader.Load) so a declaration's facts
-// always exist before its uses are analyzed.
+// that needs information to flow across package boundaries (detflow's and
+// purityflow's function summaries, say) exports a fact while analyzing the
+// declaring package and imports it while analyzing a dependent; the driver
+// loads packages in dependency order (see Loader.Load) so a declaration's
+// facts always exist before its uses are analyzed.
 //
 // Keys are analyzer-chosen strings; the convention used in this
 // repository is "<import-path>.<Type>.<member>" for fields and methods
 // and "<import-path>.<name>" for package-level declarations. Values are
-// JSON-encoded, so a store round-trips losslessly through the per-package
-// sidecar files written by WriteDir — the on-disk mirror of how the
-// loader resolves imports, useful for inspecting what an analyzer knows
-// about a package without re-running it.
+// JSON-encoded, so an imported fact is a copy the importer cannot alias.
 type Facts struct {
-	entries map[string]factEntry
-}
-
-type factEntry struct {
-	pkg string
-	raw json.RawMessage
+	entries map[string]json.RawMessage
 }
 
 // NewFacts returns an empty store.
 func NewFacts() *Facts {
-	return &Facts{entries: map[string]factEntry{}}
+	return &Facts{entries: map[string]json.RawMessage{}}
 }
 
-// Export records a fact under key, attributed to the package being
-// analyzed. Re-exporting a key overwrites the previous value.
-func (f *Facts) Export(pkgPath, key string, v any) error {
+// Export records a fact under key. Re-exporting a key overwrites the
+// previous value.
+func (f *Facts) Export(key string, v any) error {
 	raw, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("analysis: encoding fact %q: %w", key, err)
 	}
-	f.entries[key] = factEntry{pkg: pkgPath, raw: raw}
+	f.entries[key] = raw
 	return nil
 }
 
 // Import decodes the fact stored under key into into, reporting whether
 // the key exists. A malformed stored value also reports false.
 func (f *Facts) Import(key string, into any) bool {
-	e, ok := f.entries[key]
+	raw, ok := f.entries[key]
 	if !ok {
 		return false
 	}
-	return json.Unmarshal(e.raw, into) == nil
+	return json.Unmarshal(raw, into) == nil
 }
 
 // Len returns the number of stored facts.
@@ -73,89 +63,4 @@ func (f *Facts) KeysWithPrefix(prefix string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Packages returns the sorted package paths that have exported facts.
-func (f *Facts) Packages() []string {
-	seen := map[string]bool{}
-	for _, e := range f.entries {
-		seen[e.pkg] = true
-	}
-	out := make([]string, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// PkgKeys returns the sorted fact keys attributed to one package.
-func (f *Facts) PkgKeys(pkgPath string) []string {
-	var out []string
-	for k, e := range f.entries {
-		if e.pkg == pkgPath {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// sidecar is the serialized form of one package's facts.
-type sidecar struct {
-	Package string                     `json:"package"`
-	Facts   map[string]json.RawMessage `json:"facts"`
-}
-
-// sidecarName flattens an import path into a filename.
-func sidecarName(pkgPath string) string {
-	return strings.ReplaceAll(pkgPath, "/", "__") + ".json"
-}
-
-// WriteDir writes one JSON sidecar file per package into dir (created if
-// missing): nontree__internal__rc.json holds every fact exported while
-// analyzing nontree/internal/rc, with keys sorted for stable diffs.
-func (f *Facts) WriteDir(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for _, pkg := range f.Packages() {
-		sc := sidecar{Package: pkg, Facts: map[string]json.RawMessage{}}
-		for _, k := range f.PkgKeys(pkg) {
-			sc.Facts[k] = f.entries[k].raw
-		}
-		data, err := json.MarshalIndent(sc, "", "\t")
-		if err != nil {
-			return fmt.Errorf("analysis: encoding facts for %s: %w", pkg, err)
-		}
-		path := filepath.Join(dir, sidecarName(pkg))
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			return fmt.Errorf("analysis: writing %s: %w", path, err)
-		}
-	}
-	return nil
-}
-
-// ReadDir loads every sidecar file in dir into the store, merging with
-// whatever is already present.
-func (f *Facts) ReadDir(dir string) error {
-	matches, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil {
-		return err
-	}
-	sort.Strings(matches)
-	for _, path := range matches {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return fmt.Errorf("analysis: reading %s: %w", path, err)
-		}
-		var sc sidecar
-		if err := json.Unmarshal(data, &sc); err != nil {
-			return fmt.Errorf("analysis: decoding %s: %w", path, err)
-		}
-		for k, raw := range sc.Facts {
-			f.entries[k] = factEntry{pkg: sc.Package, raw: raw}
-		}
-	}
-	return nil
 }

@@ -1,88 +1,31 @@
 package analysis
 
-import (
-	"os"
-	"path/filepath"
-	"reflect"
-	"testing"
-)
+import "testing"
 
 type testFact struct {
-	Unit string `json:"unit"`
+	Value string `json:"value"`
 }
 
 func TestFactsExportImport(t *testing.T) {
 	f := NewFacts()
-	if err := f.Export("pkg/a", "pkg/a.X", testFact{Unit: "Ω"}); err != nil {
+	if err := f.Export("pkg/a.X", testFact{Value: "first"}); err != nil {
 		t.Fatal(err)
 	}
 	var got testFact
-	if !f.Import("pkg/a.X", &got) || got.Unit != "Ω" {
-		t.Fatalf("Import = %+v, want Ω", got)
+	if !f.Import("pkg/a.X", &got) || got.Value != "first" {
+		t.Fatalf("Import = %+v, want first", got)
 	}
 	if f.Import("pkg/a.Y", &got) {
 		t.Error("Import of a missing key must report false")
 	}
 	// Re-export overwrites.
-	if err := f.Export("pkg/a", "pkg/a.X", testFact{Unit: "F"}); err != nil {
+	if err := f.Export("pkg/a.X", testFact{Value: "second"}); err != nil {
 		t.Fatal(err)
 	}
-	if !f.Import("pkg/a.X", &got) || got.Unit != "F" {
-		t.Fatalf("after overwrite, Import = %+v, want F", got)
+	if !f.Import("pkg/a.X", &got) || got.Value != "second" {
+		t.Fatalf("after overwrite, Import = %+v, want second", got)
 	}
 	if f.Len() != 1 {
 		t.Errorf("Len = %d, want 1", f.Len())
-	}
-}
-
-func TestFactsSidecarRoundTrip(t *testing.T) {
-	f := NewFacts()
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	must(f.Export("nontree/internal/rc", "nontree/internal/rc.Params.WireCapacitance", testFact{Unit: "F/µm"}))
-	must(f.Export("nontree/internal/rc", "nontree/internal/rc.Params.DriverResistance", testFact{Unit: "Ω"}))
-	must(f.Export("nontree/internal/elmore", "nontree/internal/elmore.TreeDelays", testFact{Unit: "s"}))
-
-	dir := t.TempDir()
-	must(f.WriteDir(dir))
-
-	// One sidecar per package, named after the flattened import path.
-	for _, want := range []string{
-		"nontree__internal__rc.json",
-		"nontree__internal__elmore.json",
-	} {
-		if _, err := os.Stat(filepath.Join(dir, want)); err != nil {
-			t.Fatalf("missing sidecar %s: %v", want, err)
-		}
-	}
-
-	g := NewFacts()
-	must(g.ReadDir(dir))
-	if g.Len() != f.Len() {
-		t.Fatalf("round trip lost facts: %d → %d", f.Len(), g.Len())
-	}
-	var got testFact
-	if !g.Import("nontree/internal/rc.Params.WireCapacitance", &got) || got.Unit != "F/µm" {
-		t.Fatalf("round-tripped fact = %+v, want F/µm", got)
-	}
-	if !reflect.DeepEqual(g.Packages(), []string{"nontree/internal/elmore", "nontree/internal/rc"}) {
-		t.Errorf("Packages = %v", g.Packages())
-	}
-	if keys := g.PkgKeys("nontree/internal/rc"); len(keys) != 2 || keys[0] != "nontree/internal/rc.Params.DriverResistance" {
-		t.Errorf("PkgKeys = %v", keys)
-	}
-}
-
-func TestFactsReadDirMalformed(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "bad.json"), []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := NewFacts().ReadDir(dir); err == nil {
-		t.Fatal("expected an error decoding a malformed sidecar")
 	}
 }

@@ -122,7 +122,7 @@ func run(pass *analysis.Pass) error {
 	g := callgraph.Build(pass)
 	c := &checker{pass: pass, freeWrites: map[string][]effect{}}
 
-	sums := callgraph.SummarizeTyped(g, callgraph.Summarizer[fnSummary]{
+	sums := callgraph.Summarize(g, callgraph.Summarizer[fnSummary]{
 		Bottom: func(n *callgraph.Node) fnSummary { return fnSummary{} },
 		Transfer: func(n *callgraph.Node, callee func(string) (fnSummary, bool)) fnSummary {
 			return c.toSummary(c.effects(n, callee))
@@ -139,7 +139,7 @@ func run(pass *analysis.Pass) error {
 		if s.Recv == nil && len(s.Globals) == 0 && len(s.Params) == 0 {
 			continue
 		}
-		if err := pass.Facts.Export(pass.Pkg.Path(), factPrefix+n.ID, s); err != nil {
+		if err := pass.Facts.Export(factPrefix+n.ID, s); err != nil {
 			return err
 		}
 	}

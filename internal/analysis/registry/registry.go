@@ -11,13 +11,10 @@ import (
 	"nontree/internal/analysis/detordering"
 	"nontree/internal/analysis/epochcheck"
 	"nontree/internal/analysis/floatcmp"
-	"nontree/internal/analysis/goroleak"
 	"nontree/internal/analysis/lockguard"
-	"nontree/internal/analysis/lockorder"
 	"nontree/internal/analysis/nondetsource"
 	"nontree/internal/analysis/obsnames"
 	"nontree/internal/analysis/purityflow"
-	"nontree/internal/analysis/unitcheck"
 )
 
 // suite is the full roster, kept sorted by name.
@@ -26,13 +23,10 @@ var suite = []*analysis.Analyzer{
 	detordering.Analyzer,
 	epochcheck.Analyzer,
 	floatcmp.Analyzer,
-	goroleak.Analyzer,
 	lockguard.Analyzer,
-	lockorder.Analyzer,
 	nondetsource.Analyzer,
 	obsnames.Analyzer,
 	purityflow.Analyzer,
-	unitcheck.Analyzer,
 }
 
 // Analyzers returns the multichecker suite in report (name) order. The

@@ -41,26 +41,21 @@ type Result struct {
 // RunAudit loads the packages matched by patterns (resolved in dir, or the
 // working directory when dir is empty) and applies every analyzer whose
 // Scope matches each package, in dependency order (Loader.Load), which is
-// what makes cross-package fact propagation sound. facts[name] is the store
-// handed to the analyzer of that name for every package (missing entries
-// are created), so callers can inspect or persist what an analyzer
-// exported. After the run it sweeps every //nontree:allow annotation for
-// staleness. Unsuppressed diagnostics are printed to w; everything else is
-// only returned. A non-nil error reports an operational failure
-// (unparseable source, type errors, go list failure) — not findings.
-func RunAudit(w io.Writer, dir string, analyzers []*Analyzer, facts map[string]*Facts, patterns ...string) (Result, error) {
+// what makes cross-package fact propagation sound: each analyzer gets one
+// fact store shared by every package of the run. After the run it sweeps
+// every //nontree:allow annotation for staleness. Unsuppressed diagnostics
+// are printed to w; everything else is only returned. A non-nil error
+// reports an operational failure (unparseable source, type errors, go list
+// failure) — not findings.
+func RunAudit(w io.Writer, dir string, analyzers []*Analyzer, patterns ...string) (Result, error) {
 	loader := NewLoader()
 	pkgs, err := loader.Load(dir, patterns...)
 	if err != nil {
 		return Result{}, err
 	}
-	if facts == nil {
-		facts = map[string]*Facts{}
-	}
+	facts := make(map[string]*Facts, len(analyzers))
 	for _, a := range analyzers {
-		if facts[a.Name] == nil {
-			facts[a.Name] = NewFacts()
-		}
+		facts[a.Name] = NewFacts()
 	}
 	res := Result{Packages: len(pkgs)}
 	for _, pkg := range pkgs {

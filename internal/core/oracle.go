@@ -41,11 +41,9 @@ import (
 // helper call chain (DESIGN.md §14), so a mutation laundered two helpers
 // deep fails lint just like a direct one.
 type DelayOracle interface {
-	// SinkDelays returns a delay per topology node (indexed by node id;
+	// SinkDelays returns a delay (s) per topology node (indexed by node id;
 	// entries for non-sink nodes are implementation-defined). width gives
 	// per-edge wire widths; nil means unit width.
-	//
-	//nontree:unit return s
 	SinkDelays(t *graph.Topology, width rc.WidthFunc) ([]float64, error)
 	// Name identifies the oracle in reports.
 	Name() string
@@ -64,8 +62,6 @@ type ElmoreOracle struct {
 func (o *ElmoreOracle) Name() string { return "elmore" }
 
 // SinkDelays implements DelayOracle.
-//
-//nontree:unit return s
 func (o *ElmoreOracle) SinkDelays(t *graph.Topology, width rc.WidthFunc) ([]float64, error) {
 	defer obs.StartSpan(o.Obs, obs.TimeOracleSeconds).End()
 	l, err := rc.Lump(t, o.Params, width)
@@ -105,8 +101,6 @@ type TwoPoleOracle struct {
 func (o *TwoPoleOracle) Name() string { return "twopole" }
 
 // SinkDelays implements DelayOracle.
-//
-//nontree:unit return s
 func (o *TwoPoleOracle) SinkDelays(t *graph.Topology, width rc.WidthFunc) ([]float64, error) {
 	defer obs.StartSpan(o.Obs, obs.TimeOracleSeconds).End()
 	l, err := rc.Lump(t, o.Params, width)
@@ -139,8 +133,6 @@ type SpiceOracle struct {
 func (o *SpiceOracle) Name() string { return "spice" }
 
 // SinkDelays implements DelayOracle.
-//
-//nontree:unit return s
 func (o *SpiceOracle) SinkDelays(t *graph.Topology, width rc.WidthFunc) ([]float64, error) {
 	defer obs.StartSpan(o.Obs, obs.TimeOracleSeconds).End()
 	opts := o.Build
@@ -188,10 +180,8 @@ func tagRequest(id string, err error) error {
 
 // Objective reduces per-sink delays to the scalar an algorithm minimizes.
 type Objective interface {
-	// Eval scores the delays of a topology with the given pin count.
-	//
-	//nontree:unit delays s
-	//nontree:unit return s
+	// Eval scores the delays (s) of a topology with the given pin count;
+	// the score is in seconds too.
 	Eval(delays []float64, numPins int) (float64, error)
 	// Name identifies the objective in reports.
 	Name() string
@@ -204,9 +194,6 @@ type MaxDelayObjective struct{}
 func (MaxDelayObjective) Name() string { return "max-sink-delay" }
 
 // Eval implements Objective.
-//
-//nontree:unit delays s
-//nontree:unit return s
 func (MaxDelayObjective) Eval(delays []float64, numPins int) (float64, error) {
 	if numPins < 2 {
 		return 0, errors.New("core: objective needs at least one sink")
@@ -226,9 +213,6 @@ type WeightedDelayObjective struct {
 func (o *WeightedDelayObjective) Name() string { return "weighted-sink-delay" }
 
 // Eval implements Objective.
-//
-//nontree:unit delays s
-//nontree:unit return s
 func (o *WeightedDelayObjective) Eval(delays []float64, numPins int) (float64, error) {
 	return elmore.WeightedSinkDelay(delays, numPins, o.Alphas)
 }

@@ -40,19 +40,13 @@ import (
 type DelayBounds struct {
 	// Lower and Upper bracket the crossing time (seconds) per node.
 	// Lower may be 0 where the Paley–Zygmund bound is vacuous.
-	//
-	//nontree:unit s
 	Lower, Upper []float64
 	// Fraction is the threshold fraction x the bounds apply to.
-	//
-	//nontree:unit 1
 	Fraction float64
 }
 
 // Bounds computes rigorous crossing-time bounds for every node of a
 // connected topology at threshold fraction x ∈ (0, 1).
-//
-//nontree:unit x 1
 func Bounds(t *graph.Topology, l *rc.Lumped, x float64) (*DelayBounds, error) {
 	if x <= 0 || x >= 1 {
 		return nil, fmt.Errorf("elmore: threshold fraction %g outside (0,1)", x)
@@ -83,12 +77,8 @@ func Bounds(t *graph.Topology, l *rc.Lumped, x float64) (*DelayBounds, error) {
 }
 
 // paleyZygmundLower maximizes θ·E[U]·ln((1−θ)²·E[U]²/((1−x)·E[U²])) over a
-// θ grid, clamped at zero.
-//
-//nontree:unit eu s
-//nontree:unit eu2 s^2
-//nontree:unit x 1
-//nontree:unit return s
+// θ grid, clamped at zero. eu = E[U] is in s, eu2 = E[U²] in s², the
+// fraction x is dimensionless and the bound is in s.
 func paleyZygmundLower(eu, eu2, x float64) float64 {
 	if eu2 <= 0 {
 		return 0
@@ -107,11 +97,9 @@ func paleyZygmundLower(eu, eu2, x float64) float64 {
 	return best
 }
 
-// Contains reports whether the measured delay of node n is consistent with
+// Contains reports whether the measured delay (s) of node n is consistent with
 // the bounds (used as a cross-check between the analytic models and the
 // simulator).
-//
-//nontree:unit measured s
 func (b *DelayBounds) Contains(n int, measured float64) bool {
 	return measured >= b.Lower[n]-1e-18 && measured <= b.Upper[n]+1e-18
 }

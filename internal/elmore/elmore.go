@@ -44,15 +44,13 @@ var (
 	ErrSizeMismatch = errors.New("elmore: lumped network does not match topology")
 )
 
-// TreeDelays returns the Elmore delay from the source (node 0) to every
+// TreeDelays returns the Elmore delay (s) from the source (node 0) to every
 // node of a tree topology, per Eq. (1) of the paper:
 //
 //	t(n_i) = r_d·C_{n0} + Σ_{e_j ∈ path(n0,n_i)} r_{e_j}(c_{e_j}/2 + C_j)
 //
 // computed in O(k) with a post-order capacitance pass and a pre-order
 // delay pass over the lumped (single-π) network.
-//
-//nontree:unit return s
 func TreeDelays(t *graph.Topology, l *rc.Lumped) ([]float64, error) {
 	if len(l.NodeCap) != t.NumNodes() {
 		return nil, ErrSizeMismatch
@@ -107,12 +105,10 @@ func bfsOrder(t *graph.Topology, root int) []int {
 	return order
 }
 
-// GraphDelays returns the Elmore delay from the source to every node of an
+// GraphDelays returns the Elmore delay (s) from the source to every node of an
 // arbitrary connected topology (cycles allowed), via the transfer-
 // resistance formulation: one LU factorization of the grounded conductance
 // matrix and a single solve of G·t = c.
-//
-//nontree:unit return s
 func GraphDelays(t *graph.Topology, l *rc.Lumped) ([]float64, error) {
 	lu, err := FactorConductance(t, l)
 	if err != nil {
@@ -229,10 +225,8 @@ func FactorConductance(t *graph.Topology, l *rc.Lumped) (*Conductance, error) {
 	return &Conductance{lu: lu, size: n}, nil
 }
 
-// Delays solves G·t = c for the delay vector, where c is the lumped node
-// capacitance vector.
-//
-//nontree:unit return s
+// Delays solves G·t = c for the delay vector (s), where c is the lumped
+// node capacitance vector.
 func (c *Conductance) Delays(l *rc.Lumped) ([]float64, error) {
 	if len(l.NodeCap) != c.size {
 		return nil, ErrSizeMismatch
@@ -240,11 +234,9 @@ func (c *Conductance) Delays(l *rc.Lumped) ([]float64, error) {
 	return c.lu.Solve(l.NodeCap), nil
 }
 
-// TransferResistance returns R_ij: the voltage at node i per unit current
+// TransferResistance returns R_ij (Ω): the voltage at node i per unit current
 // injected at node j (everything measured against ground through the
 // driver). Exposed for tests and for the wire-sizing sensitivity analysis.
-//
-//nontree:unit return Ω
 func (c *Conductance) TransferResistance(i, j int) (float64, error) {
 	if i < 0 || i >= c.size || j < 0 || j >= c.size {
 		return 0, errors.New("elmore: transfer resistance index out of range")
@@ -256,11 +248,8 @@ func (c *Conductance) TransferResistance(i, j int) (float64, error) {
 }
 
 // MaxSinkDelay returns max over the net's sinks (topology nodes
-// 1..numPins-1) of delays — the paper's t(G) objective. Steiner nodes are
-// junctions, not signal destinations, and are excluded.
-//
-//nontree:unit delays s
-//nontree:unit return s
+// 1..numPins-1) of delays (s) — the paper's t(G) objective. Steiner nodes
+// are junctions, not signal destinations, and are excluded.
 func MaxSinkDelay(delays []float64, numPins int) float64 {
 	var worst float64
 	for n := 1; n < numPins && n < len(delays); n++ {
@@ -272,11 +261,8 @@ func MaxSinkDelay(delays []float64, numPins int) float64 {
 }
 
 // ArgMaxSinkDelay returns the sink node with the largest delay, and that
-// delay. Used by heuristics H1/H2, which connect the source to the
+// delay (s). Used by heuristics H1/H2, which connect the source to the
 // worst-delay sink.
-//
-//nontree:unit delays s
-//nontree:unit return1 s
 func ArgMaxSinkDelay(delays []float64, numPins int) (int, float64) {
 	worstNode, worst := -1, -1.0
 	for n := 1; n < numPins && n < len(delays); n++ {
@@ -289,13 +275,9 @@ func ArgMaxSinkDelay(delays []float64, numPins int) (int, float64) {
 }
 
 // WeightedSinkDelay returns Σ α_i·t(n_i) over sinks — the CSORG objective
-// of Section 5.1. alphas[i] weights sink node i+1 (alphas is indexed by
-// sink, not by node). A nil alphas means uniform weights (average delay up
-// to a constant).
-//
-//nontree:unit delays s
-//nontree:unit alphas 1
-//nontree:unit return s
+// of Section 5.1, in seconds. The dimensionless alphas[i] weights sink
+// node i+1 (alphas is indexed by sink, not by node). A nil alphas means
+// uniform weights (average delay up to a constant).
 func WeightedSinkDelay(delays []float64, numPins int, alphas []float64) (float64, error) {
 	if alphas != nil && len(alphas) != numPins-1 {
 		return 0, fmt.Errorf("elmore: %d sink weights for %d sinks", len(alphas), numPins-1)

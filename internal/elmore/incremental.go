@@ -54,11 +54,12 @@ type Incremental struct {
 
 	l    *rc.Lumped
 	cond *Conductance
-	base []float64 //nontree:unit s
+	base []float64 // delays of the base topology (s)
 
-	// colCache[k] = G⁻¹ e_k, a transfer-resistance column, lazily computed.
-	// Valid only for the current epoch: Refactor and Adopt reset it.
-	colCache [][]float64 //nontree:unit Ω
+	// colCache[k] = G⁻¹ e_k, a transfer-resistance column (Ω), lazily
+	// computed. Valid only for the current epoch: Refactor and Adopt reset
+	// it.
+	colCache [][]float64
 
 	// epoch counts the base states installed (Refactor or Adopt). It
 	// exists to make cache-invalidation observable: every cached artifact
@@ -66,9 +67,9 @@ type Incremental struct {
 	// new one.
 	epoch int
 
-	// buf is the delay vector every probe writes and returns; the next
+	// buf is the delay vector (s) every probe writes and returns; the next
 	// probe overwrites it.
-	buf []float64 //nontree:unit s
+	buf []float64
 
 	// evals, hits and misses tally probes and column-cache lookups until
 	// Flush hands them to Obs, so a probe takes no lock.
@@ -125,7 +126,7 @@ func (inc *Incremental) Refactor() error {
 type Solution struct {
 	l      *rc.Lumped
 	cond   *Conductance
-	delays []float64 //nontree:unit s
+	delays []float64 // s
 }
 
 // Solve lumps t under p and width, factors its conductance matrix and
@@ -147,9 +148,7 @@ func Solve(t *graph.Topology, p rc.Params, width rc.WidthFunc) (*Solution, error
 	return &Solution{l: l, cond: cond, delays: delays}, nil
 }
 
-// Delays returns the solved delay vector. It must not be modified.
-//
-//nontree:unit return s
+// Delays returns the solved delay vector (s). It must not be modified.
 func (s *Solution) Delays() []float64 { return s.delays }
 
 // Adopt installs sol as the base state, in place of a Refactor: sol must
@@ -193,16 +192,12 @@ func (inc *Incremental) Flush() {
 // or Adopt (1 after construction). Cached columns never outlive an epoch.
 func (inc *Incremental) Epoch() int { return inc.epoch }
 
-// BaseDelays returns the delays of the unmodified topology.
-//
-//nontree:unit return s
+// BaseDelays returns the delays (s) of the unmodified topology.
 func (inc *Incremental) BaseDelays() []float64 { return inc.base }
 
-// Column returns G⁻¹e_k, the transfer-resistance column of node k under
-// the current base state, from the epoch's cache. It must not be
+// Column returns G⁻¹e_k, the transfer-resistance column (Ω) of node k
+// under the current base state, from the epoch's cache. It must not be
 // modified.
-//
-//nontree:unit return Ω
 func (inc *Incremental) Column(k int) []float64 {
 	if inc.colCache[k] == nil {
 		col := make([]float64, inc.cond.size)
@@ -216,10 +211,8 @@ func (inc *Incremental) Column(k int) []float64 {
 	return inc.colCache[k]
 }
 
-// probeBuf returns the evaluator's probe buffer sized to the current
-// network.
-//
-//nontree:unit return s
+// probeBuf returns the evaluator's probe buffer (delays, s) sized to the
+// current network.
 func (inc *Incremental) probeBuf() []float64 {
 	n := inc.cond.size
 	if cap(inc.buf) < n {
@@ -240,15 +233,11 @@ func (inc *Incremental) edgeWidth(e graph.Edge) float64 {
 	return inc.width(e)
 }
 
-// withConductance is the shared rank-1 core: the delay vector after adding
-// conductance g between nodes u and v together with shunt capacitance
-// halfC at each of them. It performs no eligibility checks — wrappers
-// validate. O(n) after the two endpoint columns are cached. The result is
-// the probe buffer.
-//
-//nontree:unit g Ω^-1
-//nontree:unit halfC F
-//nontree:unit return s
+// withConductance is the shared rank-1 core: the delay vector (s) after
+// adding conductance g (Ω⁻¹) between nodes u and v together with shunt
+// capacitance halfC (F) at each of them. It performs no eligibility
+// checks — wrappers validate. O(n) after the two endpoint columns are
+// cached. The result is the probe buffer.
 func (inc *Incremental) withConductance(u, v int, g, halfC float64) ([]float64, error) {
 	inc.evals++
 
@@ -276,13 +265,11 @@ func (inc *Incremental) withConductance(u, v int, g, halfC float64) ([]float64, 
 	return out, nil
 }
 
-// WithEdge returns the Elmore delay vector of the topology with candidate
+// WithEdge returns the Elmore delay vector (s) of the topology with candidate
 // edge e added (at the width the evaluator's width function assigns it),
 // without mutating anything. O(n) after the per-endpoint columns are
 // cached, and allocation-free: the returned slice is the evaluator's probe
 // buffer, valid until its next WithEdge, WithWiden or WithTap call.
-//
-//nontree:unit return s
 func (inc *Incremental) WithEdge(e graph.Edge) ([]float64, error) {
 	e = e.Canon()
 	length := inc.topo.EdgeLength(e)
@@ -302,14 +289,12 @@ func (inc *Incremental) WithEdge(e graph.Edge) ([]float64, error) {
 	return inc.withConductance(e.U, e.V, g, halfC)
 }
 
-// WithWiden returns the delay vector with existing edge e widened by one
+// WithWiden returns the delay vector (s) with existing edge e widened by one
 // width step. Under the first-order width model (resistance ∝ 1/w,
 // capacitance ∝ w), one extra width unit is exactly one additional
 // unit-width wire in parallel — the same rank-1 update as WithEdge, with
 // width-independent increments Δg = 1/(r·len) and Δc/2 = c·len/2. Like
 // WithEdge, it returns the evaluator's probe buffer.
-//
-//nontree:unit return s
 func (inc *Incremental) WithWiden(e graph.Edge) ([]float64, error) {
 	e = e.Canon()
 	if !inc.topo.HasEdge(e) {
@@ -351,9 +336,9 @@ func (inc *Incremental) WithTap(e graph.Edge, pt geom.Point) ([]float64, error) 
 		return nil, fmt.Errorf("elmore: tap on source-incident edge %v", e)
 	}
 	a, b, src := inc.topo.Point(e.U), inc.topo.Point(e.V), inc.topo.Point(0)
-	lenA := geom.Dist(a, pt)   //nontree:unit µm
-	lenB := geom.Dist(pt, b)   //nontree:unit µm
-	lenC := geom.Dist(src, pt) //nontree:unit µm
+	lenA := geom.Dist(a, pt)   // µm
+	lenB := geom.Dist(pt, b)   // µm
+	lenC := geom.Dist(src, pt) // µm
 	//nontree:allow floatcmp Manhattan distance of coincident points is exactly 0.0; degenerate taps reduce to plain edges and are handled there
 	if lenA == 0 || lenB == 0 || lenC == 0 {
 		return nil, ErrDegenerate
@@ -361,29 +346,29 @@ func (inc *Incremental) WithTap(e graph.Edge, pt geom.Point) ([]float64, error) 
 
 	// Star conductances of the three new unit-width wires around s, and the
 	// conductance of the removed edge exactly as it was stamped.
-	gA := 1 / (inc.p.WireResistance * lenA) //nontree:unit Ω^-1
-	gB := 1 / (inc.p.WireResistance * lenB) //nontree:unit Ω^-1
-	gC := 1 / (inc.p.WireResistance * lenC) //nontree:unit Ω^-1
-	gSum := gA + gB + gC                    //nontree:unit Ω^-1
+	gA := 1 / (inc.p.WireResistance * lenA) // Ω⁻¹
+	gB := 1 / (inc.p.WireResistance * lenB) // Ω⁻¹
+	gC := 1 / (inc.p.WireResistance * lenC) // Ω⁻¹
+	gSum := gA + gB + gC                    // Ω⁻¹
 	rOld, ok := inc.l.EdgeRes[e]
 	if !ok {
 		return nil, fmt.Errorf("elmore: lumped network missing edge %v", e)
 	}
-	gOld := 1 / rOld //nontree:unit Ω^-1
+	gOld := 1 / rOld // Ω⁻¹
 
 	// Eliminating s (Schur complement) turns the star into a triangle among
 	// {u, v, 0} with conductances g_x·g_y/Σg, and distributes s's shunt
 	// capacitance c_s to its neighbours in proportion g_x/Σg.
-	dguv := gA*gB/gSum - gOld //nontree:unit Ω^-1
-	dgu0 := gA * gC / gSum    //nontree:unit Ω^-1
-	dgv0 := gB * gC / gSum    //nontree:unit Ω^-1
+	dguv := gA*gB/gSum - gOld // Ω⁻¹
+	dgu0 := gA * gC / gSum    // Ω⁻¹
+	dgv0 := gB * gC / gSum    // Ω⁻¹
 
 	wOld := inc.edgeWidth(e)
-	oldHalfC := inc.p.WireCapacitance * inc.topo.EdgeLength(e) * wOld / 2 //nontree:unit F
-	capS := inc.p.WireCapacitance * (lenA + lenB + lenC) / 2              //nontree:unit F
-	dcU := inc.p.WireCapacitance*lenA/2 - oldHalfC + gA/gSum*capS         //nontree:unit F
-	dcV := inc.p.WireCapacitance*lenB/2 - oldHalfC + gB/gSum*capS         //nontree:unit F
-	dc0 := inc.p.WireCapacitance*lenC/2 + gC/gSum*capS                    //nontree:unit F
+	oldHalfC := inc.p.WireCapacitance * inc.topo.EdgeLength(e) * wOld / 2 // F
+	capS := inc.p.WireCapacitance * (lenA + lenB + lenC) / 2              // F
+	dcU := inc.p.WireCapacitance*lenA/2 - oldHalfC + gA/gSum*capS         // F
+	dcV := inc.p.WireCapacitance*lenB/2 - oldHalfC + gB/gSum*capS         // F
+	dc0 := inc.p.WireCapacitance*lenC/2 + gC/gSum*capS                    // F
 
 	inc.evals++
 
@@ -484,8 +469,6 @@ func solve3(a [3][3]float64, b [3]float64) ([3]float64, error) {
 // capacitance increment only ever hurts (G is an M-matrix, so G⁻¹ ≥ 0).
 // The bound never evaluates the candidate; a sweep uses it to skip
 // widenings that provably cannot beat its threshold.
-//
-//nontree:unit return s
 func (inc *Incremental) WideningBound(e graph.Edge) float64 {
 	e = e.Canon()
 	return math.Abs(inc.base[e.U] - inc.base[e.V])

@@ -55,12 +55,10 @@ func (c *Conductance) Moments(l *rc.Lumped, order int) ([][]float64, error) {
 	return moments, nil
 }
 
-// TwoPoleDelays estimates the 50% step-response delay of every node in a
+// TwoPoleDelays estimates the 50% step-response delay (s) of every node in a
 // connected topology using the two-pole Padé model described above. The
 // estimates track the transient simulator considerably more closely than
 // ln2·Elmore, at the cost of one extra linear solve.
-//
-//nontree:unit return s
 func TwoPoleDelays(t *graph.Topology, l *rc.Lumped) ([]float64, error) {
 	cond, err := FactorConductance(t, l)
 	if err != nil {
@@ -70,8 +68,6 @@ func TwoPoleDelays(t *graph.Topology, l *rc.Lumped) ([]float64, error) {
 }
 
 // TwoPoleDelays is the factored-matrix form of the package-level function.
-//
-//nontree:unit return s
 func (c *Conductance) TwoPoleDelays(l *rc.Lumped) ([]float64, error) {
 	moments, err := c.Moments(l, 2)
 	if err != nil {
@@ -85,13 +81,9 @@ func (c *Conductance) TwoPoleDelays(l *rc.Lumped) ([]float64, error) {
 	return delays, nil
 }
 
-// twoPoleFiftyPercent returns the 50% crossing of the two-pole step
-// response fitted to (m1, m2), falling back to ln2·|m1| when the fit is
-// unusable.
-//
-//nontree:unit m1 s
-//nontree:unit m2 s^2
-//nontree:unit return s
+// twoPoleFiftyPercent returns the 50% crossing (s) of the two-pole step
+// response fitted to the moments m1 (s) and m2 (s²), falling back to
+// ln2·|m1| when the fit is unusable.
 func twoPoleFiftyPercent(m1, m2 float64) float64 {
 	elmore := -m1
 	if elmore <= 0 {
@@ -179,9 +171,8 @@ func (m DelayModel) String() string {
 	return fmt.Sprintf("DelayModel(%d)", int(m))
 }
 
-// EstimateDelays evaluates the chosen analytic model on a topology.
-//
-//nontree:unit return s
+// EstimateDelays evaluates the chosen analytic model on a topology and
+// returns its delays (s).
 func EstimateDelays(t *graph.Topology, l *rc.Lumped, model DelayModel) ([]float64, error) {
 	switch model {
 	case ModelTwoPole:

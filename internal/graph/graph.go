@@ -149,8 +149,6 @@ func (t *Topology) AddSteinerNode(p geom.Point) int {
 
 // EdgeLength returns the Manhattan length of edge e, in µm (whether or
 // not it is present in the topology).
-//
-//nontree:unit return µm
 func (t *Topology) EdgeLength(e Edge) float64 {
 	return geom.Dist(t.points[e.U], t.points[e.V])
 }
@@ -241,11 +239,9 @@ func (t *Topology) Edges() []Edge {
 	return out
 }
 
-// Cost returns the total Manhattan wirelength of the topology — the "cost"
-// metric of the paper's tables. Summation follows the canonical edge order,
-// so the floating-point rounding is the same on every run.
-//
-//nontree:unit return µm
+// Cost returns the total Manhattan wirelength (µm) of the topology — the
+// "cost" metric of the paper's tables. Summation follows the canonical edge
+// order, so the floating-point rounding is the same on every run.
 func (t *Topology) Cost() float64 {
 	var sum float64
 	for _, e := range t.Edges() {

@@ -14,8 +14,7 @@ import (
 // Lock order: mu is a leaf lock — no Registry method calls out of the
 // package while holding it (the RLock→RUnlock→Lock upgrade in the lookup
 // path stays inside this file), so it nests safely under any caller's
-// lock. The lockorder analyzer verifies this stays acyclic (DESIGN.md
-// §14).
+// lock.
 type Registry struct {
 	mu sync.RWMutex
 	//nontree:guardedby mu

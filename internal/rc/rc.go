@@ -83,11 +83,10 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// WidthFunc maps an edge to its wire width multiplier (1 = unit width).
+// WidthFunc maps an edge to its dimensionless wire width multiplier
+// (1 = unit width).
 // Width w scales resistance by 1/w and capacitance by w, the standard
 // first-order wire-sizing model used by the paper's WSORG formulation.
-//
-//nontree:unit return 1
 type WidthFunc func(graph.Edge) float64
 
 // UnitWidth is the WidthFunc for uniform unit-width wires.
@@ -280,8 +279,6 @@ func Lump(t *graph.Topology, p Params, width WidthFunc) (*Lumped, error) {
 
 // TotalCap returns the network's total capacitance (F) — the C_{n0} of
 // the paper's Eq. 1 when the topology is a tree.
-//
-//nontree:unit return F
 func (l *Lumped) TotalCap() float64 {
 	var sum float64
 	for _, c := range l.NodeCap {
@@ -295,8 +292,6 @@ func (l *Lumped) TotalCap() float64 {
 // non-tree wires and wider wires both raise it; delay-driven routing is a
 // three-way delay/wire/energy tradeoff, and this makes the third axis
 // measurable.
-//
-//nontree:unit return J
 func SwitchingEnergy(t *graph.Topology, p Params, width WidthFunc) (float64, error) {
 	l, err := Lump(t, p, width)
 	if err != nil {

@@ -22,8 +22,7 @@ const chunkBytes = 32 << 10
 //
 // Lock order: mu is a leaf lock — while holding it, Ring calls out only to
 // the stamp and match functions its owner supplies, which must neither
-// lock nor block — so it may be acquired under any caller's lock. The lockorder analyzer
-// verifies this nesting stays acyclic (DESIGN.md §14).
+// lock nor block — so it may be acquired under any caller's lock.
 type Ring[T any] struct {
 	mu sync.Mutex
 	//nontree:guardedby mu

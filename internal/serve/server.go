@@ -134,9 +134,9 @@ type Server struct {
 
 	// mu is the outermost lock of the daemon: it may be held while calling
 	// into trace.Ring, olog.Ring (both on the ring.Ring leaf lock) and
-	// obs.Registry (a leaf lock), never the reverse. The lockorder analyzer
-	// verifies the Server → Ring/Registry nesting stays acyclic
-	// (DESIGN.md §14).
+	// obs.Registry (a leaf lock), never the reverse. Neither package can
+	// import serve, so the Server → Ring/Registry nesting cannot form a
+	// cycle.
 	mu sync.Mutex
 	// traces maps trace id → element in order.
 	//nontree:guardedby mu

@@ -20,9 +20,7 @@ import (
 type ACPoint struct {
 	// FrequencyHz is the analysis frequency.
 	FrequencyHz float64
-	// Magnitude is |V(node)/V(source amplitude)|.
-	//
-	//nontree:unit 1
+	// Magnitude is the dimensionless ratio |V(node)/V(source amplitude)|.
 	Magnitude float64
 	// PhaseRad is the response phase in radians.
 	PhaseRad float64
@@ -87,10 +85,7 @@ func ACResponse(c *Circuit, node int, freqsHz []float64) ([]ACPoint, error) {
 // Bandwidth3dB returns the frequency at which the node's response magnitude
 // first falls to 1/√2 of its DC value, found by bisection between fLo and
 // fHi (the response must be above the threshold at fLo and below at fHi).
-//
-//nontree:unit fLo Hz
-//nontree:unit fHi Hz
-//nontree:unit return Hz
+// All three frequencies are in Hz.
 func Bandwidth3dB(c *Circuit, node int, fLo, fHi float64) (float64, error) {
 	if fLo <= 0 || fHi <= fLo {
 		return 0, fmt.Errorf("spice: bandwidth bracket [%g, %g] invalid", fLo, fHi)
@@ -136,12 +131,8 @@ func Bandwidth3dB(c *Circuit, node int, fLo, fHi float64) (float64, error) {
 	return math.Exp((lgLo + lgHi) / 2), nil
 }
 
-// LogSpace returns n frequencies logarithmically spaced across
+// LogSpace returns n frequencies (Hz) logarithmically spaced across
 // [fLo, fHi] — the standard AC sweep grid.
-//
-//nontree:unit fLo Hz
-//nontree:unit fHi Hz
-//nontree:unit return Hz
 func LogSpace(fLo, fHi float64, n int) []float64 {
 	if n < 2 || fLo <= 0 || fHi <= fLo {
 		return nil

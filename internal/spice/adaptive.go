@@ -16,13 +16,9 @@ import (
 // hold the estimate near Tolerance.
 type AdaptiveOpts struct {
 	// Stop is the end time (s).
-	//
-	//nontree:unit s
 	Stop float64
 	// Tolerance is the per-step LTE target in volts (default 1e-4·Vmax
 	// with Vmax estimated as 1; i.e. 100 µV).
-	//
-	//nontree:unit V
 	Tolerance float64
 	// Record retains waveform samples.
 	Record bool
@@ -205,11 +201,8 @@ func (s *trapStepper) factors(h float64) (*trapFactors, error) {
 	return f, nil
 }
 
-// step advances from state x at time t by h, writing the result to out
-// (x is not modified).
-//
-//nontree:unit t s
-//nontree:unit h s
+// step advances from state x at time t by h (both in seconds), writing the
+// result to out (x is not modified).
 func (s *trapStepper) step(x, out []float64, t, h float64) error {
 	f, err := s.factors(h)
 	if err != nil {

@@ -32,18 +32,14 @@ import (
 // Ground is the reference node; its voltage is identically zero.
 const Ground = 0
 
-// Waveform is a time-dependent source value (volts or amperes).
-//
-//nontree:unit t s
+// Waveform is a source value (volts or amperes) as a function of time t (s).
 type Waveform func(t float64) float64
 
 // DC returns a constant waveform.
 func DC(value float64) Waveform { return func(float64) float64 { return value } }
 
 // Step returns a waveform that is v0 for t < t0 and v1 afterwards — the
-// paper's rising input edge.
-//
-//nontree:unit t0 s
+// paper's rising input edge. t0 is in seconds.
 func Step(v0, v1, t0 float64) Waveform {
 	return func(t float64) float64 {
 		if t < t0 {
@@ -54,10 +50,8 @@ func Step(v0, v1, t0 float64) Waveform {
 }
 
 // Ramp returns a waveform rising linearly from v0 at t0 to v1 at t1, flat
-// outside that interval. Useful for finite-slew ablations.
-//
-//nontree:unit t0 s
-//nontree:unit t1 s
+// outside that interval; t0 and t1 are in seconds. Useful for finite-slew
+// ablations.
 func Ramp(v0, v1, t0, t1 float64) Waveform {
 	return func(t float64) float64 {
 		switch {
@@ -73,17 +67,17 @@ func Ramp(v0, v1, t0, t1 float64) Waveform {
 
 type resistor struct {
 	a, b int
-	ohms float64 //nontree:unit Ω
+	ohms float64
 }
 
 type capacitor struct {
 	a, b   int
-	farads float64 //nontree:unit F
+	farads float64
 }
 
 type inductor struct {
 	a, b    int
-	henries float64 //nontree:unit H
+	henries float64
 }
 
 type vsource struct {
@@ -149,8 +143,6 @@ func (c *Circuit) checkNodes(nodes ...int) error {
 }
 
 // AddResistor connects a resistance of the given ohms between nodes a and b.
-//
-//nontree:unit ohms Ω
 func (c *Circuit) AddResistor(a, b int, ohms float64) error {
 	if err := c.checkNodes(a, b); err != nil {
 		return err
@@ -166,8 +158,6 @@ func (c *Circuit) AddResistor(a, b int, ohms float64) error {
 }
 
 // AddCapacitor connects a capacitance of the given farads between a and b.
-//
-//nontree:unit farads F
 func (c *Circuit) AddCapacitor(a, b int, farads float64) error {
 	if err := c.checkNodes(a, b); err != nil {
 		return err
@@ -183,8 +173,6 @@ func (c *Circuit) AddCapacitor(a, b int, farads float64) error {
 }
 
 // AddInductor connects an inductance of the given henries between a and b.
-//
-//nontree:unit henries H
 func (c *Circuit) AddInductor(a, b int, henries float64) error {
 	if err := c.checkNodes(a, b); err != nil {
 		return err
@@ -238,8 +226,6 @@ func (c *Circuit) Counts() (r, cap, l, v, i int) {
 
 // ResistorValues returns every resistor's value in ohms, in insertion
 // order. Exposed for netlist verification in tests and tools.
-//
-//nontree:unit return Ω
 func ResistorValues(c *Circuit) []float64 {
 	out := make([]float64, len(c.resistors))
 	for i, r := range c.resistors {
@@ -250,8 +236,6 @@ func ResistorValues(c *Circuit) []float64 {
 
 // CapacitorValues returns every capacitor's value in farads, in insertion
 // order.
-//
-//nontree:unit return F
 func CapacitorValues(c *Circuit) []float64 {
 	out := make([]float64, len(c.capacitors))
 	for i, cap := range c.capacitors {
@@ -262,8 +246,6 @@ func CapacitorValues(c *Circuit) []float64 {
 
 // InductorValues returns every inductor's value in henries, in insertion
 // order.
-//
-//nontree:unit return H
 func InductorValues(c *Circuit) []float64 {
 	out := make([]float64, len(c.inductors))
 	for i, l := range c.inductors {

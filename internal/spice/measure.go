@@ -12,13 +12,9 @@ import (
 type MeasureOpts struct {
 	// ThresholdFraction is the fraction of each node's final value at which
 	// delay is measured; SPICE convention (and the paper's) is 50%.
-	//
-	//nontree:unit 1
 	ThresholdFraction float64
 	// InitialHorizon is the first simulation window tried, in seconds. If
 	// zero a heuristic based on the circuit's total RC product is used.
-	//
-	//nontree:unit s
 	InitialHorizon float64
 	// StepsPerHorizon is the number of fixed timesteps across the horizon
 	// (default 2000, giving sub-0.1% delay resolution with interpolation).
@@ -52,14 +48,12 @@ const maxHorizonGrowth = 1024
 var ErrNoCrossing = errors.New("spice: node never crossed its delay threshold")
 
 // MeasureDelays simulates the circuit's step response and returns the
-// threshold-crossing delay of each watched node, adaptively doubling the
+// threshold-crossing delay (s) of each watched node, adaptively doubling the
 // simulation window until every node has crossed (or the window reaches
 // maxHorizonGrowth× the initial horizon).
 //
 // Final values are taken from a DC solve with sources at their settled
 // values, so thresholds are exact even when the transient window is short.
-//
-//nontree:unit return s
 func MeasureDelays(c *Circuit, watch []int, opts MeasureOpts) ([]float64, error) {
 	if len(watch) == 0 {
 		return nil, errors.New("spice: no nodes to measure")
@@ -137,11 +131,8 @@ func MeasureDelays(c *Circuit, watch []int, opts MeasureOpts) ([]float64, error)
 
 // adaptiveCrossings runs the LTE-controlled integrator with waveform
 // recording and extracts threshold crossings by linear interpolation over
-// the (non-uniform) samples.
-//
-//nontree:unit horizon s
-//nontree:unit levels V
-//nontree:unit return s
+// the (non-uniform) samples. horizon and the crossing times are in
+// seconds, levels in volts.
 func (sys *mnaSystem) adaptiveCrossings(horizon float64, watch []int, levels []float64, rec obs.Recorder) ([]float64, error) {
 	res, err := sys.transientAdaptive(AdaptiveOpts{Stop: horizon, Record: true, Obs: rec})
 	if err != nil {
@@ -167,11 +158,8 @@ func (sys *mnaSystem) adaptiveCrossings(horizon float64, watch []int, levels []f
 	return crossings, nil
 }
 
-// MaxDelay returns the largest of the measured delays — the paper's
+// MaxDelay returns the largest of the measured delays (s) — the paper's
 // t(G) = max_i t(n_i) objective.
-//
-//nontree:unit delays s
-//nontree:unit return s
 func MaxDelay(delays []float64) float64 {
 	var worst float64
 	for _, d := range delays {
@@ -182,12 +170,10 @@ func MaxDelay(delays []float64) float64 {
 	return worst
 }
 
-// horizonEstimate returns a conservative initial simulation window from the
-// circuit's aggregate time constants: (sum of resistances)·(sum of
-// capacitances) overestimates any single pole, and a small multiple of the
-// dominant time constant bounds the 50% crossing.
-//
-//nontree:unit return s
+// horizonEstimate returns a conservative initial simulation window (s)
+// from the circuit's aggregate time constants: (sum of resistances)·(sum
+// of capacitances) overestimates any single pole, and a small multiple of
+// the dominant time constant bounds the 50% crossing.
 func horizonEstimate(c *Circuit) float64 {
 	var rTot, cTot, lTot float64
 	for _, r := range c.resistors {

@@ -153,11 +153,9 @@ func OperatingPoint(c *Circuit) ([]float64, error) {
 }
 
 // FinalValue computes the DC solution with all sources at their value as
-// t → ∞ (evaluated at the given large time), giving the settled voltages a
-// transient converges to — the reference for 50%-threshold delay.
-//
-//nontree:unit atTime s
-//nontree:unit return V
+// t → ∞ (evaluated at the given large time atTime, in s), giving the
+// settled voltages (V) a transient converges to — the reference for
+// 50%-threshold delay.
 func FinalValue(c *Circuit, atTime float64) ([]float64, error) {
 	sys, err := assemble(c)
 	if err != nil {
@@ -166,12 +164,9 @@ func FinalValue(c *Circuit, atTime float64) ([]float64, error) {
 	return sys.dcSolve(atTime, "final value")
 }
 
-// dcSolve returns the node voltages solving G·x = b(t): capacitors open,
-// inductors shorted, sources evaluated at time t. what names the analysis
-// in a singular-matrix error.
-//
-//nontree:unit t s
-//nontree:unit return V
+// dcSolve returns the node voltages (V) solving G·x = b(t): capacitors
+// open, inductors shorted, sources evaluated at time t (s). what names the
+// analysis in a singular-matrix error.
 func (s *mnaSystem) dcSolve(t float64, what string) ([]float64, error) {
 	lu, err := s.g.Factor()
 	if err != nil {

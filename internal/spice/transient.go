@@ -34,12 +34,8 @@ func (m Method) String() string {
 // TranOpts configures a transient run.
 type TranOpts struct {
 	// Step is the fixed timestep in seconds. Must be positive.
-	//
-	//nontree:unit s
 	Step float64
 	// Stop is the end time in seconds. Must exceed Step.
-	//
-	//nontree:unit s
 	Stop float64
 	// Method selects the integrator (default Trapezoidal).
 	Method Method
@@ -57,23 +53,17 @@ var ErrBadTranOpts = errors.New("spice: transient options require 0 < Step < Sto
 
 // TranResult holds a transient simulation's outcome.
 type TranResult struct {
-	// Times holds the sample instants (only when TranOpts.Record).
-	//
-	//nontree:unit s
+	// Times holds the sample instants in seconds (only when
+	// TranOpts.Record).
 	Times []float64
-	// V[n] holds node n's waveform aligned with Times (only when Record).
-	//
-	//nontree:unit V
+	// V[n] holds node n's waveform in volts, aligned with Times (only when
+	// Record).
 	V [][]float64
-	// Final holds the node voltages at Stop time.
-	//
-	//nontree:unit V
+	// Final holds the node voltages (V) at Stop time.
 	Final []float64
-	// Crossings[n] is the first time node n's voltage crossed the threshold
-	// given to TransientThreshold, or a negative value if it never did.
-	// Populated only by TransientThreshold.
-	//
-	//nontree:unit s
+	// Crossings[n] is the first time (s) node n's voltage crossed the
+	// threshold given to TransientThreshold, or a negative value if it never
+	// did. Populated only by TransientThreshold.
 	Crossings []float64
 	// Steps is the number of timesteps executed.
 	Steps int
@@ -88,10 +78,8 @@ func Transient(c *Circuit, opts TranOpts) (*TranResult, error) {
 
 // TransientThreshold runs a transient like Transient but additionally
 // detects, for each node in watch, the first time its voltage crosses the
-// given threshold (rising), using linear interpolation between steps.
+// given threshold (V, rising), using linear interpolation between steps.
 // The simulation still runs to opts.Stop so Final is meaningful.
-//
-//nontree:unit threshold V
 func TransientThreshold(c *Circuit, opts TranOpts, watch []int, threshold float64) (*TranResult, error) {
 	levels := make([]float64, len(watch))
 	for i := range levels {
@@ -100,9 +88,8 @@ func TransientThreshold(c *Circuit, opts TranOpts, watch []int, threshold float6
 	return TransientThresholds(c, opts, watch, levels)
 }
 
-// TransientThresholds is TransientThreshold with a per-node threshold level.
-//
-//nontree:unit levels V
+// TransientThresholds is TransientThreshold with a per-node threshold level
+// (V).
 func TransientThresholds(c *Circuit, opts TranOpts, watch []int, levels []float64) (*TranResult, error) {
 	if len(watch) != len(levels) {
 		return nil, errors.New("spice: watch nodes and threshold levels must align")
@@ -112,7 +99,7 @@ func TransientThresholds(c *Circuit, opts TranOpts, watch []int, levels []float6
 
 type thresholdWatch struct {
 	nodes  []int
-	levels []float64 //nontree:unit V
+	levels []float64 // V
 }
 
 // validate reports whether the options describe a runnable transient.
