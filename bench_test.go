@@ -12,6 +12,7 @@
 package nontree_test
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"math"
@@ -561,6 +562,42 @@ func BenchmarkTraceRingEmit(b *testing.B) {
 			ring.Emit(trace.Event{Kind: trace.KindCandidateScored, Sweep: 1, Index: k, U: k, V: k + 1})
 		}
 	}
+}
+
+// BenchmarkTraceRingEmitEach is BenchmarkTraceRingEmit with the 394
+// events emitted as one batch, the way a sweep emits its candidate events.
+func BenchmarkTraceRingEmitEach(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ring := trace.NewRing(1 << 16)
+		ring.EmitEach(394, func(k int, e *trace.Event) {
+			e.Kind, e.Sweep, e.Index, e.U, e.V = trace.KindCandidateScored, 1, k, k, k+1
+		})
+	}
+}
+
+// BenchmarkTracesEncode times the encoding GET /traces/<id> does: the
+// canonical JSONL of the trace of an LDRGWithTaps run on a 30-pin net.
+func BenchmarkTracesEncode(b *testing.B) {
+	seed, err := nontree.MST(benchNet(b, 30))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ring := nontree.NewTraceRing(0)
+	if _, err := nontree.LDRGWithTaps(seed, nontree.Config{Trace: ring}); err != nil {
+		b.Fatal(err)
+	}
+	var out bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out.Reset()
+		if err := ring.WriteJSONL(&out); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(ring.Len()), "events")
+	b.SetBytes(int64(out.Len()))
 }
 
 // BenchmarkTopologyEdges30 times Topology.Edges, the canonical edge list

@@ -28,7 +28,7 @@
 // literal invoked at its definition site, or through a local variable it
 // (or a method value / named function) was assigned to, resolves to the
 // literal's node; a literal that merely escapes is recorded as an
-// Implicit call at its definition site, so summary-based analyses still
+// implicit call at its definition site, so summary-based analyses still
 // see its effects.
 //
 // # Soundness caveats (DESIGN.md §14)
@@ -93,15 +93,8 @@ type Call struct {
 	// Targets are the resolved callee IDs, deterministic order. Empty
 	// means the callee is unknown (untracked function value).
 	Targets []string
-	// Iface marks a call resolved conservatively through an interface.
-	Iface bool
-	// Implicit marks an edge to a function literal at its definition site
-	// (the literal escapes; it may run at any time, on any goroutine).
-	Implicit bool
 	// Go marks a call (or literal) that is the operand of a go statement.
 	Go bool
-	// Defer marks a call that is the operand of a defer statement.
-	Defer bool
 }
 
 // Node is one function unit: a declared function/method or a function
@@ -325,14 +318,13 @@ func (b *gbuilder) resolveCalls(n *Node, body *ast.BlockStmt, funcVars map[types
 	usedLits := map[*ast.FuncLit]bool{}
 
 	type site struct {
-		call  *ast.CallExpr
-		goSt  bool
-		defSt bool
+		call *ast.CallExpr
+		goSt bool
 	}
 	var sites []site
 	var implicit []*ast.FuncLit
 
-	var inGo, inDefer int
+	var inGo int
 	var walk func(node ast.Node)
 	walk = func(node ast.Node) {
 		switch s := node.(type) {
@@ -343,13 +335,8 @@ func (b *gbuilder) resolveCalls(n *Node, body *ast.BlockStmt, funcVars map[types
 			walk(s.Call)
 			inGo--
 			return
-		case *ast.DeferStmt:
-			inDefer++
-			walk(s.Call)
-			inDefer--
-			return
 		case *ast.CallExpr:
-			sites = append(sites, site{call: s, goSt: inGo > 0, defSt: inDefer > 0})
+			sites = append(sites, site{call: s, goSt: inGo > 0})
 			if fl, ok := ast.Unparen(s.Fun).(*ast.FuncLit); ok {
 				if _, nested := n.LitIDs[fl]; nested {
 					usedLits[fl] = true
@@ -381,34 +368,29 @@ func (b *gbuilder) resolveCalls(n *Node, body *ast.BlockStmt, funcVars map[types
 	}
 
 	for _, s := range sites {
-		targets, iface := b.callTargets(n, s.call, funcVars)
+		targets := b.callTargets(n, s.call, funcVars)
 		n.Resolutions[s.call] = targets
-		n.Calls = append(n.Calls, Call{
-			Site: s.call, Targets: targets, Iface: iface,
-			Go: s.goSt, Defer: s.defSt,
-		})
+		n.Calls = append(n.Calls, Call{Site: s.call, Targets: targets, Go: s.goSt})
 	}
 	for _, fl := range implicit {
-		n.Calls = append(n.Calls, Call{
-			Site: fl, Targets: []string{n.LitIDs[fl]}, Implicit: true,
-		})
+		n.Calls = append(n.Calls, Call{Site: fl, Targets: []string{n.LitIDs[fl]}})
 	}
 }
 
 // callTargets resolves one call expression.
-func (b *gbuilder) callTargets(n *Node, call *ast.CallExpr, funcVars map[types.Object][]string) (targets []string, iface bool) {
+func (b *gbuilder) callTargets(n *Node, call *ast.CallExpr, funcVars map[types.Object][]string) []string {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.FuncLit:
 		if id, ok := n.LitIDs[fun]; ok {
-			return []string{id}, false
+			return []string{id}
 		}
 	case *ast.Ident:
 		switch obj := b.pass.Info.Uses[fun].(type) {
 		case *types.Func:
-			return []string{FuncID(obj)}, false
+			return []string{FuncID(obj)}
 		case *types.Var:
 			if ids := funcVars[obj]; len(ids) > 0 {
-				return ids, false
+				return ids
 			}
 		}
 	case *ast.SelectorExpr:
@@ -416,19 +398,19 @@ func (b *gbuilder) callTargets(n *Node, call *ast.CallExpr, funcVars map[types.O
 			fn, ok := sel.Obj().(*types.Func)
 			if !ok {
 				// Func-typed struct field: untracked value.
-				return nil, false
+				return nil
 			}
 			if types.IsInterface(sel.Recv()) {
-				return b.ifaceTargets(sel.Recv(), fn.Name()), true
+				return b.ifaceTargets(sel.Recv(), fn.Name())
 			}
-			return []string{FuncID(fn)}, false
+			return []string{FuncID(fn)}
 		}
 		// Package-qualified call pkg.F (no Selection entry).
 		if fn, ok := b.pass.Info.Uses[fun.Sel].(*types.Func); ok {
-			return []string{FuncID(fn)}, false
+			return []string{FuncID(fn)}
 		}
 	}
-	return nil, false
+	return nil
 }
 
 // ifaceTargets resolves an interface method call to every known type

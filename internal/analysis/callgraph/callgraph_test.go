@@ -88,15 +88,10 @@ func TestInterfaceResolvesToAllImplementers(t *testing.T) {
 		t.Fatal("no node for cg.viaIface")
 	}
 	// Both the in-package Local and the cross-package cgdep.Impl satisfy
-	// Doer; resolution must be conservative and find both, flagged Iface.
+	// Doer; resolution must be conservative and find both.
 	want := []string{"cg.(Local).Do", "cgdep.(Impl).Do"}
 	if got := targetsOf(n); !reflect.DeepEqual(got, want) {
 		t.Errorf("cg.viaIface targets = %v, want %v", got, want)
-	}
-	for _, c := range n.Calls {
-		if len(c.Targets) > 0 && !c.Iface {
-			t.Errorf("interface call not flagged Iface: %+v", c)
-		}
 	}
 }
 
@@ -128,24 +123,19 @@ func TestLiteralsAndValues(t *testing.T) {
 			t.Errorf("cg.literals targets missing %s (got %v)", want, got)
 		}
 	}
-	// The go and defer call sites must be flagged.
-	var goSeen, deferSeen, implicitSeen bool
+	// The go call site must be flagged, and the escaping literal's
+	// implicit edge sits at the literal itself.
+	var goSeen, implicitSeen bool
 	for _, c := range n.Calls {
 		if c.Go {
 			goSeen = true
 		}
-		if c.Defer {
-			deferSeen = true
-		}
-		if c.Implicit {
+		if _, ok := c.Site.(*ast.FuncLit); ok {
 			implicitSeen = true
-			if _, ok := c.Site.(*ast.FuncLit); !ok {
-				t.Errorf("implicit edge site is %T, want *ast.FuncLit", c.Site)
-			}
 		}
 	}
-	if !goSeen || !deferSeen || !implicitSeen {
-		t.Errorf("flags missing: go=%v defer=%v implicit=%v", goSeen, deferSeen, implicitSeen)
+	if !goSeen || !implicitSeen {
+		t.Errorf("edges missing: go=%v implicit=%v", goSeen, implicitSeen)
 	}
 	// Every literal got its own node.
 	for i := 1; i <= 5; i++ {

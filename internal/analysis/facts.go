@@ -48,9 +48,6 @@ func (f *Facts) Import(key string, into any) bool {
 	return json.Unmarshal(raw, into) == nil
 }
 
-// Len returns the number of stored facts.
-func (f *Facts) Len() int { return len(f.entries) }
-
 // KeysWithPrefix returns every stored key beginning with prefix, sorted.
 // The callgraph package uses it to enumerate method-set facts across all
 // packages analyzed so far.

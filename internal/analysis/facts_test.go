@@ -25,7 +25,7 @@ func TestFactsExportImport(t *testing.T) {
 	if !f.Import("pkg/a.X", &got) || got.Value != "second" {
 		t.Fatalf("after overwrite, Import = %+v, want second", got)
 	}
-	if f.Len() != 1 {
-		t.Errorf("Len = %d, want 1", f.Len())
+	if keys := f.KeysWithPrefix(""); len(keys) != 1 {
+		t.Errorf("keys = %v, want only pkg/a.X", keys)
 	}
 }

@@ -26,10 +26,18 @@ func (o *capturingOracle) NewIncrementalSweep(t *graph.Topology, width rc.WidthF
 	return inc, err
 }
 
-// tracerFunc adapts a function to trace.Tracer.
+// tracerFunc adapts a function to trace.Tracer, called once per event.
 type tracerFunc func(trace.Event)
 
 func (f tracerFunc) Emit(e trace.Event) { f(e) }
+
+func (f tracerFunc) EmitEach(n int, fill func(int, *trace.Event)) {
+	for i := 0; i < n; i++ {
+		var e trace.Event
+		fill(i, &e)
+		f(e)
+	}
+}
 
 // TestAdoptedFactorMatchesRefactor is the guard on winner-factor adoption:
 // after every commit of an LDRG, LDRGWithTaps, H1 or WireSize run, the

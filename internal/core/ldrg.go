@@ -270,7 +270,7 @@ func bestAddition(t *graph.Topology, opts *Options, cur float64, sweep int, eng 
 			}
 			return delays, nil
 		},
-		event: func(i int) trace.Event { return trace.Event{U: cands[i].U, V: cands[i].V} },
+		event: func(i int, ev *trace.Event) { ev.U, ev.V = cands[i].U, cands[i].V },
 	})
 }
 

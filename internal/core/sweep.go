@@ -64,8 +64,9 @@ type candidates struct {
 	// bound returns an upper bound on how much candidate i can improve any
 	// node's delay; nil disables pruning.
 	bound func(i int) float64
-	// event returns candidate i's identity fields: U/V, Tap/X/Y and Width.
-	event func(i int) trace.Event
+	// event writes candidate i's identity fields into ev: U/V, Tap/X/Y and
+	// Width. It may run under a tracer's lock, so it must only compute.
+	event func(i int, ev *trace.Event)
 }
 
 // outcome is one candidate's result in a sweep.
@@ -276,16 +277,13 @@ func (eng *sweepEngine) scan(t *graph.Topology, sweep int, cur float64, c candid
 	}
 
 	// Scoring and re-solves are done: a sweep that failed has returned
-	// before this point, so it leaves no candidate events. An untraced run
-	// builds none.
+	// before this point, so it leaves no candidate events. They are
+	// emitted as one batch, which an untraced run never builds.
 	minIdx, minVal := -1, math.Inf(1)
 	low, lowLB := -1, math.Inf(1) // the most promising pruned candidate
 	var pruned int64
-	_, untraced := eng.tr.(trace.Nop)
 	for i, o := range outs {
-		kind := trace.KindCandidateScored
 		if o.pruned {
-			kind = trace.KindCandidatePruned
 			pruned++
 			if o.val < lowLB {
 				low, lowLB = i, o.val
@@ -293,16 +291,15 @@ func (eng *sweepEngine) scan(t *graph.Topology, sweep int, cur float64, c candid
 		} else if o.val < minVal {
 			minIdx, minVal = i, o.val
 		}
-		if untraced {
-			continue
-		}
-		ev := c.event(i)
-		ev.Kind, ev.Sweep, ev.Index, ev.Value = kind, sweep, i, o.val
-		if o.pruned {
-			ev.Before = threshold
-		}
-		eng.tr.Emit(ev)
 	}
+	eng.tr.EmitEach(len(outs), func(i int, ev *trace.Event) {
+		o := outs[i]
+		c.event(i, ev)
+		ev.Kind, ev.Sweep, ev.Index, ev.Value = trace.KindCandidateScored, sweep, i, o.val
+		if o.pruned {
+			ev.Kind, ev.Before = trace.KindCandidatePruned, threshold
+		}
+	})
 	if pruned > 0 {
 		eng.rec.Add(obs.CtrCandidatesPruned, pruned)
 	}
@@ -320,15 +317,14 @@ func (eng *sweepEngine) scan(t *graph.Topology, sweep int, cur float64, c candid
 		}
 		return winner{}, false, nil
 	}
-	ev := c.event(best)
-	ev.Sweep, ev.Before, ev.After = sweep, cur, val
+	ev := trace.Event{Sweep: sweep, Before: cur, After: val}
+	c.event(best, &ev)
 	return winner{ev, sol}, true, nil
 }
 
 func (eng *sweepEngine) reject(c candidates, sweep, i int, val, cur float64) {
-	ev := c.event(i)
-	ev.Kind, ev.Sweep, ev.Value, ev.Before, ev.Reason =
-		trace.KindEdgeRejected, sweep, val, cur, trace.ReasonNoImprovement
+	ev := trace.Event{Kind: trace.KindEdgeRejected, Sweep: sweep, Value: val, Before: cur, Reason: trace.ReasonNoImprovement}
+	c.event(i, &ev)
 	eng.tr.Emit(ev)
 }
 
@@ -370,7 +366,8 @@ func (eng *sweepEngine) probeAll(numPins, sweep int, cur, threshold float64, out
 		if err != nil {
 			return err
 		}
-		ev := c.event(i)
+		var ev trace.Event
+		c.event(i, &ev)
 		if val < o.val {
 			return fmt.Errorf("%w: sweep %d candidate %d (%d-%d) scored %v below its proved lower bound %v",
 				errPruningUnsound, sweep, i, ev.U, ev.V, val, o.val)

@@ -94,9 +94,9 @@ func bestTap(t *graph.Topology, opts *Options, cur float64, sweep int, eng *swee
 			}
 			return delays, nil
 		},
-		event: func(i int) trace.Event {
+		event: func(i int, ev *trace.Event) {
 			c := cands[i]
-			return trace.Event{U: c.edge.U, V: c.edge.V, Tap: true, X: c.point.X, Y: c.point.Y}
+			ev.U, ev.V, ev.Tap, ev.X, ev.Y = c.edge.U, c.edge.V, true, c.point.X, c.point.Y
 		},
 	})
 }

@@ -289,3 +289,57 @@ func TestTraceOnResolveError(t *testing.T) {
 		lastIsSweepStart(t, name, ring)
 	}
 }
+
+// TestUntracedSweepBuildsNoCandidateEvents: a sweep hands its candidate
+// events to the tracer as one batch, so an untraced run (the Nop tracer)
+// never calls fill and reads a candidate's identity fields only for the
+// sweep's winner or rejection, while a traced run also reads them once
+// per candidate.
+func TestUntracedSweepBuildsNoCandidateEvents(t *testing.T) {
+	seed := randomMST(t, 42, 10)
+	for _, c := range []struct {
+		name   string
+		tr     trace.Tracer
+		events func(n int) int
+	}{
+		{"untraced", nil, func(int) int { return 1 }},
+		{"traced", trace.NewRing(1 << 10), func(n int) int { return n + 1 }},
+	} {
+		opts := Options{Oracle: elmoreOracle(), Trace: c.tr}
+		evals := 0
+		eng, delays, err := newSweepEngine(seed, &opts, opts.objective(), &evals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, err := opts.objective().Eval(delays, seed.NumPins())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cands := candidateEdges(seed, &opts)
+		built := 0
+		_, _, err = eng.scan(seed, 1, cur, candidates{
+			n:     len(cands),
+			full:  func(i int, t *graph.Topology) (float64, error) { return scoreWithEdge(eng, t, cands[i]) },
+			probe: func(i int) ([]float64, error) { return eng.inc.WithEdge(cands[i]) },
+			event: func(i int, ev *trace.Event) {
+				built++
+				ev.U, ev.V = cands[i].U, cands[i].V
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := c.events(len(cands)); built != want {
+			t.Errorf("%s: a sweep of %d candidates built identity fields %d times, want %d", c.name, len(cands), built, want)
+		}
+	}
+}
+
+// scoreWithEdge scores t with e added, leaving t as it was.
+func scoreWithEdge(eng *sweepEngine, t *graph.Topology, e graph.Edge) (float64, error) {
+	if err := t.AddEdge(e); err != nil {
+		return 0, err
+	}
+	defer t.RemoveEdge(e)
+	return eng.score(t, nil)
+}

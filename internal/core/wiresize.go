@@ -149,8 +149,8 @@ func WireSize(t *graph.Topology, wopts WireSizeOptions, opts Options) (_ *WireSi
 				return delays, nil
 			},
 			bound: func(i int) float64 { return eng.inc.WideningBound(cands[i]) },
-			event: func(i int) trace.Event {
-				return trace.Event{U: cands[i].U, V: cands[i].V, Width: widths[cands[i]] + 1}
+			event: func(i int, ev *trace.Event) {
+				ev.U, ev.V, ev.Width = cands[i].U, cands[i].V, widths[cands[i]]+1
 			},
 		})
 		if err != nil {

@@ -4,10 +4,11 @@
 // fields omitted, so equal events encode to identical bytes and a
 // decode→encode cycle reproduces them (DESIGN.md §11, §16).
 //
-// Each client package owns its event type and wire schema (a struct with
-// string-typed float fields tagged omitempty) and maps between the two
-// with FormatFloat, CanonString and FloatParser; this package owns the
-// JSON framing, the line reader and writer, and the fingerprint.
+// Each client package owns its event type. It encodes an event with Line,
+// which appends the canonical bytes without reflection, and decodes one
+// through a wire-schema struct (string-typed float fields, tagged
+// omitempty) with Unmarshal and FloatParser; this package owns the JSON
+// framing, the line reader and writer, and the fingerprint.
 package jsonl
 
 import (
@@ -22,10 +23,11 @@ import (
 	"strings"
 )
 
-// Event is an event type the codec can write: Encode renders one
-// canonical line without its trailing newline.
+// Event is an event type the codec can write: Append appends one
+// canonical line, without its trailing newline, to b and returns the
+// extended buffer.
 type Event interface {
-	Encode() []byte
+	Append(b []byte) []byte
 }
 
 // Projected is an Event with a deterministic projection: Deterministic
@@ -39,7 +41,9 @@ type Projected[E any] interface {
 // locale-free form strconv.ParseFloat reads back bit-identically. The
 // zero bit pattern renders as "" (an omitempty field is then omitted, and
 // -0 survives as "-0x0p+00"); NaNs are canonicalized, so encoded events
-// never carry NaN payloads.
+// never carry NaN payloads. Line.Float appends the same form without
+// allocating; this string form is what the encoders' reflection referees
+// put in their wire-schema structs.
 func FormatFloat(v float64) string {
 	if math.Float64bits(v) == 0 {
 		return ""
@@ -79,17 +83,100 @@ func (p *FloatParser) Parse(s, field string) float64 {
 	return v
 }
 
-// Marshal encodes a wire-schema value as one canonical line: no HTML
-// escaping and no trailing newline. It panics if v cannot be marshaled,
-// which for a struct of ints, bools and strings cannot happen.
-func Marshal(v any) []byte {
+// Line appends one canonical JSON object to a buffer, one member per
+// method call, in call order. Keys are written as given and must need no
+// escaping. Int and String always write their member; OptInt, OptString,
+// Bool and Float omit a zero value (for Float the zero bit pattern, so -0
+// is written), as encoding/json omits an omitempty field of a wire schema.
+// The bytes are those encoding/json writes for the wire schema with HTML
+// escaping off.
+type Line struct {
+	buf  []byte
+	more bool // a member has been written
+}
+
+// Begin starts a line at the end of b.
+func Begin(b []byte) Line { return Line{buf: append(b, '{')} }
+
+// End closes the object and returns the extended buffer.
+func (l *Line) End() []byte { return append(l.buf, '}') }
+
+func (l *Line) key(k string) {
+	if l.more {
+		l.buf = append(l.buf, ',')
+	}
+	l.more = true
+	l.buf = append(l.buf, '"')
+	l.buf = append(l.buf, k...)
+	l.buf = append(l.buf, '"', ':')
+}
+
+// Int writes an integer member.
+func (l *Line) Int(k string, v int64) {
+	l.key(k)
+	l.buf = strconv.AppendInt(l.buf, v, 10)
+}
+
+// OptInt writes an integer member unless v is 0.
+func (l *Line) OptInt(k string, v int64) {
+	if v != 0 {
+		l.Int(k, v)
+	}
+}
+
+// String writes a string member in canonical form (see CanonString).
+func (l *Line) String(k, s string) {
+	l.key(k)
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' {
+			l.buf = appendQuoted(l.buf, CanonString(s))
+			return
+		}
+	}
+	l.buf = append(l.buf, '"')
+	l.buf = append(l.buf, s...)
+	l.buf = append(l.buf, '"')
+}
+
+// appendQuoted appends s as encoding/json quotes it with HTML escaping
+// off: the path of the strings that need escaping or are not ASCII.
+func appendQuoted(b []byte, s string) []byte {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetEscapeHTML(false)
-	if err := enc.Encode(v); err != nil {
-		panic(fmt.Sprintf("jsonl: encoding %T: %v", v, err))
+	_ = enc.Encode(s) // encoding a string cannot fail
+	return append(b, bytes.TrimSuffix(buf.Bytes(), []byte("\n"))...)
+}
+
+// OptString writes a string member unless s is empty.
+func (l *Line) OptString(k, s string) {
+	if s != "" {
+		l.String(k, s)
 	}
-	return bytes.TrimRight(buf.Bytes(), "\n")
+}
+
+// Bool writes a true member; false is omitted.
+func (l *Line) Bool(k string, v bool) {
+	if v {
+		l.key(k)
+		l.buf = append(l.buf, "true"...)
+	}
+}
+
+// Float writes a float member in FormatFloat's form, omitted for the zero
+// bit pattern.
+func (l *Line) Float(k string, v float64) {
+	if math.Float64bits(v) == 0 {
+		return
+	}
+	l.key(k)
+	l.buf = append(l.buf, '"')
+	if math.IsNaN(v) {
+		l.buf = append(l.buf, "NaN"...)
+	} else {
+		l.buf = strconv.AppendFloat(l.buf, v, 'x', -1, 64)
+	}
+	l.buf = append(l.buf, '"')
 }
 
 // Unmarshal decodes one line into a wire-schema value. It rejects
@@ -108,18 +195,24 @@ func Unmarshal(line []byte, v any) error {
 	return nil
 }
 
-// Write writes the events as canonical JSONL, one event per line.
+// writeChunk is how many encoded bytes Write gathers before passing them
+// to its writer.
+const writeChunk = 32 << 10
+
+// Write writes the events as canonical JSONL, one event per line, encoding
+// them all into one reused buffer.
 func Write[E Event](w io.Writer, events []E) error {
-	bw := bufio.NewWriter(w)
-	for _, e := range events {
-		if _, err := bw.Write(e.Encode()); err != nil {
-			return err
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
+	var buf []byte
+	for i := range events {
+		buf = append(events[i].Append(buf), '\n')
+		if len(buf) >= writeChunk || i == len(events)-1 {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
 		}
 	}
-	return bw.Flush()
+	return nil
 }
 
 // Read parses JSONL with decode, one event per line. Blank lines are
@@ -153,10 +246,9 @@ func Read[E any](r io.Reader, decode func([]byte) (E, error)) ([]E, error) {
 // byte-identical fingerprints however their nondeterministic fields
 // differ.
 func Fingerprint[E Projected[E]](events []E) string {
-	var buf bytes.Buffer
+	var buf []byte
 	for _, e := range events {
-		buf.Write(e.Deterministic().Encode())
-		buf.WriteByte('\n')
+		buf = append(e.Deterministic().Append(buf), '\n')
 	}
-	return buf.String()
+	return string(buf)
 }

@@ -2,6 +2,7 @@ package jsonl
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -21,8 +22,25 @@ type event struct {
 	X    float64
 }
 
-func (e event) Encode() []byte {
-	return Marshal(wire{Seq: e.Seq, Kind: CanonString(e.Kind), X: FormatFloat(e.X)})
+func (e event) Append(b []byte) []byte {
+	l := Begin(b)
+	l.Int("seq", e.Seq)
+	l.String("kind", e.Kind)
+	l.Float("x", e.X)
+	return l.End()
+}
+
+// reflectMarshal is the reflection referee of Line: encoding/json with
+// HTML escaping off and no trailing newline.
+func reflectMarshal(t *testing.T, v any) string {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return strings.TrimSuffix(buf.String(), "\n")
 }
 
 func decode(line []byte) (event, error) {
@@ -95,10 +113,42 @@ func TestCanonString(t *testing.T) {
 	}
 }
 
+// TestMarshalIsCanonical: Line writes the canonical bytes — no HTML
+// escaping, -0 kept — and String quotes every string as encoding/json
+// does, through its fast path for plain ASCII and its fallback for the
+// rest: control characters, quotes, backslashes, non-ASCII text, the
+// line separators encoding/json escapes, and invalid UTF-8, which
+// CanonString replaces first.
 func TestMarshalIsCanonical(t *testing.T) {
-	got := string(event{Seq: 1, Kind: "a<b>&c", X: math.Copysign(0, -1)}.Encode())
+	got := string(event{Seq: 1, Kind: "a<b>&c", X: math.Copysign(0, -1)}.Append(nil))
 	want := `{"seq":1,"kind":"a<b>&c","x":"-0x0p+00"}`
 	if got != want {
+		t.Errorf("got %s, want %s", got, want)
+	}
+	for _, s := range []string{"", "plain", "a<b>&c", "q\"uote", `back\slash`, "tab\there", "nl\n",
+		"\x00\x1f\x7f", "µm", "line\u2028sep\u2029", "r\xffbad", "n\xc3", "\ufffd"} {
+		w := wire{Seq: -7, Kind: CanonString(s), X: FormatFloat(1.5)}
+		if got, want := string(event{Seq: -7, Kind: s, X: 1.5}.Append(nil)), reflectMarshal(t, w); got != want {
+			t.Errorf("Kind %q:\n got  %s\n want %s", s, got, want)
+		}
+	}
+}
+
+// TestLineOmitsZeroMembers: the Opt members, Bool and Float are omitted
+// at their zero values and written otherwise, in call order.
+func TestLineOmitsZeroMembers(t *testing.T) {
+	line := func(i int64, s string, b bool, f float64) string {
+		l := Begin([]byte("prefix "))
+		l.OptInt("i", i)
+		l.OptString("s", s)
+		l.Bool("b", b)
+		l.Float("f", f)
+		return string(l.End())
+	}
+	if got := line(0, "", false, 0); got != "prefix {}" {
+		t.Errorf("all zero: %s", got)
+	}
+	if got, want := line(-3, "x", true, math.NaN()), `prefix {"i":-3,"s":"x","b":true,"f":"NaN"}`; got != want {
 		t.Errorf("got %s, want %s", got, want)
 	}
 }

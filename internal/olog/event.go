@@ -125,10 +125,11 @@ func (e Event) Deterministic() Event {
 	return e
 }
 
-// jsonEvent is the wire form of Event in the package jsonl line format
-// shared with trace.Event: floats are hex-literal strings so the encoding
-// is bit-exact, and every zero-valued field is omitted so decode→encode
-// reproduces canonical input bytes.
+// jsonEvent is the wire form of Event that DecodeEvent reads, in the
+// package jsonl line format shared with trace.Event: floats are
+// hex-literal strings so the encoding is bit-exact, and every zero-valued
+// field is omitted so decode→encode reproduces canonical input bytes.
+// Append writes the same keys in the same order.
 type jsonEvent struct {
 	Seq             int64  `json:"seq"`
 	RequestID       string `json:"request_id"`
@@ -164,35 +165,38 @@ type jsonEvent struct {
 // events encode to identical bytes and Decode(Encode(e)) round-trips
 // every field bit-exactly (NaN payloads are canonicalized, and invalid
 // UTF-8 in string fields is replaced by U+FFFD up front).
-func (e Event) Encode() []byte {
-	return jsonl.Marshal(jsonEvent{
-		Seq:             e.Seq,
-		RequestID:       jsonl.CanonString(e.RequestID),
-		Net:             jsonl.CanonString(e.Net),
-		Pins:            e.Pins,
-		Algo:            jsonl.CanonString(e.Algo),
-		Oracle:          jsonl.CanonString(e.Oracle),
-		Workers:         e.Workers,
-		Outcome:         jsonl.CanonString(e.Outcome),
-		Status:          e.Status,
-		Error:           jsonl.CanonString(e.Error),
-		TraceID:         jsonl.CanonString(e.TraceID),
-		TraceEvents:     e.TraceEvents,
-		TraceDropped:    e.TraceDropped,
-		TraceTombstoned: e.TraceTombstoned,
-		Candidates:      e.Candidates,
-		Accepted:        e.Accepted,
-		Pruned:          e.Pruned,
-		OracleEvals:     e.OracleEvals,
-		CacheHits:       e.CacheHits,
-		QueueSeconds:    jsonl.FormatFloat(e.QueueSeconds),
-		DecodeSeconds:   jsonl.FormatFloat(e.DecodeSeconds),
-		SweepSeconds:    jsonl.FormatFloat(e.SweepSeconds),
-		OracleSeconds:   jsonl.FormatFloat(e.OracleSeconds),
-		StoreSeconds:    jsonl.FormatFloat(e.StoreSeconds),
-		TotalSeconds:    jsonl.FormatFloat(e.TotalSeconds),
-		LatencyBucket:   e.LatencyBucket,
-	})
+func (e Event) Encode() []byte { return e.Append(nil) }
+
+// Append appends Encode's bytes to b and returns the extended buffer.
+func (e Event) Append(b []byte) []byte {
+	l := jsonl.Begin(b)
+	l.Int("seq", e.Seq)
+	l.String("request_id", e.RequestID)
+	l.OptString("net", e.Net)
+	l.OptInt("pins", int64(e.Pins))
+	l.OptString("algo", e.Algo)
+	l.OptString("oracle", e.Oracle)
+	l.OptInt("workers", int64(e.Workers))
+	l.String("outcome", e.Outcome)
+	l.OptInt("status", int64(e.Status))
+	l.OptString("error", e.Error)
+	l.OptString("trace_id", e.TraceID)
+	l.OptInt("trace_events", int64(e.TraceEvents))
+	l.OptInt("trace_dropped", e.TraceDropped)
+	l.Bool("trace_tombstoned", e.TraceTombstoned)
+	l.OptInt("candidates", e.Candidates)
+	l.OptInt("accepted", e.Accepted)
+	l.OptInt("pruned", e.Pruned)
+	l.OptInt("oracle_evals", e.OracleEvals)
+	l.OptInt("cache_hits", e.CacheHits)
+	l.Float("queue_s", e.QueueSeconds)
+	l.Float("decode_s", e.DecodeSeconds)
+	l.Float("sweep_s", e.SweepSeconds)
+	l.Float("oracle_s", e.OracleSeconds)
+	l.Float("store_s", e.StoreSeconds)
+	l.Float("total_s", e.TotalSeconds)
+	l.OptInt("latency_bucket", int64(e.LatencyBucket))
+	return l.End()
 }
 
 // DecodeEvent parses one JSON line holding exactly one event; unknown

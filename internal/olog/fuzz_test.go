@@ -122,3 +122,85 @@ func FuzzOlogRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// reflectMarshal is the reflection referee of the append encoder:
+// encoding/json with HTML escaping off and no trailing newline, the
+// encoder the wide-event codec used before it appended its own bytes.
+func reflectMarshal(v any) []byte {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		panic(err)
+	}
+	return bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
+}
+
+// reflectEncode is Event.Encode through the reflection referee.
+func reflectEncode(e Event) []byte {
+	return reflectMarshal(jsonEvent{
+		Seq:             e.Seq,
+		RequestID:       jsonl.CanonString(e.RequestID),
+		Net:             jsonl.CanonString(e.Net),
+		Pins:            e.Pins,
+		Algo:            jsonl.CanonString(e.Algo),
+		Oracle:          jsonl.CanonString(e.Oracle),
+		Workers:         e.Workers,
+		Outcome:         jsonl.CanonString(e.Outcome),
+		Status:          e.Status,
+		Error:           jsonl.CanonString(e.Error),
+		TraceID:         jsonl.CanonString(e.TraceID),
+		TraceEvents:     e.TraceEvents,
+		TraceDropped:    e.TraceDropped,
+		TraceTombstoned: e.TraceTombstoned,
+		Candidates:      e.Candidates,
+		Accepted:        e.Accepted,
+		Pruned:          e.Pruned,
+		OracleEvals:     e.OracleEvals,
+		CacheHits:       e.CacheHits,
+		QueueSeconds:    jsonl.FormatFloat(e.QueueSeconds),
+		DecodeSeconds:   jsonl.FormatFloat(e.DecodeSeconds),
+		SweepSeconds:    jsonl.FormatFloat(e.SweepSeconds),
+		OracleSeconds:   jsonl.FormatFloat(e.OracleSeconds),
+		StoreSeconds:    jsonl.FormatFloat(e.StoreSeconds),
+		TotalSeconds:    jsonl.FormatFloat(e.TotalSeconds),
+		LatencyBucket:   e.LatencyBucket,
+	})
+}
+
+// FuzzOlogEncodeVsReflect is the differential check of the append
+// encoder: for any event — strings that need escaping, are not ASCII or
+// are not UTF-8 at all, -0, NaN and the infinities — Encode and
+// WriteJSONL write exactly the bytes of the reflection referee.
+func FuzzOlogEncodeVsReflect(f *testing.F) {
+	f.Add(int64(1), "r00000001", "smoke", "ldrg", 10, 4, 200, int64(7), false, int64(45), 1e-6, 3e-4, 7.03e-4, 21)
+	f.Add(int64(0), "", "", "", 0, 0, 0, int64(0), false, int64(0), 0.0, 0.0, 0.0, 0)
+	f.Add(int64(-4), "r\xffbad", "n\xc3", "a<b>&c\"\\", -1, 2, 422, int64(-3), true, int64(1),
+		math.Copysign(0, -1), math.Inf(1), math.NaN(), -5)
+	f.Add(int64(5), "tab\there\n", "µm  ", "\x00\x1f\x7f", 1, 0, 503, int64(0), false, int64(0),
+		math.Inf(-1), math.SmallestNonzeroFloat64, math.Float64frombits(0x7ff8000000000bad), 16)
+	f.Fuzz(func(t *testing.T, seq int64, s1, s2, s3 string, i1, i2, status int,
+		n1 int64, tomb bool, n2 int64, f1, f2, f3 float64, bucket int) {
+		e := Event{
+			Seq: seq, RequestID: s1, Net: s2, Pins: i1, Algo: s3, Oracle: s1,
+			Workers: i2, Outcome: s2, Status: status, Error: s3, TraceID: s1,
+			TraceEvents: i2, TraceDropped: n1, TraceTombstoned: tomb,
+			Candidates: n2, Accepted: n1, Pruned: n2, OracleEvals: n1, CacheHits: n2,
+			QueueSeconds: f1, DecodeSeconds: f2, SweepSeconds: f3,
+			OracleSeconds: f1, StoreSeconds: f2, TotalSeconds: f3,
+			LatencyBucket: bucket,
+		}
+		want := reflectEncode(e)
+		if got := e.Encode(); !bytes.Equal(got, want) {
+			t.Fatalf("append encoder differs from reflection:\n got  %s\n want %s", got, want)
+		}
+		var buf bytes.Buffer
+		if err := WriteJSONL(&buf, []Event{e, e.Deterministic()}); err != nil {
+			t.Fatal(err)
+		}
+		wantLines := string(want) + "\n" + string(reflectEncode(e.Deterministic())) + "\n"
+		if buf.String() != wantLines {
+			t.Fatalf("WriteJSONL differs from reflection:\n got  %q\n want %q", buf.String(), wantLines)
+		}
+	})
+}

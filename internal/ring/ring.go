@@ -9,7 +9,7 @@ import (
 	"unsafe"
 )
 
-// chunkBytes bounds the size of one storage chunk: 128 trace.Events or 64
+// chunkBytes bounds the size of one storage chunk: 256 trace.Events or 64
 // olog.Events.
 const chunkBytes = 32 << 10
 
@@ -21,8 +21,8 @@ const chunkBytes = 32 << 10
 // use.
 //
 // Lock order: mu is a leaf lock — while holding it, Ring calls out only to
-// the stamp and match functions its owner supplies, which must neither
-// lock nor block — so it may be acquired under any caller's lock.
+// the stamp, fill and match functions its owner supplies, which must
+// neither lock nor block — so it may be acquired under any caller's lock.
 type Ring[T any] struct {
 	mu sync.Mutex
 	//nontree:guardedby mu
@@ -59,9 +59,10 @@ func New[T any](capacity int, stamp func(v *T, seq int64)) *Ring[T] {
 // chunks is a ring's slot storage: slot i is list[i>>shift][i&(1<<shift-1)],
 // and every chunk holds 1<<shift slots (the largest power of two within
 // chunkBytes) except where limit cuts the last one short. The first chunk
-// starts at one slot and doubles, so a short ring does not pay for a whole
-// chunk; after it is full, whole chunks are appended. A value is copied
-// only while the first chunk doubles, never once its chunk is full.
+// starts at one slot and doubles, or grows at once to the size a batch
+// needs, so a short ring does not pay for a whole chunk; after it is full,
+// whole chunks are appended. A value is copied only while the first chunk
+// grows, never once its chunk is full.
 type chunks[T any] struct {
 	list  [][]T
 	slots int // allocated slots
@@ -71,10 +72,11 @@ type chunks[T any] struct {
 
 func (c *chunks[T]) at(i int) *T { return &c.list[i>>c.shift][i&(1<<c.shift-1)] }
 
-// grow allocates at least one more slot; slots must be below limit.
-func (c *chunks[T]) grow() {
+// grow allocates at least one more slot, and in the first chunk room for
+// want slots in all, if it can hold them; slots must be below limit.
+func (c *chunks[T]) grow(want int) {
 	if c.slots < 1<<c.shift {
-		first := make([]T, min(max(2*c.slots, 1), 1<<c.shift, c.limit))
+		first := make([]T, min(max(2*c.slots, want), 1<<c.shift, c.limit))
 		if c.slots > 0 {
 			copy(first, c.list[0])
 		}
@@ -90,24 +92,40 @@ func (c *chunks[T]) grow() {
 // evicted. Stamping the slot rather than v keeps v off the heap, so a push
 // allocates only when it opens a chunk (or doubles the first).
 func (r *Ring[T]) Push(v T) (evicted bool) {
+	return r.PushEach(1, func(_ int, slot *T, seq int64) {
+		*slot = v
+		r.stamp(slot, seq)
+	}) > 0
+}
+
+// PushEach stores n values under one acquisition of the lock, with the
+// same effect as n Pushes: fill(i, v, seq) writes value i straight into
+// its zeroed slot and stamps it with seq, in place of the ring's stamp
+// function, so a batch can share one stamp. fill runs under the ring's
+// lock, in order i = 0, 1, …, n-1, and must neither lock nor block.
+// PushEach reports how many values it evicted.
+func (r *Ring[T]) PushEach(n int, fill func(i int, v *T, seq int64)) (evicted int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.seq++
-	i := r.head
-	if r.n < r.capacity {
-		if r.n == r.buf.slots {
-			r.buf.grow()
+	var zero T
+	for k := 0; k < n; k++ {
+		r.seq++
+		i := r.head
+		if r.n < r.capacity {
+			if r.n == r.buf.slots {
+				r.buf.grow(r.n + n - k)
+			}
+			i = r.n
+			r.n++
+		} else {
+			r.head = (r.head + 1) % r.capacity
+			r.dropped++
+			evicted++
 		}
-		i = r.n
-		r.n++
-	} else {
-		r.head = (r.head + 1) % r.capacity
-		r.dropped++
-		evicted = true
+		slot := r.buf.at(i)
+		*slot = zero
+		fill(k, slot, r.seq)
 	}
-	slot := r.buf.at(i)
-	*slot = v
-	r.stamp(slot, r.seq)
 	return evicted
 }
 

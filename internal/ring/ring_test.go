@@ -32,38 +32,56 @@ func chunkOf(r *Ring[item]) int { return 1 << r.buf.shift }
 // sequence numbers 1, 2, … in emission order, and storage that never
 // outgrows the capacity, nor max(2×retained, chunk) + chunk slots: the
 // first chunk at most doubles what it holds, and only the newest later
-// chunk has room to spare.
+// chunk has room to spare. The values go in by single Pushes and, on
+// fresh rings, by PushEach batches of several sizes, down to one and
+// beyond the capacity, which must all leave the same state.
 func TestRingMatchesKeepLastN(t *testing.T) {
 	for _, capacity := range []int{1, 2, 3, 7, 1 << 16} {
 		for _, n := range []int{0, capacity - 1, capacity, capacity + 1, 3*capacity + 2} {
 			t.Run(fmt.Sprintf("cap=%d/n=%d", capacity, n), func(t *testing.T) {
-				r := newItemRing(capacity)
-				var naive []item
-				evictions := 0
-				for i := 0; i < n; i++ {
-					if r.Push(item{val: i}) {
-						evictions++
+				// batch 0 pushes singly.
+				for _, batch := range []int{0, 1, 2, 5, capacity + 3} {
+					r := newItemRing(capacity)
+					var naive []item
+					evictions := 0
+					for i := 0; i < n; {
+						k := min(max(batch, 1), n-i)
+						if batch == 0 {
+							if r.Push(item{val: i}) {
+								evictions++
+							}
+						} else {
+							base := i
+							evictions += r.PushEach(k, func(j int, v *item, seq int64) {
+								if *v != (item{}) {
+									t.Errorf("batch %d: fill got a used slot %+v", batch, *v)
+								}
+								*v = item{val: base + j, seq: seq}
+							})
+						}
+						for ; k > 0; k, i = k-1, i+1 {
+							naive = append(naive, item{val: i, seq: int64(i + 1)})
+							if len(naive) > capacity {
+								naive = naive[1:]
+							}
+						}
+						if c, chunk := slots(r), chunkOf(r); c > capacity || c > max(2*len(naive), chunk)+chunk {
+							t.Fatalf("batch %d, after %d values: %d slots, capacity %d, retained %d, chunk %d", batch, i, c, capacity, len(naive), chunk)
+						}
 					}
-					naive = append(naive, item{val: i, seq: int64(i + 1)})
-					if len(naive) > capacity {
-						naive = naive[1:]
+					got := r.Events()
+					if len(got) != len(naive) || r.Len() != len(naive) {
+						t.Fatalf("batch %d: Events has %d values, Len %d, want %d", batch, len(got), r.Len(), len(naive))
 					}
-					if c, chunk := slots(r), chunkOf(r); c > capacity || c > max(2*len(naive), chunk)+chunk {
-						t.Fatalf("after %d pushes: %d slots, capacity %d, retained %d, chunk %d", i+1, c, capacity, len(naive), chunk)
+					for i := range naive {
+						if got[i] != naive[i] {
+							t.Fatalf("batch %d: Events[%d] = %+v, want %+v", batch, i, got[i], naive[i])
+						}
 					}
-				}
-				got := r.Events()
-				if len(got) != len(naive) || r.Len() != len(naive) {
-					t.Fatalf("Events has %d values, Len %d, want %d", len(got), r.Len(), len(naive))
-				}
-				for i := range naive {
-					if got[i] != naive[i] {
-						t.Fatalf("Events[%d] = %+v, want %+v", i, got[i], naive[i])
+					wantDropped := max(n-capacity, 0)
+					if r.Dropped() != int64(wantDropped) || evictions != wantDropped {
+						t.Fatalf("batch %d: Dropped = %d, pushes reported %d evictions, want %d", batch, r.Dropped(), evictions, wantDropped)
 					}
-				}
-				wantDropped := max(n-capacity, 0)
-				if r.Dropped() != int64(wantDropped) || evictions != wantDropped {
-					t.Fatalf("Dropped = %d, Push reported %d evictions, want %d", r.Dropped(), evictions, wantDropped)
 				}
 			})
 		}
@@ -83,9 +101,10 @@ func TestRingFindLastNewestFirst(t *testing.T) {
 	}
 }
 
-// TestRingConcurrentPushEvents races pushes against snapshots: every
-// snapshot must be a contiguous, ascending run of sequence numbers, and
-// nothing may be lost between the retained and dropped counts.
+// TestRingConcurrentPushEvents races pushes and batches against
+// snapshots: every snapshot must be a contiguous, ascending run of
+// sequence numbers, and nothing may be lost between the retained and
+// dropped counts.
 func TestRingConcurrentPushEvents(t *testing.T) {
 	const writers, perWriter, capacity = 8, 100, 64
 	r := newItemRing(capacity)
@@ -94,8 +113,12 @@ func TestRingConcurrentPushEvents(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
+			// Half the values go in singly, half in batches of five.
+			for i := 0; i < perWriter/2; i++ {
 				r.Push(item{val: i})
+			}
+			for i := perWriter / 2; i < perWriter; i += 5 {
+				r.PushEach(5, func(j int, v *item, seq int64) { *v = item{val: i + j, seq: seq} })
 			}
 		}()
 	}
@@ -126,10 +149,10 @@ func TestRingConcurrentPushEvents(t *testing.T) {
 }
 
 // TestRingPushDoesNotAllocate guards the push path: Push stamps the stored
-// slot, so the pushed value never escapes to the heap, and a push
-// allocates only when it opens a chunk — not inside the first chunk once
-// it has doubled, not inside a later chunk, and not at capacity, when it
-// evicts.
+// slot, so the pushed value never escapes to the heap, PushEach fills the
+// slots themselves, and a push allocates only when it opens a chunk — not
+// inside the first chunk once it has doubled, not inside a later chunk,
+// and not at capacity, when it evicts.
 func TestRingPushDoesNotAllocate(t *testing.T) {
 	chunk := chunkOf(newItemRing(1))
 	capacity := 4 * chunk
@@ -150,9 +173,31 @@ func TestRingPushDoesNotAllocate(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { r.Push(item{val: -1}) }); n != 0 {
 			t.Errorf("%s: %v allocations per Push, want 0", c.name, n)
 		}
+		fill := func(j int, v *item, seq int64) { *v = item{val: j, seq: seq} }
+		if n := testing.AllocsPerRun(100, func() { r.PushEach(3, fill) }); n != 0 {
+			t.Errorf("%s: %v allocations per PushEach, want 0", c.name, n)
+		}
 		if slots(r) != before {
 			t.Fatalf("%s: a chunk opened during the measurement", c.name)
 		}
+	}
+}
+
+// TestRingBatchSizesFirstChunk: a batch grows a short first chunk once, to
+// the size the batch needs, up to a whole chunk, instead of doubling it
+// value by value; a batch beyond it opens whole chunks.
+func TestRingBatchSizesFirstChunk(t *testing.T) {
+	r := newItemRing(1 << 20)
+	chunk := chunkOf(r)
+	fill := func(_ int, v *item, seq int64) { v.seq = seq }
+	r.Push(item{})
+	r.PushEach(100, fill)
+	if got := slots(r); got != 101 {
+		t.Fatalf("one value and a batch of 100: %d slots, want 101", got)
+	}
+	r.PushEach(chunk, fill)
+	if got := slots(r); got != 2*chunk {
+		t.Fatalf("then a batch of %d: %d slots, want %d", chunk, got, 2*chunk)
 	}
 }
 

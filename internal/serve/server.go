@@ -59,7 +59,7 @@ const (
 )
 
 // DefaultTraceCapacity is the per-request trace ring bound Options and the
-// -trace-capacity flag default to. A ring grows in chunks of 128 events
+// -trace-capacity flag default to. A ring grows in chunks of 256 events
 // (a first, smaller chunk doubles up to that) as a request emits them, so
 // the bound costs memory only for a run that long.
 const DefaultTraceCapacity = 1 << 16
@@ -70,7 +70,7 @@ type Options struct {
 	// excess requests are shed with 429 (0 = 2×GOMAXPROCS).
 	MaxConcurrent int
 	// TraceCapacity bounds each request's trace ring, in events (0 =
-	// DefaultTraceCapacity). Memory grows in 128-event chunks with the
+	// DefaultTraceCapacity). Memory grows in 256-event chunks with the
 	// events a request emits, up to this cap; older events are dropped
 	// beyond it.
 	TraceCapacity int

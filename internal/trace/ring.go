@@ -8,7 +8,8 @@ import (
 )
 
 // This file is the only place in package trace that reads the wall clock
-// (mirroring obs/span.go): Ring stamps each event's Elapsed field at Emit.
+// (mirroring obs/span.go): Ring stamps each event's Elapsed field at Emit,
+// and one Elapsed on every event of an EmitEach batch.
 // Elapsed is the trace's sole nondeterministic field; Event.Deterministic
 // drops it, and every byte-identity guarantee is stated over that
 // projection, so the clock can never influence an algorithm decision.
@@ -16,7 +17,7 @@ import (
 // DefaultRingCapacity is the event capacity NewRing uses for capacity <= 0
 // — ample for the paper-scale nets (a route-closed benchmark request emits
 // 394 events on average) while bounding a long-lived daemon's memory,
-// which grows in chunks of 128 events up to it (internal/ring).
+// which grows in chunks of 256 events up to it (internal/ring).
 const DefaultRingCapacity = 4096
 
 // Ring is the standard Tracer: an internal/ring bounded ring of the most
@@ -25,6 +26,7 @@ const DefaultRingCapacity = 4096
 // its lock is a leaf (DESIGN.md §14).
 type Ring struct {
 	events *ring.Ring[Event]
+	since  func() float64 // seconds since NewRing: the value of Elapsed
 }
 
 // NewRing returns a tracer retaining the last capacity events
@@ -35,16 +37,33 @@ func NewRing(capacity int) *Ring {
 	}
 	//nontree:allow nondetsource trace timing baseline only; Elapsed is stamped into the sole nondeterministic event field, which Event.Deterministic excludes from every comparison (DESIGN.md §11)
 	start := time.Now()
-	return &Ring{events: ring.New(capacity, func(e *Event, seq int64) {
-		e.Seq = seq
+	since := func() float64 {
 		//nontree:allow nondetsource trace timing field only; lands in Event.Elapsed, outside the deterministic projection (DESIGN.md §11)
-		e.Elapsed = time.Since(start).Seconds()
+		return time.Since(start).Seconds()
+	}
+	return &Ring{since: since, events: ring.New(capacity, func(e *Event, seq int64) {
+		e.Seq, e.Elapsed = seq, since()
 	})}
 }
 
 // Emit implements Tracer: assigns the next sequence number, stamps the
 // wall-clock offset, and appends the event, evicting the oldest when full.
 func (r *Ring) Emit(e Event) { r.events.Push(e) }
+
+// EmitEach implements Tracer: under one acquisition of the ring's lock,
+// fill writes each event straight into its ring slot, which then takes
+// the next sequence number and the batch's one Elapsed, read from the
+// clock as the batch starts.
+func (r *Ring) EmitEach(n int, fill func(i int, e *Event)) {
+	var elapsed float64
+	r.events.PushEach(n, func(i int, e *Event, seq int64) {
+		if i == 0 {
+			elapsed = r.since()
+		}
+		fill(i, e)
+		e.Seq, e.Elapsed = seq, elapsed
+	})
+}
 
 // Events returns the retained events, oldest first. The slice is a copy.
 func (r *Ring) Events() []Event { return r.events.Events() }

@@ -23,20 +23,27 @@
 //
 // Package core observes only the Tracer interface; the no-op Nop
 // is the default everywhere a tracer is optional, so the cost of not
-// tracing is a nil check. The standard implementation is Ring, a bounded
+// tracing is an empty call, and a sweep's candidate events, emitted as one
+// batch, are never built. The standard implementation is Ring, a bounded
 // ring buffer that keeps the most recent events and counts what it
 // dropped.
 package trace
 
-// Tracer receives execution events from instrumented code. Emit is called
-// only from deterministic, single-goroutine program points (seed scoring,
-// post-reduction sweep replay, commit paths), so implementations see a
-// reproducible event order; they must nevertheless be safe for concurrent
-// use because independent runs may share a tracer.
+// Tracer receives execution events from instrumented code. Emit and
+// EmitEach are called only from deterministic, single-goroutine program
+// points (seed scoring, post-reduction sweep replay, commit paths), so
+// implementations see a reproducible event order; they must nevertheless
+// be safe for concurrent use because independent runs may share a tracer.
 type Tracer interface {
 	// Emit records one event. Implementations assign Event.Seq and may
 	// stamp Event.Elapsed; all other fields are the emitter's.
 	Emit(Event)
+	// EmitEach records a batch of n events, in order, with the effect of
+	// n Emit calls except that the whole batch may share one Elapsed:
+	// fill(i, e) writes event i's fields into the zeroed *e, which may be
+	// the tracer's own storage, so fill must not keep e, emit, or block.
+	// A tracer that records nothing need not call fill at all.
+	EmitEach(n int, fill func(i int, e *Event))
 }
 
 // Nop is the no-op Tracer used when tracing is not requested. The zero
@@ -46,6 +53,10 @@ type Nop struct{}
 // Emit implements Tracer.
 func (Nop) Emit(Event) {}
 
+// EmitEach implements Tracer without calling fill, so an untraced batch
+// builds no events.
+func (Nop) EmitEach(int, func(int, *Event)) {}
+
 // OrNop returns t, or Nop when t is nil — the resolution helper every
 // instrumented option struct uses.
 func OrNop(t Tracer) Tracer {
@@ -53,15 +64,4 @@ func OrNop(t Tracer) Tracer {
 		return Nop{}
 	}
 	return t
-}
-
-// Multi fans every event out to all listed tracers. Each receiving tracer
-// assigns its own sequence numbers.
-type Multi []Tracer
-
-// Emit implements Tracer.
-func (m Multi) Emit(e Event) {
-	for _, t := range m {
-		t.Emit(e)
-	}
 }

@@ -3,9 +3,11 @@ package trace
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestEncodeOmitsZeroFields(t *testing.T) {
@@ -14,6 +16,23 @@ func TestEncodeOmitsZeroFields(t *testing.T) {
 	want := `{"seq":1,"kind":"sweep_start","sweep":1,"n":3}`
 	if got != want {
 		t.Errorf("got %s, want %s", got, want)
+	}
+}
+
+// TestEventIsPointerFree: Event holds only numbers and bools, so the
+// chunks a Ring stores events in are never scanned by the garbage
+// collector, and its fields pack into 112 bytes.
+func TestEventIsPointerFree(t *testing.T) {
+	typ := reflect.TypeOf(Event{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Bool, reflect.Uint8, reflect.Int, reflect.Int64, reflect.Float64:
+		default:
+			t.Errorf("field %s is a %s", f.Name, f.Type)
+		}
+	}
+	if size := unsafe.Sizeof(Event{}); size > 112 {
+		t.Errorf("Event takes %d bytes, want at most 112", size)
 	}
 }
 
@@ -62,6 +81,26 @@ func TestEncodePreservesNegativeZero(t *testing.T) {
 func TestDecodeRejectsUnknownFields(t *testing.T) {
 	if _, err := DecodeEvent([]byte(`{"seq":1,"kind":"sweep_start","bogus":3}`)); err == nil {
 		t.Error("expected an error for an unknown field")
+	}
+}
+
+// TestDecodeRejectsUnknownNames: kind and reason are enums on the wire
+// too; a name outside them, including what String renders for a value
+// outside the constants, is refused with an error naming the field.
+func TestDecodeRejectsUnknownNames(t *testing.T) {
+	for _, c := range []struct{ line, field string }{
+		{`{"seq":1,"kind":"sweep_begin"}`, "kind"},
+		{`{"seq":1,"kind":"edge_rejected","reason":"too_slow"}`, "reason"},
+		{string(Event{Seq: 1, Kind: Kind(200)}.Encode()), "kind"},
+		{string(Event{Seq: 1, Kind: KindEdgeRejected, Reason: Reason(9)}.Encode()), "reason"},
+	} {
+		_, err := DecodeEvent([]byte(c.line))
+		if err == nil || !strings.Contains(err.Error(), `field "`+c.field+`"`) {
+			t.Errorf("DecodeEvent(%s): error %v, want one naming field %q", c.line, err, c.field)
+		}
+	}
+	if got := Kind(200).String(); got != "Kind(200)" {
+		t.Errorf("Kind(200).String() = %q", got)
 	}
 }
 
@@ -115,6 +154,42 @@ func TestRingAssignsSeqAndElapsed(t *testing.T) {
 	}
 }
 
+// TestRingEmitEachSharesElapsed: the events of one batch take consecutive
+// sequence numbers after the single events before them, in fill order,
+// and all carry the Elapsed read once as the batch started.
+func TestRingEmitEachSharesElapsed(t *testing.T) {
+	r := NewRing(16)
+	r.Emit(Event{Kind: KindSweepStart, Sweep: 1})
+	r.EmitEach(5, func(i int, e *Event) {
+		if *e != (Event{}) {
+			t.Errorf("fill %d got a used slot: %+v", i, *e)
+		}
+		e.Kind, e.Sweep, e.Index = KindCandidateScored, 1, i
+	})
+	r.Emit(Event{Kind: KindEdgeAccepted, Sweep: 1})
+	events := r.Events()
+	if len(events) != 7 {
+		t.Fatalf("got %d events, want 7", len(events))
+	}
+	batch := events[1:6]
+	for i, e := range batch {
+		if e.Seq != int64(i+2) || e.Index != i || e.Kind != KindCandidateScored {
+			t.Errorf("batch event %d: %+v, want seq %d index %d", i, e, i+2, i)
+		}
+		if e.Elapsed != batch[0].Elapsed {
+			t.Errorf("batch event %d: elapsed %v, batch started at %v", i, e.Elapsed, batch[0].Elapsed)
+		}
+	}
+	if batch[0].Elapsed < events[0].Elapsed || events[6].Elapsed < batch[0].Elapsed || events[6].Seq != 7 {
+		t.Errorf("batch out of order with its neighbours: %+v", events)
+	}
+}
+
+// TestNopEmitEachBuildsNothing: the no-op tracer never calls fill.
+func TestNopEmitEachBuildsNothing(t *testing.T) {
+	Nop{}.EmitEach(3, func(int, *Event) { t.Fatal("Nop called fill") })
+}
+
 func TestRingEvictsOldest(t *testing.T) {
 	r := NewRing(3)
 	for i := 1; i <= 5; i++ {
@@ -166,15 +241,6 @@ func TestRingDefaultCapacity(t *testing.T) {
 	}
 	if r.Len() != DefaultRingCapacity || r.Dropped() != 10 {
 		t.Fatalf("len=%d dropped=%d, want %d and 10", r.Len(), r.Dropped(), DefaultRingCapacity)
-	}
-}
-
-func TestMultiFansOut(t *testing.T) {
-	a, b := NewRing(4), NewRing(4)
-	m := Multi{a, b}
-	m.Emit(Event{Kind: KindSweepStart, Sweep: 1})
-	if a.Len() != 1 || b.Len() != 1 {
-		t.Errorf("fan-out: got %d, %d events, want 1, 1", a.Len(), b.Len())
 	}
 }
 
