@@ -654,19 +654,19 @@ func BenchmarkLDRGElmore20(b *testing.B) {
 	}
 }
 
-// BenchmarkFastLDRG30 measures the facade's FastLDRG, which is LDRG with
-// incremental (Sherman–Morrison) candidate scoring — compare with
+// BenchmarkLDRGElmore30 measures the facade's LDRG with the Elmore oracle,
+// which scores candidates incrementally (Sherman–Morrison) — compare with
 // BenchmarkLDRGNaive30 for the O(n³)→O(n²) candidate-eval win.
-func BenchmarkFastLDRG30(b *testing.B) {
+func BenchmarkLDRGElmore30(b *testing.B) {
 	net := benchNet(b, 30)
 	topo, err := mst.Prim(net.Pins)
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := rc.Default()
+	cfg := nontree.Config{Oracle: nontree.OracleElmore}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := nontree.FastLDRG(topo, p, 0); err != nil {
+		if _, err := nontree.LDRG(topo, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -718,7 +718,7 @@ func BenchmarkParallelSweepSpice20WMax(b *testing.B) {
 
 // BenchmarkLDRGNaive30 is the same greedy with a full solve per candidate
 // (the oracle's incremental support hidden by fullSolve), for comparison
-// against BenchmarkFastLDRG30.
+// against BenchmarkLDRGElmore30.
 func BenchmarkLDRGNaive30(b *testing.B) {
 	net := benchNet(b, 30)
 	topo, err := mst.Prim(net.Pins)

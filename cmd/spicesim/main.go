@@ -32,7 +32,7 @@ func main() {
 		algo       = flag.String("algo", "mst", "topology: mst, steiner, ert, ldrg")
 		segment    = flag.Float64("segment", rc.DefaultMaxSegment, "π-segment length (µm)")
 		inductance = flag.Bool("inductance", false, "include wire inductance (RLC)")
-		method     = flag.String("method", "trap", "integration: trap, be, or adaptive (LTE-controlled)")
+		method     = flag.String("method", "trap", "integration: trap, be")
 		csvOut     = flag.String("csv", "", "write sink waveforms as CSV here")
 		deckOut    = flag.String("deck", "", "write a SPICE .cir deck of the circuit here (for external SPICE validation)")
 		ac         = flag.Bool("ac", false, "also run an AC sweep and report each sink's -3dB bandwidth")
@@ -102,10 +102,11 @@ func run(netFile string, genPins int, seed int64, algo string, segment float64, 
 
 	mo := spice.DefaultMeasureOpts()
 	switch method {
+	case "trap":
 	case "be":
 		mo.Method = spice.BackwardEuler
-	case "adaptive":
-		mo.Adaptive = true
+	default:
+		return fmt.Errorf("unknown integration method %q", method)
 	}
 	delays, err := spice.MeasureDelays(cm.Circuit, cm.SinkNodes, mo)
 	if err != nil {

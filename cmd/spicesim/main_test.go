@@ -16,7 +16,7 @@ func TestRunBasic(t *testing.T) {
 }
 
 func TestRunMethods(t *testing.T) {
-	for _, m := range []string{"trap", "be", "adaptive"} {
+	for _, m := range []string{"trap", "be"} {
 		if err := run("", 5, 2, "mst", 500, false, m, "", "", false); err != nil {
 			t.Errorf("method %s: %v", m, err)
 		}
@@ -58,6 +58,11 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run("", 5, 2, "hyperloop", 500, false, "trap", "", "", false); err == nil {
 		t.Error("unknown topology must fail")
+	}
+	for _, m := range []string{"adaptive", "foo", ""} {
+		if err := run("", 5, 2, "mst", 500, false, m, "", "", false); err == nil {
+			t.Errorf("unknown method %q must fail", m)
+		}
 	}
 }
 

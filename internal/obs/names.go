@@ -59,8 +59,7 @@ const (
 
 	// CtrMNAFactorizations counts LU factorizations of MNA matrices.
 	CtrMNAFactorizations = "spice.mna.factorizations"
-	// CtrMNASolves counts triangular back-substitutions (one per timestep,
-	// three per adaptive step attempt).
+	// CtrMNASolves counts triangular back-substitutions (one per timestep).
 	CtrMNASolves = "spice.mna.solves"
 	// CtrTranRuns counts fixed-step transient analyses.
 	CtrTranRuns = "spice.tran.runs"
@@ -69,13 +68,6 @@ const (
 	// CtrTranEarlyExits counts transients that stopped before Stop because
 	// every watched node had crossed its threshold.
 	CtrTranEarlyExits = "spice.tran.early_exits"
-	// CtrAdaptiveSteps counts accepted adaptive (LTE-controlled) steps.
-	CtrAdaptiveSteps = "spice.adaptive.steps"
-	// CtrAdaptiveRejections counts adaptive step rejections (LTE > tol).
-	CtrAdaptiveRejections = "spice.adaptive.rejections"
-	// CtrAdaptiveRefactor counts adaptive-stepper factorization-cache
-	// misses (each one is a fresh LU factorization).
-	CtrAdaptiveRefactor = "spice.adaptive.refactorizations"
 	// CtrMeasureRuns counts MeasureDelays invocations.
 	CtrMeasureRuns = "spice.measure.runs"
 	// CtrMeasureRetries counts horizon-quadrupling retries inside
@@ -139,8 +131,6 @@ const (
 	HistSweepCandidates = "core.sweep.candidates_per_sweep"
 	// HistTranSteps is the per-transient step-count distribution.
 	HistTranSteps = "spice.tran.steps_per_run"
-	// HistAdaptiveSteps is the per-adaptive-run accepted-step distribution.
-	HistAdaptiveSteps = "spice.adaptive.steps_per_run"
 )
 
 // Wall-clock timing names (Timings section — excluded from determinism).
@@ -185,9 +175,6 @@ func CounterNames() []string {
 		CtrTranRuns,
 		CtrTranSteps,
 		CtrTranEarlyExits,
-		CtrAdaptiveSteps,
-		CtrAdaptiveRejections,
-		CtrAdaptiveRefactor,
 		CtrMeasureRuns,
 		CtrMeasureRetries,
 		CtrMeasureDCSolves,
@@ -196,7 +183,7 @@ func CounterNames() []string {
 
 // HistogramNames returns the deterministic histogram catalog.
 func HistogramNames() []string {
-	return []string{HistSweepCandidates, HistTranSteps, HistAdaptiveSteps}
+	return []string{HistSweepCandidates, HistTranSteps}
 }
 
 // ServeCounterNames returns the daemon counter catalog — disjoint from

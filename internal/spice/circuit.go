@@ -8,20 +8,23 @@
 // substitution preserves the experiments — see DESIGN.md §2.
 //
 // The simulator supports resistors, capacitors, inductors, independent
-// voltage sources (step / PWL waveforms) and current sources; DC operating
-// point; and transient analysis via Backward Euler or the trapezoidal rule
-// with a fixed timestep and one-time LU factorization.
+// voltage sources and current sources driven by any waveform of time, and
+// transient analysis via Backward Euler or the trapezoidal rule with a
+// fixed timestep and one-time LU factorization. MeasureDelays, the entry
+// point every experiment uses, takes each node's final value from a DC
+// solve and its 50% delay from the transient. AC analysis (ACResponse,
+// Bandwidth3dB) and WriteDeck, which exports a circuit for an external
+// SPICE, complete the surface.
 //
 // Concurrency: a Circuit is mutable while being built (Node/Add*) and must
 // be confined to one goroutine until construction finishes; every analysis
-// entry point (OperatingPoint, FinalValue, Transient*, MeasureDelays) then
+// entry point (Transient, MeasureDelays, ACResponse, Bandwidth3dB) then
 // treats it as read-only, assembling its own MNA system, factorizations and
-// step buffers per call — including the adaptive integrator's trapStepper
-// cache, which is allocated inside TransientAdaptive. Concurrent analyses of
-// the same or distinct circuits are therefore safe, which is what lets
-// core's parallel candidate sweeps hammer SpiceOracle from many goroutines.
-// Waveform closures are called during concurrent analyses and must be pure
-// functions of t (the built-ins DC, Step and Ramp are).
+// step buffers per call. Concurrent analyses of the same or distinct
+// circuits are therefore safe, which is what lets core's parallel candidate
+// sweeps hammer SpiceOracle from many goroutines. Waveform closures are
+// called during concurrent analyses and must be pure functions of t (the
+// built-ins DC and Step are).
 package spice
 
 import (
@@ -46,22 +49,6 @@ func Step(v0, v1, t0 float64) Waveform {
 			return v0
 		}
 		return v1
-	}
-}
-
-// Ramp returns a waveform rising linearly from v0 at t0 to v1 at t1, flat
-// outside that interval; t0 and t1 are in seconds. Useful for finite-slew
-// ablations.
-func Ramp(v0, v1, t0, t1 float64) Waveform {
-	return func(t float64) float64 {
-		switch {
-		case t <= t0:
-			return v0
-		case t >= t1:
-			return v1
-		default:
-			return v0 + (v1-v0)*(t-t0)/(t1-t0)
-		}
 	}
 }
 
@@ -240,16 +227,6 @@ func CapacitorValues(c *Circuit) []float64 {
 	out := make([]float64, len(c.capacitors))
 	for i, cap := range c.capacitors {
 		out[i] = cap.farads
-	}
-	return out
-}
-
-// InductorValues returns every inductor's value in henries, in insertion
-// order.
-func InductorValues(c *Circuit) []float64 {
-	out := make([]float64, len(c.inductors))
-	for i, l := range c.inductors {
-		out[i] = l.henries
 	}
 	return out
 }

@@ -17,8 +17,7 @@ import (
 // TestTransientMatchesDenseReference checks that the sparse MNA path
 // reproduces the dense one bit for bit on the circuits the router measures:
 // MST, LDRG (MST plus extra edges) and Iterated 1-Steiner topologies, RC
-// and RLC, both integrators, fixed-step and adaptive measurement, and the
-// DC solves.
+// and RLC, both integrators, and the DC solves.
 func TestTransientMatchesDenseReference(t *testing.T) {
 	sizes := []int{2, 3, 5, 10, 20, 30, 40}
 	if testing.Short() {
@@ -78,20 +77,15 @@ func checkAgainstDenseReference(t *testing.T, name string, cm *rc.CircuitMap) {
 	want, _ = spice.ReferenceOperatingPoint(c)
 	sameBits(t, name+" OperatingPoint", op, want)
 
-	for _, adaptive := range []bool{false, true} {
-		for _, method := range []spice.Method{spice.Trapezoidal, spice.BackwardEuler} {
-			if adaptive && method != spice.Trapezoidal {
-				continue // the adaptive integrator is trapezoidal only
-			}
-			opts := spice.DefaultMeasureOpts()
-			opts.Method, opts.Adaptive = method, adaptive
-			got, err := spice.MeasureDelays(c, sinks, opts)
-			want, wantErr := spice.ReferenceMeasureDelays(c, sinks, opts)
-			if err != nil || wantErr != nil {
-				t.Fatalf("%s: MeasureDelays %v adaptive=%v: error %v, dense %v", name, method, adaptive, err, wantErr)
-			}
-			sameBits(t, fmt.Sprintf("%s MeasureDelays %v adaptive=%v", name, method, adaptive), got, want)
+	for _, method := range []spice.Method{spice.Trapezoidal, spice.BackwardEuler} {
+		opts := spice.DefaultMeasureOpts()
+		opts.Method = method
+		got, err := spice.MeasureDelays(c, sinks, opts)
+		want, wantErr := spice.ReferenceMeasureDelays(c, sinks, opts)
+		if err != nil || wantErr != nil {
+			t.Fatalf("%s: MeasureDelays %v: error %v, dense %v", name, method, err, wantErr)
 		}
+		sameBits(t, fmt.Sprintf("%s MeasureDelays %v", name, method), got, want)
 	}
 
 	// Direct transients around the measured delays: an early-exit threshold

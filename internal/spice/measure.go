@@ -13,18 +13,11 @@ type MeasureOpts struct {
 	// ThresholdFraction is the fraction of each node's final value at which
 	// delay is measured; SPICE convention (and the paper's) is 50%.
 	ThresholdFraction float64
-	// InitialHorizon is the first simulation window tried, in seconds. If
-	// zero a heuristic based on the circuit's total RC product is used.
-	InitialHorizon float64
 	// StepsPerHorizon is the number of fixed timesteps across the horizon
 	// (default 2000, giving sub-0.1% delay resolution with interpolation).
 	StepsPerHorizon int
 	// Method selects the integrator (default Trapezoidal).
 	Method Method
-	// Adaptive switches to the LTE-controlled variable-step integrator;
-	// StepsPerHorizon and Method are then ignored. Slower per run but
-	// robust to widely spread time constants.
-	Adaptive bool
 	// Obs receives the measurement's counters — runs, DC solves, horizon
 	// retries, and the underlying integrator's step/solve/factorization
 	// counts (nil = discard). All counters are deterministic functions of
@@ -48,8 +41,8 @@ const maxHorizonGrowth = 1024
 var ErrNoCrossing = errors.New("spice: node never crossed its delay threshold")
 
 // MeasureDelays simulates the circuit's step response and returns the
-// threshold-crossing delay (s) of each watched node, adaptively doubling the
-// simulation window until every node has crossed (or the window reaches
+// threshold-crossing delay (s) of each watched node, growing the simulation
+// window fourfold until every node has crossed (or the window reaches
 // maxHorizonGrowth× the initial horizon).
 //
 // Final values are taken from a DC solve with sources at their settled
@@ -86,40 +79,28 @@ func MeasureDelays(c *Circuit, watch []int, opts MeasureOpts) ([]float64, error)
 		levels[i] = opts.ThresholdFraction * final[n]
 	}
 
-	horizon := opts.InitialHorizon
-	if horizon <= 0 {
-		horizon = horizonEstimate(c)
-	}
+	horizon := horizonEstimate(c)
 	maxHorizon := horizon * maxHorizonGrowth
 
 	for {
-		var crossings []float64
-		if opts.Adaptive {
-			crossings, err = sys.adaptiveCrossings(horizon, watch, levels, opts.Obs)
-		} else {
-			var res *TranResult
-			res, err = sys.transient(TranOpts{
-				Step:   horizon / float64(steps),
-				Stop:   horizon,
-				Method: opts.Method,
-				Obs:    opts.Obs,
-			}, &thresholdWatch{nodes: watch, levels: levels})
-			if err == nil {
-				crossings = res.Crossings
-			}
-		}
+		res, err := sys.transient(TranOpts{
+			Step:   horizon / float64(steps),
+			Stop:   horizon,
+			Method: opts.Method,
+			Obs:    opts.Obs,
+		}, &thresholdWatch{nodes: watch, levels: levels})
 		if err != nil {
 			return nil, err
 		}
 		allCrossed := true
-		for _, t := range crossings {
+		for _, t := range res.Crossings {
 			if t < 0 {
 				allCrossed = false
 				break
 			}
 		}
 		if allCrossed {
-			return crossings, nil
+			return res.Crossings, nil
 		}
 		if horizon >= maxHorizon {
 			return nil, fmt.Errorf("%w within %g s", ErrNoCrossing, horizon)
@@ -127,35 +108,6 @@ func MeasureDelays(c *Circuit, watch []int, opts MeasureOpts) ([]float64, error)
 		horizon *= 4
 		rec.Add(obs.CtrMeasureRetries, 1)
 	}
-}
-
-// adaptiveCrossings runs the LTE-controlled integrator with waveform
-// recording and extracts threshold crossings by linear interpolation over
-// the (non-uniform) samples. horizon and the crossing times are in
-// seconds, levels in volts.
-func (sys *mnaSystem) adaptiveCrossings(horizon float64, watch []int, levels []float64, rec obs.Recorder) ([]float64, error) {
-	res, err := sys.transientAdaptive(AdaptiveOpts{Stop: horizon, Record: true, Obs: rec})
-	if err != nil {
-		return nil, err
-	}
-	crossings := make([]float64, len(watch))
-	for i := range crossings {
-		crossings[i] = -1
-	}
-	for i, node := range watch {
-		wave := res.V[node]
-		for k := 1; k < len(wave); k++ {
-			if wave[k] >= levels[i] {
-				frac := 1.0
-				if dv := wave[k] - wave[k-1]; dv > 0 {
-					frac = (levels[i] - wave[k-1]) / dv
-				}
-				crossings[i] = res.Times[k-1] + frac*(res.Times[k]-res.Times[k-1])
-				break
-			}
-		}
-	}
-	return crossings, nil
 }
 
 // MaxDelay returns the largest of the measured delays (s) — the paper's

@@ -138,32 +138,6 @@ func (s *mnaSystem) rhs(b []float64, t float64) {
 	}
 }
 
-// OperatingPoint computes the DC solution of the circuit with all sources
-// held at their t=0⁺ values and capacitors open / inductors shorted.
-//
-// Inductor shorts are represented by their branch rows with the L·di/dt
-// term dropped (the G-side incidence already enforces v_a = v_b); capacitors
-// simply contribute nothing to G.
-func OperatingPoint(c *Circuit) ([]float64, error) {
-	sys, err := assemble(c)
-	if err != nil {
-		return nil, err
-	}
-	return sys.dcSolve(0, "DC operating point")
-}
-
-// FinalValue computes the DC solution with all sources at their value as
-// t → ∞ (evaluated at the given large time atTime, in s), giving the
-// settled voltages (V) a transient converges to — the reference for
-// 50%-threshold delay.
-func FinalValue(c *Circuit, atTime float64) ([]float64, error) {
-	sys, err := assemble(c)
-	if err != nil {
-		return nil, err
-	}
-	return sys.dcSolve(atTime, "final value")
-}
-
 // dcSolve returns the node voltages (V) solving G·x = b(t): capacitors
 // open, inductors shorted, sources evaluated at time t (s). what names the
 // analysis in a singular-matrix error.

@@ -2,10 +2,8 @@ package spice
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -21,10 +19,10 @@ import (
 //     .TRAN 1p 10n
 //     .END
 //
-// Step sources become PWL waveforms with a 1 ps edge (an ideal step is not
-// expressible in SPICE); DC sources stay DC. Arbitrary Go waveforms other
-// than those produced by DC/Step/Ramp are sampled as 64-point PWL over
-// tranStop.
+// A step after t=0 becomes a PWL waveform with an edge of tranStop·10⁻⁶
+// (an ideal step is not expressible in SPICE). A source that is constant
+// from t=0 on, a step at t=0 included, becomes DC. Any other Go waveform is
+// sampled as a 64-point PWL over tranStop.
 func WriteDeck(w io.Writer, c *Circuit, title string, tranStep, tranStop float64) error {
 	bw := bufio.NewWriter(w)
 	if title == "" {
@@ -144,238 +142,4 @@ func engNotation(v float64) string {
 func trimFloat(v float64) string {
 	s := strconv.FormatFloat(v, 'g', 6, 64)
 	return s
-}
-
-// Deck parsing errors.
-var (
-	ErrDeckSyntax = errors.New("spice: deck syntax error")
-)
-
-// ReadDeck parses a SPICE netlist supporting the element subset this
-// package emits — R, C, L, V (DC and PWL), I (DC and PWL) cards, comments,
-// .TRAN and .END — and rebuilds the circuit. Node numbers may be arbitrary
-// non-negative integers; they are compacted (0 stays ground). Returns the
-// circuit and the .TRAN (step, stop) if present.
-func ReadDeck(r io.Reader) (*Circuit, float64, float64, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-
-	type card struct {
-		kind    byte
-		a, b    int
-		value   float64
-		isPWL   bool
-		pwl     []float64
-		lineNum int
-	}
-	var cards []card
-	var tranStep, tranStop float64
-	maxNode := 0
-	lineNum := 0
-	first := true
-
-	for sc.Scan() {
-		lineNum++
-		line := strings.TrimSpace(sc.Text())
-		if first {
-			first = false
-			// The first line of a SPICE deck is the title, even without '*'.
-			if line != "" && !strings.HasPrefix(line, ".") {
-				continue
-			}
-		}
-		if line == "" || strings.HasPrefix(line, "*") {
-			continue
-		}
-		upper := strings.ToUpper(line)
-		if strings.HasPrefix(upper, ".END") {
-			break
-		}
-		if strings.HasPrefix(upper, ".TRAN") {
-			fields := strings.Fields(line)
-			if len(fields) >= 3 {
-				var err1, err2 error
-				tranStep, err1 = parseEng(fields[1])
-				tranStop, err2 = parseEng(fields[2])
-				if err1 != nil || err2 != nil {
-					return nil, 0, 0, fmt.Errorf("%w: line %d: bad .TRAN", ErrDeckSyntax, lineNum)
-				}
-			}
-			continue
-		}
-		if strings.HasPrefix(upper, ".") {
-			continue // other directives ignored
-		}
-
-		kind := upper[0]
-		switch kind {
-		case 'R', 'C', 'L', 'V', 'I':
-		default:
-			return nil, 0, 0, fmt.Errorf("%w: line %d: unsupported element %q", ErrDeckSyntax, lineNum, line)
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 4 {
-			return nil, 0, 0, fmt.Errorf("%w: line %d: too few fields", ErrDeckSyntax, lineNum)
-		}
-		a, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, 0, 0, fmt.Errorf("%w: line %d: bad node %q", ErrDeckSyntax, lineNum, fields[1])
-		}
-		b, err := strconv.Atoi(fields[2])
-		if err != nil {
-			return nil, 0, 0, fmt.Errorf("%w: line %d: bad node %q", ErrDeckSyntax, lineNum, fields[2])
-		}
-		if a < 0 || b < 0 {
-			return nil, 0, 0, fmt.Errorf("%w: line %d: negative node", ErrDeckSyntax, lineNum)
-		}
-		if a > maxNode {
-			maxNode = a
-		}
-		if b > maxNode {
-			maxNode = b
-		}
-
-		cd := card{kind: kind, a: a, b: b, lineNum: lineNum}
-		rest := strings.Join(fields[3:], " ")
-		restUpper := strings.ToUpper(rest)
-		switch {
-		case strings.HasPrefix(restUpper, "PWL"):
-			pts, err := parsePWL(rest)
-			if err != nil {
-				return nil, 0, 0, fmt.Errorf("%w: line %d: %v", ErrDeckSyntax, lineNum, err)
-			}
-			cd.isPWL = true
-			cd.pwl = pts
-		case strings.HasPrefix(restUpper, "DC"):
-			v, err := parseEng(strings.TrimSpace(rest[2:]))
-			if err != nil {
-				return nil, 0, 0, fmt.Errorf("%w: line %d: bad DC value", ErrDeckSyntax, lineNum)
-			}
-			cd.value = v
-		default:
-			v, err := parseEng(fields[3])
-			if err != nil {
-				return nil, 0, 0, fmt.Errorf("%w: line %d: bad value %q", ErrDeckSyntax, lineNum, fields[3])
-			}
-			cd.value = v
-		}
-		cards = append(cards, cd)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, 0, 0, err
-	}
-
-	c := NewCircuit()
-	for c.numNodes <= maxNode {
-		c.Node()
-	}
-	for _, cd := range cards {
-		var err error
-		switch cd.kind {
-		case 'R':
-			err = c.AddResistor(cd.a, cd.b, cd.value)
-		case 'C':
-			err = c.AddCapacitor(cd.a, cd.b, cd.value)
-		case 'L':
-			err = c.AddInductor(cd.a, cd.b, cd.value)
-		case 'V':
-			if cd.isPWL {
-				err = c.AddVSource(cd.a, cd.b, PWL(cd.pwl))
-			} else {
-				err = c.AddVSource(cd.a, cd.b, DC(cd.value))
-			}
-		case 'I':
-			if cd.isPWL {
-				err = c.AddISource(cd.a, cd.b, PWL(cd.pwl))
-			} else {
-				err = c.AddISource(cd.a, cd.b, DC(cd.value))
-			}
-		}
-		if err != nil {
-			return nil, 0, 0, fmt.Errorf("spice: deck line %d: %w", cd.lineNum, err)
-		}
-	}
-	return c, tranStep, tranStop, nil
-}
-
-// parsePWL parses "PWL(t0 v0 t1 v1 ...)" into the flat point list.
-func parsePWL(s string) ([]float64, error) {
-	open := strings.IndexByte(s, '(')
-	close_ := strings.LastIndexByte(s, ')')
-	if open < 0 || close_ < open {
-		return nil, errors.New("malformed PWL")
-	}
-	fields := strings.Fields(s[open+1 : close_])
-	if len(fields) == 0 || len(fields)%2 != 0 {
-		return nil, errors.New("PWL needs an even number of values")
-	}
-	pts := make([]float64, len(fields))
-	for i, f := range fields {
-		v, err := parseEng(f)
-		if err != nil {
-			return nil, fmt.Errorf("bad PWL value %q", f)
-		}
-		pts[i] = v
-	}
-	for i := 2; i < len(pts); i += 2 {
-		if pts[i] < pts[i-2] {
-			return nil, errors.New("PWL times must be non-decreasing")
-		}
-	}
-	return pts, nil
-}
-
-// PWL returns a piecewise-linear waveform through (t, v) pairs given as a
-// flat [t0, v0, t1, v1, ...] list with non-decreasing times. Before t0 the
-// value is v0; after the last point it holds the final value.
-func PWL(points []float64) Waveform {
-	pts := append([]float64(nil), points...)
-	n := len(pts) / 2
-	return func(t float64) float64 {
-		if n == 0 {
-			return 0
-		}
-		if t <= pts[0] {
-			return pts[1]
-		}
-		if t >= pts[2*(n-1)] {
-			return pts[2*n-1]
-		}
-		// Binary search for the segment.
-		i := sort.Search(n, func(k int) bool { return pts[2*k] > t }) - 1
-		t0, v0 := pts[2*i], pts[2*i+1]
-		t1, v1 := pts[2*i+2], pts[2*i+3]
-		if t1 == t0 {
-			return v1
-		}
-		return v0 + (v1-v0)*(t-t0)/(t1-t0)
-	}
-}
-
-// parseEng parses a SPICE-style number with optional engineering suffix
-// (case-insensitive): f p n u m k meg g t. "15.3f" → 15.3e-15.
-func parseEng(s string) (float64, error) {
-	s = strings.TrimSpace(strings.ToLower(s))
-	if s == "" {
-		return 0, errors.New("empty number")
-	}
-	suffixes := []struct {
-		text  string
-		scale float64
-	}{
-		{"meg", 1e6}, {"mil", 25.4e-6},
-		{"t", 1e12}, {"g", 1e9}, {"k", 1e3},
-		{"m", 1e-3}, {"u", 1e-6}, {"n", 1e-9}, {"p", 1e-12}, {"f", 1e-15},
-	}
-	for _, suf := range suffixes {
-		if strings.HasSuffix(s, suf.text) {
-			base := strings.TrimSuffix(s, suf.text)
-			v, err := strconv.ParseFloat(base, 64)
-			if err != nil {
-				return 0, err
-			}
-			return v * suf.scale, nil
-		}
-	}
-	return strconv.ParseFloat(s, 64)
 }

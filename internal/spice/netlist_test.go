@@ -1,8 +1,8 @@
 package spice
 
 import (
-	"bytes"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -14,7 +14,7 @@ func TestEngNotationRoundTripProperty(t *testing.T) {
 		if math.IsNaN(v) || math.IsInf(v, 0) || v < 1e-18 || v > 1e12 {
 			return true // outside the electrical range the notation targets
 		}
-		back, err := parseEng(engNotation(v))
+		back, err := parseEngNotation(engNotation(v))
 		if err != nil {
 			return false
 		}
@@ -25,174 +25,22 @@ func TestEngNotationRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestParseEngSuffixes(t *testing.T) {
-	cases := []struct {
-		in   string
-		want float64
+// parseEngNotation inverts engNotation: a Go float followed by one of the
+// suffixes it emits.
+func parseEngNotation(s string) (float64, error) {
+	for _, u := range []struct {
+		suffix string
+		scale  float64
 	}{
-		{"15.3f", 15.3e-15},
-		{"0.352F", 0.352e-15},
-		{"492p", 492e-12},
-		{"3n", 3e-9},
-		{"2.2u", 2.2e-6},
-		{"5m", 5e-3},
-		{"100", 100},
-		{"1k", 1e3},
-		{"10MEG", 10e6},
-		{"2g", 2e9},
-		{"1e-9", 1e-9},
-		{"-4.5", -4.5},
-	}
-	for _, c := range cases {
-		got, err := parseEng(c.in)
-		if err != nil {
-			t.Errorf("parseEng(%q): %v", c.in, err)
-			continue
-		}
-		if math.Abs(got-c.want) > 1e-12*math.Abs(c.want) {
-			t.Errorf("parseEng(%q) = %g, want %g", c.in, got, c.want)
+		{"meg", 1e6}, {"g", 1e9}, {"k", 1e3}, {"m", 1e-3},
+		{"u", 1e-6}, {"n", 1e-9}, {"p", 1e-12}, {"f", 1e-15},
+	} {
+		if mantissa, ok := strings.CutSuffix(s, u.suffix); ok {
+			v, err := strconv.ParseFloat(mantissa, 64)
+			return v * u.scale, err
 		}
 	}
-	for _, bad := range []string{"", "xyz", "1.2.3k"} {
-		if _, err := parseEng(bad); err == nil {
-			t.Errorf("parseEng(%q) must fail", bad)
-		}
-	}
-}
-
-func TestPWLWaveform(t *testing.T) {
-	w := PWL([]float64{0, 0, 1e-9, 1, 2e-9, 0.5})
-	cases := []struct{ t, want float64 }{
-		{-1, 0}, {0, 0}, {0.5e-9, 0.5}, {1e-9, 1}, {1.5e-9, 0.75}, {2e-9, 0.5}, {5e-9, 0.5},
-	}
-	for _, c := range cases {
-		if got := w(c.t); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("PWL(%g) = %g, want %g", c.t, got, c.want)
-		}
-	}
-	if PWL(nil)(1) != 0 {
-		t.Error("empty PWL must be zero")
-	}
-}
-
-func buildDemo(t *testing.T) (*Circuit, int) {
-	t.Helper()
-	c := NewCircuit()
-	in, out := c.Node(), c.Node()
-	must(t, c.AddVSource(in, Ground, Step(0, 1, 0)))
-	must(t, c.AddResistor(in, out, 1000))
-	must(t, c.AddCapacitor(out, Ground, 1e-12))
-	must(t, c.AddInductor(in, out, 1e-9)) // parallel RL for variety
-	must(t, c.AddISource(Ground, out, DC(1e-6)))
-	return c, out
-}
-
-func TestDeckRoundTripStructure(t *testing.T) {
-	c, _ := buildDemo(t)
-	var buf bytes.Buffer
-	if err := WriteDeck(&buf, c, "demo", 1e-12, 10e-9); err != nil {
-		t.Fatal(err)
-	}
-	deck := buf.String()
-	for _, want := range []string{"* demo", "R1 1 2 1k", "C1 2 0 1p", "L1 1 2 1n", ".TRAN 1p 10n", ".END"} {
-		if !strings.Contains(deck, want) {
-			t.Errorf("deck missing %q:\n%s", want, deck)
-		}
-	}
-
-	back, step, stop, err := ReadDeck(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, c1, l1, v1, i1 := c.Counts()
-	r2, c2, l2, v2, i2 := back.Counts()
-	if r1 != r2 || c1 != c2 || l1 != l2 || v1 != v2 || i1 != i2 {
-		t.Errorf("element counts changed: %d%d%d%d%d vs %d%d%d%d%d",
-			r1, c1, l1, v1, i1, r2, c2, l2, v2, i2)
-	}
-	if step != 1e-12 || stop != 10e-9 {
-		t.Errorf("tran %g %g", step, stop)
-	}
-}
-
-func TestDeckRoundTripBehaviour(t *testing.T) {
-	// The re-imported circuit must simulate to the same delay.
-	orig, out := buildRC(t, 1000, 1e-12)
-	var buf bytes.Buffer
-	if err := WriteDeck(&buf, orig, "rt", 0, 10e-9); err != nil {
-		t.Fatal(err)
-	}
-	back, _, _, err := ReadDeck(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1, err := MeasureDelays(orig, []int{out}, DefaultMeasureOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := MeasureDelays(back, []int{out}, DefaultMeasureOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The exported step has a 1ps-scale PWL edge instead of an ideal step;
-	// allow a correspondingly small tolerance.
-	if rel := math.Abs(d1[0]-d2[0]) / d1[0]; rel > 0.02 {
-		t.Errorf("round-trip delay %.4g vs %.4g (%.2f%%)", d1[0], d2[0], 100*rel)
-	}
-}
-
-func TestReadDeckTitleLineSkipped(t *testing.T) {
-	deck := "my circuit title\nR1 1 0 50\nV1 1 0 DC 1\n.END\n"
-	c, _, _, err := ReadDeck(strings.NewReader(deck))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, _, _, v, _ := c.Counts()
-	if r != 1 || v != 1 {
-		t.Errorf("r=%d v=%d", r, v)
-	}
-}
-
-func TestReadDeckErrors(t *testing.T) {
-	bad := []string{
-		"*t\nQ1 1 0 2 model\n.END",       // unsupported element
-		"*t\nR1 1 0\n.END",               // too few fields
-		"*t\nR1 x 0 50\n.END",            // bad node
-		"*t\nR1 -1 0 50\n.END",           // negative node
-		"*t\nR1 1 0 zonk\n.END",          // bad value
-		"*t\nV1 1 0 PWL(0 0 1n)\n.END",   // odd PWL
-		"*t\nV1 1 0 PWL(1n 0 0 1)\n.END", // decreasing times
-		"*t\nR1 1 0 -50\n.END",           // negative resistance rejected by builder
-	}
-	for _, deck := range bad {
-		if _, _, _, err := ReadDeck(strings.NewReader(deck)); err == nil {
-			t.Errorf("deck %q must fail", deck)
-		}
-	}
-}
-
-func TestReadDeckPWLVoltageSimulates(t *testing.T) {
-	deck := `* pwl test
-V1 1 0 PWL(0 0 1p 1)
-R1 1 2 1k
-C1 2 0 1p
-.TRAN 1p 10n
-.END
-`
-	c, step, stop, err := ReadDeck(strings.NewReader(deck))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if step != 1e-12 || stop != 10e-9 {
-		t.Fatalf("tran %g %g", step, stop)
-	}
-	res, err := Transient(c, TranOpts{Step: step * 10, Stop: stop})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Final[2]-1) > 0.01 {
-		t.Errorf("PWL-driven RC settled at %.3f", res.Final[2])
-	}
+	return strconv.ParseFloat(s, 64)
 }
 
 func TestWaveformSpecDC(t *testing.T) {
@@ -213,7 +61,8 @@ func TestWaveformSpecStepDetected(t *testing.T) {
 }
 
 func TestWaveformSpecGeneralSampled(t *testing.T) {
-	got := waveformSpec(Ramp(0, 1, 0, 1e-9), 1e-9)
+	ramp := func(t float64) float64 { return min(t/1e-9, 1) }
+	got := waveformSpec(ramp, 1e-9)
 	if !strings.HasPrefix(got, "PWL(") {
 		t.Errorf("ramp spec = %q", got)
 	}

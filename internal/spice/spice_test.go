@@ -301,13 +301,13 @@ func TestEarlyExitMatchesFullRun(t *testing.T) {
 	tau := r * c
 	opts := TranOpts{Step: tau / 1000, Stop: 10 * tau}
 
-	early, err := TransientThreshold(ckt, opts, []int{out}, 0.5)
+	early, err := TransientThresholds(ckt, opts, []int{out}, []float64{0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	optsRec := opts
 	optsRec.Record = true
-	full, err := TransientThreshold(ckt, optsRec, []int{out}, 0.5)
+	full, err := TransientThresholds(ckt, optsRec, []int{out}, []float64{0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,18 +325,6 @@ func TestMaxDelay(t *testing.T) {
 	}
 	if got := MaxDelay(nil); got != 0 {
 		t.Errorf("MaxDelay(nil) = %v, want 0", got)
-	}
-}
-
-func TestRampWaveform(t *testing.T) {
-	w := Ramp(0, 2, 1, 3)
-	cases := []struct{ t, want float64 }{
-		{0, 0}, {1, 0}, {2, 1}, {3, 2}, {4, 2},
-	}
-	for _, c := range cases {
-		if got := w(c.t); math.Abs(got-c.want) > 1e-15 {
-			t.Errorf("Ramp(%v) = %v, want %v", c.t, got, c.want)
-		}
 	}
 }
 
@@ -596,116 +584,9 @@ func referenceTransient(c *Circuit, opts TranOpts, watch *thresholdWatch) (*Tran
 	return res, nil
 }
 
-// referenceAdaptive is the adaptive controller over dense trapezoidal steps.
-func referenceAdaptive(c *Circuit, stop float64) (*TranResult, error) {
-	sys, err := referenceAssemble(c)
-	if err != nil {
-		return nil, err
-	}
-	h, minStep, maxStep, tol := stop/1000, stop/1e7, stop/50, 1e-4
-	algebraic := sys.algebraicRows()
-	type factors struct {
-		lu    *denseLU
-		histC *linalg.Matrix
-	}
-	cache := map[float64]*factors{}
-	step := func(x, out []float64, t, h float64) error {
-		f, ok := cache[h]
-		if !ok {
-			lhs := sys.g.Clone()
-			lhs.AddScaled(sys.c, 2/h)
-			lu, err := factorDense(lhs)
-			if err != nil {
-				return fmt.Errorf("spice: adaptive factorization at h=%g: %w", h, err)
-			}
-			hist := linalg.NewMatrix(sys.size, sys.size)
-			hist.AddScaled(sys.c, 2/h)
-			hist.AddScaled(sys.g, -1)
-			f = &factors{lu: lu, histC: hist}
-			if len(cache) > 32 {
-				cache = map[float64]*factors{}
-			}
-			cache[h] = f
-		}
-		bPrev, bNext := make([]float64, sys.size), make([]float64, sys.size)
-		sys.rhs(bPrev, t)
-		sys.rhs(bNext, t+h)
-		rhs := f.histC.MulVec(x)
-		for i := range rhs {
-			if algebraic[i] {
-				rhs[i] = bNext[i]
-				continue
-			}
-			rhs[i] = rhs[i] + bPrev[i] + bNext[i]
-		}
-		f.lu.SolveInPlace(rhs)
-		copy(out, rhs)
-		return nil
-	}
-
-	x := make([]float64, sys.size)
-	t := 0.0
-	res := &TranResult{Times: []float64{0}, V: make([][]float64, c.numNodes)}
-	record := func() {
-		for n := 0; n < c.numNodes; n++ {
-			var v float64
-			if n > 0 {
-				v = x[n-1]
-			}
-			res.V[n] = append(res.V[n], v)
-		}
-	}
-	record()
-	full, half, quarter := make([]float64, sys.size), make([]float64, sys.size), make([]float64, sys.size)
-	for t < stop {
-		if t+h > stop {
-			h = stop - t
-		}
-		if err := step(x, full, t, h); err != nil {
-			return nil, err
-		}
-		if err := step(x, quarter, t, h/2); err != nil {
-			return nil, err
-		}
-		if err := step(quarter, half, t+h/2, h/2); err != nil {
-			return nil, err
-		}
-		var lte float64
-		for i := 0; i < sys.nv; i++ {
-			if e := math.Abs(half[i]-full[i]) / 3; e > lte {
-				lte = e
-			}
-		}
-		if lte > tol && h > minStep {
-			shrink := 0.9 * math.Sqrt(tol/math.Max(lte, 1e-300))
-			if shrink < 0.1 {
-				shrink = 0.1
-			}
-			h = math.Max(h*shrink, minStep)
-			continue
-		}
-		if lte > tol && h <= minStep {
-			return nil, fmt.Errorf("%w at t=%g (lte %g > tol %g)", ErrStepUnderflow, t, lte, tol)
-		}
-		copy(x, half)
-		t += h
-		res.Steps++
-		res.Times = append(res.Times, t)
-		record()
-		if lte < tol/4 {
-			h = math.Min(h*2, maxStep)
-		}
-	}
-	res.Final = make([]float64, c.numNodes)
-	for n := 0; n < c.numNodes; n++ {
-		res.Final[n] = res.V[n][len(res.V[n])-1]
-	}
-	return res, nil
-}
-
 // referenceMeasureDelays is MeasureDelays over the dense references: a
 // dense DC solve for the thresholds, then horizon retries of a dense
-// transient, fixed-step or adaptive.
+// transient.
 func referenceMeasureDelays(c *Circuit, watch []int, opts MeasureOpts) ([]float64, error) {
 	final, err := referenceDC(c, math.MaxFloat64)
 	if err != nil {
@@ -719,30 +600,16 @@ func referenceMeasureDelays(c *Circuit, watch []int, opts MeasureOpts) ([]float6
 	if steps <= 0 {
 		steps = 2000
 	}
-	horizon := opts.InitialHorizon
-	if horizon <= 0 {
-		horizon = horizonEstimate(c)
-	}
+	horizon := horizonEstimate(c)
 	maxHorizon := horizon * 1024
 	for {
-		crossings := make([]float64, len(watch))
-		if opts.Adaptive {
-			res, err := referenceAdaptive(c, horizon)
-			if err != nil {
-				return nil, err
-			}
-			for i, node := range watch {
-				crossings[i] = crossing(res.Times, res.V[node], levels[i])
-			}
-		} else {
-			res, err := referenceTransient(c, TranOpts{
-				Step: horizon / float64(steps), Stop: horizon, Method: opts.Method,
-			}, &thresholdWatch{nodes: watch, levels: levels})
-			if err != nil {
-				return nil, err
-			}
-			crossings = res.Crossings
+		res, err := referenceTransient(c, TranOpts{
+			Step: horizon / float64(steps), Stop: horizon, Method: opts.Method,
+		}, &thresholdWatch{nodes: watch, levels: levels})
+		if err != nil {
+			return nil, err
 		}
+		crossings := res.Crossings
 		if !slices.ContainsFunc(crossings, func(t float64) bool { return t < 0 }) {
 			return crossings, nil
 		}

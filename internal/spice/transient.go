@@ -61,9 +61,9 @@ type TranResult struct {
 	V [][]float64
 	// Final holds the node voltages (V) at Stop time.
 	Final []float64
-	// Crossings[n] is the first time (s) node n's voltage crossed the
-	// threshold given to TransientThreshold, or a negative value if it never
-	// did. Populated only by TransientThreshold.
+	// Crossings[i] is the first time (s) the i-th watched node's voltage
+	// reached its threshold, or a negative value if it never did. Populated
+	// only for the threshold watch MeasureDelays runs.
 	Crossings []float64
 	// Steps is the number of timesteps executed.
 	Steps int
@@ -74,27 +74,6 @@ type TranResult struct {
 // waveforms per TranOpts.
 func Transient(c *Circuit, opts TranOpts) (*TranResult, error) {
 	return transient(c, opts, nil)
-}
-
-// TransientThreshold runs a transient like Transient but additionally
-// detects, for each node in watch, the first time its voltage crosses the
-// given threshold (V, rising), using linear interpolation between steps.
-// The simulation still runs to opts.Stop so Final is meaningful.
-func TransientThreshold(c *Circuit, opts TranOpts, watch []int, threshold float64) (*TranResult, error) {
-	levels := make([]float64, len(watch))
-	for i := range levels {
-		levels[i] = threshold
-	}
-	return TransientThresholds(c, opts, watch, levels)
-}
-
-// TransientThresholds is TransientThreshold with a per-node threshold level
-// (V).
-func TransientThresholds(c *Circuit, opts TranOpts, watch []int, levels []float64) (*TranResult, error) {
-	if len(watch) != len(levels) {
-		return nil, errors.New("spice: watch nodes and threshold levels must align")
-	}
-	return transient(c, opts, &thresholdWatch{nodes: watch, levels: levels})
 }
 
 type thresholdWatch struct {
