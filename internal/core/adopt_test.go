@@ -47,23 +47,12 @@ func (f tracerFunc) EmitEach(n int, fill func(int, *trace.Event)) {
 // a new epoch. The check runs from the run's own tracer, at each commit
 // event, which the runs emit after adopting.
 func TestAdoptedFactorMatchesRefactor(t *testing.T) {
-	wide := func(e graph.Edge) float64 { return 1 + float64((e.U+e.V)%3) }
 	runs := []struct {
 		name string
 		run  func(seed *graph.Topology, opts Options) error
 	}{
 		{"LDRG", func(seed *graph.Topology, opts Options) error { _, err := LDRG(seed, opts); return err }},
-		{"LDRG/widths", func(seed *graph.Topology, opts Options) error {
-			opts.Width = wide
-			_, err := LDRG(seed, opts)
-			return err
-		}},
 		{"LDRGWithTaps", func(seed *graph.Topology, opts Options) error { _, err := LDRGWithTaps(seed, opts); return err }},
-		{"LDRGWithTaps/widths", func(seed *graph.Topology, opts Options) error {
-			opts.Width = wide
-			_, err := LDRGWithTaps(seed, opts)
-			return err
-		}},
 		{"H1", func(seed *graph.Topology, opts Options) error { _, err := H1(seed, opts); return err }},
 		{"WireSize", func(seed *graph.Topology, opts Options) error {
 			_, err := WireSize(seed, WireSizeOptions{MaxWidth: 3}, opts)
@@ -84,7 +73,7 @@ func TestAdoptedFactorMatchesRefactor(t *testing.T) {
 				if got := oracle.inc.Epoch(); got != 1+run {
 					t.Errorf("%s commit %d: epoch %d, want %d", label, run, got, 1+run)
 				}
-				fresh, err := elmore.NewIncrementalWidth(oracle.topo, rc.Default(), oracle.width)
+				fresh, err := elmore.NewIncremental(oracle.topo, rc.Default(), oracle.width)
 				if err != nil {
 					t.Fatalf("%s commit %d: %v", label, run, err)
 				}

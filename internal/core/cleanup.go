@@ -30,8 +30,7 @@ type CleanupResult struct {
 // This is the natural complement to the paper's edge-addition greedy: where
 // LDRG explores tree → graph, Cleanup walks back graph → cheaper graph. On
 // pure trees it removes nothing (every edge is a bridge).
-func Cleanup(seed *graph.Topology, slack float64, opts Options) (_ *CleanupResult, rerr error) {
-	defer func() { rerr = tagRequest(opts.RequestID, rerr) }()
+func Cleanup(seed *graph.Topology, slack float64, opts Options) (*CleanupResult, error) {
 	if err := checkSeed(seed, &opts); err != nil {
 		return nil, err
 	}
@@ -42,16 +41,7 @@ func Cleanup(seed *graph.Topology, slack float64, opts Options) (_ *CleanupResul
 	obj := opts.objective()
 	res := &CleanupResult{Topology: t}
 
-	eval := func() (float64, error) {
-		delays, err := opts.Oracle.SinkDelays(t, opts.Width)
-		if err != nil {
-			return 0, err
-		}
-		res.Evaluations++
-		return obj.Eval(delays, t.NumPins())
-	}
-
-	cur, err := eval()
+	cur, err := score(t, &opts, obj, &res.Evaluations)
 	if err != nil {
 		return nil, fmt.Errorf("core: cleanup initial evaluation: %w", err)
 	}
@@ -69,7 +59,7 @@ func Cleanup(seed *graph.Topology, slack float64, opts Options) (_ *CleanupResul
 			ok := t.Connected()
 			var val float64
 			if ok {
-				val, err = eval()
+				val, err = score(t, &opts, obj, &res.Evaluations)
 				if err != nil {
 					_ = t.AddEdge(e)
 					return nil, fmt.Errorf("core: cleanup evaluating removal of %v: %w", e, err)

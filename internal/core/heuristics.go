@@ -18,15 +18,14 @@ import (
 // be iterated until no further delay improvement is possible" — controlled
 // here by opts.MaxAddedEdges (0 means iterate to convergence; the paper
 // observes about two iterations in practice).
-func H1(seed *graph.Topology, opts Options) (_ *Result, rerr error) {
-	defer func() { rerr = tagRequest(opts.RequestID, rerr) }()
+func H1(seed *graph.Topology, opts Options) (*Result, error) {
 	if err := checkSeed(seed, &opts); err != nil {
 		return nil, err
 	}
 	t := seed.Clone()
 	obj := opts.objective()
 	res := &Result{Topology: t}
-	eng, delays, err := newSweepEngine(t, &opts, obj, &res.Evaluations)
+	eng, delays, err := newSweepEngine(t, &opts, nil, obj, &res.Evaluations)
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +79,7 @@ func H1(seed *graph.Topology, opts Options) (_ *Result, rerr error) {
 		if err := t.AddEdge(e); err != nil {
 			return nil, fmt.Errorf("core: H1 adding %v: %w", e, err)
 		}
-		newDelays, sol, err := eng.solve(t, opts.Width)
+		newDelays, sol, err := eng.solve(t, nil)
 		if err != nil {
 			return nil, fmt.Errorf("core: H1 evaluating %v: %w", e, err)
 		}
@@ -120,8 +119,8 @@ func H1(seed *graph.Topology, opts Options) (_ *Result, rerr error) {
 // treeElmoreDelays evaluates Elmore delays of a tree seed — the selection
 // signal for H2 and H3, which the paper restricts to a single application
 // because "Elmore delay is only defined for trees, not arbitrary graphs".
-func treeElmoreDelays(seed *graph.Topology, params rc.Params, width rc.WidthFunc) ([]float64, error) {
-	l, err := rc.Lump(seed, params, width)
+func treeElmoreDelays(seed *graph.Topology, params rc.Params) ([]float64, error) {
+	l, err := rc.Lump(seed, params, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -136,8 +135,7 @@ func treeElmoreDelays(seed *graph.Topology, params rc.Params, width rc.WidthFunc
 // delays; pass ElmoreOracle to keep the whole run simulator-free.
 //
 // The seed must be a tree (classically the MST).
-func H2(seed *graph.Topology, params rc.Params, opts Options) (_ *Result, rerr error) {
-	defer func() { rerr = tagRequest(opts.RequestID, rerr) }()
+func H2(seed *graph.Topology, params rc.Params, opts Options) (*Result, error) {
 	return elmoreSelectedAddition(seed, params, opts, func(delays []float64, t *graph.Topology) (int, error) {
 		worst, _ := elmore.ArgMaxSinkDelay(delays, t.NumPins())
 		return worst, nil
@@ -149,8 +147,7 @@ func H2(seed *graph.Topology, params rc.Params, opts Options) (_ *Result, rerr e
 // needs no simulator and adds the edge unconditionally; unlike H2 its score
 // discounts sinks whose shortcut wire would be long, trading delay
 // improvement against wirelength.
-func H3(seed *graph.Topology, params rc.Params, opts Options) (_ *Result, rerr error) {
-	defer func() { rerr = tagRequest(opts.RequestID, rerr) }()
+func H3(seed *graph.Topology, params rc.Params, opts Options) (*Result, error) {
 	return elmoreSelectedAddition(seed, params, opts, func(delays []float64, t *graph.Topology) (int, error) {
 		best, bestScore := -1, -1.0
 		for sink := 1; sink < t.NumPins(); sink++ {
@@ -194,7 +191,7 @@ func elmoreSelectedAddition(seed *graph.Topology, params rc.Params, opts Options
 	res.InitialObjective = cur
 	res.Trace = append(res.Trace, cur)
 
-	elmoreDelays, err := treeElmoreDelays(seed, params, opts.Width)
+	elmoreDelays, err := treeElmoreDelays(seed, params)
 	if err != nil {
 		return nil, fmt.Errorf("core: H2/H3 Elmore selection: %w", err)
 	}

@@ -93,7 +93,7 @@ func TestH2AddsUnconditionally(t *testing.T) {
 func TestH2TargetsWorstElmoreSink(t *testing.T) {
 	topo := randomMST(t, 5, 12)
 	params := rc.Default()
-	delays, err := treeElmoreDelays(topo, params, nil)
+	delays, err := treeElmoreDelays(topo, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestH2TargetsWorstElmoreSink(t *testing.T) {
 func TestH3SelectionFormula(t *testing.T) {
 	topo := randomMST(t, 8, 10)
 	params := rc.Default()
-	delays, err := treeElmoreDelays(topo, params, nil)
+	delays, err := treeElmoreDelays(topo, params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,7 @@ import (
 // the weighted objective Σ α_i·t(n_i) instead of max delay. alphas[i]
 // weights sink node i+1; see UniformCriticality and SingleCriticalSink for
 // the two special cases the paper calls out.
-func CriticalSinkLDRG(seed *graph.Topology, alphas []float64, opts Options) (_ *Result, rerr error) {
-	defer func() { rerr = tagRequest(opts.RequestID, rerr) }()
+func CriticalSinkLDRG(seed *graph.Topology, alphas []float64, opts Options) (*Result, error) {
 	if len(alphas) != seed.NumPins()-1 {
 		return nil, fmt.Errorf("core: %d criticalities for %d sinks", len(alphas), seed.NumPins()-1)
 	}
@@ -42,8 +41,7 @@ func (r *HORGResult) FinalObjective() float64 { return r.Sizing.FinalObjective }
 //
 // When useSteiner is false the pipeline seeds from the MST instead,
 // yielding the Steiner-free HORG restriction.
-func HORG(pins []geom.Point, alphas []float64, useSteiner bool, wopts WireSizeOptions, opts Options) (_ *HORGResult, rerr error) {
-	defer func() { rerr = tagRequest(opts.RequestID, rerr) }()
+func HORG(pins []geom.Point, alphas []float64, useSteiner bool, wopts WireSizeOptions, opts Options) (*HORGResult, error) {
 	if len(alphas) != len(pins)-1 {
 		return nil, fmt.Errorf("core: %d criticalities for %d sinks", len(alphas), len(pins)-1)
 	}

@@ -9,7 +9,6 @@ import (
 
 	"nontree/internal/graph"
 	"nontree/internal/obs"
-	"nontree/internal/rc"
 	"nontree/internal/trace"
 )
 
@@ -24,9 +23,6 @@ type Options struct {
 	// run to convergence (the paper's termination: "when no further delay
 	// improvement is possible").
 	MaxAddedEdges int
-	// Width supplies wire widths to the oracle (nil = unit widths). The
-	// greedy loop holds widths fixed; see WireSize for width optimization.
-	Width rc.WidthFunc
 	// CandidateFilter, when non-nil, vetoes candidate edges before they
 	// are evaluated: return false to exclude the edge. The topology passed
 	// in is the current routing *without* the candidate. Use it for
@@ -55,11 +51,6 @@ type Options struct {
 	// sweep fails), so for a fixed seed the deterministic event fields are
 	// byte-identical at any Workers value (DESIGN.md §11).
 	Trace trace.Tracer
-	// RequestID tags the run with the serve-layer request identity
-	// ("" outside the daemon). Provenance only: every exported entry point
-	// prefixes the errors it returns with it, and no sweep decision reads
-	// it (DESIGN.md §16).
-	RequestID string
 
 	// auditPruning re-scores every pruned candidate after each incremental
 	// sweep and fails the run with errPruningUnsound if one would have been
@@ -164,8 +155,7 @@ var (
 //
 // The paper's formulation evaluates t(·) with SPICE; the oracle choice in
 // opts selects between that reference behaviour and the fast Elmore model.
-func LDRG(seed *graph.Topology, opts Options) (_ *Result, rerr error) {
-	defer func() { rerr = tagRequest(opts.RequestID, rerr) }()
+func LDRG(seed *graph.Topology, opts Options) (*Result, error) {
 	return greedy(seed, &opts, false)
 }
 
@@ -180,7 +170,7 @@ func greedy(seed *graph.Topology, opts *Options, taps bool) (*Result, error) {
 	obj := opts.objective()
 
 	res := &Result{Topology: t}
-	eng, delays, err := newSweepEngine(t, opts, obj, &res.Evaluations)
+	eng, delays, err := newSweepEngine(t, opts, nil, obj, &res.Evaluations)
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +243,7 @@ func bestAddition(t *graph.Topology, opts *Options, cur float64, sweep int, eng 
 			if err := t.AddEdge(e); err != nil {
 				return 0, fmt.Errorf("core: trying edge %v: %w", e, err)
 			}
-			val, err := eng.score(t, opts.Width)
+			val, err := eng.score(t, nil)
 			rmErr := t.RemoveEdge(e)
 			if err != nil {
 				return 0, fmt.Errorf("core: evaluating edge %v: %w", e, err)
@@ -275,7 +265,7 @@ func bestAddition(t *graph.Topology, opts *Options, cur float64, sweep int, eng 
 }
 
 func score(t *graph.Topology, opts *Options, obj Objective, evals *int) (float64, error) {
-	delays, err := opts.Oracle.SinkDelays(t, opts.Width)
+	delays, err := opts.Oracle.SinkDelays(t, nil)
 	if err != nil {
 		return 0, err
 	}

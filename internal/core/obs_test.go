@@ -181,6 +181,28 @@ func TestObsCountersMatchWireSizeResult(t *testing.T) {
 	checkOneFactorPerWinner(t, "WireSize", c, res.Evaluations, res.Widenings)
 }
 
+// TestObsCountersMatchCleanupResult: Cleanup scores the input and every
+// removal that keeps the net connected with a full oracle call, and each
+// one is counted.
+func TestObsCountersMatchCleanupResult(t *testing.T) {
+	routed, err := LDRG(randomMST(t, 8300, 12), Options{Oracle: elmoreOracle()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	obs.Preregister(reg)
+	res, err := Cleanup(routed.Topology, 0.05, Options{Oracle: elmoreOracle(), Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Evaluations < 2 {
+		t.Fatalf("Cleanup made %d evaluations; the case checks nothing", res.Evaluations)
+	}
+	if got := reg.Snapshot().Counters[obs.CtrOracleEvaluations]; got != int64(res.Evaluations) {
+		t.Errorf("%s = %d, want Result.Evaluations = %d", obs.CtrOracleEvaluations, got, res.Evaluations)
+	}
+}
+
 // TestObsSpiceOracleRecordsSimulatorCounters drives the SPICE oracle once
 // and checks the simulator-side counters landed in the same registry the
 // oracle was handed.

@@ -16,7 +16,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"nontree/internal/elmore"
 	"nontree/internal/graph"
@@ -76,7 +75,7 @@ func (o *ElmoreOracle) SinkDelays(t *graph.Topology, width rc.WidthFunc) ([]floa
 // the one oracle whose candidate evaluations reduce to exact low-rank
 // perturbations of a factored base state (see elmore.Incremental).
 func (o *ElmoreOracle) NewIncrementalSweep(t *graph.Topology, width rc.WidthFunc) (*elmore.Incremental, error) {
-	return elmore.NewIncrementalWidth(t, o.Params, width)
+	return elmore.NewIncremental(t, o.Params, width)
 }
 
 // Solve implements IncrementalScorer: one full solve of t, with the
@@ -160,22 +159,6 @@ func (o *SpiceOracle) SinkDelays(t *graph.Topology, width rc.WidthFunc) ([]float
 		delays[i+1] = d // SinkNodes are topology nodes 1..NumPins-1 in order
 	}
 	return delays, nil
-}
-
-// tagRequest wraps an error with the request identity so a failure
-// surfaced at /route names the wide event it belongs to. Every exported
-// entry point applies it once, on return; oracles never tag. id "" (the
-// non-daemon case) and nil errors pass through untouched, and an error
-// already carrying this id's tag is not tagged again, because composite
-// algorithms (SLDRG, HORG) nest entry points.
-func tagRequest(id string, err error) error {
-	if err == nil || id == "" {
-		return err
-	}
-	if strings.Contains(err.Error(), "[request "+id+"]") {
-		return err
-	}
-	return fmt.Errorf("[request %s] %w", id, err)
 }
 
 // Objective reduces per-sink delays to the scalar an algorithm minimizes.

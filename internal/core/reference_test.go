@@ -35,7 +35,7 @@ func refScore(t *graph.Topology, opts *Options, width rc.WidthFunc) (float64, er
 // returns the accepted modifications in the form the trace reports them.
 func referenceGreedy(seed *graph.Topology, opts Options, taps bool) (*Result, []trace.AcceptedEdge, error) {
 	t := seed.Clone()
-	cur, err := refScore(t, &opts, opts.Width)
+	cur, err := refScore(t, &opts, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -49,7 +49,7 @@ func referenceGreedy(seed *graph.Topology, opts Options, taps bool) (*Result, []
 			if err := t.AddEdge(e); err != nil {
 				return nil, nil, err
 			}
-			val, err := refScore(t, &opts, opts.Width)
+			val, err := refScore(t, &opts, nil)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -69,7 +69,7 @@ func referenceGreedy(seed *graph.Topology, opts Options, taps bool) (*Result, []
 				if _, err := applyTap(clone, c.edge, c.point); err != nil {
 					return nil, nil, err
 				}
-				val, err := refScore(clone, &opts, opts.Width)
+				val, err := refScore(clone, &opts, nil)
 				if err != nil {
 					return nil, nil, err
 				}

@@ -20,8 +20,7 @@ type SLDRGResult struct {
 // build a Steiner tree over the net with Iterated 1-Steiner (Step 1), then
 // greedily add edges — between any pair of pins or Steiner points — while
 // the objective improves (Steps 2–3).
-func SLDRG(pins []geom.Point, steinerOpts steiner.Options, opts Options) (_ *SLDRGResult, rerr error) {
-	defer func() { rerr = tagRequest(opts.RequestID, rerr) }()
+func SLDRG(pins []geom.Point, steinerOpts steiner.Options, opts Options) (*SLDRGResult, error) {
 	seed, err := steiner.Tree(pins, steinerOpts)
 	if err != nil {
 		return nil, fmt.Errorf("core: SLDRG Steiner seed: %w", err)

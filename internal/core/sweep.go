@@ -124,17 +124,18 @@ type sweepEngine struct {
 	outs    []outcome // reused across sweeps
 }
 
-// newSweepEngine prepares the sweeps of one run over t and returns t's
-// delays, counted as one evaluation. Candidates are scored incrementally
-// when the oracle implements IncrementalScorer, and t's delays are then
-// the evaluator's base delays, which equal the oracle's SinkDelays bit for
-// bit, so t is factored once. Any other oracle scores candidates with full
-// solves and t with one SinkDelays call.
-func newSweepEngine(t *graph.Topology, opts *Options, obj Objective, evals *int) (*sweepEngine, []float64, error) {
+// newSweepEngine prepares the sweeps of one run over t under width (nil =
+// unit widths; only WireSize passes one) and returns t's delays, counted as
+// one evaluation. Candidates are scored incrementally when the oracle
+// implements IncrementalScorer, and t's delays are then the evaluator's
+// base delays, which equal the oracle's SinkDelays bit for bit, so t is
+// factored once. Any other oracle scores candidates with full solves and t
+// with one SinkDelays call.
+func newSweepEngine(t *graph.Topology, opts *Options, width rc.WidthFunc, obj Objective, evals *int) (*sweepEngine, []float64, error) {
 	eng := &sweepEngine{oracle: opts.Oracle, obj: obj, workers: opts.workers(), evals: evals, rec: opts.obs(), tr: opts.trace()}
 	var delays []float64
 	if is, ok := opts.Oracle.(IncrementalScorer); ok {
-		inc, err := is.NewIncrementalSweep(t, opts.Width)
+		inc, err := is.NewIncrementalSweep(t, width)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: scoring seed topology: %w", err)
 		}
@@ -147,7 +148,7 @@ func newSweepEngine(t *graph.Topology, opts *Options, obj Objective, evals *int)
 			return nil, nil, fmt.Errorf("core: the pruning audit needs an incremental oracle, %s has no support", opts.Oracle.Name())
 		}
 		var err error
-		if delays, err = opts.Oracle.SinkDelays(t, opts.Width); err != nil {
+		if delays, err = opts.Oracle.SinkDelays(t, width); err != nil {
 			return nil, nil, fmt.Errorf("core: scoring seed topology: %w", err)
 		}
 	}

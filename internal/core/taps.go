@@ -21,8 +21,7 @@ import (
 // Each accepted tap adds one Steiner node and replaces one edge by two
 // cost-neutral halves plus the new wire, so the wirelength penalty of a
 // tap is exactly the new wire's length.
-func LDRGWithTaps(seed *graph.Topology, opts Options) (_ *Result, rerr error) {
-	defer func() { rerr = tagRequest(opts.RequestID, rerr) }()
+func LDRGWithTaps(seed *graph.Topology, opts Options) (*Result, error) {
 	res, err := greedy(seed, &opts, true)
 	if err != nil {
 		return nil, err
@@ -120,7 +119,7 @@ func scoreTapped(base *graph.Topology, opts *Options, eng *sweepEngine, e graph.
 			return 0, fmt.Errorf("core: tap edge %v: %w", ne, err)
 		}
 	}
-	val, err := eng.score(c, opts.Width)
+	val, err := eng.score(c, nil)
 	if err != nil {
 		return 0, fmt.Errorf("core: evaluating tap on %v: %w", e, err)
 	}

@@ -307,7 +307,7 @@ func TestUntracedSweepBuildsNoCandidateEvents(t *testing.T) {
 	} {
 		opts := Options{Oracle: elmoreOracle(), Trace: c.tr}
 		evals := 0
-		eng, delays, err := newSweepEngine(seed, &opts, opts.objective(), &evals)
+		eng, delays, err := newSweepEngine(seed, &opts, nil, opts.objective(), &evals)
 		if err != nil {
 			t.Fatal(err)
 		}

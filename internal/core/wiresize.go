@@ -84,14 +84,11 @@ func (r *WireSizeResult) WidthFunc() rc.WidthFunc {
 // parallel wires of width w ... [are] equivalent to a single wire of width
 // 2w" as the paper observes.
 //
-// opts configures the run as for LDRG, with three exceptions: WireSize sets
-// opts.Width itself, and it adds no edges, so MaxAddedEdges and
-// CandidateFilter are ignored. Widening candidates carry the proposed width
-// in the trace, and accepted widenings emit wiresize_step events.
-func WireSize(t *graph.Topology, wopts WireSizeOptions, opts Options) (_ *WireSizeResult, rerr error) {
-	defer func() { rerr = tagRequest(opts.RequestID, rerr) }()
-	widths := map[graph.Edge]int{}
-	opts.Width = func(e graph.Edge) float64 { return float64(widths[e.Canon()]) }
+// opts configures the run as for LDRG, except that WireSize adds no edges,
+// so MaxAddedEdges and CandidateFilter are ignored. The widths are WireSize's
+// own: every wire starts at width 1. Widening candidates carry the proposed
+// width in the trace, and accepted widenings emit wiresize_step events.
+func WireSize(t *graph.Topology, wopts WireSizeOptions, opts Options) (*WireSizeResult, error) {
 	if err := checkSeed(t, &opts); err != nil {
 		return nil, err
 	}
@@ -102,12 +99,14 @@ func WireSize(t *graph.Topology, wopts WireSizeOptions, opts Options) (_ *WireSi
 	if maxW == 1 {
 		return nil, errors.New("core: MaxWidth of 1 leaves nothing to optimize")
 	}
+	widths := map[graph.Edge]int{}
 	for _, e := range t.Edges() {
 		widths[e] = 1
 	}
 	res := &WireSizeResult{Widths: widths}
 	obj := opts.objective()
-	eng, delays, err := newSweepEngine(t, &opts, obj, &res.Evaluations)
+	width := func(e graph.Edge) float64 { return float64(widths[e.Canon()]) }
+	eng, delays, err := newSweepEngine(t, &opts, width, obj, &res.Evaluations)
 	if err != nil {
 		return nil, err
 	}

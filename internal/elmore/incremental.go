@@ -83,19 +83,14 @@ type Incremental struct {
 }
 
 // NewIncremental prepares incremental evaluation over the topology's
-// current state at unit wire widths. The topology must not be mutated while
-// the evaluator is in use; after committing a modification, call Refactor
-// to re-derive the base state. An Incremental mutates its caches on every
-// evaluation and must not be shared across goroutines — give each worker
-// its own evaluator instead.
-func NewIncremental(t *graph.Topology, p rc.Params) (*Incremental, error) {
-	return NewIncrementalWidth(t, p, nil)
-}
-
-// NewIncrementalWidth is NewIncremental under an explicit per-edge width
-// assignment (nil = unit widths). The width function is re-read on every
-// Refactor, so callers that mutate their width map need only refactor.
-func NewIncrementalWidth(t *graph.Topology, p rc.Params, width rc.WidthFunc) (*Incremental, error) {
+// current state under a per-edge width assignment (nil = unit widths). The
+// topology must not be mutated while the evaluator is in use; after
+// committing a modification, call Refactor to re-derive the base state.
+// The width function is re-read on every Refactor, so callers that mutate
+// their width map need only refactor. An Incremental mutates its caches on
+// every evaluation and must not be shared across goroutines — give each
+// worker its own evaluator instead.
+func NewIncremental(t *graph.Topology, p rc.Params, width rc.WidthFunc) (*Incremental, error) {
 	inc := &Incremental{topo: t, p: p, width: width}
 	if err := inc.Refactor(); err != nil {
 		return nil, err

@@ -15,7 +15,7 @@ import (
 // no allocation, even with a registry attached.
 func TestProbesDoNotAllocate(t *testing.T) {
 	topo := randomTree(t, 31, 12)
-	inc, err := NewIncremental(topo, rc.Default())
+	inc, err := NewIncremental(topo, rc.Default(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestProbesDoNotAllocate(t *testing.T) {
 // the values a fresh evaluator returns for that probe alone.
 func TestProbesShareOneBuffer(t *testing.T) {
 	topo := randomTree(t, 32, 10)
-	inc, err := NewIncremental(topo, rc.Default())
+	inc, err := NewIncremental(topo, rc.Default(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestProbesShareOneBuffer(t *testing.T) {
 	if &first[0] != &second[0] {
 		t.Fatal("consecutive probes returned different slices, want the evaluator's one buffer")
 	}
-	fresh, err := NewIncremental(topo, rc.Default())
+	fresh, err := NewIncremental(topo, rc.Default(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestProbesShareOneBuffer(t *testing.T) {
 // so each makes a single allocation.
 func TestColumnMissAllocatesOnce(t *testing.T) {
 	topo := randomTree(t, 33, 12)
-	inc, err := NewIncremental(topo, rc.Default())
+	inc, err := NewIncremental(topo, rc.Default(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

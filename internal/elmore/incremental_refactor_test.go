@@ -32,7 +32,7 @@ func fullDelays(t *testing.T, topo *graph.Topology, width rc.WidthFunc) []float6
 func TestRefactorInvalidatesColumnCache(t *testing.T) {
 	topo := randomTree(t, 41, 12)
 	p := rc.Default()
-	inc, err := NewIncremental(topo, p)
+	inc, err := NewIncremental(topo, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestRefactorInvalidatesColumnCache(t *testing.T) {
 		t.Fatalf("epoch after Refactor = %d, want 2", inc.Epoch())
 	}
 
-	fresh, err := NewIncremental(topo, p)
+	fresh, err := NewIncremental(topo, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestRefactorInvalidatesColumnCache(t *testing.T) {
 func TestRefactorTracksNodeGrowth(t *testing.T) {
 	topo := randomTree(t, 42, 8)
 	p := rc.Default()
-	inc, err := NewIncremental(topo, p)
+	inc, err := NewIncremental(topo, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

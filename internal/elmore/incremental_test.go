@@ -11,7 +11,7 @@ func TestIncrementalMatchesFullSolveOnTrees(t *testing.T) {
 	p := rc.Default()
 	for seed := int64(0); seed < 6; seed++ {
 		topo := randomTree(t, seed, 10)
-		inc, err := NewIncremental(topo, p)
+		inc, err := NewIncremental(topo, p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestIncrementalMatchesFullSolveOnGraphs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	inc, err := NewIncremental(topo, p)
+	inc, err := NewIncremental(topo, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestIncrementalMatchesFullSolveOnGraphs(t *testing.T) {
 func TestIncrementalRejectsPresentAndDegenerate(t *testing.T) {
 	p := rc.Default()
 	topo := randomTree(t, 2, 6)
-	inc, err := NewIncremental(topo, p)
+	inc, err := NewIncremental(topo, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -220,18 +220,6 @@ func overlap1D(a1, a2, b1, b2 float64) int {
 	return 0
 }
 
-// WireLength returns the embedded total length (always equal to the
-// topology's Manhattan cost; exposed for verification).
-func (e *Embedding) WireLength() float64 {
-	var sum float64
-	for _, segs := range e.Segments {
-		for _, s := range segs {
-			sum += s.Length()
-		}
-	}
-	return sum
-}
-
 func sortEdges(edges []graph.Edge) {
 	// Insertion sort: edge lists are small and this avoids importing sort
 	// for a single call site with a custom key.
@@ -247,39 +235,6 @@ func less(a, b graph.Edge) bool {
 		return a.U < b.U
 	}
 	return a.V < b.V
-}
-
-// InterNetCrossings counts wire conflicts *between* different nets sharing
-// a layout: every net is embedded independently (Greedy policy) and each
-// transversal crossing or collinear overlap between segments of different
-// nets counts once. Unlike the intra-net count, touches are not exempted —
-// wires of different nets must never touch.
-func InterNetCrossings(topos []*graph.Topology) int {
-	type placed struct {
-		net  int
-		segs []Segment
-	}
-	var all []placed
-	for ni, t := range topos {
-		e := Embed(t, Greedy)
-		for _, edge := range t.Edges() {
-			all = append(all, placed{net: ni, segs: e.Segments[edge]})
-		}
-	}
-	total := 0
-	for i := 0; i < len(all); i++ {
-		for j := i + 1; j < len(all); j++ {
-			if all[i].net == all[j].net {
-				continue // intra-net conflicts are Embedding.Crossings' job
-			}
-			for _, s1 := range all[i].segs {
-				for _, s2 := range all[j].segs {
-					total += conflicts(s1, s2)
-				}
-			}
-		}
-	}
-	return total
 }
 
 // PlanarFilter reports whether candidate edge e could be added to the
@@ -302,14 +257,4 @@ func PlanarFilter(t *graph.Topology, e graph.Edge) bool {
 		}
 	}
 	return false
-}
-
-// Compare runs all three policies and returns their crossing counts —
-// convenient for reports.
-func Compare(t *graph.Topology) map[Policy]int {
-	out := make(map[Policy]int, 3)
-	for _, p := range []Policy{HorizontalFirst, VerticalFirst, Greedy} {
-		out[p] = Embed(t, p).Crossings()
-	}
-	return out
 }

@@ -23,6 +23,18 @@ func mustTopo(t *testing.T, pts []geom.Point, edges ...graph.Edge) *graph.Topolo
 	return topo
 }
 
+// wireLength is an embedding's total segment length, which must equal the
+// topology's Manhattan cost.
+func wireLength(e *Embedding) float64 {
+	var sum float64
+	for _, segs := range e.Segments {
+		for _, s := range segs {
+			sum += s.Length()
+		}
+	}
+	return sum
+}
+
 func TestStraightEdgesNoBends(t *testing.T) {
 	topo := mustTopo(t, []geom.Point{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 10, Y: 10}},
 		graph.Edge{U: 0, V: 1}, graph.Edge{U: 1, V: 2})
@@ -33,8 +45,8 @@ func TestStraightEdgesNoBends(t *testing.T) {
 	if e.Crossings() != 0 {
 		t.Errorf("L-path cannot cross itself")
 	}
-	if math.Abs(e.WireLength()-topo.Cost()) > 1e-9 {
-		t.Errorf("embedding changed length: %v vs %v", e.WireLength(), topo.Cost())
+	if math.Abs(wireLength(e)-topo.Cost()) > 1e-9 {
+		t.Errorf("embedding changed length: %v vs %v", wireLength(e), topo.Cost())
 	}
 }
 
@@ -48,8 +60,8 @@ func TestDiagonalEdgeGetsOneBend(t *testing.T) {
 		if len(e.Segments[graph.Edge{U: 0, V: 1}]) != 2 {
 			t.Errorf("%v: segment count wrong", p)
 		}
-		if math.Abs(e.WireLength()-20) > 1e-9 {
-			t.Errorf("%v: length %v", p, e.WireLength())
+		if math.Abs(wireLength(e)-20) > 1e-9 {
+			t.Errorf("%v: length %v", p, wireLength(e))
 		}
 	}
 }
@@ -124,7 +136,10 @@ func TestGreedyNeverWorseThanFixedPolicies(t *testing.T) {
 				}
 			}
 		}
-		counts := Compare(topo)
+		counts := map[Policy]int{}
+		for _, p := range []Policy{HorizontalFirst, VerticalFirst, Greedy} {
+			counts[p] = Embed(topo, p).Crossings()
+		}
 		minFixed := counts[HorizontalFirst]
 		if counts[VerticalFirst] < minFixed {
 			minFixed = counts[VerticalFirst]
@@ -148,8 +163,8 @@ func TestEmbeddingLengthEqualsTopologyCost(t *testing.T) {
 		}
 		for _, p := range []Policy{HorizontalFirst, VerticalFirst, Greedy} {
 			e := Embed(topo, p)
-			if math.Abs(e.WireLength()-topo.Cost()) > 1e-6 {
-				t.Fatalf("seed %d %v: length %v vs cost %v", seed, p, e.WireLength(), topo.Cost())
+			if math.Abs(wireLength(e)-topo.Cost()) > 1e-6 {
+				t.Fatalf("seed %d %v: length %v vs cost %v", seed, p, wireLength(e), topo.Cost())
 			}
 		}
 	}
@@ -231,54 +246,4 @@ func TestPlanarFilterKeepsLDRGResultsNearPlanar(t *testing.T) {
 		t.Errorf("planar filter produced MORE crossings: %d vs %d", constrained, free)
 	}
 	t.Logf("crossings across 6 nets: unconstrained %d, planar-filtered %d", free, constrained)
-}
-
-func TestInterNetCrossingsDisjointRegions(t *testing.T) {
-	// Two nets in disjoint quadrants never conflict.
-	t1 := mustTopo(t, []geom.Point{{X: 0, Y: 0}, {X: 100, Y: 100}}, graph.Edge{U: 0, V: 1})
-	t2 := mustTopo(t, []geom.Point{{X: 1000, Y: 1000}, {X: 1100, Y: 1100}}, graph.Edge{U: 0, V: 1})
-	if got := InterNetCrossings([]*graph.Topology{t1, t2}); got != 0 {
-		t.Errorf("disjoint nets: %d crossings", got)
-	}
-}
-
-func TestInterNetCrossingsOverlappingNets(t *testing.T) {
-	// A horizontal wire of net A crossed by a vertical wire of net B.
-	a := mustTopo(t, []geom.Point{{X: -10, Y: 0}, {X: 10, Y: 0}}, graph.Edge{U: 0, V: 1})
-	b := mustTopo(t, []geom.Point{{X: 0, Y: -10}, {X: 0, Y: 10}}, graph.Edge{U: 0, V: 1})
-	if got := InterNetCrossings([]*graph.Topology{a, b}); got != 1 {
-		t.Errorf("crossing nets: %d, want 1", got)
-	}
-	// A single net alone has no inter-net conflicts.
-	if got := InterNetCrossings([]*graph.Topology{a}); got != 0 {
-		t.Errorf("single net: %d", got)
-	}
-}
-
-func TestInterNetCrossingsGrowWithNonTreeWires(t *testing.T) {
-	// LDRG-routed nets in a shared region should produce at least as many
-	// inter-net conflicts as MST-routed nets (more wire in the same area).
-	var msts, ldrgs []*graph.Topology
-	for seed := int64(0); seed < 3; seed++ {
-		gen := netlist.NewGenerator(seed)
-		net, err := gen.Generate(10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := mst.Prim(net.Pins)
-		if err != nil {
-			t.Fatal(err)
-		}
-		msts = append(msts, m)
-		res, err := core.LDRG(m, core.Options{Oracle: &core.ElmoreOracle{Params: rc.Default()}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ldrgs = append(ldrgs, res.Topology)
-	}
-	cm, cl := InterNetCrossings(msts), InterNetCrossings(ldrgs)
-	if cl < cm {
-		t.Errorf("non-tree wires reduced inter-net conflicts (%d < %d)?", cl, cm)
-	}
-	t.Logf("inter-net conflicts: MST %d, LDRG %d", cm, cl)
 }

@@ -64,8 +64,10 @@ func CSORG(cfg Config) (*Table, error) {
 			return nil, nil, err
 		}
 		critical, _ := elmore.ArgMaxSinkDelay(ed, seed.NumPins())
-		alphas := make([]float64, seed.NumPins()-1)
-		alphas[critical-1] = 1
+		alphas, err := core.SingleCriticalSink(seed.NumPins(), critical)
+		if err != nil {
+			return nil, nil, err
+		}
 
 		baseSinks, baseCost, err := cfg.measureSinks(seed, nil)
 		if err != nil {

@@ -28,35 +28,8 @@ func Dist(p, q Point) float64 {
 	return math.Abs(p.X-q.X) + math.Abs(p.Y-q.Y)
 }
 
-// Euclid returns the Euclidean (L2) distance between p and q. Provided for
-// diagnostics and visualization; all routing costs use Dist.
-func Euclid(p, q Point) float64 {
-	dx, dy := p.X-q.X, p.Y-q.Y
-	return math.Hypot(dx, dy)
-}
-
-// Chebyshev returns the L∞ distance between p and q.
-func Chebyshev(p, q Point) float64 {
-	return math.Max(math.Abs(p.X-q.X), math.Abs(p.Y-q.Y))
-}
-
 // Eq reports whether p and q coincide exactly.
 func (p Point) Eq(q Point) bool { return p.X == q.X && p.Y == q.Y }
-
-// Add returns the vector sum p + q.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
-// Sub returns the vector difference p - q.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
-// Scale returns p scaled by s.
-func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
-
-// Lerp returns the point a fraction t of the way from p to q along the
-// straight (Euclidean) segment. t=0 yields p, t=1 yields q.
-func Lerp(p, q Point, t float64) Point {
-	return Point{p.X + (q.X-p.X)*t, p.Y + (q.Y-p.Y)*t}
-}
 
 // Rect is an axis-aligned rectangle. Min is the lower-left corner and Max
 // the upper-right; a valid Rect has Min.X <= Max.X and Min.Y <= Max.Y.
@@ -77,14 +50,6 @@ func (r Rect) HalfPerimeter() float64 { return r.Width() + r.Height() }
 // Contains reports whether p lies inside r (boundary inclusive).
 func (r Rect) Contains(p Point) bool {
 	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
-}
-
-// Expand returns r grown by margin on every side.
-func (r Rect) Expand(margin float64) Rect {
-	return Rect{
-		Min: Point{r.Min.X - margin, r.Min.Y - margin},
-		Max: Point{r.Max.X + margin, r.Max.Y + margin},
-	}
 }
 
 // BoundingBox returns the smallest Rect containing every point in pts.
@@ -160,60 +125,4 @@ func uniqueSorted(vals []float64) []float64 {
 		}
 	}
 	return out
-}
-
-// SnapToGrid rounds p to the nearest multiple of pitch in each coordinate.
-// A non-positive pitch returns p unchanged.
-func SnapToGrid(p Point, pitch float64) Point {
-	if pitch <= 0 {
-		return p
-	}
-	return Point{
-		X: math.Round(p.X/pitch) * pitch,
-		Y: math.Round(p.Y/pitch) * pitch,
-	}
-}
-
-// PathLength returns the total Manhattan length of the polyline through pts.
-func PathLength(pts []Point) float64 {
-	var sum float64
-	for i := 1; i < len(pts); i++ {
-		sum += Dist(pts[i-1], pts[i])
-	}
-	return sum
-}
-
-// Median returns the component-wise median point of pts, the point
-// minimizing total Manhattan distance to pts (for odd counts). It returns
-// the zero Point for empty input.
-func Median(pts []Point) Point {
-	if len(pts) == 0 {
-		return Point{}
-	}
-	xs := uniqueless(coords(pts, func(p Point) float64 { return p.X }))
-	ys := uniqueless(coords(pts, func(p Point) float64 { return p.Y }))
-	return Point{median(xs), median(ys)}
-}
-
-// uniqueless sorts a copy of vals without deduplicating.
-func uniqueless(vals []float64) []float64 {
-	sorted := make([]float64, len(vals))
-	copy(sorted, vals)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	return sorted
-}
-
-func median(sorted []float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	if n%2 == 1 {
-		return sorted[n/2]
-	}
-	return (sorted[n/2-1] + sorted[n/2]) / 2
 }

@@ -50,44 +50,6 @@ func TestDistMetricAxiomsProperty(t *testing.T) {
 	}
 }
 
-func TestMetricOrdering(t *testing.T) {
-	// Chebyshev ≤ Euclid ≤ Manhattan for all point pairs.
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 200; i++ {
-		p, q := randPoint(rng), randPoint(rng)
-		ch, eu, ma := Chebyshev(p, q), Euclid(p, q), Dist(p, q)
-		if ch > eu+1e-9 || eu > ma+1e-9 {
-			t.Fatalf("metric ordering violated for %v %v: L∞=%v L2=%v L1=%v", p, q, ch, eu, ma)
-		}
-	}
-}
-
-func TestVectorOps(t *testing.T) {
-	p, q := Pt(1, 2), Pt(3, -4)
-	if got := p.Add(q); !got.Eq(Pt(4, -2)) {
-		t.Errorf("Add = %v", got)
-	}
-	if got := p.Sub(q); !got.Eq(Pt(-2, 6)) {
-		t.Errorf("Sub = %v", got)
-	}
-	if got := p.Scale(2); !got.Eq(Pt(2, 4)) {
-		t.Errorf("Scale = %v", got)
-	}
-}
-
-func TestLerp(t *testing.T) {
-	p, q := Pt(0, 0), Pt(10, 20)
-	if got := Lerp(p, q, 0); !got.Eq(p) {
-		t.Errorf("Lerp t=0: %v", got)
-	}
-	if got := Lerp(p, q, 1); !got.Eq(q) {
-		t.Errorf("Lerp t=1: %v", got)
-	}
-	if got := Lerp(p, q, 0.5); !got.Eq(Pt(5, 10)) {
-		t.Errorf("Lerp t=0.5: %v", got)
-	}
-}
-
 func TestBoundingBox(t *testing.T) {
 	pts := []Point{Pt(3, 7), Pt(-2, 4), Pt(5, -1)}
 	r := BoundingBox(pts)
@@ -104,17 +66,6 @@ func TestBoundingBox(t *testing.T) {
 	}
 	if (BoundingBox(nil) != Rect{}) {
 		t.Error("empty input must give zero Rect")
-	}
-}
-
-func TestRectExpandContains(t *testing.T) {
-	r := Rect{Min: Pt(0, 0), Max: Pt(10, 10)}
-	e := r.Expand(5)
-	if !e.Contains(Pt(-5, -5)) || !e.Contains(Pt(15, 15)) {
-		t.Errorf("Expand: %+v", e)
-	}
-	if e.Contains(Pt(-5.01, 0)) {
-		t.Error("Expand boundary exceeded")
 	}
 }
 
@@ -215,79 +166,6 @@ func TestHananGridSizeProperty(t *testing.T) {
 		grid := HananGrid(pts)
 		if want := n*n - n; len(grid) != want {
 			t.Fatalf("n=%d: grid size %d, want %d", n, len(grid), want)
-		}
-	}
-}
-
-func TestSnapToGrid(t *testing.T) {
-	cases := []struct {
-		p     Point
-		pitch float64
-		want  Point
-	}{
-		{Pt(12, 18), 10, Pt(10, 20)},
-		{Pt(15, 15), 10, Pt(20, 20)}, // round half away handled by math.Round
-		{Pt(-12, -18), 10, Pt(-10, -20)},
-		{Pt(7, 3), 0, Pt(7, 3)}, // non-positive pitch: unchanged
-		{Pt(7, 3), -5, Pt(7, 3)},
-	}
-	for _, c := range cases {
-		if got := SnapToGrid(c.p, c.pitch); !got.Eq(c.want) {
-			t.Errorf("SnapToGrid(%v, %v) = %v, want %v", c.p, c.pitch, got, c.want)
-		}
-	}
-}
-
-func TestPathLength(t *testing.T) {
-	pts := []Point{Pt(0, 0), Pt(3, 0), Pt(3, 4)}
-	if got := PathLength(pts); got != 7 {
-		t.Errorf("PathLength = %v, want 7", got)
-	}
-	if got := PathLength(nil); got != 0 {
-		t.Errorf("empty PathLength = %v", got)
-	}
-	if got := PathLength(pts[:1]); got != 0 {
-		t.Errorf("single-point PathLength = %v", got)
-	}
-}
-
-func TestMedianOddEven(t *testing.T) {
-	odd := []Point{Pt(0, 0), Pt(10, 2), Pt(4, 8)}
-	if got := Median(odd); !got.Eq(Pt(4, 2)) {
-		t.Errorf("odd median = %v, want (4,2)", got)
-	}
-	even := []Point{Pt(0, 0), Pt(10, 10)}
-	if got := Median(even); !got.Eq(Pt(5, 5)) {
-		t.Errorf("even median = %v, want (5,5)", got)
-	}
-	if got := Median(nil); !got.Eq(Pt(0, 0)) {
-		t.Errorf("empty median = %v", got)
-	}
-}
-
-func TestMedianMinimizesL1Property(t *testing.T) {
-	// The coordinate-wise median minimizes total Manhattan distance.
-	rng := rand.New(rand.NewSource(4))
-	total := func(c Point, pts []Point) float64 {
-		var s float64
-		for _, p := range pts {
-			s += Dist(c, p)
-		}
-		return s
-	}
-	for trial := 0; trial < 100; trial++ {
-		n := 1 + rng.Intn(9)
-		pts := make([]Point, n)
-		for i := range pts {
-			pts[i] = randPoint(rng)
-		}
-		m := Median(pts)
-		base := total(m, pts)
-		// Perturbations must not improve.
-		for _, d := range []Point{Pt(1, 0), Pt(-1, 0), Pt(0, 1), Pt(0, -1), Pt(13, -7)} {
-			if total(m.Add(d), pts) < base-1e-9 {
-				t.Fatalf("median %v not optimal for %v (perturbation %v improves)", m, pts, d)
-			}
 		}
 	}
 }

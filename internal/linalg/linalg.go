@@ -194,27 +194,6 @@ func (f *LU) Det() float64 {
 	return det
 }
 
-// SolveDense solves A·X = B column by column, where B's columns are the
-// right-hand sides; it returns X with the same shape as B.
-func (f *LU) SolveDense(b *Matrix) *Matrix {
-	n := f.n
-	if b.Rows != n {
-		panic("linalg: SolveDense dimension mismatch")
-	}
-	x := NewMatrix(b.Rows, b.Cols)
-	col := make([]float64, n)
-	for j := 0; j < b.Cols; j++ {
-		for i := 0; i < n; i++ {
-			col[i] = b.At(i, j)
-		}
-		f.SolveInPlace(col)
-		for i := 0; i < n; i++ {
-			x.Set(i, j, col[i])
-		}
-	}
-	return x
-}
-
 // Residual returns max_i |(A·x - b)_i|, a cheap verification of a solve.
 func Residual(a *Matrix, x, b []float64) float64 {
 	ax := a.MulVec(x)

@@ -248,32 +248,6 @@ func TestSolveInPlaceMatchesSolve(t *testing.T) {
 	}
 }
 
-func TestSolveDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a := randomDiagDominant(rng, 6)
-	b := NewMatrix(6, 3)
-	for i := range b.Data {
-		b.Data[i] = rng.NormFloat64()
-	}
-	lu, err := factorMatrix(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := lu.SolveDense(b)
-	// Check A·X = B column-wise.
-	for j := 0; j < 3; j++ {
-		col := make([]float64, 6)
-		rhs := make([]float64, 6)
-		for i := 0; i < 6; i++ {
-			col[i] = x.At(i, j)
-			rhs[i] = b.At(i, j)
-		}
-		if r := Residual(a, col, rhs); r > 1e-9 {
-			t.Errorf("column %d residual %v", j, r)
-		}
-	}
-}
-
 func TestIdentitySolve(t *testing.T) {
 	n := 10
 	a := NewMatrix(n, n)

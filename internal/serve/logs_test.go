@@ -11,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"nontree/internal/geom"
+	"nontree/internal/netlist"
 	"nontree/internal/obs"
 	"nontree/internal/olog"
 )
@@ -145,6 +147,66 @@ func TestRequestIDHeaderMatchesBody(t *testing.T) {
 	}
 	if reply.RequestID != hdr {
 		t.Fatalf("body request_id %q != header %q", reply.RequestID, hdr)
+	}
+}
+
+// TestRouteErrorsNameRequestOnce pins where a routing error's provenance
+// comes from: the handler tags every 422 with the X-Request-ID, exactly
+// once, in the reply and in the wide event alike. The cases cover both
+// sides of core: validation failures (a one-pin net, an unknown algo)
+// and an oracle failure inside an algorithm (near-coincident pins leave
+// the conductance matrix singular), directly and nested inside SLDRG.
+func TestRouteErrorsNameRequestOnce(t *testing.T) {
+	s := New(Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	nearPins := &netlist.Net{Pins: []geom.Point{{X: 0, Y: 0}, {X: 1e-300, Y: 0}, {X: 5, Y: 5}}}
+	for _, tc := range []struct {
+		name string
+		req  RouteRequest
+	}{
+		{"one-pin net", RouteRequest{Net: &netlist.Net{Pins: testNet(t, 1, 5).Pins[:1]}}},
+		{"unknown algo", RouteRequest{Net: testNet(t, 1, 5), RouteOptions: RouteOptions{Algo: "magic"}}},
+		{"oracle failure", RouteRequest{Net: nearPins}},
+		{"oracle failure under sldrg", RouteRequest{Net: nearPins, RouteOptions: RouteOptions{Algo: AlgoSLDRG}}},
+	} {
+		body, err := json.Marshal(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/route", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reply errorResponse
+		err = json.NewDecoder(resp.Body).Decode(&reply)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: decoding reply: %v", tc.name, err)
+		}
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: status %d, want 422: %s", tc.name, resp.StatusCode, reply.Error)
+		}
+		id := resp.Header.Get("X-Request-ID")
+		tag := "[request " + id + "]"
+		if id == "" || reply.RequestID != id {
+			t.Fatalf("%s: header id %q, body request_id %q", tc.name, id, reply.RequestID)
+		}
+		if got := strings.Count(reply.Error, tag); got != 1 {
+			t.Errorf("%s: reply error carries %d %q tags, want 1: %s", tc.name, got, tag, reply.Error)
+		}
+		if _, ok := findEvent(s, id); !ok { // the event lands after the reply
+			t.Fatalf("%s: request %s has no wide event", tc.name, id)
+		}
+		status, events, _ := getLogs(t, ts.URL+"/logs?request="+id)
+		if status != http.StatusOK || len(events) != 1 {
+			t.Fatalf("%s: GET /logs?request=%s: status %d, %d events", tc.name, id, status, len(events))
+		}
+		if ev := events[0]; ev.Outcome != olog.OutcomeError || ev.Error != reply.Error {
+			t.Errorf("%s: wide event outcome %q error %q, want %q and the reply's %q",
+				tc.name, ev.Outcome, ev.Error, olog.OutcomeError, reply.Error)
+		}
 	}
 }
 

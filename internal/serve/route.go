@@ -111,15 +111,6 @@ func ValidateRouteOptions(opts RouteOptions) (RouteOptions, error) {
 // single code path behind both the /route endpoint and the tracereplay
 // drift checker, so a replay re-executes exactly what the daemon ran.
 func Run(net *netlist.Net, opts RouteOptions, rec obs.Recorder, tr trace.Tracer) (*RouteResult, error) {
-	return RunTagged(net, opts, "", rec, tr)
-}
-
-// RunTagged is Run with a request identity: requestID is threaded through
-// the facade into the sweeps and oracles so any error they surface names
-// the request it belongs to ("" routes identically with untagged errors).
-// The id never influences an algorithm decision — replaying a request
-// under a different id yields a byte-identical result (DESIGN.md §16).
-func RunTagged(net *netlist.Net, opts RouteOptions, requestID string, rec obs.Recorder, tr trace.Tracer) (*RouteResult, error) {
 	opts, err := opts.normalize()
 	if err != nil {
 		return nil, err
@@ -133,7 +124,6 @@ func RunTagged(net *netlist.Net, opts RouteOptions, requestID string, rec obs.Re
 		Workers:       opts.Workers,
 		Obs:           rec,
 		Trace:         tr,
-		RequestID:     requestID,
 	}
 	switch opts.Oracle {
 	case OracleSpice:

@@ -420,7 +420,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	// one: its counters ARE the request's deltas (no subtraction races)
 	// and its core.oracle.seconds sum is this request's oracle time.
 	priv := obs.NewRegistry()
-	res, err := RunTagged(req.Net, req.RouteOptions, meta.id, obs.Multi{priv, s.metrics}, ring)
+	res, err := Run(req.Net, req.RouteOptions, obs.Multi{priv, s.metrics}, ring)
 	span.End()
 	tRun := meta.elapsed()
 	runSeconds := tRun - tDecode
@@ -442,7 +442,9 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 
 	if err != nil {
 		s.metrics.Add(CtrRouteErrors, 1)
-		s.failRoute(w, r, meta, &ev, http.StatusUnprocessableEntity, olog.OutcomeError, "routing failed: %v", err)
+		// The request id is the daemon's alone: tagging here, once, names
+		// every routing failure's request, validation failures included.
+		s.failRoute(w, r, meta, &ev, http.StatusUnprocessableEntity, olog.OutcomeError, "routing failed: [request %s] %v", meta.id, err)
 		return
 	}
 	if r.Context().Err() == context.DeadlineExceeded {

@@ -8,7 +8,7 @@
 // substitution preserves the experiments — see DESIGN.md §2.
 //
 // The simulator supports resistors, capacitors, inductors, independent
-// voltage sources and current sources driven by any waveform of time, and
+// voltage sources and current sources driven by DC or step waveforms, and
 // transient analysis via Backward Euler or the trapezoidal rule with a
 // fixed timestep and one-time LU factorization. MeasureDelays, the entry
 // point every experiment uses, takes each node's final value from a DC
@@ -22,9 +22,7 @@
 // treats it as read-only, assembling its own MNA system, factorizations and
 // step buffers per call. Concurrent analyses of the same or distinct
 // circuits are therefore safe, which is what lets core's parallel candidate
-// sweeps hammer SpiceOracle from many goroutines. Waveform closures are
-// called during concurrent analyses and must be pure functions of t (the
-// built-ins DC and Step are).
+// sweeps hammer SpiceOracle from many goroutines.
 package spice
 
 import (
@@ -35,21 +33,25 @@ import (
 // Ground is the reference node; its voltage is identically zero.
 const Ground = 0
 
-// Waveform is a source value (volts or amperes) as a function of time t (s).
-type Waveform func(t float64) float64
+// Waveform is a source value (volts or amperes) over time: V0 before T0
+// (s) and V1 from T0 on. The paper's circuits need no other shape.
+type Waveform struct {
+	V0, V1, T0 float64
+}
 
-// DC returns a constant waveform.
-func DC(value float64) Waveform { return func(float64) float64 { return value } }
+// DC returns a constant waveform, the flat case of Step.
+func DC(value float64) Waveform { return Waveform{V0: value, V1: value} }
 
 // Step returns a waveform that is v0 for t < t0 and v1 afterwards — the
 // paper's rising input edge. t0 is in seconds.
-func Step(v0, v1, t0 float64) Waveform {
-	return func(t float64) float64 {
-		if t < t0 {
-			return v0
-		}
-		return v1
+func Step(v0, v1, t0 float64) Waveform { return Waveform{V0: v0, V1: v1, T0: t0} }
+
+// At returns the waveform's value at time t (s).
+func (w Waveform) At(t float64) float64 {
+	if t < w.T0 {
+		return w.V0
 	}
+	return w.V1
 }
 
 type resistor struct {
@@ -116,7 +118,6 @@ var (
 	ErrBadNode      = errors.New("spice: node index out of range")
 	ErrNonPositive  = errors.New("spice: element value must be positive")
 	ErrSameNode     = errors.New("spice: element endpoints must differ")
-	ErrNilWaveform  = errors.New("spice: source waveform must not be nil")
 	ErrEmptyCircuit = errors.New("spice: circuit has no non-ground nodes")
 )
 
@@ -183,9 +184,6 @@ func (c *Circuit) AddVSource(pos, neg int, wave Waveform) error {
 	if pos == neg {
 		return ErrSameNode
 	}
-	if wave == nil {
-		return ErrNilWaveform
-	}
 	c.vsources = append(c.vsources, vsource{pos, neg, wave})
 	return nil
 }
@@ -198,9 +196,6 @@ func (c *Circuit) AddISource(from, to int, wave Waveform) error {
 	}
 	if from == to {
 		return ErrSameNode
-	}
-	if wave == nil {
-		return ErrNilWaveform
 	}
 	c.isources = append(c.isources, isource{from, to, wave})
 	return nil

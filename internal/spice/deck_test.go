@@ -16,9 +16,8 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // buildDemo has one of every element kind and each source waveform shape
-// WriteDeck distinguishes: constants (a step at t=0 and a DC current become
-// "DC"), a delayed step (a sharp two-level PWL) and a linear ramp (sampled
-// into a 64-point PWL).
+// WriteDeck distinguishes: a DC current ("DC"), steps at t=0 from zero and
+// from a non-zero level, and a delayed step (each a sharp PWL).
 func buildDemo(t *testing.T) *spice.Circuit {
 	t.Helper()
 	c := spice.NewCircuit()
@@ -29,7 +28,7 @@ func buildDemo(t *testing.T) *spice.Circuit {
 		c.AddCapacitor(out, spice.Ground, 1e-12),
 		c.AddInductor(in, out, 1e-9), // parallel RL for variety
 		c.AddISource(spice.Ground, out, spice.DC(1e-6)),
-		c.AddVSource(aux, spice.Ground, func(t float64) float64 { return min(t/10e-9, 1) }),
+		c.AddVSource(aux, spice.Ground, spice.Step(0.5, 1, 0)),
 		c.AddResistor(aux, out, 50e3),
 		c.AddISource(spice.Ground, aux, spice.Step(0, 1e-6, 2e-9)),
 	} {

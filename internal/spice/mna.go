@@ -124,11 +124,11 @@ func (s *mnaSystem) rhs(b []float64, t float64) {
 		b[i] = 0
 	}
 	for i, v := range s.circuit.vsources {
-		b[s.vsrcRow[i]] = v.wave(t)
+		b[s.vsrcRow[i]] = v.wave.At(t)
 	}
 	for _, src := range s.circuit.isources {
 		ifrom, ito := s.index(src.from), s.index(src.to)
-		cur := src.wave(t)
+		cur := src.wave.At(t)
 		if ifrom >= 0 {
 			b[ifrom] -= cur
 		}

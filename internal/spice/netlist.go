@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 )
 
 // WriteDeck emits the circuit as a SPICE-compatible netlist (a ".cir
@@ -19,10 +18,10 @@ import (
 //     .TRAN 1p 10n
 //     .END
 //
-// A step after t=0 becomes a PWL waveform with an edge of tranStop·10⁻⁶
-// (an ideal step is not expressible in SPICE). A source that is constant
-// from t=0 on, a step at t=0 included, becomes DC. Any other Go waveform is
-// sampled as a 64-point PWL over tranStop.
+// A flat waveform becomes DC. A step becomes a PWL waveform that holds V0
+// until T0 and reaches V1 an edge of tranStop·10⁻⁶ later (an ideal step is
+// not expressible in SPICE); a step at or before t=0 starts from V0 at t=0,
+// so the external transient shows the step response.
 func WriteDeck(w io.Writer, c *Circuit, title string, tranStep, tranStop float64) error {
 	bw := bufio.NewWriter(w)
 	if title == "" {
@@ -53,63 +52,22 @@ func WriteDeck(w io.Writer, c *Circuit, title string, tranStep, tranStop float64
 	return bw.Flush()
 }
 
-// waveformSpec renders a source waveform as a SPICE source specification by
-// probing it: constant sources become "DC v"; two-level sources become a
-// sharp PWL step; anything else is sampled into a 64-point PWL.
+// waveformSpec renders a source waveform as a SPICE source specification:
+// "DC v" when it is flat, otherwise a PWL step.
 func waveformSpec(wave Waveform, horizon float64) string {
+	if wave.V0 == wave.V1 {
+		return fmt.Sprintf("DC %s", engNotation(wave.V1))
+	}
 	if horizon <= 0 {
 		horizon = 1e-9
 	}
-	v0 := wave(0)
-	vEnd := wave(horizon)
-	if v0 == vEnd && wave(horizon/3) == v0 && wave(horizon/7) == v0 {
-		return fmt.Sprintf("DC %s", engNotation(v0))
+	edge := horizon * 1e-6
+	if wave.T0 <= 0 {
+		return fmt.Sprintf("PWL(0 %s %s %s)", engNotation(wave.V0), engNotation(edge), engNotation(wave.V1))
 	}
-	// Detect a clean two-level step: find the switch time by bisection.
-	if isTwoLevel(wave, horizon, v0, vEnd) {
-		t := stepTime(wave, horizon, v0)
-		edge := horizon * 1e-6
-		return fmt.Sprintf("PWL(0 %s %s %s %s %s)",
-			engNotation(v0), engNotation(t), engNotation(v0),
-			engNotation(t+edge), engNotation(vEnd))
-	}
-	// General waveform: uniform 64-point PWL sampling.
-	var sb strings.Builder
-	sb.WriteString("PWL(")
-	const samples = 64
-	for i := 0; i <= samples; i++ {
-		t := horizon * float64(i) / samples
-		if i > 0 {
-			sb.WriteByte(' ')
-		}
-		fmt.Fprintf(&sb, "%s %s", engNotation(t), engNotation(wave(t)))
-	}
-	sb.WriteByte(')')
-	return sb.String()
-}
-
-func isTwoLevel(wave Waveform, horizon, v0, vEnd float64) bool {
-	const probes = 16
-	for i := 0; i <= probes; i++ {
-		v := wave(horizon * float64(i) / probes)
-		if v != v0 && v != vEnd {
-			return false
-		}
-	}
-	return true
-}
-
-func stepTime(wave Waveform, horizon, v0 float64) float64 {
-	lo, hi := 0.0, horizon
-	for iter := 0; iter < 60 && hi-lo > 1e-18; iter++ {
-		mid := (lo + hi) / 2
-		if wave(mid) == v0 {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return hi
+	return fmt.Sprintf("PWL(0 %s %s %s %s %s)",
+		engNotation(wave.V0), engNotation(wave.T0), engNotation(wave.V0),
+		engNotation(wave.T0+edge), engNotation(wave.V1))
 }
 
 // engNotation renders a value with SPICE engineering suffixes

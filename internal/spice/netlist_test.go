@@ -49,24 +49,20 @@ func TestWaveformSpecDC(t *testing.T) {
 	}
 }
 
+// TestWaveformSpecStepDetected pins the exact PWL of a step: it holds V0
+// until T0 and reaches V1 an edge of horizon·10⁻⁶ later, and a step at t=0
+// starts from V0 rather than collapsing to its final DC level.
 func TestWaveformSpecStepDetected(t *testing.T) {
-	got := waveformSpec(Step(0, 1, 0.5e-9), 2e-9)
-	if !strings.HasPrefix(got, "PWL(") {
-		t.Errorf("step spec = %q", got)
-	}
-	// Must contain both levels.
-	if !strings.Contains(got, " 1)") && !strings.Contains(got, " 1 ") {
-		t.Errorf("step spec missing final level: %q", got)
-	}
-}
-
-func TestWaveformSpecGeneralSampled(t *testing.T) {
-	ramp := func(t float64) float64 { return min(t/1e-9, 1) }
-	got := waveformSpec(ramp, 1e-9)
-	if !strings.HasPrefix(got, "PWL(") {
-		t.Errorf("ramp spec = %q", got)
-	}
-	if strings.Count(got, " ") < 60 {
-		t.Errorf("ramp should sample many points: %q", got)
+	for _, tc := range []struct {
+		wave Waveform
+		want string
+	}{
+		{Step(0, 1, 0.5e-9), "PWL(0 0 500p 0 500.002p 1)"},
+		{Step(0, 1, 0), "PWL(0 0 2f 1)"},
+		{Step(0.2, 1.8, 0), "PWL(0 200m 2f 1.8)"},
+	} {
+		if got := waveformSpec(tc.wave, 2e-9); got != tc.want {
+			t.Errorf("waveformSpec(%+v) = %q, want %q", tc.wave, got, tc.want)
+		}
 	}
 }

@@ -237,7 +237,6 @@ func TestElementValidation(t *testing.T) {
 		{"zero capacitor", ckt.AddCapacitor(n, Ground, 0)},
 		{"same-node resistor", ckt.AddResistor(n, n, 100)},
 		{"bad node", ckt.AddResistor(n, 99, 100)},
-		{"nil waveform", ckt.AddVSource(n, Ground, nil)},
 		{"zero inductor", ckt.AddInductor(n, Ground, 0)},
 	}
 	for _, c := range cases {

@@ -139,37 +139,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// StdDev returns the sample standard deviation of xs (NaN for fewer than
-// two values).
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)-1))
-}
-
-// GeoMean returns the geometric mean of xs; NaN for empty input or any
-// non-positive value.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs)))
-}
-
 // SpearmanRank returns Spearman's rank correlation coefficient between xs
 // and ys — the "fidelity" statistic: how well one delay model's ranking of
 // routing candidates predicts another's. Ties receive fractional (average)

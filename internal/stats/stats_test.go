@@ -73,27 +73,12 @@ func TestWinEpsilonGuardsNoise(t *testing.T) {
 	}
 }
 
-func TestMeanStdDev(t *testing.T) {
+func TestMean(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if m := Mean(xs); m != 5 {
 		t.Errorf("mean = %v", m)
 	}
-	if sd := StdDev(xs); math.Abs(sd-2.138) > 0.001 {
-		t.Errorf("stddev = %v", sd)
-	}
-	if !math.IsNaN(Mean(nil)) || !math.IsNaN(StdDev([]float64{1})) {
-		t.Error("degenerate inputs must give NaN")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 4}); math.Abs(g-2) > 1e-12 {
-		t.Errorf("geomean = %v", g)
-	}
-	if !math.IsNaN(GeoMean([]float64{1, -1})) {
-		t.Error("negative input must give NaN")
-	}
-	if !math.IsNaN(GeoMean(nil)) {
+	if !math.IsNaN(Mean(nil)) {
 		t.Error("empty input must give NaN")
 	}
 }

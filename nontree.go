@@ -187,7 +187,10 @@ const (
 	OracleTwoPole
 )
 
-// Config tunes the non-tree algorithms.
+// Config tunes the non-tree algorithms. Every algorithm minimizes the
+// maximum sink delay (the ORG problem) except CriticalSinkLDRG and HORG,
+// which take sink criticalities for the weighted CSORG objective. Wire
+// widths are WireSize's own: every other algorithm routes at unit width.
 type Config struct {
 	// Params is the interconnect technology; zero value selects
 	// DefaultParams.
@@ -196,10 +199,6 @@ type Config struct {
 	Oracle Oracle
 	// MaxAddedEdges bounds the number of extra wires (0 = to convergence).
 	MaxAddedEdges int
-	// SinkWeights, when non-nil, switches the objective from max sink delay
-	// (the ORG problem) to the weighted sum Σ α_i·t(n_i) (the CSORG
-	// problem). SinkWeights[i] weights sink pin i+1.
-	SinkWeights []float64
 	// PlanarOnly restricts greedy edge addition to candidates whose
 	// rectilinear embedding avoids crossing existing wires — a
 	// routability-constrained variant of the paper's algorithms.
@@ -221,11 +220,6 @@ type Config struct {
 	// value; use NewTraceRing to capture and TraceFingerprint to render.
 	// See DESIGN.md §11.
 	Trace Tracer
-	// RequestID tags the run with the serving layer's request identity
-	// ("" outside a daemon). It is provenance only: the entry point that
-	// returns an error tags it once, so a failure names the request it
-	// belongs to, and no algorithm decision reads it (DESIGN.md §16).
-	RequestID string
 }
 
 func (c Config) params() Params {
@@ -236,10 +230,9 @@ func (c Config) params() Params {
 }
 
 func (c Config) coreOptions() core.Options {
-	// The tracer and the request identity go to the algorithm layer only:
-	// core emits every trace event and tags every error at its entry
-	// points, so the oracles take neither.
-	opts := core.Options{MaxAddedEdges: c.MaxAddedEdges, Workers: c.Workers, Obs: c.Obs, Trace: c.Trace, RequestID: c.RequestID}
+	// The tracer goes to the algorithm layer only: core emits every trace
+	// event, so the oracles take none.
+	opts := core.Options{MaxAddedEdges: c.MaxAddedEdges, Workers: c.Workers, Obs: c.Obs, Trace: c.Trace}
 	switch c.Oracle {
 	case OracleSpice:
 		opts.Oracle = &core.SpiceOracle{Params: c.params(), Obs: c.Obs}
@@ -247,9 +240,6 @@ func (c Config) coreOptions() core.Options {
 		opts.Oracle = &core.TwoPoleOracle{Params: c.params(), Obs: c.Obs}
 	default:
 		opts.Oracle = &core.ElmoreOracle{Params: c.params(), Obs: c.Obs}
-	}
-	if c.SinkWeights != nil {
-		opts.Objective = &core.WeightedDelayObjective{Alphas: c.SinkWeights}
 	}
 	if c.PlanarOnly {
 		opts.CandidateFilter = embed.PlanarFilter
@@ -318,7 +308,9 @@ func Cleanup(t *Topology, slack float64, cfg Config) (*CleanupResult, error) {
 }
 
 // WireSize greedily optimizes integer wire widths on a fixed topology (the
-// WSORG problem), up to maxWidth tracks per wire.
+// WSORG problem), up to maxWidth tracks per wire. It starts every wire at
+// unit width and reports the widths it chose in the result; it adds no
+// edges, so cfg's MaxAddedEdges and PlanarOnly do not apply.
 func WireSize(t *Topology, maxWidth int, cfg Config) (*WireSizeResult, error) {
 	return core.WireSize(t, core.WireSizeOptions{MaxWidth: maxWidth}, cfg.coreOptions())
 }
