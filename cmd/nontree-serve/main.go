@@ -28,6 +28,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 	"time"
 
@@ -77,7 +78,7 @@ func realMain(args []string) error {
 	}
 	log.Printf("listening on %s", ln.Addr())
 	if *readyFile != "" {
-		if err := os.WriteFile(*readyFile, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
+		if err := writeReadyFile(*readyFile, ln.Addr().String()); err != nil {
 			ln.Close()
 			return fmt.Errorf("writing ready file: %w", err)
 		}
@@ -114,4 +115,28 @@ func realMain(args []string) error {
 	}
 	log.Print("drained")
 	return nil
+}
+
+// writeReadyFile writes addr and a newline to a temporary file beside path
+// and renames it into place, so a poller finds either no file or the whole
+// address, never an empty or partial one.
+func writeReadyFile(path, addr string) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	_, err = f.WriteString(addr + "\n")
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Chmod(f.Name(), 0o644)
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }

@@ -110,3 +110,33 @@ func TestServeFlagErrors(t *testing.T) {
 		})
 	}
 }
+
+// TestWriteReadyFileRenamesIntoPlace: the ready file holds the address and
+// a newline, replaces an earlier one, and leaves no temporary file behind.
+func TestWriteReadyFileRenamesIntoPlace(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "addr.txt")
+	for _, addr := range []string{"127.0.0.1:4242", "[::1]:80"} {
+		if err := writeReadyFile(path, addr); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(raw) != addr+"\n" {
+			t.Fatalf("ready file holds %q, want %q", raw, addr+"\n")
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 {
+			var names []string
+			for _, e := range entries {
+				names = append(names, e.Name())
+			}
+			t.Fatalf("directory holds %v, want only addr.txt", names)
+		}
+	}
+}

@@ -13,7 +13,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -123,10 +122,10 @@ func loadRequest(requestPath, netFile string, genPins int, seed int64, opts serv
 			return nil, err
 		}
 		defer f.Close()
-		var req serve.RouteRequest
-		dec := json.NewDecoder(f)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		// The daemon's own decoder, so a replay accepts exactly the bytes
+		// /route does.
+		req, err := serve.ReadRouteRequest(f)
+		if err != nil {
 			return nil, fmt.Errorf("decoding request %s: %w", requestPath, err)
 		}
 		if req.Net == nil {

@@ -8,7 +8,8 @@
 // which appends the canonical bytes without reflection, and decodes one
 // through a wire-schema struct (string-typed float fields, tagged
 // omitempty) with Unmarshal and FloatParser; this package owns the JSON
-// framing, the line reader and writer, and the fingerprint.
+// framing, the line reader and writer, the fingerprint, and the pool of
+// buffers whole bodies are encoded in.
 package jsonl
 
 import (
@@ -21,6 +22,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Event is an event type the codec can write: Append appends one
@@ -193,6 +195,27 @@ func Unmarshal(line []byte, v any) error {
 		return errors.New("trailing data after JSON value")
 	}
 	return nil
+}
+
+// maxPooledBuffer is the largest buffer PutBuffer keeps for reuse, so one
+// huge export does not pin its memory.
+const maxPooledBuffer = 1 << 20
+
+var buffers = sync.Pool{New: func() any { return new([]byte) }}
+
+// GetBuffer returns an empty byte buffer from a pool shared by the
+// encoders that build a whole body before writing it (a ring encoded
+// under its lock, a /route reply). Return it with PutBuffer once written,
+// storing the grown slice back through the pointer.
+func GetBuffer() *[]byte { return buffers.Get().(*[]byte) }
+
+// PutBuffer returns a buffer from GetBuffer to the pool, unless it has
+// grown beyond maxPooledBuffer.
+func PutBuffer(b *[]byte) {
+	if cap(*b) <= maxPooledBuffer {
+		*b = (*b)[:0]
+		buffers.Put(b)
+	}
 }
 
 // writeChunk is how many encoded bytes Write gathers before passing them

@@ -3,6 +3,7 @@ package olog
 import (
 	"io"
 
+	"nontree/internal/jsonl"
 	"nontree/internal/ring"
 )
 
@@ -50,9 +51,22 @@ func (r *Ring) Len() int { return r.events.Len() }
 // Events holds the daemon's complete request history.
 func (r *Ring) Dropped() int64 { return r.events.Dropped() }
 
-// WriteJSONL writes the retained events as canonical JSONL.
+// AppendJSONL appends the retained events as canonical JSONL to b,
+// encoding them where they lie under the ring's lock, with no copy of the
+// events.
+func (r *Ring) AppendJSONL(b []byte) []byte {
+	r.events.Each(func(e *Event) { b = append(e.Append(b), '\n') })
+	return b
+}
+
+// WriteJSONL writes the retained events as canonical JSONL, encoded under
+// the ring's lock into a pooled buffer and written outside it.
 func (r *Ring) WriteJSONL(w io.Writer) error {
-	return WriteJSONL(w, r.Events())
+	bp := jsonl.GetBuffer()
+	defer jsonl.PutBuffer(bp)
+	*bp = r.AppendJSONL(*bp)
+	_, err := w.Write(*bp)
+	return err
 }
 
 // Fingerprint renders the deterministic projection of the retained

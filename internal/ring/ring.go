@@ -1,11 +1,13 @@
-// Package ring is the bounded ring buffer behind trace.Ring and olog.Ring.
-// It reads no clock: a caller that timestamps values does so in its stamp
-// function.
+// Package ring is the bounded ring buffer behind trace.Ring and olog.Ring,
+// and the free list (Pool) through which a daemon recycles the storage of
+// the rings it has finished with. It reads no clock: a caller that
+// timestamps values does so in its stamp function.
 package ring
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -20,9 +22,10 @@ const chunkBytes = 32 << 10
 // beyond it, so memory follows the values retained. Safe for concurrent
 // use.
 //
-// Lock order: mu is a leaf lock — while holding it, Ring calls out only to
-// the stamp, fill and match functions its owner supplies, which must
-// neither lock nor block — so it may be acquired under any caller's lock.
+// Lock order: while holding mu, Ring calls out only to its Pool, whose
+// lock is a leaf, and to the stamp, fill, match and visit functions its
+// owner supplies, which must neither lock nor block — so mu may be
+// acquired under any caller's lock.
 type Ring[T any] struct {
 	mu sync.Mutex
 	//nontree:guardedby mu
@@ -36,7 +39,10 @@ type Ring[T any] struct {
 	//nontree:guardedby mu
 	seq int64
 	//nontree:guardedby mu
-	dropped  int64
+	dropped int64
+	// released is set by Release, after which the ring holds no storage.
+	//nontree:guardedby mu
+	released bool
 	capacity int                   // immutable after New
 	stamp    func(v *T, seq int64) // immutable after New
 }
@@ -45,29 +51,45 @@ type Ring[T any] struct {
 // under the ring's lock with each value and its sequence number (1, 2, …),
 // on the value's stored slot. It panics if capacity is not positive.
 func New[T any](capacity int, stamp func(v *T, seq int64)) *Ring[T] {
+	return NewPooled(capacity, nil, stamp)
+}
+
+// NewPooled is New for a ring whose storage comes from pool and goes back
+// to it on Release (a nil pool is New). While capacity allows, such a ring
+// holds only whole chunks, so every chunk it opens can be recycled.
+func NewPooled[T any](capacity int, pool *Pool[T], stamp func(v *T, seq int64)) *Ring[T] {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("ring: capacity %d is not positive", capacity))
 	}
+	return &Ring[T]{buf: chunks[T]{shift: chunkShift[T](), limit: capacity, pool: pool}, capacity: capacity, stamp: stamp}
+}
+
+// chunkShift returns log2 of the slots in one whole chunk of T: the
+// largest power of two of values within chunkBytes.
+func chunkShift[T any]() int {
 	var zero T
 	size, shift := max(int(unsafe.Sizeof(zero)), 1), 0
 	for size<<(shift+1) <= chunkBytes {
 		shift++
 	}
-	return &Ring[T]{buf: chunks[T]{shift: shift, limit: capacity}, capacity: capacity, stamp: stamp}
+	return shift
 }
 
 // chunks is a ring's slot storage: slot i is list[i>>shift][i&(1<<shift-1)],
 // and every chunk holds 1<<shift slots (the largest power of two within
-// chunkBytes) except where limit cuts the last one short. The first chunk
-// starts at one slot and doubles, or grows at once to the size a batch
-// needs, so a short ring does not pay for a whole chunk; after it is full,
-// whole chunks are appended. A value is copied only while the first chunk
-// grows, never once its chunk is full.
+// chunkBytes) except where limit cuts the last one short. Without a pool,
+// the first chunk starts at one slot and doubles, or grows at once to the
+// size a batch needs, so a short ring does not pay for a whole chunk; after
+// it is full, whole chunks are appended. A value is copied only while the
+// first chunk grows, never once its chunk is full. With a pool, every chunk
+// is whole from the start (limit permitting) and taken from the pool's
+// free list when it has one.
 type chunks[T any] struct {
 	list  [][]T
 	slots int // allocated slots
 	shift int
-	limit int // the ring's capacity
+	limit int      // the ring's capacity
+	pool  *Pool[T] // nil: an unpooled ring
 }
 
 func (c *chunks[T]) at(i int) *T { return &c.list[i>>c.shift][i&(1<<c.shift-1)] }
@@ -75,16 +97,23 @@ func (c *chunks[T]) at(i int) *T { return &c.list[i>>c.shift][i&(1<<c.shift-1)] 
 // grow allocates at least one more slot, and in the first chunk room for
 // want slots in all, if it can hold them; slots must be below limit.
 func (c *chunks[T]) grow(want int) {
-	if c.slots < 1<<c.shift {
-		first := make([]T, min(max(2*c.slots, want), 1<<c.shift, c.limit))
+	whole := 1 << c.shift
+	if c.pool != nil && c.limit-c.slots >= whole {
+		c.list, c.slots = append(c.list, c.pool.take()), c.slots+whole
+		return
+	}
+	if c.slots < whole {
+		first := make([]T, min(max(2*c.slots, want), whole, c.limit))
 		if c.slots > 0 {
 			copy(first, c.list[0])
 		}
 		c.list, c.slots = append(c.list[:0], first), len(first)
+		c.pool.count()
 		return
 	}
-	next := make([]T, min(1<<c.shift, c.limit-c.slots))
+	next := make([]T, min(whole, c.limit-c.slots))
 	c.list, c.slots = append(c.list, next), c.slots+len(next)
+	c.pool.count()
 }
 
 // Push stores v, evicting the oldest value when full, and stamps the stored
@@ -104,9 +133,13 @@ func (r *Ring[T]) Push(v T) (evicted bool) {
 // function, so a batch can share one stamp. fill runs under the ring's
 // lock, in order i = 0, 1, …, n-1, and must neither lock nor block.
 // PushEach reports how many values it evicted.
+// A released ring must not be pushed to: PushEach panics.
 func (r *Ring[T]) PushEach(n int, fill func(i int, v *T, seq int64)) (evicted int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.released {
+		panic("ring: push to a released ring")
+	}
 	var zero T
 	for k := 0; k < n; k++ {
 		r.seq++
@@ -140,6 +173,34 @@ func (r *Ring[T]) Events() []T {
 	return out
 }
 
+// Each calls visit on every retained value, oldest first, under the
+// ring's lock, so a caller can encode the values where they lie instead of
+// copying them out; visit must neither lock nor block, nor keep v. Each
+// reports false, visiting nothing, once the ring has been released.
+func (r *Ring[T]) Each(visit func(v *T)) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for k := 0; k < r.n; k++ {
+		visit(r.buf.at((r.head + k) % r.n))
+	}
+	return !r.released
+}
+
+// Release empties the ring for good and hands its whole chunks to its
+// pool, if it has one, for other rings to reuse; the values stay in them
+// until overwritten, so a pool suits pointer-free values. Afterwards the
+// ring retains nothing, Dropped is unchanged, Each reports false and a
+// push panics. Release is idempotent; it takes the ring's lock, and then
+// the pool's.
+func (r *Ring[T]) Release() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.buf.pool != nil {
+		r.buf.pool.put(r.buf.list)
+	}
+	r.buf.list, r.buf.slots, r.n, r.head, r.released = nil, 0, 0, 0, true
+}
+
 // FindLast returns the newest retained value satisfying match.
 func (r *Ring[T]) FindLast(match func(v *T) bool) (T, bool) {
 	r.mu.Lock()
@@ -167,4 +228,65 @@ func (r *Ring[T]) Dropped() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.dropped
+}
+
+// Pool is a bounded free list of whole ring chunks, shared by the rings
+// made with NewPooled: Release puts a ring's whole chunks on the list and a
+// growing ring takes one before it allocates. Safe for concurrent use; its
+// lock is a leaf, taken under a ring's.
+type Pool[T any] struct {
+	mu sync.Mutex
+	//nontree:guardedby mu
+	free   [][]T
+	whole  int          // slots in a whole chunk; immutable after NewPool
+	limit  int          // most chunks on the list; immutable after NewPool
+	opened atomic.Int64 // chunks its rings allocated
+}
+
+// NewPool returns a pool that keeps at most enough chunks on its free list
+// to hold values values (at least one chunk).
+func NewPool[T any](values int) *Pool[T] {
+	whole := 1 << chunkShift[T]()
+	return &Pool[T]{whole: whole, limit: max((values+whole-1)/whole, 1)}
+}
+
+// Opened returns how many chunks the pool's rings have allocated, whole or
+// not, because the free list had none for them: zero growth means they ran
+// on recycled storage alone.
+func (p *Pool[T]) Opened() int64 { return p.opened.Load() }
+
+// take returns a whole chunk from the free list, or a new one.
+func (p *Pool[T]) take() []T {
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		c := p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+		p.mu.Unlock()
+		return c
+	}
+	p.mu.Unlock()
+	p.count()
+	return make([]T, p.whole)
+}
+
+// put adds the whole chunks of list to the free list, up to its limit.
+func (p *Pool[T]) put(list [][]T) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, c := range list {
+		if len(p.free) == p.limit {
+			return
+		}
+		if len(c) == p.whole {
+			p.free = append(p.free, c)
+		}
+	}
+}
+
+// count records one chunk allocated for a ring of p (none when p is nil).
+func (p *Pool[T]) count() {
+	if p != nil {
+		p.opened.Add(1)
+	}
 }

@@ -259,3 +259,103 @@ func TestRingNewRejectsNonPositiveCapacity(t *testing.T) {
 		}()
 	}
 }
+
+// TestPoolRecyclesWholeChunks: a pooled ring opens only whole chunks, and
+// Release hands them to the pool, from which the next ring takes them
+// without opening any; the pool keeps no more than its bound.
+func TestPoolRecyclesWholeChunks(t *testing.T) {
+	chunk := chunkOf(newItemRing(1))
+	pool := NewPool[item](2 * chunk)
+	stamp := func(v *item, seq int64) { v.seq = seq }
+	r := NewPooled(1<<20, pool, stamp)
+	for i := 0; i < 2*chunk+1; i++ {
+		r.Push(item{val: i})
+	}
+	if got := slots(r); got != 3*chunk {
+		t.Fatalf("a pooled ring of %d values holds %d slots, want %d whole chunks", 2*chunk+1, got, 3*chunk)
+	}
+	if got := pool.Opened(); got != 3 {
+		t.Fatalf("opened %d chunks, want 3", got)
+	}
+	r.Release()
+	pool.mu.Lock()
+	free := len(pool.free)
+	pool.mu.Unlock()
+	if free != 2 {
+		t.Fatalf("free list holds %d chunks after releasing 3, want the bound 2", free)
+	}
+
+	next := NewPooled(1<<20, pool, stamp)
+	next.PushEach(2*chunk, func(j int, v *item, seq int64) {
+		if *v != (item{}) {
+			t.Errorf("a recycled slot reached fill unzeroed: %+v", *v)
+		}
+		*v = item{val: j, seq: seq}
+	})
+	if got := pool.Opened(); got != 3 {
+		t.Fatalf("a ring of two chunks opened %d more with two on the free list", got-3)
+	}
+	want := make([]item, 2*chunk)
+	for j := range want {
+		want[j] = item{val: j, seq: int64(j + 1)}
+	}
+	if got := next.Events(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatal("the ring on recycled chunks retains other values than were pushed")
+	}
+
+	// A capacity short of a whole chunk keeps the unpooled growth, and its
+	// chunk is not recycled.
+	short := NewPooled(chunk/2, pool, stamp)
+	short.Push(item{})
+	short.Release()
+	pool.mu.Lock()
+	free = len(pool.free)
+	pool.mu.Unlock()
+	if free != 0 || slots(short) != 0 {
+		t.Fatalf("after a short ring's release: %d free chunks, %d slots; want 0, 0", free, slots(short))
+	}
+}
+
+// TestRingReleased: a released ring retains nothing, keeps its Dropped
+// count, visits nothing and refuses pushes; Release is idempotent.
+func TestRingReleased(t *testing.T) {
+	r := newItemRing(3)
+	for i := 0; i < 5; i++ {
+		r.Push(item{val: i})
+	}
+	r.Release()
+	r.Release()
+	visited := 0
+	if r.Each(func(*item) { visited++ }) || visited != 0 {
+		t.Errorf("Each on a released ring: visited %d", visited)
+	}
+	if r.Len() != 0 || len(r.Events()) != 0 || r.Dropped() != 2 {
+		t.Errorf("released ring: Len %d, %d events, Dropped %d; want 0, 0, 2", r.Len(), len(r.Events()), r.Dropped())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a push to a released ring did not panic")
+		}
+	}()
+	r.Push(item{})
+}
+
+// TestRingEachMatchesEvents: Each visits what Events copies, oldest first,
+// before and after wraparound.
+func TestRingEachMatchesEvents(t *testing.T) {
+	chunk := chunkOf(newItemRing(1))
+	r := newItemRing(2*chunk + 3)
+	for i := 0; i < 5*chunk; i++ {
+		r.Push(item{val: i})
+		if i%chunk != 7 {
+			continue
+		}
+		var got []item
+		if !r.Each(func(v *item) { got = append(got, *v) }) {
+			t.Fatal("Each reported a live ring released")
+		}
+		if fmt.Sprint(got) != fmt.Sprint(r.Events()) {
+			t.Fatalf("after %d pushes Each visits other values than Events returns", i+1)
+		}
+	}
+}

@@ -21,14 +21,17 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"nontree/internal/jsonl"
 	"nontree/internal/netlist"
 	"nontree/internal/obs"
 	"nontree/internal/olog"
+	"nontree/internal/ring"
 	"nontree/internal/trace"
 )
 
@@ -59,9 +62,11 @@ const (
 )
 
 // DefaultTraceCapacity is the per-request trace ring bound Options and the
-// -trace-capacity flag default to. A ring grows in chunks of 256 events
-// (a first, smaller chunk doubles up to that) as a request emits them, so
-// the bound costs memory only for a run that long.
+// -trace-capacity flag default to. A ring grows in whole chunks of 256
+// events as a request emits them, so the bound costs memory only for a run
+// that long. The chunks come from the Server's free list, which takes back
+// the chunks of every trace the retention window evicts and holds at most
+// MaxConcurrent × TraceCapacity events' worth.
 const DefaultTraceCapacity = 1 << 16
 
 // Options tunes a Server. The zero value is fully usable.
@@ -126,6 +131,9 @@ type Server struct {
 	inflight atomic.Int64
 	traceSeq atomic.Uint64
 	reqSeq   atomic.Uint64
+	// chunks recycles trace-ring storage: evicted and unretained traces
+	// release their chunks to it, and each request's ring takes from it.
+	chunks *ring.Pool[trace.Event]
 	// logs retains one wide event per /route request (nil = disabled).
 	// olog.Ring, like trace.Ring, locks only its internal/ring leaf lock,
 	// so it may be touched from anywhere in the handler without ordering
@@ -133,10 +141,11 @@ type Server struct {
 	logs *olog.Ring
 
 	// mu is the outermost lock of the daemon: it may be held while calling
-	// into trace.Ring, olog.Ring (both on the ring.Ring leaf lock) and
-	// obs.Registry (a leaf lock), never the reverse. Neither package can
-	// import serve, so the Server → Ring/Registry nesting cannot form a
-	// cycle.
+	// into trace.Ring, olog.Ring (both on the ring.Ring lock, above only
+	// the ring.Pool leaf lock) and obs.Registry (a leaf lock), never the
+	// reverse. Neither package can import serve, so the Server →
+	// Ring/Registry nesting cannot form a cycle. Evicted traces are
+	// released only after mu is dropped.
 	mu sync.Mutex
 	// traces maps trace id → element in order.
 	//nontree:guardedby mu
@@ -156,7 +165,7 @@ type Server struct {
 // that produced it, so tracereplay can re-run the identical workload.
 type storedTrace struct {
 	id   string
-	ring *trace.Ring // finished: the run that emitted into it has returned
+	ring *trace.Ring // finished: the run that emitted into it has returned; released on eviction
 	req  RouteRequest
 }
 
@@ -170,6 +179,7 @@ func New(opts Options) *Server {
 		opts:    opts,
 		metrics: opts.Metrics,
 		slots:   make(chan struct{}, opts.MaxConcurrent),
+		chunks:  ring.NewPool[trace.Event](opts.MaxConcurrent * opts.TraceCapacity),
 		traces:  make(map[string]*list.Element),
 		order:   list.New(),
 	}
@@ -386,10 +396,8 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	tQueue := meta.elapsed()
 	ev.QueueSeconds = tQueue
 
-	var req RouteRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := ReadRouteRequest(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
+	if err != nil {
 		s.metrics.Add(CtrRouteErrors, 1)
 		ev.DecodeSeconds = meta.elapsed() - tQueue
 		s.failRoute(w, r, meta, &ev, http.StatusBadRequest, olog.OutcomeError, "decoding request: %v", err)
@@ -415,12 +423,12 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 
 	s.metrics.Add(CtrRouteRequests, 1)
 	span := obs.StartSpan(s.metrics, TimeRouteSeconds)
-	ring := trace.NewRing(s.opts.TraceCapacity)
+	tr := trace.NewPooledRing(s.opts.TraceCapacity, s.chunks)
 	// A private registry scoped to this request rides alongside the shared
 	// one: its counters ARE the request's deltas (no subtraction races)
 	// and its core.oracle.seconds sum is this request's oracle time.
 	priv := obs.NewRegistry()
-	res, err := Run(req.Net, req.RouteOptions, obs.Multi{priv, s.metrics}, ring)
+	res, err := Run(req.Net, req.RouteOptions, obs.Multi{priv, s.metrics}, tr)
 	span.End()
 	tRun := meta.elapsed()
 	runSeconds := tRun - tDecode
@@ -441,6 +449,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	ev.SweepSeconds = runSeconds - oracleSeconds
 
 	if err != nil {
+		tr.Release()
 		s.metrics.Add(CtrRouteErrors, 1)
 		// The request id is the daemon's alone: tagging here, once, names
 		// every routing failure's request, validation failures included.
@@ -451,6 +460,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		// The client already received the timeout 503; retaining the trace
 		// would let an abandoned run evict traces of answered requests, so
 		// only the wide event records this request.
+		tr.Release()
 		ev.Status = http.StatusServiceUnavailable
 		ev.Outcome = olog.OutcomeTimeout
 		ev.Error = "request timed out"
@@ -458,17 +468,19 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	st := &storedTrace{id: fmt.Sprintf("t%06d", s.traceSeq.Add(1)), ring: ring, req: req}
+	// Read the ring before storing it: once stored, a concurrent request
+	// may evict and release it.
+	ev.TraceEvents = tr.Len()
+	ev.TraceDropped = tr.Dropped()
+	st := &storedTrace{id: fmt.Sprintf("t%06d", s.traceSeq.Add(1)), ring: tr, req: req}
 	s.storeTrace(st)
 	tStore := meta.elapsed()
 	ev.StoreSeconds = tStore - tRun
 	ev.TraceID = st.id
-	ev.TraceEvents = ring.Len()
-	ev.TraceDropped = ring.Dropped()
 	ev.Status = http.StatusOK
 	ev.Outcome = olog.OutcomeOK
 
-	writeJSON(w, http.StatusOK, RouteResponse{
+	writeRoute(w, &RouteResponse{
 		RouteResult:  res,
 		RequestID:    meta.id,
 		TraceID:      st.id,
@@ -486,14 +498,22 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	s.emit(meta, &ev)
 }
 
+// storeTrace retains st and releases the traces it evicts, after dropping
+// mu, so their chunks return to the free list.
 func (s *Server) storeTrace(st *storedTrace) {
+	var one [1]*trace.Ring // a store evicts one trace at most, in steady state
+	evicted := one[:0]
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.traces[st.id] = s.order.PushBack(st)
 	for s.order.Len() > s.opts.MaxTraces {
 		oldest := s.order.Remove(s.order.Front()).(*storedTrace)
 		delete(s.traces, oldest.id)
 		s.metrics.Add(CtrTraceEvictions, 1)
+		evicted = append(evicted, oldest.ring)
+	}
+	s.mu.Unlock()
+	for _, r := range evicted {
+		r.Release()
 	}
 }
 
@@ -541,12 +561,19 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, st.req)
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Trace-Dropped", fmt.Sprintf("%d", st.ring.Dropped()))
-	if err := st.ring.WriteJSONL(w); err != nil {
-		// Headers are gone; nothing to do but drop the connection.
+	// Encode under the ring's lock, write outside it. A trace evicted and
+	// released since the lookup is as gone as one never retained.
+	bp := jsonl.GetBuffer()
+	defer jsonl.PutBuffer(bp)
+	b, ok := st.ring.AppendJSONL(*bp)
+	*bp = b
+	if !ok {
+		writeError(w, http.StatusNotFound, "trace %q not retained", id)
 		return
 	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("X-Trace-Dropped", strconv.FormatInt(st.ring.Dropped(), 10))
+	_, _ = w.Write(b)
 }
 
 // handleLogs serves the wide-event log: plain GET /logs streams every

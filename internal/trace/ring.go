@@ -4,6 +4,7 @@ import (
 	"io"
 	"time"
 
+	"nontree/internal/jsonl"
 	"nontree/internal/ring"
 )
 
@@ -17,7 +18,8 @@ import (
 // DefaultRingCapacity is the event capacity NewRing uses for capacity <= 0
 // — ample for the paper-scale nets (a route-closed benchmark request emits
 // 394 events on average) while bounding a long-lived daemon's memory,
-// which grows in chunks of 256 events up to it (internal/ring).
+// which grows in chunks of 256 events up to it (internal/ring); a pooled
+// ring (NewPooledRing) takes those chunks whole from its pool.
 const DefaultRingCapacity = 4096
 
 // Ring is the standard Tracer: an internal/ring bounded ring of the most
@@ -31,7 +33,11 @@ type Ring struct {
 
 // NewRing returns a tracer retaining the last capacity events
 // (DefaultRingCapacity when capacity <= 0).
-func NewRing(capacity int) *Ring {
+func NewRing(capacity int) *Ring { return NewPooledRing(capacity, nil) }
+
+// NewPooledRing is NewRing for a ring that takes its chunks from pool and
+// gives them back on Release (a nil pool is NewRing).
+func NewPooledRing(capacity int, pool *ring.Pool[Event]) *Ring {
 	if capacity <= 0 {
 		capacity = DefaultRingCapacity
 	}
@@ -41,7 +47,7 @@ func NewRing(capacity int) *Ring {
 		//nontree:allow nondetsource trace timing field only; lands in Event.Elapsed, outside the deterministic projection (DESIGN.md §11)
 		return time.Since(start).Seconds()
 	}
-	return &Ring{since: since, events: ring.New(capacity, func(e *Event, seq int64) {
+	return &Ring{since: since, events: ring.NewPooled(capacity, pool, func(e *Event, seq int64) {
 		e.Seq, e.Elapsed = seq, since()
 	})}
 }
@@ -75,9 +81,27 @@ func (r *Ring) Len() int { return r.events.Len() }
 // Events holds the complete trace.
 func (r *Ring) Dropped() int64 { return r.events.Dropped() }
 
-// WriteJSONL writes the retained events as canonical JSONL.
+// Release empties the finished ring and hands its chunks back to its pool
+// (see ring.Ring.Release); AppendJSONL then reports false.
+func (r *Ring) Release() { r.events.Release() }
+
+// AppendJSONL appends the retained events as canonical JSONL to b, encoding
+// them where they lie under the ring's lock, with no copy of the events.
+// It reports false, appending nothing, once the ring has been released, so
+// a read never sees chunks another ring has taken over.
+func (r *Ring) AppendJSONL(b []byte) ([]byte, bool) {
+	ok := r.events.Each(func(e *Event) { b = append(e.Append(b), '\n') })
+	return b, ok
+}
+
+// WriteJSONL writes the retained events as canonical JSONL, encoded under
+// the ring's lock into a pooled buffer and written outside it.
 func (r *Ring) WriteJSONL(w io.Writer) error {
-	return WriteJSONL(w, r.Events())
+	bp := jsonl.GetBuffer()
+	defer jsonl.PutBuffer(bp)
+	*bp, _ = r.AppendJSONL(*bp)
+	_, err := w.Write(*bp)
+	return err
 }
 
 // Fingerprint renders the deterministic projection of the retained

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"unsafe"
+
+	"nontree/internal/ring"
 )
 
 func TestEncodeOmitsZeroFields(t *testing.T) {
@@ -321,5 +323,31 @@ func TestDiffBounded(t *testing.T) {
 	}
 	if d := Diff(got, want); len(d) > maxDrifts {
 		t.Errorf("drift list not bounded: %d > %d", len(d), maxDrifts)
+	}
+}
+
+// TestRingWriteJSONLInPlace: a ring's in-place export, wrapped or not,
+// writes the bytes WriteJSONL writes for its Events copy; a released
+// pooled ring exports nothing and says so.
+func TestRingWriteJSONLInPlace(t *testing.T) {
+	for _, n := range []int{0, 5, 300, 700} {
+		r := NewPooledRing(512, ring.NewPool[Event](1024))
+		for i := 1; i <= n; i++ {
+			r.Emit(Event{Kind: KindCandidateScored, Sweep: i % 7, Index: i, Value: float64(i) * 1e-12})
+		}
+		var want, got bytes.Buffer
+		if err := WriteJSONL(&want, r.Events()); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.WriteJSONL(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%d events: in-place export differs from WriteJSONL(Events())", n)
+		}
+		r.Release()
+		if b, ok := r.AppendJSONL([]byte("x")); ok || string(b) != "x" {
+			t.Fatalf("%d events: a released ring appended %q, ok %t", n, b, ok)
+		}
 	}
 }
