@@ -672,6 +672,32 @@ func BenchmarkLDRGElmore30(b *testing.B) {
 	}
 }
 
+// BenchmarkLDRGElmoreLarge times LDRG with the Elmore oracle on nets far
+// larger than the paper's, where almost every candidate's probe stops
+// early (see the scan rules in internal/core/sweep.go). Compare commits
+// with go test -run '^$' -bench LDRGElmoreLarge -benchtime 1x .
+func BenchmarkLDRGElmoreLarge(b *testing.B) {
+	for _, pins := range []int{300, 1000} {
+		b.Run(fmt.Sprint(pins), func(b *testing.B) {
+			net, err := nontree.GenerateNet(1, pins)
+			if err != nil {
+				b.Fatal(err)
+			}
+			topo, err := mst.Prim(net.Pins)
+			if err != nil {
+				b.Fatal(err)
+			}
+			opts := core.Options{Oracle: &core.ElmoreOracle{Params: rc.Default()}, Workers: 1}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.LDRG(topo, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // fullSolve hides an oracle's incremental support (embedding the interface
 // keeps only SinkDelays and Name), so every sweep over it scores each
 // candidate with a full solve on the worker pool.

@@ -1,8 +1,9 @@
 // Package epochcheck enforces the elmore.Incremental epoch protocol: the
 // evaluator factors the topology once and answers WithEdge/WithWiden/
-// WithTap probes against that factorization, so any *committed* topology
-// mutation (Topology.AddEdge/RemoveEdge/AddSteinerNode, or a width-map
-// write keyed by graph.Edge) invalidates it until a new epoch starts:
+// WithTap probes, and the MaxWithEdge/MaxWithTap cutoff probes, against
+// that factorization, so any *committed* topology mutation
+// (Topology.AddEdge/RemoveEdge/AddSteinerNode, or a width-map write keyed
+// by graph.Edge) invalidates it until a new epoch starts:
 // Refactor re-derives the base state, or Adopt installs the committed
 // modification's own solution. A probe reachable after a mutation with
 // neither in between answers from stale caches — the stale-cache bug the
@@ -34,7 +35,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "epochcheck",
-	Doc:  "no WithEdge/WithWiden/WithTap probe may be reachable after a committed topology mutation without an intervening Refactor or Adopt",
+	Doc:  "no WithEdge/WithWiden/WithTap or cutoff probe may be reachable after a committed topology mutation without an intervening Refactor or Adopt",
 	Run:  run,
 	Scope: []string{
 		"internal/core",
@@ -48,6 +49,8 @@ var useMethods = map[string]bool{
 	"WithEdge":      true,
 	"WithWiden":     true,
 	"WithTap":       true,
+	"MaxWithEdge":   true,
+	"MaxWithTap":    true,
 	"WideningBound": true,
 	"BaseDelays":    true,
 }

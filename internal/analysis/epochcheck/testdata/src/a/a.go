@@ -73,6 +73,12 @@ func StraightBuggyWiden(t *graph.Topology, inc *elmore.Incremental, e graph.Edge
 	_, _ = inc.WithWiden(e) // want `WithWiden on inc may answer from a stale factorization`
 }
 
+// StraightBuggyCutoff: a cutoff probe reads the same factorization.
+func StraightBuggyCutoff(t *graph.Topology, inc *elmore.Incremental, e graph.Edge) {
+	_ = t.AddEdge(e)
+	_, _ = inc.MaxWithEdge(e, 1) // want `MaxWithEdge on inc may answer from a stale factorization`
+}
+
 // StraightFixed: Refactor restores consistency.
 func StraightFixed(t *graph.Topology, inc *elmore.Incremental, e graph.Edge) {
 	_ = t.AddEdge(e)

@@ -38,6 +38,9 @@ func (inc *Incremental) WithWiden(e graph.Edge) ([]float64, error) { return nil,
 // WithTap probes with a mid-edge tap.
 func (inc *Incremental) WithTap(e graph.Edge, x, y int) ([]float64, error) { return nil, nil }
 
+// MaxWithEdge is the cutoff form of WithEdge.
+func (inc *Incremental) MaxWithEdge(e graph.Edge, cutoff float64) (float64, error) { return 0, nil }
+
 // WideningBound lower-bounds a widening's improvement.
 func (inc *Incremental) WideningBound(e graph.Edge) float64 { return 0 }
 

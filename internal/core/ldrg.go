@@ -260,6 +260,13 @@ func bestAddition(t *graph.Topology, opts *Options, cur float64, sweep int, eng 
 			}
 			return delays, nil
 		},
+		probeMax: func(i int, cutoff float64) (float64, error) {
+			val, err := eng.inc.MaxWithEdge(cands[i], cutoff)
+			if err != nil {
+				return 0, fmt.Errorf("core: incremental evaluation of %v: %w", cands[i], err)
+			}
+			return val, nil
+		},
 		event: func(i int, ev *trace.Event) { ev.U, ev.V = cands[i].U, cands[i].V },
 	})
 }

@@ -21,9 +21,11 @@ func TestObsCountersMatchLDRGResult(t *testing.T) {
 		topo := randomMST(t, 8100+seed, 12)
 		reg := obs.NewRegistry()
 		obs.Preregister(reg)
+		ring := trace.NewRing(1 << 12)
 		res, err := LDRG(topo, Options{
 			Oracle: &ElmoreOracle{Params: rc.Default(), Obs: reg},
 			Obs:    reg,
+			Trace:  ring,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -55,12 +57,28 @@ func TestObsCountersMatchLDRGResult(t *testing.T) {
 			t.Errorf("seed %d: histogram sum %g != candidate counter %d",
 				seed, h.Sum, c[obs.CtrSweepCandidates])
 		}
-		// The evaluator's batched counts have all landed on return: edge
-		// candidates carry no pruning bound, so one probe per candidate,
-		// two column lookups per probe.
-		if got := c[obs.CtrCandidatesPruned]; got != 0 {
-			t.Errorf("seed %d: %s = %d, want 0", seed, obs.CtrCandidatesPruned, got)
+		// Every candidate is either scored or pruned by an early stop, and
+		// from 10 pins up some probes do stop.
+		var scored, pruned int64
+		for _, ev := range ring.Events() {
+			switch ev.Kind {
+			case trace.KindCandidateScored:
+				scored++
+			case trace.KindCandidatePruned:
+				pruned++
+			}
 		}
+		if scored+pruned != c[obs.CtrSweepCandidates] {
+			t.Errorf("seed %d: %d scored + %d pruned events, want %s = %d",
+				seed, scored, pruned, obs.CtrSweepCandidates, c[obs.CtrSweepCandidates])
+		}
+		if got := c[obs.CtrCandidatesPruned]; got != pruned || got == 0 {
+			t.Errorf("seed %d: %s = %d, want the %d pruned events, and more than 0",
+				seed, obs.CtrCandidatesPruned, got, pruned)
+		}
+		// The evaluator's batched counts have all landed on return: a
+		// stopped probe still counts, so one probe per candidate, two
+		// column lookups per probe.
 		edgeProbes := c[obs.CtrSweepCandidates]
 		checkIncrementalCounts(t, fmt.Sprintf("seed %d", seed), c, edgeProbes, 2*edgeProbes)
 	}

@@ -45,11 +45,19 @@ import (
 //     ones. The winner's solution travels with it, and the evaluator
 //     adopts it once the winner is committed, so each accepted winner is
 //     factored once.
-//  4. Sound pruning. An incremental candidate is skipped only when a proved
-//     lower bound on its objective cannot undercut the threshold, with
-//     nearTie to spare. Only widenings carry a bound. The test-only pruning
-//     audit (Options.auditPruning) re-scores every pruned candidate to
-//     certify that none would have been selected.
+//  4. Sound pruning. An incremental candidate is pruned only when a proved
+//     lower bound on its objective shows it cannot change the decision, in
+//     one of two ways. A widening is skipped before it is probed when its
+//     bound cannot undercut the threshold, with nearTie to spare; only
+//     widenings carry such a bound. Under MaxDelayObjective, an edge or tap
+//     probe stops early once the max over the sinks it has visited exceeds
+//     the scan's running minimum by earlyStopMargin: the candidate can be
+//     neither the leader nor within nearTie of it, so it is never re-solved
+//     and never named. The threshold stays out of that cutoff, so a sweep
+//     that accepts nothing still names the candidate a full scan would. The
+//     test-only pruning audit (Options.auditPruning) re-scores every pruned
+//     candidate to certify that none would have been selected or
+//     re-solved.
 
 // candidates describes one sweep's candidate set to the scan. Candidates
 // are indexed 0..n-1 in canonical order, the order that fixes tie-breaking.
@@ -61,6 +69,10 @@ type candidates struct {
 	full func(i int, t *graph.Topology) (float64, error)
 	// probe returns candidate i's delays from the incremental evaluator.
 	probe func(i int) ([]float64, error)
+	// probeMax returns candidate i's max sink delay from the evaluator, or
+	// a partial max above cutoff once one exceeds it (elmore.MaxWithEdge);
+	// nil disables early stops.
+	probeMax func(i int, cutoff float64) (float64, error)
 	// bound returns an upper bound on how much candidate i can improve any
 	// node's delay; nil disables pruning.
 	bound func(i int) float64
@@ -72,8 +84,16 @@ type candidates struct {
 // outcome is one candidate's result in a sweep.
 type outcome struct {
 	// val is the objective, or the proved lower bound when pruned.
-	val    float64
-	pruned bool
+	val float64
+	// against indexes, for an early stop, the scored candidate whose value
+	// was the running minimum the probe stopped against. An index, not the
+	// value, keeps an outcome at 16 bytes; int32 holds the candidates of
+	// any net the simulator accepts.
+	against int32
+	pruned  bool
+	// stopped marks a pruned candidate whose probe stopped early; any
+	// other pruned candidate was pruned against the threshold.
+	stopped bool
 	// resolved marks an incremental candidate re-scored by a full solve.
 	resolved bool
 }
@@ -83,11 +103,23 @@ type outcome struct {
 // margin, not a proved one: over sampled edge, tap and widening candidates
 // on seeded nets of 10–1024 pins (1024 is the largest net the simulator
 // accepts), the largest gap measured is 8e-13. The scan widens its
-// re-solve and pruning comparisons by this much, so within that range
-// rounding cannot make it choose differently from a full-solve sweep.
-// H1's single-probe pre-screen does not go through the scan and is not
-// widened. nearTie must stay well below minImprovement.
+// re-solve and pruning comparisons by this much, and its early stops by
+// earlyStopMargin, three times as much, so within that range rounding
+// cannot make it choose, re-solve or name differently from a full-solve
+// sweep. H1's single-probe pre-screen does not go through the scan and is
+// not widened. nearTie must stay well below minImprovement.
 const nearTie = 1e-10
+
+// earlyStopMargin is how far, relative to the scan's running minimum m, a
+// probe's partial max must rise above m before the probe stops early. A
+// candidate that stops has an incremental value v > m + 3·nearTie·|m|, so
+// its optimistic value v − nearTie·|v| still exceeds m + nearTie·|m|, the
+// highest the leader's full solve can lie. One nearTie covers the stopped
+// candidate's own rounding, one the leader's, and the third leaves room
+// to spare: with a margin of one, a stopped candidate's optimistic value
+// could fall just below the winner's full value, so a full scan would have
+// re-solved it, and Evaluations would differ.
+const earlyStopMargin = 3 * nearTie
 
 // winner is a sweep's selected candidate: its edge_accepted fields and,
 // in incremental mode, the solution of its re-solve, which the evaluator
@@ -115,6 +147,9 @@ type sweepEngine struct {
 	// audit re-scores pruned candidates after the scan
 	// (Options.auditPruning).
 	audit bool
+	// stop enables early stops: the objective is MaxDelayObjective, whose
+	// value the evaluator's cutoff probes compute.
+	stop bool
 
 	obj     Objective
 	workers int
@@ -143,6 +178,7 @@ func newSweepEngine(t *graph.Topology, opts *Options, width rc.WidthFunc, obj Ob
 		eng.inc, eng.scorer, delays = inc, is, inc.BaseDelays()
 		eng.factor, eng.prune = pruningFactor(obj)
 		eng.audit = opts.auditPruning
+		_, eng.stop = obj.(MaxDelayObjective)
 	} else {
 		if opts.auditPruning {
 			return nil, nil, fmt.Errorf("core: the pruning audit needs an incremental oracle, %s has no support", opts.Oracle.Name())
@@ -299,6 +335,9 @@ func (eng *sweepEngine) scan(t *graph.Topology, sweep int, cur float64, c candid
 		ev.Kind, ev.Sweep, ev.Index, ev.Value = trace.KindCandidateScored, sweep, i, o.val
 		if o.pruned {
 			ev.Kind, ev.Before = trace.KindCandidatePruned, threshold
+			if o.stopped {
+				ev.Before = outs[o.against].val
+			}
 		}
 	})
 	if pruned > 0 {
@@ -331,9 +370,14 @@ func (eng *sweepEngine) reject(c candidates, sweep, i int, val, cur float64) {
 
 // probeAll scores outs incrementally in canonical order. A candidate is
 // pruned when its proved lower bound cannot undercut the threshold, with
-// nearTie to spare, so the pruned set is deterministic. With the audit on,
-// every pruned candidate is then probed anyway, and the sweep fails with
-// errPruningUnsound if one breaks its bound or falls below the threshold.
+// nearTie to spare, or, with early stops on, when its cutoff probe stops
+// above the running minimum of the values scored before it by
+// earlyStopMargin. Both depend only on the candidates and their order, so
+// the pruned set is deterministic. With the audit on, every pruned
+// candidate is then probed in full, and the sweep fails with
+// errPruningUnsound if one breaks its bound, falls below the threshold it
+// was pruned against, or after an early stop comes within nearTie of the
+// running minimum it was stopped against.
 func (eng *sweepEngine) probeAll(numPins, sweep int, cur, threshold float64, outs []outcome, c candidates) error {
 	eval := func(i int) (float64, error) {
 		delays, err := c.probe(i)
@@ -343,6 +387,8 @@ func (eng *sweepEngine) probeAll(numPins, sweep int, cur, threshold float64, out
 		return eng.obj.Eval(delays, numPins)
 	}
 	cutoff := threshold + nearTie*math.Abs(threshold)
+	stop := eng.stop && c.probeMax != nil
+	runMin, minIdx := math.Inf(1), int32(-1)
 	for i := range outs {
 		if c.bound != nil && eng.prune {
 			if lb := cur - eng.factor*c.bound(i); lb >= cutoff {
@@ -350,11 +396,27 @@ func (eng *sweepEngine) probeAll(numPins, sweep int, cur, threshold float64, out
 				continue
 			}
 		}
-		val, err := eval(i)
+		if !stop {
+			val, err := eval(i)
+			if err != nil {
+				return err
+			}
+			outs[i] = outcome{val: val}
+			continue
+		}
+		limit := runMin + earlyStopMargin*math.Abs(runMin)
+		val, err := c.probeMax(i, limit)
 		if err != nil {
 			return err
 		}
+		if val > limit {
+			outs[i] = outcome{val: val, against: minIdx, pruned: true, stopped: true}
+			continue
+		}
 		outs[i] = outcome{val: val}
+		if val < runMin {
+			runMin, minIdx = val, int32(i)
+		}
 	}
 	if !eng.audit {
 		return nil
@@ -373,7 +435,15 @@ func (eng *sweepEngine) probeAll(numPins, sweep int, cur, threshold float64, out
 			return fmt.Errorf("%w: sweep %d candidate %d (%d-%d) scored %v below its proved lower bound %v",
 				errPruningUnsound, sweep, i, ev.U, ev.V, val, o.val)
 		}
-		if val < threshold {
+		if o.stopped {
+			// The candidate's optimistic value must clear the highest value
+			// the running minimum's full solve can take, so no full-solve
+			// scan would re-solve it, let alone select it.
+			if m := outs[o.against].val; val-nearTie*math.Abs(val) <= m+nearTie*math.Abs(m) {
+				return fmt.Errorf("%w: sweep %d candidate %d (%d-%d) scored %v, within nearTie of the running minimum %v it was stopped against",
+					errPruningUnsound, sweep, i, ev.U, ev.V, val, m)
+			}
+		} else if val < threshold {
 			return fmt.Errorf("%w: sweep %d candidate %d (%d-%d) scored %v (bound %v, threshold %v)",
 				errPruningUnsound, sweep, i, ev.U, ev.V, val, o.val, threshold)
 		}

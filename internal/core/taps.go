@@ -76,7 +76,8 @@ type tapCandidate struct {
 // bestTap scans every tap candidate and returns the winner, if one
 // improves on cur by the threshold. Taps carry no pruning bound: the edge
 // split redistributes capacitance in a way that admits no cheap one-sided
-// estimate, so every candidate is scored.
+// estimate, so every candidate is probed, though under MaxDelayObjective
+// a probe may stop early (see sweep.go, rule 4).
 func bestTap(t *graph.Topology, opts *Options, cur float64, sweep int, eng *sweepEngine) (winner, bool, error) {
 	cands := tapCandidates(t)
 	eng.rec.Add(obs.CtrTapCandidates, int64(len(cands)))
@@ -92,6 +93,13 @@ func bestTap(t *graph.Topology, opts *Options, cur float64, sweep int, eng *swee
 				return nil, fmt.Errorf("core: incremental tap on %v: %w", cands[i].edge, err)
 			}
 			return delays, nil
+		},
+		probeMax: func(i int, cutoff float64) (float64, error) {
+			val, err := eng.inc.MaxWithTap(cands[i].edge, cands[i].point, cutoff)
+			if err != nil {
+				return 0, fmt.Errorf("core: incremental tap on %v: %w", cands[i].edge, err)
+			}
+			return val, nil
 		},
 		event: func(i int, ev *trace.Event) {
 			c := cands[i]

@@ -1,9 +1,11 @@
 package elmore
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"nontree/internal/geom"
 	"nontree/internal/graph"
@@ -39,7 +41,10 @@ import (
 // The evaluator also derives an oracle-free *improvement bound* for
 // pruning widenings (WideningBound): an upper bound on how much any node's
 // delay can drop under a candidate, computed from the base delays alone,
-// before any linear algebra.
+// before any linear algebra. For the max-delay objective, the cutoff
+// probes MaxWithEdge and MaxWithTap visit the sinks worst-first and stop
+// once their partial max passes a cutoff, so a candidate that cannot win
+// costs a few sinks instead of n.
 //
 // Incremental is deliberately stateful — its solve cache, probe buffer,
 // count tallies and epoch counter mutate on evaluation — which is why it
@@ -66,6 +71,10 @@ type Incremental struct {
 	// belongs to the epoch it was computed in, and each install starts a
 	// new one.
 	epoch int
+
+	// order holds the sinks in sinkOrder, sorted in epoch orderEpoch.
+	order      []int
+	orderEpoch int
 
 	// buf is the delay vector (s) every probe writes and returns; the next
 	// probe overwrites it.
@@ -228,12 +237,26 @@ func (inc *Incremental) edgeWidth(e graph.Edge) float64 {
 	return inc.width(e)
 }
 
-// withConductance is the shared rank-1 core: the delay vector (s) after
-// adding conductance g (Ω⁻¹) between nodes u and v together with shunt
-// capacitance halfC (F) at each of them. It performs no eligibility
-// checks — wrappers validate. O(n) after the two endpoint columns are
-// cached. The result is the probe buffer.
-func (inc *Incremental) withConductance(u, v int, g, halfC float64) ([]float64, error) {
+// rank1 is a prepared rank-1 probe: at(i) is node i's delay (s) after
+// adding conductance g between nodes u and v with shunt capacitance halfC
+// at each, from the two cached endpoint columns. The full-vector probes
+// and the cutoff probes share it, so both evaluate the same expression.
+type rank1 struct {
+	base, colU, colV []float64
+	halfC, scale     float64
+}
+
+func (r *rank1) at(i int) float64 {
+	y_i := r.colU[i] - r.colV[i]
+	z_i := r.halfC * (r.colU[i] + r.colV[i])
+	return r.base[i] + z_i - r.scale*y_i
+}
+
+// withConductance is the shared rank-1 core: it counts one probe and
+// prepares in r the update adding conductance g (Ω⁻¹) between nodes u and
+// v together with shunt capacitance halfC (F) at each of them. It performs
+// no eligibility checks — wrappers validate.
+func (inc *Incremental) withConductance(r *rank1, u, v int, g, halfC float64) error {
 	inc.evals++
 
 	colU := inc.Column(u)
@@ -247,17 +270,54 @@ func (inc *Incremental) withConductance(u, v int, g, halfC float64) ([]float64, 
 
 	denom := 1 + g*wT_y
 	if denom <= 0 {
-		return nil, fmt.Errorf("elmore: rank-1 update degenerate for (%d,%d) (denominator %g)", u, v, denom)
+		return fmt.Errorf("elmore: rank-1 update degenerate for (%d,%d) (denominator %g)", u, v, denom)
 	}
 	scale := g * (wT_t + wT_z) / denom
+	r.base, r.colU, r.colV, r.halfC, r.scale = inc.base, colU, colV, halfC, scale
+	return nil
+}
 
+// fill writes every node's delay into the probe buffer and returns it.
+func (r *rank1) fill(inc *Incremental) []float64 {
 	out := inc.probeBuf()
 	for i := range out {
-		y_i := colU[i] - colV[i]
-		z_i := halfC * (colU[i] + colV[i])
-		out[i] = inc.base[i] + z_i - scale*y_i
+		out[i] = r.at(i)
 	}
-	return out, nil
+	return out
+}
+
+// cutoffMax is the cutoff probe over the sinks (see MaxWithEdge).
+func (r *rank1) cutoffMax(order []int, cutoff float64) float64 {
+	var worst float64
+	for _, i := range order {
+		if d := r.at(i); d > worst {
+			if worst = d; worst > cutoff {
+				break
+			}
+		}
+	}
+	return worst
+}
+
+// addition prepares in r the probe of candidate edge e at the width the
+// evaluator's width function assigns it.
+func (inc *Incremental) addition(r *rank1, e graph.Edge) error {
+	e = e.Canon()
+	length := inc.topo.EdgeLength(e)
+	//nontree:allow floatcmp Manhattan length of coincident points is exactly 0.0; degeneracy sentinel guarding the 1/length conductance below
+	if length == 0 {
+		return ErrDegenerate
+	}
+	if inc.topo.HasEdge(e) {
+		return fmt.Errorf("elmore: edge %v already present", e)
+	}
+	w := inc.edgeWidth(e)
+	if w <= 0 {
+		return fmt.Errorf("elmore: edge %v width %g", e, w)
+	}
+	g := 1 / (inc.p.WireResistance * length / w)
+	halfC := inc.p.WireCapacitance * length * w / 2
+	return inc.withConductance(r, e.U, e.V, g, halfC)
 }
 
 // WithEdge returns the Elmore delay vector (s) of the topology with candidate
@@ -266,22 +326,28 @@ func (inc *Incremental) withConductance(u, v int, g, halfC float64) ([]float64, 
 // cached, and allocation-free: the returned slice is the evaluator's probe
 // buffer, valid until its next WithEdge, WithWiden or WithTap call.
 func (inc *Incremental) WithEdge(e graph.Edge) ([]float64, error) {
-	e = e.Canon()
-	length := inc.topo.EdgeLength(e)
-	//nontree:allow floatcmp Manhattan length of coincident points is exactly 0.0; degeneracy sentinel guarding the 1/length conductance below
-	if length == 0 {
-		return nil, ErrDegenerate
+	var r rank1
+	if err := inc.addition(&r, e); err != nil {
+		return nil, err
 	}
-	if inc.topo.HasEdge(e) {
-		return nil, fmt.Errorf("elmore: edge %v already present", e)
+	return r.fill(inc), nil
+}
+
+// MaxWithEdge is the cutoff probe of candidate edge e: the max over the
+// sinks of the delays WithEdge returns, or, as soon as a partial max
+// exceeds cutoff, that partial max, a lower bound on the full one. It
+// visits the sinks in sinkOrder, so a candidate that cannot win usually
+// stops within a few sinks. A result at most cutoff is the full max,
+// bit-identical to elmore.MaxSinkDelay of WithEdge's delays: every sink is
+// evaluated by the same expression, and a max does not depend on the
+// order it visits them in. It writes no delay vector and allocates
+// nothing once the columns are cached and the epoch's order is sorted.
+func (inc *Incremental) MaxWithEdge(e graph.Edge, cutoff float64) (float64, error) {
+	var r rank1
+	if err := inc.addition(&r, e); err != nil {
+		return 0, err
 	}
-	w := inc.edgeWidth(e)
-	if w <= 0 {
-		return nil, fmt.Errorf("elmore: edge %v width %g", e, w)
-	}
-	g := 1 / (inc.p.WireResistance * length / w)
-	halfC := inc.p.WireCapacitance * length * w / 2
-	return inc.withConductance(e.U, e.V, g, halfC)
+	return r.cutoffMax(inc.sinkOrder(), cutoff), nil
 }
 
 // WithWiden returns the delay vector (s) with existing edge e widened by one
@@ -302,7 +368,77 @@ func (inc *Incremental) WithWiden(e graph.Edge) ([]float64, error) {
 	}
 	dg := 1 / (inc.p.WireResistance * length)
 	dHalfC := inc.p.WireCapacitance * length / 2
-	return inc.withConductance(e.U, e.V, dg, dHalfC)
+	var r rank1
+	if err := inc.withConductance(&r, e.U, e.V, dg, dHalfC); err != nil {
+		return nil, err
+	}
+	return r.fill(inc), nil
+}
+
+// sinkOrder returns the sinks (nodes 1..NumPins-1) in descending base
+// delay, ties going to the lower index: the order the cutoff probes visit
+// them in, so the sinks most likely to stay critical come first. It is
+// sorted once per epoch into a buffer reused across epochs, and must not
+// be modified.
+func (inc *Incremental) sinkOrder() []int {
+	if inc.orderEpoch == inc.epoch {
+		return inc.order
+	}
+	n := min(inc.topo.NumPins(), len(inc.base))
+	if cap(inc.order) < n {
+		inc.order = make([]int, 0, n)
+	}
+	order := inc.order[:0]
+	for i := 1; i < n; i++ {
+		order = append(order, i)
+	}
+	base := inc.base
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(base[b], base[a]); c != 0 {
+			return c
+		}
+		return a - b
+	})
+	inc.order, inc.orderEpoch = order, inc.epoch
+	return order
+}
+
+// rank3 is a prepared rank-3 tap probe (see WithTap): at(i) is node i's
+// delay (s) with the tap applied, from the three cached columns.
+type rank3 struct {
+	base, colU, colV, col0 []float64
+	dcU, dcV, dc0          float64    // F
+	s                      [3]float64 // the Woodbury solution
+}
+
+// at is t̃_i − (Y·s)_i with t̃ and the Y columns as in tap, written out
+// with the same operations in the same order, and small enough to inline
+// into the probe loops.
+func (r *rank3) at(i int) float64 {
+	u, v, o := r.colU[i], r.colV[i], r.col0[i]
+	return r.base[i] + r.dcU*u + r.dcV*v + r.dc0*o - r.s[0]*(u-v) - r.s[1]*(u-o) - r.s[2]*(v-o)
+}
+
+// fill writes every node's delay into the probe buffer and returns it.
+func (r *rank3) fill(inc *Incremental) []float64 {
+	out := inc.probeBuf()
+	for i := range out {
+		out[i] = r.at(i)
+	}
+	return out
+}
+
+// cutoffMax is the cutoff probe over the sinks (see MaxWithTap).
+func (r *rank3) cutoffMax(order []int, cutoff float64) float64 {
+	var worst float64
+	for _, i := range order {
+		if d := r.at(i); d > worst {
+			if worst = d; worst > cutoff {
+				break
+			}
+		}
+	}
+	return worst
 }
 
 // WithTap returns the delay vector (indexed by the *current* topology's
@@ -320,15 +456,35 @@ func (inc *Incremental) WithWiden(e graph.Edge) ([]float64, error) {
 // produced — objectives only read sink nodes, which all pre-exist. Like
 // WithEdge, it returns the evaluator's probe buffer.
 func (inc *Incremental) WithTap(e graph.Edge, pt geom.Point) ([]float64, error) {
+	var r rank3
+	if err := inc.tap(&r, e, pt); err != nil {
+		return nil, err
+	}
+	return r.fill(inc), nil
+}
+
+// MaxWithTap is the cutoff probe of the tap WithTap describes, exactly as
+// MaxWithEdge is of an edge: the max over the sinks, or the first partial
+// max in sinkOrder that exceeds cutoff.
+func (inc *Incremental) MaxWithTap(e graph.Edge, pt geom.Point, cutoff float64) (float64, error) {
+	var r rank3
+	if err := inc.tap(&r, e, pt); err != nil {
+		return 0, err
+	}
+	return r.cutoffMax(inc.sinkOrder(), cutoff), nil
+}
+
+// tap counts one probe and prepares in r the rank-3 update of WithTap.
+func (inc *Incremental) tap(r *rank3, e graph.Edge, pt geom.Point) error {
 	e = e.Canon()
 	if !inc.topo.HasEdge(e) {
-		return nil, fmt.Errorf("elmore: tapping absent edge %v", e)
+		return fmt.Errorf("elmore: tapping absent edge %v", e)
 	}
 	if e.U == 0 || e.V == 0 {
 		// A tap candidate on a source-incident edge degenerates to a point
 		// on that edge's bounding box containing the source; the sweeps
 		// never produce one.
-		return nil, fmt.Errorf("elmore: tap on source-incident edge %v", e)
+		return fmt.Errorf("elmore: tap on source-incident edge %v", e)
 	}
 	a, b, src := inc.topo.Point(e.U), inc.topo.Point(e.V), inc.topo.Point(0)
 	lenA := geom.Dist(a, pt)   // µm
@@ -336,7 +492,7 @@ func (inc *Incremental) WithTap(e graph.Edge, pt geom.Point) ([]float64, error) 
 	lenC := geom.Dist(src, pt) // µm
 	//nontree:allow floatcmp Manhattan distance of coincident points is exactly 0.0; degenerate taps reduce to plain edges and are handled there
 	if lenA == 0 || lenB == 0 || lenC == 0 {
-		return nil, ErrDegenerate
+		return ErrDegenerate
 	}
 
 	// Star conductances of the three new unit-width wires around s, and the
@@ -347,7 +503,7 @@ func (inc *Incremental) WithTap(e graph.Edge, pt geom.Point) ([]float64, error) 
 	gSum := gA + gB + gC                    // Ω⁻¹
 	rOld, ok := inc.l.EdgeRes[e]
 	if !ok {
-		return nil, fmt.Errorf("elmore: lumped network missing edge %v", e)
+		return fmt.Errorf("elmore: lumped network missing edge %v", e)
 	}
 	gOld := 1 / rOld // Ω⁻¹
 
@@ -410,14 +566,11 @@ func (inc *Incremental) WithTap(e graph.Edge, pt geom.Point) ([]float64, error) 
 	}
 	s, err := solve3(A, rhs)
 	if err != nil {
-		return nil, fmt.Errorf("elmore: rank-3 tap update degenerate for %v: %w", e, err)
+		return fmt.Errorf("elmore: rank-3 tap update degenerate for %v: %w", e, err)
 	}
-
-	out := inc.probeBuf()
-	for i := range out {
-		out[i] = tTilde(i) - s[0]*y1(i) - s[1]*y2(i) - s[2]*y3(i)
-	}
-	return out, nil
+	r.base, r.colU, r.colV, r.col0 = inc.base, colU, colV, col0
+	r.dcU, r.dcV, r.dc0, r.s = dcU, dcV, dc0, s
+	return nil
 }
 
 // solve3 solves a 3×3 linear system by Gaussian elimination with partial

@@ -11,8 +11,10 @@ import (
 
 // TestProbesDoNotAllocate guards the sweeps' hot path: once the endpoint
 // columns are cached, WithEdge, WithWiden and WithTap write into the
-// evaluator's probe buffer and only tally their counts, so a probe makes
-// no allocation, even with a registry attached.
+// evaluator's probe buffer and only tally their counts, and the cutoff
+// probes MaxWithEdge and MaxWithTap write no buffer at all, so a probe
+// makes no allocation, even with a registry attached. Re-sorting the sink
+// order at a new epoch reuses its buffer.
 func TestProbesDoNotAllocate(t *testing.T) {
 	topo := randomTree(t, 31, 12)
 	inc, err := NewIncremental(topo, rc.Default(), nil)
@@ -46,19 +48,27 @@ func TestProbesDoNotAllocate(t *testing.T) {
 
 	for _, c := range []struct {
 		name  string
-		probe func() ([]float64, error)
+		probe func() error
 	}{
-		{"WithEdge", func() ([]float64, error) { return inc.WithEdge(absent) }},
-		{"WithWiden", func() ([]float64, error) { return inc.WithWiden(widen) }},
-		{"WithTap", func() ([]float64, error) { return inc.WithTap(tapped, tapPt) }},
+		{"WithEdge", func() error { _, err := inc.WithEdge(absent); return err }},
+		{"WithWiden", func() error { _, err := inc.WithWiden(widen); return err }},
+		{"WithTap", func() error { _, err := inc.WithTap(tapped, tapPt); return err }},
+		{"MaxWithEdge", func() error { _, err := inc.MaxWithEdge(absent, math.Inf(1)); return err }},
+		{"MaxWithTap", func() error { _, err := inc.MaxWithTap(tapped, tapPt, 0); return err }},
 	} {
-		// The first call caches the endpoint columns.
-		if _, err := c.probe(); err != nil {
+		// The first call caches the endpoint columns and sorts the sinks.
+		if err := c.probe(); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if n := testing.AllocsPerRun(100, func() { _, _ = c.probe() }); n != 0 {
+		if n := testing.AllocsPerRun(100, func() { _ = c.probe() }); n != 0 {
 			t.Errorf("%s: %v allocations per probe with cached columns, want 0", c.name, n)
 		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		inc.orderEpoch = 0
+		inc.sinkOrder()
+	}); n != 0 {
+		t.Errorf("sink order: %v allocations per re-sort, want 0", n)
 	}
 }
 

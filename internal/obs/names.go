@@ -20,10 +20,11 @@ const (
 	CtrSweepCandidates = "core.sweep.candidates"
 	// CtrAcceptedEdges counts accepted topology modifications (edges, taps).
 	CtrAcceptedEdges = "core.sweep.accepted"
-	// CtrCandidatesPruned counts sweep candidates skipped by lower-bound
-	// pruning before any oracle work (incremental scoring only). Unlike the
-	// other sweep counters it is order-dependent: it is deterministic for a
-	// fixed seed, but not invariant under input relabeling.
+	// CtrCandidatesPruned counts sweep candidates pruned by a proved lower
+	// bound (incremental scoring only): widenings skipped before any probe,
+	// and edge and tap probes stopped early. Unlike the other sweep
+	// counters it is order-dependent: it is deterministic for a fixed seed,
+	// but not invariant under input relabeling.
 	CtrCandidatesPruned = "core.sweep.pruned"
 	// CtrTapCandidates counts mid-edge tap candidates evaluated.
 	CtrTapCandidates = "core.taps.candidates"
@@ -36,7 +37,8 @@ const (
 
 	// --- package elmore: incremental (Sherman–Morrison) evaluator ---
 
-	// CtrIncrementalEvals counts WithEdge, WithWiden and WithTap probes. The
+	// CtrIncrementalEvals counts WithEdge, WithWiden and WithTap probes and
+	// the MaxWithEdge and MaxWithTap cutoff probes, stopped or not. The
 	// evaluator tallies its evaluations, hits and misses and adds them in
 	// batches (Incremental.Flush).
 	CtrIncrementalEvals = "elmore.incremental.evaluations"

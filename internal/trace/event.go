@@ -34,13 +34,16 @@ const (
 	// tried and reverted (Reason reverted). U/V name the edge, Value its
 	// objective, Before the objective it failed to beat.
 	KindEdgeRejected
-	// KindCandidatePruned reports a candidate skipped by the incremental
-	// sweep's lower-bound pruning: Sweep and Index locate it exactly like
+	// KindCandidatePruned reports a candidate the incremental sweep pruned
+	// by a proved lower bound: Sweep and Index locate it exactly like
 	// candidate_scored (pruned candidates consume an index), U/V name the
-	// edge (Width the proposed width for widenings), Value is the proved
-	// best-case objective lower bound, Before the cutoff it failed to
-	// undercut (the sweep's acceptance threshold). A pruned candidate was
-	// never evaluated by the oracle.
+	// edge (for taps, the split edge with Tap set and X/Y the tap point;
+	// Width the proposed width for widenings), Value is the lower bound on
+	// its objective. Before is what the bound could not beat: for a
+	// widening, the sweep's acceptance threshold; for an edge or tap whose
+	// probe stopped early, the running minimum of the values scored before
+	// it in its scan, and Value is then the max over the sinks the probe
+	// visited. A pruned candidate was never evaluated by the oracle.
 	KindCandidatePruned
 	// KindWireSizeStep commits one accepted widening: U/V the edge,
 	// Width the new width, Before/After the objective change.
