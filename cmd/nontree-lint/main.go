@@ -12,7 +12,6 @@
 //
 // Analyzers (the roster lives in internal/analysis/registry):
 //
-//	detflow       nondeterminism flowing through call chains into exported results
 //	detordering   map iteration feeding order-sensitive computation
 //	epochcheck    incremental-evaluator probes after uncommitted mutation
 //	floatcmp      ==/!= on floating-point delay and score values
@@ -21,11 +20,14 @@
 //	obsnames      metric names outside the internal/obs catalog
 //	purityflow    oracle methods writing shared state, directly or via helper call chains
 //
-// lockguard, epochcheck, and detflow are flow-sensitive: they run a
-// forward dataflow over the internal/analysis/cfg basic-block graph
-// (DESIGN.md §13). detflow and purityflow are interprocedural: they build
-// the internal/analysis/callgraph call graph and compose bottom-up
-// function summaries across packages (DESIGN.md §14).
+// lockguard and epochcheck are flow-sensitive: they run a forward
+// dataflow over the internal/analysis/cfg basic-block graph (DESIGN.md
+// §13). purityflow is interprocedural: it builds the
+// internal/analysis/callgraph call graph and composes bottom-up function
+// summaries across packages (DESIGN.md §14). detordering and nondetsource
+// share one scope, analysis.DeterministicScope: every package a
+// deterministic result can reach, so each nondeterminism source is
+// reported where it is born rather than where its value escapes.
 //
 // Findings are suppressed only by a justified annotation:
 //

@@ -40,7 +40,6 @@ func TestRepositoryIsClean(t *testing.T) {
 // from the multichecker must be a deliberate, reviewed change.
 func TestAnalyzerRoster(t *testing.T) {
 	want := map[string]bool{
-		"detflow":      true,
 		"detordering":  true,
 		"epochcheck":   true,
 		"floatcmp":     true,
@@ -73,7 +72,7 @@ func TestAnalyzerRoster(t *testing.T) {
 func TestJSONDiagRoundTrip(t *testing.T) {
 	d := analysis.Diagnostic{
 		Pos:      token.Position{Filename: "x.go", Line: 3, Column: 7},
-		Analyzer: "detflow",
+		Analyzer: "detordering",
 		Message:  "boom",
 	}
 	b, err := json.Marshal(toJSONDiag(d, true))
@@ -81,7 +80,7 @@ func TestJSONDiagRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := string(b)
-	for _, want := range []string{`"file":"x.go"`, `"line":3`, `"col":7`, `"analyzer":"detflow"`, `"message":"boom"`, `"suppressed":true`} {
+	for _, want := range []string{`"file":"x.go"`, `"line":3`, `"col":7`, `"analyzer":"detordering"`, `"message":"boom"`, `"suppressed":true`} {
 		if !strings.Contains(got, want) {
 			t.Errorf("JSON %s missing %s", got, want)
 		}
@@ -106,12 +105,12 @@ func TestAnnotationEscaping(t *testing.T) {
 			Analyzer: "lockguard",
 			Message:  "first\nsecond 100%",
 		}},
-		Stale: []analysis.StaleAllow{{File: "c.go", Line: 9, Analyzer: "detflow", Reason: "matches no diagnostic"}},
+		Stale: []analysis.StaleAllow{{File: "c.go", Line: 9, Analyzer: "purityflow", Reason: "matches no diagnostic"}},
 	}
 	emitAnnotations(&out, res)
 	got := out.String()
 	want := "::error file=a%2Cb.go,line=2,col=4,title=lockguard::first%0Asecond 100%25\n" +
-		"::error file=c.go,line=9,title=stale-allow::stale //nontree:allow detflow: matches no diagnostic\n"
+		"::error file=c.go,line=9,title=stale-allow::stale //nontree:allow purityflow: matches no diagnostic\n"
 	if got != want {
 		t.Errorf("annotations:\n got %q\nwant %q", got, want)
 	}

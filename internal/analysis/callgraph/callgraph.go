@@ -1,11 +1,11 @@
 // Package callgraph builds a deterministic whole-repository call graph
 // over the internal/analysis loader's go/types information, and runs
 // bottom-up function-summary computations on it (summary.go). It is the
-// interprocedural backbone of the purityflow and detflow analyzers
-// (DESIGN.md §14): each package's graph is built while the driver
-// analyzes that package, summaries are exported as analysis.Facts, and —
-// because the driver loads packages in dependency order — a callee's
-// summary always exists before any cross-package caller asks for it.
+// interprocedural backbone of the purityflow analyzer (DESIGN.md §14):
+// each package's graph is built while the driver analyzes that package,
+// summaries are exported as analysis.Facts, and — because the driver
+// loads packages in dependency order — a callee's summary always exists
+// before any cross-package caller asks for it.
 //
 // # Node identity
 //
@@ -111,26 +111,8 @@ type Node struct {
 	// Calls lists the unit's call sites in source order, nested literals
 	// excluded (they are their own nodes).
 	Calls []Call
-	// Resolutions maps each call expression in this unit to its targets,
-	// for analyses that re-walk the body (e.g. detflow's flow-sensitive
-	// taint walk) and need per-site resolution.
-	Resolutions map[*ast.CallExpr][]string
 	// LitIDs maps each directly nested function literal to its node ID.
 	LitIDs map[*ast.FuncLit]string
-}
-
-// Name returns a short human-readable name for diagnostics: the part of
-// the ID after the package path.
-func (n *Node) Name() string {
-	if i := strings.LastIndex(n.ID, "/"); i >= 0 {
-		if j := strings.Index(n.ID[i:], "."); j >= 0 {
-			return n.ID[i+j+1:]
-		}
-	}
-	if j := strings.Index(n.ID, "."); j >= 0 {
-		return n.ID[j+1:]
-	}
-	return n.ID
 }
 
 // Graph is one package's call graph. Node order is deterministic (file
@@ -184,12 +166,11 @@ func (b *gbuilder) declID(fd *ast.FuncDecl) string {
 // nested literals, then resolves its calls.
 func (b *gbuilder) addUnit(id string, decl *ast.FuncDecl, lit *ast.FuncLit, body *ast.BlockStmt) *Node {
 	n := &Node{
-		ID:          id,
-		Decl:        decl,
-		Lit:         lit,
-		Body:        body,
-		Resolutions: map[*ast.CallExpr][]string{},
-		LitIDs:      map[*ast.FuncLit]string{},
+		ID:     id,
+		Decl:   decl,
+		Lit:    lit,
+		Body:   body,
+		LitIDs: map[*ast.FuncLit]string{},
 	}
 	b.g.Nodes = append(b.g.Nodes, n)
 	b.g.byID[id] = n
@@ -368,9 +349,7 @@ func (b *gbuilder) resolveCalls(n *Node, body *ast.BlockStmt, funcVars map[types
 	}
 
 	for _, s := range sites {
-		targets := b.callTargets(n, s.call, funcVars)
-		n.Resolutions[s.call] = targets
-		n.Calls = append(n.Calls, Call{Site: s.call, Targets: targets, Go: s.goSt})
+		n.Calls = append(n.Calls, Call{Site: s.call, Targets: b.callTargets(n, s.call, funcVars), Go: s.goSt})
 	}
 	for _, fl := range implicit {
 		n.Calls = append(n.Calls, Call{Site: fl, Targets: []string{n.LitIDs[fl]}})

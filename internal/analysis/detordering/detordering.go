@@ -3,7 +3,9 @@
 // any candidate list, result slice, score accumulation or early return
 // built inside such a loop silently breaks the repository's determinism
 // guarantee — byte-identical results for every Options.Workers value
-// (DESIGN.md §7).
+// (DESIGN.md §7). The scope is analysis.DeterministicScope, every package
+// a result can reach, so a helper that returns unsorted keys is reported
+// at its own loop, wherever its callers live.
 //
 // A map range is accepted when its body only performs order-independent
 // work: writes into other maps, deletes, local bookkeeping, and exact
@@ -33,15 +35,8 @@ var Analyzer = &analysis.Analyzer{
 	Name: "detordering",
 	Doc: "flag map iteration feeding candidate generation, result slices, " +
 		"score accumulation, or other order-sensitive computation",
-	Scope: []string{
-		"internal/core",
-		"internal/ert",
-		"internal/steiner",
-		"internal/pdtree",
-		"internal/graph",
-		"internal/expt",
-	},
-	Run: run,
+	Scope: analysis.DeterministicScope,
+	Run:   run,
 }
 
 func run(pass *analysis.Pass) error {

@@ -136,3 +136,23 @@ func streamKeys(m map[int]bool, ch chan int) {
 		ch <- k // want `channel send`
 	}
 }
+
+// Flagged: appending through an out-parameter fills the caller's slice in
+// map order, however many frames up that caller sits.
+func fillKeys(m map[int]string, out *[]int) {
+	for k := range m {
+		*out = append(*out, k) // want `append to out inside iteration over map m`
+	}
+}
+
+// Flagged: handing the slice to another call is not sorting it; a
+// pass-through returns the map order unchanged.
+func launder(m map[int]string) []int {
+	var ks []int
+	for k := range m {
+		ks = append(ks, k) // want `append to ks inside iteration over map m`
+	}
+	return ident(ks)
+}
+
+func ident(x []int) []int { return x }

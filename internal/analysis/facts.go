@@ -8,11 +8,11 @@ import (
 )
 
 // Facts is a cross-package store of analyzer-exported facts. An analyzer
-// that needs information to flow across package boundaries (detflow's and
-// purityflow's function summaries, say) exports a fact while analyzing the
-// declaring package and imports it while analyzing a dependent; the driver
-// loads packages in dependency order (see Loader.Load) so a declaration's
-// facts always exist before its uses are analyzed.
+// that needs information to flow across package boundaries (purityflow's
+// function summaries, say) exports a fact while analyzing the declaring
+// package and imports it while analyzing a dependent; the driver loads
+// packages in dependency order (see Loader.Load) so a declaration's facts
+// always exist before its uses are analyzed.
 //
 // Keys are analyzer-chosen strings; the convention used in this
 // repository is "<import-path>.<Type>.<member>" for fields and methods

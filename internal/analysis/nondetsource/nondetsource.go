@@ -1,9 +1,10 @@
-// Package nondetsource forbids sources of nondeterminism inside the
-// algorithm packages: wall-clock reads, math/rand, and GOMAXPROCS- or
-// CPU-count-dependent logic. The repository guarantees that every
-// algorithm produces byte-identical results for any Options.Workers value
-// (DESIGN.md §7); a clock read, an unseeded random draw, or a decision
-// keyed on the machine's core count silently voids that guarantee.
+// Package nondetsource forbids sources of nondeterminism in every package
+// that can reach a deterministic result (analysis.DeterministicScope):
+// wall-clock reads, math/rand, and GOMAXPROCS- or CPU-count-dependent
+// logic. The repository guarantees that every algorithm produces
+// byte-identical results for any Options.Workers value (DESIGN.md §7); a
+// clock read, an unseeded random draw, or a decision keyed on the
+// machine's core count silently voids that guarantee.
 //
 // Three constructs are reported:
 //
@@ -16,10 +17,11 @@
 //
 // Sanctioned uses — the seeded test-case generators in internal/netlist
 // and internal/expt, the Workers:0 → one-goroutine-per-CPU resolution
-// whose reduction is order-independent, and the confined clock readers in
-// internal/obs (span.go) and internal/trace (ring.go) whose readings only
-// ever reach determinism-excluded sections — carry
-// //nontree:allow nondetsource <justification> annotations.
+// whose reduction is order-independent, serve's concurrency-limiter
+// default, and the confined clock readers in internal/obs (span.go) and
+// internal/trace (ring.go) whose readings only ever reach
+// determinism-excluded sections — carry //nontree:allow nondetsource
+// <justification> annotations.
 package nondetsource
 
 import (
@@ -33,55 +35,9 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "nondetsource",
 	Doc: "forbid time.Now, math/rand, and GOMAXPROCS/NumCPU-dependent logic " +
-		"in algorithm packages",
-	Scope: []string{
-		"nontree", // root façade package
-		"nontree/sta",
-		"internal/core",
-		"internal/ert",
-		"internal/steiner",
-		"internal/pdtree",
-		"internal/graph",
-		"internal/geom",
-		"internal/mst",
-		"internal/elmore",
-		"internal/spice",
-		"internal/linalg",
-		// The workspace cache behind linalg's and elmore's factorizations
-		// is in scope so its GOMAXPROCS read stays annotated: the count
-		// only bounds how many idle workspaces are kept.
-		"internal/scratch",
-		"internal/rc",
-		"internal/stats",
-		"internal/netlist",
-		"internal/expt",
-		"internal/embed",
-		"internal/viz",
-		// The observability layer is in scope so the clock stays confined:
-		// obs/span.go and trace/ring.go are the only annotated readers, and
-		// everything they capture lands in sections (Timings, Event.Elapsed)
-		// that the determinism comparisons exclude (DESIGN.md §10, §11).
-		"internal/obs",
-		"internal/trace",
-		// The wide-event log is in scope so events stay clock-free at the
-		// package level: every timing an olog.Event carries is stamped by
-		// serve through the obs stopwatch, and the deterministic projection
-		// (Event.Deterministic) excludes those fields (DESIGN.md §16).
-		"internal/olog",
-		// The bounded ring behind both is in scope so it stays clock-free:
-		// trace stamps Elapsed in its own ring.go, through the stamp
-		// function it hands the generic ring.
-		"internal/ring",
-		// The line codec both encode through is in scope so the canonical
-		// bytes stay a pure function of the event.
-		"internal/jsonl",
-		// The workload simulator is in scope so its generation side stays a
-		// pure function of the spec seed: sim's math/rand import carries the
-		// seeded-stream justification, and the driver reads the clock only
-		// through the sanctioned obs.Span/obs.Stopwatch helpers.
-		"internal/sim",
-	},
-	Run: run,
+		"in every package a deterministic result can reach",
+	Scope: analysis.DeterministicScope,
+	Run:   run,
 }
 
 func run(pass *analysis.Pass) error {

@@ -1,8 +1,10 @@
 package nondetsource_test
 
 import (
+	"slices"
 	"testing"
 
+	"nontree/internal/analysis"
 	"nontree/internal/analysis/analysistest"
 	"nontree/internal/analysis/nondetsource"
 )
@@ -11,13 +13,18 @@ func TestNondetSource(t *testing.T) {
 	analysistest.Run(t, nondetsource.Analyzer, "a")
 }
 
+// TestScope pins nondetsource to the shared deterministic scope.
 func TestScope(t *testing.T) {
+	if !slices.Equal(nondetsource.Analyzer.Scope, analysis.DeterministicScope) {
+		t.Fatalf("Scope = %v, want analysis.DeterministicScope", nondetsource.Analyzer.Scope)
+	}
 	for _, path := range []string{
 		"nontree",
 		"nontree/sta",
 		"nontree/internal/core",
 		"nontree/internal/netlist",
 		"nontree/internal/expt",
+		"nontree/internal/serve",
 	} {
 		if !nondetsource.Analyzer.InScope(path) {
 			t.Errorf("expected %s in scope", path)

@@ -7,7 +7,6 @@ package registry
 
 import (
 	"nontree/internal/analysis"
-	"nontree/internal/analysis/detflow"
 	"nontree/internal/analysis/detordering"
 	"nontree/internal/analysis/epochcheck"
 	"nontree/internal/analysis/floatcmp"
@@ -19,7 +18,6 @@ import (
 
 // suite is the full roster, kept sorted by name.
 var suite = []*analysis.Analyzer{
-	detflow.Analyzer,
 	detordering.Analyzer,
 	epochcheck.Analyzer,
 	floatcmp.Analyzer,

@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -44,12 +44,7 @@ func (r *WireSizeResult) Fingerprint() string {
 	for e := range r.Widths {
 		edges = append(edges, e)
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
-		}
-		return edges[i].V < edges[j].V
-	})
+	slices.SortFunc(edges, graph.Edge.Compare)
 	var b strings.Builder
 	b.WriteString("widths=")
 	for i, e := range edges {

@@ -11,6 +11,7 @@ package embed
 
 import (
 	"math"
+	"slices"
 
 	"nontree/internal/geom"
 	"nontree/internal/graph"
@@ -136,7 +137,7 @@ func (e *Embedding) Crossings() int {
 		edges = append(edges, edge)
 	}
 	// Canonical order for determinism.
-	sortEdges(edges)
+	slices.SortFunc(edges, graph.Edge.Compare)
 	total := 0
 	for i := 0; i < len(edges); i++ {
 		for j := i + 1; j < len(edges); j++ {
@@ -218,23 +219,6 @@ func overlap1D(a1, a2, b1, b2 float64) int {
 		return 1
 	}
 	return 0
-}
-
-func sortEdges(edges []graph.Edge) {
-	// Insertion sort: edge lists are small and this avoids importing sort
-	// for a single call site with a custom key.
-	for i := 1; i < len(edges); i++ {
-		for j := i; j > 0 && less(edges[j], edges[j-1]); j-- {
-			edges[j], edges[j-1] = edges[j-1], edges[j]
-		}
-	}
-}
-
-func less(a, b graph.Edge) bool {
-	if a.U != b.U {
-		return a.U < b.U
-	}
-	return a.V < b.V
 }
 
 // PlanarFilter reports whether candidate edge e could be added to the

@@ -9,6 +9,7 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -41,6 +42,16 @@ func (e Edge) Other(n int) int {
 		return e.U
 	}
 	panic(fmt.Sprintf("graph: node %d is not an endpoint of edge %v", n, e))
+}
+
+// Compare orders edges by U, then V: the canonical order of every sorted
+// edge list (fingerprints, crossing counts). Its shape suits
+// slices.SortFunc(edges, graph.Edge.Compare).
+func (e Edge) Compare(f Edge) int {
+	if c := cmp.Compare(e.U, f.U); c != 0 {
+		return c
+	}
+	return cmp.Compare(e.V, f.V)
 }
 
 // String renders the edge as "u-v".

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -39,6 +40,19 @@ func TestEdgeCanonAndOther(t *testing.T) {
 		}
 	}()
 	e.Other(99)
+}
+
+// TestEdgeCompare pins the canonical edge order: U first, then V.
+func TestEdgeCompare(t *testing.T) {
+	edges := []Edge{{2, 3}, {0, 4}, {2, 1}, {0, 1}, {2, 3}}
+	slices.SortFunc(edges, Edge.Compare)
+	want := []Edge{{0, 1}, {0, 4}, {2, 1}, {2, 3}, {2, 3}}
+	if !slices.Equal(edges, want) {
+		t.Errorf("sorted = %v, want %v", edges, want)
+	}
+	if c := (Edge{1, 2}).Compare(Edge{1, 2}); c != 0 {
+		t.Errorf("Compare of equal edges = %d, want 0", c)
+	}
 }
 
 func TestAddRemoveEdges(t *testing.T) {

@@ -98,6 +98,7 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.MaxConcurrent <= 0 {
+		//nontree:allow nondetsource the core count only sizes the concurrency limiter; no reply depends on it
 		o.MaxConcurrent = 2 * runtime.GOMAXPROCS(0)
 	}
 	if o.TraceCapacity <= 0 {
