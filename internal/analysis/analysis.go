@@ -42,20 +42,24 @@ type Analyzer struct {
 	// pass.Report or pass.Reportf.
 	Run func(pass *Pass) error
 	// Scope restricts which packages the driver applies the analyzer to:
-	// a package is in scope when its import path equals an entry or ends
-	// with "/"+entry. An empty Scope means every package. The analysistest
+	// a package is in scope when its import path equals an entry or, for
+	// an entry containing a slash, ends with "/"+entry (see InScope). An
+	// empty Scope means every package. The analysistest
 	// harness ignores Scope — testdata packages exercise the check
 	// directly.
 	Scope []string
 }
 
 // InScope reports whether the analyzer applies to the given import path.
+// An entry with a slash matches the path itself or any path ending in
+// "/"+entry; an entry without one, such as the module root "nontree",
+// matches only itself, so it does not pull in every package of that name.
 func (a *Analyzer) InScope(path string) bool {
 	if len(a.Scope) == 0 {
 		return true
 	}
 	for _, s := range a.Scope {
-		if path == s || strings.HasSuffix(path, "/"+s) {
+		if path == s || strings.Contains(s, "/") && strings.HasSuffix(path, "/"+s) {
 			return true
 		}
 	}

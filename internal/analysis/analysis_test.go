@@ -18,7 +18,9 @@ func TestInScope(t *testing.T) {
 		{"internal/core", true},
 		{"nontree/internal/coreextra", false},
 		{"nontree/internal/ert", false},
-		{"other/internal/core", true}, // suffix match is intentional
+		{"other/internal/core", true},  // suffix match is intentional
+		{"nontree/cmd/nontree", false}, // a slash-free entry matches exactly
+		{"other/nontree", false},
 	}
 	for _, c := range cases {
 		if got := a.InScope(c.path); got != c.want {

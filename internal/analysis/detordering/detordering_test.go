@@ -30,7 +30,7 @@ func TestScope(t *testing.T) {
 			t.Errorf("expected %s in scope", path)
 		}
 	}
-	for _, path := range []string{"nontree/cmd/nontree-bench", "nontree/internal/analysis"} {
+	for _, path := range []string{"nontree/cmd/nontree", "nontree/cmd/nontree-bench", "nontree/internal/analysis"} {
 		if detordering.Analyzer.InScope(path) {
 			t.Errorf("expected %s out of scope", path)
 		}

@@ -29,6 +29,7 @@ func H1(seed *graph.Topology, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer eng.release()
 	cur, err := obj.Eval(delays, t.NumPins())
 	if err != nil {
 		return nil, err
@@ -149,13 +150,18 @@ func H2(seed *graph.Topology, params rc.Params, opts Options) (*Result, error) {
 // improvement against wirelength.
 func H3(seed *graph.Topology, params rc.Params, opts Options) (*Result, error) {
 	return elmoreSelectedAddition(seed, params, opts, func(delays []float64, t *graph.Topology) (int, error) {
+		// The seed is a tree: root it once and walk each sink's path.
+		parents, err := t.RootAt(0)
+		if err != nil {
+			return -1, err
+		}
 		best, bestScore := -1, -1.0
 		for sink := 1; sink < t.NumPins(); sink++ {
 			newLen := t.EdgeLength(graph.Edge{U: 0, V: sink})
 			if t.ZeroLength(graph.Edge{U: 0, V: sink}) || t.HasEdge(graph.Edge{U: 0, V: sink}) {
 				continue
 			}
-			pathLen, err := t.TreePathLength(sink)
+			pathLen, err := t.SourcePathLength(parents, sink)
 			if err != nil {
 				return -1, err
 			}

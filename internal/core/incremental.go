@@ -24,10 +24,11 @@ import (
 // topology and widths.
 type IncrementalScorer interface {
 	// NewIncrementalSweep prepares incremental evaluation of t under the
-	// width assignment. The caller owns the evaluator's lifecycle: after
-	// every committed topology or width mutation it must Adopt the
-	// mutation's solution or Refactor.
-	NewIncrementalSweep(t *graph.Topology, width rc.WidthFunc) (*elmore.Incremental, error)
+	// width assignment over ws's storage. The caller owns the evaluator's
+	// lifecycle: after every committed topology or width mutation it must
+	// Adopt the mutation's solution or Refactor, and it stops using the
+	// evaluator before it hands ws to another.
+	NewIncrementalSweep(ws *elmore.Workspace, t *graph.Topology, width rc.WidthFunc) (*elmore.Incremental, error)
 	// Solve makes one full solve of t under width. Its Delays equal
 	// SinkDelays(t, width) bit for bit, and an evaluator of t may adopt
 	// it once t is in that state.

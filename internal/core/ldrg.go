@@ -174,6 +174,7 @@ func greedy(seed *graph.Topology, opts *Options, taps bool) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer eng.release()
 	cur, err := obj.Eval(delays, t.NumPins())
 	if err != nil {
 		return nil, fmt.Errorf("core: scoring seed topology: %w", err)
@@ -207,9 +208,10 @@ func greedy(seed *graph.Topology, opts *Options, taps bool) (*Result, error) {
 }
 
 // candidateEdges returns the absent edges the greedy sweep should evaluate,
-// in canonical sorted order (the order that fixes tie-breaking).
-func candidateEdges(t *graph.Topology, opts *Options) []graph.Edge {
-	absent := t.AbsentEdges()
+// in canonical sorted order (the order that fixes tie-breaking), built in
+// the storage of buf.
+func candidateEdges(t *graph.Topology, opts *Options, buf []graph.Edge) []graph.Edge {
+	absent := t.AppendAbsentEdges(buf[:0])
 	out := absent[:0] // filtered in place
 	for _, e := range absent {
 		// Edges to isolated Steiner nodes are dead stubs: they only add
@@ -230,7 +232,8 @@ func candidateEdges(t *graph.Topology, opts *Options) []graph.Edge {
 // bestAddition scans every absent edge and returns the winner, if one
 // improves on cur by the threshold.
 func bestAddition(t *graph.Topology, opts *Options, cur float64, sweep int, eng *sweepEngine) (winner, bool, error) {
-	cands := candidateEdges(t, opts)
+	cands := candidateEdges(t, opts, eng.w.edges)
+	eng.w.edges = cands
 	eng.rec.Add(obs.CtrSweeps, 1)
 	eng.rec.Add(obs.CtrSweepCandidates, int64(len(cands)))
 	eng.rec.Observe(obs.HistSweepCandidates, float64(len(cands)))

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"nontree/internal/elmore"
 	"nontree/internal/graph"
 	"nontree/internal/mst"
 	"nontree/internal/netlist"
@@ -217,7 +218,7 @@ func TestElmoreBaseDelaysMatchOracle(t *testing.T) {
 			}
 			width = func(e graph.Edge) float64 { return float64(1 + (e.U+e.V)%3) }
 		}
-		inc, err := oracle.NewIncrementalSweep(topo, width)
+		inc, err := oracle.NewIncrementalSweep(new(elmore.Workspace), topo, width)
 		if err != nil {
 			t.Fatal(err)
 		}

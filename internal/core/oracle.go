@@ -74,8 +74,8 @@ func (o *ElmoreOracle) SinkDelays(t *graph.Topology, width rc.WidthFunc) ([]floa
 // NewIncrementalSweep implements IncrementalScorer: the Elmore model is
 // the one oracle whose candidate evaluations reduce to exact low-rank
 // perturbations of a factored base state (see elmore.Incremental).
-func (o *ElmoreOracle) NewIncrementalSweep(t *graph.Topology, width rc.WidthFunc) (*elmore.Incremental, error) {
-	return elmore.NewIncremental(t, o.Params, width)
+func (o *ElmoreOracle) NewIncrementalSweep(ws *elmore.Workspace, t *graph.Topology, width rc.WidthFunc) (*elmore.Incremental, error) {
+	return elmore.NewIncremental(ws, t, o.Params, width)
 }
 
 // Solve implements IncrementalScorer: one full solve of t, with the

@@ -45,7 +45,7 @@ func referenceGreedy(seed *graph.Topology, opts Options, taps bool) (*Result, []
 		threshold := cur * (1 - minImprovement)
 		edgeVal, edgeOK := cur, false
 		var edge graph.Edge
-		for _, e := range candidateEdges(t, &opts) {
+		for _, e := range candidateEdges(t, &opts, nil) {
 			if err := t.AddEdge(e); err != nil {
 				return nil, nil, err
 			}
@@ -64,7 +64,7 @@ func referenceGreedy(seed *graph.Topology, opts Options, taps bool) (*Result, []
 		tapVal, tapOK := cur, false
 		var tap tapCandidate
 		if taps {
-			for _, c := range tapCandidates(t) {
+			for _, c := range tapCandidates(t, nil) {
 				clone := t.Clone()
 				if _, err := applyTap(clone, c.edge, c.point); err != nil {
 					return nil, nil, err

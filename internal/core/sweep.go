@@ -11,6 +11,7 @@ import (
 	"nontree/internal/graph"
 	"nontree/internal/obs"
 	"nontree/internal/rc"
+	"nontree/internal/scratch"
 	"nontree/internal/trace"
 )
 
@@ -156,8 +157,23 @@ type sweepEngine struct {
 	evals   *int // the run's Evaluations
 	rec     obs.Recorder
 	tr      trace.Tracer
-	outs    []outcome // reused across sweeps
+	w       *sweepWork
 }
+
+// sweepWork is the storage one run reuses across its epochs and sweeps:
+// the evaluator's workspace, the candidate lists and the outcome slots. A
+// run takes it from sweepScratch in newSweepEngine and returns it in
+// release, so a warm caller, such as the daemon routing request after
+// request, allocates none of it per run; storage grows only when a net
+// outgrows every one before it.
+type sweepWork struct {
+	inc   elmore.Workspace
+	edges []graph.Edge
+	taps  []tapCandidate
+	outs  []outcome
+}
+
+var sweepScratch = scratch.New[sweepWork]()
 
 // newSweepEngine prepares the sweeps of one run over t under width (nil =
 // unit widths; only WireSize passes one) and returns t's delays, counted as
@@ -166,11 +182,20 @@ type sweepEngine struct {
 // base delays, which equal the oracle's SinkDelays bit for bit, so t is
 // factored once. Any other oracle scores candidates with full solves and t
 // with one SinkDelays call.
-func newSweepEngine(t *graph.Topology, opts *Options, width rc.WidthFunc, obj Objective, evals *int) (*sweepEngine, []float64, error) {
-	eng := &sweepEngine{oracle: opts.Oracle, obj: obj, workers: opts.workers(), evals: evals, rec: opts.obs(), tr: opts.trace()}
+//
+// The engine holds the run's sweepWork; the caller must release it once
+// the run ends, on every return path.
+func newSweepEngine(t *graph.Topology, opts *Options, width rc.WidthFunc, obj Objective, evals *int) (_ *sweepEngine, _ []float64, rerr error) {
+	eng := &sweepEngine{oracle: opts.Oracle, obj: obj, workers: opts.workers(), evals: evals, rec: opts.obs(), tr: opts.trace(),
+		w: sweepScratch.Get()}
+	defer func() {
+		if rerr != nil {
+			eng.release()
+		}
+	}()
 	var delays []float64
 	if is, ok := opts.Oracle.(IncrementalScorer); ok {
-		inc, err := is.NewIncrementalSweep(t, width)
+		inc, err := is.NewIncrementalSweep(&eng.w.inc, t, width)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: scoring seed topology: %w", err)
 		}
@@ -190,6 +215,13 @@ func newSweepEngine(t *graph.Topology, opts *Options, width rc.WidthFunc, obj Ob
 	}
 	eng.count(1)
 	return eng, delays, nil
+}
+
+// release returns the run's sweepWork for reuse. The engine, its
+// evaluator and every slice they handed out must not be used afterwards.
+func (eng *sweepEngine) release() {
+	sweepScratch.Put(eng.w)
+	eng.w, eng.inc = nil, nil
 }
 
 // solve returns t's delays under width from one full solve: through the
@@ -247,10 +279,10 @@ func (eng *sweepEngine) scan(t *graph.Topology, sweep int, cur float64, c candid
 	if cur < threshold {
 		threshold = cur // a negative objective: never accept a worsening
 	}
-	if cap(eng.outs) < c.n {
-		eng.outs = make([]outcome, c.n)
+	if cap(eng.w.outs) < c.n {
+		eng.w.outs = make([]outcome, c.n)
 	}
-	outs := eng.outs[:c.n]
+	outs := eng.w.outs[:c.n]
 	if eng.inc == nil {
 		evals, err := runSweep(t, eng.workers, outs, eng.rec, c.full)
 		eng.count(evals)

@@ -48,11 +48,12 @@ func compactTapResult(res *Result) (*Result, error) {
 
 // tapCandidates returns, for every existing edge, the tap from the source
 // to the closest point of the edge's bounding box, in canonical edge order
-// (the order that fixes tie-breaking). Degenerate taps — reducing to plain
-// edges (handled by bestAddition) or to nothing — are dropped.
-func tapCandidates(t *graph.Topology) []tapCandidate {
+// (the order that fixes tie-breaking), built in the storage of buf.
+// Degenerate taps — reducing to plain edges (handled by bestAddition) or
+// to nothing — are dropped.
+func tapCandidates(t *graph.Topology, buf []tapCandidate) []tapCandidate {
 	src := t.Point(0)
-	var out []tapCandidate
+	out := buf[:0]
 	for _, e := range t.Edges() {
 		a, b := t.Point(e.U), t.Point(e.V)
 		p := geom.Point{
@@ -79,7 +80,8 @@ type tapCandidate struct {
 // estimate, so every candidate is probed, though under MaxDelayObjective
 // a probe may stop early (see sweep.go, rule 4).
 func bestTap(t *graph.Topology, opts *Options, cur float64, sweep int, eng *sweepEngine) (winner, bool, error) {
-	cands := tapCandidates(t)
+	cands := tapCandidates(t, eng.w.taps)
+	eng.w.taps = cands
 	eng.rec.Add(obs.CtrTapCandidates, int64(len(cands)))
 	eng.tr.Emit(trace.Event{Kind: trace.KindSweepStart, Sweep: sweep, Tap: true, N: int64(len(cands))})
 	return eng.scan(t, sweep, cur, candidates{

@@ -179,8 +179,8 @@ func (o *failingOracle) SinkDelays(t *graph.Topology, width rc.WidthFunc) ([]flo
 // and no candidate events (DESIGN.md §11).
 func TestTraceOnOracleErrorAcrossWorkers(t *testing.T) {
 	seed := randomMST(t, 42, 8)
-	edge := candidateEdges(seed, &Options{})[10]
-	taps := tapCandidates(seed)
+	edge := candidateEdges(seed, &Options{}, nil)[10]
+	taps := tapCandidates(seed, nil)
 	tap := taps[len(taps)/2].point
 	widen := seed.Edges()[3]
 	runs := []struct {
@@ -242,8 +242,8 @@ func lastIsSweepStart(t *testing.T, label string, ring *trace.Ring) {
 // the leader reaches Solve and fails.
 type failingIncrementalOracle struct{ failingOracle }
 
-func (o *failingIncrementalOracle) NewIncrementalSweep(t *graph.Topology, width rc.WidthFunc) (*elmore.Incremental, error) {
-	return elmoreOracle().NewIncrementalSweep(t, width)
+func (o *failingIncrementalOracle) NewIncrementalSweep(ws *elmore.Workspace, t *graph.Topology, width rc.WidthFunc) (*elmore.Incremental, error) {
+	return elmoreOracle().NewIncrementalSweep(ws, t, width)
 }
 
 func (o *failingIncrementalOracle) Solve(t *graph.Topology, width rc.WidthFunc) (*elmore.Solution, error) {
@@ -315,7 +315,7 @@ func TestUntracedSweepBuildsNoCandidateEvents(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cands := candidateEdges(seed, &opts)
+		cands := candidateEdges(seed, &opts, nil)
 		built := 0
 		_, _, err = eng.scan(seed, 1, cur, candidates{
 			n:     len(cands),

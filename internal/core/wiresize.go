@@ -105,6 +105,7 @@ func WireSize(t *graph.Topology, wopts WireSizeOptions, opts Options) (*WireSize
 	if err != nil {
 		return nil, err
 	}
+	defer eng.release()
 	cur, err := obj.Eval(delays, t.NumPins())
 	if err != nil {
 		return nil, fmt.Errorf("core: WSORG initial evaluation: %w", err)
@@ -112,12 +113,13 @@ func WireSize(t *graph.Topology, wopts WireSizeOptions, opts Options) (*WireSize
 	res.InitialObjective = cur
 	for sweep := 1; ; sweep++ {
 		// Widening candidates in canonical edge order (fixes tie-breaking).
-		var cands []graph.Edge
+		cands := eng.w.edges[:0]
 		for _, e := range t.Edges() {
 			if widths[e] < maxW {
 				cands = append(cands, e)
 			}
 		}
+		eng.w.edges = cands
 		eng.rec.Add(obs.CtrWidenCandidates, int64(len(cands)))
 		eng.tr.Emit(trace.Event{Kind: trace.KindSweepStart, Sweep: sweep, N: int64(len(cands))})
 		win, ok, err := eng.scan(t, sweep, cur, candidates{

@@ -61,24 +61,14 @@ type Incremental struct {
 	cond *Conductance
 	base []float64 // delays of the base topology (s)
 
-	// colCache[k] = G⁻¹ e_k, a transfer-resistance column (Ω), lazily
-	// computed. Valid only for the current epoch: Refactor and Adopt reset
-	// it.
-	colCache [][]float64
+	// ws holds the column cache, the sink order and the probe buffer.
+	ws *Workspace
 
 	// epoch counts the base states installed (Refactor or Adopt). It
 	// exists to make cache-invalidation observable: every cached artifact
 	// belongs to the epoch it was computed in, and each install starts a
 	// new one.
 	epoch int
-
-	// order holds the sinks in sinkOrder, sorted in epoch orderEpoch.
-	order      []int
-	orderEpoch int
-
-	// buf is the delay vector (s) every probe writes and returns; the next
-	// probe overwrites it.
-	buf []float64
 
 	// evals, hits and misses tally probes and column-cache lookups until
 	// Flush hands them to Obs, so a probe takes no lock.
@@ -91,16 +81,61 @@ type Incremental struct {
 	Obs obs.Recorder
 }
 
+// Workspace is the storage an incremental evaluator fills and reuses: the
+// transfer-resistance columns, the sink order and the probe buffer. A
+// caller that runs evaluators one after another, as a daemon does request
+// after request, hands each the same Workspace, so storage is allocated
+// only when a network outgrows every one before it. A Workspace serves one
+// evaluator at a time; once it is handed to the next, the previous one
+// must no longer be used. The zero value is ready for use.
+//
+// Column k is cols[k].r, valid when cols[k].gen equals gen. gen counts the
+// base states installed over the workspace's lifetime, whichever evaluator
+// installed them; it only grows, so no column left by an earlier epoch, or
+// by an earlier evaluator whose own epoch count restarted at 1, can pass
+// for a column of the current one.
+type Workspace struct {
+	gen  uint64
+	cols []column
+
+	// order holds the sinks in sinkOrder, sorted in generation orderGen.
+	order    []int
+	orderGen uint64
+
+	// buf is the delay vector (s) every probe writes and returns; the next
+	// probe overwrites it.
+	buf []float64
+}
+
+// column is one cached transfer-resistance column and the workspace
+// generation it was solved in.
+type column struct {
+	gen uint64
+	r   []float64 // Ω
+}
+
+// install starts a new generation over an n-node network: every cached
+// column goes stale, and the cache grows to n columns if it is shorter.
+// Column storage is kept and refilled in place, and reallocated only for
+// a column shorter than n.
+func (ws *Workspace) install(n int) {
+	ws.gen++
+	if len(ws.cols) < n {
+		ws.cols = append(ws.cols, make([]column, n-len(ws.cols))...)
+	}
+}
+
 // NewIncremental prepares incremental evaluation over the topology's
-// current state under a per-edge width assignment (nil = unit widths). The
+// current state under a per-edge width assignment (nil = unit widths),
+// keeping its caches in ws (new(Workspace) for storage of its own). The
 // topology must not be mutated while the evaluator is in use; after
 // committing a modification, call Refactor to re-derive the base state.
 // The width function is re-read on every Refactor, so callers that mutate
 // their width map need only refactor. An Incremental mutates its caches on
 // every evaluation and must not be shared across goroutines — give each
-// worker its own evaluator instead.
-func NewIncremental(t *graph.Topology, p rc.Params, width rc.WidthFunc) (*Incremental, error) {
-	inc := &Incremental{topo: t, p: p, width: width}
+// worker its own evaluator and workspace instead.
+func NewIncremental(ws *Workspace, t *graph.Topology, p rc.Params, width rc.WidthFunc) (*Incremental, error) {
+	inc := &Incremental{topo: t, p: p, width: width, ws: ws}
 	if err := inc.Refactor(); err != nil {
 		return nil, err
 	}
@@ -169,7 +204,7 @@ func (inc *Incremental) Adopt(sol *Solution) error {
 	}
 	inc.Flush()
 	inc.l, inc.cond, inc.base = sol.l, sol.cond, sol.delays
-	inc.colCache = make([][]float64, n)
+	inc.ws.install(n)
 	inc.epoch++
 	return nil
 }
@@ -201,29 +236,35 @@ func (inc *Incremental) BaseDelays() []float64 { return inc.base }
 
 // Column returns G⁻¹e_k, the transfer-resistance column (Ω) of node k
 // under the current base state, from the epoch's cache. It must not be
-// modified.
+// modified, and is valid until the next Refactor or Adopt.
 func (inc *Incremental) Column(k int) []float64 {
-	if inc.colCache[k] == nil {
-		col := make([]float64, inc.cond.size)
-		col[k] = 1
-		inc.cond.lu.SolveInPlace(col)
-		inc.colCache[k] = col
-		inc.misses++
-	} else {
+	ws, n := inc.ws, inc.cond.size
+	c := &ws.cols[k]
+	if c.gen == ws.gen {
 		inc.hits++
+		return c.r
 	}
-	return inc.colCache[k]
+	if cap(c.r) < n {
+		c.r = make([]float64, n)
+	}
+	c.r = c.r[:n]
+	clear(c.r)
+	c.r[k] = 1
+	inc.cond.lu.SolveInPlace(c.r)
+	c.gen = ws.gen
+	inc.misses++
+	return c.r
 }
 
 // probeBuf returns the evaluator's probe buffer (delays, s) sized to the
 // current network.
 func (inc *Incremental) probeBuf() []float64 {
-	n := inc.cond.size
-	if cap(inc.buf) < n {
-		inc.buf = make([]float64, n)
+	ws, n := inc.ws, inc.cond.size
+	if cap(ws.buf) < n {
+		ws.buf = make([]float64, n)
 	}
-	inc.buf = inc.buf[:n]
-	return inc.buf
+	ws.buf = ws.buf[:n]
+	return ws.buf
 }
 
 // ErrDegenerate is returned for candidate modifications of zero length.
@@ -378,17 +419,18 @@ func (inc *Incremental) WithWiden(e graph.Edge) ([]float64, error) {
 // sinkOrder returns the sinks (nodes 1..NumPins-1) in descending base
 // delay, ties going to the lower index: the order the cutoff probes visit
 // them in, so the sinks most likely to stay critical come first. It is
-// sorted once per epoch into a buffer reused across epochs, and must not
-// be modified.
+// sorted once per epoch into the workspace's buffer, and must not be
+// modified.
 func (inc *Incremental) sinkOrder() []int {
-	if inc.orderEpoch == inc.epoch {
-		return inc.order
+	ws := inc.ws
+	if ws.orderGen == ws.gen {
+		return ws.order
 	}
 	n := min(inc.topo.NumPins(), len(inc.base))
-	if cap(inc.order) < n {
-		inc.order = make([]int, 0, n)
+	if cap(ws.order) < n {
+		ws.order = make([]int, 0, n)
 	}
-	order := inc.order[:0]
+	order := ws.order[:0]
 	for i := 1; i < n; i++ {
 		order = append(order, i)
 	}
@@ -399,7 +441,7 @@ func (inc *Incremental) sinkOrder() []int {
 		}
 		return a - b
 	})
-	inc.order, inc.orderEpoch = order, inc.epoch
+	ws.order, ws.orderGen = order, ws.gen
 	return order
 }
 

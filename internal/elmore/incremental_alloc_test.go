@@ -17,7 +17,7 @@ import (
 // order at a new epoch reuses its buffer.
 func TestProbesDoNotAllocate(t *testing.T) {
 	topo := randomTree(t, 31, 12)
-	inc, err := NewIncremental(topo, rc.Default(), nil)
+	inc, err := NewIncremental(new(Workspace), topo, rc.Default(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestProbesDoNotAllocate(t *testing.T) {
 		}
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		inc.orderEpoch = 0
+		inc.ws.orderGen = 0
 		inc.sinkOrder()
 	}); n != 0 {
 		t.Errorf("sink order: %v allocations per re-sort, want 0", n)
@@ -77,7 +77,7 @@ func TestProbesDoNotAllocate(t *testing.T) {
 // the values a fresh evaluator returns for that probe alone.
 func TestProbesShareOneBuffer(t *testing.T) {
 	topo := randomTree(t, 32, 10)
-	inc, err := NewIncremental(topo, rc.Default(), nil)
+	inc, err := NewIncremental(new(Workspace), topo, rc.Default(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestProbesShareOneBuffer(t *testing.T) {
 	if &first[0] != &second[0] {
 		t.Fatal("consecutive probes returned different slices, want the evaluator's one buffer")
 	}
-	fresh, err := NewIncremental(topo, rc.Default(), nil)
+	fresh, err := NewIncremental(new(Workspace), topo, rc.Default(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,22 +108,49 @@ func TestProbesShareOneBuffer(t *testing.T) {
 	}
 }
 
-// TestColumnMissAllocatesOnce: a column-cache miss solves in place into
-// the new cache slot, and TransferResistance into its one result vector,
-// so each makes a single allocation.
-func TestColumnMissAllocatesOnce(t *testing.T) {
+// TestWarmAdoptRefillsColumnsWithoutAllocating: once an evaluator's
+// workspace holds a column for every node, adopting a new base state of
+// the same size and refilling every column solves in place into the kept
+// storage, so an epoch makes no allocation. TransferResistance solves into
+// its one result vector, a single allocation.
+func TestWarmAdoptRefillsColumnsWithoutAllocating(t *testing.T) {
 	topo := randomTree(t, 33, 12)
-	inc, err := NewIncremental(topo, rc.Default(), nil)
+	p := rc.Default()
+	inc, err := NewIncremental(new(Workspace), topo, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(100, func() {
-		inc.colCache[5] = nil
-		inc.Column(5)
-	}); n != 1 {
-		t.Errorf("column miss: %v allocations, want 1", n)
+	sol, err := Solve(topo, p, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(100, func() { _, _ = inc.cond.TransferResistance(3, 5) }); n != 1 {
-		t.Errorf("TransferResistance: %v allocations, want 1", n)
+	n := topo.NumNodes()
+	refill := func() {
+		if err := inc.Adopt(sol); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < n; k++ {
+			inc.Column(k)
+		}
+	}
+	refill()
+	if a := testing.AllocsPerRun(100, refill); a != 0 {
+		t.Errorf("warm Adopt plus %d column fills: %v allocations, want 0", n, a)
+	}
+	// The refilled columns are those of a fresh evaluator, bit for bit.
+	fresh, err := NewIncremental(new(Workspace), topo, p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < n; k++ {
+		got, want := inc.Column(k), fresh.Column(k)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("column %d entry %d: %v, want %v", k, i, got[i], want[i])
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() { _, _ = inc.cond.TransferResistance(3, 5) }); a != 1 {
+		t.Errorf("TransferResistance: %v allocations, want 1", a)
 	}
 }

@@ -42,7 +42,7 @@ func TestWithWidenMatchesFullSolve(t *testing.T) {
 		}
 		widthFn := func(e graph.Edge) float64 { return float64(widths[e.Canon()]) }
 
-		inc, err := NewIncremental(topo, p, widthFn)
+		inc, err := NewIncremental(new(Workspace), topo, p, widthFn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestWithTapMatchesFullSolve(t *testing.T) {
 	p := rc.Default()
 	for seed := int64(30); seed < 34; seed++ {
 		topo := randomTree(t, seed, 9)
-		inc, err := NewIncremental(topo, p, nil)
+		inc, err := NewIncremental(new(Workspace), topo, p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func TestWideningBoundIsSound(t *testing.T) {
 			widths[e] = 1 + i%2
 		}
 		widthFn := func(e graph.Edge) float64 { return float64(widths[e.Canon()]) }
-		inc, err := NewIncremental(topo, p, widthFn)
+		inc, err := NewIncremental(new(Workspace), topo, p, widthFn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func FuzzIncrementalVsFull(f *testing.F) {
 		numPins := 4 + int(pins)%13 // 4..16
 		topo := fuzzTopology(t, seed, numPins)
 		p := rc.Default()
-		inc, err := NewIncremental(topo, p, nil)
+		inc, err := NewIncremental(new(Workspace), topo, p, nil)
 		if err != nil {
 			t.Skip() // degenerate net (coincident pins etc.)
 		}

@@ -1,6 +1,7 @@
 package elmore
 
 import (
+	"math"
 	"testing"
 
 	"nontree/internal/geom"
@@ -32,7 +33,7 @@ func fullDelays(t *testing.T, topo *graph.Topology, width rc.WidthFunc) []float6
 func TestRefactorInvalidatesColumnCache(t *testing.T) {
 	topo := randomTree(t, 41, 12)
 	p := rc.Default()
-	inc, err := NewIncremental(topo, p, nil)
+	inc, err := NewIncremental(new(Workspace), topo, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestRefactorInvalidatesColumnCache(t *testing.T) {
 		t.Fatalf("epoch after Refactor = %d, want 2", inc.Epoch())
 	}
 
-	fresh, err := NewIncremental(topo, p, nil)
+	fresh, err := NewIncremental(new(Workspace), topo, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestRefactorInvalidatesColumnCache(t *testing.T) {
 func TestRefactorTracksNodeGrowth(t *testing.T) {
 	topo := randomTree(t, 42, 8)
 	p := rc.Default()
-	inc, err := NewIncremental(topo, p, nil)
+	inc, err := NewIncremental(new(Workspace), topo, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,5 +121,79 @@ func TestRefactorTracksNodeGrowth(t *testing.T) {
 			}
 			break
 		}
+	}
+}
+
+// TestWorkspaceServesNoStaleColumn hands one workspace to evaluator after
+// evaluator, as a daemon does across requests: a tap grows the first
+// network, the second is smaller and the third larger than either. Every
+// column and probe of each must equal a fresh evaluator's bit for bit.
+// Each evaluator's own epoch count restarts at 1, so a cache validated by
+// that count alone would serve the previous network's columns here.
+func TestWorkspaceServesNoStaleColumn(t *testing.T) {
+	p := rc.Default()
+	ws := new(Workspace)
+	tapped := randomTree(t, 43, 12)
+	var tapEdge graph.Edge
+	for _, e := range tapped.Edges() {
+		if e.U != 0 {
+			tapEdge = e
+			break
+		}
+	}
+	a, b := tapped.Point(tapEdge.U), tapped.Point(tapEdge.V)
+	for i, topo := range []*graph.Topology{tapped, randomTree(t, 44, 9), randomTree(t, 45, 16)} {
+		inc, err := NewIncremental(ws, topo, p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(stage string) {
+			fresh, err := NewIncremental(new(Workspace), topo, p, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < topo.NumNodes(); k++ {
+				got, want := inc.Column(k), fresh.Column(k)
+				if len(got) != len(want) {
+					t.Fatalf("net %d %s: column %d has %d entries, want %d", i, stage, k, len(got), len(want))
+				}
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("net %d %s: column %d entry %d: %v, want %v (stale column?)", i, stage, k, j, got[j], want[j])
+					}
+				}
+			}
+			for _, e := range topo.AbsentEdges() {
+				got, err := inc.MaxWithEdge(e, math.Inf(1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := fresh.MaxWithEdge(e, math.Inf(1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("net %d %s: edge %v: %v, want %v", i, stage, e, got, want)
+				}
+			}
+		}
+		check("before commit")
+		if i > 0 {
+			continue
+		}
+		// Commit a tap, growing the network by one node, and adopt it.
+		s := topo.AddSteinerNode(geom.Point{X: a.X + (b.X-a.X)*0.375, Y: (a.Y + b.Y) / 2})
+		if err := topo.RemoveEdge(tapEdge); err != nil {
+			t.Fatal(err)
+		}
+		for _, ne := range []graph.Edge{{U: tapEdge.U, V: s}, {U: s, V: tapEdge.V}, {U: 0, V: s}} {
+			if err := topo.AddEdge(ne); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := inc.Refactor(); err != nil {
+			t.Fatal(err)
+		}
+		check("after tap")
 	}
 }

@@ -13,7 +13,7 @@ func TestIncrementalMatchesFullSolveOnTrees(t *testing.T) {
 	p := rc.Default()
 	for seed := int64(0); seed < 6; seed++ {
 		topo := randomTree(t, seed, 10)
-		inc, err := NewIncremental(topo, p, nil)
+		inc, err := NewIncremental(new(Workspace), topo, p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func TestIncrementalMatchesFullSolveOnGraphs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	inc, err := NewIncremental(topo, p, nil)
+	inc, err := NewIncremental(new(Workspace), topo, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestIncrementalMatchesFullSolveOnGraphs(t *testing.T) {
 func TestIncrementalRejectsPresentAndDegenerate(t *testing.T) {
 	p := rc.Default()
 	topo := randomTree(t, 2, 6)
-	inc, err := NewIncremental(topo, p, nil)
+	inc, err := NewIncremental(new(Workspace), topo, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestIncrementalRejectsPresentAndDegenerate(t *testing.T) {
 func TestCutoffProbesMatchFullMax(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		topo := randomTree(t, 40+seed, 15)
-		inc, err := NewIncremental(topo, rc.Default(), nil)
+		inc, err := NewIncremental(new(Workspace), topo, rc.Default(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -398,6 +398,15 @@ func (t *Topology) TreePathLength(n int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return t.SourcePathLength(parents, n)
+}
+
+// SourcePathLength returns the length of the path from node n up to the
+// source in parents, the tree rooted at the source by RootAt(0), summed
+// edge by edge from n upward. A caller that needs the path lengths of many
+// nodes roots the tree once and calls it for each. Returns an error when n
+// is unreachable.
+func (t *Topology) SourcePathLength(parents []int, n int) (float64, error) {
 	var sum float64
 	for cur := n; cur != 0; cur = parents[cur] {
 		if parents[cur] < 0 {
@@ -436,12 +445,18 @@ func (t *Topology) RootAt(root int) ([]int, error) {
 	return parents, nil
 }
 
-// AbsentEdges returns every node pair not currently connected by an edge,
-// in canonical sorted order — the candidate set examined by the LDRG greedy
-// loop ("∃ e_ij ∈ N × N", Figure 4 of the paper).
-func (t *Topology) AbsentEdges() []Edge {
+// AbsentEdges returns every node pair of nonzero length not currently
+// connected by an edge, in canonical sorted order — the candidate set
+// examined by the LDRG greedy loop ("∃ e_ij ∈ N × N", Figure 4 of the
+// paper).
+func (t *Topology) AbsentEdges() []Edge { return t.AppendAbsentEdges(nil) }
+
+// AppendAbsentEdges appends the pairs AbsentEdges returns to dst and
+// returns the extended slice, so a caller that rebuilds the list sweep
+// after sweep can keep one buffer.
+func (t *Topology) AppendAbsentEdges(dst []Edge) []Edge {
 	n := len(t.points)
-	out := make([]Edge, 0, n*(n-1)/2-t.numEdges)
+	out := slices.Grow(dst, n*(n-1)/2-t.numEdges)
 	for u, a := range t.adj {
 		// Merge-walk the neighbours above u against v = u+1, …, n-1.
 		i := sort.SearchInts(a, u)

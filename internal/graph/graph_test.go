@@ -181,6 +181,19 @@ func TestTreePathLength(t *testing.T) {
 	if got != 30 {
 		t.Errorf("TreePathLength(3) = %v", got)
 	}
+	parents, err := topo.RootAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < topo.NumNodes(); n++ {
+		want, err := topo.TreePathLength(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := topo.SourcePathLength(parents, n); err != nil || got != want {
+			t.Errorf("SourcePathLength(%d) = %v, %v; want TreePathLength's %v", n, got, err, want)
+		}
+	}
 	mustAdd(t, topo, Edge{U: 3, V: 0})
 	if _, err := topo.TreePathLength(3); err == nil {
 		t.Error("TreePathLength on a graph must error")
@@ -218,6 +231,23 @@ func TestAbsentEdges(t *testing.T) {
 		if e.U >= e.V {
 			t.Errorf("absent edge %v not canonical", e)
 		}
+	}
+}
+
+// TestAppendAbsentEdges: the append form extends dst with exactly the
+// pairs AbsentEdges returns, and rebuilding into a buffer that is large
+// enough allocates nothing.
+func TestAppendAbsentEdges(t *testing.T) {
+	topo := NewTopology(square())
+	mustAdd(t, topo, Edge{U: 0, V: 1}, Edge{U: 1, V: 2})
+	prefix := []Edge{{U: 7, V: 9}}
+	got := topo.AppendAbsentEdges(prefix)
+	if !slices.Equal(got[:1], prefix) || !slices.Equal(got[1:], topo.AbsentEdges()) {
+		t.Fatalf("AppendAbsentEdges(%v) = %v, want the prefix then %v", prefix, got, topo.AbsentEdges())
+	}
+	buf := topo.AppendAbsentEdges(nil)
+	if n := testing.AllocsPerRun(100, func() { buf = topo.AppendAbsentEdges(buf[:0]) }); n != 0 {
+		t.Errorf("rebuilding into a large enough buffer: %v allocations, want 0", n)
 	}
 }
 

@@ -210,6 +210,52 @@ func TestRouteErrorsNameRequestOnce(t *testing.T) {
 	}
 }
 
+// TestInvalidNetsReplyWithValidateText pins the 422 text of every kind of
+// net Validate rejects, under every algorithm: Run validates a net once,
+// through the algorithm's own entry point, and the reply reads
+// "routing failed: [request <id>] " followed by Validate's error.
+func TestInvalidNetsReplyWithValidateText(t *testing.T) {
+	s := New(Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	pins := testNet(t, 1, 5).Pins
+	for _, net := range []*netlist.Net{
+		{Pins: pins[:1]},
+		{Pins: []geom.Point{pins[0], {X: 1.5e308, Y: 0}, pins[1]}},
+		{Pins: []geom.Point{pins[0], pins[1], pins[2], pins[1]}},
+	} {
+		want := net.Validate()
+		if want == nil {
+			t.Fatalf("net %v validates", net.Pins)
+		}
+		for _, algo := range []string{AlgoLDRG, AlgoSLDRG, AlgoTaps, AlgoH1, AlgoH2, AlgoH3} {
+			req := RouteRequest{Net: net, RouteOptions: RouteOptions{Algo: algo}}
+			if _, err := Run(req.Net, req.RouteOptions, nil, nil); err == nil || err.Error() != want.Error() {
+				t.Errorf("%s: Run error %v, want %v", algo, err, want)
+			}
+			body, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(ts.URL+"/route", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var reply errorResponse
+			err = json.NewDecoder(resp.Body).Decode(&reply)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatalf("%s: decoding reply: %v", algo, err)
+			}
+			wantText := "routing failed: [request " + resp.Header.Get("X-Request-ID") + "] " + want.Error()
+			if resp.StatusCode != http.StatusUnprocessableEntity || reply.Error != wantText {
+				t.Errorf("%s: status %d, error %q; want 422, %q", algo, resp.StatusCode, reply.Error, wantText)
+			}
+		}
+	}
+}
+
 // TestWideEventWorkersInvariant pins the acceptance criterion: the
 // deterministic projection of a request's wide event is byte-identical
 // across Workers ∈ {1, 4, GOMAXPROCS}. Each Workers value runs on a fresh

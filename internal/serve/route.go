@@ -109,13 +109,12 @@ func ValidateRouteOptions(opts RouteOptions) (RouteOptions, error) {
 // Run routes one net with the requested algorithm, recording metrics into
 // rec and the decision trace into tr (either may be nil). This is the
 // single code path behind both the /route endpoint and the tracereplay
-// drift checker, so a replay re-executes exactly what the daemon ran.
+// drift checker, so a replay re-executes exactly what the daemon ran. The
+// net is validated once, by nontree.MST or nontree.SLDRG, before any
+// routing starts.
 func Run(net *netlist.Net, opts RouteOptions, rec obs.Recorder, tr trace.Tracer) (*RouteResult, error) {
 	opts, err := opts.normalize()
 	if err != nil {
-		return nil, err
-	}
-	if err := net.Validate(); err != nil {
 		return nil, err
 	}
 
