@@ -501,6 +501,16 @@ func BenchmarkSteinerTree20(b *testing.B) {
 	}
 }
 
+func BenchmarkSteinerTree30(b *testing.B) {
+	net := benchNet(b, 30)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := nontree.SteinerTree(net); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkERT30(b *testing.B) {
 	net := benchNet(b, 30)
 	params := rc.Default()

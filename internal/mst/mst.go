@@ -117,8 +117,9 @@ func Kruskal(points []geom.Point) (*graph.Topology, error) {
 }
 
 // Cost returns the total Manhattan MST cost over points without
-// materializing a topology. The Iterated 1-Steiner search scores its
-// near-best candidates with it exactly.
+// materializing a topology. The Iterated 1-Steiner search re-scores its
+// near-best candidates with exactly this Prim's arithmetic, resumed from a
+// recorded run over the points; its tests hold the two to the same bits.
 func Cost(points []geom.Point) float64 {
 	n := len(points)
 	if n < 2 {

@@ -14,13 +14,23 @@
 // octants around it; in the Manhattan metric an MST of the points plus the
 // candidate needs no other edge to it. The round builds the MST of the
 // points once, with the heaviest edge on every tree path, and the cost with
-// the star added then follows from two Prims over at most nine nodes. This
-// estimate is the exact MST weight summed in another order, so it can differ
-// from mst.Cost in the last bits. Candidates whose estimate lies within
-// 1e-9·cost of the round's best are scored again with mst.Cost, in order,
-// under the plain first-strict-maximum rule. Every candidate that rule
-// could pick passes that filter, so the chosen points, and the trees, are
-// bit-identical to scoring every candidate with mst.Cost.
+// the star added then follows from two Prims over at most nine nodes. Their
+// weights depend only on the star and on those heaviest edges between its
+// ends, so a candidate carries them to the next round and reruns them only
+// when one of these changed. This estimate is the exact MST weight summed
+// in another order, so it can differ from mst.Cost in the last bits.
+//
+// Candidates whose estimate lies within 1e-9·cost of the round's best are
+// scored again exactly, in order, under the plain first-strict-maximum
+// rule. Every candidate that rule could pick passes that filter, so the
+// chosen points, and the trees, are bit-identical to scoring every
+// candidate with mst.Cost. The exact score is mst.Cost's own arithmetic
+// without its O(n²) restart: the round records mst.Cost's Prim over the
+// points, and a candidate, the last node, loses every tie, so it follows
+// the recorded steps until the first whose weight exceeds its distance to
+// the tree and joins there. Each later step weighs the recorded next node
+// only against the few nodes the candidate, or a node it pulled in ahead
+// of its turn, brought closer to the tree.
 package steiner
 
 import (
@@ -31,19 +41,9 @@ import (
 	"nontree/internal/mst"
 )
 
-// Options tunes the Iterated 1-Steiner run.
-type Options struct {
-	// MaxSteinerPoints bounds how many Steiner points may be added;
-	// 0 means no explicit bound (the algorithm terminates anyway because
-	// each accepted point strictly reduces MST cost; at most k−2 Steiner
-	// points are ever useful).
-	MaxSteinerPoints int
-	// RegenerateCandidates recomputes the Hanan grid after each accepted
-	// Steiner point (over pins plus accepted points). The original
-	// algorithm uses the pins' grid; regeneration explores a slightly
-	// larger space at extra cost.
-	RegenerateCandidates bool
-}
+// Options tunes the Iterated 1-Steiner run. It has no settings: the search
+// always runs over the pins' Hanan grid until no point saves cost.
+type Options struct{}
 
 // ErrTooFewPins mirrors the MST requirement of at least two points.
 var ErrTooFewPins = errors.New("steiner: need at least two pins")
@@ -52,7 +52,7 @@ var ErrTooFewPins = errors.New("steiner: need at least two pins")
 // topology: nodes 0..len(pins)-1 are the pins (node 0 the source), and the
 // surviving Steiner points follow. The result is always a tree spanning
 // every pin.
-func Tree(pins []geom.Point, opts Options) (*graph.Topology, error) {
+func Tree(pins []geom.Point, _ Options) (*graph.Topology, error) {
 	if len(pins) < 2 {
 		return nil, ErrTooFewPins
 	}
@@ -65,14 +65,11 @@ func Tree(pins []geom.Point, opts Options) (*graph.Topology, error) {
 	baseCost := mst.Cost(points)
 
 	for {
-		if opts.MaxSteinerPoints > 0 && len(s.points)-numPins >= opts.MaxSteinerPoints {
-			break
-		}
 		bestIdx, bestGain := s.best(baseCost)
 		if bestIdx < 0 {
 			break
 		}
-		s.accept(bestIdx, opts.RegenerateCandidates)
+		s.accept(bestIdx)
 		baseCost -= bestGain
 	}
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -139,36 +140,6 @@ func TestNoUselessSteinerPoints(t *testing.T) {
 	}
 }
 
-func TestMaxSteinerPointsRespected(t *testing.T) {
-	gen := netlist.NewGenerator(13)
-	net, err := gen.Generate(12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo, err := Tree(net.Pins, Options{MaxSteinerPoints: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := topo.NumNodes() - topo.NumPins(); s > 1 {
-		t.Errorf("%d Steiner points with MaxSteinerPoints=1", s)
-	}
-}
-
-func TestRegenerateCandidatesStillValid(t *testing.T) {
-	gen := netlist.NewGenerator(17)
-	net, err := gen.Generate(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo, err := Tree(net.Pins, Options{RegenerateCandidates: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !topo.IsTree() || topo.Cost() > mst.Cost(net.Pins)+1e-9 {
-		t.Error("regenerated-candidate tree invalid")
-	}
-}
-
 func TestTwoPinNet(t *testing.T) {
 	topo, err := Tree([]geom.Point{{X: 0, Y: 0}, {X: 30, Y: 40}}, Options{})
 	if err != nil {
@@ -245,7 +216,7 @@ func TestDeterministic(t *testing.T) {
 
 // referenceTree is the plain Iterated 1-Steiner search Tree must reproduce:
 // every round scores every candidate with a fresh mst.Cost.
-func referenceTree(pins []geom.Point, opts Options) (*graph.Topology, error) {
+func referenceTree(pins []geom.Point) (*graph.Topology, error) {
 	if len(pins) < 2 {
 		return nil, ErrTooFewPins
 	}
@@ -258,9 +229,6 @@ func referenceTree(pins []geom.Point, opts Options) (*graph.Topology, error) {
 	baseCost := mst.Cost(points)
 
 	for {
-		if opts.MaxSteinerPoints > 0 && len(points)-numPins >= opts.MaxSteinerPoints {
-			break
-		}
 		bestGain := 0.0
 		bestIdx := -1
 		for i, c := range candidates {
@@ -275,11 +243,7 @@ func referenceTree(pins []geom.Point, opts Options) (*graph.Topology, error) {
 		}
 		points = append(points, candidates[bestIdx])
 		baseCost -= bestGain
-		if opts.RegenerateCandidates {
-			candidates = geom.HananGrid(points)
-		} else {
-			candidates = append(candidates[:bestIdx], candidates[bestIdx+1:]...)
-		}
+		candidates = append(candidates[:bestIdx], candidates[bestIdx+1:]...)
 	}
 
 	return assemble(points, numPins)
@@ -306,22 +270,20 @@ func sameTopology(got, want *graph.Topology) string {
 	return ""
 }
 
-// checkAgainstReference runs Tree and referenceTree on pins under each
-// option set and fails on any difference, errors included.
+// checkAgainstReference runs Tree and referenceTree on pins and fails on
+// any difference, errors included.
 func checkAgainstReference(t *testing.T, name string, pins []geom.Point) {
 	t.Helper()
-	for _, opts := range []Options{{}, {MaxSteinerPoints: 2}, {RegenerateCandidates: true}} {
-		got, gotErr := Tree(pins, opts)
-		want, wantErr := referenceTree(pins, opts)
-		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-			t.Fatalf("%s %+v: error %v, want %v", name, opts, gotErr, wantErr)
-		}
-		if wantErr != nil {
-			continue
-		}
-		if diff := sameTopology(got, want); diff != "" {
-			t.Fatalf("%s %+v: %s", name, opts, diff)
-		}
+	got, gotErr := Tree(pins, Options{})
+	want, wantErr := referenceTree(pins)
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("%s: error %v, want %v", name, gotErr, wantErr)
+	}
+	if wantErr != nil {
+		return
+	}
+	if diff := sameTopology(got, want); diff != "" {
+		t.Fatalf("%s: %s", name, diff)
 	}
 }
 
@@ -375,12 +337,10 @@ func TestTreeMatchesReference(t *testing.T) {
 	}
 }
 
-func TestEstimateIsMSTCost(t *testing.T) {
-	// The filter is sound only if every estimate is the MST cost of the
-	// points plus its candidate, up to summation rounding. Accepting random
-	// candidates, not the best, exercises star updates and regeneration on
-	// point sets the search itself would not reach.
-	rng := rand.New(rand.NewSource(42))
+// searchNets returns random nets of 3 to 30 pins, tie-heavy lattice nets of
+// the same sizes, and collinear nets.
+func searchNets(t *testing.T, rng *rand.Rand) [][]geom.Point {
+	t.Helper()
 	var nets [][]geom.Point
 	for _, n := range []int{3, 5, 8, 12, 20, 30} {
 		net, err := netlist.NewGenerator(rng.Int63()).Generate(n)
@@ -389,21 +349,96 @@ func TestEstimateIsMSTCost(t *testing.T) {
 		}
 		nets = append(nets, net.Pins, gridPins(rng, n, 4+rng.Intn(4)))
 	}
-	for _, pins := range nets {
-		points := append([]geom.Point(nil), pins...)
-		s := newSearch(points)
-		for round := 0; round < 4 && len(s.candidates) > 0; round++ {
-			s.buildTree()
+	return append(nets,
+		[]geom.Point{geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(25, 0), geom.Pt(40, 0), geom.Pt(70, 0)},
+		[]geom.Point{geom.Pt(0, 0), geom.Pt(10, 10), geom.Pt(20, 20), geom.Pt(30, 30), geom.Pt(45, 45)},
+		[]geom.Point{geom.Pt(0, 40), geom.Pt(10, 30), geom.Pt(20, 20), geom.Pt(40, 0)},
+	)
+}
+
+func TestEstimateIsMSTCost(t *testing.T) {
+	// The filter is sound only if every estimate is the MST cost of the
+	// points plus its candidate, up to summation rounding; the carried-over
+	// weights are sound only if every estimate has the bits a fresh one
+	// would. Accepting random candidates, not only the best, exercises star
+	// updates on point sets the search itself would not reach.
+	rng := rand.New(rand.NewSource(42))
+	for _, pins := range searchNets(t, rng) {
+		s := newSearch(append([]geom.Point(nil), pins...))
+		for round := 0; round < 8 && len(s.candidates) > 0; round++ {
+			s.estimate()
 			n := len(s.points)
 			for i, c := range s.candidates {
-				got := s.estimate(&s.stars[i])
+				got := s.est[i]
+				without, with := s.weights(&s.stars[i])
+				if fresh := s.treeCost - without + with; math.Float64bits(got) != math.Float64bits(fresh) {
+					t.Fatalf("%v round %d candidate %v: carried estimate %v, fresh %v", pins, round, c, got, fresh)
+				}
 				want := mst.Cost(append(s.points[:n:n], c))
 				if math.Abs(got-want) > 1e-12*want {
 					t.Fatalf("%v round %d candidate %v: estimate %v, MST cost %v", pins, round, c, got, want)
 				}
 			}
-			s.accept(rng.Intn(len(s.candidates)), round%2 == 1)
+			i, _ := s.best(s.treeCost)
+			if round%2 == 1 || i < 0 {
+				i = rng.Intn(len(s.candidates))
+			}
+			s.accept(i)
 		}
+	}
+}
+
+func TestCostWithIsMSTCost(t *testing.T) {
+	// The cost finished from the shared Prim prefix must have the bits of a
+	// fresh mst.Cost for every candidate, in every round of the search.
+	// Probing the points themselves and a far point also covers a new point
+	// that joins at the first step and one that joins last.
+	rng := rand.New(rand.NewSource(5))
+	for _, pins := range searchNets(t, rng) {
+		s := newSearch(append([]geom.Point(nil), pins...))
+		for round := 0; ; round++ {
+			s.estimate()
+			n := len(s.points)
+			probes := append(append(append([]geom.Point(nil), s.candidates...), s.points...), geom.Pt(1e6, -1e6))
+			for _, c := range probes {
+				got := s.prefix.costWith(s.points, c)
+				want := mst.Cost(append(s.points[:n:n], c))
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%v round %d point %v: prefix cost %v, mst.Cost %v", pins, round, c, got, want)
+				}
+			}
+			i, _ := s.best(s.treeCost)
+			if i < 0 {
+				break
+			}
+			s.accept(i)
+		}
+	}
+}
+
+func TestTreeAllocations(t *testing.T) {
+	// A Tree call sizes its round buffers once, and the exact rechecks
+	// allocate nothing. The bounds are this net's measured 315 allocations
+	// and 246,968 bytes, plus about 2%.
+	net, err := netlist.NewGenerator(42).Generate(30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		if _, err := Tree(net.Pins, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const maxAllocs, maxBytes = 321, 252_000
+	if n := testing.AllocsPerRun(5, run); n > maxAllocs {
+		t.Errorf("30-pin Tree: %v allocations, want at most %d", n, maxAllocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > maxBytes {
+		t.Errorf("30-pin Tree: %d bytes allocated, want at most %d", n, maxBytes)
 	}
 }
 
@@ -412,9 +447,9 @@ func FuzzTreeVsReference(f *testing.F) {
 	f.Add([]byte{1, 1, 1, 1, 3, 0, 0, 3, 5, 5, 7, 2})
 	f.Add([]byte{0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Each byte pair is one pin on an 8×8 lattice; at most 16 pins.
-		if len(data) > 32 {
-			data = data[:32]
+		// Each byte pair is one pin on an 8×8 lattice; at most 32 pins.
+		if len(data) > 64 {
+			data = data[:64]
 		}
 		var pins []geom.Point
 		for i := 0; i+1 < len(data); i += 2 {
