@@ -21,6 +21,7 @@ import (
 	"nontree/internal/graph"
 	"nontree/internal/obs"
 	"nontree/internal/rc"
+	"nontree/internal/scratch"
 	"nontree/internal/spice"
 )
 
@@ -30,15 +31,18 @@ import (
 // Thread safety: when Options.Workers != 1 the greedy sweeps call SinkDelays
 // from multiple goroutines concurrently (each on its own Topology), so
 // implementations must not mutate shared state across calls — allocate
-// matrices, circuits and scratch buffers per invocation, or guard any reuse.
-// ElmoreOracle, TwoPoleOracle and SpiceOracle all satisfy this: their
-// configuration fields are read-only after construction and every evaluation
-// builds its workspaces from scratch (see the audit notes in package elmore
-// and package spice). The race-mode tests in parallel_test.go guard this
-// contract dynamically; statically, the purityflow analyzer rejects
-// writes to shared state in oracle methods, directly or through every
-// helper call chain (DESIGN.md §14), so a mutation laundered two helpers
-// deep fails lint just like a direct one.
+// matrices, circuits and scratch buffers per invocation, take them from a
+// scratch.Slots, which hands each workspace to one call at a time, or
+// guard any other reuse. ElmoreOracle, TwoPoleOracle and SpiceOracle all
+// satisfy this: their configuration fields are read-only after
+// construction, the Elmore oracles build their matrices per call, and
+// SpiceOracle takes its circuit and simulator workspace from slots and
+// returns them when the call ends (see the audit notes in package elmore
+// and package spice). The race-mode tests in parallel_test.go and
+// workspace_test.go guard this contract dynamically; statically, the
+// purityflow analyzer rejects writes to shared state in oracle methods,
+// directly or through every helper call chain (DESIGN.md §14), so a
+// mutation laundered two helpers deep fails lint just like a direct one.
 type DelayOracle interface {
 	// SinkDelays returns a delay (s) per topology node (indexed by node id;
 	// entries for non-sink nodes are implementation-defined). width gives
@@ -113,7 +117,10 @@ func (o *TwoPoleOracle) SinkDelays(t *graph.Topology, width rc.WidthFunc) ([]flo
 // SpiceOracle evaluates delays with the transient circuit simulator — the
 // paper's SPICE methodology. Considerably slower than ElmoreOracle but
 // exact for the interconnect model. Safe for concurrent use: every call
-// builds a fresh circuit and MNA workspace.
+// builds its circuit in storage taken from shared slots and measures it
+// in a simulator workspace taken the same way. Both go back on every
+// return path, so no two calls share storage, and a warm call allocates
+// only the crossings and the delays it returns.
 type SpiceOracle struct {
 	Params rc.Params
 	// Build controls circuit construction (segmentation, inductance).
@@ -138,8 +145,9 @@ func (o *SpiceOracle) SinkDelays(t *graph.Topology, width rc.WidthFunc) ([]float
 	if width != nil {
 		opts.Width = width
 	}
-	cm, err := rc.BuildCircuit(t, o.Params, opts)
-	if err != nil {
+	cm := circuits.Get()
+	defer circuits.Put(cm)
+	if err := cm.Build(t, o.Params, opts); err != nil {
 		return nil, err
 	}
 	mo := o.Measure
@@ -160,6 +168,10 @@ func (o *SpiceOracle) SinkDelays(t *graph.Topology, width rc.WidthFunc) ([]float
 	}
 	return delays, nil
 }
+
+// circuits holds the idle circuits SpiceOracle measures, one per
+// processor, reused across calls.
+var circuits = scratch.New[rc.CircuitMap]()
 
 // Objective reduces per-sink delays to the scalar an algorithm minimizes.
 type Objective interface {

@@ -3,11 +3,14 @@ package core
 import (
 	"fmt"
 	"maps"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
 
+	"nontree/internal/graph"
 	"nontree/internal/obs"
+	"nontree/internal/rc"
 	"nontree/internal/scratch"
 	"nontree/internal/trace"
 )
@@ -192,6 +195,85 @@ func TestConcurrentRunsShareWorkspaces(t *testing.T) {
 				}
 				if fp != want[i].fingerprint || evals != want[i].evals || ring.Fingerprint() != want[i].trace {
 					errs <- fmt.Errorf("round %d %s: differs from its serial run", r, j.name)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestWarmSpiceMeasurementAllocations checks that a warm SpiceOracle
+// measurement allocates only the slices it hands back, the crossings and
+// the per-node delays, whatever the net's size: the circuit, the MNA
+// system, the factors and the step vectors come from workspaces earlier
+// measurements returned. When every measurement built its own, a 30-pin
+// one made about 100 allocations (138 KB).
+func TestWarmSpiceMeasurementAllocations(t *testing.T) {
+	oracle := &SpiceOracle{Params: rc.Default()}
+	allocs := map[int]float64{}
+	for _, pins := range []int{5, 30} {
+		topo := randomMST(t, 1, pins)
+		allocs[pins] = testing.AllocsPerRun(10, func() {
+			if _, err := oracle.SinkDelays(topo, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[5] != allocs[30] || allocs[30] > 3 {
+		t.Errorf("a warm measurement makes %v allocations at 5 pins and %v at 30, want the same and at most 3", allocs[5], allocs[30])
+	}
+}
+
+// TestConcurrentSpiceMeasurementsShareWorkspaces measures nets of
+// different sizes, RC and RLC, from more goroutines than there are
+// workspace slots, so circuits and simulator workspaces pass between
+// measurements of different sizes while others are in use. Every delay
+// must match its serial measurement bit for bit. Under -race it checks
+// that a workspace is owned by one measurement between its Get and Put.
+func TestConcurrentSpiceMeasurementsShareWorkspaces(t *testing.T) {
+	type job struct {
+		name   string
+		oracle *SpiceOracle
+		topo   *graph.Topology
+	}
+	var jobs []job
+	for i, pins := range []int{5, 9, 14, 20} {
+		topo := randomMST(t, int64(800+i), pins)
+		for _, rlc := range []bool{false, true} {
+			jobs = append(jobs, job{fmt.Sprintf("%d pins L=%v", pins, rlc),
+				&SpiceOracle{Params: rc.Default(), Build: rc.BuildOpts{IncludeInductance: rlc}}, topo})
+		}
+	}
+	want := make([][]float64, len(jobs))
+	for i, j := range jobs {
+		d, err := j.oracle.SinkDelays(j.topo, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", j.name, err)
+		}
+		want[i] = d
+	}
+	const rounds = 3
+	var wg sync.WaitGroup
+	errs := make(chan error, rounds*len(jobs))
+	for r := range rounds {
+		for i, j := range jobs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				d, err := j.oracle.SinkDelays(j.topo, nil)
+				if err != nil {
+					errs <- fmt.Errorf("round %d %s: %w", r, j.name, err)
+					return
+				}
+				for k := range d {
+					if math.Float64bits(d[k]) != math.Float64bits(want[i][k]) {
+						errs <- fmt.Errorf("round %d %s: node %d delay %v, serial %v", r, j.name, k, d[k], want[i][k])
+						return
+					}
 				}
 			}()
 		}

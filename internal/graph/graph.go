@@ -16,6 +16,7 @@ import (
 	"sort"
 
 	"nontree/internal/geom"
+	"nontree/internal/scratch"
 )
 
 // Edge is an undirected edge between node indices U and V. Canonical form
@@ -238,16 +239,20 @@ func (t *Topology) Neighbors(n int) []int { return t.adj[n] }
 // Degree returns the number of edges incident to node n.
 func (t *Topology) Degree(n int) int { return len(t.adj[n]) }
 
-// Edges returns all edges in canonical form, sorted by (U, V): each adj[u]
-// from its first neighbour above u, so nothing is sorted or cached.
-func (t *Topology) Edges() []Edge {
-	out := make([]Edge, 0, t.numEdges)
+// Edges returns all edges in canonical form, sorted by (U, V), as
+// AppendEdges does.
+func (t *Topology) Edges() []Edge { return t.AppendEdges(make([]Edge, 0, t.numEdges)) }
+
+// AppendEdges appends all edges to dst in canonical form, sorted by (U, V):
+// each adj[u] from its first neighbour above u, so nothing is sorted or
+// cached.
+func (t *Topology) AppendEdges(dst []Edge) []Edge {
 	for u, a := range t.adj {
 		for _, v := range a[sort.SearchInts(a, u):] {
-			out = append(out, Edge{u, v})
+			dst = append(dst, Edge{u, v})
 		}
 	}
-	return out
+	return dst
 }
 
 // Cost returns the total Manhattan wirelength (µm) of the topology — the
@@ -281,12 +286,15 @@ func (t *Topology) Clone() *Topology {
 
 // Connected reports whether every node with at least one incident edge —
 // plus every pin — is reachable from the source pin (node 0). Isolated
-// Steiner points (degree 0) are ignored: they carry no wire.
+// Steiner points (degree 0) are ignored: they carry no wire. A warm check
+// allocates nothing.
 func (t *Topology) Connected() bool {
 	if len(t.points) == 0 {
 		return true
 	}
-	reach := t.reachableFrom(0)
+	w := reachScratch.Get()
+	defer reachScratch.Put(w)
+	reach := w.reachableFrom(t, 0)
 	for n := 0; n < len(t.points); n++ {
 		if n < t.numPins || t.Degree(n) > 0 {
 			if !reach[n] {
@@ -297,9 +305,19 @@ func (t *Topology) Connected() bool {
 	return true
 }
 
-func (t *Topology) reachableFrom(start int) []bool {
-	reach := make([]bool, len(t.points))
-	stack := []int{start}
+// reachWork is the storage of one reachability search.
+type reachWork struct {
+	reach []bool
+	stack []int
+}
+
+var reachScratch = scratch.New[reachWork]()
+
+// reachableFrom marks the nodes of t reachable from start, in w's storage.
+func (w *reachWork) reachableFrom(t *Topology, start int) []bool {
+	w.reach = scratch.Resize(w.reach, len(t.points))
+	clear(w.reach)
+	reach, stack := w.reach, append(w.stack[:0], start)
 	reach[start] = true
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
@@ -311,6 +329,7 @@ func (t *Topology) reachableFrom(start int) []bool {
 			}
 		}
 	}
+	w.stack = stack
 	return reach
 }
 

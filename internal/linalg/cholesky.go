@@ -93,8 +93,8 @@ var cholScratch = scratch.New[cholWork]()
 // factor computes L row by row, failing on a pivot at most minPivot.
 func (w *cholWork) factor(m *Sparse, minPivot float64) (*Cholesky, error) {
 	n := m.Rows
-	head, count, mark := resize(w.head, n), resize(w.count, n), resize(w.mark, n)
-	x, diag := resize(w.x, n), resize(w.diag, n)
+	head, count, mark := scratch.Resize(w.head, n), scratch.Resize(w.count, n), scratch.Resize(w.mark, n)
+	x, diag := scratch.Resize(w.x, n), scratch.Resize(w.diag, n)
 	ptr, col, val, rows, next := append(w.ptr[:0], 0), w.col[:0], w.val[:0], w.rows[:0], w.next[:0]
 	for j := 0; j < n; j++ {
 		head[j], count[j], mark[j] = -1, 0, -1

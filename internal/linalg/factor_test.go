@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -28,6 +29,49 @@ func TestFactorsAllocateOnlyTheirResult(t *testing.T) {
 			}
 			if got := testing.AllocsPerRun(20, func() { _ = c.factor() }); got > 3 {
 				t.Errorf("%s of %d-node conductance matrix: %v allocations, want at most 3", c.name, n, got)
+			}
+		}
+	}
+}
+
+// TestReuseFormsMatchFresh passes one assembled matrix, one sum and one
+// LU factor from system to system, as the circuit simulator's workspace
+// does, over sizes that grow and shrink. Each must equal its fresh
+// counterpart exactly, and once their storage has grown, refilling all
+// three allocates nothing.
+func TestReuseFormsMatchFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	var m, sum Sparse
+	var f LU
+	for i, n := range []int{5, 40, 3, 25, 40} {
+		st, other := randomStamps(rng, n, 0.1, true, true), randomStamps(rng, n, 0.1, false, true)
+		s := rng.NormFloat64()
+		fresh, o := NewSparse(n, n, st), NewSparse(n, n, other)
+		if m.Assemble(n, n, st); !reflect.DeepEqual(m, *fresh) {
+			t.Fatalf("system %d: reassembled matrix differs from a fresh one", i)
+		}
+		var freshSum Sparse
+		fresh.AddScaledInto(&freshSum, o, s)
+		if m.AddScaledInto(&sum, o, s); !reflect.DeepEqual(sum, freshSum) {
+			t.Fatalf("system %d: sum into reused storage differs from a fresh one", i)
+		}
+		lu, err := freshSum.Factor()
+		if reuseErr := sum.FactorInto(&f); (err == nil) != (reuseErr == nil) {
+			t.Fatalf("system %d: Factor error %v, FactorInto %v", i, err, reuseErr)
+		}
+		if err == nil && !reflect.DeepEqual(f, *lu) {
+			t.Fatalf("system %d: factor in reused storage differs from a fresh one", i)
+		}
+		if i == 4 {
+			if err != nil {
+				t.Fatalf("system %d must factor: %v", i, err)
+			}
+			if got := testing.AllocsPerRun(10, func() {
+				m.Assemble(n, n, st)
+				m.AddScaledInto(&sum, o, s)
+				_ = sum.FactorInto(&f)
+			}); got != 0 {
+				t.Errorf("refilling warm storage: %v allocations, want 0", got)
 			}
 		}
 	}

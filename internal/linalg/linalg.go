@@ -25,7 +25,10 @@
 // solves cost O(nnz). Skipping exact zeros leaves every solve bit-identical
 // to dense substitution for finite right-hand sides without negative
 // zeros. Both factorizations reuse their scratch, so each allocates only
-// its result, and concurrent factorizations are safe.
+// its result, and concurrent factorizations are safe. Assemble,
+// AddScaledInto and FactorInto write their result into storage the caller
+// keeps, so a caller that keeps its matrices and factors, as the circuit
+// simulator's workspaces do, allocates nothing once warm.
 package linalg
 
 import (
@@ -136,6 +139,9 @@ type LU struct {
 	col      []int
 	val      []float64
 	diag     []float64
+	// ints and vals back the slices above, for FactorInto to reuse.
+	ints []int
+	vals []float64
 }
 
 // pivotTolerance scales the singularity test relative to the largest

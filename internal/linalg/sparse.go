@@ -3,6 +3,7 @@ package linalg
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"nontree/internal/scratch"
 )
@@ -26,11 +27,17 @@ type Stamp struct {
 	Val      float64
 }
 
-// NewSparse builds a rows × cols matrix from stamps. Stamps to one element
-// are summed in stamp order starting from zero (0+v1+v2+…), as repeated
-// Matrix.Add calls accumulate them. Every stamped element is stored, even
-// when its sum is zero. It panics on a stamp outside the matrix.
+// NewSparse builds a rows × cols matrix from stamps, as Assemble does.
 func NewSparse(rows, cols int, stamps []Stamp) *Sparse {
+	return new(Sparse).Assemble(rows, cols, stamps)
+}
+
+// Assemble sets m to the rows × cols matrix built from stamps, reusing m's
+// storage, and returns m. Stamps to one element are summed in stamp order
+// starting from zero (0+v1+v2+…), as repeated Matrix.Add calls accumulate
+// them. Every stamped element is stored, even when its sum is zero. It
+// panics on a stamp outside the matrix.
+func (m *Sparse) Assemble(rows, cols int, stamps []Stamp) *Sparse {
 	if rows < 0 || cols < 0 {
 		panic("linalg: negative matrix dimension")
 	}
@@ -40,8 +47,9 @@ func NewSparse(rows, cols int, stamps []Stamp) *Sparse {
 	// left in place: a stamp adds to the sum of an equal column, which
 	// earlier stamps created, or is inserted as 0+v. MNA rows hold a
 	// handful of stamps, so the insertion stays cheap.
-	ints := make([]int, rows+1+len(stamps))
-	ptr, col, val := ints[:rows+1], ints[rows+1:], make([]float64, len(stamps))
+	ptr := scratch.Resize(m.ptr, rows+1)
+	clear(ptr)
+	col, val := scratch.Resize(m.col, len(stamps)), scratch.Resize(m.val, len(stamps))
 	for _, st := range stamps {
 		if st.Row < 0 || st.Row >= rows || st.Col < 0 || st.Col >= cols {
 			panic(fmt.Sprintf("linalg: stamp (%d,%d) outside %dx%d matrix", st.Row, st.Col, rows, cols))
@@ -79,7 +87,8 @@ func NewSparse(rows, cols int, stamps []Stamp) *Sparse {
 		lo = hi
 	}
 	ptr[rows] = out
-	return &Sparse{Rows: rows, Cols: cols, ptr: ptr, col: col[:out], val: val[:out]}
+	m.Rows, m.Cols, m.ptr, m.col, m.val = rows, cols, ptr, col[:out], val[:out]
+	return m
 }
 
 // NewCSR returns the rows × cols matrix whose row i stores the values
@@ -161,17 +170,22 @@ func (m *Sparse) MulVecInto(dst, x []float64) {
 	}
 }
 
-// AddScaled returns m + s·other as a new matrix on the union of the two
-// patterns; m and other are unchanged. Each element is a + s*b with a
-// missing element read as 0, the expression Matrix.AddScaled evaluates, so
-// Dense() of the result equals the dense sum bit for bit.
-func (m *Sparse) AddScaled(other *Sparse, s float64) *Sparse {
+// AddScaledInto sets dst to m + s·other on the union of the two
+// patterns, reusing dst's storage; m and other are unchanged, and dst must
+// be neither. Each element is a + s*b with a missing element read as 0,
+// the expression Matrix.AddScaled evaluates, so Dense() of the result
+// equals the dense sum bit for bit.
+func (m *Sparse) AddScaledInto(dst, other *Sparse, s float64) {
 	if m.Rows != other.Rows || m.Cols != other.Cols {
-		panic("linalg: AddScaled dimension mismatch")
+		panic("linalg: AddScaledInto dimension mismatch")
 	}
-	out := &Sparse{Rows: m.Rows, Cols: m.Cols, ptr: make([]int, m.Rows+1)}
-	out.col = make([]int, 0, len(m.col)+len(other.col))
-	out.val = make([]float64, 0, len(m.val)+len(other.val))
+	if dst == m || dst == other {
+		panic("linalg: AddScaledInto destination aliases an operand")
+	}
+	dst.Rows, dst.Cols, dst.ptr = m.Rows, m.Cols, scratch.Resize(dst.ptr, m.Rows+1)
+	dst.ptr[0] = 0
+	dst.col = slices.Grow(dst.col[:0], len(m.col)+len(other.col))
+	dst.val = slices.Grow(dst.val[:0], len(m.val)+len(other.val))
 	for i := 0; i < m.Rows; i++ {
 		ac, av := m.Row(i)
 		bc, bv := other.Row(i)
@@ -189,12 +203,11 @@ func (m *Sparse) AddScaled(other *Sparse, s float64) *Sparse {
 				j, a, b = ac[0], av[0], bv[0]
 				ac, av, bc, bv = ac[1:], av[1:], bc[1:], bv[1:]
 			}
-			out.col = append(out.col, j)
-			out.val = append(out.val, a+s*b)
+			dst.col = append(dst.col, j)
+			dst.val = append(dst.val, a+s*b)
 		}
-		out.ptr[i+1] = len(out.col)
+		dst.ptr[i+1] = len(dst.col)
 	}
-	return out
 }
 
 // Dense expands m into a new dense matrix.
@@ -220,21 +233,32 @@ func (m *Sparse) Dense() *Matrix {
 // factors, not to n³. Scratch is reused, so a warm factorization allocates
 // only its result, and concurrent calls are safe.
 func (m *Sparse) Factor() (*LU, error) {
+	f := new(LU)
+	if err := m.FactorInto(f); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// FactorInto is Factor writing the factors into f, reusing its storage, so
+// a warm factorization into a warm f allocates nothing. On error f is
+// unchanged.
+func (m *Sparse) FactorInto(f *LU) error {
 	if m.Rows != m.Cols {
-		return nil, fmt.Errorf("linalg: cannot factor %dx%d non-square matrix", m.Rows, m.Cols)
+		return fmt.Errorf("linalg: cannot factor %dx%d non-square matrix", m.Rows, m.Cols)
 	}
 	maxAbs := m.maxAbs()
 	if maxAbs == 0 && m.Rows > 0 {
-		return nil, ErrSingular
+		return ErrSingular
 	}
 	// Work on a copy of the idle scratch: its slices then live on the stack
 	// while they grow, sparing the garbage collector's write barrier.
 	idle := luScratch.Get()
 	w := *idle
-	lu, err := w.factor(m, maxAbs*pivotTolerance)
+	err := w.factor(m, maxAbs*pivotTolerance, f)
 	*idle = w
 	luScratch.Put(idle)
-	return lu, err
+	return err
 }
 
 // luWork is the scratch of one sparse LU factorization. Rows are kept by
@@ -258,15 +282,6 @@ type luWork struct {
 
 var luScratch = scratch.New[luWork]()
 
-// resize returns s with length n, reusing its storage when it is large
-// enough.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
 // link records an entry of row r in column j.
 func (w *luWork) link(j, r int) {
 	w.rows = append(w.rows, r)
@@ -275,11 +290,11 @@ func (w *luWork) link(j, r int) {
 }
 
 // factor eliminates m, failing on a pivot of magnitude at most threshold,
-// and packs the factors.
-func (w *luWork) factor(m *Sparse, threshold float64) (*LU, error) {
+// and packs the factors into f.
+func (w *luWork) factor(m *Sparse, threshold float64, f *LU) error {
 	n := m.Rows
-	w.rowAt, w.posOf, w.beg, w.end = resize(w.rowAt, n), resize(w.posOf, n), resize(w.beg, n), resize(w.end, n)
-	w.head, w.pivot, w.diag = resize(w.head, n), resize(w.pivot, n), resize(w.diag, n)
+	w.rowAt, w.posOf, w.beg, w.end = scratch.Resize(w.rowAt, n), scratch.Resize(w.posOf, n), scratch.Resize(w.beg, n), scratch.Resize(w.end, n)
+	w.head, w.pivot, w.diag = scratch.Resize(w.head, n), scratch.Resize(w.pivot, n), scratch.Resize(w.diag, n)
 	w.col, w.val = append(w.col[:0], m.col...), append(w.val[:0], m.val...)
 	w.next, w.rows = w.next[:0], w.rows[:0]
 	w.lRow, w.lCol, w.lVal = w.lRow[:0], w.lCol[:0], w.lVal[:0]
@@ -312,7 +327,7 @@ func (w *luWork) factor(m *Sparse, threshold float64) (*LU, error) {
 			}
 		}
 		if largest <= threshold {
-			return nil, fmt.Errorf("%w (pivot column %d)", ErrSingular, k)
+			return fmt.Errorf("%w (pivot column %d)", ErrSingular, k)
 		}
 		pr := w.rowAt[p]
 		if p != k {
@@ -350,7 +365,8 @@ func (w *luWork) factor(m *Sparse, threshold float64) (*LU, error) {
 			w.update(r, f, w.uPtr[k], w.uPtr[k+1])
 		}
 	}
-	return w.pack(sign), nil
+	w.pack(sign, f)
+	return nil
 }
 
 // update subtracts f times U's row uCol/uVal[lo:hi] from row r's active
@@ -379,15 +395,17 @@ func (w *luWork) update(r int, f float64, lo, hi int) {
 	w.end[r] = len(w.col)
 }
 
-// pack copies the factors into one exactly sized LU: row i of the result
-// holds the multipliers of the row pivoted into position i, which the
-// elimination produced in ascending column order, then its U row.
-func (w *luWork) pack(sign int) *LU {
+// pack copies the factors into f, sized exactly and reusing its storage:
+// row i of the result holds the multipliers of the row pivoted into
+// position i, which the elimination produced in ascending column order,
+// then its U row.
+func (w *luWork) pack(sign int, f *LU) {
 	n := len(w.pivot)
 	nnz := len(w.lVal) + len(w.uVal)
-	ints, vals := make([]int, 3*n+1+nnz), make([]float64, n+nnz)
-	f := &LU{n: n, sign: sign, pivot: ints[:n:n], ptr: ints[n : 2*n+1 : 2*n+1], mid: ints[2*n+1 : 3*n+1 : 3*n+1],
-		col: ints[3*n+1:], val: vals[:nnz:nnz], diag: vals[nnz:]}
+	ints, vals := scratch.Resize(f.ints, 3*n+1+nnz), scratch.Resize(f.vals, n+nnz)
+	clear(ints[n : 3*n+1])
+	*f = LU{n: n, sign: sign, pivot: ints[:n:n], ptr: ints[n : 2*n+1 : 2*n+1], mid: ints[2*n+1 : 3*n+1 : 3*n+1],
+		col: ints[3*n+1:], val: vals[:nnz:nnz], diag: vals[nnz:], ints: ints, vals: vals}
 	copy(f.pivot, w.pivot)
 	copy(f.diag, w.diag)
 	for _, r := range w.lRow {
@@ -405,5 +423,4 @@ func (w *luWork) pack(sign int) *LU {
 		f.col[w.beg[i]], f.val[w.beg[i]] = w.lCol[e], w.lVal[e]
 		w.beg[i]++
 	}
-	return f
 }

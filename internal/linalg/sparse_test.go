@@ -113,8 +113,10 @@ func checkSparseVsDense(t *testing.T, seed int64, n int, density float64, branch
 	s := rng.NormFloat64()
 	sum := dense.Clone()
 	sum.AddScaled(denseFromStamps(n, other), s)
-	if i := sameBits(sp.AddScaled(NewSparse(n, n, other), s).Dense().Data, sum.Data); i >= 0 {
-		t.Fatalf("seed %d: AddScaled element %d differs from dense", seed, i)
+	var added Sparse
+	sp.AddScaledInto(&added, NewSparse(n, n, other), s)
+	if i := sameBits(added.Dense().Data, sum.Data); i >= 0 {
+		t.Fatalf("seed %d: AddScaledInto element %d differs from dense", seed, i)
 	}
 
 	packed := dense.Clone()
@@ -208,7 +210,8 @@ func TestSparseValidation(t *testing.T) {
 		func() { NewSparse(2, 2, []Stamp{{0, -1, 1}}) },
 		func() { NewSparse(-1, 2, nil) },
 		func() { NewSparse(2, 2, nil).MulVecInto(make([]float64, 2), []float64{1}) },
-		func() { NewSparse(2, 2, nil).AddScaled(NewSparse(2, 3, nil), 1) },
+		func() { NewSparse(2, 2, nil).AddScaledInto(new(Sparse), NewSparse(2, 3, nil), 1) },
+		func() { m := NewSparse(2, 2, nil); m.AddScaledInto(m, NewSparse(2, 2, nil), 1) },
 		func() { NewCSR(-1, 2, []int{0}, nil, nil) },
 		func() { NewCSR(2, 2, []int{0, 1}, []int{0}, []float64{1}) },           // too few pointers
 		func() { NewCSR(1, 2, []int{0, 1}, []int{0, 1}, []float64{1, 2}) },     // ptr ends early

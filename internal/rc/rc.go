@@ -18,6 +18,7 @@ import (
 	"math"
 
 	"nontree/internal/graph"
+	"nontree/internal/scratch"
 	"nontree/internal/spice"
 )
 
@@ -119,6 +120,8 @@ type CircuitMap struct {
 	// SinkNodes lists the circuit nodes of the net's sinks (topology nodes
 	// 1..NumPins-1) in order; these are the delay measurement points.
 	SinkNodes []int
+
+	edges []graph.Edge // the topology's edges, kept for Build to reuse
 }
 
 // Errors from circuit construction.
@@ -132,11 +135,22 @@ var (
 // the tree is driven by a resistor connected to the source pin. In addition,
 // sink loading capacitances are used at all the pins."
 func BuildCircuit(t *graph.Topology, p Params, opts BuildOpts) (*CircuitMap, error) {
-	if err := p.Validate(); err != nil {
+	cm := new(CircuitMap)
+	if err := cm.Build(t, p, opts); err != nil {
 		return nil, err
 	}
+	return cm, nil
+}
+
+// Build is BuildCircuit into cm: it resets cm's circuit, or gives cm a new
+// one when it has none, and reuses the storage of the circuit, the node
+// maps and the edge list. On error cm holds no usable circuit.
+func (cm *CircuitMap) Build(t *graph.Topology, p Params, opts BuildOpts) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
 	if !t.Connected() {
-		return nil, ErrDisconnected
+		return ErrDisconnected
 	}
 	maxSeg := opts.MaxSegmentLength
 	if maxSeg <= 0 {
@@ -147,8 +161,13 @@ func BuildCircuit(t *graph.Topology, p Params, opts BuildOpts) (*CircuitMap, err
 		width = UnitWidth
 	}
 
-	c := spice.NewCircuit()
-	nodeOf := make([]int, t.NumNodes())
+	if cm.Circuit == nil {
+		cm.Circuit = spice.NewCircuit()
+	}
+	c := cm.Circuit
+	c.Reset()
+	cm.NodeOf = scratch.Resize(cm.NodeOf, t.NumNodes())
+	nodeOf := cm.NodeOf
 	for n := range nodeOf {
 		if t.IsSteiner(n) && t.Degree(n) == 0 {
 			// Isolated Steiner candidates carry no wire; giving them a
@@ -162,26 +181,27 @@ func BuildCircuit(t *graph.Topology, p Params, opts BuildOpts) (*CircuitMap, err
 	// Driver: step source behind the driver resistance into the source pin.
 	drv := c.Node()
 	if err := c.AddVSource(drv, spice.Ground, spice.Step(0, p.Vdd, 0)); err != nil {
-		return nil, err
+		return err
 	}
 	if err := c.AddResistor(drv, nodeOf[0], p.DriverResistance); err != nil {
-		return nil, err
+		return err
 	}
 
 	// Pin loading capacitances at every pin.
 	for n := 0; n < t.NumPins(); n++ {
 		if p.SinkCapacitance > 0 {
 			if err := c.AddCapacitor(nodeOf[n], spice.Ground, p.SinkCapacitance); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
 
 	// Distributed wires.
-	for _, e := range t.Edges() {
+	cm.edges = t.AppendEdges(cm.edges[:0])
+	for _, e := range cm.edges {
 		w := width(e)
 		if w <= 0 {
-			return nil, fmt.Errorf("%w: edge %v width %g", ErrBadWidth, e, w)
+			return fmt.Errorf("%w: edge %v width %g", ErrBadWidth, e, w)
 		}
 		length := t.EdgeLength(e)
 		nseg := int(math.Ceil(length / maxSeg))
@@ -204,33 +224,33 @@ func BuildCircuit(t *graph.Topology, p Params, opts BuildOpts) (*CircuitMap, err
 			// π section: half the segment capacitance at each end, series
 			// resistance (and optionally inductance) between.
 			if err := c.AddCapacitor(prev, spice.Ground, segC/2); err != nil {
-				return nil, err
+				return err
 			}
 			if err := c.AddCapacitor(next, spice.Ground, segC/2); err != nil {
-				return nil, err
+				return err
 			}
 			if opts.IncludeInductance && segL > 0 {
 				mid := c.Node()
 				if err := c.AddResistor(prev, mid, segR); err != nil {
-					return nil, err
+					return err
 				}
 				if err := c.AddInductor(mid, next, segL); err != nil {
-					return nil, err
+					return err
 				}
 			} else {
 				if err := c.AddResistor(prev, next, segR); err != nil {
-					return nil, err
+					return err
 				}
 			}
 			prev = next
 		}
 	}
 
-	sinks := make([]int, 0, t.NumPins()-1)
+	cm.SinkNodes = cm.SinkNodes[:0]
 	for n := 1; n < t.NumPins(); n++ {
-		sinks = append(sinks, nodeOf[n])
+		cm.SinkNodes = append(cm.SinkNodes, nodeOf[n])
 	}
-	return &CircuitMap{Circuit: c, NodeOf: nodeOf, SinkNodes: sinks}, nil
+	return nil
 }
 
 // Lumped is the single-π-per-edge reduction of a topology: per-node shunt

@@ -40,3 +40,12 @@ func (s Slots[T]) Put(w *T) {
 		}
 	}
 }
+
+// Resize returns s with length n, reusing its storage when it is large
+// enough. The elements it keeps are not cleared.
+func Resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}

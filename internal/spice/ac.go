@@ -36,10 +36,12 @@ func ACResponse(c *Circuit, node int, freqsHz []float64) ([]ACPoint, error) {
 	if len(freqsHz) == 0 {
 		return nil, errors.New("spice: no AC frequencies given")
 	}
-	sys, err := assemble(c)
-	if err != nil {
+	w := workspaces.Get()
+	defer w.release()
+	if err := w.sys.assemble(c); err != nil {
 		return nil, err
 	}
+	sys := &w.sys
 	// Unit-amplitude excitation vector (phasor domain).
 	b := make([]complex128, sys.size)
 	for i := range sys.vsrcRow {

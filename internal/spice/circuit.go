@@ -16,13 +16,16 @@
 // Bandwidth3dB) and WriteDeck, which exports a circuit for an external
 // SPICE, complete the surface.
 //
-// Concurrency: a Circuit is mutable while being built (Node/Add*) and must
-// be confined to one goroutine until construction finishes; every analysis
-// entry point (Transient, MeasureDelays, ACResponse, Bandwidth3dB) then
-// treats it as read-only, assembling its own MNA system, factorizations and
-// step buffers per call. Concurrent analyses of the same or distinct
-// circuits are therefore safe, which is what lets core's parallel candidate
-// sweeps hammer SpiceOracle from many goroutines.
+// Concurrency: a Circuit is mutable while being built (Node/Add*/Reset) and
+// must be confined to one goroutine until construction finishes; every
+// analysis entry point (Transient, MeasureDelays, ACResponse, Bandwidth3dB)
+// then treats it as read-only. Each analysis takes a workspace — the MNA
+// system, the factorizations and the step buffers — from shared slots that
+// hand it to one analysis at a time, and returns it on every return path,
+// so a warm measurement allocates only the delays it returns. Concurrent
+// analyses of the same or distinct circuits are therefore safe, which is
+// what lets core's parallel candidate sweeps hammer SpiceOracle from many
+// goroutines.
 package spice
 
 import (
@@ -108,6 +111,14 @@ func (c *Circuit) Nodes(n int) []int {
 		out[i] = c.Node()
 	}
 	return out
+}
+
+// Reset empties c back to the ground node alone, keeping its storage for
+// the next circuit built in it.
+func (c *Circuit) Reset() {
+	c.numNodes = 1
+	c.resistors, c.capacitors, c.inductors = c.resistors[:0], c.capacitors[:0], c.inductors[:0]
+	c.vsources, c.isources = c.vsources[:0], c.isources[:0]
 }
 
 // NumNodes returns the node count including ground.

@@ -2,8 +2,10 @@ package spice
 
 import (
 	"errors"
+	"slices"
 
 	"nontree/internal/linalg"
+	"nontree/internal/scratch"
 )
 
 // OperatingPoint, FinalValue and TransientThresholds are analyses only the
@@ -17,11 +19,7 @@ import (
 // term dropped (the G-side incidence already enforces v_a = v_b); capacitors
 // simply contribute nothing to G.
 func OperatingPoint(c *Circuit) ([]float64, error) {
-	sys, err := assemble(c)
-	if err != nil {
-		return nil, err
-	}
-	return sys.dcSolve(0, "DC operating point")
+	return dcAnalysis(c, 0, "DC operating point")
 }
 
 // FinalValue computes the DC solution with all sources at their value as
@@ -29,11 +27,18 @@ func OperatingPoint(c *Circuit) ([]float64, error) {
 // settled voltages (V) a transient converges to — the reference for
 // 50%-threshold delay.
 func FinalValue(c *Circuit, atTime float64) ([]float64, error) {
-	sys, err := assemble(c)
-	if err != nil {
+	return dcAnalysis(c, atTime, "final value")
+}
+
+// dcAnalysis runs one DC solve of c on a workspace of its own.
+func dcAnalysis(c *Circuit, atTime float64, what string) ([]float64, error) {
+	w := workspaces.Get()
+	defer w.release()
+	if err := w.sys.assemble(c); err != nil {
 		return nil, err
 	}
-	return sys.dcSolve(atTime, "final value")
+	v, err := w.dcSolve(atTime, what)
+	return slices.Clone(v), err
 }
 
 // TransientThresholds runs a transient like Transient and also detects,
@@ -72,10 +77,31 @@ var ReferenceMeasureDelays = referenceMeasureDelays
 // over the default steps per horizon): the matrix every measurement
 // factors.
 func IterationMatrix(c *Circuit) *linalg.Sparse {
-	sys, err := assemble(c)
-	if err != nil {
+	var sys mnaSystem
+	if err := sys.assemble(c); err != nil {
 		panic(err)
 	}
 	h := horizonEstimate(c) / float64(DefaultMeasureOpts().StepsPerHorizon)
-	return sys.g.AddScaled(sys.c, 2/h)
+	var m linalg.Sparse
+	sys.g.AddScaledInto(&m, &sys.c, 2/h)
+	return &m
+}
+
+// WithWorkspaceSlots runs fn with n idle-workspace slots in place of the
+// analyses' own: with none every analysis builds its storage from scratch,
+// and with one every analysis takes the workspace the one before it
+// returned.
+func WithWorkspaceSlots(n int, fn func()) {
+	saved := workspaces
+	workspaces = make(scratch.Slots[workspace], n)
+	defer func() { workspaces = saved }()
+	fn()
+}
+
+// IdleWorkspace returns the workspace held in the first slot, or nil.
+func IdleWorkspace() any {
+	if w := workspaces[0].Load(); w != nil {
+		return w
+	}
+	return nil
 }

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"nontree/internal/obs"
+	"nontree/internal/scratch"
 )
 
 // MeasureOpts configures threshold-delay extraction.
@@ -47,12 +49,18 @@ var ErrNoCrossing = errors.New("spice: node never crossed its delay threshold")
 //
 // Final values are taken from a DC solve with sources at their settled
 // values, so thresholds are exact even when the transient window is short.
+// A watch node outside [1, NumNodes) is an ErrBadNode error.
 func MeasureDelays(c *Circuit, watch []int, opts MeasureOpts) ([]float64, error) {
 	if len(watch) == 0 {
 		return nil, errors.New("spice: no nodes to measure")
 	}
 	if opts.ThresholdFraction <= 0 || opts.ThresholdFraction >= 1 {
 		return nil, fmt.Errorf("spice: threshold fraction %g outside (0,1)", opts.ThresholdFraction)
+	}
+	for _, n := range watch {
+		if n < 1 || n >= c.numNodes {
+			return nil, fmt.Errorf("%w: watch node %d (circuit has %d nodes, ground is 0)", ErrBadNode, n, c.numNodes)
+		}
 	}
 	steps := opts.StepsPerHorizon
 	if steps <= 0 {
@@ -61,17 +69,20 @@ func MeasureDelays(c *Circuit, watch []int, opts MeasureOpts) ([]float64, error)
 	rec := obs.OrNop(opts.Obs)
 	rec.Add(obs.CtrMeasureRuns, 1)
 
-	// One assembly serves the DC solve and every horizon retry.
-	sys, err := assemble(c)
-	if err != nil {
+	// One workspace, with one assembly, serves the DC solve and every
+	// horizon retry.
+	w := workspaces.Get()
+	defer w.release()
+	if err := w.sys.assemble(c); err != nil {
 		return nil, err
 	}
-	final, err := sys.dcSolve(math.MaxFloat64, "final value")
+	final, err := w.dcSolve(math.MaxFloat64, "final value")
 	if err != nil {
 		return nil, err
 	}
 	rec.Add(obs.CtrMeasureDCSolves, 1)
-	levels := make([]float64, len(watch))
+	w.levels = scratch.Resize(w.levels, len(watch))
+	levels := w.levels
 	for i, n := range watch {
 		if final[n] <= 0 {
 			return nil, fmt.Errorf("spice: node %d settles to %g V; cannot measure a rising delay", n, final[n])
@@ -83,24 +94,17 @@ func MeasureDelays(c *Circuit, watch []int, opts MeasureOpts) ([]float64, error)
 	maxHorizon := horizon * maxHorizonGrowth
 
 	for {
-		res, err := sys.transient(TranOpts{
+		err := w.transient(TranOpts{
 			Step:   horizon / float64(steps),
 			Stop:   horizon,
 			Method: opts.Method,
 			Obs:    opts.Obs,
-		}, &thresholdWatch{nodes: watch, levels: levels})
+		}, &thresholdWatch{nodes: watch, levels: levels}, &w.res)
 		if err != nil {
 			return nil, err
 		}
-		allCrossed := true
-		for _, t := range res.Crossings {
-			if t < 0 {
-				allCrossed = false
-				break
-			}
-		}
-		if allCrossed {
-			return res.Crossings, nil
+		if !slices.ContainsFunc(w.res.Crossings, func(t float64) bool { return t < 0 }) {
+			return slices.Clone(w.res.Crossings), nil
 		}
 		if horizon >= maxHorizon {
 			return nil, fmt.Errorf("%w within %g s", ErrNoCrossing, horizon)

@@ -5,46 +5,76 @@ import (
 	"slices"
 
 	"nontree/internal/linalg"
+	"nontree/internal/scratch"
 )
 
 // mnaSystem is the assembled modified-nodal-analysis description of a
 // circuit: C·dx/dt + G·x = b(t), where the unknown vector x holds the
 // non-ground node voltages followed by one branch current per voltage
 // source and per inductor. G and C are sparse in the circuit's natural node
-// order; a system is never modified after assembly, so one serves any
-// number of DC solves and transient runs.
+// order; an analysis never modifies a system between assemblies, so one
+// serves its DC solve and every transient run.
 type mnaSystem struct {
 	circuit *Circuit
 	size    int // total unknowns
 	nv      int // node-voltage unknowns (numNodes - 1)
 
-	g *linalg.Sparse // conductance / incidence part
-	c *linalg.Sparse // capacitance / inductance part
+	g linalg.Sparse // conductance / incidence part
+	c linalg.Sparse // capacitance / inductance part
 
 	// vsrcRow[i] is the row (and branch-current column) of voltage source i;
 	// indRow[i] likewise for inductor i.
 	vsrcRow []int
 	indRow  []int
+
+	// gStamps and cStamps keep the stamp lists' storage between
+	// assemblies.
+	gStamps, cStamps []linalg.Stamp
+}
+
+// workspace is the storage of one analysis: the assembled system, the DC
+// and transient factors with the matrices they factor, the step vectors
+// and the measurement's transient result. Every analysis takes one from
+// workspaces and returns it on every return path, so a warm measurement
+// allocates only the slices it hands back; storage grows only when a
+// circuit outgrows every one before it.
+type workspace struct {
+	sys mnaSystem
+	// zero is the empty matrix the history matrices are summed onto;
+	// scaled is 2C/h, the first term of the trapezoidal history matrix.
+	zero, scaled              linalg.Sparse
+	lhs, histC, beLhs, beHist linalg.Sparse
+	dcLU, lu, beLU            linalg.LU
+
+	b, volts                   []float64 // DC right-hand side and node voltages
+	x, bPrev, bNext, rhs, hist []float64 // transient step vectors; hist is histC·x
+	prevWatch, levels          []float64
+	algebraic                  []bool
+	res                        TranResult // a measurement's transient runs
+}
+
+var workspaces = scratch.New[workspace]()
+
+// release returns w for reuse, dropping its reference to the circuit.
+// Nothing w holds may be used afterwards.
+func (w *workspace) release() {
+	w.sys.circuit = nil
+	workspaces.Put(w)
 }
 
 // index maps a circuit node to its unknown index, or -1 for ground.
 func (s *mnaSystem) index(node int) int { return node - 1 }
 
-// assemble builds the MNA matrices for the circuit.
-func assemble(c *Circuit) (*mnaSystem, error) {
+// assemble sets s to the MNA matrices of the circuit, reusing s's storage.
+func (s *mnaSystem) assemble(c *Circuit) error {
 	if c.numNodes <= 1 {
-		return nil, ErrEmptyCircuit
+		return ErrEmptyCircuit
 	}
 	nv := c.numNodes - 1
 	size := nv + len(c.vsources) + len(c.inductors)
-	s := &mnaSystem{
-		circuit: c,
-		size:    size,
-		nv:      nv,
-		vsrcRow: make([]int, len(c.vsources)),
-		indRow:  make([]int, len(c.inductors)),
-	}
-	var g, cm []linalg.Stamp
+	s.circuit, s.size, s.nv = c, size, nv
+	s.vsrcRow, s.indRow = scratch.Resize(s.vsrcRow, len(c.vsources)), scratch.Resize(s.indRow, len(c.inductors))
+	g, cm := s.gStamps[:0], s.cStamps[:0]
 
 	// Resistor stamps: conductance into G.
 	for _, r := range c.resistors {
@@ -68,12 +98,13 @@ func assemble(c *Circuit) (*mnaSystem, error) {
 		cm = append(cm, linalg.Stamp{Row: row, Col: row, Val: -l.henries})
 		row++
 	}
+	s.gStamps, s.cStamps = g, cm
 	if row != size {
-		return nil, fmt.Errorf("spice: internal stamping error: %d rows vs %d size", row, size)
+		return fmt.Errorf("spice: internal stamping error: %d rows vs %d size", row, size)
 	}
-	s.g = linalg.NewSparse(size, size, g)
-	s.c = linalg.NewSparse(size, size, cm)
-	return s, nil
+	s.g.Assemble(size, size, g)
+	s.c.Assemble(size, size, cm)
+	return nil
 }
 
 // stampConductance appends the standard two-terminal stamp with value v
@@ -106,11 +137,11 @@ func (s *mnaSystem) stampBranch(g []linalg.Stamp, pos, neg, row int) []linalg.St
 	return g
 }
 
-// algebraicRows reports, per MNA row, whether the row carries no dynamic
-// (C-matrix) entries — i.e. it is a pure algebraic constraint such as a
-// voltage-source branch row or the KCL of a capacitor-free node.
-func (s *mnaSystem) algebraicRows() []bool {
-	out := make([]bool, s.size)
+// algebraicRows reports in out, per MNA row, whether the row carries no
+// dynamic (C-matrix) entries — i.e. it is a pure algebraic constraint such
+// as a voltage-source branch row or the KCL of a capacitor-free node.
+func (s *mnaSystem) algebraicRows(out []bool) []bool {
+	out = scratch.Resize(out, s.size)
 	for r := range out {
 		_, vals := s.c.Row(r)
 		out[r] = !slices.ContainsFunc(vals, func(v float64) bool { return v != 0 })
@@ -138,25 +169,28 @@ func (s *mnaSystem) rhs(b []float64, t float64) {
 	}
 }
 
-// dcSolve returns the node voltages (V) solving G·x = b(t): capacitors
-// open, inductors shorted, sources evaluated at time t (s). what names the
-// analysis in a singular-matrix error.
-func (s *mnaSystem) dcSolve(t float64, what string) ([]float64, error) {
-	lu, err := s.g.Factor()
-	if err != nil {
+// dcSolve returns the node voltages (V) solving G·x = b(t) for w's
+// system: capacitors open, inductors shorted, sources evaluated at time t
+// (s). The voltages are w's storage, valid until its next DC solve. what
+// names the analysis in a singular-matrix error.
+func (w *workspace) dcSolve(t float64, what string) ([]float64, error) {
+	s := &w.sys
+	if err := s.g.FactorInto(&w.dcLU); err != nil {
 		return nil, fmt.Errorf("spice: %s: %w", what, err)
 	}
-	b := make([]float64, s.size)
-	s.rhs(b, t)
-	lu.SolveInPlace(b)
-	return s.nodeVoltages(b), nil
+	w.b = scratch.Resize(w.b, s.size)
+	s.rhs(w.b, t)
+	w.dcLU.SolveInPlace(w.b)
+	w.volts = s.nodeVoltages(w.volts, w.b)
+	return w.volts, nil
 }
 
 // nodeVoltages expands an unknown vector into per-node voltages including
-// ground at index 0.
-func (s *mnaSystem) nodeVoltages(x []float64) []float64 {
-	v := make([]float64, s.circuit.numNodes)
-	for n := 1; n < s.circuit.numNodes; n++ {
+// ground at index 0, in dst's storage.
+func (s *mnaSystem) nodeVoltages(dst, x []float64) []float64 {
+	v := scratch.Resize(dst, s.circuit.numNodes)
+	v[0] = 0
+	for n := 1; n < len(v); n++ {
 		v[n] = x[n-1]
 	}
 	return v

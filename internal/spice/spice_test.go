@@ -343,8 +343,8 @@ type referenceSystem struct {
 }
 
 func referenceAssemble(c *Circuit) (*referenceSystem, error) {
-	sys, err := assemble(c)
-	if err != nil {
+	sys := new(mnaSystem)
+	if err := sys.assemble(c); err != nil {
 		return nil, err
 	}
 	s := &referenceSystem{mnaSystem: sys,
@@ -420,7 +420,7 @@ func referenceDC(c *Circuit, atTime float64) ([]float64, error) {
 	b := make([]float64, sys.size)
 	sys.rhs(b, atTime)
 	x := lu.Solve(b)
-	return sys.nodeVoltages(x), nil
+	return sys.nodeVoltages(nil, x), nil
 }
 
 // referenceTransient is the dense fixed-step integrator transient must

@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 
-	"nontree/internal/linalg"
 	"nontree/internal/obs"
+	"nontree/internal/scratch"
 )
 
 // Method selects the implicit integration scheme for transient analysis.
@@ -89,46 +89,55 @@ func (o TranOpts) validate() error {
 	return nil
 }
 
+// transient runs one transient of c on a workspace of its own, into a
+// result the caller owns.
 func transient(c *Circuit, opts TranOpts, watch *thresholdWatch) (*TranResult, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	sys, err := assemble(c)
-	if err != nil {
+	w := workspaces.Get()
+	defer w.release()
+	if err := w.sys.assemble(c); err != nil {
 		return nil, err
 	}
-	return sys.transient(opts, watch)
+	res := new(TranResult)
+	if err := w.transient(opts, watch, res); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
-// transient runs a fixed-step transient of the assembled system. Every
-// matrix stays sparse: a step is one sparse history product and one
-// compressed triangular solve, and allocates nothing.
-func (sys *mnaSystem) transient(opts TranOpts, watch *thresholdWatch) (*TranResult, error) {
+// transient runs a fixed-step transient of w's assembled system into res,
+// reusing the storage res holds. Every matrix stays sparse: a step is one
+// sparse history product and one compressed triangular solve, and
+// allocates nothing.
+func (w *workspace) transient(opts TranOpts, watch *thresholdWatch, res *TranResult) error {
 	if err := opts.validate(); err != nil {
-		return nil, err
+		return err
 	}
+	sys := &w.sys
 	c := sys.circuit
 	rec := obs.OrNop(opts.Obs)
 	h := opts.Step
-	zero := linalg.NewSparse(sys.size, sys.size, nil)
+	zero := w.zero.Assemble(sys.size, sys.size, nil)
 
 	// Build the iteration matrix once; with a fixed step it never changes.
 	//   BE:   (C/h + G)      x_{k+1} = C/h·x_k            + b_{k+1}
 	//   TRAP: (2C/h + G)     x_{k+1} = (2C/h − G)·x_k     + b_k + b_{k+1}
-	var lhs, histC *linalg.Sparse // histC is applied to x_k on the right-hand side
+	// w.histC is applied to x_k on the right-hand side.
 	switch opts.Method {
 	case BackwardEuler:
-		lhs = sys.g.AddScaled(sys.c, 1/h)
-		histC = zero.AddScaled(sys.c, 1/h) // histC = C/h
+		sys.g.AddScaledInto(&w.lhs, &sys.c, 1/h)
+		zero.AddScaledInto(&w.histC, &sys.c, 1/h) // C/h
 	case Trapezoidal:
-		lhs = sys.g.AddScaled(sys.c, 2/h)
-		histC = zero.AddScaled(sys.c, 2/h).AddScaled(sys.g, -1) // histC = 2C/h − G
+		sys.g.AddScaledInto(&w.lhs, &sys.c, 2/h)
+		zero.AddScaledInto(&w.scaled, &sys.c, 2/h)
+		w.scaled.AddScaledInto(&w.histC, &sys.g, -1) // 2C/h − G
 	default:
-		return nil, fmt.Errorf("spice: unknown integration method %v", opts.Method)
+		return fmt.Errorf("spice: unknown integration method %v", opts.Method)
 	}
-	lu, err := lhs.Factor()
-	if err != nil {
-		return nil, fmt.Errorf("spice: transient matrix is singular (floating node?): %w", err)
+	if err := w.lhs.FactorInto(&w.lu); err != nil {
+		return fmt.Errorf("spice: transient matrix is singular (floating node?): %w", err)
 	}
 	rec.Add(obs.CtrMNAFactorizations, 1)
 
@@ -136,15 +145,13 @@ func (sys *mnaSystem) transient(opts TranOpts, watch *thresholdWatch) (*TranResu
 	// t=0 source discontinuity makes the zero initial state inconsistent,
 	// and trapezoidal integration — which is only marginally stable — would
 	// smear the edge across the first step; L-stable BE resolves it.
-	var beLU *linalg.LU
-	var beHist *linalg.Sparse
 	if opts.Method == Trapezoidal {
-		beLU, err = sys.g.AddScaled(sys.c, 1/h).Factor()
-		if err != nil {
-			return nil, fmt.Errorf("spice: transient matrix is singular (floating node?): %w", err)
+		sys.g.AddScaledInto(&w.beLhs, &sys.c, 1/h)
+		if err := w.beLhs.FactorInto(&w.beLU); err != nil {
+			return fmt.Errorf("spice: transient matrix is singular (floating node?): %w", err)
 		}
 		rec.Add(obs.CtrMNAFactorizations, 1)
-		beHist = zero.AddScaled(sys.c, 1/h)
+		zero.AddScaledInto(&w.beHist, &sys.c, 1/h)
 	}
 
 	// Rows with no dynamic (C/L) entries are algebraic constraints —
@@ -152,48 +159,52 @@ func (sys *mnaSystem) transient(opts TranOpts, watch *thresholdWatch) (*TranResu
 	// averaging must not be applied to them: with an inconsistent initial
 	// state (an ideal step at t=0), averaging makes the constraint ring
 	// between 2·b and 0 forever. They are enforced instantaneously instead.
-	algebraic := sys.algebraicRows()
+	w.algebraic = sys.algebraicRows(w.algebraic)
+	algebraic := w.algebraic
 
-	x := make([]float64, sys.size)
-	bPrev := make([]float64, sys.size)
-	bNext := make([]float64, sys.size)
-	rhs := make([]float64, sys.size)
-	hist := make([]float64, sys.size) // history term: histC·x, reused each step
+	size := sys.size
+	w.x, w.bPrev, w.bNext = scratch.Resize(w.x, size), scratch.Resize(w.bPrev, size), scratch.Resize(w.bNext, size)
+	w.rhs, w.hist = scratch.Resize(w.rhs, size), scratch.Resize(w.hist, size)
+	x, bPrev, bNext, rhs, hist := w.x, w.bPrev, w.bNext, w.rhs, w.hist
+	clear(x) // the zero initial state
 	sys.rhs(bPrev, 0)
 
-	res := &TranResult{}
+	res.Steps = 0
 	rec.Add(obs.CtrTranRuns, 1)
 	// One triangular solve per executed step; no error exits remain once
-	// res is allocated, so the deferred flush covers both the early-exit
-	// and the run-to-Stop return paths.
+	// the run has started, so the deferred flush covers both the
+	// early-exit and the run-to-Stop return paths.
 	defer func() {
 		rec.Add(obs.CtrTranSteps, int64(res.Steps))
 		rec.Add(obs.CtrMNASolves, int64(res.Steps))
 		rec.Observe(obs.HistTranSteps, float64(res.Steps))
 	}()
-	var crossings []float64
-	var prevWatch []float64
+	var crossings, prevWatch []float64
 	if watch != nil {
-		crossings = make([]float64, len(watch.nodes))
+		crossings = scratch.Resize(res.Crossings, len(watch.nodes))
 		for i := range crossings {
 			crossings[i] = -1
 		}
-		prevWatch = make([]float64, len(watch.nodes))
+		w.prevWatch = scratch.Resize(w.prevWatch, len(watch.nodes))
+		prevWatch = w.prevWatch
+		clear(prevWatch)
 	}
 
-	record := func(t float64, volts []float64) {
-		if !opts.Record {
-			return
-		}
-		if res.V == nil {
-			res.V = make([][]float64, c.numNodes)
-		}
+	// record samples every node voltage at time t: ground, then x.
+	record := func(t float64) {
 		res.Times = append(res.Times, t)
-		for n := 0; n < c.numNodes; n++ {
-			res.V[n] = append(res.V[n], volts[n])
+		res.V[0] = append(res.V[0], 0)
+		for n := 1; n < c.numNodes; n++ {
+			res.V[n] = append(res.V[n], x[n-1])
 		}
 	}
-	record(0, make([]float64, c.numNodes))
+	if opts.Record {
+		res.Times, res.V = res.Times[:0], scratch.Resize(res.V, c.numNodes)
+		for n := range res.V {
+			res.V[n] = res.V[n][:0]
+		}
+		record(0)
+	}
 
 	steps := int(opts.Stop/h + 0.5)
 	for k := 1; k <= steps; k++ {
@@ -202,9 +213,9 @@ func (sys *mnaSystem) transient(opts TranOpts, watch *thresholdWatch) (*TranResu
 
 		useTrap := opts.Method == Trapezoidal && k > 1
 		if opts.Method == Trapezoidal && k == 1 {
-			beHist.MulVecInto(hist, x)
+			w.beHist.MulVecInto(hist, x)
 		} else {
-			histC.MulVecInto(hist, x)
+			w.histC.MulVecInto(hist, x)
 		}
 		for i := range rhs {
 			switch {
@@ -217,9 +228,9 @@ func (sys *mnaSystem) transient(opts TranOpts, watch *thresholdWatch) (*TranResu
 			}
 		}
 		if opts.Method == Trapezoidal && k == 1 {
-			beLU.SolveInPlace(rhs)
+			w.beLU.SolveInPlace(rhs)
 		} else {
-			lu.SolveInPlace(rhs)
+			w.lu.SolveInPlace(rhs)
 		}
 		copy(x, rhs)
 		bPrev, bNext = bNext, bPrev
@@ -251,30 +262,18 @@ func (sys *mnaSystem) transient(opts TranOpts, watch *thresholdWatch) (*TranResu
 				// crossing times, so stop early.
 				rec.Add(obs.CtrTranEarlyExits, 1)
 				res.Steps = k
-				final := make([]float64, c.numNodes)
-				for n := 1; n < c.numNodes; n++ {
-					final[n] = x[n-1]
-				}
-				res.Final = final
+				res.Final = sys.nodeVoltages(res.Final, x)
 				res.Crossings = crossings
-				return res, nil
+				return nil
 			}
 		}
 		if opts.Record {
-			volts := make([]float64, c.numNodes)
-			for n := 1; n < c.numNodes; n++ {
-				volts[n] = x[n-1]
-			}
-			record(t, volts)
+			record(t)
 		}
 		res.Steps = k
 	}
 
-	final := make([]float64, c.numNodes)
-	for n := 1; n < c.numNodes; n++ {
-		final[n] = x[n-1]
-	}
-	res.Final = final
+	res.Final = sys.nodeVoltages(res.Final, x)
 	res.Crossings = crossings
-	return res, nil
+	return nil
 }
