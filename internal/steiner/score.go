@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"nontree/internal/geom"
+	"nontree/internal/scratch"
 )
 
 // recheckMargin is how far above the round's smallest estimate, relative to
@@ -17,12 +18,17 @@ const recheckMargin = 1e-9
 // search holds the state of one Iterated 1-Steiner run: the points placed so
 // far (pins, then accepted Steiner points), the remaining candidates, and
 // for each candidate its star. A star changes only when a point is added,
-// so it is updated in O(1) per round.
+// so it is updated in O(1) per round. Tree takes a search from searches and
+// returns it when the run ends, so a warm caller reuses every buffer below;
+// a net of more than maxKeptPins pins leaves its search to the collector.
 type search struct {
 	points     []geom.Point
 	candidates []geom.Point
 	stars      []star
 	est        []float64 // est[i]: the round's estimate for candidates[i]
+	contenders []int     // the round's candidates within the recheck margin, in order
+	exact      []float64 // exact[j]: the MST cost with candidates[contenders[j]] added
+	rechecks   []recheck // rechecks[w]: worker w's scratch; worker 0 is the caller
 
 	treeCost float64   // weight of the MST of points
 	prefix   prefix    // that MST's Prim, step by step
@@ -30,7 +36,18 @@ type search struct {
 	prevEdge []float64 // the previous round's maxEdge, over prevN points
 	prevN    int
 	changed  []bool // changed[u*prevN+v]: maxEdge[u*n+v] differs from prevEdge's
+
+	crew crew // the helpers that share the phases, with rechecks[1:]
 }
+
+var searches = scratch.New[search]()
+
+// maxKeptPins is the largest net whose search goes back to searches. A
+// search's buffers grow to the largest net it has run and are never
+// trimmed; a 64-pin net's hold about 1 MB, while a 1024-pin net's stars
+// alone take some 120 MB, which a slot should not keep for the life of the
+// process.
+const maxKeptPins = 64
 
 // star is a candidate's nearest point in each of its eight octants. In the
 // Manhattan metric two points in the same closed 45° wedge around c are
@@ -48,26 +65,27 @@ type star struct {
 	stale         bool
 }
 
-// newSearch starts a search over points with their Hanan grid as candidates.
-func newSearch(points []geom.Point) *search {
-	candidates := geom.HananGrid(points)
-	s := &search{
-		points:     points,
-		candidates: candidates,
-		stars:      make([]star, len(candidates)),
-		est:        make([]float64, 0, len(candidates)),
-	}
-	for i, c := range candidates {
-		st := &s.stars[i]
+// reset prepares s for a search over points with their Hanan grid as
+// candidates, keeping its storage. The stars are built by phaseStars.
+func (s *search) reset(points []geom.Point) {
+	s.points = append(s.points[:0], points...)
+	s.candidates = geom.HananGrid(points)
+	s.stars = resize(s.stars, len(s.candidates), len(s.candidates))
+	s.prefix.n = 0 // no previous round whose maxEdge could carry over
+}
+
+// initStars sets the stars of candidates lo..hi-1 from every point.
+func (s *search) initStars(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		c, st := s.candidates[i], &s.stars[i]
 		st.stale = true
 		for o := range st.end {
 			st.end[o] = -1
 		}
-		for j, p := range points {
+		for j, p := range s.points {
 			st.add(c, j, p)
 		}
 	}
-	return s
 }
 
 // add offers point j, at p, to the star of candidate c, and reports whether
@@ -93,13 +111,18 @@ func (st *star) add(c geom.Point, j int, p geom.Point) bool {
 
 // accept adds candidate i to the points and drops it from the candidates.
 func (s *search) accept(i int) {
-	c := s.candidates[i]
-	s.points = append(s.points, c)
+	s.points = append(s.points, s.candidates[i])
 	s.candidates = append(s.candidates[:i], s.candidates[i+1:]...)
 	s.stars = append(s.stars[:i], s.stars[i+1:]...)
+	s.split(phaseAccept, len(s.candidates))
+}
+
+// offer offers the newest point to the stars of candidates lo..hi-1.
+func (s *search) offer(lo, hi int) {
 	j := len(s.points) - 1
-	for k, cand := range s.candidates {
-		if s.stars[k].add(cand, j, c) {
+	c := s.points[j]
+	for k := lo; k < hi; k++ {
+		if s.stars[k].add(s.candidates[k], j, c) {
 			s.stars[k].stale = true
 		}
 	}
@@ -119,14 +142,19 @@ func (s *search) best(baseCost float64) (int, float64) {
 	}
 	limit := minEst + recheckMargin*baseCost
 
+	s.contenders = s.contenders[:0]
+	for i, e := range s.est {
+		if e <= limit {
+			s.contenders = append(s.contenders, i)
+		}
+	}
+	s.exact = resize(s.exact, len(s.contenders), len(s.contenders))
+	s.split(phaseRecheck, len(s.contenders))
+
 	bestGain := 0.0
 	bestIdx := -1
-	for i, c := range s.candidates {
-		if s.est[i] > limit {
-			continue
-		}
-		gain := baseCost - s.prefix.costWith(s.points, c)
-		if gain > bestGain {
+	for j, i := range s.contenders {
+		if gain := baseCost - s.exact[j]; gain > bestGain {
 			bestGain = gain
 			bestIdx = i
 		}
@@ -143,14 +171,19 @@ func (s *search) best(baseCost float64) (int, float64) {
 // end or maxEdge moved between two of its ends.
 func (s *search) estimate() {
 	s.buildTree()
-	s.est = s.est[:0]
-	for i := range s.stars {
+	s.est = resize(s.est, len(s.stars), len(s.stars))
+	s.split(phaseEstimate, len(s.stars))
+}
+
+// estimateRange sets est[lo:hi].
+func (s *search) estimateRange(lo, hi int) {
+	for i := lo; i < hi; i++ {
 		st := &s.stars[i]
 		if st.stale || s.moved(st) {
 			st.without, st.with = s.weights(st)
 			st.stale = false
 		}
-		s.est = append(s.est, s.treeCost-st.without+st.with)
+		s.est[i] = s.treeCost - st.without + st.with
 	}
 }
 
@@ -249,6 +282,9 @@ func (s *search) buildTree() {
 	s.prevEdge, s.maxEdge, s.prevN = s.maxEdge, s.prevEdge, p.n
 	s.maxEdge = resize(s.maxEdge, n*n, room*room)
 	p.resize(n, room)
+	for w := range s.rechecks {
+		s.rechecks[w].resize(n, room)
+	}
 
 	dist := p.dist
 	for u := range points {
@@ -324,9 +360,13 @@ type prefix struct {
 	w, total    []float64
 	order, step []int
 	via         []int // buildTree's scratch
-	closer      []int // costWith's scratch
-	alt         []float64
-	early       []bool
+}
+
+// recheck is the scratch of one goroutine's exact rechecks.
+type recheck struct {
+	closer []int
+	alt    []float64
+	early  []bool
 }
 
 // resize sizes the buffers for n points, regrowing one only when it holds
@@ -339,9 +379,13 @@ func (p *prefix) resize(n, room int) {
 	p.order = resize(p.order, n, room)
 	p.step = resize(p.step, n, room)
 	p.via = resize(p.via, n, room)
-	p.closer = resize(p.closer, n, room)
-	p.alt = resize(p.alt, n, room)
-	p.early = resize(p.early, n, room)
+}
+
+// resize sizes the scratch for n points, as prefix.resize does.
+func (r *recheck) resize(n, room int) {
+	r.closer = resize(r.closer, n, room)
+	r.alt = resize(r.alt, n, room)
+	r.early = resize(r.early, n, room)
 }
 
 // resize returns s with length n, reusing its storage when it is large
@@ -353,7 +397,7 @@ func resize[T any](s []T, n, room int) []T {
 	return s[:n]
 }
 
-// costWith returns mst.Cost(append(points, c)) bit for bit, where points are
+// costWithIn returns mst.Cost(append(points, c)) bit for bit, where points are
 // the n points the prefix was recorded over. In that Prim c is the last
 // node and loses every tie, so until c joins it takes the recorded steps
 // and sums the same weights in the same order. c joins at the first step
@@ -368,8 +412,9 @@ func resize[T any](s []T, n, room int) []T {
 // the recorded node the record advances a step; when it picks a closer
 // node, that node joins early and offers its edges. The early nodes and
 // the closer list are usually a few nodes near c, so a step costs far less
-// than mst.Cost's scan of every node.
-func (p *prefix) costWith(points []geom.Point, c geom.Point) float64 {
+// than mst.Cost's scan of every node. It only reads the prefix; the
+// closer list and the early flags live in r, which one goroutine owns.
+func (p *prefix) costWithIn(r *recheck, points []geom.Point, c geom.Point) float64 {
 	n := p.n
 	nc := geom.Dist(points[0], c) // c's cheapest edge to the tree
 	k := 0
@@ -381,58 +426,58 @@ func (p *prefix) costWith(points []geom.Point, c geom.Point) float64 {
 	total := p.total[k] + nc
 
 	row := p.near[k*n : (k+1)*n]
-	closer := p.closer[:0]
+	closer := r.closer[:0]
 	for v := 1; v < n; v++ {
-		p.early[v], p.alt[v] = false, math.Inf(1)
+		r.early[v], r.alt[v] = false, math.Inf(1)
 		if p.step[v] >= k {
 			if d := geom.Dist(c, points[v]); d < row[v] {
-				p.alt[v] = d
+				r.alt[v] = d
 				closer = append(closer, v)
 			}
 		}
 	}
 	for left := n - 1 - k; left > 0; left-- {
-		for p.early[p.order[k+1]] {
+		for r.early[p.order[k+1]] {
 			k++
-			closer = p.prune(closer, k)
+			closer = r.prune(p, closer, k)
 		}
 		next := p.order[k+1]
-		pick, e, at := next, math.Min(p.w[k], p.alt[next]), -1
+		pick, e, at := next, math.Min(p.w[k], r.alt[next]), -1
 		for i, v := range closer {
 			//nontree:allow floatcmp an exact tie goes to the lower index, as in mst.Cost's scan
-			if a := p.alt[v]; a < e || (a == e && v < pick) {
+			if a := r.alt[v]; a < e || (a == e && v < pick) {
 				pick, e, at = v, a, i
 			}
 		}
 		total += e
 		if pick == next {
 			k++
-			closer = p.prune(closer, k)
+			closer = r.prune(p, closer, k)
 			continue
 		}
-		p.early[pick] = true
+		r.early[pick] = true
 		closer[at] = closer[len(closer)-1]
 		closer = closer[:len(closer)-1]
 		row, from := p.near[k*n:(k+1)*n], p.dist[pick*n:(pick+1)*n]
 		for v := 1; v < n; v++ {
-			if d := from[v]; p.step[v] >= k && !p.early[v] && d < row[v] && d < p.alt[v] {
-				if p.alt[v] >= row[v] {
+			if d := from[v]; p.step[v] >= k && !r.early[v] && d < row[v] && d < r.alt[v] {
+				if r.alt[v] >= row[v] {
 					closer = append(closer, v)
 				}
-				p.alt[v] = d
+				r.alt[v] = d
 			}
 		}
 	}
 	return total
 }
 
-// prune keeps the nodes of closer that are still outside the tree after k
+// prune keeps the nodes of closer that are still outside p's tree after k
 // recorded steps and still closer to it than that tree's own edge.
-func (p *prefix) prune(closer []int, k int) []int {
+func (r *recheck) prune(p *prefix, closer []int, k int) []int {
 	row := p.near[k*p.n:]
 	kept := closer[:0]
 	for _, v := range closer {
-		if p.step[v] >= k && p.alt[v] < row[v] {
+		if p.step[v] >= k && r.alt[v] < row[v] {
 			kept = append(kept, v)
 		}
 	}

@@ -31,10 +31,24 @@
 // the tree and joins there. Each later step weighs the recorded next node
 // only against the few nodes the candidate, or a node it pulled in ahead
 // of its turn, brought closer to the tree.
+//
+// A net with at least 256 candidates, from about 17 pins, shares each
+// round's per-candidate work with helper goroutines that live for the Tree
+// call, one helper per 256 candidates up to GOMAXPROCS−1: building the
+// stars, updating them after a point is accepted, the estimates, and the
+// exact rechecks. The caller and the helpers claim fixed-size blocks of
+// candidates, and each candidate writes only its own slots; building the
+// round's tree, the minimum over the estimates and the first-strict-maximum
+// choice stay on the caller, in index order. Trees are therefore
+// bit-identical at any worker count. The search's buffers come from slots
+// that a warm caller reuses, so a call allocates its Hanan grid and its
+// result, not its round buffers; a net of more than 64 pins leaves its
+// buffers to the collector, so no slot holds a large net's for long.
 package steiner
 
 import (
 	"errors"
+	"runtime"
 
 	"nontree/internal/geom"
 	"nontree/internal/graph"
@@ -53,17 +67,37 @@ var ErrTooFewPins = errors.New("steiner: need at least two pins")
 // surviving Steiner points follow. The result is always a tree spanning
 // every pin.
 func Tree(pins []geom.Point, _ Options) (*graph.Topology, error) {
+	//nontree:allow nondetsource sizes the helper crew only; every candidate writes its own slots and the reductions run serially in index order, so trees are bit-identical for any count (DESIGN.md §7)
+	return tree(pins, runtime.GOMAXPROCS(0), minSplit)
+}
+
+// tree is Tree with up to workers goroutines sharing each round's
+// candidates, and one helper for each minSplit of them; with minSplit 0
+// every net gets all workers.
+func tree(pins []geom.Point, workers, minSplit int) (*graph.Topology, error) {
 	if len(pins) < 2 {
 		return nil, ErrTooFewPins
 	}
+	s := searches.Get()
+	if len(pins) <= maxKeptPins {
+		defer searches.Put(s)
+	}
+	s.reset(pins)
+	if minSplit > 0 {
+		workers = min(workers, 1+len(s.candidates)/minSplit)
+	}
+	s.grow(workers)
+	return assemble(s.points, len(pins))
+}
 
-	points := make([]geom.Point, len(pins))
-	copy(points, pins)
-	numPins := len(pins)
-
-	s := newSearch(points)
-	baseCost := mst.Cost(points)
-
+// grow adds the best candidate to the points until none saves cost, with
+// workers goroutines sharing each phase. It joins its helpers before it
+// returns.
+func (s *search) grow(workers int) {
+	s.start(workers)
+	defer s.stop()
+	s.split(phaseStars, len(s.candidates))
+	baseCost := mst.Cost(s.points)
 	for {
 		bestIdx, bestGain := s.best(baseCost)
 		if bestIdx < 0 {
@@ -72,8 +106,6 @@ func Tree(pins []geom.Point, _ Options) (*graph.Topology, error) {
 		s.accept(bestIdx)
 		baseCost -= bestGain
 	}
-
-	return assemble(s.points, numPins)
 }
 
 // assemble builds the MST over pins+Steiner points, prunes useless Steiner

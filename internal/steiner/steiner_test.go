@@ -5,8 +5,10 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"nontree/internal/geom"
 	"nontree/internal/graph"
@@ -214,6 +216,23 @@ func TestDeterministic(t *testing.T) {
 	}
 }
 
+// newSearch starts a search over points with their Hanan grid as
+// candidates, on the calling goroutine alone.
+func newSearch(points []geom.Point) *search {
+	s := new(search)
+	s.reset(points)
+	s.start(1)
+	s.split(phaseStars, len(s.candidates))
+	return s
+}
+
+// costWith is costWithIn in scratch of its own.
+func (p *prefix) costWith(points []geom.Point, c geom.Point) float64 {
+	var r recheck
+	r.resize(p.n, p.n)
+	return p.costWithIn(&r, points, c)
+}
+
 // referenceTree is the plain Iterated 1-Steiner search Tree must reproduce:
 // every round scores every candidate with a fresh mst.Cost.
 func referenceTree(pins []geom.Point) (*graph.Topology, error) {
@@ -417,28 +436,188 @@ func TestCostWithIsMSTCost(t *testing.T) {
 }
 
 func TestTreeAllocations(t *testing.T) {
-	// A Tree call sizes its round buffers once, and the exact rechecks
-	// allocate nothing. The bounds are this net's measured 315 allocations
-	// and 246,968 bytes, plus about 2%.
+	// A warm Tree call takes its search buffers from the slots, so it
+	// allocates the Hanan grid, the seed's MST cost and the result; the
+	// exact rechecks allocate nothing, and neither does a phase published
+	// to a helper. Both counts run at GOMAXPROCS 1, where the runtime
+	// starts no thread: at one worker, and at two, where the caller claims
+	// every block itself and the helper only starts and stops. This net
+	// takes 297 allocations and 34,424 bytes at one worker, one allocation
+	// and 24 bytes more at two (the helper's go statement), and 1,088 bytes
+	// more in the race detector's build; the bounds are the largest of these
+	// plus about 2%.
 	net, err := netlist.NewGenerator(42).Generate(30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const maxAllocs, maxBytes = 304, 36_250
+	for _, workers := range []int{1, 2} {
+		run := func() {
+			if _, err := tree(net.Pins, workers, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := testing.AllocsPerRun(5, run); n > maxAllocs {
+			t.Errorf("30-pin tree at %d workers: %v allocations, want at most %d", workers, n, maxAllocs)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n > maxBytes {
+			t.Errorf("30-pin tree at %d workers: %d bytes allocated, want at most %d", workers, n, maxBytes)
+		}
+	}
+}
+
+// checkWorkers runs tree on pins at each worker count, splitting the
+// rounds however few candidates the net has, and fails unless every tree
+// is bit-identical to referenceTree's, errors included.
+func checkWorkers(t *testing.T, name string, pins []geom.Point, workers ...int) {
+	t.Helper()
+	want, wantErr := referenceTree(pins)
+	for _, w := range workers {
+		got, gotErr := tree(pins, w, 0)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("%s at %d workers: error %v, want %v", name, w, gotErr, wantErr)
+		}
+		if wantErr != nil {
+			continue
+		}
+		if diff := sameTopology(got, want); diff != "" {
+			t.Fatalf("%s at %d workers: %s", name, w, diff)
+		}
+	}
+}
+
+func TestTreeWorkerCountInvariance(t *testing.T) {
+	// Every candidate writes its own slots and the reductions run in index
+	// order, so no worker count may move a tree bit. The 8×8 lattice nets
+	// tie on many gains and run their rechecks in several blocks.
+	rng := rand.New(rand.NewSource(34))
+	sizes := []int{5, 10, 20, 30, 45, 60}
+	if testing.Short() {
+		sizes = sizes[:4]
+	}
+	for _, n := range sizes {
+		net, err := netlist.NewGenerator(rng.Int63()).Generate(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkWorkers(t, fmt.Sprintf("random %d-pin", n), net.Pins, 1, 2, 8)
+	}
+	for trial := 0; trial < 30; trial++ {
+		pins := gridPins(rng, 3+rng.Intn(30), 8)
+		checkWorkers(t, fmt.Sprintf("lattice #%d %v", trial, pins), pins, 1, 2, 8)
+	}
+}
+
+func TestConcurrentTreesShareSearches(t *testing.T) {
+	// Concurrent calls take and return their searches through the shared
+	// slots while their helpers claim blocks; a search handed to two calls
+	// at once, or reused before its helpers stopped, would move a tree.
+	// Half the calls split at three workers whatever the machine's
+	// GOMAXPROCS.
+	var nets [][]geom.Point
+	var want []*graph.Topology
+	for i, n := range []int{10, 17, 25, 32, 40, 14, 28, 36} {
+		net, err := netlist.NewGenerator(int64(100 + i)).Generate(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial, err := tree(net.Pins, 1, minSplit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets, want = append(nets, net.Pins), append(want, serial)
+	}
+	var wg sync.WaitGroup
+	fails := make([]string, 4)
+	for g := range fails {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 2*len(nets); k++ {
+				i := (k + 3*g) % len(nets)
+				var got *graph.Topology
+				var err error
+				if k%2 == 0 {
+					got, err = Tree(nets[i], Options{})
+				} else {
+					got, err = tree(nets[i], 3, 0)
+				}
+				if err != nil {
+					fails[g] = err.Error()
+					return
+				}
+				if diff := sameTopology(got, want[i]); diff != "" {
+					fails[g] = fmt.Sprintf("%d-pin net: %s", len(nets[i]), diff)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for g, f := range fails {
+		if f != "" {
+			t.Errorf("goroutine %d: %s", g, f)
+		}
+	}
+}
+
+func TestHelpersStopBeforeTreeReturns(t *testing.T) {
+	// A helper that ran on after its call could touch a search that the
+	// next call has taken from the slots.
+	before := runtime.NumGoroutine()
+	for _, n := range []int{5, 20, 30} {
+		net, err := netlist.NewGenerator(int64(n)).Generate(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{2, 8} {
+			if _, err := tree(net.Pins, w, 0); err != nil {
+				t.Fatal(err)
+			}
+			for i := range searches {
+				if s := searches[i].Load(); s != nil && s.crew.running.Load() != 0 {
+					t.Fatalf("%d-pin net at %d workers: %d helpers still running after the call returned", n, w, s.crew.running.Load())
+				}
+			}
+		}
+	}
+	// A goroutine leaves the count a moment after it finished its work.
+	for wait := 0; runtime.NumGoroutine() > before && wait < 100; wait++ {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after the calls, %d before", n, before)
+	}
+}
+
+func TestLargeSearchesAreNotKept(t *testing.T) {
+	// A search keeps the buffers of the largest net it has run, so only a
+	// net of up to maxKeptPins pins returns its search to the slots.
+	for i := range searches {
+		searches[i].Store(nil)
+	}
+	for _, c := range []struct{ pins, kept int }{{maxKeptPins + 1, 0}, {maxKeptPins, 1}} {
+		net, err := netlist.NewGenerator(int64(c.pins)).Generate(c.pins)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if _, err := Tree(net.Pins, Options{}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	const maxAllocs, maxBytes = 321, 252_000
-	if n := testing.AllocsPerRun(5, run); n > maxAllocs {
-		t.Errorf("30-pin Tree: %v allocations, want at most %d", n, maxAllocs)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	run()
-	runtime.ReadMemStats(&after)
-	if n := after.TotalAlloc - before.TotalAlloc; n > maxBytes {
-		t.Errorf("30-pin Tree: %d bytes allocated, want at most %d", n, maxBytes)
+		kept := 0
+		for i := range searches {
+			if searches[i].Load() != nil {
+				kept++
+			}
+		}
+		if kept != c.kept {
+			t.Errorf("after a %d-pin net the slots hold %d searches, want %d", c.pins, kept, c.kept)
+		}
 	}
 }
 
@@ -455,6 +634,6 @@ func FuzzTreeVsReference(f *testing.F) {
 		for i := 0; i+1 < len(data); i += 2 {
 			pins = appendDistinct(pins, geom.Pt(float64(data[i]%8)*7, float64(data[i+1]%8)*7))
 		}
-		checkAgainstReference(t, fmt.Sprint(pins), pins)
+		checkWorkers(t, fmt.Sprint(pins), pins, 1, 3)
 	})
 }
