@@ -293,8 +293,8 @@ func BenchmarkAblationDelayModel(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			l, err := rc.Lump(topo, params, nil)
-			if err != nil {
+			l := new(rc.Lumped)
+			if err := rc.Lump(l, topo, params, nil); err != nil {
 				b.Fatal(err)
 			}
 			ref, err := nontree.MeasureDelay(topo, params)

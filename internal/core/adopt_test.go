@@ -20,8 +20,8 @@ type capturingOracle struct {
 	width rc.WidthFunc
 }
 
-func (o *capturingOracle) NewIncrementalSweep(ws *elmore.Workspace, t *graph.Topology, width rc.WidthFunc) (*elmore.Incremental, error) {
-	inc, err := o.ElmoreOracle.NewIncrementalSweep(ws, t, width)
+func (o *capturingOracle) NewIncrementalSweep(ws *elmore.Workspace, sol *elmore.Solution, t *graph.Topology, width rc.WidthFunc) (*elmore.Incremental, error) {
+	inc, err := o.ElmoreOracle.NewIncrementalSweep(ws, sol, t, width)
 	o.inc, o.topo, o.width = inc, t, width
 	return inc, err
 }
@@ -73,7 +73,7 @@ func TestAdoptedFactorMatchesRefactor(t *testing.T) {
 				if got := oracle.inc.Epoch(); got != 1+run {
 					t.Errorf("%s commit %d: epoch %d, want %d", label, run, got, 1+run)
 				}
-				fresh, err := elmore.NewIncremental(new(elmore.Workspace), oracle.topo, rc.Default(), oracle.width)
+				fresh, err := elmore.NewIncremental(new(elmore.Workspace), new(elmore.Solution), oracle.topo, rc.Default(), oracle.width)
 				if err != nil {
 					t.Fatalf("%s commit %d: %v", label, run, err)
 				}

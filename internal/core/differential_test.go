@@ -29,8 +29,8 @@ func lumpedSpice() *SpiceOracle {
 // analytic crossing-time bounds for the same lumped network.
 func checkBounds(t *testing.T, topo *graph.Topology, label string) {
 	t.Helper()
-	l, err := rc.Lump(topo, rc.Default(), nil)
-	if err != nil {
+	l := new(rc.Lumped)
+	if err := rc.Lump(l, topo, rc.Default(), nil); err != nil {
 		t.Fatalf("%s: lumping: %v", label, err)
 	}
 	b, err := elmore.Bounds(topo, l, 0.5)

@@ -120,9 +120,12 @@ func H1(seed *graph.Topology, opts Options) (*Result, error) {
 // treeElmoreDelays evaluates Elmore delays of a tree seed — the selection
 // signal for H2 and H3, which the paper restricts to a single application
 // because "Elmore delay is only defined for trees, not arbitrary graphs".
+// Its lumped network comes from shared slots, and TreeDelays allocates
+// only the delays it returns.
 func treeElmoreDelays(seed *graph.Topology, params rc.Params) ([]float64, error) {
-	l, err := rc.Lump(seed, params, nil)
-	if err != nil {
+	l := lumps.Get()
+	defer lumps.Put(l)
+	if err := rc.Lump(l, seed, params, nil); err != nil {
 		return nil, err
 	}
 	return elmore.TreeDelays(seed, l)

@@ -24,16 +24,19 @@ import (
 // topology and widths.
 type IncrementalScorer interface {
 	// NewIncrementalSweep prepares incremental evaluation of t under the
-	// width assignment over ws's storage. The caller owns the evaluator's
-	// lifecycle: after every committed topology or width mutation it must
-	// Adopt the mutation's solution or Refactor, and it stops using the
-	// evaluator before it hands ws to another.
-	NewIncrementalSweep(ws *elmore.Workspace, t *graph.Topology, width rc.WidthFunc) (*elmore.Incremental, error)
-	// Solve makes one full solve of t under width. Its Delays equal
-	// SinkDelays(t, width) bit for bit, and an evaluator of t may adopt
-	// it once t is in that state.
-	Solve(t *graph.Topology, width rc.WidthFunc) (*elmore.Solution, error)
+	// width assignment over ws's storage, solving the base state into
+	// sol. The caller owns the evaluator's lifecycle: after every
+	// committed topology or width mutation it must Adopt the mutation's
+	// solution or Refactor, and it stops using the evaluator before it
+	// hands ws or sol to another.
+	NewIncrementalSweep(ws *elmore.Workspace, sol *elmore.Solution, t *graph.Topology, width rc.WidthFunc) (*elmore.Incremental, error)
+	// Solve makes one full solve of t under width into sol. Its Delays
+	// equal SinkDelays(t, width) bit for bit, and an evaluator of t may
+	// adopt it once t is in that state.
+	Solve(sol *elmore.Solution, t *graph.Topology, width rc.WidthFunc) error
 }
+
+var _ IncrementalScorer = (*ElmoreOracle)(nil)
 
 // errPruningUnsound reports a pruning audit failure (Options.auditPruning):
 // a pruned candidate, scored after the fact, would have been selected by

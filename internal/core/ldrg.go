@@ -187,7 +187,7 @@ func greedy(seed *graph.Topology, opts *Options, taps bool) (*Result, error) {
 			return nil, err
 		}
 		if taps {
-			tap, tapOK, err := bestTap(t, opts, cur, sweep, eng)
+			tap, tapOK, err := bestTap(t, cur, sweep, eng)
 			if err != nil {
 				return nil, err
 			}

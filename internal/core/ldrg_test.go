@@ -218,7 +218,7 @@ func TestElmoreBaseDelaysMatchOracle(t *testing.T) {
 			}
 			width = func(e graph.Edge) float64 { return float64(1 + (e.U+e.V)%3) }
 		}
-		inc, err := oracle.NewIncrementalSweep(new(elmore.Workspace), topo, width)
+		inc, err := oracle.NewIncrementalSweep(new(elmore.Workspace), new(elmore.Solution), topo, width)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,9 +35,9 @@ import (
 // scratch.Slots, which hands each workspace to one call at a time, or
 // guard any other reuse. ElmoreOracle, TwoPoleOracle and SpiceOracle all
 // satisfy this: their configuration fields are read-only after
-// construction, the Elmore oracles build their matrices per call, and
-// SpiceOracle takes its circuit and simulator workspace from slots and
-// returns them when the call ends (see the audit notes in package elmore
+// construction, and each takes its workspaces (the Elmore oracles' lumped
+// network and factorization, SpiceOracle's circuit and simulator
+// workspace) from slots and returns them when the call ends (see the audit notes in package elmore
 // and package spice). The race-mode tests in parallel_test.go and
 // workspace_test.go guard this contract dynamically; statically, the
 // purityflow analyzer rejects writes to shared state in oracle methods,
@@ -64,29 +64,36 @@ type ElmoreOracle struct {
 // Name implements DelayOracle.
 func (o *ElmoreOracle) Name() string { return "elmore" }
 
-// SinkDelays implements DelayOracle.
+// SinkDelays implements DelayOracle. Its lumped network and
+// factorization come from shared slots, so a warm call allocates only the
+// delays it returns.
 func (o *ElmoreOracle) SinkDelays(t *graph.Topology, width rc.WidthFunc) ([]float64, error) {
 	defer obs.StartSpan(o.Obs, obs.TimeOracleSeconds).End()
-	l, err := rc.Lump(t, o.Params, width)
-	if err != nil {
+	l := lumps.Get()
+	defer lumps.Put(l)
+	if err := rc.Lump(l, t, o.Params, width); err != nil {
 		return nil, err
 	}
 	obs.OrNop(o.Obs).Add(obs.CtrElmoreSolves, 1)
 	return elmore.GraphDelays(t, l)
 }
 
+// lumps holds the idle lumped networks of the oracles that solve a
+// network only for the length of one call.
+var lumps = scratch.New[rc.Lumped]()
+
 // NewIncrementalSweep implements IncrementalScorer: the Elmore model is
 // the one oracle whose candidate evaluations reduce to exact low-rank
 // perturbations of a factored base state (see elmore.Incremental).
-func (o *ElmoreOracle) NewIncrementalSweep(ws *elmore.Workspace, t *graph.Topology, width rc.WidthFunc) (*elmore.Incremental, error) {
-	return elmore.NewIncremental(ws, t, o.Params, width)
+func (o *ElmoreOracle) NewIncrementalSweep(ws *elmore.Workspace, sol *elmore.Solution, t *graph.Topology, width rc.WidthFunc) (*elmore.Incremental, error) {
+	return elmore.NewIncremental(ws, sol, t, o.Params, width)
 }
 
-// Solve implements IncrementalScorer: one full solve of t, with the
-// arithmetic of SinkDelays, kept whole so the evaluator can adopt it.
-func (o *ElmoreOracle) Solve(t *graph.Topology, width rc.WidthFunc) (*elmore.Solution, error) {
+// Solve implements IncrementalScorer: one full solve of t into sol, with
+// the arithmetic of SinkDelays, kept whole so the evaluator can adopt it.
+func (o *ElmoreOracle) Solve(sol *elmore.Solution, t *graph.Topology, width rc.WidthFunc) error {
 	defer obs.StartSpan(o.Obs, obs.TimeOracleSeconds).End()
-	return elmore.Solve(t, o.Params, width)
+	return elmore.Solve(sol, t, o.Params, width)
 }
 
 // TwoPoleOracle evaluates delays with the two-pole (second-moment) Padé
@@ -106,8 +113,9 @@ func (o *TwoPoleOracle) Name() string { return "twopole" }
 // SinkDelays implements DelayOracle.
 func (o *TwoPoleOracle) SinkDelays(t *graph.Topology, width rc.WidthFunc) ([]float64, error) {
 	defer obs.StartSpan(o.Obs, obs.TimeOracleSeconds).End()
-	l, err := rc.Lump(t, o.Params, width)
-	if err != nil {
+	l := lumps.Get()
+	defer lumps.Put(l)
+	if err := rc.Lump(l, t, o.Params, width); err != nil {
 		return nil, err
 	}
 	obs.OrNop(o.Obs).Add(obs.CtrElmoreSolves, 2) // first and second moment solves

@@ -141,6 +141,11 @@ type sweepEngine struct {
 	oracle DelayOracle
 	// staged is the solution of the latest incremental re-solve.
 	staged *elmore.Solution
+	// base, best and prev are the solutions still needed, which spare
+	// never hands out: the evaluator's adopted base state, the running
+	// best of the current scan, and the best of the scan before it, which
+	// greedy may yet commit instead of the current scan's.
+	base, best, prev *elmore.Solution
 	// factor converts per-node improvement bounds to objective bounds;
 	// prune gates the bound checks (false = score every candidate).
 	factor float64
@@ -157,17 +162,28 @@ type sweepEngine struct {
 	evals   *int // the run's Evaluations
 	rec     obs.Recorder
 	tr      trace.Tracer
-	w       *sweepWork
+	// traced is false when tr discards every event, so a scan builds no
+	// batch of candidate events for it.
+	traced bool
+	// ev is where candidates.event writes a winner's or a rejection's
+	// identity fields: a pointer into the engine, not to a local that
+	// would escape to the heap through the function value.
+	ev trace.Event
+	w  *sweepWork
 }
 
 // sweepWork is the storage one run reuses across its epochs and sweeps:
-// the evaluator's workspace, the candidate lists and the outcome slots. A
-// run takes it from sweepScratch in newSweepEngine and returns it in
-// release, so a warm caller, such as the daemon routing request after
-// request, allocates none of it per run; storage grows only when a net
-// outgrows every one before it.
+// the evaluator's workspace, the full solves, the candidate lists and the
+// outcome slots. A run takes it from sweepScratch in newSweepEngine and
+// returns it in release, so a warm caller, such as the daemon routing
+// request after request, allocates none of it per run; storage grows only
+// when a net outgrows every one before it.
 type sweepWork struct {
-	inc   elmore.Workspace
+	inc elmore.Workspace
+	// sols holds the incremental mode's full solves: the seed's, and each
+	// re-solve's, handed out by spare. At most three are needed at once,
+	// so a fourth is always free.
+	sols  [4]elmore.Solution
 	edges []graph.Edge
 	taps  []tapCandidate
 	outs  []outcome
@@ -187,7 +203,7 @@ var sweepScratch = scratch.New[sweepWork]()
 // the run ends, on every return path.
 func newSweepEngine(t *graph.Topology, opts *Options, width rc.WidthFunc, obj Objective, evals *int) (_ *sweepEngine, _ []float64, rerr error) {
 	eng := &sweepEngine{oracle: opts.Oracle, obj: obj, workers: opts.workers(), evals: evals, rec: opts.obs(), tr: opts.trace(),
-		w: sweepScratch.Get()}
+		traced: opts.Trace != nil, w: sweepScratch.Get()}
 	defer func() {
 		if rerr != nil {
 			eng.release()
@@ -195,12 +211,13 @@ func newSweepEngine(t *graph.Topology, opts *Options, width rc.WidthFunc, obj Ob
 	}()
 	var delays []float64
 	if is, ok := opts.Oracle.(IncrementalScorer); ok {
-		inc, err := is.NewIncrementalSweep(&eng.w.inc, t, width)
+		sol := eng.spare()
+		inc, err := is.NewIncrementalSweep(&eng.w.inc, sol, t, width)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: scoring seed topology: %w", err)
 		}
 		inc.Obs = opts.Obs
-		eng.inc, eng.scorer, delays = inc, is, inc.BaseDelays()
+		eng.inc, eng.scorer, eng.base, delays = inc, is, sol, inc.BaseDelays()
 		eng.factor, eng.prune = pruningFactor(obj)
 		eng.audit = opts.auditPruning
 		_, eng.stop = obj.(MaxDelayObjective)
@@ -224,17 +241,30 @@ func (eng *sweepEngine) release() {
 	eng.w, eng.inc = nil, nil
 }
 
+// spare returns the storage for the next full solve in incremental mode:
+// a solution that is none of base, best and prev.
+func (eng *sweepEngine) spare() *elmore.Solution {
+	for i := range eng.w.sols {
+		if s := &eng.w.sols[i]; s != eng.base && s != eng.best && s != eng.prev {
+			return s
+		}
+	}
+	panic("core: every solution of the run is in use")
+}
+
 // solve returns t's delays under width from one full solve: through the
-// scorer in incremental mode, with the solution for the evaluator to
+// scorer in incremental mode, into a spare solution for the evaluator to
 // adopt, counted as an incremental factorization; otherwise through the
-// oracle, with a nil solution, safe on the worker pool.
+// oracle, with a nil solution, safe on the worker pool. The solution
+// stays valid until the next solve unless it becomes the scan's best or
+// is adopted.
 func (eng *sweepEngine) solve(t *graph.Topology, width rc.WidthFunc) ([]float64, *elmore.Solution, error) {
 	if eng.inc == nil {
 		delays, err := eng.oracle.SinkDelays(t, width)
 		return delays, nil, err
 	}
-	sol, err := eng.scorer.Solve(t, width)
-	if err != nil {
+	sol := eng.spare()
+	if err := eng.scorer.Solve(sol, t, width); err != nil {
 		return nil, nil, err
 	}
 	eng.rec.Add(obs.CtrIncrementalFactorizations, 1)
@@ -261,7 +291,11 @@ func (eng *sweepEngine) adopt(sol *elmore.Solution) error {
 	if eng.inc == nil {
 		return nil
 	}
-	return eng.inc.Adopt(sol)
+	if err := eng.inc.Adopt(sol); err != nil {
+		return err
+	}
+	eng.base = sol
+	return nil
 }
 
 func (eng *sweepEngine) count(evals int) {
@@ -299,9 +333,10 @@ func (eng *sweepEngine) scan(t *graph.Topology, sweep int, cur float64, c candid
 	}
 
 	// The winner is the first strict minimum among the candidates below
-	// the threshold.
+	// the threshold. In incremental mode eng.best holds its solution, and
+	// the previous scan's stays in eng.prev.
 	best, val := -1, math.Inf(1)
-	var sol *elmore.Solution   // the best's solution, in incremental mode
+	eng.prev, eng.best = eng.best, nil
 	first, firstVal := -1, 0.0 // the first re-solved candidate
 	if eng.inc == nil {
 		for i, o := range outs {
@@ -340,14 +375,15 @@ func (eng *sweepEngine) scan(t *graph.Topology, sweep int, cur float64, c candid
 				first, firstVal = u, v
 			}
 			if v < threshold && (v < val || (v <= val && u < best)) {
-				best, val, sol = u, v, eng.staged
+				best, val, eng.best = u, v, eng.staged
 			}
 		}
 	}
 
 	// Scoring and re-solves are done: a sweep that failed has returned
 	// before this point, so it leaves no candidate events. They are
-	// emitted as one batch, which an untraced run never builds.
+	// emitted as one batch, which an untraced run never builds: its
+	// closure is not even made.
 	minIdx, minVal := -1, math.Inf(1)
 	low, lowLB := -1, math.Inf(1) // the most promising pruned candidate
 	var pruned int64
@@ -361,17 +397,19 @@ func (eng *sweepEngine) scan(t *graph.Topology, sweep int, cur float64, c candid
 			minIdx, minVal = i, o.val
 		}
 	}
-	eng.tr.EmitEach(len(outs), func(i int, ev *trace.Event) {
-		o := outs[i]
-		c.event(i, ev)
-		ev.Kind, ev.Sweep, ev.Index, ev.Value = trace.KindCandidateScored, sweep, i, o.val
-		if o.pruned {
-			ev.Kind, ev.Before = trace.KindCandidatePruned, threshold
-			if o.stopped {
-				ev.Before = outs[o.against].val
+	if eng.traced {
+		eng.tr.EmitEach(len(outs), func(i int, ev *trace.Event) {
+			o := outs[i]
+			c.event(i, ev)
+			ev.Kind, ev.Sweep, ev.Index, ev.Value = trace.KindCandidateScored, sweep, i, o.val
+			if o.pruned {
+				ev.Kind, ev.Before = trace.KindCandidatePruned, threshold
+				if o.stopped {
+					ev.Before = outs[o.against].val
+				}
 			}
-		}
-	})
+		})
+	}
 	if pruned > 0 {
 		eng.rec.Add(obs.CtrCandidatesPruned, pruned)
 	}
@@ -389,15 +427,19 @@ func (eng *sweepEngine) scan(t *graph.Topology, sweep int, cur float64, c candid
 		}
 		return winner{}, false, nil
 	}
-	ev := trace.Event{Sweep: sweep, Before: cur, After: val}
-	c.event(best, &ev)
-	return winner{ev, sol}, true, nil
+	return winner{eng.event(c, best, trace.Event{Sweep: sweep, Before: cur, After: val}), eng.best}, true, nil
 }
 
 func (eng *sweepEngine) reject(c candidates, sweep, i int, val, cur float64) {
-	ev := trace.Event{Kind: trace.KindEdgeRejected, Sweep: sweep, Value: val, Before: cur, Reason: trace.ReasonNoImprovement}
-	c.event(i, &ev)
-	eng.tr.Emit(ev)
+	eng.tr.Emit(eng.event(c, i, trace.Event{Kind: trace.KindEdgeRejected, Sweep: sweep, Value: val, Before: cur, Reason: trace.ReasonNoImprovement}))
+}
+
+// event returns ev with candidate i's identity fields filled in by
+// c.event, written in the engine's own event.
+func (eng *sweepEngine) event(c candidates, i int, ev trace.Event) trace.Event {
+	eng.ev = ev
+	c.event(i, &eng.ev)
+	return eng.ev
 }
 
 // probeAll scores outs incrementally in canonical order. A candidate is
@@ -537,7 +579,7 @@ func runSweep(t *graph.Topology, workers int, outs []outcome, rec obs.Recorder,
 // event: the edge U–V, or with Tap set the source tap splitting U–V at
 // (X, Y). The evaluator adopts the winner's solution, which is t's state
 // after the commit: an edge's re-solve ran on t itself, and a tap's on a
-// clone whose new Steiner node has the index applyTap gives it here. It
+// copy whose new Steiner node has the index applyTap gives it here. It
 // extends res and emits the event with U/V naming the committed wire.
 func (eng *sweepEngine) accept(t *graph.Topology, res *Result, win winner) error {
 	ev := win.ev

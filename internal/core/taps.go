@@ -7,6 +7,7 @@ import (
 	"nontree/internal/geom"
 	"nontree/internal/graph"
 	"nontree/internal/obs"
+	"nontree/internal/scratch"
 	"nontree/internal/trace"
 )
 
@@ -31,10 +32,19 @@ func LDRGWithTaps(seed *graph.Topology, opts Options) (*Result, error) {
 
 // compactTapResult drops any isolated Steiner nodes (they carry no wire)
 // and remaps the recorded edges. Tap evaluation scores candidates on
-// clones, so in practice the live topology has none and the remap is the
-// identity — this stays as a defensive invariant.
+// copies, so in practice the live topology has none and is kept as it is;
+// compacting stays as a defensive invariant, for seeds that bring their
+// own isolated Steiner nodes.
 func compactTapResult(res *Result) (*Result, error) {
-	compacted, remap := res.Topology.Compact()
+	t := res.Topology
+	isolated := false
+	for n := t.NumPins(); n < t.NumNodes(); n++ {
+		isolated = isolated || t.Degree(n) == 0
+	}
+	if !isolated {
+		return res, nil
+	}
+	compacted, remap := t.Compact()
 	for i, e := range res.AddedEdges {
 		u, v := remap[e.U], remap[e.V]
 		if u < 0 || v < 0 {
@@ -54,16 +64,21 @@ func compactTapResult(res *Result) (*Result, error) {
 func tapCandidates(t *graph.Topology, buf []tapCandidate) []tapCandidate {
 	src := t.Point(0)
 	out := buf[:0]
-	for _, e := range t.Edges() {
-		a, b := t.Point(e.U), t.Point(e.V)
-		p := geom.Point{
-			X: clampF(src.X, math.Min(a.X, b.X), math.Max(a.X, b.X)),
-			Y: clampF(src.Y, math.Min(a.Y, b.Y), math.Max(a.Y, b.Y)),
+	for u := 0; u < t.NumNodes(); u++ {
+		for _, v := range t.Neighbors(u) {
+			if v < u {
+				continue
+			}
+			a, b := t.Point(u), t.Point(v)
+			p := geom.Point{
+				X: clampF(src.X, math.Min(a.X, b.X), math.Max(a.X, b.X)),
+				Y: clampF(src.Y, math.Min(a.Y, b.Y), math.Max(a.Y, b.Y)),
+			}
+			if p.Eq(a) || p.Eq(b) || p.Eq(src) {
+				continue
+			}
+			out = append(out, tapCandidate{edge: graph.Edge{U: u, V: v}, point: p})
 		}
-		if p.Eq(a) || p.Eq(b) || p.Eq(src) {
-			continue
-		}
-		out = append(out, tapCandidate{edge: e, point: p})
 	}
 	return out
 }
@@ -79,7 +94,7 @@ type tapCandidate struct {
 // split redistributes capacitance in a way that admits no cheap one-sided
 // estimate, so every candidate is probed, though under MaxDelayObjective
 // a probe may stop early (see sweep.go, rule 4).
-func bestTap(t *graph.Topology, opts *Options, cur float64, sweep int, eng *sweepEngine) (winner, bool, error) {
+func bestTap(t *graph.Topology, cur float64, sweep int, eng *sweepEngine) (winner, bool, error) {
 	cands := tapCandidates(t, eng.w.taps)
 	eng.w.taps = cands
 	eng.rec.Add(obs.CtrTapCandidates, int64(len(cands)))
@@ -87,7 +102,7 @@ func bestTap(t *graph.Topology, opts *Options, cur float64, sweep int, eng *swee
 	return eng.scan(t, sweep, cur, candidates{
 		n: len(cands),
 		full: func(i int, t *graph.Topology) (float64, error) {
-			return scoreTapped(t, opts, eng, cands[i].edge, cands[i].point)
+			return scoreTapped(t, eng, cands[i].edge, cands[i].point)
 		},
 		probe: func(i int) ([]float64, error) {
 			delays, err := eng.inc.WithTap(cands[i].edge, cands[i].point)
@@ -112,14 +127,17 @@ func bestTap(t *graph.Topology, opts *Options, cur float64, sweep int, eng *swee
 
 // scoreTapped scores base with edge e split at p and the source wired to
 // the split point. base itself is never modified: the tap is applied to a
-// fresh clone, so concurrent callers sharing base are safe and no evaluation
-// sees another candidate's leftover Steiner node. (Cheaper than restore:
-// Topology has no node removal, and a clone costs far less than the solve
-// that follows.) The clone's Steiner node takes the index applyTap gives
-// it on base, so an incremental re-solve's solution fits base once the tap
-// is committed.
-func scoreTapped(base *graph.Topology, opts *Options, eng *sweepEngine, e graph.Edge, p geom.Point) (float64, error) {
-	c := base.Clone()
+// copy of base in a topology taken from tappedScratch, so concurrent
+// callers sharing base are safe and no evaluation sees another
+// candidate's leftover Steiner node. (Cheaper than restore: Topology has
+// no node removal, and a copy costs far less than the solve that
+// follows.) The copy's Steiner node takes the index applyTap gives it on
+// base, so an incremental re-solve's solution fits base once the tap is
+// committed.
+func scoreTapped(base *graph.Topology, eng *sweepEngine, e graph.Edge, p geom.Point) (float64, error) {
+	c := tappedScratch.Get()
+	defer tappedScratch.Put(c)
+	c.CopyFrom(base)
 	s := c.AddSteinerNode(p)
 	if err := c.RemoveEdge(e); err != nil {
 		return 0, err
@@ -135,6 +153,9 @@ func scoreTapped(base *graph.Topology, opts *Options, eng *sweepEngine, e graph.
 	}
 	return val, nil
 }
+
+// tappedScratch holds the idle topologies scoreTapped applies taps in.
+var tappedScratch = scratch.New[graph.Topology]()
 
 // applyTap commits a tap permanently and returns the new source wire.
 func applyTap(t *graph.Topology, e graph.Edge, p geom.Point) (graph.Edge, error) {

@@ -242,15 +242,15 @@ func lastIsSweepStart(t *testing.T, label string, ring *trace.Ring) {
 // the leader reaches Solve and fails.
 type failingIncrementalOracle struct{ failingOracle }
 
-func (o *failingIncrementalOracle) NewIncrementalSweep(ws *elmore.Workspace, t *graph.Topology, width rc.WidthFunc) (*elmore.Incremental, error) {
-	return elmoreOracle().NewIncrementalSweep(ws, t, width)
+func (o *failingIncrementalOracle) NewIncrementalSweep(ws *elmore.Workspace, sol *elmore.Solution, t *graph.Topology, width rc.WidthFunc) (*elmore.Incremental, error) {
+	return elmoreOracle().NewIncrementalSweep(ws, sol, t, width)
 }
 
-func (o *failingIncrementalOracle) Solve(t *graph.Topology, width rc.WidthFunc) (*elmore.Solution, error) {
+func (o *failingIncrementalOracle) Solve(sol *elmore.Solution, t *graph.Topology, width rc.WidthFunc) error {
 	if o.fails(t, width) {
-		return nil, errCandidate
+		return errCandidate
 	}
-	return elmoreOracle().Solve(t, width)
+	return elmoreOracle().Solve(sol, t, width)
 }
 
 // TestTraceOnResolveError covers the incremental half of the failure

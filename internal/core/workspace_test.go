@@ -5,6 +5,8 @@ import (
 	"maps"
 	"math"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -120,34 +122,78 @@ func TestReusedWorkspaceMatchesFreshRuns(t *testing.T) {
 	})
 }
 
-// TestWarmLDRGAllocations bounds what a warm 30-pin LDRG run allocates.
-// Its columns, candidate lists and outcome slots come from the workspace
-// an earlier run returned, so what is left is the per-epoch full solves,
-// the result and the per-sweep closures: about 30 KB. When every epoch
-// and sweep allocated its own storage, a 30-pin run took about 99 KB.
-func TestWarmLDRGAllocations(t *testing.T) {
-	topo := randomMST(t, 3030, 30)
-	opts := Options{Oracle: elmoreOracle(), Workers: 1}
-	run := func() {
-		if _, err := LDRG(topo, opts); err != nil {
-			t.Fatal(err)
+// TestWarmRoutingRunAllocations bounds what warm LDRG, LDRGWithTaps, H1
+// and H3 runs allocate beyond their Result's own storage: the final
+// topology, the edge and objective lists and the Result itself, measured
+// as what copying them allocates. The sweep storage, every full solve,
+// the Elmore oracle's calls and the tap candidates' topologies come from
+// workspaces earlier runs returned. What is left is the run's engine and
+// evaluator, four closures a sweep, and the growth of the result's
+// topology and lists as edges and taps are committed, which follows the
+// accepted modifications, not the net's size: at most 53 allocations and
+// 4.4 KB over the result (taps at 30 pins), within margins of 64 and
+// 6 KB at 5 and at 30 pins. When every epoch's full solve allocated its
+// own network and factor, a 30-pin LDRG run allocated about 29 KB, some
+// 27 KB over its result.
+func TestWarmRoutingRunAllocations(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const maxAllocs, maxBytes = 64, 6 << 10
+	for _, pins := range []int{5, 30} {
+		seed := randomMST(t, 3030, pins)
+		opts := Options{Oracle: elmoreOracle(), Workers: 1}
+		for _, r := range []struct {
+			name string
+			run  func() (*Result, error)
+		}{
+			{"ldrg", func() (*Result, error) { return LDRG(seed, opts) }},
+			{"taps", func() (*Result, error) { return LDRGWithTaps(seed, opts) }},
+			{"h1", func() (*Result, error) { return H1(seed, opts) }},
+			{"h3", func() (*Result, error) { return H3(seed, rc.Default(), opts) }},
+		} {
+			label := fmt.Sprintf("%s/%d", r.name, pins)
+			res, err := r.run()
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			own := func() {
+				c := *res
+				c.Topology = res.Topology.Clone()
+				c.AddedEdges = slices.Clone(res.AddedEdges)
+				c.Trace = slices.Clone(res.Trace)
+				keptResult = &c
+			}
+			run := func() {
+				if keptResult, err = r.run(); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+			}
+			ownAllocs, ownBytes := allocated(own)
+			allocs, bytes := allocated(run)
+			t.Logf("%s: %d allocations and %d bytes, its result %d and %d", label, allocs, bytes, ownAllocs, ownBytes)
+			if allocs > ownAllocs+maxAllocs || bytes > ownBytes+maxBytes {
+				t.Errorf("%s: a warm run makes %d allocations of %d bytes, its result %d of %d; want at most %d and %d more",
+					label, allocs, bytes, ownAllocs, ownBytes, maxAllocs, maxBytes)
+			}
 		}
 	}
-	withSlots(make(scratch.Slots[sweepWork], 1), func() {
-		run()
-		const runs, limit = 20, 50 << 10
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for range runs {
-			run()
-		}
-		runtime.ReadMemStats(&after)
-		got := (after.TotalAlloc - before.TotalAlloc) / runs
-		t.Logf("a warm 30-pin LDRG run allocates %d bytes", got)
-		if got > limit {
-			t.Errorf("a warm 30-pin LDRG run allocates %d bytes, want at most %d", got, limit)
-		}
-	})
+}
+
+// keptResult keeps the measured results reachable, so that no copy is
+// optimized away.
+var keptResult *Result
+
+// allocated returns the allocations and bytes of one warm call of fn: the
+// mean over ten calls after a first that warms every workspace.
+func allocated(fn func()) (allocs, bytes uint64) {
+	const calls = 10
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range calls {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / calls, (after.TotalAlloc - before.TotalAlloc) / calls
 }
 
 // TestConcurrentRunsShareWorkspaces routes several nets at once through
@@ -194,6 +240,96 @@ func TestConcurrentRunsShareWorkspaces(t *testing.T) {
 					return
 				}
 				if fp != want[i].fingerprint || evals != want[i].evals || ring.Fingerprint() != want[i].trace {
+					errs <- fmt.Errorf("round %d %s: differs from its serial run", r, j.name)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestConcurrentRoutesAndOracleCallsShareSlots runs routes of every
+// kind that takes Elmore storage from shared slots (LDRG, LDRGWithTaps,
+// H1 and H3 on nets of 5–30 pins) together with ElmoreOracle.SinkDelays
+// calls on trees and on graphs with cycles, with and without widths, from
+// more goroutines than there are slots. Sweep workspaces, lumped networks,
+// factorizations and tap topologies thus pass between callers of
+// different sizes while others hold theirs. Every result must equal its
+// serial run bit for bit; under -race the test checks that each is owned
+// by one caller between its Get and Put.
+func TestConcurrentRoutesAndOracleCallsShareSlots(t *testing.T) {
+	oracle := elmoreOracle()
+	widths := func(e graph.Edge) float64 { return float64(1 + (e.U+e.V)%3) }
+	type job struct {
+		name string
+		run  func() (string, error)
+	}
+	var jobs []job
+	for i, pins := range []int{5, 12, 21, 30} {
+		seed := randomMST(t, int64(900+i), pins)
+		route := func(fn func() (*Result, error)) func() (string, error) {
+			return func() (string, error) {
+				res, err := fn()
+				if err != nil {
+					return "", err
+				}
+				return fmt.Sprintf("%s evals=%d", res.Fingerprint(), res.Evaluations), nil
+			}
+		}
+		opts := Options{Oracle: oracle, Workers: 1}
+		graphTopo := seed.Clone()
+		for _, e := range graphTopo.AbsentEdges()[:pins/3] {
+			if err := graphTopo.AddEdge(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		delays := func(topo *graph.Topology, width rc.WidthFunc) func() (string, error) {
+			return func() (string, error) {
+				d, err := oracle.SinkDelays(topo, width)
+				if err != nil {
+					return "", err
+				}
+				var b strings.Builder
+				for _, v := range d {
+					fmt.Fprintf(&b, "%x ", math.Float64bits(v))
+				}
+				return b.String(), nil
+			}
+		}
+		jobs = append(jobs,
+			job{fmt.Sprintf("ldrg/%d", pins), route(func() (*Result, error) { return LDRG(seed, opts) })},
+			job{fmt.Sprintf("taps/%d", pins), route(func() (*Result, error) { return LDRGWithTaps(seed, opts) })},
+			job{fmt.Sprintf("h1/%d", pins), route(func() (*Result, error) { return H1(seed, opts) })},
+			job{fmt.Sprintf("h3/%d", pins), route(func() (*Result, error) { return H3(seed, rc.Default(), opts) })},
+			job{fmt.Sprintf("delays/tree/%d", pins), delays(seed, nil)},
+			job{fmt.Sprintf("delays/graph/%d", pins), delays(graphTopo, widths)},
+		)
+	}
+	want := make([]string, len(jobs))
+	for i, j := range jobs {
+		got, err := j.run()
+		if err != nil {
+			t.Fatalf("%s: %v", j.name, err)
+		}
+		want[i] = got
+	}
+	const rounds = 3
+	var wg sync.WaitGroup
+	errs := make(chan error, rounds*len(jobs))
+	for r := range rounds {
+		for i, j := range jobs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got, err := j.run()
+				switch {
+				case err != nil:
+					errs <- fmt.Errorf("round %d %s: %w", r, j.name, err)
+				case got != want[i]:
 					errs <- fmt.Errorf("round %d %s: differs from its serial run", r, j.name)
 				}
 			}()

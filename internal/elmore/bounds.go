@@ -51,8 +51,9 @@ func Bounds(t *graph.Topology, l *rc.Lumped, x float64) (*DelayBounds, error) {
 	if x <= 0 || x >= 1 {
 		return nil, fmt.Errorf("elmore: threshold fraction %g outside (0,1)", x)
 	}
-	cond, err := FactorConductance(t, l)
-	if err != nil {
+	cond := conductances.Get()
+	defer conductances.Put(cond)
+	if err := cond.Factor(t, l); err != nil {
 		return nil, err
 	}
 	moments, err := cond.Moments(l, 2)

@@ -24,8 +24,8 @@ func TestBoundsBracketSimulatorOnRandomNets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l, err := rc.Lump(topo, p, nil)
-		if err != nil {
+		l := new(rc.Lumped)
+		if err := rc.Lump(l, topo, p, nil); err != nil {
 			t.Fatal(err)
 		}
 		bounds, err := Bounds(topo, l, 0.5)
@@ -72,8 +72,8 @@ func TestBoundsBracketOnGraphs(t *testing.T) {
 			}
 		}
 	}
-	l, err := rc.Lump(topo, p, nil)
-	if err != nil {
+	l := new(rc.Lumped)
+	if err := rc.Lump(l, topo, p, nil); err != nil {
 		t.Fatal(err)
 	}
 	bounds, err := Bounds(topo, l, 0.5)

@@ -17,12 +17,12 @@
 // this equivalence on random topologies.
 //
 // Concurrency: every evaluator in this package (TreeDelays, GraphDelays,
-// TwoPoleDelays, Bounds, EstimateDelays) assembles its matrices and
-// workspaces per call and only reads its Topology/Lumped arguments, so
-// concurrent evaluations of distinct topologies are safe — the property
-// core's parallel candidate sweeps rely on. A Conductance factorization is
-// likewise read-only after FactorConductance and may be shared across
-// goroutines. The incremental evaluator (incremental.go) is the one stateful
+// TwoPoleDelays, Bounds, EstimateDelays) takes its workspaces from shared
+// slots, which hand each to one call at a time, and only reads its
+// Topology/Lumped arguments, so concurrent evaluations of distinct
+// topologies are safe — the property core's parallel candidate sweeps rely
+// on. A Conductance factorization is likewise read-only after Factor and
+// may be shared across goroutines. The incremental evaluator (incremental.go) is the one stateful
 // exception: an Incremental caches per-endpoint solve columns and must be
 // confined to a single goroutine.
 package elmore
@@ -50,26 +50,44 @@ var (
 //	t(n_i) = r_d·C_{n0} + Σ_{e_j ∈ path(n0,n_i)} r_{e_j}(c_{e_j}/2 + C_j)
 //
 // computed in O(k) with a post-order capacitance pass and a pre-order
-// delay pass over the lumped (single-π) network.
+// delay pass over the lumped (single-π) network, both in breadth-first
+// order from the source. Its storage comes from shared slots, so a warm
+// call allocates only the delays it returns.
 func TreeDelays(t *graph.Topology, l *rc.Lumped) ([]float64, error) {
-	if len(l.NodeCap) != t.NumNodes() {
+	if len(l.NodeCap) != t.NumNodes() || len(l.EdgeRes) != t.NumEdges() {
 		return nil, ErrSizeMismatch
 	}
 	if !t.IsTree() {
 		return nil, ErrNotTree
 	}
-	parents, err := t.RootAt(0)
-	if err != nil {
-		return nil, err
+	w := treeScratch.Get()
+	defer treeScratch.Put(w)
+	order, parent := w.orient(t)
+	// res[n] is the resistance of the edge from n's parent, found by
+	// walking the edges in the canonical order of l.EdgeRes.
+	res := scratch.Resize(w.res, t.NumNodes())
+	w.res = res
+	k := 0
+	for u := range res {
+		for _, v := range t.Neighbors(u) {
+			if v < u {
+				continue
+			}
+			if parent[v] == u {
+				res[v] = l.EdgeRes[k]
+			} else {
+				res[u] = l.EdgeRes[k]
+			}
+			k++
+		}
 	}
-	order := bfsOrder(t, 0)
 
 	// Post-order accumulation of subtree capacitance.
-	subCap := make([]float64, t.NumNodes())
-	copy(subCap, l.NodeCap)
+	subCap := append(w.subCap[:0], l.NodeCap...)
+	w.subCap = subCap
 	for i := len(order) - 1; i >= 0; i-- {
 		n := order[i]
-		if p := parents[n]; p >= 0 {
+		if p := parent[n]; p >= 0 {
 			subCap[p] += subCap[n]
 		}
 	}
@@ -79,125 +97,138 @@ func TreeDelays(t *graph.Topology, l *rc.Lumped) ([]float64, error) {
 	delays := make([]float64, t.NumNodes())
 	delays[0] = l.DriverResistance * subCap[0]
 	for _, n := range order[1:] {
-		p := parents[n]
-		r := l.EdgeRes[graph.Edge{U: p, V: n}.Canon()]
-		delays[n] = delays[p] + r*subCap[n]
+		delays[n] = delays[parent[n]] + res[n]*subCap[n]
 	}
 	return delays, nil
 }
 
-func bfsOrder(t *graph.Topology, root int) []int {
-	order := make([]int, 0, t.NumNodes())
-	seen := make([]bool, t.NumNodes())
-	queue := []int{root}
-	seen[root] = true
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		order = append(order, n)
+// treeWork is TreeDelays' storage: the breadth-first order from the
+// source, each node's parent in it (-1 for the source and for unreached
+// nodes), the resistance of the edge from each node's parent (Ω) and the
+// subtree capacitances (F).
+type treeWork struct {
+	order, parent []int
+	res, subCap   []float64
+}
+
+var treeScratch = scratch.New[treeWork]()
+
+// orient lists the nodes of the tree t reachable from the source in
+// breadth-first order, each node's neighbours visited in ascending order,
+// and records each node's parent.
+func (w *treeWork) orient(t *graph.Topology) (order, parent []int) {
+	parent = scratch.Resize(w.parent, t.NumNodes())
+	for n := range parent {
+		parent[n] = -1
+	}
+	order = append(w.order[:0], 0)
+	for i := 0; i < len(order); i++ {
+		n := order[i]
 		for _, m := range t.Neighbors(n) {
-			if !seen[m] {
-				seen[m] = true
-				queue = append(queue, m)
+			if m != 0 && parent[m] < 0 {
+				parent[m] = n
+				order = append(order, m)
 			}
 		}
 	}
-	return order
+	w.order, w.parent = order, parent
+	return order, parent
 }
 
 // GraphDelays returns the Elmore delay (s) from the source to every node of an
 // arbitrary connected topology (cycles allowed), via the transfer-
-// resistance formulation: one LU factorization of the grounded conductance
-// matrix and a single solve of G·t = c.
+// resistance formulation: one factorization of the grounded conductance
+// matrix and a single solve of G·t = c. The factorization's storage comes
+// from shared slots, so a warm call allocates only the delays it returns.
 func GraphDelays(t *graph.Topology, l *rc.Lumped) ([]float64, error) {
-	lu, err := FactorConductance(t, l)
-	if err != nil {
+	c := conductances.Get()
+	defer conductances.Put(c)
+	if err := c.Factor(t, l); err != nil {
 		return nil, err
 	}
-	return lu.Delays(l)
+	return c.Delays(nil, l)
 }
 
 // Conductance is a factored grounded conductance matrix of a topology,
 // reusable across multiple capacitance vectors (e.g. wire-sizing sweeps
 // that change only widths' capacitive loading would still need refactoring,
-// but critical-sink reweighting does not).
+// but critical-sink reweighting does not). It keeps the storage of the
+// matrix under assembly and of both factorizations Factor may take, so
+// refactoring a warm Conductance allocates nothing. The zero value is
+// ready for Factor; a Conductance must not be copied.
 type Conductance struct {
-	lu   linalg.Factorization
+	f    linalg.Factorization // &ch or &lu, whichever factored the matrix
 	size int
-}
-
-// conductanceWork is FactorConductance's scratch: the rows of the matrix
-// under assembly, which the factorization copies from.
-type conductanceWork struct {
+	ch   linalg.Cholesky
+	lu   linalg.LU
+	// ints and vals hold the rows of the matrix under assembly, which
+	// the factorization copies from.
 	ints []int
 	vals []float64
 }
 
-var conductanceScratch = scratch.New[conductanceWork]()
+// conductances holds idle Conductances for the evaluators that factor a
+// matrix only for the length of one call.
+var conductances = scratch.New[Conductance]()
 
-// FactorConductance assembles and factors the conductance matrix of the
+// Factor assembles and factors into c the conductance matrix of the
 // topology: edge conductances plus the driver conductance tying the source
 // to ground. Isolated Steiner points are pinned with a tiny leak so the
 // matrix stays non-singular without perturbing delays. The matrix is
 // written straight into sparse rows and factored over its pattern, so the
-// cost follows the topology's edges, not the square of its nodes.
-func FactorConductance(t *graph.Topology, l *rc.Lumped) (*Conductance, error) {
-	if len(l.NodeCap) != t.NumNodes() {
-		return nil, ErrSizeMismatch
+// cost follows the topology's edges, not the square of its nodes. On error
+// c holds no usable factorization.
+func (c *Conductance) Factor(t *graph.Topology, l *rc.Lumped) error {
+	c.f = nil
+	if len(l.NodeCap) != t.NumNodes() || len(l.EdgeRes) != t.NumEdges() {
+		return ErrSizeMismatch
 	}
 	if !t.Connected() {
-		return nil, ErrDisconnected
+		return ErrDisconnected
 	}
 	n := t.NumNodes()
 	// Row i holds its neighbours and itself, ascending. The edges are
 	// walked in canonical order (each node's neighbours above it,
-	// ascending). The walk fills every row below its diagonal in
-	// ascending column order, leaving cursor[i] on the diagonal, and
-	// writes row u's entries above the diagonal when it reaches u. Each
-	// diagonal is summed in the walk's order, so floating-point
-	// accumulation is bit-for-bit reproducible run to run (map order
-	// would perturb it).
+	// ascending), the order of l.EdgeRes. The walk fills every row below
+	// its diagonal in ascending column order, leaving cursor[i] on the
+	// diagonal, and writes row u's entries above the diagonal when it
+	// reaches u. Each diagonal is summed in the walk's order, so
+	// floating-point accumulation is bit-for-bit reproducible run to run
+	// (map order would perturb it).
 	nnz := n + 2*t.NumEdges()
-	w := conductanceScratch.Get()
-	defer conductanceScratch.Put(w)
-	if cap(w.ints) < 2*n+1+nnz || cap(w.vals) < nnz+n {
-		w.ints, w.vals = make([]int, 2*n+1+nnz), make([]float64, nnz+n)
-	}
-	ints, vals := w.ints[:2*n+1+nnz], w.vals[:nnz+n]
-	ptr, cursor, col := ints[:n+1], ints[n+1:2*n+1], ints[2*n+1:]
-	val, diag := vals[:nnz], vals[nnz:]
+	c.ints, c.vals = scratch.Resize(c.ints, 2*n+1+nnz), scratch.Resize(c.vals, nnz+n)
+	ptr, cursor, col := c.ints[:n+1], c.ints[n+1:2*n+1], c.ints[2*n+1:]
+	val, diag := c.vals[:nnz], c.vals[nnz:]
 	ptr[0] = 0
 	clear(diag)
 	for i := 0; i < n; i++ {
 		ptr[i+1] = ptr[i] + t.Degree(i) + 1
 		cursor[i] = ptr[i]
 	}
+	k := 0
 	for u := 0; u < n; u++ {
 		nbrs := t.Neighbors(u)
 		below := 0
 		for below < len(nbrs) && nbrs[below] < u {
 			below++
 		}
-		for k, v := range nbrs[below:] {
-			e := graph.Edge{U: u, V: v}
-			r, ok := l.EdgeRes[e]
-			if !ok {
-				return nil, fmt.Errorf("elmore: lumped network missing edge %v", e)
-			}
+		for j, v := range nbrs[below:] {
+			r := l.EdgeRes[k]
+			k++
 			if r <= 0 {
-				return nil, fmt.Errorf("elmore: edge %v has non-positive resistance %g", e, r)
+				return fmt.Errorf("elmore: edge %v has non-positive resistance %g", graph.Edge{U: u, V: v}, r)
 			}
 			cond := 1 / r
 			diag[u] += cond
 			diag[v] += cond
-			above := cursor[u] + 1 + k
+			above := cursor[u] + 1 + j
 			col[above], val[above] = v, 0-cond
 			col[cursor[v]], val[cursor[v]] = u, 0-cond
 			cursor[v]++
 		}
 	}
 	if l.DriverResistance <= 0 {
-		return nil, errors.New("elmore: driver resistance must be positive")
+		return errors.New("elmore: driver resistance must be positive")
 	}
 	diag[0] += 1 / l.DriverResistance
 
@@ -216,22 +247,27 @@ func FactorConductance(t *graph.Topology, l *rc.Lumped) (*Conductance, error) {
 	}
 
 	// The grounded conductance matrix is SPD by construction, so the
-	// Cholesky path applies (half the flops of LU); FactorSPD falls back
-	// to pivoted LU if numerical noise ever breaks definiteness.
-	lu, err := linalg.FactorSPD(linalg.NewCSR(n, n, ptr, col, val))
+	// Cholesky path applies (half the flops of LU); FactorSPDInto falls
+	// back to pivoted LU if numerical noise ever breaks definiteness.
+	f, err := linalg.FactorSPDInto(linalg.NewCSR(n, n, ptr, col, val), &c.ch, &c.lu)
 	if err != nil {
-		return nil, fmt.Errorf("elmore: conductance matrix: %w", err)
+		return fmt.Errorf("elmore: conductance matrix: %w", err)
 	}
-	return &Conductance{lu: lu, size: n}, nil
+	c.f, c.size = f, n
+	return nil
 }
 
 // Delays solves G·t = c for the delay vector (s), where c is the lumped
-// node capacitance vector.
-func (c *Conductance) Delays(l *rc.Lumped) ([]float64, error) {
+// node capacitance vector, into dst's storage (nil for a new slice), and
+// returns it.
+func (c *Conductance) Delays(dst []float64, l *rc.Lumped) ([]float64, error) {
 	if len(l.NodeCap) != c.size {
 		return nil, ErrSizeMismatch
 	}
-	return c.lu.Solve(l.NodeCap), nil
+	dst = scratch.Resize(dst, c.size)
+	copy(dst, l.NodeCap)
+	c.f.SolveInPlace(dst)
+	return dst, nil
 }
 
 // TransferResistance returns R_ij (Ω): the voltage at node i per unit current
@@ -243,7 +279,7 @@ func (c *Conductance) TransferResistance(i, j int) (float64, error) {
 	}
 	x := make([]float64, c.size)
 	x[j] = 1
-	c.lu.SolveInPlace(x)
+	c.f.SolveInPlace(x)
 	return x[i], nil
 }
 

@@ -29,11 +29,21 @@ func randomTree(t *testing.T, seed int64, pins int) *graph.Topology {
 
 func lump(t *testing.T, topo *graph.Topology) *rc.Lumped {
 	t.Helper()
-	l, err := rc.Lump(topo, rc.Default(), nil)
-	if err != nil {
+	l := new(rc.Lumped)
+	if err := rc.Lump(l, topo, rc.Default(), nil); err != nil {
 		t.Fatal(err)
 	}
 	return l
+}
+
+// factor returns the factored conductance matrix of topo's network l.
+func factor(t *testing.T, topo *graph.Topology, l *rc.Lumped) *Conductance {
+	t.Helper()
+	c := new(Conductance)
+	if err := c.Factor(topo, l); err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 func TestTwoPinNetMatchesHandComputation(t *testing.T) {
@@ -176,14 +186,14 @@ func TestDelaysScaleLinearlyWithDriverResistance(t *testing.T) {
 	// Doubling rd adds rd·C_total to every node's delay.
 	topo := randomTree(t, 11, 8)
 	p := rc.Default()
-	l1, err := rc.Lump(topo, p, nil)
-	if err != nil {
+	l1 := new(rc.Lumped)
+	if err := rc.Lump(l1, topo, p, nil); err != nil {
 		t.Fatal(err)
 	}
 	p2 := p
 	p2.DriverResistance *= 2
-	l2, err := rc.Lump(topo, p2, nil)
-	if err != nil {
+	l2 := new(rc.Lumped)
+	if err := rc.Lump(l2, topo, p2, nil); err != nil {
 		t.Fatal(err)
 	}
 	d1, _ := GraphDelays(topo, l1)
@@ -264,10 +274,7 @@ func TestTransferResistanceSymmetry(t *testing.T) {
 		}
 	}
 	l := lump(t, topo)
-	c, err := FactorConductance(topo, l)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := factor(t, topo, l)
 	rng := rand.New(rand.NewSource(1))
 	for k := 0; k < 10; k++ {
 		i := rng.Intn(topo.NumNodes())
@@ -286,10 +293,7 @@ func TestTransferResistanceSymmetry(t *testing.T) {
 func TestTransferResistanceOfSourceIsDriver(t *testing.T) {
 	topo := randomTree(t, 5, 5)
 	l := lump(t, topo)
-	c, err := FactorConductance(topo, l)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := factor(t, topo, l)
 	// Current injected anywhere must see exactly rd at the source node
 	// (all of it returns through the driver).
 	for j := 0; j < topo.NumNodes(); j++ {

@@ -57,9 +57,9 @@ type Incremental struct {
 	p     rc.Params
 	width rc.WidthFunc
 
-	l    *rc.Lumped
-	cond *Conductance
-	base []float64 // delays of the base topology (s)
+	// sol is the adopted base state, and base its delays (s).
+	sol  *Solution
+	base []float64
 
 	// ws holds the column cache, the sink order and the probe buffer.
 	ws *Workspace
@@ -127,15 +127,16 @@ func (ws *Workspace) install(n int) {
 
 // NewIncremental prepares incremental evaluation over the topology's
 // current state under a per-edge width assignment (nil = unit widths),
-// keeping its caches in ws (new(Workspace) for storage of its own). The
+// solving the base state into sol and keeping its caches in ws
+// (new(Solution) and new(Workspace) for storage of its own). The
 // topology must not be mutated while the evaluator is in use; after
 // committing a modification, call Refactor to re-derive the base state.
 // The width function is re-read on every Refactor, so callers that mutate
 // their width map need only refactor. An Incremental mutates its caches on
 // every evaluation and must not be shared across goroutines — give each
 // worker its own evaluator and workspace instead.
-func NewIncremental(ws *Workspace, t *graph.Topology, p rc.Params, width rc.WidthFunc) (*Incremental, error) {
-	inc := &Incremental{topo: t, p: p, width: width, ws: ws}
+func NewIncremental(ws *Workspace, sol *Solution, t *graph.Topology, p rc.Params, width rc.WidthFunc) (*Incremental, error) {
+	inc := &Incremental{topo: t, p: p, width: width, ws: ws, sol: sol}
 	if err := inc.Refactor(); err != nil {
 		return nil, err
 	}
@@ -143,17 +144,17 @@ func NewIncremental(ws *Workspace, t *graph.Topology, p rc.Params, width rc.Widt
 }
 
 // Refactor re-derives the evaluator's base state from the (possibly
-// mutated) topology and width function — it solves them afresh and
-// adopts the solution — invalidating every cached transfer-resistance
-// column and starting a new epoch. Forgetting the invalidation would
-// silently reuse columns of the *previous* factorization; the test suite
-// pins this with a stale-cache regression test.
+// mutated) topology and width function — it solves them afresh into the
+// storage of the adopted solution and adopts it again — invalidating
+// every cached transfer-resistance column and starting a new epoch.
+// Forgetting the invalidation would silently reuse columns of the
+// *previous* factorization; the test suite pins this with a stale-cache
+// regression test. On error the evaluator must not be used.
 func (inc *Incremental) Refactor() error {
-	sol, err := Solve(inc.topo, inc.p, inc.width)
-	if err != nil {
+	if err := Solve(inc.sol, inc.topo, inc.p, inc.width); err != nil {
 		return err
 	}
-	if err := inc.Adopt(sol); err != nil {
+	if err := inc.Adopt(inc.sol); err != nil {
 		return err
 	}
 	obs.OrNop(inc.Obs).Add(obs.CtrIncrementalFactorizations, 1)
@@ -161,41 +162,47 @@ func (inc *Incremental) Refactor() error {
 }
 
 // Solution is a topology's solved Elmore state under a width assignment:
-// its lumped network, factored conductance matrix and delay vector.
+// its lumped network, factored conductance matrix and delay vector. Solve
+// fills it, reusing its storage, so a warm solve into a warm Solution
+// allocates nothing. The zero value is ready for Solve; a Solution must
+// not be copied.
 type Solution struct {
-	l      *rc.Lumped
-	cond   *Conductance
+	l      rc.Lumped
+	cond   Conductance
 	delays []float64 // s
 }
 
-// Solve lumps t under p and width, factors its conductance matrix and
-// solves for the delays: the arithmetic of rc.Lump and GraphDelays, so
-// Delays equals GraphDelays of that network bit for bit.
-func Solve(t *graph.Topology, p rc.Params, width rc.WidthFunc) (*Solution, error) {
-	l, err := rc.Lump(t, p, width)
-	if err != nil {
-		return nil, err
+// Solve lumps t under p and width into sol, factors its conductance
+// matrix and solves for the delays: the arithmetic of rc.Lump and
+// GraphDelays, so Delays equals GraphDelays of that network bit for bit.
+// On error sol holds no usable solution.
+func Solve(sol *Solution, t *graph.Topology, p rc.Params, width rc.WidthFunc) error {
+	if err := rc.Lump(&sol.l, t, p, width); err != nil {
+		return err
 	}
-	cond, err := FactorConductance(t, l)
-	if err != nil {
-		return nil, err
+	if err := sol.cond.Factor(t, &sol.l); err != nil {
+		return err
 	}
-	delays, err := cond.Delays(l)
+	delays, err := sol.cond.Delays(sol.delays, &sol.l)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &Solution{l: l, cond: cond, delays: delays}, nil
+	sol.delays = delays
+	return nil
 }
 
-// Delays returns the solved delay vector (s). It must not be modified.
+// Delays returns the solved delay vector (s). It must not be modified,
+// and is valid until the next Solve into s.
 func (s *Solution) Delays() []float64 { return s.delays }
 
 // Adopt installs sol as the base state, in place of a Refactor: sol must
 // be the Solve of the evaluator's topology in its current state under its
-// width function, the committed modification's own full solve. Adopting
-// starts a new epoch exactly as Refactor does, dropping every cached
-// column. It flushes the pending counts first, and rejects a solution
-// whose network does not match the topology's node and edge counts.
+// width function, the committed modification's own full solve. The
+// evaluator reads sol until the next Adopt, so sol must not be solved into
+// meanwhile. Adopting starts a new epoch exactly as Refactor does,
+// dropping every cached column. It flushes the pending counts first, and
+// rejects a solution whose network does not match the topology's node and
+// edge counts.
 func (inc *Incremental) Adopt(sol *Solution) error {
 	n := inc.topo.NumNodes()
 	if len(sol.l.NodeCap) != n || len(sol.l.EdgeRes) != inc.topo.NumEdges() {
@@ -203,7 +210,7 @@ func (inc *Incremental) Adopt(sol *Solution) error {
 			ErrSizeMismatch, len(sol.l.NodeCap), len(sol.l.EdgeRes), n, inc.topo.NumEdges())
 	}
 	inc.Flush()
-	inc.l, inc.cond, inc.base = sol.l, sol.cond, sol.delays
+	inc.sol, inc.base = sol, sol.delays
 	inc.ws.install(n)
 	inc.epoch++
 	return nil
@@ -238,7 +245,7 @@ func (inc *Incremental) BaseDelays() []float64 { return inc.base }
 // under the current base state, from the epoch's cache. It must not be
 // modified, and is valid until the next Refactor or Adopt.
 func (inc *Incremental) Column(k int) []float64 {
-	ws, n := inc.ws, inc.cond.size
+	ws, n := inc.ws, inc.sol.cond.size
 	c := &ws.cols[k]
 	if c.gen == ws.gen {
 		inc.hits++
@@ -250,7 +257,7 @@ func (inc *Incremental) Column(k int) []float64 {
 	c.r = c.r[:n]
 	clear(c.r)
 	c.r[k] = 1
-	inc.cond.lu.SolveInPlace(c.r)
+	inc.sol.cond.f.SolveInPlace(c.r)
 	c.gen = ws.gen
 	inc.misses++
 	return c.r
@@ -259,7 +266,7 @@ func (inc *Incremental) Column(k int) []float64 {
 // probeBuf returns the evaluator's probe buffer (delays, s) sized to the
 // current network.
 func (inc *Incremental) probeBuf() []float64 {
-	ws, n := inc.ws, inc.cond.size
+	ws, n := inc.ws, inc.sol.cond.size
 	if cap(ws.buf) < n {
 		ws.buf = make([]float64, n)
 	}
@@ -543,11 +550,10 @@ func (inc *Incremental) tap(r *rank3, e graph.Edge, pt geom.Point) error {
 	gB := 1 / (inc.p.WireResistance * lenB) // Ω⁻¹
 	gC := 1 / (inc.p.WireResistance * lenC) // Ω⁻¹
 	gSum := gA + gB + gC                    // Ω⁻¹
-	rOld, ok := inc.l.EdgeRes[e]
-	if !ok {
-		return fmt.Errorf("elmore: lumped network missing edge %v", e)
-	}
-	gOld := 1 / rOld // Ω⁻¹
+	// The removed edge's conductance, from its resistance computed as
+	// rc.Lump stamped it.
+	wOld := inc.edgeWidth(e)
+	gOld := 1 / (inc.p.WireResistance * inc.topo.EdgeLength(e) / wOld) // Ω⁻¹
 
 	// Eliminating s (Schur complement) turns the star into a triangle among
 	// {u, v, 0} with conductances g_x·g_y/Σg, and distributes s's shunt
@@ -556,7 +562,6 @@ func (inc *Incremental) tap(r *rank3, e graph.Edge, pt geom.Point) error {
 	dgu0 := gA * gC / gSum    // Ω⁻¹
 	dgv0 := gB * gC / gSum    // Ω⁻¹
 
-	wOld := inc.edgeWidth(e)
 	oldHalfC := inc.p.WireCapacitance * inc.topo.EdgeLength(e) * wOld / 2 // F
 	capS := inc.p.WireCapacitance * (lenA + lenB + lenC) / 2              // F
 	dcU := inc.p.WireCapacitance*lenA/2 - oldHalfC + gA/gSum*capS         // F

@@ -17,7 +17,7 @@ import (
 // order at a new epoch reuses its buffer.
 func TestProbesDoNotAllocate(t *testing.T) {
 	topo := randomTree(t, 31, 12)
-	inc, err := NewIncremental(new(Workspace), topo, rc.Default(), nil)
+	inc, err := NewIncremental(new(Workspace), new(Solution), topo, rc.Default(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestProbesDoNotAllocate(t *testing.T) {
 // the values a fresh evaluator returns for that probe alone.
 func TestProbesShareOneBuffer(t *testing.T) {
 	topo := randomTree(t, 32, 10)
-	inc, err := NewIncremental(new(Workspace), topo, rc.Default(), nil)
+	inc, err := NewIncremental(new(Workspace), new(Solution), topo, rc.Default(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestProbesShareOneBuffer(t *testing.T) {
 	if &first[0] != &second[0] {
 		t.Fatal("consecutive probes returned different slices, want the evaluator's one buffer")
 	}
-	fresh, err := NewIncremental(new(Workspace), topo, rc.Default(), nil)
+	fresh, err := NewIncremental(new(Workspace), new(Solution), topo, rc.Default(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,12 +116,12 @@ func TestProbesShareOneBuffer(t *testing.T) {
 func TestWarmAdoptRefillsColumnsWithoutAllocating(t *testing.T) {
 	topo := randomTree(t, 33, 12)
 	p := rc.Default()
-	inc, err := NewIncremental(new(Workspace), topo, p, nil)
+	inc, err := NewIncremental(new(Workspace), new(Solution), topo, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := Solve(topo, p, nil)
-	if err != nil {
+	sol := new(Solution)
+	if err := Solve(sol, topo, p, nil); err != nil {
 		t.Fatal(err)
 	}
 	n := topo.NumNodes()
@@ -138,7 +138,7 @@ func TestWarmAdoptRefillsColumnsWithoutAllocating(t *testing.T) {
 		t.Errorf("warm Adopt plus %d column fills: %v allocations, want 0", n, a)
 	}
 	// The refilled columns are those of a fresh evaluator, bit for bit.
-	fresh, err := NewIncremental(new(Workspace), topo, p, nil)
+	fresh, err := NewIncremental(new(Workspace), new(Solution), topo, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestWarmAdoptRefillsColumnsWithoutAllocating(t *testing.T) {
 			}
 		}
 	}
-	if a := testing.AllocsPerRun(100, func() { _, _ = inc.cond.TransferResistance(3, 5) }); a != 1 {
+	if a := testing.AllocsPerRun(100, func() { _, _ = inc.sol.cond.TransferResistance(3, 5) }); a != 1 {
 		t.Errorf("TransferResistance: %v allocations, want 1", a)
 	}
 }

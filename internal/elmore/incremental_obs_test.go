@@ -24,7 +24,7 @@ func TestIncrementalObsCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := NewIncremental(new(Workspace), topo, rc.Default(), nil)
+	inc, err := NewIncremental(new(Workspace), new(Solution), topo, rc.Default(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func TestWithWidenMatchesFullSolve(t *testing.T) {
 		}
 		widthFn := func(e graph.Edge) float64 { return float64(widths[e.Canon()]) }
 
-		inc, err := NewIncremental(new(Workspace), topo, p, widthFn)
+		inc, err := NewIncremental(new(Workspace), new(Solution), topo, p, widthFn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestWithTapMatchesFullSolve(t *testing.T) {
 	p := rc.Default()
 	for seed := int64(30); seed < 34; seed++ {
 		topo := randomTree(t, seed, 9)
-		inc, err := NewIncremental(new(Workspace), topo, p, nil)
+		inc, err := NewIncremental(new(Workspace), new(Solution), topo, p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func TestWideningBoundIsSound(t *testing.T) {
 			widths[e] = 1 + i%2
 		}
 		widthFn := func(e graph.Edge) float64 { return float64(widths[e.Canon()]) }
-		inc, err := NewIncremental(new(Workspace), topo, p, widthFn)
+		inc, err := NewIncremental(new(Workspace), new(Solution), topo, p, widthFn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func FuzzIncrementalVsFull(f *testing.F) {
 		numPins := 4 + int(pins)%13 // 4..16
 		topo := fuzzTopology(t, seed, numPins)
 		p := rc.Default()
-		inc, err := NewIncremental(new(Workspace), topo, p, nil)
+		inc, err := NewIncremental(new(Workspace), new(Solution), topo, p, nil)
 		if err != nil {
 			t.Skip() // degenerate net (coincident pins etc.)
 		}
@@ -184,8 +184,8 @@ func FuzzIncrementalVsFull(f *testing.F) {
 				}
 				return 1
 			}
-			l, err := rc.Lump(topo, p, overlay)
-			if err != nil {
+			l := new(rc.Lumped)
+			if err := rc.Lump(l, topo, p, overlay); err != nil {
 				t.Fatal(err)
 			}
 			want, err := GraphDelays(topo, l)
@@ -240,8 +240,8 @@ func fuzzTopology(t *testing.T, seed int64, pins int) *graph.Topology {
 
 func fuzzFullDelays(t *testing.T, topo *graph.Topology) []float64 {
 	t.Helper()
-	l, err := rc.Lump(topo, rc.Default(), nil)
-	if err != nil {
+	l := new(rc.Lumped)
+	if err := rc.Lump(l, topo, rc.Default(), nil); err != nil {
 		t.Fatal(err)
 	}
 	d, err := GraphDelays(topo, l)

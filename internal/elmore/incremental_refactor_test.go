@@ -13,8 +13,8 @@ import (
 // the reference every incremental evaluation is compared against.
 func fullDelays(t *testing.T, topo *graph.Topology, width rc.WidthFunc) []float64 {
 	t.Helper()
-	l, err := rc.Lump(topo, rc.Default(), width)
-	if err != nil {
+	l := new(rc.Lumped)
+	if err := rc.Lump(l, topo, rc.Default(), width); err != nil {
 		t.Fatal(err)
 	}
 	d, err := GraphDelays(topo, l)
@@ -33,7 +33,7 @@ func fullDelays(t *testing.T, topo *graph.Topology, width rc.WidthFunc) []float6
 func TestRefactorInvalidatesColumnCache(t *testing.T) {
 	topo := randomTree(t, 41, 12)
 	p := rc.Default()
-	inc, err := NewIncremental(new(Workspace), topo, p, nil)
+	inc, err := NewIncremental(new(Workspace), new(Solution), topo, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestRefactorInvalidatesColumnCache(t *testing.T) {
 		t.Fatalf("epoch after Refactor = %d, want 2", inc.Epoch())
 	}
 
-	fresh, err := NewIncremental(new(Workspace), topo, p, nil)
+	fresh, err := NewIncremental(new(Workspace), new(Solution), topo, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestRefactorInvalidatesColumnCache(t *testing.T) {
 func TestRefactorTracksNodeGrowth(t *testing.T) {
 	topo := randomTree(t, 42, 8)
 	p := rc.Default()
-	inc, err := NewIncremental(new(Workspace), topo, p, nil)
+	inc, err := NewIncremental(new(Workspace), new(Solution), topo, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,12 +143,12 @@ func TestWorkspaceServesNoStaleColumn(t *testing.T) {
 	}
 	a, b := tapped.Point(tapEdge.U), tapped.Point(tapEdge.V)
 	for i, topo := range []*graph.Topology{tapped, randomTree(t, 44, 9), randomTree(t, 45, 16)} {
-		inc, err := NewIncremental(ws, topo, p, nil)
+		inc, err := NewIncremental(ws, new(Solution), topo, p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		check := func(stage string) {
-			fresh, err := NewIncremental(new(Workspace), topo, p, nil)
+			fresh, err := NewIncremental(new(Workspace), new(Solution), topo, p, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -45,7 +45,7 @@ func (c *Conductance) Moments(l *rc.Lumped, order int) ([][]float64, error) {
 		for i := range rhs {
 			rhs[i] = l.NodeCap[i] * prev[i]
 		}
-		m := c.lu.Solve(rhs)
+		m := c.f.Solve(rhs)
 		for i := range m {
 			m[i] = -m[i]
 		}
@@ -60,8 +60,9 @@ func (c *Conductance) Moments(l *rc.Lumped, order int) ([][]float64, error) {
 // estimates track the transient simulator considerably more closely than
 // ln2·Elmore, at the cost of one extra linear solve.
 func TwoPoleDelays(t *graph.Topology, l *rc.Lumped) ([]float64, error) {
-	cond, err := FactorConductance(t, l)
-	if err != nil {
+	cond := conductances.Get()
+	defer conductances.Put(cond)
+	if err := cond.Factor(t, l); err != nil {
 		return nil, err
 	}
 	return cond.TwoPoleDelays(l)

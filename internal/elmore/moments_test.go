@@ -13,10 +13,7 @@ import (
 func TestFirstMomentIsNegativeElmore(t *testing.T) {
 	topo := randomTree(t, 3, 10)
 	l := lump(t, topo)
-	cond, err := FactorConductance(topo, l)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cond := factor(t, topo, l)
 	moments, err := cond.Moments(l, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -46,8 +43,8 @@ func TestTwoPoleMatchesSinglePoleOnSingleRC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := rc.Lump(topo, p, nil)
-	if err != nil {
+	l := new(rc.Lumped)
+	if err := rc.Lump(l, topo, p, nil); err != nil {
 		t.Fatal(err)
 	}
 	tp, err := TwoPoleDelays(topo, l)
@@ -82,8 +79,8 @@ func TestTwoPoleBeatsLn2ElmoreAgainstSimulator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l, err := rc.Lump(topo, p, nil)
-		if err != nil {
+		l := new(rc.Lumped)
+		if err := rc.Lump(l, topo, p, nil); err != nil {
 			t.Fatal(err)
 		}
 
@@ -138,10 +135,7 @@ func TestTwoPoleWorksOnGraphs(t *testing.T) {
 func TestMomentOrderValidation(t *testing.T) {
 	topo := randomTree(t, 1, 5)
 	l := lump(t, topo)
-	cond, err := FactorConductance(topo, l)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cond := factor(t, topo, l)
 	if _, err := cond.Moments(l, 0); err == nil {
 		t.Error("order 0 must be rejected")
 	}

@@ -15,8 +15,8 @@ import (
 
 func maxElmore(t *testing.T, topo *graph.Topology, p rc.Params) float64 {
 	t.Helper()
-	l, err := rc.Lump(topo, p, nil)
-	if err != nil {
+	l := new(rc.Lumped)
+	if err := rc.Lump(l, topo, p, nil); err != nil {
 		t.Fatal(err)
 	}
 	d, err := elmore.GraphDelays(topo, l)

@@ -55,8 +55,8 @@ func CSORG(cfg Config) (*Table, error) {
 			return nil, nil, err
 		}
 		// Critical sink: worst Elmore sink of the MST.
-		l, err := rc.Lump(seed, cfg.Params, nil)
-		if err != nil {
+		l := new(rc.Lumped)
+		if err := rc.Lump(l, seed, cfg.Params, nil); err != nil {
 			return nil, nil, err
 		}
 		ed, err := elmore.GraphDelays(seed, l)

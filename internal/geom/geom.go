@@ -7,8 +7,10 @@
 package geom
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Point is a location in the Manhattan plane, in micrometers.
@@ -68,58 +70,66 @@ func BoundingBox(pts []Point) Rect {
 	return r
 }
 
-// HananGrid returns the Hanan grid of pts: all intersections of horizontal
-// and vertical lines through the input points. Hanan's theorem guarantees an
-// optimal rectilinear Steiner tree uses only such points, so they are the
-// candidate set for the Iterated 1-Steiner heuristic.
-//
-// Points coinciding with an input point are excluded. The result is ordered
-// by (X, Y) and contains no duplicates.
-func HananGrid(pts []Point) []Point {
-	xs := uniqueSorted(coords(pts, func(p Point) float64 { return p.X }))
-	ys := uniqueSorted(coords(pts, func(p Point) float64 { return p.Y }))
+// Hanan builds Hanan grids: all intersections of horizontal and vertical
+// lines through a set of points. Hanan's theorem guarantees an optimal
+// rectilinear Steiner tree uses only such points, so they are the
+// candidate set for the Iterated 1-Steiner heuristic. A Hanan keeps the
+// storage of its last construction for reuse: the distinct coordinates
+// and the input points in (X, Y) order. The zero value is ready for use.
+type Hanan struct {
+	xs, ys []float64
+	sorted []Point
+}
 
-	existing := make(map[Point]bool, len(pts))
+// AppendGrid appends the Hanan grid of pts to dst and returns the
+// extended slice. Points coinciding with an input point are excluded; the
+// grid is ordered by (X, Y) and holds no duplicates. The coordinates are
+// sorted and the grid walked in (X, Y) order against the input points
+// sorted the same way, so excluding the input points takes a merge, not a
+// set; the points must be finite. Once h and dst have held a grid as
+// large, it allocates nothing.
+func (h *Hanan) AppendGrid(dst, pts []Point) []Point {
+	h.xs, h.ys = h.xs[:0], h.ys[:0]
 	for _, p := range pts {
-		existing[p] = true
+		h.xs, h.ys = append(h.xs, p.X), append(h.ys, p.Y)
 	}
-
-	// Each distinct input point occupies one grid position; counting
-	// repeated points instead could make the capacity negative.
-	grid := make([]Point, 0, len(xs)*len(ys)-len(existing))
+	xs, ys := uniqueSorted(h.xs), uniqueSorted(h.ys)
+	h.sorted = append(h.sorted[:0], pts...)
+	slices.SortFunc(h.sorted, func(a, b Point) int {
+		if c := cmp.Compare(a.X, b.X); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Y, b.Y)
+	})
+	next := h.sorted
 	for _, x := range xs {
 		for _, y := range ys {
-			p := Point{x, y}
-			if !existing[p] {
-				grid = append(grid, p)
+			for len(next) > 0 && (next[0].X < x || next[0].X == x && next[0].Y < y) {
+				next = next[1:]
 			}
+			if len(next) > 0 && next[0].X == x && next[0].Y == y {
+				continue
+			}
+			dst = append(dst, Point{x, y})
 		}
 	}
-	return grid
+	return dst
 }
 
-func coords(pts []Point, get func(Point) float64) []float64 {
-	out := make([]float64, len(pts))
-	for i, p := range pts {
-		out[i] = get(p)
-	}
-	return out
-}
-
+// uniqueSorted sorts vals in place and returns its distinct values, the
+// first of each run of equal ones, in vals' storage.
 func uniqueSorted(vals []float64) []float64 {
 	if len(vals) == 0 {
 		return nil
 	}
-	sorted := make([]float64, len(vals))
-	copy(sorted, vals)
 	// Insertion sort: candidate sets are small (tens of coordinates).
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
+	for i := 1; i < len(vals); i++ {
+		for j := i; j > 0 && vals[j] < vals[j-1]; j-- {
+			vals[j], vals[j-1] = vals[j-1], vals[j]
 		}
 	}
-	out := sorted[:1]
-	for _, v := range sorted[1:] {
+	out := vals[:1]
+	for _, v := range vals[1:] {
 		if v != out[len(out)-1] {
 			out = append(out, v)
 		}

@@ -7,6 +7,9 @@ import (
 	"testing/quick"
 )
 
+// hananGrid is the Hanan grid of pts on fresh storage.
+func hananGrid(pts []Point) []Point { return new(Hanan).AppendGrid(nil, pts) }
+
 func TestDistBasics(t *testing.T) {
 	cases := []struct {
 		p, q Point
@@ -72,7 +75,7 @@ func TestBoundingBox(t *testing.T) {
 func TestHananGrid(t *testing.T) {
 	// Three points in general position: 3x3 grid minus the 3 inputs = 6.
 	pts := []Point{Pt(0, 0), Pt(10, 5), Pt(20, 15)}
-	grid := HananGrid(pts)
+	grid := hananGrid(pts)
 	if len(grid) != 6 {
 		t.Fatalf("Hanan grid size %d, want 6: %v", len(grid), grid)
 	}
@@ -101,7 +104,7 @@ func TestHananGrid(t *testing.T) {
 func TestHananGridCollinear(t *testing.T) {
 	// Collinear points share a coordinate: grid is empty.
 	pts := []Point{Pt(0, 0), Pt(5, 0), Pt(9, 0)}
-	if grid := HananGrid(pts); len(grid) != 0 {
+	if grid := hananGrid(pts); len(grid) != 0 {
 		t.Errorf("collinear points must give empty grid, got %v", grid)
 	}
 }
@@ -129,7 +132,7 @@ func TestHananGridRepeatedPoints(t *testing.T) {
 		for _, p := range tc.pts {
 			delete(want, p)
 		}
-		grid := HananGrid(tc.pts)
+		grid := hananGrid(tc.pts)
 		got := map[Point]bool{}
 		for _, g := range grid {
 			got[g] = true
@@ -163,10 +166,81 @@ func TestHananGridSizeProperty(t *testing.T) {
 			usedY[p.Y] = true
 			pts = append(pts, p)
 		}
-		grid := HananGrid(pts)
+		grid := hananGrid(pts)
 		if want := n*n - n; len(grid) != want {
 			t.Fatalf("n=%d: grid size %d, want %d", n, len(grid), want)
 		}
+	}
+}
+
+// mapHananGrid is the grid as a set lookup finds it: the sorted distinct
+// coordinates crossed, minus every point a map of the inputs holds.
+func mapHananGrid(pts []Point) []Point {
+	xs := uniqueSorted(coordsOf(pts, func(p Point) float64 { return p.X }))
+	ys := uniqueSorted(coordsOf(pts, func(p Point) float64 { return p.Y }))
+	existing := map[Point]bool{}
+	for _, p := range pts {
+		existing[p] = true
+	}
+	var grid []Point
+	for _, x := range xs {
+		for _, y := range ys {
+			if p := (Point{x, y}); !existing[p] {
+				grid = append(grid, p)
+			}
+		}
+	}
+	return grid
+}
+
+func coordsOf(pts []Point, get func(Point) float64) []float64 {
+	out := make([]float64, len(pts))
+	for i, p := range pts {
+		out[i] = get(p)
+	}
+	return out
+}
+
+// TestAppendGridMatchesMapLookup builds the grids of random point sets,
+// with repeated points, shared lines and both signed zeros, into one
+// reused Hanan and one reused slice, and checks each against the map
+// lookup bit for bit. Once the storage has held the largest grid,
+// rebuilding it allocates nothing.
+func TestAppendGridMatchesMapLookup(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	var h Hanan
+	var grid []Point
+	coord := func() float64 {
+		switch v := rng.Intn(12); v {
+		case 0:
+			return math.Copysign(0, -1)
+		default:
+			return float64(v - 1)
+		}
+	}
+	var largest []Point
+	for trial := 0; trial < 300; trial++ {
+		pts := make([]Point, 1+rng.Intn(14))
+		for i := range pts {
+			pts[i] = Pt(coord(), coord())
+		}
+		if len(pts) > len(largest) {
+			largest = pts
+		}
+		grid = h.AppendGrid(grid[:0], pts)
+		want := mapHananGrid(pts)
+		if len(grid) != len(want) {
+			t.Fatalf("%v: grid %v, want %v", pts, grid, want)
+		}
+		for i := range want {
+			if math.Float64bits(grid[i].X) != math.Float64bits(want[i].X) || math.Float64bits(grid[i].Y) != math.Float64bits(want[i].Y) {
+				t.Fatalf("%v: grid point %d is %v, want %v", pts, i, grid[i], want[i])
+			}
+		}
+	}
+	grid = h.AppendGrid(grid[:0], largest)
+	if n := testing.AllocsPerRun(20, func() { grid = h.AppendGrid(grid[:0], largest) }); n != 0 {
+		t.Errorf("a warm AppendGrid makes %v allocations, want 0", n)
 	}
 }
 
@@ -180,11 +254,11 @@ func TestUniqueSortedViaHanan(t *testing.T) {
 	// Duplicate coordinates must collapse: two points sharing X give a
 	// 1×2 coordinate lattice.
 	pts := []Point{Pt(5, 0), Pt(5, 10)}
-	if grid := HananGrid(pts); len(grid) != 0 {
+	if grid := hananGrid(pts); len(grid) != 0 {
 		t.Errorf("shared-X pair must give empty grid, got %v", grid)
 	}
 	pts = []Point{Pt(5, 0), Pt(5, 10), Pt(7, 10)}
-	grid := HananGrid(pts)
+	grid := hananGrid(pts)
 	// Lattice {5,7}×{0,10} = 4 points minus 3 inputs = 1: (7,0).
 	if len(grid) != 1 || !grid[0].Eq(Pt(7, 0)) {
 		t.Errorf("grid = %v, want [(7,0)]", grid)

@@ -152,10 +152,17 @@ func (t *Topology) Points() []geom.Point {
 // IsSteiner reports whether node n is a Steiner point rather than a pin.
 func (t *Topology) IsSteiner(n int) bool { return n >= t.numPins }
 
-// AddSteinerNode appends a Steiner point and returns its node index.
+// AddSteinerNode appends a Steiner point and returns its node index. The
+// new node's adjacency list reuses any storage a CopyFrom left beyond the
+// last node.
 func (t *Topology) AddSteinerNode(p geom.Point) int {
 	t.points = append(t.points, p)
-	t.adj = append(t.adj, nil)
+	if n := len(t.adj); n < cap(t.adj) {
+		t.adj = t.adj[:n+1]
+		t.adj[n] = t.adj[n][:0]
+	} else {
+		t.adj = append(t.adj, nil)
+	}
 	return len(t.points) - 1
 }
 
@@ -282,6 +289,24 @@ func (t *Topology) Clone() *Topology {
 		c.adj[i] = flat[len(flat)-len(a) : len(flat) : len(flat)]
 	}
 	return c
+}
+
+// CopyFrom makes t a deep copy of src, reusing t's storage: the node
+// locations and every adjacency list, including those of nodes beyond
+// src's, which stay for AddSteinerNode to reuse. Copying into a topology
+// that has held as many nodes, each with as many neighbours, allocates
+// nothing.
+func (t *Topology) CopyFrom(src *Topology) {
+	t.points = append(t.points[:0], src.points...)
+	t.numPins, t.numEdges = src.numPins, src.numEdges
+	n := len(src.adj)
+	if k := cap(t.adj); k < n {
+		t.adj = slices.Grow(t.adj[:k], n-k)
+	}
+	t.adj = t.adj[:n]
+	for i, a := range src.adj {
+		t.adj[i] = append(t.adj[i][:0], a...)
+	}
 }
 
 // Connected reports whether every node with at least one incident edge —

@@ -267,6 +267,77 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// sameTopology reports whether got has want's pins, node locations and
+// edge list.
+func sameTopology(got, want *Topology) bool {
+	return got.NumPins() == want.NumPins() && slices.Equal(got.Points(), want.Points()) &&
+		slices.Equal(got.Edges(), want.Edges())
+}
+
+// TestCopyFromReusesStorage copies random topologies that grow and shrink
+// into one topology, starting from a clone whose lists share one backing
+// array, and taps each copy as the tap sweep does: add a Steiner node,
+// split an edge and wire the node to the source. Every copy must equal a
+// clone of its source, tapping it must leave the source untouched, and
+// once the storage has grown, copying and tapping allocate nothing.
+func TestCopyFromReusesStorage(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	random := func(n int) *Topology {
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			pts[i] = geom.Pt(float64(i), float64(rng.Intn(50)))
+		}
+		topo := NewTopology(pts)
+		for v := 1; v < n; v++ {
+			mustAdd(t, topo, Edge{U: rng.Intn(v), V: v})
+		}
+		for k := 0; k < n/2; k++ {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				_ = topo.AddEdge(Edge{U: u, V: v})
+			}
+		}
+		return topo
+	}
+	tap := func(c *Topology) {
+		e := c.Edges()[len(c.Edges())-1]
+		s := c.AddSteinerNode(geom.Pt(-1, -1))
+		if err := c.RemoveEdge(e); err != nil {
+			t.Fatal(err)
+		}
+		mustAdd(t, c, Edge{U: e.U, V: s}, Edge{U: s, V: e.V}, Edge{U: 0, V: s})
+	}
+	c := random(12).Clone()
+	var largest *Topology
+	for i, n := range []int{6, 20, 3, 14, 20, 9} {
+		src := random(n)
+		before := src.Clone()
+		c.CopyFrom(src)
+		if !sameTopology(c, src) {
+			t.Fatalf("copy %d of %d nodes differs from its source", i, n)
+		}
+		tap(c)
+		if !sameTopology(src, before) || c.Degree(c.NumNodes()-1) != 3 {
+			t.Fatalf("tapping copy %d changed its source or lost the Steiner node's wires", i)
+		}
+		if largest == nil || n > largest.NumNodes() {
+			largest = src
+		}
+	}
+	c.CopyFrom(largest)
+	tap(c)
+	e := largest.Edges()[len(largest.Edges())-1]
+	if n := testing.AllocsPerRun(20, func() {
+		c.CopyFrom(largest)
+		s := c.AddSteinerNode(geom.Pt(-1, -1))
+		_ = c.RemoveEdge(e)
+		_ = c.AddEdge(Edge{U: e.U, V: s})
+		_ = c.AddEdge(Edge{U: s, V: e.V})
+		_ = c.AddEdge(Edge{U: 0, V: s})
+	}); n != 0 {
+		t.Errorf("copying and tapping warm storage makes %v allocations, want 0", n)
+	}
+}
+
 func TestSteinerNodesAndCompact(t *testing.T) {
 	topo := NewTopology(square())
 	used := topo.AddSteinerNode(geom.Pt(5, 5))

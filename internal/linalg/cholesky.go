@@ -42,6 +42,9 @@ type Cholesky struct {
 	// Row i of lower holds L[i][j] for j < i, and row i of upper holds
 	// L[k][i] for k > i; both keep only nonzeros.
 	lower, upper Sparse
+	// ints and vals back the slices above, for FactorSPDInto to reuse.
+	ints []int
+	vals []float64
 }
 
 // FactorCholesky computes the Cholesky factorization of m, which must be
@@ -66,15 +69,22 @@ func (m *Sparse) FactorCholesky() (*Cholesky, error) {
 			}
 		}
 	}
-	return m.cholesky(maxAbs)
+	c := new(Cholesky)
+	if i, d := m.choleskyInto(c, maxAbs); i >= 0 {
+		return nil, fmt.Errorf("%w: pivot %d is %g", ErrNotSPD, i, d)
+	}
+	return c, nil
 }
 
-// cholesky factors m, whose largest magnitude is maxAbs, from its lower
-// triangle and diagonal.
-func (m *Sparse) cholesky(maxAbs float64) (*Cholesky, error) {
+// choleskyInto factors m, whose largest magnitude is maxAbs, from its
+// lower triangle and diagonal into c, reusing c's storage. It returns -1,
+// or the row and value of the first pivot that is not positive enough,
+// leaving c unchanged; building no error keeps FactorSPDInto's fallback
+// free of allocations.
+func (m *Sparse) choleskyInto(c *Cholesky, maxAbs float64) (row int, pivot float64) {
 	w := cholScratch.Get()
 	defer cholScratch.Put(w)
-	return w.factor(m, maxAbs*1e-14)
+	return w.factor(m, maxAbs*1e-14, c)
 }
 
 // cholWork is the scratch of one sparse Cholesky factorization. The rows
@@ -90,8 +100,10 @@ type cholWork struct {
 
 var cholScratch = scratch.New[cholWork]()
 
-// factor computes L row by row, failing on a pivot at most minPivot.
-func (w *cholWork) factor(m *Sparse, minPivot float64) (*Cholesky, error) {
+// factor computes L row by row and packs it into c, stopping at the
+// first pivot at most minPivot, whose row and value it returns; it
+// returns row -1 on success.
+func (w *cholWork) factor(m *Sparse, minPivot float64, c *Cholesky) (row int, pivot float64) {
 	n := m.Rows
 	head, count, mark := scratch.Resize(w.head, n), scratch.Resize(w.count, n), scratch.Resize(w.mark, n)
 	x, diag := scratch.Resize(w.x, n), scratch.Resize(w.diag, n)
@@ -100,6 +112,7 @@ func (w *cholWork) factor(m *Sparse, minPivot float64) (*Cholesky, error) {
 		head[j], count[j], mark[j] = -1, 0, -1
 	}
 	pattern := w.pattern
+	row, pivot = -1, 0
 	for i := 0; i < n; i++ {
 		pattern = pattern[:0]
 		var d float64
@@ -140,7 +153,8 @@ func (w *cholWork) factor(m *Sparse, minPivot float64) (*Cholesky, error) {
 		}
 		ptr = append(ptr, len(col))
 		if d <= minPivot {
-			return nil, fmt.Errorf("%w: pivot %d is %g", ErrNotSPD, i, d)
+			row, pivot = i, d
+			break
 		}
 		diag[i] = math.Sqrt(d)
 	}
@@ -155,7 +169,10 @@ func (w *cholWork) factor(m *Sparse, minPivot float64) (*Cholesky, error) {
 	keep(&w.val, val)
 	keep(&w.x, x)
 	keep(&w.diag, diag)
-	return packCholesky(ptr, col, val, rows, count, diag), nil
+	if row < 0 {
+		packCholesky(c, ptr, col, val, rows, count, diag)
+	}
+	return row, pivot
 }
 
 // keep stores s in *dst when it outgrew *dst's storage, so the scratch
@@ -167,23 +184,26 @@ func keep[T any](dst *[]T, s []T) {
 	}
 }
 
-// packCholesky copies the factor into one exactly sized Cholesky: the diagonal,
-// the rows of L (ptr, col, val, with rows[e] the row of entry e), and the
-// rows of Lᵀ, whose lengths are count. Visiting the rows of L in order
-// fills each row of Lᵀ in ascending index order.
-func packCholesky(ptr, col []int, val []float64, rows, count []int, diag []float64) *Cholesky {
+// packCholesky copies the factor into c, sized exactly and reusing c's
+// storage: the diagonal, the rows of L (ptr, col, val, with rows[e] the
+// row of entry e), and the rows of Lᵀ, whose lengths are count. Visiting
+// the rows of L in order fills each row of Lᵀ in ascending index order.
+func packCholesky(c *Cholesky, ptr, col []int, val []float64, rows, count []int, diag []float64) {
 	n, nnz := len(diag), len(col)
-	intBuf, valBuf := make([]int, 3*n+2+2*nnz), make([]float64, n+2*nnz)
+	ints, vals := scratch.Resize(c.ints, 3*n+2+2*nnz), scratch.Resize(c.vals, n+2*nnz)
+	intBuf, valBuf := ints, vals
 	takeInts := func(k int) []int { s := intBuf[:k:k]; intBuf = intBuf[k:]; return s }
 	takeVals := func(k int) []float64 { s := valBuf[:k:k]; valBuf = valBuf[k:]; return s }
-	c := &Cholesky{n: n, diag: takeVals(n),
+	*c = Cholesky{n: n, diag: takeVals(n),
 		lower: Sparse{Rows: n, Cols: n, ptr: takeInts(n + 1), col: takeInts(nnz), val: takeVals(nnz)},
 		upper: Sparse{Rows: n, Cols: n, ptr: takeInts(n + 1), col: takeInts(nnz), val: takeVals(nnz)},
+		ints:  ints, vals: vals,
 	}
 	copy(c.diag, diag)
 	copy(c.lower.ptr, ptr)
 	copy(c.lower.col, col)
 	copy(c.lower.val, val)
+	c.upper.ptr[0] = 0
 	for j := 0; j < n; j++ {
 		c.upper.ptr[j+1] = c.upper.ptr[j] + count[j]
 	}
@@ -193,7 +213,6 @@ func packCholesky(ptr, col []int, val []float64, rows, count []int, diag []float
 		c.upper.col[next[j]], c.upper.val[next[j]] = rows[e], val[e]
 		next[j]++
 	}
-	return c
 }
 
 // Solve returns x with A·x = b.
@@ -243,18 +262,23 @@ func (c *Cholesky) Det() float64 {
 	return det
 }
 
-// FactorSPD factors a with Cholesky when possible, falling back to the
-// sparse LU with partial pivoting when a pivot is not positive. It is for
-// matrices that are symmetric by construction, such as conductance
+// FactorSPDInto factors a with Cholesky into ch when possible, falling
+// back to the sparse LU with partial pivoting into lu when a pivot is not
+// positive, and returns the factorization it filled. Both reuse their
+// storage, so a warm factorization into warm factors allocates nothing. It
+// is for matrices that are symmetric by construction, such as conductance
 // matrices: unlike FactorCholesky it does not check symmetry, and its
 // Cholesky reads only the lower triangle and the diagonal. Callers with
 // matrices that are SPD by construction get the cheap path without
-// committing to it.
-func FactorSPD(a *Sparse) (Factorization, error) {
+// committing to it. The factor it does not return is left as it was.
+func FactorSPDInto(a *Sparse, ch *Cholesky, lu *LU) (Factorization, error) {
 	if a.Rows == a.Cols {
-		if ch, err := a.cholesky(a.maxAbs()); err == nil {
+		if i, _ := a.choleskyInto(ch, a.maxAbs()); i < 0 {
 			return ch, nil
 		}
 	}
-	return a.Factor()
+	if err := a.FactorInto(lu); err != nil {
+		return nil, err
+	}
+	return lu, nil
 }

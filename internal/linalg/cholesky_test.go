@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -122,7 +123,7 @@ func TestFactorSPDFallsBackToLU(t *testing.T) {
 	a.Set(0, 1, 2)
 	a.Set(1, 0, 2)
 	a.Set(1, 1, 1)
-	f, err := FactorSPD(a.sparse())
+	f, err := FactorSPDInto(a.sparse(), new(Cholesky), new(LU))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,12 +138,57 @@ func TestFactorSPDFallsBackToLU(t *testing.T) {
 
 func TestFactorSPDUsesCholeskyWhenPossible(t *testing.T) {
 	a := randomSPD(rand.New(rand.NewSource(2)), 8)
-	f, err := FactorSPD(a.sparse())
+	f, err := FactorSPDInto(a.sparse(), new(Cholesky), new(LU))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, isCh := f.(*Cholesky); !isCh {
 		t.Error("SPD matrix must take the Cholesky path")
+	}
+}
+
+// TestFactorSPDIntoReusesBothFactors factors a run of matrices that
+// grow and shrink into one Cholesky and one LU, alternating SPD matrices
+// with symmetric indefinite ones, which take the LU fallback. Each filled
+// factor must equal a fresh FactorCholesky or Factor exactly, and once the
+// storage has grown, refactoring on either path allocates nothing.
+func TestFactorSPDIntoReusesBothFactors(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	var ch Cholesky
+	var lu LU
+	for i, n := range []int{6, 30, 4, 30, 12, 30} {
+		a := randomSPD(rng, n)
+		indefinite := i%2 == 1
+		if indefinite {
+			a.Add(n/2, n/2, -4*float64(n*n))
+		}
+		sp := a.sparse()
+		f, err := FactorSPDInto(sp, &ch, &lu)
+		if err != nil {
+			t.Fatalf("matrix %d: %v", i, err)
+		}
+		if indefinite {
+			want, err := sp.Factor()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f != Factorization(&lu) || !reflect.DeepEqual(lu, *want) {
+				t.Fatalf("matrix %d: LU fallback in reused storage differs from a fresh Factor", i)
+			}
+		} else {
+			want, err := sp.FactorCholesky()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f != Factorization(&ch) || !reflect.DeepEqual(ch, *want) {
+				t.Fatalf("matrix %d: Cholesky in reused storage differs from a fresh FactorCholesky", i)
+			}
+		}
+		if n == 30 && i >= 2 {
+			if got := testing.AllocsPerRun(10, func() { _, _ = FactorSPDInto(sp, &ch, &lu) }); got != 0 {
+				t.Errorf("matrix %d (indefinite %v): refactoring warm storage makes %v allocations, want 0", i, indefinite, got)
+			}
+		}
 	}
 }
 

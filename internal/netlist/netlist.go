@@ -9,12 +9,14 @@ package netlist
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	//nontree:allow nondetsource test-case generation only; every Generator draws from rand.New(rand.NewSource(seed)), so nets are a pure function of the seed
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -69,15 +71,17 @@ func (n *Net) BoundingBox() geom.Rect { return geom.BoundingBox(n.Pins) }
 var (
 	ErrTooFewPins      = errors.New("netlist: net needs at least two pins (source and one sink)")
 	ErrDuplicatePins   = errors.New("netlist: net contains coincident pins")
+	ErrNearPins        = errors.New("netlist: net contains near-coincident pins")
 	ErrNonFinitePin    = errors.New("netlist: pin coordinate is NaN or infinite")
 	ErrNegativeRegion  = errors.New("netlist: layout region must have positive side length")
 	ErrNonPositiveSize = errors.New("netlist: net size must be at least 2 pins")
 )
 
 // Validate checks structural invariants required by the routing and delay
-// code: at least a source and one sink, finite coordinates, and no two pins
-// at the same location (coincident pins create zero-length wires, i.e.
-// zero-resistance cycles that the delay models reject).
+// code: at least a source and one sink, finite coordinates, no two pins at
+// the same location (coincident pins create zero-length wires, i.e.
+// zero-resistance cycles that the delay models reject), and no two pins
+// within nearTolerance of the net's extent of each other.
 func (n *Net) Validate() error {
 	if len(n.Pins) < 2 {
 		return ErrTooFewPins
@@ -92,7 +96,52 @@ func (n *Net) Validate() error {
 		}
 		seen[p] = i
 	}
-	return nil
+	return nearPins(n.Pins)
+}
+
+// nearTolerance is how close two pins may come, relative to the larger
+// side of the net's bounding box, before Validate rejects them as
+// near-coincident. The wire between such pins conducts more than 10⁹
+// times better than the net's longest, and wires of that contrast leave
+// the grounded conductance matrix singular to working precision: a net of
+// (0,0), (1e-300,0) and (5,5), or one with two pins 0.125 µm apart at
+// x = 1e15 and another at the origin, validated but failed every
+// algorithm. Any two pins farther apart keep that contrast below 10⁹,
+// well inside the factorizations' 10⁻¹⁴ pivot tolerance.
+const nearTolerance = 1e-9
+
+// nearPins reports the first pair of distinct pins, in the order the
+// duplicate check reports pairs (by the later pin, then the earlier),
+// that lie within nearTolerance of the net's extent of each other. The
+// pins are visited in x order, and a pin is compared only with those
+// whose x lies within the tolerance of its own.
+func nearPins(pins []geom.Point) error {
+	box := geom.BoundingBox(pins)
+	tol := nearTolerance * max(box.Width(), box.Height())
+	order := make([]int, len(pins))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Or(cmp.Compare(pins[a].X, pins[b].X), a-b) })
+	first, second := -1, -1
+	for k, i := range order {
+		for _, j := range order[k+1:] {
+			if pins[j].X-pins[i].X > tol {
+				break
+			}
+			if geom.Dist(pins[i], pins[j]) > tol {
+				continue
+			}
+			if lo, hi := min(i, j), max(i, j); second < 0 || hi < second || hi == second && lo < first {
+				first, second = lo, hi
+			}
+		}
+	}
+	if second < 0 {
+		return nil
+	}
+	return fmt.Errorf("%w: pins %d and %d at %v and %v lie %g µm apart, within %g of the net's %g µm extent",
+		ErrNearPins, first, second, pins[first], pins[second], geom.Dist(pins[first], pins[second]), nearTolerance, max(box.Width(), box.Height()))
 }
 
 func finite(x float64) bool {
@@ -122,7 +171,10 @@ func NewGenerator(seed int64) *Generator {
 }
 
 // Generate returns a random net with numPins pins (1 source + numPins-1
-// sinks). Pins are redrawn on collision so the result always validates.
+// sinks). Pins are redrawn on an exact collision; two pins within
+// Validate's near-coincidence tolerance (10⁻⁹ of the extent) would need
+// two uniform draws to fall some 10⁻⁵ µm apart in a 10 mm square, which
+// none of the seeds used in this repository does.
 func (g *Generator) Generate(numPins int) (*Net, error) {
 	if numPins < 2 {
 		return nil, ErrNonPositiveSize

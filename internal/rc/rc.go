@@ -260,41 +260,55 @@ func (cm *CircuitMap) Build(t *graph.Topology, p Params, opts BuildOpts) error {
 type Lumped struct {
 	// NodeCap[n] is the total shunt capacitance at topology node n (F).
 	NodeCap []float64
-	// EdgeRes maps each canonical edge to its series resistance (Ω).
-	EdgeRes map[graph.Edge]float64
+	// EdgeRes[k] is the series resistance (Ω) of the topology's k-th edge
+	// in canonical order, the order graph.Topology.AppendEdges lists them
+	// in.
+	EdgeRes []float64
 	// DriverResistance is the source driver resistance (Ω).
 	DriverResistance float64
 }
 
-// Lump computes the lumped network of a topology under the technology
-// parameters and optional per-edge widths.
-func Lump(t *graph.Topology, p Params, width WidthFunc) (*Lumped, error) {
+// Lump computes into l the lumped network of a topology under the
+// technology parameters and optional per-edge widths, reusing l's storage,
+// so a warm call allocates nothing. The edges are walked in canonical
+// order, each node's neighbours above it. On error l holds no usable
+// network.
+func Lump(l *Lumped, t *graph.Topology, p Params, width WidthFunc) error {
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if width == nil {
 		width = UnitWidth
 	}
-	l := &Lumped{
-		NodeCap:          make([]float64, t.NumNodes()),
-		EdgeRes:          make(map[graph.Edge]float64, t.NumEdges()),
-		DriverResistance: p.DriverResistance,
-	}
-	for n := 0; n < t.NumPins(); n++ {
-		l.NodeCap[n] = p.SinkCapacitance
-	}
-	for _, e := range t.Edges() {
-		w := width(e)
-		if w <= 0 {
-			return nil, fmt.Errorf("%w: edge %v width %g", ErrBadWidth, e, w)
+	l.NodeCap = scratch.Resize(l.NodeCap, t.NumNodes())
+	l.EdgeRes = scratch.Resize(l.EdgeRes, t.NumEdges())
+	l.DriverResistance = p.DriverResistance
+	for n := range l.NodeCap {
+		l.NodeCap[n] = 0
+		if n < t.NumPins() {
+			l.NodeCap[n] = p.SinkCapacitance
 		}
-		length := t.EdgeLength(e)
-		l.EdgeRes[e] = p.WireResistance * length / w
-		halfC := p.WireCapacitance * length * w / 2
-		l.NodeCap[e.U] += halfC
-		l.NodeCap[e.V] += halfC
 	}
-	return l, nil
+	k := 0
+	for u := range l.NodeCap {
+		for _, v := range t.Neighbors(u) {
+			if v < u {
+				continue
+			}
+			e := graph.Edge{U: u, V: v}
+			w := width(e)
+			if w <= 0 {
+				return fmt.Errorf("%w: edge %v width %g", ErrBadWidth, e, w)
+			}
+			length := t.EdgeLength(e)
+			l.EdgeRes[k] = p.WireResistance * length / w
+			k++
+			halfC := p.WireCapacitance * length * w / 2
+			l.NodeCap[u] += halfC
+			l.NodeCap[v] += halfC
+		}
+	}
+	return nil
 }
 
 // TotalCap returns the network's total capacitance (F) — the C_{n0} of
@@ -313,8 +327,8 @@ func (l *Lumped) TotalCap() float64 {
 // three-way delay/wire/energy tradeoff, and this makes the third axis
 // measurable.
 func SwitchingEnergy(t *graph.Topology, p Params, width WidthFunc) (float64, error) {
-	l, err := Lump(t, p, width)
-	if err != nil {
+	var l Lumped
+	if err := Lump(&l, t, p, width); err != nil {
 		return 0, err
 	}
 	return 0.5 * l.TotalCap() * p.Vdd * p.Vdd, nil

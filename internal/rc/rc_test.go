@@ -156,17 +156,16 @@ func TestWidthScalesRAndC(t *testing.T) {
 	topo := twoPinTopo(t, 2000)
 	wide := func(graph.Edge) float64 { return 2 }
 
-	l1, err := Lump(topo, p, nil)
-	if err != nil {
+	l1 := new(Lumped)
+	if err := Lump(l1, topo, p, nil); err != nil {
 		t.Fatal(err)
 	}
-	l2, err := Lump(topo, p, wide)
-	if err != nil {
+	l2 := new(Lumped)
+	if err := Lump(l2, topo, p, wide); err != nil {
 		t.Fatal(err)
 	}
-	e := graph.Edge{U: 0, V: 1}
-	if math.Abs(l2.EdgeRes[e]-l1.EdgeRes[e]/2) > 1e-12 {
-		t.Errorf("width 2 must halve resistance: %v vs %v", l2.EdgeRes[e], l1.EdgeRes[e])
+	if math.Abs(l2.EdgeRes[0]-l1.EdgeRes[0]/2) > 1e-12 {
+		t.Errorf("width 2 must halve resistance: %v vs %v", l2.EdgeRes[0], l1.EdgeRes[0])
 	}
 	wireCap1 := l1.NodeCap[0] - p.SinkCapacitance
 	wireCap2 := l2.NodeCap[0] - p.SinkCapacitance
@@ -186,8 +185,8 @@ func TestLumpTotals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := Lump(topo, p, nil)
-	if err != nil {
+	l := new(Lumped)
+	if err := Lump(l, topo, p, nil); err != nil {
 		t.Fatal(err)
 	}
 	want := p.WireCapacitance*topo.Cost() + float64(topo.NumPins())*p.SinkCapacitance
@@ -195,7 +194,8 @@ func TestLumpTotals(t *testing.T) {
 		t.Errorf("TotalCap = %v, want %v", l.TotalCap(), want)
 	}
 	var totR float64
-	for e, r := range l.EdgeRes {
+	for k, e := range topo.Edges() {
+		r := l.EdgeRes[k]
 		totR += r
 		if math.Abs(r-p.WireResistance*topo.EdgeLength(e)) > 1e-12 {
 			t.Errorf("edge %v resistance %v", e, r)
@@ -222,8 +222,8 @@ func TestLumpInvariantUnderSegmentationProperty(t *testing.T) {
 			return false
 		}
 		p := Default()
-		l, err := Lump(topo, p, nil)
-		if err != nil {
+		l := new(Lumped)
+		if err := Lump(l, topo, p, nil); err != nil {
 			return false
 		}
 		want := p.WireCapacitance*topo.Cost() + float64(topo.NumPins())*p.SinkCapacitance

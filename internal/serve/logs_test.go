@@ -154,22 +154,23 @@ func TestRequestIDHeaderMatchesBody(t *testing.T) {
 // comes from: the handler tags every 422 with the X-Request-ID, exactly
 // once, in the reply and in the wide event alike. The cases cover both
 // sides of core: validation failures (a one-pin net, an unknown algo)
-// and an oracle failure inside an algorithm (near-coincident pins leave
-// the conductance matrix singular), directly and nested inside SLDRG.
+// and an oracle failure inside an algorithm (a net spanning 10¹⁸ µm,
+// whose wires conduct some 10⁻¹⁴ times as well as the driver, leaves the
+// conductance matrix singular), directly and nested inside SLDRG.
 func TestRouteErrorsNameRequestOnce(t *testing.T) {
 	s := New(Options{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	nearPins := &netlist.Net{Pins: []geom.Point{{X: 0, Y: 0}, {X: 1e-300, Y: 0}, {X: 5, Y: 5}}}
+	vast := &netlist.Net{Pins: []geom.Point{{X: 0, Y: 0}, {X: 1e18, Y: 0}, {X: 5e17, Y: 5e17}}}
 	for _, tc := range []struct {
 		name string
 		req  RouteRequest
 	}{
 		{"one-pin net", RouteRequest{Net: &netlist.Net{Pins: testNet(t, 1, 5).Pins[:1]}}},
 		{"unknown algo", RouteRequest{Net: testNet(t, 1, 5), RouteOptions: RouteOptions{Algo: "magic"}}},
-		{"oracle failure", RouteRequest{Net: nearPins}},
-		{"oracle failure under sldrg", RouteRequest{Net: nearPins, RouteOptions: RouteOptions{Algo: AlgoSLDRG}}},
+		{"oracle failure", RouteRequest{Net: vast}},
+		{"oracle failure under sldrg", RouteRequest{Net: vast, RouteOptions: RouteOptions{Algo: AlgoSLDRG}}},
 	} {
 		body, err := json.Marshal(tc.req)
 		if err != nil {
@@ -195,6 +196,9 @@ func TestRouteErrorsNameRequestOnce(t *testing.T) {
 		}
 		if got := strings.Count(reply.Error, tag); got != 1 {
 			t.Errorf("%s: reply error carries %d %q tags, want 1: %s", tc.name, got, tag, reply.Error)
+		}
+		if strings.HasPrefix(tc.name, "oracle failure") && !strings.Contains(reply.Error, "singular") {
+			t.Errorf("%s: reply error %q is not the conductance matrix's", tc.name, reply.Error)
 		}
 		if _, ok := findEvent(s, id); !ok { // the event lands after the reply
 			t.Fatalf("%s: request %s has no wide event", tc.name, id)
@@ -224,6 +228,7 @@ func TestInvalidNetsReplyWithValidateText(t *testing.T) {
 		{Pins: pins[:1]},
 		{Pins: []geom.Point{pins[0], {X: 1.5e308, Y: 0}, pins[1]}},
 		{Pins: []geom.Point{pins[0], pins[1], pins[2], pins[1]}},
+		{Pins: []geom.Point{{X: 0, Y: 0}, {X: 1e-300, Y: 0}, {X: 5, Y: 5}}},
 	} {
 		want := net.Validate()
 		if want == nil {

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -147,5 +148,103 @@ func TestTraceReadsRaceEvictions(t *testing.T) {
 	wg.Wait()
 	if reads == 0 {
 		t.Fatal("no read raced the evictions")
+	}
+}
+
+// TestClosedReplyBodyExposesNoLaterReply: an in-process reply's body hands
+// its buffer back on Close, and later replies are written into it. Each
+// goroutine reads part of a reply, closes the body, sends more requests
+// whose replies reuse the buffer, and then reads the closed body again:
+// the read must fail with http.ErrBodyReadAfterClose and return no byte,
+// and every reply read in full must equal its first read. Under -race it
+// also checks Close against the next reply's writes.
+func TestClosedReplyBodyExposesNoLaterReply(t *testing.T) {
+	s := New(Options{})
+	client := &http.Client{Transport: s.InProcessTransport()}
+	var bodies [][]byte
+	for i, pins := range []int{5, 9, 14} {
+		b, err := json.Marshal(RouteRequest{Net: testNet(t, int64(40+i), pins), RouteOptions: RouteOptions{Algo: AlgoLDRG}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, b)
+	}
+	post := func(body []byte) (*http.Response, error) {
+		return client.Post("http://nontree/route", "application/json", bytes.NewReader(body))
+	}
+	// want[i] is reply i's routing result, without the fields that differ
+	// from request to request (the IDs and the phase timings).
+	strip := func(raw []byte) string {
+		var out RouteResponse
+		if err := json.Unmarshal(raw, &out); err != nil || out.RouteResult == nil {
+			return "undecodable: " + string(raw)
+		}
+		canon, err := json.Marshal(out.RouteResult)
+		if err != nil {
+			return "unencodable: " + err.Error()
+		}
+		return string(canon)
+	}
+	want := make([]string, len(bodies))
+	for i, b := range bodies {
+		resp, err := post(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("reply %d: status %d, %v", i, resp.StatusCode, err)
+		}
+		want[i] = strip(raw)
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 16)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 5; round++ {
+				resp, err := post(bodies[(g+round)%len(bodies)])
+				if err != nil {
+					errs <- err
+					return
+				}
+				head := make([]byte, 8)
+				if _, err := io.ReadFull(resp.Body, head); err != nil {
+					errs <- fmt.Errorf("partial read: %v", err)
+					return
+				}
+				resp.Body.Close()
+				for i, b := range bodies {
+					later, err := post(b)
+					if err != nil {
+						errs <- err
+						return
+					}
+					raw, err := io.ReadAll(later.Body)
+					later.Body.Close()
+					if err != nil || strip(raw) != want[i] {
+						errs <- fmt.Errorf("reply %d read after a closed body differs from its first read (%v): status %d %s", i, err, later.StatusCode, raw)
+						return
+					}
+				}
+				buf := make([]byte, 64)
+				if n, err := resp.Body.Read(buf); n != 0 || !errors.Is(err, http.ErrBodyReadAfterClose) {
+					errs <- fmt.Errorf("read after close: %d bytes (%q), error %v", n, buf[:n], err)
+					return
+				}
+				if err := resp.Body.Close(); err != nil {
+					errs <- fmt.Errorf("second close: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

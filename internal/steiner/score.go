@@ -24,6 +24,7 @@ const recheckMargin = 1e-9
 type search struct {
 	points     []geom.Point
 	candidates []geom.Point
+	hanan      geom.Hanan // the storage candidates' grid is built in
 	stars      []star
 	est        []float64 // est[i]: the round's estimate for candidates[i]
 	contenders []int     // the round's candidates within the recheck margin, in order
@@ -69,7 +70,7 @@ type star struct {
 // candidates, keeping its storage. The stars are built by phaseStars.
 func (s *search) reset(points []geom.Point) {
 	s.points = append(s.points[:0], points...)
-	s.candidates = geom.HananGrid(points)
+	s.candidates = s.hanan.AppendGrid(s.candidates[:0], points)
 	s.stars = resize(s.stars, len(s.candidates), len(s.candidates))
 	s.prefix.n = 0 // no previous round whose maxEdge could carry over
 }

@@ -244,7 +244,7 @@ func referenceTree(pins []geom.Point) (*graph.Topology, error) {
 	copy(points, pins)
 	numPins := len(pins)
 
-	candidates := geom.HananGrid(points)
+	candidates := new(geom.Hanan).AppendGrid(nil, points)
 	baseCost := mst.Cost(points)
 
 	for {
@@ -436,22 +436,22 @@ func TestCostWithIsMSTCost(t *testing.T) {
 }
 
 func TestTreeAllocations(t *testing.T) {
-	// A warm Tree call takes its search buffers from the slots, so it
-	// allocates the Hanan grid, the seed's MST cost and the result; the
-	// exact rechecks allocate nothing, and neither does a phase published
-	// to a helper. Both counts run at GOMAXPROCS 1, where the runtime
-	// starts no thread: at one worker, and at two, where the caller claims
-	// every block itself and the helper only starts and stops. This net
-	// takes 297 allocations and 34,424 bytes at one worker, one allocation
-	// and 24 bytes more at two (the helper's go statement), and 1,088 bytes
-	// more in the race detector's build; the bounds are the largest of these
-	// plus about 2%.
+	// A warm Tree call takes its search buffers, the Hanan grid's
+	// included, from the slots, so it allocates the seed's MST cost and the
+	// result; the exact rechecks allocate nothing, and neither does a phase
+	// published to a helper. Both counts run at GOMAXPROCS 1, where the
+	// runtime starts no thread: at one worker, and at two, where the caller
+	// claims every block itself and the helper only starts and stops. This
+	// net takes 290 allocations and 17,360 bytes at one worker, one
+	// allocation and 24 bytes more at two (the helper's go statement), and
+	// 1,088 bytes more in the race detector's build; the bounds are the
+	// largest of these plus about 2%.
 	net, err := netlist.NewGenerator(42).Generate(30)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const maxAllocs, maxBytes = 304, 36_250
+	const maxAllocs, maxBytes = 297, 18_850
 	for _, workers := range []int{1, 2} {
 		run := func() {
 			if _, err := tree(net.Pins, workers, 0); err != nil {

@@ -409,8 +409,8 @@ func Crossings(t *Topology) int {
 // bounds[i] brackets sink pin i+1's delay as [lower, upper]. The upper
 // bound is the Markov bound 2·t_ED; the lower uses the second moment.
 func DelayBounds(t *Topology, p Params) (bounds [][2]float64, err error) {
-	l, err := rc.Lump(t, p, nil)
-	if err != nil {
+	l := new(rc.Lumped)
+	if err := rc.Lump(l, t, p, nil); err != nil {
 		return nil, err
 	}
 	b, err := elmore.Bounds(t, l, 0.5)
@@ -426,8 +426,8 @@ func DelayBounds(t *Topology, p Params) (bounds [][2]float64, err error) {
 // MaxSinkElmore is a convenience for the max Elmore sink delay of a
 // topology, used pervasively in examples and tests.
 func MaxSinkElmore(t *Topology, p Params) (float64, error) {
-	l, err := rc.Lump(t, p, nil)
-	if err != nil {
+	l := new(rc.Lumped)
+	if err := rc.Lump(l, t, p, nil); err != nil {
 		return 0, err
 	}
 	d, err := elmore.GraphDelays(t, l)
