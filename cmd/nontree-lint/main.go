@@ -1,6 +1,6 @@
 // Command nontree-lint is the repository's multichecker: it runs the
-// custom analyzers that mechanically enforce the determinism and oracle
-// thread-safety contracts of DESIGN.md §7–§8.
+// custom analyzers that mechanically enforce the determinism contracts of
+// DESIGN.md §7–§8.
 //
 // Usage:
 //
@@ -13,21 +13,20 @@
 // Analyzers (the roster lives in internal/analysis/registry):
 //
 //	detordering   map iteration feeding order-sensitive computation
-//	epochcheck    incremental-evaluator probes after uncommitted mutation
 //	floatcmp      ==/!= on floating-point delay and score values
 //	lockguard     //nontree:guardedby fields accessed without the mutex
 //	nondetsource  wall clocks, math/rand, GOMAXPROCS-dependent logic
 //	obsnames      metric names outside the internal/obs catalog
-//	purityflow    oracle methods writing shared state, directly or via helper call chains
 //
-// lockguard and epochcheck are flow-sensitive: they run a forward
-// dataflow over the internal/analysis/cfg basic-block graph (DESIGN.md
-// §13). purityflow is interprocedural: it builds the
-// internal/analysis/callgraph call graph and composes bottom-up function
-// summaries across packages (DESIGN.md §14). detordering and nondetsource
-// share one scope, analysis.DeterministicScope: every package a
-// deterministic result can reach, so each nondeterminism source is
-// reported where it is born rather than where its value escapes.
+// lockguard is flow-sensitive: it runs a forward dataflow over the
+// internal/analysis/cfg basic-block graph (DESIGN.md §13). detordering
+// and nondetsource share one scope, analysis.DeterministicScope: every
+// package a deterministic result can reach, so each nondeterminism source
+// is reported where it is born rather than where its value escapes. Two
+// contracts are guarded by the code rather than by lint (DESIGN.md §14):
+// the incremental evaluator returns elmore.ErrStale when a probe no
+// longer matches the topology it adopted, and the race tests run every
+// oracle and objective concurrently on one shared receiver.
 //
 // Findings are suppressed only by a justified annotation:
 //

@@ -41,12 +41,10 @@ func TestRepositoryIsClean(t *testing.T) {
 func TestAnalyzerRoster(t *testing.T) {
 	want := map[string]bool{
 		"detordering":  true,
-		"epochcheck":   true,
 		"floatcmp":     true,
 		"lockguard":    true,
 		"nondetsource": true,
 		"obsnames":     true,
-		"purityflow":   true,
 	}
 	if len(Analyzers) != len(want) {
 		t.Fatalf("expected %d analyzers, got %d", len(want), len(Analyzers))
@@ -105,12 +103,12 @@ func TestAnnotationEscaping(t *testing.T) {
 			Analyzer: "lockguard",
 			Message:  "first\nsecond 100%",
 		}},
-		Stale: []analysis.StaleAllow{{File: "c.go", Line: 9, Analyzer: "purityflow", Reason: "matches no diagnostic"}},
+		Stale: []analysis.StaleAllow{{File: "c.go", Line: 9, Analyzer: "lockguard", Reason: "matches no diagnostic"}},
 	}
 	emitAnnotations(&out, res)
 	got := out.String()
 	want := "::error file=a%2Cb.go,line=2,col=4,title=lockguard::first%0Asecond 100%25\n" +
-		"::error file=c.go,line=9,title=stale-allow::stale //nontree:allow purityflow: matches no diagnostic\n"
+		"::error file=c.go,line=9,title=stale-allow::stale //nontree:allow lockguard: matches no diagnostic\n"
 	if got != want {
 		t.Errorf("annotations:\n got %q\nwant %q", got, want)
 	}

@@ -1,6 +1,6 @@
 // Package analysis is a dependency-free static-analysis framework modeled
 // on golang.org/x/tools/go/analysis, specialized for this repository's
-// determinism and oracle thread-safety contracts (DESIGN.md §7–§8).
+// determinism contracts (DESIGN.md §7–§8).
 //
 // The upstream framework is deliberately not imported: the module carries
 // zero third-party dependencies, so the subset needed here — an Analyzer
@@ -74,11 +74,6 @@ type Pass struct {
 	Files    []*ast.File
 	Pkg      *types.Package
 	Info     *types.Info
-	// Facts is the analyzer's cross-package fact store for this run. The
-	// driver hands every package of one Run the same store (in dependency
-	// order), so facts exported while analyzing a package are visible when
-	// its importers are analyzed. Never nil.
-	Facts *Facts
 
 	allow      allowIndex
 	report     func(Diagnostic)
@@ -198,14 +193,9 @@ func buildAllowIndex(fset *token.FileSet, files []*ast.File) allowIndex {
 	return ai
 }
 
-// RunAnalyzerFacts executes one analyzer over a loaded package with a
-// caller-supplied fact store (nil = a fresh one), letting a driver share
-// one store across the packages of a run. It returns the diagnostics
-// sorted by position.
-func RunAnalyzerFacts(a *Analyzer, pkg *Package, facts *Facts) ([]Diagnostic, error) {
-	if facts == nil {
-		facts = NewFacts()
-	}
+// RunAnalyzer executes one analyzer over a loaded package and returns its
+// diagnostics sorted by position.
+func RunAnalyzer(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
 	var out []Diagnostic
 	pass := &Pass{
 		Analyzer: a,
@@ -213,7 +203,6 @@ func RunAnalyzerFacts(a *Analyzer, pkg *Package, facts *Facts) ([]Diagnostic, er
 		Files:    pkg.Files,
 		Pkg:      pkg.Types,
 		Info:     pkg.Info,
-		Facts:    facts,
 		allow:    pkg.allowIdx(),
 		report:   func(d Diagnostic) { out = append(out, d) },
 	}

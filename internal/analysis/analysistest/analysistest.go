@@ -14,9 +14,9 @@
 //
 // Fixtures may span packages: a testdata package that imports a sibling
 // (e.g. `import "obs"` resolving to testdata/src/obs) gets it loaded,
-// type-checked and analyzed first, in dependency order, with one shared
-// fact store — so multi-file, multi-struct and cross-package fixtures work
-// exactly like a real nontree-lint run. Want comments in dependency
+// type-checked and analyzed first, in dependency order — so multi-file,
+// multi-struct and cross-package fixtures work exactly like a real
+// nontree-lint run. Want comments in dependency
 // packages count too.
 package analysistest
 
@@ -38,8 +38,7 @@ var wantRe = regexp.MustCompile("// want (`([^`]*)`|\"([^\"]*)\")")
 // Run loads each testdata/src/<pkg> relative to the caller's directory
 // (plus any sibling testdata packages they import, recursively),
 // type-checks them, applies the analyzer to every loaded package in
-// dependency order (ignoring its Scope) with a shared fact store, and
-// verifies the combined diagnostics against the want comments of every
+// dependency order (ignoring its Scope), and verifies the combined diagnostics against the want comments of every
 // loaded package.
 func Run(t *testing.T, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
@@ -84,10 +83,9 @@ func Run(t *testing.T, a *analysis.Analyzer, pkgs ...string) {
 		load(pkg)
 	}
 
-	facts := analysis.NewFacts()
 	var diags []analysis.Diagnostic
 	for _, p := range order {
-		ds, err := analysis.RunAnalyzerFacts(a, p, facts)
+		ds, err := analysis.RunAnalyzer(a, p)
 		if err != nil {
 			t.Fatalf("analysistest: running %s on %s: %v", a.Name, p.Path, err)
 		}

@@ -99,9 +99,8 @@ type listedPackage struct {
 // Load resolves patterns (e.g. "./...", "nontree/internal/core") relative
 // to dir (the process working directory when dir is empty) and returns the
 // type-checked packages in dependency order: every package appears after
-// the packages it imports (ties broken by `go list` order). Analyzers that
-// export facts rely on this — a declaration's facts are recorded before
-// any importer is analyzed. Only non-test GoFiles are analyzed: the
+// the packages it imports (ties broken by `go list` order), so every run
+// visits them in the same order. Only non-test GoFiles are analyzed: the
 // contracts gate the algorithms themselves; tests are free to use wall
 // clocks and ad-hoc comparisons.
 func (l *Loader) Load(dir string, patterns ...string) ([]*Package, error) {
@@ -183,8 +182,7 @@ func (l *Loader) check(lp listedPackage) (*Package, error) {
 
 // topoSort orders packages so imports precede importers: a depth-first
 // post-order over the listed set, seeded in `go list` order so the result
-// is deterministic. Imports outside the listed set are ignored — their
-// facts cannot exist in this run anyway. `go list` has already rejected
+// is deterministic. Imports outside the listed set are ignored. `go list` has already rejected
 // import cycles, so the recursion terminates.
 func topoSort(listed []*listedPackage) []*listedPackage {
 	byPath := make(map[string]*listedPackage, len(listed))

@@ -110,8 +110,7 @@ func TestLoadDependencyOrder(t *testing.T) {
 	}
 	// nontree/internal/elmore imports nontree/internal/rc but sorts before
 	// it alphabetically, so plain `go list` order would analyze the
-	// importer first; Load must yield rc before elmore so exported facts
-	// exist when their uses are analyzed.
+	// importer first; Load must yield rc before elmore.
 	pkgs, err := NewLoader().Load("", "nontree/internal/elmore", "nontree/internal/rc")
 	if err != nil {
 		t.Fatal(err)

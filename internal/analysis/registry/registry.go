@@ -8,23 +8,19 @@ package registry
 import (
 	"nontree/internal/analysis"
 	"nontree/internal/analysis/detordering"
-	"nontree/internal/analysis/epochcheck"
 	"nontree/internal/analysis/floatcmp"
 	"nontree/internal/analysis/lockguard"
 	"nontree/internal/analysis/nondetsource"
 	"nontree/internal/analysis/obsnames"
-	"nontree/internal/analysis/purityflow"
 )
 
 // suite is the full roster, kept sorted by name.
 var suite = []*analysis.Analyzer{
 	detordering.Analyzer,
-	epochcheck.Analyzer,
 	floatcmp.Analyzer,
 	lockguard.Analyzer,
 	nondetsource.Analyzer,
 	obsnames.Analyzer,
-	purityflow.Analyzer,
 }
 
 // Analyzers returns the multichecker suite in report (name) order. The

@@ -40,10 +40,8 @@ type Result struct {
 
 // RunAudit loads the packages matched by patterns (resolved in dir, or the
 // working directory when dir is empty) and applies every analyzer whose
-// Scope matches each package, in dependency order (Loader.Load), which is
-// what makes cross-package fact propagation sound: each analyzer gets one
-// fact store shared by every package of the run. After the run it sweeps
-// every //nontree:allow annotation for staleness. Unsuppressed diagnostics
+// Scope matches each package, in dependency order (Loader.Load). After the
+// run it sweeps every //nontree:allow annotation for staleness. Unsuppressed diagnostics
 // are printed to w; everything else is only returned. A non-nil error
 // reports an operational failure (unparseable source, type errors, go list
 // failure) — not findings.
@@ -52,10 +50,6 @@ func RunAudit(w io.Writer, dir string, analyzers []*Analyzer, patterns ...string
 	pkgs, err := loader.Load(dir, patterns...)
 	if err != nil {
 		return Result{}, err
-	}
-	facts := make(map[string]*Facts, len(analyzers))
-	for _, a := range analyzers {
-		facts[a.Name] = NewFacts()
 	}
 	res := Result{Packages: len(pkgs)}
 	for _, pkg := range pkgs {
@@ -69,7 +63,6 @@ func RunAudit(w io.Writer, dir string, analyzers []*Analyzer, patterns ...string
 				Files:    pkg.Files,
 				Pkg:      pkg.Types,
 				Info:     pkg.Info,
-				Facts:    facts[a.Name],
 				allow:    pkg.allowIdx(),
 				report:   func(d Diagnostic) { res.Diags = append(res.Diags, d) },
 				suppressed: func(d Diagnostic) {

@@ -77,7 +77,7 @@ func TestAdoptedFactorMatchesRefactor(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s commit %d: %v", label, run, err)
 				}
-				if err := sameBits(oracle.inc.BaseDelays(), fresh.BaseDelays()); err != nil {
+				if err := sameBits(baseDelays(t, oracle.inc), baseDelays(t, fresh)); err != nil {
 					t.Errorf("%s commit %d: base delays: %v", label, run, err)
 				}
 				for k := 0; k < oracle.topo.NumNodes(); k++ {
@@ -108,4 +108,14 @@ func sameBits(got, want []float64) error {
 		}
 	}
 	return nil
+}
+
+// baseDelays is inc.BaseDelays, failing the test on an error.
+func baseDelays(t *testing.T, inc *elmore.Incremental) []float64 {
+	t.Helper()
+	base, err := inc.BaseDelays()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return base
 }

@@ -19,7 +19,7 @@ import (
 // max-delay edge and tap probes; sweeps over any other oracle use full
 // solves on the worker pool. Both make byte-identical decisions (see the
 // scan rules in sweep.go). A run takes its seed's delays from the
-// evaluator's BaseDelays and re-solves its leaders with Solve instead of
+// evaluator's base state and re-solves its leaders with Solve instead of
 // calling SinkDelays, so all three must agree bit for bit on the same
 // topology and widths.
 type IncrementalScorer interface {
@@ -27,8 +27,9 @@ type IncrementalScorer interface {
 	// width assignment over ws's storage, solving the base state into
 	// sol. The caller owns the evaluator's lifecycle: after every
 	// committed topology or width mutation it must Adopt the mutation's
-	// solution or Refactor, and it stops using the evaluator before it
-	// hands ws or sol to another.
+	// solution or Refactor (probes return elmore.ErrStale until then),
+	// report a width mutation with Widened, and stop using the evaluator
+	// before it hands ws or sol to another.
 	NewIncrementalSweep(ws *elmore.Workspace, sol *elmore.Solution, t *graph.Topology, width rc.WidthFunc) (*elmore.Incremental, error)
 	// Solve makes one full solve of t under width into sol. Its Delays
 	// equal SinkDelays(t, width) bit for bit, and an evaluator of t may

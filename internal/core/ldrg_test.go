@@ -226,7 +226,7 @@ func TestElmoreBaseDelaysMatchOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := inc.BaseDelays()
+		got := baseDelays(t, inc)
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: %d base delays, oracle gave %d", seed, len(got), len(want))
 		}

@@ -38,11 +38,12 @@ import (
 // construction, and each takes its workspaces (the Elmore oracles' lumped
 // network and factorization, SpiceOracle's circuit and simulator
 // workspace) from slots and returns them when the call ends (see the audit notes in package elmore
-// and package spice). The race-mode tests in parallel_test.go and
-// workspace_test.go guard this contract dynamically; statically, the
-// purityflow analyzer rejects writes to shared state in oracle methods,
-// directly or through every helper call chain (DESIGN.md §14), so a
-// mutation laundered two helpers deep fails lint just like a direct one.
+// and package spice). The race-mode tests guard this contract:
+// TestOracleConcurrentStress calls every oracle's SinkDelays and every
+// objective's Eval concurrently on one shared receiver, and
+// TestRaceTableCoversOracleMethods fails when a new such method is
+// missing from its table (DESIGN.md §14), so a receiver write, however
+// many helpers deep, races under -race.
 type DelayOracle interface {
 	// SinkDelays returns a delay (s) per topology node (indexed by node id;
 	// entries for non-sink nodes are implementation-defined). width gives

@@ -2,6 +2,15 @@ package core
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -229,31 +238,62 @@ func TestParallelEquivalenceWireSize(t *testing.T) {
 	}
 }
 
-// TestOracleConcurrentStress hammers one shared oracle instance from many
-// goroutines — some on a shared read-only topology, some on private clones —
-// and checks every result against a sequential baseline. Run under -race
-// this guards the DelayOracle thread-safety contract.
-func TestOracleConcurrentStress(t *testing.T) {
-	oracles := []struct {
-		name   string
-		oracle DelayOracle
-	}{
-		{"elmore", elmoreOracle()},
-		{"twopole", &TwoPoleOracle{Params: elmoreOracle().Params}},
-		{"spice", spiceOracle()},
+// raceRow is one shared receiver of the concurrency contract: an oracle,
+// or an objective. call runs the receiver's method on a topology and
+// returns a vector to compare bit for bit; recv is the receiver itself,
+// whose type TestRaceTableCoversOracleMethods checks.
+type raceRow struct {
+	name        string
+	recv        any
+	pins, iters int
+	call        func(t *graph.Topology) ([]float64, error)
+}
+
+// raceTable lists every SinkDelays, Eval and Evaluate method of the
+// module with one shared receiver each. An objective is fed the delays of
+// a private Elmore oracle, so only its own receiver is shared.
+func raceTable() []raceRow {
+	el, tp, sp := elmoreOracle(), &TwoPoleOracle{Params: elmoreOracle().Params}, spiceOracle()
+	oracle := func(o DelayOracle) func(t *graph.Topology) ([]float64, error) {
+		return func(t *graph.Topology) ([]float64, error) { return o.SinkDelays(t, nil) }
 	}
-	for _, oc := range oracles {
-		t.Run(oc.name, func(t *testing.T) {
-			pins := 12
-			iters := 8
-			if oc.name == "spice" {
-				pins, iters = 6, 2
+	objective := func(obj Objective) func(t *graph.Topology) ([]float64, error) {
+		return func(t *graph.Topology) ([]float64, error) {
+			delays, err := elmoreOracle().SinkDelays(t, nil)
+			if err != nil {
+				return nil, err
 			}
-			if testing.Short() && oc.name == "spice" {
-				t.Skip("short mode")
-			}
+			v, err := obj.Eval(delays, t.NumPins())
+			return []float64{v}, err
+		}
+	}
+	maxDelay := MaxDelayObjective{}
+	weights := UniformCriticality(12)
+	for i := range weights {
+		weights[i] = float64(1 + i%3)
+	}
+	weighted := &WeightedDelayObjective{Alphas: weights}
+	return []raceRow{
+		{"elmore", el, 12, 8, oracle(el)},
+		{"twopole", tp, 12, 8, oracle(tp)},
+		{"spice", sp, 6, 2, oracle(sp)},
+		{"max-delay", maxDelay, 12, 8, objective(maxDelay)},
+		{"weighted-delay", weighted, 12, 8, objective(weighted)},
+	}
+}
+
+// TestOracleConcurrentStress hammers each shared receiver of raceTable
+// from many goroutines — some on a shared read-only topology, some on
+// private clones — and checks every shared-topology result against a
+// serial run bit for bit. Run under -race it guards the DelayOracle and
+// Objective thread-safety contract: a method that writes its receiver
+// races with itself here.
+func TestOracleConcurrentStress(t *testing.T) {
+	for _, row := range raceTable() {
+		t.Run(row.name, func(t *testing.T) {
+			pins, iters := row.pins, row.iters
 			shared := randomMST(t, 99, pins)
-			want, err := oc.oracle.SinkDelays(shared, nil)
+			want, err := row.call(shared)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -280,7 +320,7 @@ func TestOracleConcurrentStress(t *testing.T) {
 									return
 								}
 							}
-							if _, err := oc.oracle.SinkDelays(topo, nil); err != nil {
+							if _, err := row.call(topo); err != nil {
 								errs <- fmt.Errorf("goroutine %d clone eval: %w", g, err)
 								return
 							}
@@ -292,14 +332,14 @@ func TestOracleConcurrentStress(t *testing.T) {
 							}
 							continue
 						}
-						got, err := oc.oracle.SinkDelays(topo, nil)
+						got, err := row.call(topo)
 						if err != nil {
 							errs <- fmt.Errorf("goroutine %d shared eval: %w", g, err)
 							return
 						}
 						for n := range want {
-							if got[n] != want[n] {
-								errs <- fmt.Errorf("goroutine %d: delay[%d] = %.17g, want %.17g", g, n, got[n], want[n])
+							if math.Float64bits(got[n]) != math.Float64bits(want[n]) {
+								errs <- fmt.Errorf("goroutine %d: result[%d] = %.17g, want %.17g", g, n, got[n], want[n])
 								return
 							}
 						}
@@ -313,6 +353,90 @@ func TestOracleConcurrentStress(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRaceTableCoversOracleMethods parses the module's non-test Go for
+// methods named SinkDelays, Eval or Evaluate and fails when a receiver
+// type of one is missing from raceTable, so a new oracle or objective
+// cannot skip the race test.
+func TestRaceTableCoversOracleMethods(t *testing.T) {
+	covered := map[string]bool{}
+	for _, row := range raceTable() {
+		typ := reflect.TypeOf(row.recv)
+		if typ.Kind() == reflect.Pointer {
+			typ = typ.Elem()
+		}
+		covered[typ.PkgPath()+"."+typ.Name()] = true
+	}
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := 0
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || fileExists(filepath.Join(path, "go.mod"))) {
+				return filepath.SkipDir // fixtures, tool state, and other modules
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		pkg := "nontree"
+		if rel != "." {
+			pkg += "/" + filepath.ToSlash(rel)
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil {
+				continue
+			}
+			switch fn.Name.Name {
+			case "SinkDelays", "Eval", "Evaluate":
+			default:
+				continue
+			}
+			recv := fn.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			id, ok := recv.(*ast.Ident)
+			if !ok {
+				t.Errorf("%s: %s has a receiver this test cannot name", fset.Position(fn.Pos()), fn.Name.Name)
+				continue
+			}
+			found++
+			if key := pkg + "." + id.Name; !covered[key] {
+				t.Errorf("%s: %s.%s is missing from raceTable", fset.Position(fn.Pos()), key, fn.Name.Name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if found < len(covered) {
+		t.Errorf("found %d methods for %d table rows; the walk missed the module", found, len(covered))
+	}
+}
+
+func fileExists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }
 
 // TestParallelLDRGStress runs the full parallel greedy loop on a 30-pin net

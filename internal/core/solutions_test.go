@@ -108,7 +108,7 @@ func TestResolvesKeepBaseAndStagedWinners(t *testing.T) {
 	second := scan(2, []graph.Edge{edges[1], edges[4], edges[5]})
 	check("first winner after the second scan", first.sol.Delays(), &edges[0])
 	check("second winner after its scan", second.sol.Delays(), &edges[1])
-	check("base after both scans", eng.inc.BaseDelays(), nil)
+	check("base after both scans", baseDelays(t, eng.inc), nil)
 	if first.sol == second.sol {
 		t.Fatal("both winners share one solution")
 	}
@@ -119,7 +119,7 @@ func TestResolvesKeepBaseAndStagedWinners(t *testing.T) {
 	if err := eng.adopt(first.sol); err != nil {
 		t.Fatal(err)
 	}
-	got := eng.inc.BaseDelays()
+	got := baseDelays(t, eng.inc)
 	seed.RemoveEdge(edges[0])
 	check("base after adopting the first winner", got, &edges[0])
 }

@@ -76,7 +76,7 @@ type candidates struct {
 	probeMax func(i int, cutoff float64) (float64, error)
 	// bound returns an upper bound on how much candidate i can improve any
 	// node's delay; nil disables pruning.
-	bound func(i int) float64
+	bound func(i int) (float64, error)
 	// event writes candidate i's identity fields into ev: U/V, Tap/X/Y and
 	// Width. It may run under a tracer's lock, so it must only compute.
 	event func(i int, ev *trace.Event)
@@ -217,7 +217,7 @@ func newSweepEngine(t *graph.Topology, opts *Options, width rc.WidthFunc, obj Ob
 			return nil, nil, fmt.Errorf("core: scoring seed topology: %w", err)
 		}
 		inc.Obs = opts.Obs
-		eng.inc, eng.scorer, eng.base, delays = inc, is, sol, inc.BaseDelays()
+		eng.inc, eng.scorer, eng.base, delays = inc, is, sol, sol.Delays()
 		eng.factor, eng.prune = pruningFactor(obj)
 		eng.audit = opts.auditPruning
 		_, eng.stop = obj.(MaxDelayObjective)
@@ -465,7 +465,11 @@ func (eng *sweepEngine) probeAll(numPins, sweep int, cur, threshold float64, out
 	runMin, minIdx := math.Inf(1), int32(-1)
 	for i := range outs {
 		if c.bound != nil && eng.prune {
-			if lb := cur - eng.factor*c.bound(i); lb >= cutoff {
+			b, err := c.bound(i)
+			if err != nil {
+				return err
+			}
+			if lb := cur - eng.factor*b; lb >= cutoff {
 				outs[i] = outcome{val: lb, pruned: true}
 				continue
 			}

@@ -144,7 +144,7 @@ func WireSize(t *graph.Topology, wopts WireSizeOptions, opts Options) (*WireSize
 				}
 				return delays, nil
 			},
-			bound: func(i int) float64 { return eng.inc.WideningBound(cands[i]) },
+			bound: func(i int) (float64, error) { return eng.inc.WideningBound(cands[i]) },
 			event: func(i int, ev *trace.Event) {
 				ev.U, ev.V, ev.Width = cands[i].U, cands[i].V, widths[cands[i]]+1
 			},
@@ -157,6 +157,9 @@ func WireSize(t *graph.Topology, wopts WireSizeOptions, opts Options) (*WireSize
 		}
 		e := graph.Edge{U: win.ev.U, V: win.ev.V}
 		widths[e]++
+		if eng.inc != nil {
+			eng.inc.Widened()
+		}
 		if err := eng.adopt(win.sol); err != nil {
 			return nil, fmt.Errorf("core: adopting the solution of widening %v: %w", e, err)
 		}

@@ -47,11 +47,12 @@ import (
 // costs a few sinks instead of n.
 //
 // Incremental is deliberately stateful — its solve cache, probe buffer,
-// count tallies and epoch counter mutate on evaluation — which is why it
-// is the sanctioned exception to the oracle purity contract: one instance
-// serves one goroutine, the epochcheck analyzer rejects probes against a
-// stale factorization, and the purityflow analyzer exempts exactly this
-// type (and nothing else) from its no-shared-writes rule (DESIGN.md §14).
+// count tallies and epoch counter mutate on evaluation — so, unlike the
+// oracles, one instance serves one goroutine. It also checks its own
+// protocol: Adopt and Refactor record the topology's state stamp
+// (graph.Topology.Stamp), and every probe returns ErrStale once the
+// topology or, through Widened, the widths have moved on since, so no
+// probe answers from a stale factorization (DESIGN.md §14).
 type Incremental struct {
 	topo  *graph.Topology
 	p     rc.Params
@@ -69,6 +70,11 @@ type Incremental struct {
 	// belongs to the epoch it was computed in, and each install starts a
 	// new one.
 	epoch int
+
+	// stamp is the state the base state was installed for: the
+	// topology's Stamp plus widened. widened counts the widenings the
+	// caller has reported through Widened.
+	stamp, widened uint64
 
 	// evals, hits and misses tally probes and column-cache lookups until
 	// Flush hands them to Obs, so a probe takes no lock.
@@ -128,13 +134,14 @@ func (ws *Workspace) install(n int) {
 // NewIncremental prepares incremental evaluation over the topology's
 // current state under a per-edge width assignment (nil = unit widths),
 // solving the base state into sol and keeping its caches in ws
-// (new(Solution) and new(Workspace) for storage of its own). The
-// topology must not be mutated while the evaluator is in use; after
-// committing a modification, call Refactor to re-derive the base state.
-// The width function is re-read on every Refactor, so callers that mutate
-// their width map need only refactor. An Incremental mutates its caches on
-// every evaluation and must not be shared across goroutines — give each
-// worker its own evaluator and workspace instead.
+// (new(Solution) and new(Workspace) for storage of its own). After
+// committing a modification, call Refactor to re-derive the base state,
+// or Adopt the modified state's solution; until then every probe returns
+// ErrStale. The width function is re-read on every Refactor, so callers
+// that mutate their width map report it with Widened and need only
+// refactor. An Incremental mutates its caches on every evaluation and
+// must not be shared across goroutines — give each worker its own
+// evaluator and workspace instead.
 func NewIncremental(ws *Workspace, sol *Solution, t *graph.Topology, p rc.Params, width rc.WidthFunc) (*Incremental, error) {
 	inc := &Incremental{topo: t, p: p, width: width, ws: ws, sol: sol}
 	if err := inc.Refactor(); err != nil {
@@ -213,8 +220,31 @@ func (inc *Incremental) Adopt(sol *Solution) error {
 	inc.sol, inc.base = sol, sol.delays
 	inc.ws.install(n)
 	inc.epoch++
+	inc.stamp = inc.topo.Stamp() + inc.widened
 	return nil
 }
+
+// ErrStale is returned by a probe when the evaluator's topology, or its
+// widths, changed after the base state was installed: the probe would
+// answer from the factorization of a routing that no longer exists.
+// Adopt the committed state's solution, or Refactor, before probing
+// again.
+var ErrStale = errors.New("elmore: probe against a stale base state; adopt or refactor after a committed modification")
+
+// fresh returns ErrStale unless the topology and widths are in the state
+// the base state was installed for: one integer compare.
+func (inc *Incremental) fresh() error {
+	if inc.topo.Stamp()+inc.widened != inc.stamp {
+		return ErrStale
+	}
+	return nil
+}
+
+// Widened reports that the width function now gives one of the
+// topology's edges one more width step. The widths are the caller's, so
+// the evaluator cannot see the write itself; like a topology edit, it
+// leaves the base state stale until the next Adopt or Refactor.
+func (inc *Incremental) Widened() { inc.widened++ }
 
 // Flush adds the evaluations, cache hits and cache misses tallied since the
 // last flush to Obs and resets the tallies. Probes only count; callers
@@ -238,8 +268,14 @@ func (inc *Incremental) Flush() {
 // or Adopt (1 after construction). Cached columns never outlive an epoch.
 func (inc *Incremental) Epoch() int { return inc.epoch }
 
-// BaseDelays returns the delays (s) of the unmodified topology.
-func (inc *Incremental) BaseDelays() []float64 { return inc.base }
+// BaseDelays returns the delays (s) of the unmodified topology, or
+// ErrStale once the topology has moved on from them.
+func (inc *Incremental) BaseDelays() ([]float64, error) {
+	if err := inc.fresh(); err != nil {
+		return nil, err
+	}
+	return inc.base, nil
+}
 
 // Column returns G⁻¹e_k, the transfer-resistance column (Ω) of node k
 // under the current base state, from the epoch's cache. It must not be
@@ -350,6 +386,9 @@ func (r *rank1) cutoffMax(order []int, cutoff float64) float64 {
 // addition prepares in r the probe of candidate edge e at the width the
 // evaluator's width function assigns it.
 func (inc *Incremental) addition(r *rank1, e graph.Edge) error {
+	if err := inc.fresh(); err != nil {
+		return err
+	}
 	e = e.Canon()
 	length := inc.topo.EdgeLength(e)
 	//nontree:allow floatcmp Manhattan length of coincident points is exactly 0.0; degeneracy sentinel guarding the 1/length conductance below
@@ -405,6 +444,9 @@ func (inc *Incremental) MaxWithEdge(e graph.Edge, cutoff float64) (float64, erro
 // width-independent increments Δg = 1/(r·len) and Δc/2 = c·len/2. Like
 // WithEdge, it returns the evaluator's probe buffer.
 func (inc *Incremental) WithWiden(e graph.Edge) ([]float64, error) {
+	if err := inc.fresh(); err != nil {
+		return nil, err
+	}
 	e = e.Canon()
 	if !inc.topo.HasEdge(e) {
 		return nil, fmt.Errorf("elmore: widening absent edge %v", e)
@@ -525,6 +567,9 @@ func (inc *Incremental) MaxWithTap(e graph.Edge, pt geom.Point, cutoff float64) 
 
 // tap counts one probe and prepares in r the rank-3 update of WithTap.
 func (inc *Incremental) tap(r *rank3, e graph.Edge, pt geom.Point) error {
+	if err := inc.fresh(); err != nil {
+		return err
+	}
 	e = e.Canon()
 	if !inc.topo.HasEdge(e) {
 		return fmt.Errorf("elmore: tapping absent edge %v", e)
@@ -664,7 +709,10 @@ func solve3(a [3][3]float64, b [3]float64) ([3]float64, error) {
 // capacitance increment only ever hurts (G is an M-matrix, so G⁻¹ ≥ 0).
 // The bound never evaluates the candidate; a sweep uses it to skip
 // widenings that provably cannot beat its threshold.
-func (inc *Incremental) WideningBound(e graph.Edge) float64 {
+func (inc *Incremental) WideningBound(e graph.Edge) (float64, error) {
+	if err := inc.fresh(); err != nil {
+		return 0, err
+	}
 	e = e.Canon()
-	return math.Abs(inc.base[e.U] - inc.base[e.V])
+	return math.Abs(inc.base[e.U] - inc.base[e.V]), nil
 }

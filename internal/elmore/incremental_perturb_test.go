@@ -120,9 +120,12 @@ func TestWideningBoundIsSound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base := inc.BaseDelays()
+		base := baseDelays(t, inc)
 		for _, e := range topo.Edges() {
-			bound := inc.WideningBound(e)
+			bound, err := inc.WideningBound(e)
+			if err != nil {
+				t.Fatal(err)
+			}
 			after, err := inc.WithWiden(e)
 			if err != nil {
 				t.Fatal(err)

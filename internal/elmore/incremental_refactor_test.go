@@ -107,7 +107,7 @@ func TestRefactorTracksNodeGrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := fullDelays(t, topo, nil)
-	got := inc.BaseDelays()
+	got := baseDelays(t, inc)
 	for n := range want {
 		if got[n] != want[n] {
 			t.Fatalf("node %d after tap refactor: %v != %v", n, got[n], want[n])

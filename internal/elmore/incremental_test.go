@@ -114,7 +114,7 @@ func TestCutoffProbesMatchFullMax(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		order, base := inc.sinkOrder(), inc.BaseDelays()
+		order, base := inc.sinkOrder(), baseDelays(t, inc)
 		if len(order) != topo.NumPins()-1 {
 			t.Fatalf("seed %d: %d sinks in order, want %d", seed, len(order), topo.NumPins()-1)
 		}

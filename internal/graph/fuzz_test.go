@@ -124,8 +124,39 @@ func (m *edgeSet) isTree() bool {
 	return len(m.edges) == active-1
 }
 
-// check compares every query FuzzTopologyVsEdgeSet referees.
+// stamp is Stamp's definition over the model: the node count plus the
+// wrapping sum of edgeMix over the edges, whatever edits reached them.
+func (m *edgeSet) stamp() uint64 {
+	s := uint64(len(m.points))
+	for e := range m.edges {
+		s += edgeMix(e)
+	}
+	return s
+}
+
+// check compares every query FuzzTopologyVsEdgeSet referees. The stamp
+// must match the model's state, survive every read, and travel with a
+// Clone and a CopyFrom.
 func (m *edgeSet) check(topo *Topology) error {
+	stamp := topo.Stamp()
+	if want := m.stamp(); stamp != want {
+		return fmt.Errorf("Stamp = %#x, model %#x", stamp, want)
+	}
+	var copied Topology
+	copied.CopyFrom(topo)
+	if c, d := topo.Clone().Stamp(), copied.Stamp(); c != stamp || d != stamp {
+		return fmt.Errorf("Stamp %#x, clone's %#x, copy's %#x", stamp, c, d)
+	}
+	if err := m.checkReads(topo); err != nil {
+		return err
+	}
+	if got := topo.Stamp(); got != stamp {
+		return fmt.Errorf("reads moved Stamp from %#x to %#x", stamp, got)
+	}
+	return nil
+}
+
+func (m *edgeSet) checkReads(topo *Topology) error {
 	n := len(m.points)
 	if topo.NumNodes() != n || topo.NumEdges() != len(m.edges) {
 		return fmt.Errorf("%d nodes, %d edges; model has %d, %d", topo.NumNodes(), topo.NumEdges(), n, len(m.edges))
@@ -169,7 +200,7 @@ func (m *edgeSet) check(topo *Topology) error {
 // FuzzTopologyVsEdgeSet is the referee for the adjacency-list edge store:
 // random AddEdge, RemoveEdge, AddSteinerNode, Clone and Compact sequences
 // must leave a Topology answering Edges, AbsentEdges, HasEdge (out-of-range
-// nodes included), NumEdges, IsTree and Cost (bitwise) exactly as a
+// nodes included), NumEdges, IsTree, Cost (bitwise) and Stamp exactly as a
 // map-based model does, with the same mutator errors. A clone must not see
 // later mutations of its copy.
 func FuzzTopologyVsEdgeSet(f *testing.F) {
@@ -202,8 +233,15 @@ func FuzzTopologyVsEdgeSet(f *testing.F) {
 			e := Edge{node(ops[1]), node(ops[2])}
 			switch ops[0] % 5 {
 			case 0:
+				before := topo.Stamp()
 				if got, want := topo.AddEdge(e), model.add(e); !errors.Is(got, want) {
 					t.Fatalf("AddEdge(%v) = %v, model %v", e, got, want)
+				} else if got == nil {
+					// An add followed by a remove restores the stamp.
+					c := topo.Clone()
+					if err := c.RemoveEdge(e); err != nil || c.Stamp() != before {
+						t.Fatalf("AddEdge(%v) then RemoveEdge: Stamp %#x, %#x before (err %v)", e, c.Stamp(), before, err)
+					}
 				}
 			case 1:
 				if got, want := topo.RemoveEdge(e), model.remove(e); !errors.Is(got, want) {

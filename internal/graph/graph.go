@@ -76,6 +76,9 @@ type Topology struct {
 	numPins  int
 	adj      [][]int // sorted adjacency lists, the only edge store
 	numEdges int
+	// edgeSum is the wrapping sum of edgeMix over the edges: the edge
+	// half of Stamp.
+	edgeSum uint64
 }
 
 // NewTopology creates an edgeless topology over the given pin locations.
@@ -149,6 +152,24 @@ func (t *Topology) Points() []geom.Point {
 	return out
 }
 
+// Stamp returns an O(1) stamp of the topology's state: the node count
+// plus a wrapping sum of a 64-bit mix of each canonical edge. It depends
+// on the state alone, not on the edits that reached it, so removing an
+// edge restores the stamp that adding it moved; Clone and CopyFrom carry
+// it, and reads never change it. Two states share a stamp only by a hash
+// collision, or when they differ in node locations alone. The incremental
+// Elmore evaluator compares it on every probe.
+func (t *Topology) Stamp() uint64 { return uint64(len(t.points)) + t.edgeSum }
+
+// edgeMix is the splitmix64 finalizer of a canonical edge's endpoints.
+func edgeMix(e Edge) uint64 {
+	x := uint64(e.U)<<32 | uint64(uint32(e.V))
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
 // IsSteiner reports whether node n is a Steiner point rather than a pin.
 func (t *Topology) IsSteiner(n int) bool { return n >= t.numPins }
 
@@ -209,6 +230,7 @@ func (t *Topology) AddEdge(e Edge) error {
 		return fmt.Errorf("%w: %v", ErrZeroLength, e)
 	}
 	t.numEdges++
+	t.edgeSum += edgeMix(e)
 	t.adj[e.U] = insertSorted(t.adj[e.U], e.V)
 	t.adj[e.V] = insertSorted(t.adj[e.V], e.U)
 	return nil
@@ -221,6 +243,7 @@ func (t *Topology) RemoveEdge(e Edge) error {
 		return fmt.Errorf("%w: %v", ErrMissingEdge, e)
 	}
 	t.numEdges--
+	t.edgeSum -= edgeMix(e)
 	t.adj[e.U] = removeSorted(t.adj[e.U], e.V)
 	t.adj[e.V] = removeSorted(t.adj[e.V], e.U)
 	return nil
@@ -282,6 +305,7 @@ func (t *Topology) Clone() *Topology {
 		numPins:  t.numPins,
 		adj:      make([][]int, len(t.adj)),
 		numEdges: t.numEdges,
+		edgeSum:  t.edgeSum,
 	}
 	flat := make([]int, 0, 2*t.numEdges)
 	for i, a := range t.adj {
@@ -298,7 +322,7 @@ func (t *Topology) Clone() *Topology {
 // nothing.
 func (t *Topology) CopyFrom(src *Topology) {
 	t.points = append(t.points[:0], src.points...)
-	t.numPins, t.numEdges = src.numPins, src.numEdges
+	t.numPins, t.numEdges, t.edgeSum = src.numPins, src.numEdges, src.edgeSum
 	n := len(src.adj)
 	if k := cap(t.adj); k < n {
 		t.adj = slices.Grow(t.adj[:k], n-k)
